@@ -92,29 +92,18 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzObjectiveDecode -fuzztime $(FUZZTIME) ./internal/optimize/
 	$(GO) test -run '^$$' -fuzz FuzzSearchStateRoundTrip -fuzztime $(FUZZTIME) ./internal/optimize/
 
-# Coverage floors: the BGP engine (the incremental recomputation path
-# must stay thoroughly tested) and the snapshot container (every
-# checkpoint rides on its integrity checks). CI enforces the same
-# bounds.
+# Statement-coverage floors, one pkg:floor pair per internal package
+# whose tests the rest of the tree leans on: the BGP engine (the
+# decision path's differential harness), the snapshot container (every
+# checkpoint rides on its integrity checks), the event engine, the
+# workload generators, origin validation, the fault injector and the
+# search harness. CI runs this target.
+COVER_FLOORS := bgp:80 snapshot:85 vtime:80 workload:80 rpki:85 faults:80 optimize:80
+
 cover:
-	$(GO) test -coverprofile=bgp.cov ./internal/bgp/
-	$(GO) tool cover -func=bgp.cov | awk '/^total:/ { sub(/%/, "", $$3); if ($$3 + 0 < 80) { printf "internal/bgp coverage %.1f%% below 80%% floor\n", $$3; exit 1 } else printf "internal/bgp coverage %.1f%%\n", $$3 }'
-	rm -f bgp.cov
-	$(GO) test -coverprofile=snapshot.cov ./internal/snapshot/
-	$(GO) tool cover -func=snapshot.cov | awk '/^total:/ { sub(/%/, "", $$3); if ($$3 + 0 < 85) { printf "internal/snapshot coverage %.1f%% below 85%% floor\n", $$3; exit 1 } else printf "internal/snapshot coverage %.1f%%\n", $$3 }'
-	rm -f snapshot.cov
-	$(GO) test -coverprofile=vtime.cov ./internal/vtime/
-	$(GO) tool cover -func=vtime.cov | awk '/^total:/ { sub(/%/, "", $$3); if ($$3 + 0 < 80) { printf "internal/vtime coverage %.1f%% below 80%% floor\n", $$3; exit 1 } else printf "internal/vtime coverage %.1f%%\n", $$3 }'
-	rm -f vtime.cov
-	$(GO) test -coverprofile=workload.cov ./internal/workload/
-	$(GO) tool cover -func=workload.cov | awk '/^total:/ { sub(/%/, "", $$3); if ($$3 + 0 < 80) { printf "internal/workload coverage %.1f%% below 80%% floor\n", $$3; exit 1 } else printf "internal/workload coverage %.1f%%\n", $$3 }'
-	rm -f workload.cov
-	$(GO) test -coverprofile=rpki.cov ./internal/rpki/
-	$(GO) tool cover -func=rpki.cov | awk '/^total:/ { sub(/%/, "", $$3); if ($$3 + 0 < 85) { printf "internal/rpki coverage %.1f%% below 85%% floor\n", $$3; exit 1 } else printf "internal/rpki coverage %.1f%%\n", $$3 }'
-	rm -f rpki.cov
-	$(GO) test -coverprofile=faults.cov ./internal/faults/
-	$(GO) tool cover -func=faults.cov | awk '/^total:/ { sub(/%/, "", $$3); if ($$3 + 0 < 80) { printf "internal/faults coverage %.1f%% below 80%% floor\n", $$3; exit 1 } else printf "internal/faults coverage %.1f%%\n", $$3 }'
-	rm -f faults.cov
-	$(GO) test -coverprofile=optimize.cov ./internal/optimize/
-	$(GO) tool cover -func=optimize.cov | awk '/^total:/ { sub(/%/, "", $$3); if ($$3 + 0 < 80) { printf "internal/optimize coverage %.1f%% below 80%% floor\n", $$3; exit 1 } else printf "internal/optimize coverage %.1f%%\n", $$3 }'
-	rm -f optimize.cov
+	@set -e; for pf in $(COVER_FLOORS); do \
+		pkg=$${pf%%:*}; floor=$${pf##*:}; \
+		$(GO) test -coverprofile=$$pkg.cov ./internal/$$pkg/; \
+		$(GO) tool cover -func=$$pkg.cov | awk -v pkg=$$pkg -v floor=$$floor '/^total:/ { sub(/%/, "", $$3); if ($$3 + 0 < floor) { printf "internal/%s coverage %.1f%% below %d%% floor\n", pkg, $$3, floor; exit 1 } else printf "internal/%s coverage %.1f%%\n", pkg, $$3 }'; \
+		rm -f $$pkg.cov; \
+	done

@@ -3,14 +3,13 @@
 // depths, import localpref overrides, and action communities on the
 // R&E and commodity origins, scored against a target objective. Every
 // candidate is evaluated by rewinding a converged pristine snapshot
-// and pushing the candidate's delta through the incremental engine
-// path, so a search of N candidates pays for one initial convergence
-// instead of N.
+// and pushing the candidate's delta through the engine, so a search
+// of N candidates pays for one initial convergence instead of N.
 //
 // Usage:
 //
 //	reoptimize -objective SPEC [-budget N] [-strategy S]
-//	           [-small] [-scale T] [-seed N] [-workers N] [-incremental]
+//	           [-small] [-scale T] [-seed N] [-workers N]
 //	           [-snapshot-dir dir] [-resume]
 //	           [-manifest out.json] [-metrics] [-zerotime]
 //
@@ -51,9 +50,9 @@ import (
 func main() {
 	// Like reprobe, reoptimize defaults to the reduced-scale ecosystem:
 	// a search multiplies world evaluations, so full scale is opt-in.
-	cfg := cliconf.Config{Small: true, Seed: 1, Incremental: true, Budget: 32}
+	cfg := cliconf.Config{Small: true, Seed: 1, Budget: 32}
 	cliconf.Register(flag.CommandLine, &cfg,
-		cliconf.FlagSmall|cliconf.FlagSeed|cliconf.FlagWorkers|cliconf.FlagIncremental|
+		cliconf.FlagSmall|cliconf.FlagSeed|cliconf.FlagWorkers|
 			cliconf.FlagObservability|cliconf.FlagOptimize|cliconf.FlagSnapshot)
 	flag.Parse()
 
@@ -82,12 +81,11 @@ func validate(cfg cliconf.Config) error {
 // The worker count is deliberately absent: the manifest, like stdout,
 // is byte-identical at any -workers value.
 type manifestOptions struct {
-	Small       bool   `json:"small"`
-	Scale       string `json:"scale,omitempty"`
-	Incremental bool   `json:"incremental"`
-	Objective   string `json:"objective"`
-	Strategy    string `json:"strategy"`
-	Budget      int    `json:"budget"`
+	Small     bool   `json:"small"`
+	Scale     string `json:"scale,omitempty"`
+	Objective string `json:"objective"`
+	Strategy  string `json:"strategy"`
+	Budget    int    `json:"budget"`
 }
 
 func run(w io.Writer, cfg cliconf.Config) error {
@@ -130,12 +128,11 @@ func run(w io.Writer, cfg cliconf.Config) error {
 	}
 
 	if err := cfg.WriteManifest(reg, manifestOptions{
-		Small:       cfg.Small,
-		Scale:       cfg.Scale,
-		Incremental: cfg.Incremental,
-		Objective:   res.Objective,
-		Strategy:    res.Strategy,
-		Budget:      cfg.Budget,
+		Small:     cfg.Small,
+		Scale:     cfg.Scale,
+		Objective: res.Objective,
+		Strategy:  res.Strategy,
+		Budget:    cfg.Budget,
 	}); err != nil {
 		return err
 	}

@@ -25,8 +25,8 @@ import (
 func main() {
 	// reprobe historically defaults to the reduced-scale ecosystem —
 	// the Config value at Register time is the flag default.
-	cfg := cliconf.Config{Small: true, Seed: 1, Incremental: true}
-	cliconf.Register(flag.CommandLine, &cfg, cliconf.FlagSmall|cliconf.FlagSeed|cliconf.FlagWorkers|cliconf.FlagIncremental)
+	cfg := cliconf.Config{Small: true, Seed: 1}
+	cliconf.Register(flag.CommandLine, &cfg, cliconf.FlagSmall|cliconf.FlagSeed|cliconf.FlagWorkers)
 	configLabel := flag.String("config", "0-0", "prepend configuration (e.g. 4-0, 0-2)")
 	experiment := flag.String("experiment", "internet2", "which R&E origin announces: internet2 or surf")
 	flag.Parse()

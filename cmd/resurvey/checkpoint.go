@@ -20,11 +20,10 @@ import (
 
 func fingerprintOf(o options) core.CheckpointFingerprint {
 	return core.CheckpointFingerprint{
-		Seed:        o.Seed,
-		Small:       o.Small,
-		Incremental: o.Incremental,
-		Faults:      o.Faults,
-		NSeeds:      o.NSeeds,
+		Seed:   o.Seed,
+		Small:  o.Small,
+		Faults: o.Faults,
+		NSeeds: o.NSeeds,
 	}
 }
 

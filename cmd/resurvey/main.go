@@ -82,7 +82,7 @@ type options struct {
 }
 
 func main() {
-	o := options{Config: cliconf.Config{Seed: 1, Incremental: true}}
+	o := options{Config: cliconf.Config{Seed: 1}}
 	cliconf.Register(flag.CommandLine, &o.Config, cliconf.FlagAll|cliconf.FlagSnapshot|cliconf.FlagWorkload|cliconf.FlagScenario)
 	flag.StringVar(&o.JSONDir, "json", "", "directory for scamper-style probe JSON")
 	flag.StringVar(&o.MRTDir, "mrt", "", "directory for MRT collector dumps")
@@ -144,11 +144,10 @@ func sweepIntensities(max float64) []float64 {
 
 // manifestOptions is the run configuration recorded in the manifest.
 type manifestOptions struct {
-	Small       bool               `json:"small"`
-	Faults      float64            `json:"faults"`
-	Incremental bool               `json:"incremental"`
-	NSeeds      int                `json:"n_seeds"`
-	Survey      core.SurveyOptions `json:"survey"`
+	Small  bool               `json:"small"`
+	Faults float64            `json:"faults"`
+	NSeeds int                `json:"n_seeds"`
+	Survey core.SurveyOptions `json:"survey"`
 }
 
 func run(w io.Writer, o options) error {
@@ -420,11 +419,10 @@ func run(w io.Writer, o options) error {
 
 	if o.Manifest != "" {
 		if err := o.WriteManifest(reg, manifestOptions{
-			Small:       o.Small,
-			Faults:      o.Faults,
-			Incremental: o.Incremental,
-			NSeeds:      o.NSeeds,
-			Survey:      opts,
+			Small:  o.Small,
+			Faults: o.Faults,
+			NSeeds: o.NSeeds,
+			Survey: opts,
 		}); err != nil {
 			return err
 		}
@@ -440,7 +438,6 @@ type workloadManifestOptions struct {
 	Workload        string             `json:"workload"`
 	DurationSeconds int64              `json:"duration_seconds"`
 	RoundMode       bool               `json:"round_mode"`
-	Incremental     bool               `json:"incremental"`
 	Survey          core.SurveyOptions `json:"survey"`
 }
 
@@ -480,7 +477,6 @@ func runWorkload(w io.Writer, o options, reg *telemetry.Registry) error {
 			Workload:        o.Workload,
 			DurationSeconds: int64(res.Duration),
 			RoundMode:       o.RoundMode,
-			Incremental:     o.Incremental,
 			Survey:          pl.SurveyOptions(),
 		}); err != nil {
 			return err
@@ -493,11 +489,10 @@ func runWorkload(w io.Writer, o options, reg *telemetry.Registry) error {
 // scenarioManifestOptions is the run configuration recorded in a
 // scenario run's manifest.
 type scenarioManifestOptions struct {
-	Small       bool               `json:"small"`
-	Scenario    string             `json:"scenario"`
-	ROV         float64            `json:"rov"`
-	Incremental bool               `json:"incremental"`
-	Survey      core.SurveyOptions `json:"survey"`
+	Small    bool               `json:"small"`
+	Scenario string             `json:"scenario"`
+	ROV      float64            `json:"rov"`
+	Survey   core.SurveyOptions `json:"survey"`
 }
 
 // runScenario drives the adversarial scenario sweep instead of the
@@ -519,11 +514,10 @@ func runScenario(w io.Writer, o options, reg *telemetry.Registry) error {
 
 	if o.Manifest != "" {
 		if err := o.WriteManifest(reg, scenarioManifestOptions{
-			Small:       o.Small,
-			Scenario:    o.Scenario,
-			ROV:         o.ROV,
-			Incremental: o.Incremental,
-			Survey:      pl.SurveyOptions(),
+			Small:    o.Small,
+			Scenario: o.Scenario,
+			ROV:      o.ROV,
+			Survey:   pl.SurveyOptions(),
 		}); err != nil {
 			return err
 		}

@@ -2,12 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/cliconf"
@@ -310,134 +308,4 @@ func TestWorkersDeterminismMatrix(t *testing.T) {
 			t.Errorf("manifest parallel section missing phase %q", want)
 		}
 	}
-}
-
-// TestIncrementalCLIEquivalence runs the whole binary surface —
-// stdout tables, MRT collector dumps, run manifest — once per engine
-// mode and requires byte identity everywhere except the mode's own
-// record: the options.incremental field and the work-accounting
-// counters (bgp_decision_full_scans_total, bgp_inc_*), which are the
-// point of the feature.
-func TestIncrementalCLIEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full reduced pipeline once per engine mode")
-	}
-	dir := t.TempDir()
-	type artifacts struct {
-		stdout   []byte
-		manifest []byte
-		mrt      map[string][]byte
-	}
-	cell := func(incremental bool) artifacts {
-		sub := filepath.Join(dir, map[bool]string{true: "inc", false: "full"}[incremental])
-		mrtDir := filepath.Join(sub, "mrt")
-		if err := os.MkdirAll(mrtDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		p := filepath.Join(dir, "m.json") // shared: stdout echoes the path
-		o := options{
-			NSeeds: 1,
-			MRTDir: mrtDir,
-			Config: cliconf.Config{
-				Small:       true,
-				Seed:        1,
-				Incremental: incremental,
-				Manifest:    p,
-				ZeroTime:    true,
-			},
-		}
-		var out bytes.Buffer
-		if err := run(&out, o); err != nil {
-			t.Fatalf("incremental=%v: %v", incremental, err)
-		}
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := artifacts{stdout: normalizeMRTDir(t, out.Bytes(), mrtDir), manifest: normalizeManifest(t, raw), mrt: map[string][]byte{}}
-		ents, err := os.ReadDir(mrtDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			b, err := os.ReadFile(filepath.Join(mrtDir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.mrt[e.Name()] = b
-		}
-		return a
-	}
-	full := cell(false)
-	inc := cell(true)
-	if !bytes.Equal(full.stdout, inc.stdout) {
-		t.Errorf("stdout differs between modes:\n--- full ---\n%s\n--- incremental ---\n%s", full.stdout, inc.stdout)
-	}
-	if !bytes.Equal(full.manifest, inc.manifest) {
-		t.Errorf("normalized manifests differ between modes:\n--- full ---\n%s\n--- incremental ---\n%s", full.manifest, inc.manifest)
-	}
-	if len(full.mrt) == 0 {
-		t.Error("full run produced no MRT dumps")
-	}
-	for name, fb := range full.mrt {
-		if ib, ok := inc.mrt[name]; !ok {
-			t.Errorf("incremental run missing MRT dump %s", name)
-		} else if !bytes.Equal(fb, ib) {
-			t.Errorf("MRT dump %s differs between modes", name)
-		}
-	}
-	for name := range inc.mrt {
-		if _, ok := full.mrt[name]; !ok {
-			t.Errorf("incremental run has extra MRT dump %s", name)
-		}
-	}
-}
-
-// normalizeMRTDir erases the per-mode MRT output directory from
-// stdout, which echoes the path it wrote to.
-func normalizeMRTDir(t *testing.T, stdout []byte, dir string) []byte {
-	t.Helper()
-	return bytes.ReplaceAll(stdout, []byte(dir), []byte("MRTDIR"))
-}
-
-// normalizeManifest strips exactly the fields the equivalence contract
-// exempts: the incremental option record and the work-accounting
-// counters. Everything else must match byte for byte.
-func normalizeManifest(t *testing.T, raw []byte) []byte {
-	t.Helper()
-	m, err := telemetry.ReadManifest(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var om map[string]any
-	if err := json.Unmarshal(m.Options, &om); err != nil {
-		t.Fatal(err)
-	}
-	delete(om, "incremental")
-	opts, err := json.Marshal(om)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Options = opts
-	kept := m.Metrics.Counters[:0]
-	for _, c := range m.Metrics.Counters {
-		if c.Name == "bgp_decision_full_scans_total" || strings.HasPrefix(c.Name, "bgp_inc_") {
-			continue
-		}
-		// Warm-start accounting is also mode-dependent: an engine
-		// snapshot serializes the incremental engine's dirty bookkeeping,
-		// so snapshot_bytes differs between modes while restore counts
-		// stay identical.
-		if c.Name == "snapshot_bytes" {
-			continue
-		}
-		kept = append(kept, c)
-	}
-	m.Metrics.Counters = kept
-	m.Snapshot.Bytes = 0
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }

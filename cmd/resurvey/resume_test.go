@@ -27,7 +27,6 @@ func resumeOptions(snapshotDir, manifest, mrtDir string, resume bool, workers in
 			Small:       true,
 			Seed:        1,
 			Workers:     workers,
-			Incremental: true,
 			Manifest:    manifest,
 			ZeroTime:    true,
 			SnapshotDir: snapshotDir,
@@ -252,7 +251,7 @@ func TestLoadLatestCheckpointFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same flags: found.
-	o := options{NSeeds: 3, Config: cliconf.Config{Small: true, Seed: 7, Incremental: true, Faults: 0.5, SnapshotDir: dir}}
+	o := options{NSeeds: 3, Config: cliconf.Config{Small: true, Seed: 7, Faults: 0.5, SnapshotDir: dir}}
 	ck, corrupt := loadLatestCheckpoint(o)
 	if ck == nil || corrupt != 0 {
 		t.Fatalf("matching fingerprint: ck=%v corrupt=%d, want found with 0 corrupt", ck, corrupt)
@@ -268,7 +267,7 @@ func TestLoadLatestCheckpointFingerprint(t *testing.T) {
 func syntheticCheckpoint() *core.Checkpoint {
 	surf := resultFixture()
 	return &core.Checkpoint{
-		Fingerprint: core.CheckpointFingerprint{Seed: 7, Small: true, Incremental: true, Faults: 0.5, NSeeds: 3},
+		Fingerprint: core.CheckpointFingerprint{Seed: 7, Small: true, Faults: 0.5, NSeeds: 3},
 		Phase:       1,
 		Done:        3,
 		ChurnStart:  42,

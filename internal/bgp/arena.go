@@ -34,15 +34,14 @@ import (
 // Pointer-stability contract (see ribstore.go): Get materializes a
 // *Route on first access and memoizes it per slot until that slot
 // changes, so callers observe stable pointers exactly as long as the
-// entry is unchanged — the property the decision cache and snapshot
-// route index rely on. Bulk loads that never Get stay fully packed.
+// entry is unchanged — the property the snapshot route index relies
+// on. Bulk loads that never Get stay fully packed.
 //
 // The memo is bounded: once a store holds matCacheCap boxed routes the
 // next insert drops the whole epoch (see Get), so a full WalkSorted
 // over a large table no longer re-boxes the entire store permanently.
-// Dropping the memo only costs decision-cache misses (samePointers
-// fails, forcing a fresh scan) — never wrong results, because every
-// comparison on routes is semantic. The one consumer that genuinely
+// Dropping the memo only costs a re-boxing — never wrong results,
+// because every comparison on routes is semantic. The one consumer that
 // needs stability across repeated walks — Network.Snapshot's route
 // index, which walks once to number pointers and again to encode them
 // — pins the caches for its duration (pinMat).
@@ -230,8 +229,8 @@ func (st *arenaStore) storeKey(k ribKey) uint64 {
 }
 
 // matCacheCap bounds the boxed *Route memo per store. The cap trades
-// decision-cache hit rate for memory: under it, repeated Gets of hot
-// entries stay pointer-stable; past it, the next insert clears the
+// re-boxing for memory: under it, repeated Gets of hot entries return
+// the memoized box; past it, the next insert clears the
 // epoch, so a full walk of an internet-scale store retains at most cap
 // boxes instead of boxing the whole table (the former leak).
 const matCacheCap = 4096
@@ -250,7 +249,8 @@ func (st *arenaStore) Get(k ribKey) *Route {
 		st.mat = make(map[uint64]*Route)
 	} else if len(st.mat) >= matCacheCap && !st.ar.be.pinMat {
 		// Epoch clear: deterministic (depends only on access history),
-		// and safe — stale boxes only cause decision-cache misses.
+		// and safe — no reader outside a pinned snapshot compares boxes
+		// by pointer.
 		st.mat = make(map[uint64]*Route)
 	}
 	st.mat[key] = r

@@ -38,12 +38,14 @@ func diffPair(seed int64, n int) (mapNet, arenaNet *Network) {
 // check mirroring TestIncrementalMatchesFullOnRandomEvents: random
 // topologies and random event sequences (prepends, flaps, originate/
 // withdraw churn, partial drains), with byte-equal observable state
-// required after every op.
+// required after every op. Both layouts run the full-scan reference.
 func TestArenaMatchesMapOnRandomEvents(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed * 6211)) // #nosec test randomness
 		size := 8 + rng.Intn(25)
 		mapNet, arenaNet := diffPair(seed, size)
+		mapNet.SetReferenceScan(true)
+		arenaNet.SetReferenceScan(true)
 
 		prefixes := []netutil.Prefix{
 			netutil.MustParsePrefix("203.0.113.0/24"),
@@ -73,7 +75,7 @@ func TestArenaMatchesMapOnRandomEvents(t *testing.T) {
 }
 
 // TestArenaMatchesMapIncremental runs the same differential with both
-// networks in incremental mode: the dirty-set/decision-cache fast
+// networks on the engine: the dirty-set and single-comparison fast
 // paths read and write through the store interface too, and must not
 // observe a difference between layouts.
 func TestArenaMatchesMapIncremental(t *testing.T) {
@@ -81,8 +83,6 @@ func TestArenaMatchesMapIncremental(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 4099)) // #nosec test randomness
 		size := 8 + rng.Intn(20)
 		mapNet, arenaNet := diffPair(seed, size)
-		mapNet.SetIncremental(true)
-		arenaNet.SetIncremental(true)
 
 		prefixes := []netutil.Prefix{
 			netutil.MustParsePrefix("203.0.113.0/24"),

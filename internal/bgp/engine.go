@@ -84,14 +84,18 @@ type Network struct {
 	solver      *solverIndex
 	solverStale bool
 
-	// Incremental recomputation state (see incremental.go): the mode
-	// switch, the dirty-pair work queue fed by config setters and
-	// session flaps, and the decision-work counters.
-	incremental bool
-	batchDepth  int
-	dirtyQueue  []dirtyKey
-	dirtySet    map[dirtyKey]bool
-	inc         IncStats
+	// Delta-engine state (see incremental.go): the dirty-pair work
+	// queue fed by config setters and session flaps, and the
+	// decision-work counters.
+	batchDepth int
+	dirtyQueue []dirtyKey
+	dirtySet   map[dirtyKey]bool
+	inc        IncStats
+
+	// referenceScan makes every decision take the full-scan fallback.
+	// It is the differential tests' oracle, settable only through
+	// export_test.go.
+	referenceScan bool
 
 	// Compact-RIB state (see arena.go): when compact is set (before
 	// any speaker exists), AddSpeaker gives each speaker arena-backed
@@ -110,11 +114,11 @@ type netMetrics struct {
 	rfdPenalties     *telemetry.Counter
 	rfdSuppressions  *telemetry.Counter
 
-	// Incremental work accounting. These (and only these) may differ
-	// between full and incremental mode; everything above is 1:1.
+	// Decision-work accounting. These (and only these) may differ
+	// between the engine and the tests' full-scan reference; everything
+	// above is 1:1.
 	fullScans     *telemetry.Counter
 	incFastPath   *telemetry.Counter
-	incCacheHits  *telemetry.Counter
 	incNoop       *telemetry.Counter
 	incDirtyPairs *telemetry.Counter
 	incDirtyEvals *telemetry.Counter
@@ -133,7 +137,6 @@ func (n *Network) SetMetrics(r *telemetry.Registry) {
 
 		fullScans:     r.Counter("bgp_decision_full_scans_total"),
 		incFastPath:   r.Counter("bgp_inc_fastpath_total"),
-		incCacheHits:  r.Counter("bgp_inc_cache_hits_total"),
 		incNoop:       r.Counter("bgp_inc_noop_decisions_total"),
 		incDirtyPairs: r.Counter("bgp_inc_dirty_pairs_total"),
 		incDirtyEvals: r.Counter("bgp_inc_dirty_evals_total"),
@@ -310,11 +313,7 @@ func (n *Network) OriginateWith(id RouterID, p netutil.Prefix, opts OriginateOpt
 	if after.MED != 0 {
 		s.medSeen[p] = true
 	}
-	if n.incremental {
-		n.decide(s, p, 0, before, after)
-	} else {
-		n.decideAndExport(s, p)
-	}
+	n.decide(s, p, 0, before, after)
 }
 
 // WithdrawOrigination removes a local origination and propagates the
@@ -329,11 +328,7 @@ func (n *Network) WithdrawOrigination(id RouterID, p netutil.Prefix) {
 		return
 	}
 	delete(s.originated, p)
-	if n.incremental {
-		n.decide(s, p, 0, o.route, nil)
-	} else {
-		n.decideAndExport(s, p)
-	}
+	n.decide(s, p, 0, o.route, nil)
 }
 
 // SetExportPrepend changes the operator prepending s applies toward
@@ -424,16 +419,9 @@ func (n *Network) flushSession(s *Speaker, nb RouterID) {
 	}
 	netutil.SortPrefixes(prefixes)
 	for _, p := range prefixes {
-		var before *Route
-		if n.incremental {
-			before = s.effectiveCandidate(p, nb)
-		}
+		before := s.effectiveCandidate(p, nb)
 		if s.applyImport(p, nb, nil, n.clock) {
-			if n.incremental {
-				n.decide(s, p, nb, before, nil)
-			} else {
-				n.decideAndExport(s, p)
-			}
+			n.decide(s, p, nb, before, nil)
 		}
 	}
 }
@@ -499,16 +487,9 @@ func (n *Network) SetImportDeny(id RouterID, fn func(*Route) bool) {
 		return true
 	})
 	for _, k := range denied {
-		var before *Route
-		if n.incremental {
-			before = s.effectiveCandidate(k.prefix, k.neighbor)
-		}
+		before := s.effectiveCandidate(k.prefix, k.neighbor)
 		if s.applyImport(k.prefix, k.neighbor, nil, n.clock) {
-			if n.incremental {
-				n.decide(s, k.prefix, k.neighbor, before, nil)
-			} else {
-				n.decideAndExport(s, k.prefix)
-			}
+			n.decide(s, k.prefix, k.neighbor, before, nil)
 		}
 	}
 }
@@ -519,9 +500,8 @@ func (n *Network) SetImportDeny(id RouterID, fn func(*Route) bool) {
 // applyImport bakes the localpref into each adj-RIB-in route at
 // arrival, so the change is applied retroactively: every route already
 // learned over the session is re-installed at the new preference and
-// re-decided through the incremental path, exactly as if the neighbor
-// re-announced it after the policy change. This is the optimizer's
-// localpref gene lever.
+// re-decided, exactly as if the neighbor re-announced it after the
+// policy change. This is the optimizer's localpref gene lever.
 func (n *Network) SetImportLocalPref(id, nb RouterID, pref uint32) uint32 {
 	s := n.speakers[id]
 	if s == nil {
@@ -540,9 +520,7 @@ func (n *Network) SetImportLocalPref(id, nb RouterID, pref uint32) uint32 {
 	// Retroactive pass: collect the session's entries first (stores do
 	// not allow mutation during a walk), then re-install each at the
 	// effective preference. Routes are immutable once installed, so the
-	// update is a clone + Install, never an in-place edit — stale
-	// pointers in the decision cache then miss (safe) instead of
-	// aliasing the new value.
+	// update is a clone + Install, never an in-place edit.
 	type reinstall struct {
 		k ribKey
 		r *Route
@@ -555,18 +533,11 @@ func (n *Network) SetImportLocalPref(id, nb RouterID, pref uint32) uint32 {
 		return true
 	})
 	for _, it := range todo {
-		var before *Route
-		if n.incremental {
-			before = s.effectiveCandidate(it.k.prefix, nb)
-		}
+		before := s.effectiveCandidate(it.k.prefix, nb)
 		updated := *it.r
 		updated.LocalPref = lp
 		s.adjIn.Install(it.k, &updated)
-		if n.incremental {
-			n.decide(s, it.k.prefix, nb, before, s.effectiveCandidate(it.k.prefix, nb))
-		} else {
-			n.decideAndExport(s, it.k.prefix)
-		}
+		n.decide(s, it.k.prefix, nb, before, s.effectiveCandidate(it.k.prefix, nb))
 	}
 	return old
 }
@@ -620,26 +591,10 @@ func (s *Speaker) exportablePrefixes() []netutil.Prefix {
 	return out
 }
 
-// decideAndExport reruns the full decision at s for p and, on change,
-// exports to every neighbor. This is the reference path; incremental
-// mode uses Network.decide (see incremental.go) instead.
-func (n *Network) decideAndExport(s *Speaker, p netutil.Prefix) {
-	n.metrics.decisionRuns.Inc()
-	n.inc.DecisionRuns++
-	n.inc.FullScans++
-	n.metrics.fullScans.Inc()
-	_, changed := s.runDecision(p)
-	if changed {
-		n.metrics.bestChanges.Inc()
-		n.inc.BestChanges++
-	}
-	n.exportAfterDecision(s, p, changed)
-}
-
-// exportAfterDecision performs the post-decision export fan-out,
-// identically for the full and incremental paths: on change every
-// session re-exports; without one only VRF-filtered (ExportBestOf)
-// sessions do, since their announcement can move without the loc-RIB.
+// exportAfterDecision performs the post-decision export fan-out: on
+// change every session re-exports; without one only VRF-filtered
+// (ExportBestOf) sessions do, since their announcement can move
+// without the loc-RIB.
 func (n *Network) exportAfterDecision(s *Speaker, p netutil.Prefix, changed bool) {
 	if !changed {
 		for _, nb := range s.peerOrder {
@@ -764,13 +719,9 @@ func (n *Network) deliver(e *event) {
 		k := ribKey{e.prefix, e.from}
 		cfg := s.peers[e.from].RFD
 		if cfg != nil && s.rfdRecheck(k, cfg, n.clock) {
-			if n.incremental {
-				// The suppressed route became usable: its effective
-				// candidate went from nil to the held adj-in entry.
-				n.decide(s, e.prefix, e.from, nil, s.adjIn.Get(k))
-			} else {
-				n.decideAndExport(s, e.prefix)
-			}
+			// The suppressed route became usable: its effective
+			// candidate went from nil to the held adj-in entry.
+			n.decide(s, e.prefix, e.from, nil, s.adjIn.Get(k))
 		}
 		return
 	}
@@ -796,10 +747,7 @@ func (n *Network) deliver(e *event) {
 		n.Churn.Records = append(n.Churn.Records, rec)
 	}
 
-	var before *Route
-	if n.incremental {
-		before = s.effectiveCandidate(e.prefix, e.from)
-	}
+	before := s.effectiveCandidate(e.prefix, e.from)
 	changed := s.applyImport(e.prefix, e.from, e.route, n.clock)
 	if !changed {
 		return
@@ -816,11 +764,7 @@ func (n *Network) deliver(e *event) {
 			})
 		}
 	}
-	if n.incremental {
-		n.decide(s, e.prefix, e.from, before, s.effectiveCandidate(e.prefix, e.from))
-	} else {
-		n.decideAndExport(s, e.prefix)
-	}
+	n.decide(s, e.prefix, e.from, before, s.effectiveCandidate(e.prefix, e.from))
 }
 
 // NextHop returns the neighbor the speaker forwards traffic for p to,

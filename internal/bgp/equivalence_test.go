@@ -1,4 +1,10 @@
-package core
+package bgp_test
+
+// Topology-scale differential coverage of the decision path. The tests
+// live in the external test package because they drive whole
+// experiments through internal/core, which imports bgp; they reach the
+// full-scan reference through export_test.go like the engine-level
+// harness in incremental_test.go does.
 
 import (
 	"bytes"
@@ -7,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/bgp"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/probe"
 	"repro/internal/telemetry"
@@ -14,30 +21,31 @@ import (
 )
 
 // equivCell runs one experiment (Internet2-style, like the fault
-// sweep's points) in the given engine mode and returns its result plus
-// a byte-rendered, zero-timed manifest.
-func equivCell(t *testing.T, cfg topo.GenConfig, seed int64, intensity float64, incremental bool) (*Result, []byte, bgp.IncStats) {
+// sweep's points) on the engine or, with reference set, on the
+// full-scan reference, and returns its result plus a byte-rendered,
+// zero-timed manifest.
+func equivCell(t *testing.T, cfg topo.GenConfig, seed int64, intensity float64, reference bool) (*core.Result, []byte, bgp.IncStats) {
 	t.Helper()
-	opts := SmallSurveyOptions()
+	opts := core.SmallSurveyOptions()
 	opts.Topology = cfg
 	opts.Topology.Seed = seed
 
 	reg := telemetry.New()
-	s := NewSurvey(opts)
-	s.SetIncremental(incremental)
+	s := core.NewSurvey(opts)
+	s.Eco.Net.SetReferenceScan(reference)
 	s.SetMetrics(reg)
 	s.Workers = 1
 	s.Prober.Workers = 1
 	start := bgp.Time(9 * 3600)
-	x := NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, start)
+	x := core.NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, start)
 	x.Metrics = reg
 	x.Workers = 1
 
-	var res *Result
+	var res *core.Result
 	if intensity > 0 {
 		window := faults.Window{
 			Start: start,
-			End:   start + bgp.Time(len(Schedule())+1)*x.Cfg.RoundGap,
+			End:   start + bgp.Time(len(core.Schedule())+1)*x.Cfg.RoundGap,
 		}
 		sched := faults.Generate(s.Eco, window, faults.Config{Seed: 1789, Intensity: intensity})
 		inj := faults.NewInjector(sched)
@@ -58,9 +66,9 @@ func equivCell(t *testing.T, cfg topo.GenConfig, seed int64, intensity float64, 
 		t.Fatalf("snapshot: %v", err)
 	}
 	// The equivalence contract exempts exactly the work-accounting
-	// counters: the incremental path exists to do fewer full scans, so
+	// counters: the fast path exists to do fewer full scans, so
 	// bgp_decision_full_scans_total and the bgp_inc_* family are the
-	// only metrics allowed to differ between modes.
+	// only metrics allowed to differ from the reference.
 	kept := m.Metrics.Counters[:0]
 	for _, c := range m.Metrics.Counters {
 		if c.Name == "bgp_decision_full_scans_total" || strings.HasPrefix(c.Name, "bgp_inc_") {
@@ -77,9 +85,9 @@ func equivCell(t *testing.T, cfg topo.GenConfig, seed int64, intensity float64, 
 }
 
 // TestIncrementalEquivalenceMatrix is the pipeline-level differential
-// proof: across seeds × topologies × fault intensities, full and
-// incremental runs must produce byte-identical manifests and deeply
-// equal classifications, churn logs, and collector snapshots.
+// proof: across seeds × topologies × fault intensities, the full-scan
+// reference and the engine must produce byte-identical manifests and
+// deeply equal classifications, churn logs, and collector snapshots.
 func TestIncrementalEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is a multi-run sweep; skipped in -short")
@@ -102,8 +110,8 @@ func TestIncrementalEquivalenceMatrix(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, tc := range topologies {
 			for _, intensity := range []float64{0, 0.5} {
-				fullRes, fullManifest, fullStats := equivCell(t, tc.cfg, seed, intensity, false)
-				incRes, incManifest, incStats := equivCell(t, tc.cfg, seed, intensity, true)
+				fullRes, fullManifest, fullStats := equivCell(t, tc.cfg, seed, intensity, true)
+				incRes, incManifest, incStats := equivCell(t, tc.cfg, seed, intensity, false)
 				name := tc.name
 				if !bytes.Equal(fullManifest, incManifest) {
 					t.Errorf("seed %d topo %s intensity %.1f: manifests differ\n--- full ---\n%s\n--- incremental ---\n%s",
@@ -123,7 +131,7 @@ func TestIncrementalEquivalenceMatrix(t *testing.T) {
 					t.Errorf("seed %d topo %s intensity %.1f: probe rounds differ", seed, name, intensity)
 				}
 				if incStats.FullScans >= fullStats.FullScans {
-					t.Errorf("seed %d topo %s intensity %.1f: incremental ran %d full scans vs full mode's %d",
+					t.Errorf("seed %d topo %s intensity %.1f: engine ran %d full scans vs the reference's %d",
 						seed, name, intensity, incStats.FullScans, fullStats.FullScans)
 				}
 			}
@@ -132,46 +140,21 @@ func TestIncrementalEquivalenceMatrix(t *testing.T) {
 }
 
 // TestIncrementalEvalReduction pins the acceptance bar: across the
-// nine-config sweep the incremental engine must do at least 5x fewer
-// full decision-process evaluations than full reconvergence.
+// nine-config sweep the engine must do at least 5x fewer full
+// decision-process evaluations than the full-scan reference.
 func TestIncrementalEvalReduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the experiment twice; skipped in -short")
 	}
-	_, _, fullStats := equivCell(t, topo.SmallConfig(), 1, 0, false)
-	_, _, incStats := equivCell(t, topo.SmallConfig(), 1, 0, true)
+	_, _, fullStats := equivCell(t, topo.SmallConfig(), 1, 0, true)
+	_, _, incStats := equivCell(t, topo.SmallConfig(), 1, 0, false)
 	if incStats.FullScans == 0 {
-		t.Fatal("incremental mode reported zero full scans — accounting broken")
+		t.Fatal("the engine reported zero full scans — accounting broken")
 	}
 	ratio := float64(fullStats.FullScans) / float64(incStats.FullScans)
-	t.Logf("decision-process evaluations: full=%d incremental=%d (%.1fx fewer; fastpath=%d cachehits=%d noop=%d)",
-		fullStats.FullScans, incStats.FullScans, ratio, incStats.FastPath, incStats.CacheHits, incStats.NoopDecisions)
+	t.Logf("decision-process evaluations: reference=%d engine=%d (%.1fx fewer; fastpath=%d noop=%d)",
+		fullStats.FullScans, incStats.FullScans, ratio, incStats.FastPath, incStats.NoopDecisions)
 	if ratio < 5 {
-		t.Errorf("incremental sweep did only %.1fx fewer decision evaluations, want >= 5x", ratio)
-	}
-}
-
-// TestPipelineWithIncremental checks the option plumbing: the default
-// pipeline is incremental, WithIncremental(false) selects the
-// reference path, and both reach the survey's engine and the fault
-// sweep options.
-func TestPipelineWithIncremental(t *testing.T) {
-	if def := NewPipeline(WithSmall()); !def.Incremental() {
-		t.Error("default pipeline is not incremental")
-	}
-	p := NewPipeline(WithSmall(), WithIncremental(false))
-	if p.Incremental() {
-		t.Error("WithIncremental(false) did not stick")
-	}
-	if got := p.FaultSweepOptions().Incremental; got {
-		t.Error("fault sweep options did not inherit incremental=false")
-	}
-	s := p.NewSurvey()
-	if s.Eco.Net.Incremental() {
-		t.Error("survey engine is incremental despite WithIncremental(false)")
-	}
-	s2 := NewPipeline(WithSmall(), WithIncremental(true)).NewSurvey()
-	if !s2.Eco.Net.Incremental() {
-		t.Error("survey engine is not incremental despite WithIncremental(true)")
+		t.Errorf("the engine did only %.1fx fewer decision evaluations than the reference, want >= 5x", ratio)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // FuzzIncrementalEvents decodes a byte string into an event sequence —
 // prepend deltas, session flaps, originations, withdrawals, partial
-// drains — and drives a full-mode and an incremental-mode copy of a
+// drains — and drives a full-scan-reference and an engine copy of a
 // fixed topology through it, requiring identical observable state at
 // every step. The topology deliberately includes the engine's hard
 // features: an RFD-damped import, an MRAI-batched export, a VRF-style
@@ -184,8 +184,8 @@ func FuzzIncrementalEvents(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeFuzzOps(data)
 		full := fuzzTopology()
+		full.SetReferenceScan(true)
 		inc := fuzzTopology()
-		inc.SetIncremental(true)
 		for _, p := range fuzzPrefixes {
 			full.Originate(4, p)
 			inc.Originate(4, p)

@@ -1,9 +1,8 @@
 package bgp
 
-// Incremental recomputation. The experiments perturb exactly one
-// attribute of one prefix's announcements per configuration step, yet
-// the baseline engine reran the full decision process (a scan over
-// every candidate) at every delivery. This file adds the delta path:
+// The decision path. The experiments perturb exactly one attribute of
+// one prefix's announcements per configuration step, so every event the
+// engine serves is a single-candidate change:
 //
 //   - Config setters (SetExportPrepend, SetPrefixPrepend) and session
 //     flaps feed a per-router dirty-set keyed by (prefix, neighbor);
@@ -12,14 +11,15 @@ package bgp
 //     announcement actually changed.
 //   - Deliveries run an O(1) single-candidate decision update instead
 //     of a full scan whenever the fast path is provably equivalent,
-//     falling back to a full scan (with a memoized decision cache)
-//     otherwise.
+//     falling back to a full scan (Speaker.runDecision) otherwise.
 //
-// Equivalence contract: with SetIncremental(true) the network produces
-// byte-identical observable output — the same messages at the same
-// virtual times, the same churn records, the same RIBs — as the full
-// path. Only the work-accounting counters (bgp_decision_full_scans,
-// bgp_inc_*) may differ between modes; bgp_decision_runs_total and
+// Equivalence contract: the network produces byte-identical observable
+// output — the same messages at the same virtual times, the same churn
+// records, the same RIBs — as one that full-scans at every decision.
+// The tests hold the engine to that with a reference that always takes
+// the fallback (Network.referenceScan, set only from export_test.go).
+// Only the work-accounting counters (bgp_decision_full_scans,
+// bgp_inc_*) may differ from the reference; bgp_decision_runs_total and
 // bgp_best_path_changes_total are kept 1:1 by construction.
 //
 // Fast-path soundness. Without MED the decision process is a strict
@@ -45,25 +45,22 @@ import (
 )
 
 // IncStats counts decision-process work. The plain fields are always
-// maintained (both modes, telemetry on or off) so benchmarks and the
-// equivalence tests can meter work without a registry.
+// maintained (telemetry on or off) so benchmarks and the equivalence
+// tests can meter work without a registry.
 type IncStats struct {
 	// DecisionRuns counts decision-process invocations; identical in
-	// full and incremental mode by construction.
+	// the engine and the full-scan reference by construction.
 	DecisionRuns int64
-	// BestChanges counts loc-RIB changes; identical in both modes.
+	// BestChanges counts loc-RIB changes; identical in both.
 	BestChanges int64
 	// FullScans counts full best-path scans over the candidate set —
-	// the "decision-process evaluations" the incremental path exists
-	// to avoid. Full mode scans on every run.
+	// the "decision-process evaluations" the fast path exists to
+	// avoid. The reference scans on every run.
 	FullScans int64
-	// FastPath counts single-comparison incremental decisions.
+	// FastPath counts single-comparison decisions.
 	FastPath int64
-	// CacheHits counts full scans answered by the memoized decision
-	// cache (candidate pointer set unchanged since last scan).
-	CacheHits int64
-	// NoopDecisions counts incremental runs whose effective candidate
-	// was semantically unchanged, skipping even the one comparison.
+	// NoopDecisions counts runs whose effective candidate was
+	// semantically unchanged, skipping even the one comparison.
 	NoopDecisions int64
 	// DirtyPairs counts distinct (router, prefix, neighbor) pairs
 	// enqueued by config setters and session flaps.
@@ -85,39 +82,14 @@ type dirtyKey struct {
 	neighbor RouterID
 }
 
-// decCacheEntry memoizes one full scan: the exact candidate pointers
-// scanned and the best they produced. Routes are immutable once
-// installed, so pointer-set equality proves the cached choice is
-// current (flap cycles re-produce earlier candidate sets and hit).
-type decCacheEntry struct {
-	cands []*Route
-	best  *Route
-}
-
-// SetIncremental switches the engine between full reconvergence (the
-// reference path) and incremental recomputation. Both modes produce
-// identical observable output; see the file comment for the contract.
-// Switching mid-life is safe: the gate state (medSeen, decision cache)
-// is maintained in both modes.
-func (n *Network) SetIncremental(on bool) {
-	if !on {
-		// Never strand queued work across a mode switch.
-		n.drainDirty()
-	}
-	n.incremental = on
-}
-
-// Incremental reports whether the incremental path is active.
-func (n *Network) Incremental() bool { return n.incremental }
-
 // Stats returns the decision-work counters accumulated so far.
 func (n *Network) Stats() IncStats { return n.inc }
 
 // Batch runs f with dirty-pair draining deferred to the end, so a
 // multi-setter configuration delta (the experiment's per-config
 // prepend updates) collapses duplicate (router, prefix, neighbor)
-// touches into one evaluation. Outside incremental mode f just runs.
-// Batches nest; the drain happens when the outermost batch ends.
+// touches into one evaluation. Batches nest; the drain happens when
+// the outermost batch ends.
 func (n *Network) Batch(f func()) {
 	n.batchDepth++
 	defer func() {
@@ -129,14 +101,9 @@ func (n *Network) Batch(f func()) {
 	f()
 }
 
-// requestExport is the config-delta entry point: immediate export in
-// full mode, dirty-set enqueue (drained now, or at batch end) in
-// incremental mode.
+// requestExport is the config-delta entry point: a dirty-set enqueue,
+// drained now or at batch end.
 func (n *Network) requestExport(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
-	if !n.incremental {
-		n.exportToPeer(s, p, pc)
-		return
-	}
 	k := dirtyKey{s.ID, p, pc.Neighbor}
 	if !n.dirtySet[k] {
 		if n.dirtySet == nil {
@@ -182,24 +149,27 @@ func (n *Network) drainDirty() {
 	n.dirtyQueue = n.dirtyQueue[:0]
 }
 
-// decide routes a single-candidate change (slot `from`; 0 = the
-// origination) through the incremental decision process. before/after
-// are the slot's effective candidate (nil when absent or suppressed)
-// around the change. Callers in full mode use decideAndExport instead.
+// decide runs the decision process at s for p after a single-candidate
+// change (slot `from`; 0 = the origination) and exports the outcome.
+// before/after are the slot's effective candidate (nil when absent or
+// suppressed) around the change.
 func (n *Network) decide(s *Speaker, p netutil.Prefix, from RouterID, before, after *Route) {
 	n.metrics.decisionRuns.Inc()
 	n.inc.DecisionRuns++
-	if routesEqual(before, after) {
+	var changed bool
+	switch {
+	case n.referenceScan:
+		changed = n.scanDecision(s, p)
+	case routesEqual(before, after):
 		// The effective candidate is semantically unchanged (damped
 		// flap, equal re-origination): the selection cannot move. A
-		// full scan would conclude changed=false, so mirror its
-		// VRF-session export check and stop.
+		// full scan would conclude changed=false, so only its
+		// VRF-session export check remains.
 		n.inc.NoopDecisions++
 		n.metrics.incNoop.Inc()
-		n.exportAfterDecision(s, p, false)
-		return
+	default:
+		changed = n.deltaBest(s, p, from, after)
 	}
-	_, changed := n.incrementalBest(s, p, from, after)
 	if changed {
 		n.metrics.bestChanges.Inc()
 		n.inc.BestChanges++
@@ -207,11 +177,11 @@ func (n *Network) decide(s *Speaker, p netutil.Prefix, from RouterID, before, af
 	n.exportAfterDecision(s, p, changed)
 }
 
-// incrementalBest updates the loc-RIB for a single-slot change with
-// one comparison when sound, a full scan otherwise. It mirrors
-// runDecision's change-detection semantics exactly (semantic equality
-// keeps the previous pointer).
-func (n *Network) incrementalBest(s *Speaker, p netutil.Prefix, from RouterID, after *Route) (*Route, bool) {
+// deltaBest updates the loc-RIB for a single-slot change with one
+// comparison when sound, a full scan otherwise, and reports whether the
+// loc-RIB changed. It mirrors runDecision's change-detection semantics
+// exactly (semantic equality keeps the previous pointer).
+func (n *Network) deltaBest(s *Speaker, p netutil.Prefix, from RouterID, after *Route) bool {
 	prev := s.locRib.Get(locKey(p))
 	if !s.medSeen[p] {
 		switch {
@@ -219,7 +189,7 @@ func (n *Network) incrementalBest(s *Speaker, p netutil.Prefix, from RouterID, a
 			if prev == nil || prev.From != from {
 				// A non-best candidate disappeared; the best stands.
 				n.fastPathHit()
-				return prev, false
+				return false
 			}
 			// The best itself disappeared: only a scan finds the
 			// runner-up.
@@ -227,7 +197,7 @@ func (n *Network) incrementalBest(s *Speaker, p netutil.Prefix, from RouterID, a
 			// First candidate wins unopposed.
 			n.fastPathHit()
 			s.locRib.Install(locKey(p), after)
-			return after, true
+			return true
 		case prev.From == from:
 			// The best route's own slot changed. If the replacement
 			// still beats the old best it beats every other candidate
@@ -236,10 +206,10 @@ func (n *Network) incrementalBest(s *Speaker, p netutil.Prefix, from RouterID, a
 			if c, _ := Compare(after, prev); c <= 0 {
 				n.fastPathHit()
 				if routesEqual(prev, after) {
-					return prev, false
+					return false
 				}
 				s.locRib.Install(locKey(p), after)
-				return after, true
+				return true
 			}
 			// The slot degraded below the old best: scan.
 		default:
@@ -250,11 +220,11 @@ func (n *Network) incrementalBest(s *Speaker, p netutil.Prefix, from RouterID, a
 			if c < 0 {
 				n.fastPathHit()
 				s.locRib.Install(locKey(p), after)
-				return after, true
+				return true
 			}
 			if c > 0 {
 				n.fastPathHit()
-				return prev, false
+				return false
 			}
 			// c == 0 is impossible for distinct From; scan defensively.
 		}
@@ -267,46 +237,10 @@ func (n *Network) fastPathHit() {
 	n.metrics.incFastPath.Inc()
 }
 
-// scanDecision is the incremental path's full scan: runDecision
-// semantics plus the memoized decision cache. The cache key is the
-// exact candidate pointer slice; routes are immutable once installed,
-// so pointer equality proves the memo is current.
-func (n *Network) scanDecision(s *Speaker, p netutil.Prefix) (*Route, bool) {
-	cands := s.candidateSet(p)
-	var best *Route
-	if e, ok := s.decCache[p]; ok && samePointers(e.cands, cands) {
-		best = e.best
-		n.inc.CacheHits++
-		n.metrics.incCacheHits.Inc()
-	} else {
-		best, _ = Best(cands)
-		if s.decCache == nil {
-			s.decCache = make(map[netutil.Prefix]decCacheEntry)
-		}
-		s.decCache[p] = decCacheEntry{cands: cands, best: best}
-		n.inc.FullScans++
-		n.metrics.fullScans.Inc()
-	}
-	prev := s.locRib.Get(locKey(p))
-	if routesEqual(prev, best) {
-		return prev, false
-	}
-	if best == nil {
-		s.locRib.Withdraw(locKey(p))
-	} else {
-		s.locRib.Install(locKey(p), best)
-	}
-	return best, true
-}
-
-func samePointers(a, b []*Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// scanDecision is the metered full scan: the fast path's fallback and
+// the whole of the tests' reference.
+func (n *Network) scanDecision(s *Speaker, p netutil.Prefix) bool {
+	n.inc.FullScans++
+	n.metrics.fullScans.Inc()
+	return s.runDecision(p)
 }

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -11,10 +12,11 @@ import (
 	"repro/internal/netutil"
 )
 
-// This file is the engine-level differential harness for incremental
-// recomputation: every test builds two identical networks, runs one in
-// full-reconvergence mode and one incrementally, drives both through
-// the same event sequence, and requires identical observable state.
+// This file is the engine-level differential harness for the decision
+// path: every test builds two identical networks, makes one the
+// full-scan reference (SetReferenceScan) and leaves the other on the
+// engine, drives both through the same event sequence, and requires
+// identical observable state.
 
 // routeSig renders every decision-relevant route attribute (including
 // LearnedAt: virtual timing must match across modes too).
@@ -65,9 +67,9 @@ func sortRibKeys(keys []ribKey) {
 	})
 }
 
-// incPair builds two byte-identical random networks, the second in
-// incremental mode, each with one collector speaker attached so churn
-// recording is exercised.
+// incPair builds two byte-identical random networks, the first the
+// full-scan reference, each with one collector speaker attached so
+// churn recording is exercised.
 func incPair(seed int64, n int) (full, inc *Network) {
 	build := func() *Network {
 		rng := rand.New(rand.NewSource(seed)) // #nosec test randomness
@@ -80,7 +82,7 @@ func incPair(seed int64, n int) (full, inc *Network) {
 		return net
 	}
 	full, inc = build(), build()
-	inc.SetIncremental(true)
+	full.SetReferenceScan(true)
 	return full, inc
 }
 
@@ -333,7 +335,7 @@ func TestMEDGateForcesFullScan(t *testing.T) {
 		return net
 	}
 	full, inc := build(), build()
-	inc.SetIncremental(true)
+	full.SetReferenceScan(true)
 	p := netutil.MustParsePrefix("203.0.113.0/24")
 	full.Originate(4, p)
 	inc.Originate(4, p)
@@ -355,59 +357,6 @@ func TestMEDGateForcesFullScan(t *testing.T) {
 	}
 	if fs, is := networkSignature(full), networkSignature(inc); fs != is {
 		t.Errorf("modes diverged with MED present:\n--- full ---\n%s\n--- incremental ---\n%s", fs, is)
-	}
-}
-
-// TestDecisionCacheHitsOnFlapCycle checks the memo: a session flap
-// cycle reproduces an earlier candidate pointer set (down: scan
-// without the route; up: fast-path install; down again: same set as
-// the first down), so the second removal must hit the cache.
-func TestDecisionCacheHitsOnFlapCycle(t *testing.T) {
-	build := func() *Network {
-		net := NewNetwork()
-		for i := 1; i <= 4; i++ {
-			net.AddSpeaker(RouterID(i), asn.AS(100+i), "")
-		}
-		cust := func(provider, c RouterID, prepend int) {
-			net.Connect(provider, c,
-				PeerConfig{ClassifyAs: ClassCustomer, ImportLocalPref: LocalPrefCustomer, ExportAllow: GaoRexfordExport(ClassCustomer)},
-				PeerConfig{ClassifyAs: ClassProvider, ImportLocalPref: LocalPrefProvider, ExportAllow: GaoRexfordExport(ClassProvider), ExportPrepend: prepend})
-		}
-		// 1 hears 4's prefix via 2 (short) and via 3 (prepended).
-		cust(1, 2, 0)
-		cust(1, 3, 0)
-		cust(2, 4, 0)
-		cust(3, 4, 2)
-		return net
-	}
-	full, inc := build(), build()
-	inc.SetIncremental(true)
-	p := netutil.MustParsePrefix("203.0.113.0/24")
-	full.Originate(4, p)
-	inc.Originate(4, p)
-	full.RunToQuiescence()
-	inc.RunToQuiescence()
-
-	if inc.Speaker(1).Best(p).From != 2 {
-		t.Fatalf("expected the short path via 2 to win, got %s", routeSig(inc.Speaker(1).Best(p)))
-	}
-	flap := func(n *Network) {
-		n.SetSessionDown(1, 2)
-		n.RunToQuiescence()
-		n.SetSessionUp(1, 2)
-		n.RunToQuiescence()
-		n.SetSessionDown(1, 2)
-		n.RunToQuiescence()
-		n.SetSessionUp(1, 2)
-		n.RunToQuiescence()
-	}
-	flap(full)
-	flap(inc)
-	if inc.Stats().CacheHits == 0 {
-		t.Error("flap cycle produced no decision-cache hits")
-	}
-	if fs, is := networkSignature(full), networkSignature(inc); fs != is {
-		t.Errorf("modes diverged across flap cycle:\n--- full ---\n%s\n--- incremental ---\n%s", fs, is)
 	}
 }
 
@@ -442,4 +391,55 @@ func TestBatchCollapsesDuplicateTouches(t *testing.T) {
 	if got := out.Path.PrependCount(); got != 1 {
 		t.Errorf("announced prepend count = %d, want 1 (the batch's final value)", got)
 	}
+}
+
+// TestDecisionStateNotRetainedAfterWithdraw is the retention regression
+// for the removed decision cache: every scan used to leave a
+// len(peers)+1-capacity candidate slice behind per (speaker, prefix),
+// forever, so a wide speaker that originated and withdrew a table kept
+// ~2 KB per prefix it no longer held. After the withdraw the heap must
+// return to the pre-feed level, give or take what emptied maps keep.
+func TestDecisionStateNotRetainedAfterWithdraw(t *testing.T) {
+	const (
+		sessions = 256
+		prefixes = 10_000
+		slack    = 4 << 20 // retained at the parent: prefixes × (sessions+1) × 8 B ≈ 20 MB
+	)
+	net := NewNetwork()
+	const hub = RouterID(1)
+	net.AddSpeaker(hub, asn.AS(65000), "hub")
+	for i := 0; i < sessions; i++ {
+		id := RouterID(2 + i)
+		net.AddSpeaker(id, asn.AS(65001+i), "")
+		// The hub exports nothing, so only its own decision state grows.
+		net.Connect(hub, id,
+			PeerConfig{ClassifyAs: ClassPeer, ExportAllow: NewClassSet()},
+			PeerConfig{ClassifyAs: ClassPeer, ExportAllow: NewClassSet()})
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	pfx := func(i int) netutil.Prefix { return netutil.PrefixFrom(uint32(0x0A000000+i*256), 24) }
+	before := heap()
+	for i := 0; i < prefixes; i++ {
+		net.Originate(hub, pfx(i))
+	}
+	net.RunToQuiescence()
+	for i := 0; i < prefixes; i++ {
+		net.WithdrawOrigination(hub, pfx(i))
+	}
+	net.RunToQuiescence()
+	after := heap()
+	if st := net.Stats(); st.FullScans < prefixes {
+		t.Fatalf("withdrawing %d best routes ran %d full scans; the test no longer exercises the scan path", prefixes, st.FullScans)
+	}
+	if after > before+slack {
+		t.Errorf("heap grew %d KB across originate+withdraw of %d prefixes at a %d-session speaker, want <= %d KB",
+			(after-before)>>10, prefixes, sessions, slack>>10)
+	}
+	runtime.KeepAlive(net)
 }

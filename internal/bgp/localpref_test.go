@@ -10,7 +10,8 @@ import (
 // lever on the Figure 1 scenario: lowering Columbia's preference for
 // its R&E session mid-life must retroactively re-install the learned
 // route and flip the best path to commodity, and restoring the old
-// preference must flip it back — in both recomputation modes.
+// preference must flip it back — on the engine and on the full-scan
+// reference.
 func TestSetImportLocalPrefRetroactive(t *testing.T) {
 	for _, inc := range []bool{false, true} {
 		name := "full"
@@ -19,7 +20,7 @@ func TestSetImportLocalPrefRetroactive(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			f := buildFigure1(LocalPrefProvider + 20)
-			f.net.SetIncremental(inc)
+			f.net.SetReferenceScan(!inc)
 			f.net.Originate(f.ucsd, ucsdPrefix)
 			f.net.RunToQuiescence()
 
@@ -70,14 +71,12 @@ func TestSetImportLocalPrefRetroactive(t *testing.T) {
 // state as building the network with that override from the start.
 func TestSetImportLocalPrefMatchesFreshBuild(t *testing.T) {
 	retro := buildFigure1(LocalPrefProvider + 20)
-	retro.net.SetIncremental(true)
 	retro.net.Originate(retro.ucsd, ucsdPrefix)
 	retro.net.RunToQuiescence()
 	retro.net.SetImportLocalPref(retro.columbia, retro.nysernet, LocalPrefCustomer+50)
 	retro.net.RunToQuiescence()
 
 	fresh := buildFigure1(LocalPrefCustomer + 50)
-	fresh.net.SetIncremental(true)
 	fresh.net.Originate(fresh.ucsd, ucsdPrefix)
 	fresh.net.RunToQuiescence()
 
@@ -100,7 +99,6 @@ func TestSetImportLocalPrefMatchesFreshBuild(t *testing.T) {
 // restore must succeed.
 func TestSetImportLocalPrefFingerprint(t *testing.T) {
 	f := buildFigure1(LocalPrefProvider + 20)
-	f.net.SetIncremental(true)
 	f.net.Originate(f.ucsd, ucsdPrefix)
 	f.net.RunToQuiescence()
 

@@ -12,8 +12,8 @@ import (
 
 // Metamorphic properties of the decision process and the engine. These
 // complement the differential harness in incremental_test.go: instead
-// of checking incremental-vs-full agreement, they pin invariants both
-// modes must satisfy.
+// of checking engine-vs-reference agreement, they pin invariants both
+// must satisfy.
 
 // prepended returns a copy of r with k extra copies of its own head AS
 // at the front — the shape every export-side prepend produces.
@@ -66,7 +66,7 @@ func TestPropertyPrependMonotonic(t *testing.T) {
 		cust(1, 3, 0)
 		cust(2, 4, 0)
 		cust(3, 4, k)
-		net.SetIncremental(k%2 == 1) // alternate modes: the property holds in both
+		net.SetReferenceScan(k%2 == 0) // alternate engine and reference: the property holds in both
 		net.Originate(4, p)
 		net.RunToQuiescence()
 		via3 := net.Speaker(1).Best(p) != nil && net.Speaker(1).Best(p).From == 3
@@ -160,7 +160,7 @@ func TestPropertyOrderIndependence(t *testing.T) {
 		}
 		build := func(incremental bool) *Network {
 			net := randomGaoRexfordNetwork(rand.New(rand.NewSource(seed)), size) // #nosec test randomness
-			net.SetIncremental(incremental)
+			net.SetReferenceScan(!incremental)
 			for i, p := range prefixes {
 				net.Originate(origins[i], p)
 			}

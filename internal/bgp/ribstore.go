@@ -27,9 +27,8 @@ import "repro/internal/netutil"
 //     arenaStore returns materialized routes but keeps the returned
 //     pointer STABLE for an unchanged slot (repeated Gets return the
 //     same *Route until the slot is installed over or withdrawn).
-//     The incremental decision cache and the snapshot route index key
-//     on candidate pointers, so slot-stable pointers are load-bearing,
-//     not an optimization.
+//     The snapshot route index keys on route pointers, so slot-stable
+//     pointers are load-bearing, not an optimization.
 //   - WalkSorted visits entries ordered by (prefix, neighbor) — prefix
 //     order per netutil.ComparePrefixes — the canonical serialization
 //     order of the snapshot format.
@@ -56,8 +55,7 @@ func locKey(p netutil.Prefix) ribKey { return ribKey{prefix: p} }
 
 // mapStore is the reference ribStore: a bare route map. Install and
 // Get preserve pointer identity, which the rest of the engine's
-// aliasing (queue events, adj-out entries, the decision cache) was
-// originally built on.
+// aliasing (queue events, adj-out entries) was originally built on.
 type mapStore struct {
 	m map[ribKey]*Route
 }

@@ -2,13 +2,12 @@ package bgp
 
 // Engine-state serialization. Snapshot writes the complete dynamic
 // state of a Network — RIBs, damping timers, MRAI batches, the
-// in-flight event queue, churn log, incremental dirty-set, and work
-// counters — into the versioned container of internal/snapshot;
-// RestoreNetwork rehydrates it into a freshly built base network whose
+// in-flight event queue, churn log, dirty-set, and work counters —
+// into the versioned container of internal/snapshot; RestoreNetwork
+// rehydrates it into a freshly built base network whose
 // topology and policy match. The restored network is byte-identical in
 // every observable output to the original: same messages at the same
-// virtual times, same churn records, same RIB contents, same
-// decision-cache hit pattern.
+// virtual times, same churn records, same RIB contents.
 //
 // Two invariants shape the format:
 //
@@ -17,13 +16,11 @@ package bgp
 //     canonical traversal, so two Snapshot calls on the same network
 //     produce identical bytes (pinned by TestSnapshotDeterministic).
 //
-//   - Pointer identity. The engine relies on exact *Route aliasing:
-//     sendExport stores one pointer into both the adj-RIB-out and the
-//     queued event, and the incremental decision cache validates with
-//     pointer (not value) comparison, including stale pointers
-//     reachable only from the cache or the queue. The route table
-//     assigns one index per distinct pointer, so aliasing — and the
-//     cache's future hit/miss behavior — survives a round trip.
+//   - Pointer identity. sendExport stores one *Route into both the
+//     adj-RIB-out and the queued event, and a queued event may hold a
+//     stale pointer no RIB reaches any more. The route table assigns
+//     one index per distinct pointer, so aliasing survives a round
+//     trip.
 //
 // Policy func values (ImportDeny, ExportFilter, ExportBestOf) cannot
 // be serialized; they come from the base network, and a fingerprint
@@ -172,7 +169,6 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 	base.clock = meta.clock
 	base.eventsProcessed = meta.eventsProcessed
 	base.DefaultDelay = meta.defaultDelay
-	base.incremental = meta.incremental
 	base.inc = meta.inc
 	base.Churn = ChurnLog{Records: churn, TotalMessages: meta.churnTotal}
 	base.queue.Restore(queue, meta.seq)
@@ -199,7 +195,6 @@ type metaState struct {
 	seq             uint64
 	eventsProcessed int
 	defaultDelay    Time
-	incremental     bool
 	churnTotal      int
 	inc             IncStats
 }
@@ -210,9 +205,9 @@ func (n *Network) encodeMeta() []byte {
 	e.U64(n.queue.Seq())
 	e.U64(uint64(n.eventsProcessed))
 	e.I64(int64(n.DefaultDelay))
-	e.Bool(n.incremental)
+	e.Bool(true) // reserved, see FORMAT.md: where the two-path engine recorded its mode
 	e.U64(uint64(n.Churn.TotalMessages))
-	// IncStats, fixed-width so payload size is engine-mode independent.
+	// IncStats, fixed-width so payload size does not vary with the counts.
 	for _, v := range n.inc.fields() {
 		e.I64(v)
 	}
@@ -226,7 +221,7 @@ func decodeMeta(payload []byte) (metaState, error) {
 	m.seq = d.U64()
 	m.eventsProcessed = int(d.U64())
 	m.defaultDelay = Time(d.I64())
-	m.incremental = d.Bool()
+	d.Bool() // reserved engine-mode byte
 	m.churnTotal = int(d.U64())
 	st := make([]int64, 9)
 	for i := range st {
@@ -234,17 +229,18 @@ func decodeMeta(payload []byte) (metaState, error) {
 	}
 	m.inc = IncStats{
 		DecisionRuns: st[0], BestChanges: st[1], FullScans: st[2],
-		FastPath: st[3], CacheHits: st[4], NoopDecisions: st[5],
+		FastPath: st[3], NoopDecisions: st[5], // st[4] is reserved
 		DirtyPairs: st[6], DirtyEvals: st[7], SuppressedProps: st[8],
 	}
 	return m, d.Done()
 }
 
-// fields returns the stats in their fixed serialization order.
+// fields returns the stats in their fixed serialization order; the
+// zero is the reserved slot of the removed decision-cache hit counter.
 func (s IncStats) fields() []int64 {
 	return []int64{
 		s.DecisionRuns, s.BestChanges, s.FullScans,
-		s.FastPath, s.CacheHits, s.NoopDecisions,
+		s.FastPath, 0, s.NoopDecisions,
 		s.DirtyPairs, s.DirtyEvals, s.SuppressedProps,
 	}
 }
@@ -301,9 +297,8 @@ func (n *Network) encodeFingerprint() []byte {
 
 // routeIndex assigns one index per distinct installed *Route, in
 // canonical traversal order: per speaker (ascending ID) originated →
-// adj-RIB-in → loc-RIB → adj-RIB-out → decision cache, then queued
-// events in (at, seq) order. First sighting wins, so shared pointers
-// share an index.
+// adj-RIB-in → loc-RIB → adj-RIB-out, then queued events in (at, seq)
+// order. First sighting wins, so shared pointers share an index.
 type routeIndex struct {
 	idx  map[*Route]uint64
 	list []*Route
@@ -325,13 +320,6 @@ func newRouteIndex(n *Network) *routeIndex {
 		addAll(s.adjIn)
 		addAll(s.locRib)
 		addAll(s.adjOut)
-		for _, p := range sortedCachePrefixes(s.decCache) {
-			e := s.decCache[p]
-			for _, r := range e.cands {
-				ri.add(r)
-			}
-			ri.add(e.best)
-		}
 	}
 	for _, it := range n.queue.Sorted() {
 		ri.add(it.V.route)
@@ -507,7 +495,6 @@ type speakerState struct {
 	mraiLast    map[ribKey]Time
 	mraiPending map[ribKey]bool
 	medSeen     map[netutil.Prefix]bool
-	decCache    map[netutil.Prefix]decCacheEntry
 	peerDyn     []peerDynState
 }
 
@@ -540,7 +527,6 @@ func (st *speakerState) apply() {
 	s.mraiLast = st.mraiLast
 	s.mraiPending = st.mraiPending
 	s.medSeen = st.medSeen
-	s.decCache = st.decCache
 	for _, pd := range st.peerDyn {
 		pd.pc.ExportPrepend = pd.exportPrepend
 		pd.pc.down = pd.down
@@ -620,17 +606,7 @@ func (n *Network) encodeSpeakers(ri *routeIndex) []byte {
 			encPrefix(&e, p)
 		}
 
-		cachePfx := sortedCachePrefixes(s.decCache)
-		e.Uvarint(uint64(len(cachePfx)))
-		for _, p := range cachePfx {
-			ce := s.decCache[p]
-			encPrefix(&e, p)
-			e.Uvarint(uint64(len(ce.cands)))
-			for _, r := range ce.cands {
-				e.Uvarint(ri.must(r))
-			}
-			e.Uvarint(ri.ref(ce.best))
-		}
+		e.Uvarint(0) // reserved, see FORMAT.md: the removed decision cache's entry list
 
 		e.Uvarint(uint64(len(s.peerOrder)))
 		for _, nb := range s.peerOrder {
@@ -748,29 +724,21 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			st.medSeen[p] = true
 		}
 
-		nCache := d.Count(7)
-		if nCache > 0 {
-			st.decCache = make(map[netutil.Prefix]decCacheEntry, nCache)
-		}
-		for j := 0; j < nCache; j++ {
-			p, err := decPrefix(d)
-			if err != nil {
+		// Snapshots written while the engine had a decision cache list
+		// its entries here: validated like any other reference, then
+		// dropped.
+		for j, nCache := 0, d.Count(7); j < nCache; j++ {
+			if _, err := decPrefix(d); err != nil {
 				return nil, err
 			}
-			nc := d.Count(1)
-			cands := make([]*Route, 0, nc)
-			for c := 0; c < nc; c++ {
-				r, err := routeAt(routes, d.Uvarint(), d)
-				if err != nil {
+			for c, nc := 0, d.Count(1); c < nc; c++ {
+				if _, err := routeAt(routes, d.Uvarint(), d); err != nil {
 					return nil, err
 				}
-				cands = append(cands, r)
 			}
-			best, err := routeRef(routes, d.Uvarint(), d)
-			if err != nil {
+			if _, err := routeRef(routes, d.Uvarint(), d); err != nil {
 				return nil, err
 			}
-			st.decCache[p] = decCacheEntry{cands: cands, best: best}
 		}
 
 		for j, nPeers := 0, d.Count(14); j < nPeers; j++ {
@@ -1091,14 +1059,5 @@ func sortedKeysRoute(m map[ribKey]*Route) []ribKey {
 		out = append(out, k)
 	}
 	sortRibKeysStable(out)
-	return out
-}
-
-func sortedCachePrefixes(m map[netutil.Prefix]decCacheEntry) []netutil.Prefix {
-	out := make([]netutil.Prefix, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	netutil.SortPrefixes(out)
 	return out
 }

@@ -45,6 +45,11 @@ func fuzzSeedInputs(t testing.TB) [][]byte {
 	if legacy, err := os.ReadFile(filepath.Join("testdata", "golden_v1.rbgp")); err == nil {
 		inputs = append(inputs, legacy)
 	}
+	// Likewise the frozen snapshot that still lists decision-cache
+	// entries: its count guards and index checks are decode-only now.
+	if legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v2_deccache.rbgp")); err == nil {
+		inputs = append(inputs, legacy)
+	}
 	return inputs
 }
 

@@ -41,8 +41,9 @@ func mustSnapshot(t *testing.T, n *Network) []byte {
 }
 
 // TestRestoreEquivalence is the differential harness of the snapshot
-// subsystem: across seeds × topology sizes × engine modes it drives a
-// network through random events, snapshots it mid-sequence, restores
+// subsystem: across seeds × topology sizes × {full-scan reference
+// (incfalse), engine (inctrue)} it drives a network through random
+// events, snapshots it mid-sequence, restores
 // into a freshly built base, and requires the restored network to be
 // byte-identical — same re-snapshot bytes, and the same observable
 // signature after every further event as the original.
@@ -59,7 +60,7 @@ func TestRestoreEquivalence(t *testing.T) {
 			name := fmt.Sprintf("seed%d_size%d_inc%v", tc.seed, tc.size, incremental)
 			t.Run(name, func(t *testing.T) {
 				orig := snapNet(tc.seed, tc.size)
-				orig.SetIncremental(incremental)
+				orig.SetReferenceScan(!incremental)
 				rng := rand.New(rand.NewSource(tc.seed * 7919)) // #nosec test randomness
 				prefixes := []netutil.Prefix{
 					netutil.PrefixFrom(0xCB007100, 24), // 203.0.113.0/24
@@ -74,6 +75,7 @@ func TestRestoreEquivalence(t *testing.T) {
 
 				data := mustSnapshot(t, orig)
 				restored := snapNet(tc.seed, tc.size)
+				restored.SetReferenceScan(!incremental)
 				if err := RestoreNetwork(bytes.NewReader(data), restored); err != nil {
 					t.Fatalf("restore: %v", err)
 				}
@@ -197,7 +199,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 	nets := map[string]*Network{
 		"random": func() *Network {
 			n := snapNet(7, 18)
-			n.SetIncremental(true)
 			rng := rand.New(rand.NewSource(99)) // #nosec test randomness
 			prefixes := []netutil.Prefix{netutil.PrefixFrom(0xCB007100, 24), netutil.PrefixFrom(0xC0000200, 24)}
 			for _, op := range randomOps(rng, n, prefixes, 12) {
@@ -221,7 +222,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 
 func TestSnapshotInsideBatchFails(t *testing.T) {
 	n := snapNet(1, 8)
-	n.SetIncremental(true)
 	var err error
 	n.Batch(func() {
 		var buf bytes.Buffer
@@ -250,7 +250,6 @@ func TestRestoreFingerprintMismatch(t *testing.T) {
 // (RIBs, RFD, MRAI, queue, churn, caches).
 func goldenNet() *Network {
 	n := mraiRfdNet()
-	n.SetIncremental(true)
 	driveToMidFlight(n)
 	return n
 }
@@ -330,5 +329,41 @@ func TestLegacyV1Restore(t *testing.T) {
 	}
 	if got, wantSig := networkSignature(again), networkSignature(goldenNet()); got != wantSig {
 		t.Fatal("v1→v2 upgrade round-trip changed the state")
+	}
+}
+
+// TestLegacyDecisionCacheRestore pins the other compatibility
+// contract: a v2 snapshot written while the engine still had its
+// memoized decision cache lists cache entries per speaker (and routes
+// only they reference). The frozen fixture — the mid-flight scenario
+// plus a second origination and a withdrawal, two cache entries — must
+// keep restoring to the state the same events produce today, with the
+// entries validated and dropped.
+func TestLegacyDecisionCacheRestore(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v2_deccache.rbgp"))
+	if err != nil {
+		t.Fatalf("read legacy fixture (frozen, never regenerated): %v", err)
+	}
+	live := mraiRfdNet()
+	p := driveToMidFlight(live)
+	live.Originate(3, p)
+	live.Run(live.Now() + 3)
+	live.WithdrawOrigination(1, p)
+	live.Run(live.Now() + 2)
+
+	restored := mraiRfdNet()
+	if err := RestoreNetwork(bytes.NewReader(legacy), restored); err != nil {
+		t.Fatalf("legacy restore: %v", err)
+	}
+	if got, want := networkSignature(restored), networkSignature(live); got != want {
+		t.Fatalf("legacy snapshot restored to a different state:\n--- live ---\n%s\n--- restored ---\n%s", want, got)
+	}
+	if reenc := mustSnapshot(t, restored); len(reenc) >= len(legacy) {
+		t.Fatalf("re-encoded snapshot is %d bytes, the legacy one %d: cache entries were not dropped", len(reenc), len(legacy))
+	}
+	restored.RunToQuiescence()
+	live.RunToQuiescence()
+	if got, want := networkSignature(restored), networkSignature(live); got != want {
+		t.Fatal("restored legacy network diverges from the live one after the drain")
 	}
 }

@@ -62,15 +62,11 @@ type Speaker struct {
 	// ImportDeny presence) stay compatible with ROV-enabled worlds.
 	importDeny func(*Route) bool
 
-	// medSeen gates the incremental fast path (see incremental.go):
-	// set permanently once any nonzero-MED route is seen for a prefix,
+	// medSeen gates the decision fast path (see incremental.go): set
+	// permanently once any nonzero-MED route is seen for a prefix,
 	// because MED makes pairwise comparison non-transitive and only a
-	// full scan is then sound. Maintained in both engine modes so the
-	// mode can be switched mid-life.
+	// full scan is then sound.
 	medSeen map[netutil.Prefix]bool
-	// decCache memoizes full decision scans per prefix (lazily
-	// allocated; see scanDecision).
-	decCache map[netutil.Prefix]decCacheEntry
 
 	// metrics points at the owning network's counter set (nil-safe
 	// counters; see Network.SetMetrics).
@@ -141,8 +137,7 @@ func (s *Speaker) AdjOut(p netutil.Prefix, neighbor RouterID) *Route {
 
 // candidateSet collects the decision-process inputs for p: the local
 // origination first, then unsuppressed adj-RIB-in routes in neighbor
-// order. Both runDecision and the incremental scanDecision use it, so
-// scan order (and thus tie behavior) is identical across modes.
+// order.
 func (s *Speaker) candidateSet(p netutil.Prefix) []*Route {
 	candidates := make([]*Route, 0, len(s.peerOrder)+1)
 	if o, ok := s.originated[p]; ok {
@@ -167,20 +162,20 @@ func (s *Speaker) effectiveCandidate(p netutil.Prefix, nb RouterID) *Route {
 	return s.adjIn.Get(k)
 }
 
-// runDecision recomputes the best route for p. It returns the new best
-// and whether the loc-RIB changed.
-func (s *Speaker) runDecision(p netutil.Prefix) (*Route, bool) {
+// runDecision recomputes the best route for p by a scan over every
+// candidate and reports whether the loc-RIB changed.
+func (s *Speaker) runDecision(p netutil.Prefix) bool {
 	best, _ := Best(s.candidateSet(p))
 	prev := s.locRib.Get(locKey(p))
 	if routesEqual(prev, best) {
-		return prev, false
+		return false
 	}
 	if best == nil {
 		s.locRib.Withdraw(locKey(p))
 	} else {
 		s.locRib.Install(locKey(p), best)
 	}
-	return best, true
+	return true
 }
 
 // routesEqual reports semantic equality for loc-RIB change detection.

@@ -32,14 +32,13 @@ type Config struct {
 	// internet); empty keeps the -small / default behaviour. The
 	// internet tier builds the ~80K-AS / ~1M-prefix ecosystem on the
 	// compact arena-backed RIB layout.
-	Scale       string
-	Seed        int64
-	Workers     int
-	Faults      float64
-	Incremental bool
-	Manifest    string
-	Metrics     bool
-	ZeroTime    bool
+	Scale    string
+	Seed     int64
+	Workers  int
+	Faults   float64
+	Manifest string
+	Metrics  bool
+	ZeroTime bool
 	// SnapshotDir and Resume drive checkpoint/restart (FlagSnapshot):
 	// with -snapshot-dir the run writes an engine+telemetry checkpoint
 	// after every configuration round; with -resume it continues from
@@ -80,11 +79,10 @@ type JobOptions struct {
 	Small bool `json:"small,omitempty"`
 	// Scale names the topology size tier (small, paper, internet);
 	// empty defers to Small. See topo.ParseScale.
-	Scale       string  `json:"scale,omitempty"`
-	Seed        int64   `json:"seed,omitempty"`
-	Workers     int     `json:"workers,omitempty"`
-	Faults      float64 `json:"faults,omitempty"`
-	Incremental bool    `json:"incremental"`
+	Scale   string  `json:"scale,omitempty"`
+	Seed    int64   `json:"seed,omitempty"`
+	Workers int     `json:"workers,omitempty"`
+	Faults  float64 `json:"faults,omitempty"`
 	// Workload selects a named virtual-clock workload (see
 	// core.WorkloadNames); empty runs the standard survey script.
 	Workload string `json:"workload,omitempty"`
@@ -197,7 +195,6 @@ func (j JobOptions) PipelineOptions(reg *telemetry.Registry) []core.PipelineOpti
 		core.WithFaults(j.Faults),
 		core.WithScenario(j.Scenario),
 		core.WithROV(j.ROV),
-		core.WithIncremental(j.Incremental),
 		core.WithMetrics(reg),
 	}
 	if j.Small {
@@ -233,7 +230,6 @@ func (c Config) Job() JobOptions {
 		Seed:            c.Seed,
 		Workers:         c.Workers,
 		Faults:          c.Faults,
-		Incremental:     c.Incremental,
 		Workload:        c.Workload,
 		DurationSeconds: c.Duration,
 		RoundMode:       c.RoundMode,
@@ -259,8 +255,6 @@ const (
 	FlagFaults
 	// FlagObservability registers -manifest, -metrics, and -zerotime.
 	FlagObservability
-	// FlagIncremental registers -incremental.
-	FlagIncremental
 	// FlagSnapshot registers -snapshot-dir and -resume. Not part of
 	// FlagAll: only commands that implement checkpointing (resurvey)
 	// opt in.
@@ -279,7 +273,7 @@ const (
 	FlagOptimize
 
 	// FlagAll registers every shared flag.
-	FlagAll = FlagSmall | FlagSeed | FlagWorkers | FlagFaults | FlagObservability | FlagIncremental
+	FlagAll = FlagSmall | FlagSeed | FlagWorkers | FlagFaults | FlagObservability
 )
 
 // Register installs the selected shared flags on fs, with defaults
@@ -297,9 +291,6 @@ func Register(fs *flag.FlagSet, c *Config, which Flags) {
 	}
 	if which&FlagFaults != 0 {
 		fs.Float64Var(&c.Faults, "faults", c.Faults, "max fault intensity in (0, 1]: run the fault-intensity sweep (reduced scale) up to this intensity; 0 disables")
-	}
-	if which&FlagIncremental != 0 {
-		fs.BoolVar(&c.Incremental, "incremental", c.Incremental, "propagate only route deltas through the BGP engine (-incremental=false keeps the full-reconvergence reference path); output is byte-identical either way")
 	}
 	if which&FlagSnapshot != 0 {
 		fs.StringVar(&c.SnapshotDir, "snapshot-dir", c.SnapshotDir, "write a checkpoint (engine state, partial survey results, telemetry registry) to this directory after every configuration round")

@@ -9,30 +9,30 @@ import (
 func TestRegisterKeepsFieldDefaults(t *testing.T) {
 	// Commands seed the Config with their historical defaults before
 	// Register; parsing no flags must leave those values intact.
-	c := Config{Small: true, Seed: 7, Incremental: true}
+	c := Config{Small: true, Seed: 7}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	Register(fs, &c, FlagAll)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Small || c.Seed != 7 || c.Workers != 0 || c.Faults != 0 || !c.Incremental {
+	if !c.Small || c.Seed != 7 || c.Workers != 0 || c.Faults != 0 {
 		t.Errorf("defaults clobbered: %+v", c)
 	}
 }
 
 func TestRegisterParsesSharedFlags(t *testing.T) {
-	c := Config{Incremental: true} // -incremental=false must override the default
+	var c Config
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	Register(fs, &c, FlagAll)
 	args := []string{
 		"-small", "-seed", "42", "-workers", "8", "-faults", "0.5",
-		"-incremental=false", "-manifest", "m.json", "-metrics", "-zerotime",
+		"-manifest", "m.json", "-metrics", "-zerotime",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	want := Config{Small: true, Seed: 42, Workers: 8, Faults: 0.5,
-		Incremental: false, Manifest: "m.json", Metrics: true, ZeroTime: true}
+		Manifest: "m.json", Metrics: true, ZeroTime: true}
 	if c != want {
 		t.Errorf("parsed %+v, want %+v", c, want)
 	}
@@ -47,10 +47,17 @@ func TestRegisterSubsets(t *testing.T) {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
-	for _, name := range []string{"small", "faults", "incremental", "manifest", "metrics", "zerotime"} {
+	for _, name := range []string{"small", "faults", "manifest", "metrics", "zerotime"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("flag -%s registered but not requested", name)
 		}
+	}
+	// The engine has one decision path; no flag group may bring the
+	// mode switch back.
+	all := flag.NewFlagSet("test", flag.ContinueOnError)
+	Register(all, &c, ^Flags(0))
+	if all.Lookup("incremental") != nil {
+		t.Error("the removed -incremental flag is registered")
 	}
 }
 
@@ -88,7 +95,7 @@ func TestJobValidationParity(t *testing.T) {
 		{Faults: 1.5},
 		{Faults: math.NaN()},
 		{Workers: -1},
-		{Small: true, Seed: 7, Workers: 8, Faults: 0.5, Incremental: true},
+		{Small: true, Seed: 7, Workers: 8, Faults: 0.5},
 	} {
 		cfgErr, jobErr := c.Validate(), c.Job().Validate()
 		if (cfgErr == nil) != (jobErr == nil) {
@@ -100,11 +107,11 @@ func TestJobValidationParity(t *testing.T) {
 }
 
 func TestJobPipelineWiring(t *testing.T) {
-	j := JobOptions{Small: true, Seed: 5, Workers: 3, Faults: 0.25, Incremental: true}
+	j := JobOptions{Small: true, Seed: 5, Workers: 3, Faults: 0.25}
 	pl := j.Pipeline(nil)
-	if pl.Seed() != 5 || pl.Workers() != 3 || pl.Faults() != 0.25 || !pl.Incremental() {
-		t.Errorf("pipeline carries seed=%d workers=%d faults=%v incremental=%v",
-			pl.Seed(), pl.Workers(), pl.Faults(), pl.Incremental())
+	if pl.Seed() != 5 || pl.Workers() != 3 || pl.Faults() != 0.25 {
+		t.Errorf("pipeline carries seed=%d workers=%d faults=%v",
+			pl.Seed(), pl.Workers(), pl.Faults())
 	}
 }
 
@@ -198,18 +205,13 @@ func TestNewRegistryNilWhenUnobserved(t *testing.T) {
 }
 
 func TestPipelineWiring(t *testing.T) {
-	c := Config{Small: true, Seed: 5, Workers: 3, Faults: 0.25, Incremental: true}
+	c := Config{Small: true, Seed: 5, Workers: 3, Faults: 0.25}
 	pl := c.Pipeline(nil)
-	if pl.Seed() != 5 || pl.Workers() != 3 || pl.Faults() != 0.25 || !pl.Incremental() {
-		t.Errorf("pipeline carries seed=%d workers=%d faults=%v incremental=%v",
-			pl.Seed(), pl.Workers(), pl.Faults(), pl.Incremental())
+	if pl.Seed() != 5 || pl.Workers() != 3 || pl.Faults() != 0.25 {
+		t.Errorf("pipeline carries seed=%d workers=%d faults=%v",
+			pl.Seed(), pl.Workers(), pl.Faults())
 	}
 	if pl.SurveyOptions().Topology.Seed != 5 {
 		t.Errorf("survey topology seed = %d, want 5", pl.SurveyOptions().Topology.Seed)
-	}
-	// -incremental=false must reach the pipeline as the reference mode
-	// even though NewPipeline's own default is incremental.
-	if pl := (Config{}).Pipeline(nil); pl.Incremental() {
-		t.Error("Config zero value did not select the full reference path")
 	}
 }

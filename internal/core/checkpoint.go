@@ -45,11 +45,10 @@ const (
 // excluded: output is identical for any worker count, so a 4-worker
 // run may resume a 1-worker run's checkpoint.
 type CheckpointFingerprint struct {
-	Seed        int64
-	Small       bool
-	Incremental bool
-	Faults      float64
-	NSeeds      int
+	Seed   int64
+	Small  bool
+	Faults float64
+	NSeeds int
 }
 
 // Checkpoint is one decoded RCKP file.
@@ -132,7 +131,7 @@ func (c *Checkpoint) Encode() []byte {
 	var fp snap.Enc
 	fp.I64(c.Fingerprint.Seed)
 	fp.Bool(c.Fingerprint.Small)
-	fp.Bool(c.Fingerprint.Incremental)
+	fp.Bool(true) // reserved, see FORMAT.md: where the two-path engine recorded its mode
 	fp.F64(c.Fingerprint.Faults)
 	fp.Uvarint(uint64(c.Fingerprint.NSeeds))
 	w.Section(ckSecFingerprint, fp.Bytes())
@@ -187,7 +186,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	d := snap.NewDec(secs[0].Payload)
 	c.Fingerprint.Seed = d.I64()
 	c.Fingerprint.Small = d.Bool()
-	c.Fingerprint.Incremental = d.Bool()
+	d.Bool() // reserved engine-mode byte
 	c.Fingerprint.Faults = d.F64()
 	c.Fingerprint.NSeeds = int(d.Uvarint())
 	if err := d.Done(); err != nil {

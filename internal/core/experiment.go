@@ -344,7 +344,7 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 		cfgSpan := x.Metrics.StartSpan("config:" + cfg.Label())
 		// Apply the configuration as one batched delta: duplicate
 		// (router, prefix, neighbor) touches collapse into a single
-		// evaluation in incremental mode, and full mode runs f as-is.
+		// evaluation.
 		net.AdvanceTo(t)
 		stBefore := net.Stats()
 		net.Batch(func() {

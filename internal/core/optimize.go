@@ -20,8 +20,8 @@ import (
 // one converged survey, snapshots the pristine fork point, and then
 // evaluates every candidate configuration by rewinding that snapshot
 // and pushing the candidate's traffic-engineering delta through the
-// incremental path — the same warm-start discipline the resilience
-// sweep uses, here amortized across an entire search.
+// engine — the same warm-start discipline the resilience sweep uses,
+// here amortized across an entire search.
 
 // OptimizeOptions configures a policy-optimization run.
 type OptimizeOptions struct {
@@ -44,9 +44,6 @@ type OptimizeOptions struct {
 	// SearchSeed keys every proposal RNG stream (the pipeline derives
 	// it from the session seed via optimizeSeedStream).
 	SearchSeed int64
-	// Incremental selects the engine recomputation mode for every world
-	// the run builds.
-	Incremental bool
 	// Cold disables warm-started evaluation: every candidate gets a
 	// freshly built world and pays full initial convergence. Only
 	// useful for measuring what the warm path saves
@@ -160,9 +157,7 @@ func newPolicyEvaluator(opts OptimizeOptions, obj optimize.Objective, driver *Su
 	}
 	ev.pool <- ev.prepSlot(driver)
 	for i := 1; i < slots; i++ {
-		s := NewSurvey(opts.Survey)
-		s.SetIncremental(opts.Incremental)
-		ev.pool <- ev.prepSlot(s)
+		ev.pool <- ev.prepSlot(NewSurvey(opts.Survey))
 	}
 	return ev
 }
@@ -182,9 +177,7 @@ func (ev *policyEvaluator) Evaluate(ctx context.Context, c optimize.Candidate) (
 		return optimize.Eval{}, err
 	}
 	if ev.opts.Cold {
-		s := NewSurvey(ev.opts.Survey)
-		s.SetIncremental(ev.opts.Incremental)
-		slot := ev.prepSlot(s)
+		slot := ev.prepSlot(NewSurvey(ev.opts.Survey))
 		ev.coldBuilds.Add(1)
 		ev.reg.Counter("opt_cold_builds_total").Inc()
 		st0 := slot.s.Eco.Net.Stats()
@@ -352,7 +345,6 @@ func RunOptimizeContext(ctx context.Context, opts OptimizeOptions) (*OptimizeRes
 
 	buildSpan := reg.StartSpan("optimize-converge")
 	driver := NewSurvey(opts.Survey)
-	driver.SetIncremental(opts.Incremental)
 	x := NewSURFExperiment(driver.Eco, driver.World, driver.Prober, driver.Sel, optStart)
 	x.Metrics = reg // Converge meters via Stats deltas — deterministic
 	x.Converge()

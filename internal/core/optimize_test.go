@@ -13,13 +13,12 @@ import (
 
 func optTestOptions(strategy string, workers int) OptimizeOptions {
 	return OptimizeOptions{
-		Survey:      SmallSurveyOptions(),
-		Objective:   "catchment:re=0.3",
-		Strategy:    strategy,
-		Budget:      8,
-		Workers:     workers,
-		SearchSeed:  7,
-		Incremental: true,
+		Survey:     SmallSurveyOptions(),
+		Objective:  "catchment:re=0.3",
+		Strategy:   strategy,
+		Budget:     8,
+		Workers:    workers,
+		SearchSeed: 7,
 	}
 }
 
@@ -118,7 +117,6 @@ func TestOptimizeEvaluationPreservesPristine(t *testing.T) {
 		t.Fatal(err)
 	}
 	driver := NewSurvey(opts.Survey)
-	driver.SetIncremental(opts.Incremental)
 	x := NewSURFExperiment(driver.Eco, driver.World, driver.Prober, driver.Sel, optStart)
 	x.Converge()
 	var snap bytes.Buffer
@@ -296,8 +294,8 @@ func TestOptimizePipelineWiring(t *testing.T) {
 	if opts.Objective != "catchment:re=0.4" || opts.Budget != 9 || opts.Strategy != "evolve" {
 		t.Fatalf("pipeline options not threaded: %+v", opts)
 	}
-	if opts.Workers != 3 || !opts.Incremental {
-		t.Fatalf("workers/incremental not threaded: %+v", opts)
+	if opts.Workers != 3 {
+		t.Fatalf("workers not threaded: %+v", opts)
 	}
 	if want := parallel.SubSeed(11, optimizeSeedStream); opts.SearchSeed != want {
 		t.Fatalf("search seed %d, want SubSeed(11, optimizeSeedStream) = %d", opts.SearchSeed, want)

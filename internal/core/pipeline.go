@@ -50,7 +50,6 @@ type Pipeline struct {
 	budget        int
 	strategy      string
 	metrics       *telemetry.Registry
-	incremental   bool
 }
 
 // PipelineOption configures a Pipeline; options are applied by
@@ -143,16 +142,6 @@ func WithMetrics(reg *telemetry.Registry) PipelineOption {
 	return func(p *Pipeline) { p.metrics = reg }
 }
 
-// WithIncremental selects the BGP engine's recomputation mode for
-// everything the pipeline builds: true (the default) propagates only
-// route deltas through a dirty-set work queue, false keeps the full
-// reconvergence path as the reference implementation. Both modes
-// produce identical observable output (TestIncrementalEquivalenceMatrix
-// proves it); only the work-accounting telemetry differs.
-func WithIncremental(on bool) PipelineOption {
-	return func(p *Pipeline) { p.incremental = on }
-}
-
 // WithOutageSplit sets how injected mid-experiment outages divide
 // between the two experiments: 0 keeps the historical in-order halves
 // split, any other value shuffles deterministically first (see
@@ -177,7 +166,7 @@ const (
 
 // NewPipeline resolves the options into a ready pipeline.
 func NewPipeline(opts ...PipelineOption) *Pipeline {
-	p := &Pipeline{survey: DefaultSurveyOptions(), incremental: true}
+	p := &Pipeline{survey: DefaultSurveyOptions()}
 	for _, o := range opts {
 		o(p)
 	}
@@ -213,10 +202,6 @@ func (p *Pipeline) Scenario() string { return p.scenario }
 // fraction (0 = off / full default ladder for sweeps).
 func (p *Pipeline) ROV() float64 { return p.rov }
 
-// Incremental reports whether pipelines built here use the
-// incremental recomputation path.
-func (p *Pipeline) Incremental() bool { return p.incremental }
-
 // Metrics returns the registry the pipeline instruments with (nil
 // when telemetry is disabled).
 func (p *Pipeline) Metrics() *telemetry.Registry { return p.metrics }
@@ -228,7 +213,6 @@ func (p *Pipeline) SurveyOptions() SurveyOptions { return p.survey }
 // prober, metrics, and worker bounds, all from the pipeline options.
 func (p *Pipeline) NewSurvey() *Survey {
 	s := NewSurvey(p.survey)
-	s.SetIncremental(p.incremental)
 	s.Workers = p.workers
 	s.Prober.Workers = p.workers
 	if p.metrics != nil {
@@ -250,7 +234,6 @@ func (p *Pipeline) FaultSweepOptions() FaultSweepOptions {
 	if p.faults > 0 {
 		fopts.Intensities = SweepIntensities(p.faults)
 	}
-	fopts.Incremental = p.incremental
 	fopts.Metrics = p.metrics
 	fopts.Workers = p.workers
 	return fopts
@@ -288,17 +271,16 @@ func (p *Pipeline) Strategy() string {
 // OptimizeOptions returns the policy-optimization configuration the
 // pipeline implies: the session survey, the search seed derived via
 // parallel.SubSeed(seed, optimizeSeedStream), and the pipeline's
-// objective, budget, strategy, worker bound, engine mode, and registry.
+// objective, budget, strategy, worker bound, and registry.
 func (p *Pipeline) OptimizeOptions() OptimizeOptions {
 	return OptimizeOptions{
-		Survey:      p.survey,
-		Objective:   p.objective,
-		Strategy:    p.Strategy(),
-		Budget:      p.budget,
-		Workers:     p.workers,
-		SearchSeed:  parallel.SubSeed(p.Seed(), optimizeSeedStream),
-		Incremental: p.incremental,
-		Metrics:     p.metrics,
+		Survey:     p.survey,
+		Objective:  p.objective,
+		Strategy:   p.Strategy(),
+		Budget:     p.budget,
+		Workers:    p.workers,
+		SearchSeed: parallel.SubSeed(p.Seed(), optimizeSeedStream),
+		Metrics:    p.metrics,
 	}
 }
 
@@ -327,7 +309,6 @@ func (p *Pipeline) ScenarioSweepOptions() ScenarioSweepOptions {
 	if p.rov > 0 {
 		sopts.Adoptions = ScenarioAdoptions(p.rov)
 	}
-	sopts.Incremental = p.incremental
 	sopts.Metrics = p.metrics
 	sopts.Workers = p.workers
 	return sopts

@@ -39,9 +39,6 @@ type FaultSweepOptions struct {
 	Quorum int
 	// Retry is the prober retry policy applied at nonzero intensity.
 	Retry probe.RetryPolicy
-	// Incremental selects the BGP engine's recomputation mode for every
-	// point's world (observable output is identical either way).
-	Incremental bool
 	// WarmStart, when true, converges the experiment once on a base
 	// world, snapshots the engine (bgp.Network.Snapshot), and restores
 	// that snapshot into every intensity point's freshly built world
@@ -71,7 +68,6 @@ func DefaultFaultSweepOptions() FaultSweepOptions {
 		FaultSeed:   1789,
 		Quorum:      6,
 		Retry:       probe.DefaultRetryPolicy(),
-		Incremental: true,
 		WarmStart:   true,
 	}
 }
@@ -143,7 +139,6 @@ func RunFaultSweepContext(ctx context.Context, opts FaultSweepOptions) ([]FaultS
 		}
 		sp := baseReg.StartSpan("faultsweep:base")
 		s := NewSurvey(opts.Survey)
-		s.SetIncremental(opts.Incremental)
 		s.SetMetrics(baseReg)
 		s.Workers = 1
 		s.Prober.Workers = 1
@@ -198,7 +193,6 @@ func runFaultPoint(ctx context.Context, opts FaultSweepOptions, intensity float6
 	sp := reg.StartSpan("faultsweep:intensity=" + lbl)
 	defer sp.End()
 	s := NewSurvey(opts.Survey)
-	s.SetIncremental(opts.Incremental)
 	s.SetMetrics(reg)
 	s.Workers = 1
 	s.Prober.Workers = 1

@@ -99,13 +99,6 @@ func (s *Survey) SetMetrics(r *telemetry.Registry) {
 	s.Prober.SetMetrics(r)
 }
 
-// SetIncremental switches the survey's BGP engine between full
-// reconvergence and incremental recomputation (see bgp.SetIncremental;
-// both modes produce identical observable output). The pipeline
-// threads WithIncremental here; bare NewSurvey callers keep the full
-// reference path unless they opt in.
-func (s *Survey) SetIncremental(on bool) { s.Eco.Net.SetIncremental(on) }
-
 // SurveyOptions bundles the generator knobs.
 type SurveyOptions struct {
 	Topology topo.GenConfig

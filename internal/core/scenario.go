@@ -47,8 +47,6 @@ type ScenarioSweepOptions struct {
 	// ROVSeed drives the per-AS adoption draws. It is shared across
 	// points, which is what makes the deployed sets nested.
 	ROVSeed int64
-	// Incremental selects the BGP engine's recomputation mode.
-	Incremental bool
 	// Metrics, when non-nil, instruments every point's world and
 	// records per-adoption census gauges.
 	Metrics *telemetry.Registry
@@ -67,7 +65,6 @@ func DefaultScenarioSweepOptions(scenario string) ScenarioSweepOptions {
 		Adoptions:    []float64{0, 0.25, 0.5, 0.75, 1},
 		ScenarioSeed: 2025,
 		ROVSeed:      1889,
-		Incremental:  true,
 	}
 }
 
@@ -180,7 +177,6 @@ func runScenarioPoint(ctx context.Context, opts ScenarioSweepOptions, adoption f
 	sp := reg.StartSpan("scenariosweep:adoption=" + lbl)
 	defer sp.End()
 	s := NewSurvey(opts.Survey)
-	s.SetIncremental(opts.Incremental)
 	s.SetMetrics(reg)
 	s.Workers = 1
 	s.Prober.Workers = 1

@@ -28,48 +28,44 @@ func scenarioFingerprint(pts []ScenarioPoint) string {
 // covering ROA and drops invalids at import) is byte-equal to a
 // no-hijack baseline — mid-attack (attacker's own router aside) and at
 // quiescence. The claim must hold identically on every engine variant:
-// full vs incremental recomputation, map vs arena RIB layout, workers
-// 1 vs 4.
+// map vs arena RIB layout, workers 1 vs 4.
 func TestScenarioDifferentialMatrix(t *testing.T) {
 	var prints []string
 	var labels []string
-	for _, incremental := range []bool{false, true} {
-		for _, arena := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				opts := DefaultScenarioSweepOptions(faults.ScenarioHijack)
-				opts.Adoptions = []float64{0, 1}
-				opts.Incremental = incremental
-				opts.Survey.Topology.CompactRIB = arena
-				opts.Workers = workers
-				pts, err := RunScenarioSweep(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(pts) != 3 {
-					t.Fatalf("want baseline + 2 adoption points, got %d", len(pts))
-				}
-				base, none, full := pts[0], pts[1], pts[2]
-				if !base.Baseline || none.Adoption != 0 || full.Adoption != 1 {
-					t.Fatalf("point order wrong: %+v", pts)
-				}
-				if none.PollutedASes == 0 {
-					t.Error("hijack with no ROV polluted nobody")
-				}
-				if full.PollutedASes != 0 || full.UnreachableASes != 0 {
-					t.Errorf("full ROV left pollution: polluted=%d unreachable=%d",
-						full.PollutedASes, full.UnreachableASes)
-				}
-				if full.MidSignature != base.MidSignature {
-					t.Errorf("full ROV mid signature differs from baseline: %016x vs %016x",
-						full.MidSignature, base.MidSignature)
-				}
-				if full.EndDigest != base.EndDigest {
-					t.Errorf("full ROV end digest differs from baseline: %016x vs %016x",
-						full.EndDigest, base.EndDigest)
-				}
-				prints = append(prints, scenarioFingerprint(pts))
-				labels = append(labels, fmt.Sprintf("incremental=%v arena=%v workers=%d", incremental, arena, workers))
+	for _, arena := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			opts := DefaultScenarioSweepOptions(faults.ScenarioHijack)
+			opts.Adoptions = []float64{0, 1}
+			opts.Survey.Topology.CompactRIB = arena
+			opts.Workers = workers
+			pts, err := RunScenarioSweep(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if len(pts) != 3 {
+				t.Fatalf("want baseline + 2 adoption points, got %d", len(pts))
+			}
+			base, none, full := pts[0], pts[1], pts[2]
+			if !base.Baseline || none.Adoption != 0 || full.Adoption != 1 {
+				t.Fatalf("point order wrong: %+v", pts)
+			}
+			if none.PollutedASes == 0 {
+				t.Error("hijack with no ROV polluted nobody")
+			}
+			if full.PollutedASes != 0 || full.UnreachableASes != 0 {
+				t.Errorf("full ROV left pollution: polluted=%d unreachable=%d",
+					full.PollutedASes, full.UnreachableASes)
+			}
+			if full.MidSignature != base.MidSignature {
+				t.Errorf("full ROV mid signature differs from baseline: %016x vs %016x",
+					full.MidSignature, base.MidSignature)
+			}
+			if full.EndDigest != base.EndDigest {
+				t.Errorf("full ROV end digest differs from baseline: %016x vs %016x",
+					full.EndDigest, base.EndDigest)
+			}
+			prints = append(prints, scenarioFingerprint(pts))
+			labels = append(labels, fmt.Sprintf("arena=%v workers=%d", arena, workers))
 		}
 	}
 	for i := 1; i < len(prints); i++ {
@@ -195,7 +191,6 @@ type leakMidRun struct {
 func runToLeakMid(t *testing.T, opts ScenarioSweepOptions, inject bool) leakMidRun {
 	t.Helper()
 	s := NewSurvey(opts.Survey)
-	s.SetIncremental(opts.Incremental)
 	s.Workers = 1
 	s.Prober.Workers = 1
 	start := bgp.Time(9 * 3600)
@@ -249,7 +244,6 @@ func TestScenarioInjectorCommutesProperty(t *testing.T) {
 	}
 	build := func() world {
 		s := NewSurvey(SmallSurveyOptions())
-		s.SetIncremental(true)
 		net := s.Eco.Net
 		net.RunToQuiescence()
 		w := faults.Window{Start: net.Now(), End: net.Now() + 7200}

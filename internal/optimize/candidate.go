@@ -7,7 +7,7 @@
 // strategies, and the deterministic generation loop); evaluating a
 // candidate against a live BGP world is injected as an Evaluator, which
 // core implements by rewinding a converged pristine snapshot and
-// applying the candidate's config delta through the incremental path.
+// applying the candidate's config delta through the engine.
 //
 // Everything here is deterministic by construction: proposals are drawn
 // from parallel.Rand(seed, ordinal) streams keyed by the global

@@ -108,11 +108,10 @@ func (sp *JobSpec) Validate() error {
 // configuration (worker count excluded — see core.CheckpointFingerprint).
 func (sp *JobSpec) fingerprint() core.CheckpointFingerprint {
 	return core.CheckpointFingerprint{
-		Seed:        sp.Options.Seed,
-		Small:       sp.Options.Small,
-		Incremental: sp.Options.Incremental,
-		Faults:      sp.Options.Faults,
-		NSeeds:      1,
+		Seed:   sp.Options.Seed,
+		Small:  sp.Options.Small,
+		Faults: sp.Options.Faults,
+		NSeeds: 1,
 	}
 }
 

@@ -54,7 +54,7 @@ func encodeJob(r *jobRecord) []byte {
 	sp.I64(r.Spec.Options.Seed)
 	sp.Uvarint(uint64(r.Spec.Options.Workers))
 	sp.F64(r.Spec.Options.Faults)
-	sp.Bool(r.Spec.Options.Incremental)
+	sp.Bool(true) // reserved, see FORMAT.md: where the two-path engine recorded its mode
 	sp.String(r.Spec.Options.Workload)
 	sp.I64(r.Spec.Options.DurationSeconds)
 	sp.Bool(r.Spec.Options.RoundMode)
@@ -101,7 +101,7 @@ func decodeJob(data []byte) (*jobRecord, error) {
 	r.Spec.Options.Seed = d.I64()
 	r.Spec.Options.Workers = int(d.Uvarint())
 	r.Spec.Options.Faults = d.F64()
-	r.Spec.Options.Incremental = d.Bool()
+	d.Bool() // reserved engine-mode byte
 	if version >= 2 {
 		r.Spec.Options.Workload = d.String()
 		r.Spec.Options.DurationSeconds = d.I64()

@@ -42,7 +42,7 @@ func TestKillAndRestartByteEqual(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			spec := JobSpec{Options: cliconf.JobOptions{
-				Small: true, Seed: 1, Workers: workers, Incremental: true,
+				Small: true, Seed: 1, Workers: workers,
 			}}
 
 			cold := runToDone(t, t.TempDir(), spec)
@@ -113,7 +113,7 @@ func TestKillAndRestartByteEqual(t *testing.T) {
 // search settles on the identical best configuration and score.
 func TestOptimizeKillAndRestart(t *testing.T) {
 	spec := JobSpec{Kind: "optimize", Options: cliconf.JobOptions{
-		Small: true, Seed: 1, Workers: 2, Incremental: true,
+		Small: true, Seed: 1, Workers: 2,
 		Objective: "catchment:re=0.3", Budget: 8, Strategy: "evolve",
 	}}
 	summaryOf := func(out []byte) *optimizeSummary {
@@ -182,7 +182,7 @@ func TestOptimizeKillAndRestart(t *testing.T) {
 // back to the next-newest valid one; the job still finishes with the
 // cold run's bytes.
 func TestResumeSkipsCorruptCheckpoint(t *testing.T) {
-	spec := JobSpec{Options: cliconf.JobOptions{Small: true, Seed: 3, Incremental: true}}
+	spec := JobSpec{Options: cliconf.JobOptions{Small: true, Seed: 3}}
 	cold := runToDone(t, t.TempDir(), spec)
 
 	dir := t.TempDir()

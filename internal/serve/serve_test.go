@@ -83,7 +83,7 @@ func TestOverload(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp := postJob(t, ts.URL, `{"options": {"small": true, "incremental": true}}`)
+			resp := postJob(t, ts.URL, `{"options": {"small": true}}`)
 			defer resp.Body.Close()
 			io.Copy(io.Discard, resp.Body)
 			mu.Lock()
@@ -270,6 +270,21 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestRemovedIncrementalOptionRejected: the engine-mode option is gone
+// and the body is strict, so a client still sending it gets a 400 that
+// names the field rather than a job that silently ignores it.
+func TestRemovedIncrementalOptionRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp := postJob(t, ts.URL, `{"options":{"incremental":true}}`)
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(`\"incremental\"`)) {
+		t.Errorf("POST with options.incremental = %d %s, want a 400 naming the field", resp.StatusCode, body)
+	}
+}
+
 // TestWorkloadJob runs a workload job through the real dispatcher end
 // to end: the output document carries the workload summary, and a
 // second identical submission reproduces it byte for byte (workload
@@ -277,7 +292,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestWorkloadJob(t *testing.T) {
 	s := newTestServer(t, Config{})
 	spec := JobSpec{Kind: "workload", Options: cliconf.JobOptions{
-		Small: true, Seed: 1, Incremental: true,
+		Small: true, Seed: 1,
 		Workload: "update-storm", DurationSeconds: 300,
 	}}
 	run := func() []byte {
@@ -381,7 +396,7 @@ func TestOptimizeJob(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, Config{DataDir: dir})
 	spec := JobSpec{Kind: "optimize", Options: cliconf.JobOptions{
-		Small: true, Seed: 1, Workers: 2, Incremental: true,
+		Small: true, Seed: 1, Workers: 2,
 		Objective: "catchment:re=0.3", Budget: 8, Strategy: "evolve",
 	}}
 	run := func() (*Job, []byte) {
@@ -628,7 +643,7 @@ func TestJobRecordRoundTrip(t *testing.T) {
 			Tenant:         "alice",
 			Kind:           "sweep",
 			kind:           kindSweep,
-			Options:        cliconf.JobOptions{Small: true, Seed: 42, Workers: 3, Faults: 0.5, Incremental: true},
+			Options:        cliconf.JobOptions{Small: true, Seed: 42, Workers: 3, Faults: 0.5},
 			TimeoutSeconds: 30,
 		},
 		{
@@ -636,7 +651,7 @@ func TestJobRecordRoundTrip(t *testing.T) {
 			Kind:   "workload",
 			kind:   kindWorkload,
 			Options: cliconf.JobOptions{
-				Small: true, Seed: 7, Incremental: true,
+				Small: true, Seed: 7,
 				Workload: "update-storm", DurationSeconds: 600, RoundMode: true,
 			},
 		},
@@ -653,7 +668,7 @@ func TestJobRecordRoundTrip(t *testing.T) {
 			Kind:   "optimize",
 			kind:   kindOptimize,
 			Options: cliconf.JobOptions{
-				Small: true, Seed: 11, Workers: 2, Incremental: true,
+				Small: true, Seed: 11, Workers: 2,
 				Objective: "catchment:re=0.3", Budget: 16, Strategy: "evolve",
 			},
 		},
@@ -693,7 +708,7 @@ func TestJobRecordV1Compat(t *testing.T) {
 		sp.I64(42)    // Seed
 		sp.Uvarint(3) // Workers
 		sp.F64(0.5)   // Faults
-		sp.Bool(true) // Incremental
+		sp.Bool(true) // reserved engine-mode byte
 		sp.F64(30)    // TimeoutSeconds
 		w.Section(jobSecSpec, sp.Bytes())
 		var st snap.Enc
@@ -710,7 +725,7 @@ func TestJobRecordV1Compat(t *testing.T) {
 	}
 	want := JobSpec{
 		Tenant: "alice", Kind: "sweep", kind: kindSweep,
-		Options:        cliconf.JobOptions{Small: true, Seed: 42, Workers: 3, Faults: 0.5, Incremental: true},
+		Options:        cliconf.JobOptions{Small: true, Seed: 42, Workers: 3, Faults: 0.5},
 		TimeoutSeconds: 30,
 	}
 	if got.Spec != want || got.Seq != 7 || got.State != StateDone {

@@ -32,7 +32,7 @@ done
 # Submit a small survey job; expect 202 with an id.
 SUBMIT="$(curl -sf -X POST "$BASE/jobs" \
     -H 'Content-Type: application/json' \
-    -d '{"options": {"small": true, "seed": 1, "incremental": true}}')"
+    -d '{"options": {"small": true, "seed": 1}}')"
 JOB="$(echo "$SUBMIT" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
 [ -n "$JOB" ] || { echo "submit returned no job id: $SUBMIT" >&2; exit 1; }
 

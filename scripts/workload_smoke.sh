@@ -21,7 +21,7 @@ run_twice() {
     # whole stdout) is comparable verbatim.
     for pass in 1 2; do
         mkdir -p "$WORK/$pass"
-        (cd "$WORK/$pass" && "$WORK/resurvey" -small -seed 1 -incremental \
+        (cd "$WORK/$pass" && "$WORK/resurvey" -small -seed 1 \
             -workload "$name" -duration "$duration" \
             -zerotime -manifest "$name.json") >"$WORK/$name.$pass.out"
     done

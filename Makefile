@@ -31,27 +31,14 @@ smoke:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Determinism smoke for the virtual-clock workloads: run each named
-# workload twice at reduced scale and require byte-identical stdout
-# and manifests (-zerotime strips wall times). A diff here means the
-# event engine leaked scheduling nondeterminism into results.
-workload-smoke:
-	sh scripts/workload_smoke.sh
-
-# Determinism smoke for the adversarial scenario sweeps: run hijack
-# and leak twice each and require byte-identical stdout and manifests,
-# plus the containment invariants (full ROV suppresses the hijack;
-# leaks, which keep their true origin, sail through ROV unchanged).
-scenario-smoke:
-	sh scripts/scenario_smoke.sh
-
-# Determinism smoke for the policy-optimization search harness: run
-# both strategies twice each and once at a wider -workers, and require
-# byte-identical stdout and manifests plus a hot warm-restore counter.
-# A diff here means the concurrent evaluator leaked arrival order, or
-# the warm snapshot-restore eval path regressed to cold rebuilds.
-optimize-smoke:
-	sh scripts/optimize_smoke.sh
+# Determinism smokes, one script for the three families: run every
+# case twice at reduced scale and require byte-identical stdout and
+# -zerotime manifests, plus the family's invariants (workload: the RFD
+# cascade suppresses; scenario: full ROV contains the hijack and not
+# the leak; optimize: warm-restore counter hot, baseline beaten, and
+# -workers 2 vs 8 byte-identical). See scripts/determinism_smoke.sh.
+workload-smoke scenario-smoke optimize-smoke:
+	sh scripts/determinism_smoke.sh $(@:-smoke=)
 
 # Full benchmark run across all packages, converted to a committed
 # JSON baseline. Two steps (temp file, then convert) so a failing test

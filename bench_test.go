@@ -10,6 +10,7 @@ package repro
 // paper's full scale.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -249,7 +250,10 @@ func BenchmarkFaultSweep(b *testing.B) {
 	opts.Intensities = []float64{0, 0.5, 1}
 	var pts []core.FaultSweepPoint
 	for i := 0; i < b.N; i++ {
-		pts = core.RunFaultSweep(opts)
+		var err error
+		if pts, err = core.RunFaultSweepContext(context.Background(), opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	b.Logf("\n%s", core.FaultSweepTable(pts))
@@ -268,7 +272,9 @@ func BenchmarkParallelSweep(b *testing.B) {
 			opts.Intensities = intensities
 			opts.Workers = workers
 			for i := 0; i < b.N; i++ {
-				_ = core.RunFaultSweep(opts)
+				if _, err := core.RunFaultSweepContext(context.Background(), opts); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -39,12 +39,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"repro/internal/cliconf"
 	"repro/internal/core"
-	"repro/internal/optimize"
+	"repro/internal/snapshot"
 )
 
 func main() {
@@ -93,12 +91,12 @@ func run(w io.Writer, cfg cliconf.Config) error {
 	pl := cfg.Pipeline(reg)
 	opts := pl.OptimizeOptions()
 
-	fp, err := searchFingerprint(opts)
+	fp, err := opts.SearchFingerprint()
 	if err != nil {
 		return err
 	}
 	if cfg.Resume {
-		if blob := loadLatestSearchState(cfg.SnapshotDir, fp); blob != nil {
+		if blob := core.LatestSearchState(cfg.SnapshotDir, fp); blob != nil {
 			opts.Resume = blob
 			fmt.Fprintln(os.Stderr, "reoptimize: resuming from saved search state")
 		} else {
@@ -107,7 +105,7 @@ func run(w io.Writer, cfg cliconf.Config) error {
 	}
 	if cfg.SnapshotDir != "" {
 		opts.Checkpoint = func(state []byte, p core.OptimizeProgress) {
-			if err := writeSearchState(cfg.SnapshotDir, p.Generation, state); err != nil {
+			if err := snapshot.WriteFileAtomic(cfg.SnapshotDir, core.SearchStateName(p.Generation), state); err != nil {
 				fmt.Fprintln(os.Stderr, "reoptimize: checkpoint:", err)
 			}
 		}
@@ -137,61 +135,4 @@ func run(w io.Writer, cfg cliconf.Config) error {
 		return err
 	}
 	return cfg.DumpMetrics(w, reg)
-}
-
-// searchFingerprint derives the resume-compatibility key for the run's
-// configuration — the same key core.RunOptimizeContext will demand of
-// any resume blob.
-func searchFingerprint(opts core.OptimizeOptions) (optimize.Fingerprint, error) {
-	obj, err := optimize.ParseSpec(opts.Objective)
-	if err != nil {
-		return optimize.Fingerprint{}, err
-	}
-	sr, err := optimize.NewSearcher(opts.Strategy)
-	if err != nil {
-		return optimize.Fingerprint{}, err
-	}
-	return optimize.FingerprintFor(obj, sr, optimize.Options{
-		Seed: opts.SearchSeed, Budget: opts.Budget, Lambda: opts.Lambda,
-	}), nil
-}
-
-func writeSearchState(dir string, generation int, state []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, fmt.Sprintf("search-%04d.ropt", generation))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, state, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// loadLatestSearchState returns the newest search-state blob in dir
-// whose fingerprint matches, skipping corrupt or mismatched files, and
-// nil when nothing usable exists.
-func loadLatestSearchState(dir string, want optimize.Fingerprint) []byte {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, ent := range entries {
-		if !ent.IsDir() && filepath.Ext(ent.Name()) == ".ropt" {
-			names = append(names, ent.Name())
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			continue
-		}
-		if fp, _, err := optimize.DecodeState(data); err != nil || fp != want {
-			continue
-		}
-		return data
-	}
-	return nil
 }

@@ -48,6 +48,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -209,21 +210,6 @@ func run(w io.Writer, o options) error {
 	s := pl.NewSurvey()
 	buildSpan.End()
 
-	// The pristine post-build engine state is the fork point the
-	// multi-seed warm start rewinds to; capture it before any restore
-	// or experiment touches the network. snapshot_bytes is counted only
-	// on cold runs — a resumed registry already carries the count.
-	var pristine []byte
-	if o.NSeeds > 1 && o.Small {
-		var buf bytes.Buffer
-		if err := s.Eco.Net.Snapshot(&buf); err == nil {
-			pristine = buf.Bytes()
-			if ck == nil {
-				reg.Counter("snapshot_bytes").Add(int64(len(pristine)))
-			}
-		}
-	}
-
 	if ck != nil {
 		if err := bgp.RestoreNetwork(bytes.NewReader(ck.Engine), s.Eco.Net); err != nil {
 			return fmt.Errorf("resume: restore engine state: %w", err)
@@ -373,7 +359,11 @@ func run(w io.Writer, o options) error {
 		// topology seed carries over so the sweep tracks the main run.
 		fmt.Fprintln(w)
 		fmt.Fprintf(w, "running fault-intensity sweep (reduced scale, up to %.2f)...\n", o.Faults)
-		fmt.Fprintln(w, core.FaultSweepTable(pl.RunFaultSweep()))
+		pts, err := pl.RunFaultSweepContext(context.Background())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, core.FaultSweepTable(pts))
 	}
 
 	if o.NSeeds > 1 {
@@ -381,13 +371,7 @@ func run(w io.Writer, o options) error {
 		for i := 0; i < o.NSeeds; i++ {
 			seedList = append(seedList, o.Seed+int64(i))
 		}
-		// A -small main run already built the first seed's world; rewind
-		// it to the pristine fork point instead of rebuilding.
-		var warm *core.Survey
-		if o.Small {
-			warm = s
-		}
-		fmt.Fprintln(w, core.RunMultiSeedFrom(core.SmallSurveyOptions(), seedList, warm, pristine, reg).Table())
+		fmt.Fprintln(w, core.RunMultiSeed(core.SmallSurveyOptions(), seedList).Table())
 	}
 
 	if o.JSONDir != "" {
@@ -505,7 +489,7 @@ func runScenario(w io.Writer, o options, reg *telemetry.Registry) error {
 	fmt.Fprintf(w, "building ecosystems (seed %d)...\n", o.Seed)
 	fmt.Fprintf(w, "running %s scenario sweep over ROV adoption (reduced scale)...\n", o.Scenario)
 	span := reg.StartSpan("scenario")
-	pts, err := pl.RunScenarioSweep()
+	pts, err := pl.RunScenarioSweepContext(context.Background())
 	span.End()
 	if err != nil {
 		return err

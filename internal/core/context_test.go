@@ -59,7 +59,6 @@ func TestFaultSweepContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opts := DefaultFaultSweepOptions()
-	opts.WarmStart = false // skip the base-world build; the check precedes any point
 	pts, err := RunFaultSweepContext(ctx, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunFaultSweepContext = %v, want context.Canceled", err)

@@ -111,11 +111,6 @@ type Experiment struct {
 	// checkpointed engine state, and Resume carries the outputs those
 	// rounds produced.
 	Resume *ExperimentResume
-
-	// converged marks the network as already carrying this experiment's
-	// post-convergence announcement state (see MarkConverged), so Run
-	// skips the origination batch and its full initial convergence.
-	converged bool
 }
 
 // ExperimentResume carries the progress a resumed Run starts from.
@@ -137,18 +132,11 @@ type ExperimentResume struct {
 	Span *telemetry.Span
 }
 
-// MarkConverged declares that the experiment's network already holds
-// the converged "4-0" announcement state — typically restored from a
-// snapshot taken after Converge on an identically configured world —
-// so Run can warm-start without repeating the initial convergence.
-func (x *Experiment) MarkConverged() { x.converged = true }
-
-// Converge performs only the pre-measurement part of Run: announce the
+// Converge performs the pre-measurement part of Run: announce the
 // measurement prefix with the first configuration applied and drain the
-// network to the experiment start. The resulting network state is the
-// fork point every sweep/ablation variant shares; snapshot it with
-// bgp.Network.Snapshot and restore it into identically built worlds,
-// then MarkConverged their experiments.
+// network to the experiment start. Run calls it itself; call it directly
+// only to stop at that state — the optimizer snapshots it as the fork
+// point every candidate evaluation rewinds to.
 func (x *Experiment) Converge() {
 	net := x.Eco.Net
 	meas := x.Eco.MeasPrefix
@@ -169,7 +157,6 @@ func (x *Experiment) Converge() {
 	st1 := net.Stats()
 	x.Metrics.Counter("core_initial_convergence_decision_runs_total").Add(st1.DecisionRuns - st0.DecisionRuns)
 	x.Metrics.Counter("core_initial_convergence_best_changes_total").Add(st1.BestChanges - st0.BestChanges)
-	x.converged = true
 }
 
 // PrefixResult is the per-prefix outcome.
@@ -297,14 +284,8 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 		// configuration at 4-0 for an hour prior" (§3.3): announce both
 		// routes with the first configuration already applied, an hour
 		// before the measured window, and let the announcement burst
-		// converge outside it. A warm-started run (MarkConverged after
-		// restoring a post-Converge snapshot) already holds that state
-		// and only forwards any injector actions due at the start.
-		if x.converged {
-			x.advance(x.Cfg.Start)
-		} else {
-			x.Converge()
-		}
+		// converge outside it.
+		x.Converge()
 
 		churnStart = len(net.Churn.Records)
 

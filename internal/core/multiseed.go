@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
-	"repro/internal/bgp"
 	"repro/internal/report"
-	"repro/internal/telemetry"
 )
 
 // This file checks that the reproduction's headline results are
@@ -32,45 +29,15 @@ type MultiSeedResult struct {
 	Runs []SeedRun
 }
 
-// RunMultiSeed executes the full two-experiment survey for each seed.
+// RunMultiSeed executes the full two-experiment survey for each seed,
+// every seed on a world built for it.
 func RunMultiSeed(opts SurveyOptions, seeds []int64) *MultiSeedResult {
-	return RunMultiSeedFrom(opts, seeds, nil, nil, nil)
-}
-
-// RunMultiSeedFrom is RunMultiSeed with an optional warm start: when
-// warm is a survey already built with opts at seeds[i] for some i, and
-// pristine holds the bgp.Network.Snapshot of its network taken right
-// after construction (before any experiment ran), that seed's run
-// rewinds warm to the pristine fork point and reruns it instead of
-// rebuilding an identical world from scratch. The rewound survey is
-// detached from its telemetry registry first, so the rerun does not
-// double-count the original run's metrics; reg (optional) records the
-// warm-start accounting (snapshot_restore_total,
-// core_warm_start_skipped_convergence_runs_total). Output is identical
-// to the cold path: the rewound world replays the exact run a fresh
-// build would, and the rerun leaves warm holding the same results it
-// started with.
-func RunMultiSeedFrom(opts SurveyOptions, seeds []int64, warm *Survey, pristine []byte, reg *telemetry.Registry) *MultiSeedResult {
 	out := &MultiSeedResult{}
 	for _, seed := range seeds {
 		o := opts
 		o.Topology.Seed = seed
-		var s *Survey
-		if warm != nil && len(pristine) > 0 && warm.Opts == o {
-			if err := bgp.RestoreNetwork(bytes.NewReader(pristine), warm.Eco.Net); err == nil {
-				warm.SetMetrics(nil)
-				warm.Checkpoint = nil
-				warm.Resume = nil
-				reg.Counter("snapshot_restore_total").Inc()
-				reg.Counter("core_warm_start_skipped_convergence_runs_total").Inc()
-				warm.RunBoth()
-				s = warm
-			}
-		}
-		if s == nil {
-			s = NewSurvey(o)
-			s.RunBoth()
-		}
+		s := NewSurvey(o)
+		s.RunBoth()
 		sum := Summarize(s.Eco, s.Internet2)
 		cmp := Compare(s.Eco, s.SURF, s.Internet2)
 		run := SeedRun{Seed: seed}

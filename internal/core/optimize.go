@@ -12,16 +12,20 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/report"
+	snap "repro/internal/snapshot"
 	"repro/internal/telemetry"
 )
 
 // This file is the bridge between the pure search machinery in
-// internal/optimize and a live measurement world: RunOptimize builds
-// one converged survey, snapshots the pristine fork point, and then
-// evaluates every candidate configuration by rewinding that snapshot
-// and pushing the candidate's traffic-engineering delta through the
-// engine — the same warm-start discipline the resilience sweep uses,
-// here amortized across an entire search.
+// internal/optimize and a live measurement world: RunOptimizeContext
+// builds one converged survey, snapshots the pristine fork point, and
+// then evaluates every candidate configuration by rewinding that
+// snapshot and pushing the candidate's traffic-engineering delta
+// through the engine. It is the one sweep that forks instead of
+// building a world per point: a candidate's catchment census is tens
+// of milliseconds, so the rewind that replaces a build + convergence
+// is most of what an evaluation costs (see EXPERIMENTS.md, "Warm
+// start").
 
 // OptimizeOptions configures a policy-optimization run.
 type OptimizeOptions struct {
@@ -46,8 +50,8 @@ type OptimizeOptions struct {
 	SearchSeed int64
 	// Cold disables warm-started evaluation: every candidate gets a
 	// freshly built world and pays full initial convergence. Only
-	// useful for measuring what the warm path saves
-	// (TestOptimizeWarmStartSavings); searches should leave it false.
+	// useful for measuring what the warm path saves (the savings test
+	// in optimize_test.go); searches should leave it false.
 	Cold bool
 	// Metrics receives the run's counters and spans; nil disables
 	// telemetry. Evaluation-world engines are never instrumented —
@@ -317,10 +321,58 @@ func (ev *policyEvaluator) measure(slot *optSlot, c optimize.Candidate, st0 bgp.
 	return e, nil
 }
 
-// RunOptimize runs the policy-optimization search (see
-// RunOptimizeContext).
-func RunOptimize(opts OptimizeOptions) (*OptimizeResult, error) {
-	return RunOptimizeContext(context.Background(), opts)
+// search parses the objective and strategy and assembles the search
+// options whose fingerprint keys a resumable checkpoint.
+func (o OptimizeOptions) search() (optimize.Objective, optimize.Searcher, optimize.Options, error) {
+	obj, err := optimize.ParseSpec(o.Objective)
+	if err != nil {
+		return nil, nil, optimize.Options{}, err
+	}
+	sr, err := optimize.NewSearcher(o.Strategy)
+	if err != nil {
+		return nil, nil, optimize.Options{}, err
+	}
+	return obj, sr, optimize.Options{
+		Seed:    o.SearchSeed,
+		Budget:  o.Budget,
+		Lambda:  o.Lambda,
+		Workers: o.Workers,
+		Metrics: o.Metrics,
+	}, nil
+}
+
+// SearchFingerprint is the resume-compatibility key of the run these
+// options describe — what RunOptimizeContext demands of a Resume blob —
+// so a front end can skip stale checkpoint files instead of failing.
+func (o OptimizeOptions) SearchFingerprint() (optimize.Fingerprint, error) {
+	obj, sr, runOpts, err := o.search()
+	if err != nil {
+		return optimize.Fingerprint{}, err
+	}
+	return optimize.FingerprintFor(obj, sr, runOpts), nil
+}
+
+// SearchStateName is the file name both front ends give generation
+// g's Checkpoint blob; the names sort chronologically.
+func SearchStateName(generation int) string {
+	return fmt.Sprintf("search-%04d.ropt", generation)
+}
+
+// LatestSearchState returns the newest search-state blob in dir whose
+// fingerprint is want, skipping corrupt or mismatched files for older
+// ones, and nil when nothing usable exists (the search starts from
+// generation zero).
+func LatestSearchState(dir string, want optimize.Fingerprint) []byte {
+	var blob []byte
+	snap.NewestValid(dir, ".ropt", func(_ string, data []byte) (bool, error) {
+		fp, _, err := optimize.DecodeState(data)
+		if err != nil || fp != want {
+			return false, err
+		}
+		blob = data
+		return true, nil
+	})
+	return blob
 }
 
 // RunOptimizeContext builds one survey world, converges the baseline
@@ -331,11 +383,7 @@ func RunOptimize(opts OptimizeOptions) (*OptimizeResult, error) {
 // evaluations merge in candidate order, and no evaluation world feeds
 // the registry.
 func RunOptimizeContext(ctx context.Context, opts OptimizeOptions) (*OptimizeResult, error) {
-	obj, err := optimize.ParseSpec(opts.Objective)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := optimize.NewSearcher(opts.Strategy)
+	obj, sr, runOpts, err := opts.search()
 	if err != nil {
 		return nil, err
 	}
@@ -356,13 +404,6 @@ func RunOptimizeContext(ctx context.Context, opts OptimizeOptions) (*OptimizeRes
 	reg.Counter("snapshot_bytes").Add(int64(len(baseSnap)))
 	buildSpan.End()
 
-	runOpts := optimize.Options{
-		Seed:    opts.SearchSeed,
-		Budget:  opts.Budget,
-		Lambda:  opts.Lambda,
-		Workers: opts.Workers,
-		Metrics: reg,
-	}
 	fp := optimize.FingerprintFor(obj, sr, runOpts)
 	if opts.Resume != nil {
 		ckFP, st, err := optimize.DecodeState(opts.Resume)

@@ -29,7 +29,7 @@ func optimizeArtifacts(t *testing.T, opts OptimizeOptions) (report, manifest, st
 	t.Helper()
 	reg := telemetry.New()
 	opts.Metrics = reg
-	res, err := RunOptimize(opts)
+	res, err := RunOptimizeContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestOptimizeEvaluationPreservesPristine(t *testing.T) {
 func TestOptimizeZeroBudget(t *testing.T) {
 	opts := optTestOptions("hillclimb", 2)
 	opts.Budget = 0
-	res, err := RunOptimize(opts)
+	res, err := RunOptimizeContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +200,13 @@ func TestOptimizeZeroBudget(t *testing.T) {
 func TestOptimizeWarmStartSavings(t *testing.T) {
 	warmOpts := optTestOptions("evolve", 2)
 	warmOpts.Budget = 4
-	warm, err := RunOptimize(warmOpts)
+	warm, err := RunOptimizeContext(context.Background(), warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldOpts := warmOpts
 	coldOpts.Cold = true
-	cold, err := RunOptimize(coldOpts)
+	cold, err := RunOptimizeContext(context.Background(), coldOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestOptimizeReachesTarget(t *testing.T) {
 	for _, strategy := range []string{"hillclimb", "evolve"} {
 		opts := optTestOptions(strategy, 4)
 		opts.Budget = 12
-		res, err := RunOptimize(opts)
+		res, err := RunOptimizeContext(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestOptimizeCheckpointResume(t *testing.T) {
 	opts.Checkpoint = func(state []byte, _ OptimizeProgress) {
 		blobs = append(blobs, append([]byte(nil), state...))
 	}
-	full, err := RunOptimize(opts)
+	full, err := RunOptimizeContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestOptimizeCheckpointResume(t *testing.T) {
 
 	resumeOpts := optTestOptions("evolve", 8)
 	resumeOpts.Resume = blobs[0]
-	resumed, err := RunOptimize(resumeOpts)
+	resumed, err := RunOptimizeContext(context.Background(), resumeOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestOptimizeCheckpointResume(t *testing.T) {
 	// A checkpoint from a different search must be refused.
 	other := optTestOptions("hillclimb", 2)
 	other.Resume = blobs[0]
-	if _, err := RunOptimize(other); err == nil {
+	if _, err := RunOptimizeContext(context.Background(), other); err == nil {
 		t.Fatal("resume accepted a checkpoint from a different strategy")
 	}
 }

@@ -239,16 +239,10 @@ func (p *Pipeline) FaultSweepOptions() FaultSweepOptions {
 	return fopts
 }
 
-// RunFaultSweep runs the fault-intensity sweep the pipeline implies
-// (see FaultSweepOptions).
-func (p *Pipeline) RunFaultSweep() []FaultSweepPoint {
-	return RunFaultSweep(p.FaultSweepOptions())
-}
-
-// RunFaultSweepContext is RunFaultSweep with cooperative cancellation
-// (see RunFaultSweepContext's package-level doc) — the entry point
-// resurveyd's sweep jobs use so per-job deadlines and cancellation
-// stop the sweep between rounds.
+// RunFaultSweepContext runs the fault-intensity sweep the pipeline
+// implies (see FaultSweepOptions and the package-level
+// RunFaultSweepContext); per-job deadlines and cancellation stop it
+// between rounds.
 func (p *Pipeline) RunFaultSweepContext(ctx context.Context) ([]FaultSweepPoint, error) {
 	return RunFaultSweepContext(ctx, p.FaultSweepOptions())
 }
@@ -284,14 +278,8 @@ func (p *Pipeline) OptimizeOptions() OptimizeOptions {
 	}
 }
 
-// RunOptimize runs the policy-optimization search the pipeline implies
-// (see OptimizeOptions).
-func (p *Pipeline) RunOptimize() (*OptimizeResult, error) {
-	return RunOptimize(p.OptimizeOptions())
-}
-
-// RunOptimizeContext is RunOptimize with cooperative cancellation —
-// the entry point resurveyd's optimize jobs use.
+// RunOptimizeContext runs the policy-optimization search the pipeline
+// implies (see OptimizeOptions).
 func (p *Pipeline) RunOptimizeContext(ctx context.Context) (*OptimizeResult, error) {
 	return RunOptimizeContext(ctx, p.OptimizeOptions())
 }
@@ -314,14 +302,8 @@ func (p *Pipeline) ScenarioSweepOptions() ScenarioSweepOptions {
 	return sopts
 }
 
-// RunScenarioSweep runs the scenario sweep the pipeline implies (see
-// ScenarioSweepOptions).
-func (p *Pipeline) RunScenarioSweep() ([]ScenarioPoint, error) {
-	return RunScenarioSweep(p.ScenarioSweepOptions())
-}
-
-// RunScenarioSweepContext is RunScenarioSweep with cooperative
-// cancellation — the entry point resurveyd's scenario jobs use.
+// RunScenarioSweepContext runs the scenario sweep the pipeline implies
+// (see ScenarioSweepOptions).
 func (p *Pipeline) RunScenarioSweepContext(ctx context.Context) ([]ScenarioPoint, error) {
 	return RunScenarioSweepContext(ctx, p.ScenarioSweepOptions())
 }

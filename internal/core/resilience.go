@@ -1,21 +1,19 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
-	"repro/internal/bgp"
 	"repro/internal/faults"
 	"repro/internal/netutil"
-	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/report"
 	"repro/internal/telemetry"
 )
 
 // This file caps the fault-injection subsystem: a fault-intensity
-// sweep that rebuilds the world at each point, injects a seeded
+// sweep that builds and converges a world of its own at each point
+// (see sweep.go), injects a seeded
 // schedule of session faults, brownouts, and collector gaps, runs the
 // Internet2-style experiment through the resilient pipeline, and
 // scores the inferences against the generator's installed policies —
@@ -23,11 +21,11 @@ import (
 // operator email (§4.1.2). It quantifies how much fault intensity
 // Table 1's shape tolerates.
 
-// FaultSweepOptions configures RunFaultSweep.
+// FaultSweepOptions configures RunFaultSweepContext.
 type FaultSweepOptions struct {
-	// Survey is the world configuration rebuilt fresh at every
-	// intensity point, so points are independent and each is exactly
-	// reproducible.
+	// Survey is the world configuration built and converged afresh at
+	// every intensity point, so points are independent and each is
+	// exactly reproducible.
 	Survey SurveyOptions
 	// Intensities are the sweep points, typically starting at 0 (the
 	// strict baseline pipeline, bit-for-bit).
@@ -39,15 +37,6 @@ type FaultSweepOptions struct {
 	Quorum int
 	// Retry is the prober retry policy applied at nonzero intensity.
 	Retry probe.RetryPolicy
-	// WarmStart, when true, converges the experiment once on a base
-	// world, snapshots the engine (bgp.Network.Snapshot), and restores
-	// that snapshot into every intensity point's freshly built world
-	// instead of repeating the initial convergence per point. Sweep
-	// output is byte-identical either way (fault schedules only act
-	// inside the measured window); only the work accounting differs —
-	// see snapshot_restore_total and
-	// core_warm_start_skipped_convergence_runs_total.
-	WarmStart bool
 	// Metrics, when non-nil, instruments every sweep point's world and
 	// records per-intensity score gauges (faultsweep_accuracy,
 	// faultsweep_mean_confidence, faultsweep_outage_classes).
@@ -68,7 +57,6 @@ func DefaultFaultSweepOptions() FaultSweepOptions {
 		FaultSeed:   1789,
 		Quorum:      6,
 		Retry:       probe.DefaultRetryPolicy(),
-		WarmStart:   true,
 	}
 }
 
@@ -96,127 +84,40 @@ type FaultSweepPoint struct {
 	MeanConfidence float64
 }
 
-// RunFaultSweep measures inference quality as fault intensity rises.
-// At intensity 0 the entire fault and resilience subsystem is disabled
-// — no schedule, no retry, quorum 0 — so the first point reproduces
-// the baseline pipeline bit-for-bit. At nonzero intensity the injector
-// drives the schedule through the experiment while the retry policy
-// and evidence quorum defend the classification.
+// RunFaultSweepContext measures inference quality as fault intensity
+// rises. At intensity 0 the entire fault and resilience subsystem is
+// disabled — no schedule, no retry, quorum 0 — so the first point
+// reproduces the baseline pipeline bit-for-bit. At nonzero intensity
+// the injector drives the schedule through the experiment while the
+// retry policy and evidence quorum defend the classification.
 //
-// Points are independent (each rebuilds its own world) and run one
-// per worker. To keep telemetry merge-order independent, each point
-// records into a private sub-registry; the sub-registries are merged
-// into opts.Metrics in intensity order after all points finish, so the
-// final registry — and any manifest snapshot of it — is identical for
-// any Workers value. Within a point, probing and classification run
-// single-worker: the sweep's parallelism budget is spent across
-// points.
-func RunFaultSweep(opts FaultSweepOptions) []FaultSweepPoint {
-	// The background context never cancels, so the error path is dead.
-	pts, _ := RunFaultSweepContext(context.Background(), opts)
-	return pts
-}
-
-// RunFaultSweepContext is RunFaultSweep with cooperative
-// cancellation: the context is checked before each intensity point
-// starts and between the experiment rounds inside a point, so a
-// cancelled or deadline-expired context stops the sweep within one
-// round and returns the context's error with nil points. Sweep points
-// are independent worlds, so there is no partial state to unwind.
+// Points run through sweepPoints, one per worker, so output and merged
+// telemetry are identical for any Workers value. The context is
+// checked before each intensity point starts and between the
+// experiment rounds inside a point, so a cancelled or deadline-expired
+// context stops the sweep within one round and returns the context's
+// error with nil points.
 func RunFaultSweepContext(ctx context.Context, opts FaultSweepOptions) ([]FaultSweepPoint, error) {
 	if len(opts.Intensities) == 0 {
 		opts.Intensities = DefaultFaultSweepOptions().Intensities
 	}
-	// Warm start: converge once on a base world and share the resulting
-	// engine state with every point. The base's telemetry (including the
-	// one initial-convergence accounting) merges first, before any
-	// point, so the merged registry stays independent of Workers.
-	var baseSnap []byte
-	if opts.WarmStart {
-		var baseReg *telemetry.Registry
-		if opts.Metrics != nil {
-			baseReg = telemetry.New()
-		}
-		sp := baseReg.StartSpan("faultsweep:base")
-		s := NewSurvey(opts.Survey)
-		s.SetMetrics(baseReg)
-		s.Workers = 1
-		s.Prober.Workers = 1
-		x := NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, bgp.Time(9*3600))
-		x.Metrics = baseReg
-		x.Workers = 1
-		x.Converge()
-		var buf bytes.Buffer
-		if err := s.Eco.Net.Snapshot(&buf); err == nil {
-			baseSnap = buf.Bytes()
-			baseReg.Counter("snapshot_bytes").Add(int64(len(baseSnap)))
-		}
-		sp.End()
-		opts.Metrics.Merge(baseReg)
-	}
-	type pointOut struct {
-		pt  FaultSweepPoint
-		reg *telemetry.Registry
-	}
-	outs, timings := parallel.CollectTimed(len(opts.Intensities), 1, opts.Workers,
-		func(s parallel.Shard) pointOut {
-			if ctx.Err() != nil {
-				// Cancelled: skip the point entirely; the caller discards
-				// the whole sweep below.
-				return pointOut{}
-			}
-			var reg *telemetry.Registry
-			if opts.Metrics != nil {
-				reg = telemetry.New()
-			}
-			return pointOut{pt: runFaultPoint(ctx, opts, opts.Intensities[s.Lo], baseSnap, reg), reg: reg}
+	return sweepPoints(ctx, len(opts.Intensities), opts.Workers, opts.Metrics, "faultsweep",
+		func(i int, reg *telemetry.Registry) FaultSweepPoint {
+			return runFaultPoint(ctx, opts, opts.Intensities[i], reg)
 		})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	points := make([]FaultSweepPoint, 0, len(outs))
-	for _, o := range outs {
-		opts.Metrics.Merge(o.reg)
-		points = append(points, o.pt)
-	}
-	for _, t := range timings {
-		opts.Metrics.AddShardTiming("faultsweep", t.Shard, t.Items, t.Duration)
-	}
-	return points, nil
 }
 
 // runFaultPoint executes one intensity point against its own freshly
 // built world, recording telemetry into reg (a private sub-registry
 // when the sweep is instrumented, nil otherwise).
-func runFaultPoint(ctx context.Context, opts FaultSweepOptions, intensity float64, baseSnap []byte, reg *telemetry.Registry) FaultSweepPoint {
+func runFaultPoint(ctx context.Context, opts FaultSweepOptions, intensity float64, reg *telemetry.Registry) FaultSweepPoint {
 	lbl := fmt.Sprintf("%.2f", intensity)
 	sp := reg.StartSpan("faultsweep:intensity=" + lbl)
 	defer sp.End()
-	s := NewSurvey(opts.Survey)
-	s.SetMetrics(reg)
-	s.Workers = 1
-	s.Prober.Workers = 1
-	start := bgp.Time(9 * 3600)
-	x := NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, start)
-	x.Metrics = reg
-	x.Workers = 1
-	if len(baseSnap) > 0 {
-		// Identically built world, so the snapshot's static fingerprint
-		// matches; a failed restore (impossible short of a bug) falls
-		// back to the cold path.
-		if err := bgp.RestoreNetwork(bytes.NewReader(baseSnap), s.Eco.Net); err == nil {
-			x.MarkConverged()
-			reg.Counter("snapshot_restore_total").Inc()
-			reg.Counter("core_warm_start_skipped_convergence_runs_total").Inc()
-		}
-	}
+	s, x, window := newPointWorld(opts.Survey, reg)
 
 	pt := FaultSweepPoint{Intensity: intensity}
 	if intensity > 0 {
-		window := faults.Window{
-			Start: start,
-			End:   start + bgp.Time(len(Schedule())+1)*x.Cfg.RoundGap,
-		}
 		sched := faults.Generate(s.Eco, window, faults.Config{Seed: opts.FaultSeed, Intensity: intensity})
 		pt.SessionFaults = len(sched.Sessions)
 		pt.Brownouts = len(sched.Brownouts)

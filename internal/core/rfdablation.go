@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-
 	"repro/internal/bgp"
 	"repro/internal/report"
 )
@@ -30,28 +28,16 @@ type GapAblationRow struct {
 // AblateRoundGap reruns the Internet2-style experiment with different
 // waits between configuration changes and compares each against the
 // one-hour run. Loss injection is disabled so the pacing effect is
-// isolated; gaps should include 3600 (the baseline). All variants share
-// one world: the freshly built engine state is snapshotted once and
-// restored before each subsequent gap, which forks every run from the
-// identical pre-announcement state a fresh build would produce without
-// paying a rebuild per gap.
+// isolated; gaps should include 3600 (the baseline). Every gap runs on
+// a world built for it.
 func AblateRoundGap(gaps []int, opts SurveyOptions) []GapAblationRow {
 	// Isolate the pacing effect: no dormancy or random loss.
 	opts.World.FracDormantPrefix = 0
 	opts.World.ProbeLossProb = 0
 
-	s := NewSurvey(opts)
-	var pristine bytes.Buffer
-	if err := s.Eco.Net.Snapshot(&pristine); err != nil {
-		panic("core: snapshot of freshly built network: " + err.Error())
-	}
 	results := make(map[int]*Result, len(gaps))
-	for i, gap := range gaps {
-		if i > 0 {
-			if err := bgp.RestoreNetwork(bytes.NewReader(pristine.Bytes()), s.Eco.Net); err != nil {
-				panic("core: rewind to pristine network: " + err.Error())
-			}
-		}
+	for _, gap := range gaps {
+		s := NewSurvey(opts)
 		x := NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, 9*3600)
 		x.Cfg.RoundGap = bgp.Time(gap)
 		x.Cfg.DormancySeed = 0

@@ -23,14 +23,13 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/faults"
 	"repro/internal/netutil"
-	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/rpki"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
-// ScenarioSweepOptions configures RunScenarioSweep.
+// ScenarioSweepOptions configures RunScenarioSweepContext.
 type ScenarioSweepOptions struct {
 	// Survey is the world configuration rebuilt fresh at every
 	// adoption point (and once for the baseline), so points are
@@ -115,17 +114,13 @@ type ScenarioPoint struct {
 	Accuracy   float64
 }
 
-// RunScenarioSweep runs the sweep on a background context.
-func RunScenarioSweep(opts ScenarioSweepOptions) ([]ScenarioPoint, error) {
-	return RunScenarioSweepContext(context.Background(), opts)
-}
-
 // RunScenarioSweepContext runs the baseline plus one point per
-// adoption fraction, each against its own freshly built world, one
-// point per worker. Telemetry merges in point order (baseline first),
-// so the merged registry is identical for any Workers value. The
-// context is checked before each point and between experiment rounds;
-// cancellation returns the context error with nil points.
+// adoption fraction through sweepPoints, each against its own freshly
+// built world, one point per worker. Telemetry merges in point order
+// (baseline first), so the merged registry is identical for any
+// Workers value. The context is checked before each point and between
+// experiment rounds; cancellation returns the context error with nil
+// points.
 func RunScenarioSweepContext(ctx context.Context, opts ScenarioSweepOptions) ([]ScenarioPoint, error) {
 	if !faults.KnownScenario(opts.Scenario) {
 		return nil, fmt.Errorf("core: unknown scenario %q (have %v)", opts.Scenario, faults.ScenarioNames())
@@ -133,37 +128,14 @@ func RunScenarioSweepContext(ctx context.Context, opts ScenarioSweepOptions) ([]
 	if len(opts.Adoptions) == 0 {
 		opts.Adoptions = DefaultScenarioSweepOptions(opts.Scenario).Adoptions
 	}
-	type pointOut struct {
-		pt  ScenarioPoint
-		reg *telemetry.Registry
-	}
-	n := 1 + len(opts.Adoptions) // baseline + adoption points
-	outs, timings := parallel.CollectTimed(n, 1, opts.Workers,
-		func(s parallel.Shard) pointOut {
-			if ctx.Err() != nil {
-				return pointOut{}
+	// Point 0 is the baseline; adoption points follow.
+	return sweepPoints(ctx, 1+len(opts.Adoptions), opts.Workers, opts.Metrics, "scenariosweep",
+		func(i int, reg *telemetry.Registry) ScenarioPoint {
+			if i == 0 {
+				return runScenarioPoint(ctx, opts, 0, true, reg)
 			}
-			var reg *telemetry.Registry
-			if opts.Metrics != nil {
-				reg = telemetry.New()
-			}
-			if s.Lo == 0 {
-				return pointOut{pt: runScenarioPoint(ctx, opts, 0, true, reg), reg: reg}
-			}
-			return pointOut{pt: runScenarioPoint(ctx, opts, opts.Adoptions[s.Lo-1], false, reg), reg: reg}
+			return runScenarioPoint(ctx, opts, opts.Adoptions[i-1], false, reg)
 		})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	points := make([]ScenarioPoint, 0, len(outs))
-	for _, o := range outs {
-		opts.Metrics.Merge(o.reg)
-		points = append(points, o.pt)
-	}
-	for _, t := range timings {
-		opts.Metrics.AddShardTiming("scenariosweep", t.Shard, t.Items, t.Duration)
-	}
-	return points, nil
 }
 
 // runScenarioPoint executes one point against its own freshly built
@@ -176,14 +148,7 @@ func runScenarioPoint(ctx context.Context, opts ScenarioSweepOptions, adoption f
 	}
 	sp := reg.StartSpan("scenariosweep:adoption=" + lbl)
 	defer sp.End()
-	s := NewSurvey(opts.Survey)
-	s.SetMetrics(reg)
-	s.Workers = 1
-	s.Prober.Workers = 1
-	start := bgp.Time(9 * 3600)
-	x := NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, start)
-	x.Metrics = reg
-	x.Workers = 1
+	s, x, window := newPointWorld(opts.Survey, reg)
 
 	pt := ScenarioPoint{Adoption: adoption, Baseline: baseline}
 
@@ -191,10 +156,6 @@ func runScenarioPoint(ctx context.Context, opts ScenarioSweepOptions, adoption f
 	// every point builds an identical world, so all points — including
 	// the baseline, which needs it only to know which router to censor
 	// from the signature — agree on the attacker/leaker and timing.
-	window := faults.Window{
-		Start: start,
-		End:   start + bgp.Time(len(Schedule())+1)*x.Cfg.RoundGap,
-	}
 	sched, err := faults.GenerateScenario(s.Eco, window, opts.Scenario, opts.ScenarioSeed)
 	if err != nil {
 		// Validated by the sweep entry; a generation failure here means

@@ -38,7 +38,7 @@ func TestScenarioDifferentialMatrix(t *testing.T) {
 			opts.Adoptions = []float64{0, 1}
 			opts.Survey.Topology.CompactRIB = arena
 			opts.Workers = workers
-			pts, err := RunScenarioSweep(opts)
+			pts, err := RunScenarioSweepContext(context.Background(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestScenarioDifferentialMatrix(t *testing.T) {
 // the deployed count non-decreasing) along the whole ladder.
 func TestScenarioROVMonotonicityProperty(t *testing.T) {
 	opts := DefaultScenarioSweepOptions(faults.ScenarioHijack)
-	pts, err := RunScenarioSweep(opts)
+	pts, err := RunScenarioSweepContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestScenarioROVMonotonicityProperty(t *testing.T) {
 // their baseline routes.
 func TestScenarioLeakContainmentProperty(t *testing.T) {
 	opts := DefaultScenarioSweepOptions(faults.ScenarioLeak)
-	pts, err := RunScenarioSweep(opts)
+	pts, err := RunScenarioSweepContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/cliconf"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/optimize"
+	snap "repro/internal/snapshot"
 	"repro/internal/telemetry"
 )
 
@@ -320,7 +320,7 @@ func (s *Server) runSurvey(ctx context.Context, j *Job) ([]byte, error) {
 	sv.Checkpoint = func(sck core.SurveyCheckpoint) {
 		c, err := core.BuildCheckpoint(j.Spec.fingerprint(), sck, sv.Eco.Net, reg)
 		if err == nil {
-			err = writeJobCheckpoint(jobDir, c)
+			err = snap.WriteFileAtomic(jobDir, checkpointName(c.Phase, c.Done), c.Encode())
 		}
 		if err != nil {
 			s.reg.Counter("serve_checkpoint_errors_total").Inc()
@@ -447,15 +447,10 @@ func (s *Server) runOptimize(ctx context.Context, j *Job) ([]byte, error) {
 	// The resume fingerprint is exactly what core.RunOptimizeContext
 	// will demand of the blob; deriving it here lets recovery skip
 	// stale or corrupt checkpoint files instead of failing the job.
-	if obj, err := optimize.ParseSpec(opts.Objective); err == nil {
-		if sr, err := optimize.NewSearcher(opts.Strategy); err == nil {
-			fp := optimize.FingerprintFor(obj, sr, optimize.Options{
-				Seed: opts.SearchSeed, Budget: opts.Budget, Lambda: opts.Lambda,
-			})
-			if blob := loadLatestSearchState(jobDir, fp); blob != nil {
-				opts.Resume = blob
-				s.reg.Counter("serve_jobs_resumed_total").Inc()
-			}
+	if fp, err := opts.SearchFingerprint(); err == nil {
+		if blob := core.LatestSearchState(jobDir, fp); blob != nil {
+			opts.Resume = blob
+			s.reg.Counter("serve_jobs_resumed_total").Inc()
 		}
 	}
 
@@ -464,7 +459,7 @@ func (s *Server) runOptimize(ctx context.Context, j *Job) ([]byte, error) {
 	}
 	crashLeft := s.crashAfterCheckpoints
 	opts.Checkpoint = func(state []byte, p core.OptimizeProgress) {
-		if err := writeJobSearchState(jobDir, p.Generation, state); err != nil {
+		if err := snap.WriteFileAtomic(jobDir, core.SearchStateName(p.Generation), state); err != nil {
 			s.reg.Counter("serve_checkpoint_errors_total").Inc()
 			return
 		}

@@ -7,17 +7,17 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/optimize"
 	snap "repro/internal/snapshot"
 )
 
 // Durable job state. Each job owns one directory under the server's
 // data dir, dataDir/job-<seq>/, holding job.rjob (the RJOB manifest:
 // spec, lifecycle state, and — once done — the output document) next
-// to the job's RCKP checkpoint files. Every manifest write is atomic
-// (temp + rename), so a crash at any instant leaves either the old or
-// the new manifest, never a torn one; a restarted server rebuilds its
-// entire job table from these directories alone.
+// to the job's RCKP checkpoint files. Every write goes through
+// snap.WriteFileAtomic (temp, fsync, rename), so a crash at any instant
+// leaves either the old or the new manifest, never a torn or empty one;
+// a restarted server rebuilds its entire job table from these
+// directories alone.
 
 // RJOB section ids, in file order.
 const (
@@ -145,16 +145,7 @@ func decodeJob(data []byte) (*jobRecord, error) {
 // writeJobRecord persists one manifest atomically into the job's
 // directory (created on first write).
 func writeJobRecord(dataDir string, r *jobRecord) error {
-	dir := filepath.Join(dataDir, r.id())
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "job.rjob")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, encodeJob(r), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return snap.WriteFileAtomic(filepath.Join(dataDir, r.id()), "job.rjob", encodeJob(r))
 }
 
 // loadJobRecords scans the data dir and returns every decodable job
@@ -196,92 +187,18 @@ func checkpointName(phase, done int) string {
 	return fmt.Sprintf("ckpt-%d-%02d.rckp", phase, done)
 }
 
-func writeJobCheckpoint(jobDir string, c *core.Checkpoint) error {
-	path := filepath.Join(jobDir, checkpointName(c.Phase, c.Done))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, c.Encode(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// --- per-job optimizer search-state checkpoints ---
-
-// Optimize jobs checkpoint the encoded search state (the ROPT codec,
-// optimize.EncodeState) after every generation, named by generation so
-// the files sort chronologically like the RCKP ones.
-
-func searchStateName(generation int) string {
-	return fmt.Sprintf("search-%04d.ropt", generation)
-}
-
-func writeJobSearchState(jobDir string, generation int, state []byte) error {
-	if err := os.MkdirAll(jobDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(jobDir, searchStateName(generation))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, state, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// loadLatestSearchState returns the newest search-state blob in jobDir
-// whose fingerprint matches, skipping corrupt or mismatched files for
-// older ones, and nil when nothing usable exists (the search restarts
-// from generation zero).
-func loadLatestSearchState(jobDir string, want optimize.Fingerprint) []byte {
-	entries, err := os.ReadDir(jobDir)
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, ent := range entries {
-		if !ent.IsDir() && filepath.Ext(ent.Name()) == ".ropt" {
-			names = append(names, ent.Name())
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(jobDir, name))
-		if err != nil {
-			continue
-		}
-		if fp, _, err := optimize.DecodeState(data); err != nil || fp != want {
-			continue
-		}
-		return data
-	}
-	return nil
-}
-
 // loadLatestCheckpoint returns the newest valid checkpoint in jobDir
 // matching the fingerprint, skipping corrupt files for older ones, and
 // nil when nothing usable exists (the job cold-starts).
 func loadLatestCheckpoint(jobDir string, want core.CheckpointFingerprint) *core.Checkpoint {
-	entries, err := os.ReadDir(jobDir)
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, ent := range entries {
-		if !ent.IsDir() && filepath.Ext(ent.Name()) == ".rckp" {
-			names = append(names, ent.Name())
-		}
-	}
-	// ckpt-<phase>-<done> names sort chronologically; walk newest first.
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(jobDir, name))
-		var c *core.Checkpoint
-		if err == nil {
-			c, err = core.DecodeCheckpoint(data)
-		}
+	var ck *core.Checkpoint
+	snap.NewestValid(jobDir, ".rckp", func(_ string, data []byte) (bool, error) {
+		c, err := core.DecodeCheckpoint(data)
 		if err != nil || c.Fingerprint != want {
-			continue
+			return false, err
 		}
-		return c
-	}
-	return nil
+		ck = c
+		return true, nil
+	})
+	return ck
 }

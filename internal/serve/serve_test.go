@@ -39,6 +39,12 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Runs before TempDir's removal: a runner still writing its final
+	// manifest would otherwise race the directory cleanup.
+	t.Cleanup(func() {
+		s.baseStop()
+		s.wg.Wait()
+	})
 	return s
 }
 

@@ -72,21 +72,24 @@ func classifyFile(name string) (map[netutil.Prefix]core.Inference, error) {
 	if err != nil {
 		return nil, err
 	}
-	perPrefix := make(map[netutil.Prefix][]core.RoundObs)
-	for _, rd := range rounds {
-		byPrefix := make(map[netutil.Prefix][]probe.Record)
-		for _, rec := range rd.Records {
-			byPrefix[rec.Prefix] = append(byPrefix[rec.Prefix], rec)
-		}
-		for p, recs := range byPrefix {
-			perPrefix[p] = append(perPrefix[p], core.ObserveRound(recs))
-		}
-	}
+	perPrefix := observe(rounds)
 	out := make(map[netutil.Prefix]core.Inference, len(perPrefix))
 	for p, seq := range perPrefix {
 		out[p] = core.Classify(seq)
 	}
 	return out, nil
+}
+
+// observe hands ReadJSON's rounds to core.Observe, the reduction the
+// live survey classifies from: a prefix with no record in some round
+// reads as loss there, so it is excluded rather than classified over
+// a shortened sequence.
+func observe(rounds []probe.Round) map[netutil.Prefix][]core.RoundObs {
+	ptrs := make([]*probe.Round, len(rounds))
+	for i := range rounds {
+		ptrs[i] = &rounds[i]
+	}
+	return core.Observe(ptrs, 0)
 }
 
 // runCompare prints the Table 2-style agreement between two runs.
@@ -189,17 +192,7 @@ func run(c cliconf.Config, files []string) error {
 	}
 	fmt.Println()
 
-	// Group per prefix per round, classify.
-	perPrefix := make(map[netutil.Prefix][]core.RoundObs)
-	for _, rd := range rounds {
-		byPrefix := make(map[netutil.Prefix][]probe.Record)
-		for _, rec := range rd.Records {
-			byPrefix[rec.Prefix] = append(byPrefix[rec.Prefix], rec)
-		}
-		for p, recs := range byPrefix {
-			perPrefix[p] = append(perPrefix[p], core.ObserveRound(recs))
-		}
-	}
+	perPrefix := observe(rounds)
 
 	// Classify in parallel over fixed-size shards of the canonical
 	// prefix order; per-prefix classification is pure, so the shard

@@ -5,8 +5,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bgp"
 	"repro/internal/cliconf"
 	"repro/internal/core"
+	"repro/internal/netutil"
+	"repro/internal/probe"
+	"repro/internal/simnet"
 )
 
 // writeFixture runs a tiny experiment and saves its probe JSON.
@@ -84,5 +88,75 @@ func TestRunFiles(t *testing.T) {
 	}
 	if err := run(cliconf.Config{}, []string{empty}); err == nil {
 		t.Error("empty input should error")
+	}
+}
+
+// TestMissingRoundReadsAsLoss pins the paper's rule offline as the live
+// survey applies it: a prefix with no record in one round did not
+// answer in every round, so it is excluded — not classified over the
+// eight rounds it does appear in, with every later round index shifted
+// down by one.
+func TestMissingRoundReadsAsLoss(t *testing.T) {
+	gap := netutil.MustParsePrefix("10.0.0.0/24")
+	whole := netutil.MustParsePrefix("10.0.1.0/24")
+	const switchAt = 5 // both prefixes answer on commodity, then on R&E from here
+	path := filepath.Join(t.TempDir(), "gap.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := &probe.Prober{SrcAddr: "163.253.63.63"}
+	for i, cfg := range core.Schedule() {
+		vlan := simnet.VLANCommodity
+		if i >= switchAt {
+			vlan = simnet.VLANRE
+		}
+		rd := &probe.Round{Config: cfg.Label()}
+		for _, p := range []netutil.Prefix{gap, whole} {
+			if p == gap && i == 2 {
+				continue // round 3 of 9 holds nothing for this prefix
+			}
+			rd.Records = append(rd.Records, probe.Record{
+				Prefix: p, Dst: p.Addr() + 1, SentAt: bgp.Time(3600 * (i + 1)), Responded: true, VLAN: vlan,
+			})
+		}
+		if err := pr.WriteJSON(f, rd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	infs, err := classifyFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if infs[gap] != core.InfUnresponsive {
+		t.Errorf("prefix missing one round classified %v, want %v", infs[gap], core.InfUnresponsive)
+	}
+	if infs[whole] != core.InfSwitchToRE {
+		t.Errorf("complete prefix classified %v, want %v", infs[whole], core.InfSwitchToRE)
+	}
+
+	in, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	rounds, err := probe.ReadJSON(in, func(addr uint32) (netutil.Prefix, bool) {
+		return netutil.PrefixFrom(addr, 24), true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := observe(rounds)
+	if got := core.SwitchConfig(obs[whole]); got != switchAt {
+		t.Errorf("complete prefix switches at round %d, want %d", got, switchAt)
+	}
+	seq := obs[gap]
+	if len(seq) != len(core.Schedule()) || seq[2] != core.ObsLoss ||
+		seq[switchAt-1] != core.ObsCommodity || seq[switchAt] != core.ObsRE {
+		t.Errorf("gapped prefix observed %v: want loss at round 2 and the change still at round %d", seq, switchAt)
 	}
 }

@@ -137,12 +137,6 @@ func (o options) validate() error {
 	return nil
 }
 
-// sweepIntensities selects the fault-sweep points for a max intensity
-// (kept as a thin alias of the pipeline's ladder for the tests).
-func sweepIntensities(max float64) []float64 {
-	return core.SweepIntensities(max)
-}
-
 // manifestOptions is the run configuration recorded in the manifest.
 type manifestOptions struct {
 	Small  bool               `json:"small"`

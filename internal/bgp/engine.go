@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/asn"
 	"repro/internal/netutil"
@@ -80,9 +81,10 @@ type Network struct {
 	metrics netMetrics
 
 	// solver caches the static solver's RouterID-indexed adjacency;
-	// AddSpeaker/Connect invalidate it.
-	solver      *solverIndex
-	solverStale bool
+	// nil means not built or invalidated (AddSpeaker, Connect and
+	// RestoreNetwork clear it). Atomic because concurrent SolveStatic
+	// calls on a quiescent network may all find it cold.
+	solver atomic.Pointer[solverIndex]
 
 	// Delta-engine state (see incremental.go): the dirty-pair work
 	// queue fed by config setters and session flaps, and the
@@ -199,7 +201,7 @@ func (n *Network) AddSpeaker(id RouterID, as asn.AS, name string) *Speaker {
 	}
 	s.metrics = &n.metrics
 	n.speakers[id] = s
-	n.solverStale = true
+	n.solver.Store(nil)
 	// Generators add speakers in ascending ID order, so the common case
 	// is a plain append; re-sorting on every insertion would make an
 	// 80K-speaker build quadratic.
@@ -247,7 +249,7 @@ func (n *Network) Connect(a, b RouterID, cfgAtA, cfgAtB PeerConfig) {
 	pa, pb := cfgAtA, cfgAtB
 	sa.addPeer(&pa)
 	sb.addPeer(&pb)
-	n.solverStale = true
+	n.solver.Store(nil)
 	// Initial table exchange: a freshly established session carries
 	// each side's existing exportable state (RFC 4271 §9.2: the whole
 	// Adj-RIB-Out is advertised when the session comes up).

@@ -181,7 +181,7 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 			base.dirtySet[k] = true
 		}
 	}
-	base.solverStale = true
+	base.solver.Store(nil)
 	for _, st := range spks {
 		st.apply()
 	}

@@ -33,10 +33,13 @@ type solverIndex struct {
 }
 
 // solverIdx returns the cached index, rebuilding it after topology
-// changes (AddSpeaker/Connect mark it stale).
+// changes (AddSpeaker/Connect/RestoreNetwork clear it). Concurrent
+// callers that all find it cleared each build one; the builds read the
+// same frozen topology, so they are identical and any of them may win
+// the store.
 func (n *Network) solverIdx() *solverIndex {
-	if n.solver != nil && !n.solverStale {
-		return n.solver
+	if idx := n.solver.Load(); idx != nil {
+		return idx
 	}
 	var maxID RouterID
 	for id := range n.speakers {
@@ -68,8 +71,7 @@ func (n *Network) solverIdx() *solverIndex {
 		}
 		idx.adj[id] = edges
 	}
-	n.solver = idx
-	n.solverStale = false
+	n.solver.Store(idx)
 	return idx
 }
 

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/asn"
@@ -207,5 +208,47 @@ func TestSolverDetectsDispute(t *testing.T) {
 	}
 	if res.Rounds > maxStaticRounds {
 		t.Fatalf("solver exceeded its round cap: %d", res.Rounds)
+	}
+}
+
+// TestSolveStaticConcurrentCold is the ComputeOriginViews access
+// pattern: many goroutines solve on a freshly built network whose
+// adjacency index nobody has built yet, so they race to build it. Every
+// result must equal the serial solve of the same origin; run under
+// -race this is also the data-race check on the index.
+func TestSolveStaticConcurrentCold(t *testing.T) {
+	const n = 40
+	build := func() *Network {
+		return randomGaoRexfordNetwork(rand.New(rand.NewSource(7)), n) // #nosec test randomness
+	}
+	p := netutil.MustParsePrefix("203.0.113.0/24")
+	serialNet := build()
+	serial := make([]*StaticResult, n)
+	for i := range serial {
+		serial[i] = serialNet.SolveStatic(p, []StaticOrigin{{Speaker: RouterID(i + 1)}})
+	}
+
+	cold := build()
+	got := make([]*StaticResult, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = cold.SolveStatic(p, []StaticOrigin{{Speaker: RouterID(i + 1)}})
+		}(i)
+	}
+	wg.Wait()
+
+	for i, want := range serial {
+		if got[i].Converged != want.Converged || len(got[i].Best) != len(want.Best) {
+			t.Fatalf("origin %d: concurrent solve converged=%v with %d routes, serial converged=%v with %d",
+				i+1, got[i].Converged, len(got[i].Best), want.Converged, len(want.Best))
+		}
+		for id, r := range want.Best {
+			if !routesEqual(got[i].Best[id], r) {
+				t.Errorf("origin %d speaker %d: concurrent %v, serial %v", i+1, id, got[i].Best[id], r)
+			}
+		}
 	}
 }

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/netutil"
-	"repro/internal/probe"
-	"repro/internal/report"
-)
+import "repro/internal/report"
 
 // This file holds ablations of the experiment design: how much of the
 // nine-configuration schedule and of the three-targets-per-prefix
@@ -120,18 +114,17 @@ type TargetsAblationRow struct {
 }
 
 // AblateTargets reclassifies the experiment as if only the first k
-// responsive targets per prefix had been probed, for each k.
+// responsive targets per prefix had been probed, for each budget
+// k > 0. It reads the same Observe reduction the classifier does,
+// once per budget.
 func AblateTargets(res *Result, budgets []int) []TargetsAblationRow {
 	var rows []TargetsAblationRow
 	for _, k := range budgets {
 		row := TargetsAblationRow{MaxTargets: k}
 		agree, both := 0, 0
+		obs := Observe(res.Rounds, k)
 		for p, pr := range res.PerPrefix {
-			seq := make([]RoundObs, len(res.Rounds))
-			for i, rd := range res.Rounds {
-				seq[i] = ObserveRound(firstTargets(rd, p, k))
-			}
-			inf := Classify(seq)
+			inf := Classify(obs[p])
 			switch inf {
 			case InfUnresponsive:
 				row.LossExcluded++
@@ -151,31 +144,6 @@ func AblateTargets(res *Result, budgets []int) []TargetsAblationRow {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// firstTargets returns the round's records for prefix p restricted to
-// its first k distinct destinations (by address, the stable order the
-// prober uses).
-func firstTargets(rd *probe.Round, p netutil.Prefix, k int) []probe.Record {
-	var recs []probe.Record
-	for _, rec := range rd.Records {
-		if rec.Prefix == p {
-			recs = append(recs, rec)
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Dst < recs[j].Dst })
-	seen := map[uint32]bool{}
-	var out []probe.Record
-	for _, rec := range recs {
-		if !seen[rec.Dst] {
-			if len(seen) == k {
-				break
-			}
-			seen[rec.Dst] = true
-		}
-		out = append(out, rec)
-	}
-	return out
 }
 
 // TargetsAblationTable renders the budget ladder.

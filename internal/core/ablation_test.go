@@ -83,6 +83,18 @@ func TestAblateTargets(t *testing.T) {
 	if one.Agreement < 0.8 {
 		t.Errorf("1-target agreement = %.3f, implausibly low", one.Agreement)
 	}
+	// The table itself, for the small survey at seed 1: any change to
+	// how records reduce to observations shows up here first.
+	want := []TargetsAblationRow{
+		{MaxTargets: 1, Agreement: 558.0 / 571, MixedDetected: 0, LossExcluded: 8},
+		{MaxTargets: 2, Agreement: 562.0 / 575, MixedDetected: 0, LossExcluded: 4},
+		{MaxTargets: 3, Agreement: 1, MixedDetected: 13, LossExcluded: 4},
+	}
+	for i, w := range want {
+		if rows[i] != w {
+			t.Errorf("row %d = %+v, want %+v", i, rows[i], w)
+		}
+	}
 }
 
 func TestAblationTablesRender(t *testing.T) {

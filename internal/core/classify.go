@@ -11,7 +11,9 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
+	"repro/internal/netutil"
 	"repro/internal/probe"
 	"repro/internal/simnet"
 )
@@ -136,6 +138,60 @@ func ObserveRound(records []probe.Record) RoundObs {
 	default:
 		return ObsLoss
 	}
+}
+
+// Observe reduces probing rounds to every prefix's observation
+// sequence: obs[p][i] is what p's targets showed in rounds[i], and
+// ObsLoss where that round holds no record for p — the paper's rule
+// that a prefix must answer in every round. It is the one
+// records→observations reduction; the classifier, the ablations, the
+// optimizer's probe census and cmd/reinfer all read it.
+//
+// Each round's records are grouped by prefix once, whatever order
+// they arrive in (rounds read back through probe.ReadJSON need not be
+// in the prober's canonical order). maxTargets > 0 restricts each
+// group to its first maxTargets distinct destinations by address, the
+// target-budget ablation's question; 0 keeps every record.
+// Round.Records is only read, never reordered.
+func Observe(rounds []*probe.Round, maxTargets int) map[netutil.Prefix][]RoundObs {
+	obs := make(map[netutil.Prefix][]RoundObs)
+	for i, rd := range rounds {
+		groups := make(map[netutil.Prefix][]probe.Record)
+		for _, rec := range rd.Records {
+			groups[rec.Prefix] = append(groups[rec.Prefix], rec)
+		}
+		for p, recs := range groups {
+			seq := obs[p]
+			if seq == nil {
+				seq = make([]RoundObs, len(rounds))
+				obs[p] = seq
+			}
+			seq[i] = ObserveRound(firstTargets(recs, maxTargets))
+		}
+	}
+	return obs
+}
+
+// firstTargets restricts one prefix's records from one round to its
+// first k distinct destinations by address (the stable order the
+// prober uses); k <= 0 keeps them all. It sorts recs in place, so
+// recs must be the caller's own copy, not a window of Round.Records.
+func firstTargets(recs []probe.Record, k int) []probe.Record {
+	if k <= 0 {
+		return recs
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Dst < recs[j].Dst })
+	distinct := 0
+	for i := range recs {
+		if i > 0 && recs[i].Dst == recs[i-1].Dst {
+			continue
+		}
+		if distinct == k {
+			return recs[:i]
+		}
+		distinct++
+	}
+	return recs
 }
 
 // Classify reduces a prefix's per-round observation sequence to its

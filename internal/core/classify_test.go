@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -134,6 +137,137 @@ func TestObserveRound(t *testing.T) {
 	for i, tt := range tests {
 		if got := ObserveRound(tt.recs); got != tt.want {
 			t.Errorf("case %d: ObserveRound = %v, want %v", i, got, tt.want)
+		}
+	}
+}
+
+// rescanFirstTargets is the per-(round, prefix, budget) rescan Observe
+// replaced, kept verbatim as its reference: the round's records for
+// prefix p restricted to its first k distinct destinations (by
+// address, the stable order the prober uses).
+func rescanFirstTargets(rd *probe.Round, p netutil.Prefix, k int) []probe.Record {
+	var recs []probe.Record
+	for _, rec := range rd.Records {
+		if rec.Prefix == p {
+			recs = append(recs, rec)
+		}
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Dst < recs[j].Dst })
+	seen := map[uint32]bool{}
+	var out []probe.Record
+	for _, rec := range recs {
+		if !seen[rec.Dst] {
+			if len(seen) == k {
+				break
+			}
+			seen[rec.Dst] = true
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// requireObserveMatchesRescan checks Observe against the rescan for
+// every listed prefix, every round and budgets 0-4, and that Observe
+// left Round.Records as it found them.
+func requireObserveMatchesRescan(t *testing.T, name string, rounds []*probe.Round, prefixes []netutil.Prefix) {
+	t.Helper()
+	before := make([][]probe.Record, len(rounds))
+	for i, rd := range rounds {
+		before[i] = append([]probe.Record(nil), rd.Records...)
+	}
+	for k := 0; k <= 4; k++ {
+		obs := Observe(rounds, k)
+		for _, p := range prefixes {
+			seq := obs[p]
+			if seq != nil && len(seq) != len(rounds) {
+				t.Fatalf("%s k=%d %s: %d observations for %d rounds", name, k, p, len(seq), len(rounds))
+			}
+			for i, rd := range rounds {
+				budget := k
+				if k == 0 {
+					// No budget: to the rescan, one no prefix can reach.
+					budget = len(rd.Records) + 1
+				}
+				want := ObserveRound(rescanFirstTargets(rd, p, budget))
+				got := ObsLoss // a prefix Observe never saw has no sequence
+				if seq != nil {
+					got = seq[i]
+				}
+				if got != want {
+					t.Errorf("%s k=%d %s round %d (%s): Observe = %v, rescan = %v", name, k, p, i, rd.Config, got, want)
+				}
+			}
+		}
+	}
+	for i, rd := range rounds {
+		if !reflect.DeepEqual(rd.Records, before[i]) {
+			t.Errorf("%s: Observe modified round %d's Records", name, i)
+		}
+	}
+}
+
+func TestObserveMatchesRescan(t *testing.T) {
+	s := getSurvey(t)
+	prefixes := make([]netutil.Prefix, 0, len(s.Sel.Targets))
+	for p := range s.Sel.Targets {
+		prefixes = append(prefixes, p)
+	}
+	netutil.SortPrefixes(prefixes)
+	requireObserveMatchesRescan(t, "SURF", s.SURF.Rounds, prefixes)
+	requireObserveMatchesRescan(t, "Internet2", s.Internet2.Rounds, prefixes)
+
+	// Rounds as probe.ReadJSON can hand them over: records shuffled out
+	// of the prober's canonical order, and one prefix missing from one
+	// round.
+	rng := rand.New(rand.NewSource(1))
+	var shuffled []*probe.Round
+	for i, rd := range s.Internet2.Rounds[:3] {
+		cp := &probe.Round{Config: rd.Config, Start: rd.Start, End: rd.End}
+		for _, rec := range rd.Records {
+			if i == 1 && rec.Prefix == prefixes[0] {
+				continue
+			}
+			cp.Records = append(cp.Records, rec)
+		}
+		rng.Shuffle(len(cp.Records), func(a, b int) { cp.Records[a], cp.Records[b] = cp.Records[b], cp.Records[a] })
+		shuffled = append(shuffled, cp)
+	}
+	requireObserveMatchesRescan(t, "shuffled", shuffled, prefixes)
+	if got := Observe(shuffled, 0)[prefixes[0]][1]; got != ObsLoss {
+		t.Errorf("prefix absent from a round observed as %v there, want loss", got)
+	}
+
+	// Hand-built: interleaved prefixes with destinations out of address
+	// order (so each budget sees a different answer), a destination
+	// repeated within a round, a prefix absent from a round, an empty
+	// round, and a prefix no round mentions.
+	a := netutil.MustParsePrefix("10.0.0.0/24")
+	b := netutil.MustParsePrefix("10.0.1.0/24")
+	c := netutil.MustParsePrefix("10.0.2.0/24")
+	never := netutil.MustParsePrefix("10.0.3.0/24")
+	rec := func(p netutil.Prefix, host uint32, vlan simnet.VLAN) probe.Record {
+		return probe.Record{Prefix: p, Dst: p.Addr() + host, Responded: vlan != simnet.VLANNone, VLAN: vlan}
+	}
+	re, co, lost := simnet.VLANRE, simnet.VLANCommodity, simnet.VLANNone
+	hand := []*probe.Round{
+		{Config: "interleaved", Records: []probe.Record{
+			rec(a, 3, re), rec(b, 1, co), rec(a, 1, co), rec(b, 2, lost), rec(a, 2, lost), rec(c, 1, re),
+		}},
+		{Config: "repeated-dst", Records: []probe.Record{
+			rec(a, 2, re), rec(a, 1, lost), rec(a, 2, co), rec(a, 1, lost), rec(b, 1, re),
+		}},
+		{Config: "empty"},
+	}
+	requireObserveMatchesRescan(t, "hand-built", hand, []netutil.Prefix{a, b, c, never})
+	for k, want := range map[int][]RoundObs{
+		0: {ObsMixed, ObsMixed, ObsLoss},
+		1: {ObsCommodity, ObsLoss, ObsLoss},
+		2: {ObsCommodity, ObsMixed, ObsLoss},
+		3: {ObsMixed, ObsMixed, ObsLoss},
+	} {
+		if got := Observe(hand, k)[a]; !reflect.DeepEqual(got, want) {
+			t.Errorf("hand-built k=%d: %s observed %v, want %v", k, a, got, want)
 		}
 	}
 }

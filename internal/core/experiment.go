@@ -368,19 +368,13 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 			x.Checkpoint(i+1, churnStart, res)
 		}
 		if x.Progress != nil {
-			responded := 0
-			for _, rec := range round.Records {
-				if rec.Responded {
-					responded++
-				}
-			}
 			x.Progress(RoundProgress{
 				Experiment: x.Cfg.Name,
 				Config:     cfg.Label(),
 				Round:      i + 1,
 				Rounds:     len(Schedule()),
 				Probes:     len(round.Records),
-				Responded:  responded,
+				Responded:  round.Responded(),
 				Time:       probeAt,
 			})
 		}
@@ -426,23 +420,16 @@ func (x *Experiment) commoditySessions() []bgp.RouterID {
 // shard — fixed, so shard artifacts do not depend on worker count.
 const classifyShardSize = 64
 
-// classify reduces rounds to per-prefix sequences and categories.
-// Prefixes are classified in parallel over fixed-size shards of the
-// canonical prefix order; each prefix's result is pure (it reads only
-// the immutable round records), label counters are atomic, and shard
-// results merge in shard order, so the outcome is identical for any
-// Workers value.
+// classify reduces rounds to per-prefix sequences (Observe) and
+// categories. Prefixes are classified in parallel over fixed-size
+// shards of the canonical prefix order; each prefix's result is pure
+// (it reads only its own observation sequence), label counters are
+// atomic, and shard results merge in shard order, so the outcome is
+// identical for any Workers value.
 func (x *Experiment) classify(res *Result) {
 	sp := x.Metrics.StartSpan("classify")
 	defer sp.End()
-	perRound := make([]map[netutil.Prefix][]probe.Record, len(res.Rounds))
-	for i, rd := range res.Rounds {
-		m := make(map[netutil.Prefix][]probe.Record)
-		for _, rec := range rd.Records {
-			m[rec.Prefix] = append(m[rec.Prefix], rec)
-		}
-		perRound[i] = m
-	}
+	obs := Observe(res.Rounds, 0)
 	// Pre-resolve the per-label outcome counters (all nil when
 	// telemetry is disabled).
 	var byLabel [numInferences]*telemetry.Counter
@@ -460,10 +447,9 @@ func (x *Experiment) classify(res *Result) {
 		func(s parallel.Shard) []*PrefixResult {
 			out := make([]*PrefixResult, 0, s.Items())
 			for _, p := range prefixes[s.Lo:s.Hi] {
-				seq := make([]RoundObs, len(res.Rounds))
-				for i := range res.Rounds {
-					seq[i] = ObserveRound(perRound[i][p])
-				}
+				// A selected prefix has a target, hence a record in
+				// every round: obs[p] spans all of res.Rounds.
+				seq := obs[p]
 				rr := ClassifyRobust(seq, x.Cfg.Quorum)
 				byLabel[rr.Inference].Inc()
 				if rr.Inference == InfInsufficientData {

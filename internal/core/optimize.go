@@ -290,17 +290,8 @@ func (ev *policyEvaluator) measure(slot *optSlot, c optimize.Candidate, st0 bgp.
 	}
 	if ev.obj.NeedsProbe() {
 		round := s.Prober.Run("opt", net.Now(), s.Sel)
-		groups := make(map[string][]probe.Record, len(round.Records))
-		order := make([]string, 0, len(round.Records))
-		for _, rec := range round.Records {
-			k := rec.Prefix.String()
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], rec)
-		}
-		for _, k := range order {
-			switch ObserveRound(groups[k]) {
+		for _, seq := range Observe([]*probe.Round{round}, 0) {
+			switch seq[0] {
 			case ObsRE:
 				e.ProbeRE++
 			case ObsCommodity:

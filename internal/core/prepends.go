@@ -1,12 +1,11 @@
 package core
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/asn"
 	"repro/internal/bgp"
+	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/topo"
 )
@@ -58,7 +57,10 @@ func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 	}
 	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
 
-	solveOne := func(origin asn.AS) *OriginView {
+	// One origin per shard: a panicking solve surfaces as a ShardPanic
+	// naming its origin's index.
+	results := parallel.Collect(len(origins), 1, 0, func(s parallel.Shard) *OriginView {
+		origin := origins[s.Lo]
 		info := eco.AS(origin)
 		ov := &OriginView{Origin: origin, REPrepend: -1, CommodityPrepend: -1}
 		// Solve one representative prefix for this origin.
@@ -91,32 +93,7 @@ func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 			}
 		}
 		return ov
-	}
-
-	results := make([]*OriginView, len(origins))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(origins) {
-		workers = len(origins)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = solveOne(origins[i])
-			}
-		}()
-	}
-	for i := range origins {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	})
 
 	views := make(map[asn.AS]*OriginView, len(origins))
 	for i, origin := range origins {

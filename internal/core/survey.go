@@ -2,9 +2,11 @@ package core
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/asn"
 	"repro/internal/report"
+	"repro/internal/simnet"
 	"repro/internal/topo"
 )
 
@@ -100,36 +102,23 @@ func (s *SurveySummary) Table() *report.Table {
 	return t
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	digits := []byte{}
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
-}
+func itoa(n int) string { return strconv.Itoa(n) }
 
 // MixedRatio computes the R&E:commodity response ratio inside mixed
 // prefixes across all rounds (§4 reports ~2:1).
 func MixedRatio(res *Result) (re, commodity int) {
-	mixed := make(map[string]bool)
-	for p, pr := range res.PerPrefix {
-		if pr.Inference == InfMixed {
-			mixed[p.String()] = true
-		}
-	}
 	for _, rd := range res.Rounds {
 		for _, rec := range rd.Records {
-			if !rec.Responded || !mixed[rec.Prefix.String()] {
+			if !rec.Responded {
 				continue
 			}
-			switch rec.VLAN.String() {
-			case "re":
+			if pr := res.PerPrefix[rec.Prefix]; pr == nil || pr.Inference != InfMixed {
+				continue
+			}
+			switch rec.VLAN {
+			case simnet.VLANRE:
 				re++
-			case "commodity":
+			case simnet.VLANCommodity:
 				commodity++
 			}
 		}

@@ -109,8 +109,8 @@ func defaultWorkloadDuration(name string) vtime.Time {
 // deterministic for a given (name, seed, duration); SpeedupRatio is
 // the only wall-clock-derived value and is excluded from manifests.
 type WorkloadResult struct {
-	Name     string
-	Duration vtime.Time
+	Name      string
+	Duration  vtime.Time
 	RoundMode bool
 
 	// EventsByKind counts applied workload events per kind name.
@@ -227,12 +227,8 @@ func (p *Pipeline) RunWorkload(opts WorkloadOptions) (*WorkloadResult, error) {
 				probeN++
 				round := s.Prober.Run(label, bgp.Time(now), s.Sel)
 				res.ProbeRounds++
-				for i := range round.Records {
-					res.ProbesSent++
-					if round.Records[i].Responded {
-						res.ProbesResponded++
-					}
-				}
+				res.ProbesSent += len(round.Records)
+				res.ProbesResponded += round.Responded()
 			}
 			res.EventsByKind[ev.Kind.String()]++
 		}

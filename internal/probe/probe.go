@@ -258,6 +258,17 @@ func (pr *Prober) probeTarget(p netutil.Prefix, tgt seeds.Target, at bgp.Time, r
 // Duration returns the round's wall-clock length in virtual seconds.
 func (r *Round) Duration() bgp.Time { return r.End - r.Start }
 
+// Responded counts the round's probes that drew a response.
+func (r *Round) Responded() int {
+	n := 0
+	for i := range r.Records {
+		if r.Records[i].Responded {
+			n++
+		}
+	}
+	return n
+}
+
 // jsonProbe is the scamper-like wire format (§3.1: "produce JSON
 // results").
 type jsonProbe struct {

@@ -149,7 +149,6 @@ type World struct {
 	cfg       WorldConfig
 	hosts     map[uint32]*Host
 	byPfx     map[netutil.Prefix][]*Host
-	lossRNG   *rand.Rand
 	brownouts map[netutil.Prefix][]brownout
 }
 
@@ -174,7 +173,6 @@ func BuildWorld(eco *topo.Ecosystem, cfg WorldConfig) *World {
 		cfg:                cfg,
 		hosts:              make(map[uint32]*Host),
 		byPfx:              make(map[netutil.Prefix][]*Host),
-		lossRNG:            rand.New(rand.NewSource(cfg.Seed + 1)), // #nosec deterministic simulation
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed)) // #nosec deterministic simulation
 
@@ -356,24 +354,15 @@ type ProbeResult struct {
 	Hops int
 }
 
-// Probe sends one probe of the given protocol to dst at virtual time
-// t, sourced from the measurement prefix, and reports the reply and
-// its arrival VLAN. The reply follows dst's current best BGP route
+// ProbeRand sends one probe of the given protocol to dst at virtual
+// time t, sourced from the measurement prefix, and reports the reply
+// and its arrival VLAN. The reply follows dst's current best BGP route
 // toward the measurement prefix hop by hop until it terminates at one
 // of the experiment's origin routers.
 //
-// Probe draws random loss from the world's shared sequential stream,
-// so its results depend on global probe order. Sharded probing uses
-// ProbeRand with a per-(round, prefix) stream from LossStream instead,
-// which is what makes parallel rounds reproduce sequential ones.
-func (w *World) Probe(dst uint32, proto Proto, t bgp.Time) ProbeResult {
-	return w.ProbeRand(dst, proto, t, nil)
-}
-
-// ProbeRand is Probe with an explicit loss RNG. A nil rng falls back
-// to the world's shared sequential stream (the legacy order-dependent
-// behavior); callers that probe prefixes concurrently must pass a
-// stream scoped no wider than the unit they shard by — see LossStream.
+// Random loss is drawn from rng; callers that probe prefixes
+// concurrently must pass a stream scoped no wider than the unit they
+// shard by — see LossStream.
 func (w *World) ProbeRand(dst uint32, proto Proto, t bgp.Time, rng *rand.Rand) ProbeResult {
 	h, ok := w.hosts[dst]
 	if !ok || h.Proto != proto || h.dormant(t) {
@@ -382,13 +371,8 @@ func (w *World) ProbeRand(dst uint32, proto Proto, t bgp.Time, rng *rand.Rand) P
 	if w.brownedOut(h.Prefix, dst, t) {
 		return ProbeResult{}
 	}
-	if w.cfg.ProbeLossProb > 0 {
-		if rng == nil {
-			rng = w.lossRNG
-		}
-		if rng.Float64() < w.cfg.ProbeLossProb {
-			return ProbeResult{}
-		}
+	if w.cfg.ProbeLossProb > 0 && rng.Float64() < w.cfg.ProbeLossProb {
+		return ProbeResult{}
 	}
 	path, done := w.Net.ForwardPathLPM(h.Egress, w.MeasPrefix)
 	if !done || len(path) == 0 {
@@ -409,8 +393,7 @@ func (w *World) ProbeRand(dst uint32, proto Proto, t bgp.Time, rng *rand.Rand) P
 
 // LossStream returns the deterministic probe-loss RNG stream of one
 // (round start, prefix) pair. The stream seed derives from the world's
-// loss seed (cfg.Seed+1, the same base the legacy shared stream used)
-// via parallel.SubSeed with stream id
+// loss seed (cfg.Seed+1) via parallel.SubSeed with stream id
 //
 //	uint64(round)<<32 ^ uint64(prefix.Addr())<<8 ^ uint64(prefix.Bits())
 //

@@ -15,6 +15,12 @@ func buildWorld(t *testing.T) (*topo.Ecosystem, *World) {
 	return eco, w
 }
 
+// probeHost probes h at time t, drawing loss from its prefix's stream
+// for that time as the prober does.
+func probeHost(w *World, h *Host, t bgp.Time) ProbeResult {
+	return w.ProbeRand(h.Addr, h.Proto, t, w.LossStream(t, h.Prefix))
+}
+
 func TestBuildWorldCoverage(t *testing.T) {
 	eco, w := buildWorld(t)
 	resp := len(w.ResponsivePrefixes())
@@ -74,7 +80,7 @@ func TestProbeVLANFollowsPolicy(t *testing.T) {
 			continue
 		}
 		h := w.Hosts(p)[0]
-		res := w.Probe(h.Addr, h.Proto, 0)
+		res := probeHost(w, h, 0)
 		if !res.Responded {
 			continue // rare random probe loss
 		}
@@ -110,10 +116,10 @@ func TestProbeWrongProtoNoAnswer(t *testing.T) {
 	if h == nil {
 		t.Fatal("no ICMP host")
 	}
-	if res := w.Probe(h.Addr, TCP, 0); res.Responded {
+	if res := w.ProbeRand(h.Addr, TCP, 0, w.LossStream(0, h.Prefix)); res.Responded {
 		t.Error("ICMP-only host answered TCP")
 	}
-	if res := w.Probe(h.Addr+100000, ICMP, 0); res.Responded {
+	if res := w.ProbeRand(h.Addr+100000, ICMP, 0, w.LossStream(0, h.Prefix)); res.Responded {
 		t.Error("non-host address answered")
 	}
 }
@@ -197,20 +203,20 @@ func TestBrownouts(t *testing.T) {
 	}
 	target := prefixes[0]
 	h := w.Hosts(target)[0]
-	if !w.Probe(h.Addr, h.Proto, 100).Responded {
+	if !probeHost(w, h, 100).Responded {
 		t.Fatal("host not responsive before brownout")
 	}
 
 	// Total loss inside [1000, 2000): every probe in the window drops,
 	// probes outside it are untouched.
 	w.AddBrownout([]netutil.Prefix{target}, 1000, 2000, 1.0, 7)
-	if w.Probe(h.Addr, h.Proto, 1500).Responded {
+	if probeHost(w, h, 1500).Responded {
 		t.Error("probe answered inside a loss=1 brownout window")
 	}
-	if !w.Probe(h.Addr, h.Proto, 999).Responded {
+	if !probeHost(w, h, 999).Responded {
 		t.Error("probe dropped before the window")
 	}
-	if !w.Probe(h.Addr, h.Proto, 2000).Responded {
+	if !probeHost(w, h, 2000).Responded {
 		t.Error("probe dropped after the window (end is exclusive)")
 	}
 	// Other prefixes are unaffected: find another prefix that answers
@@ -218,10 +224,10 @@ func TestBrownouts(t *testing.T) {
 	// with only the commodity terminal armed) and check it inside.
 	for _, op := range prefixes[1:] {
 		o := w.Hosts(op)[0]
-		if !w.Probe(o.Addr, o.Proto, 100).Responded {
+		if !probeHost(w, o, 100).Responded {
 			continue
 		}
-		if !w.Probe(o.Addr, o.Proto, 1500).Responded {
+		if !probeHost(w, o, 1500).Responded {
 			t.Error("brownout leaked to an uninvolved prefix")
 		}
 		break
@@ -229,14 +235,14 @@ func TestBrownouts(t *testing.T) {
 	// The per-probe draw is a pure hash of (salt, dst, time): the same
 	// probe repeated gives the same outcome, so retries at different
 	// times are independent but replays are stable.
-	a := w.Probe(h.Addr, h.Proto, 1500).Responded
-	b := w.Probe(h.Addr, h.Proto, 1500).Responded
+	a := probeHost(w, h, 1500).Responded
+	b := probeHost(w, h, 1500).Responded
 	if a != b {
 		t.Error("brownout outcome not stable across replays")
 	}
 
 	w.ClearBrownouts()
-	if !w.Probe(h.Addr, h.Proto, 1500).Responded {
+	if !probeHost(w, h, 1500).Responded {
 		t.Error("ClearBrownouts did not restore reachability")
 	}
 }

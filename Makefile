@@ -1,10 +1,10 @@
-# Build and verification targets. `make check` is the tier-1 gate;
-# `make race` adds the race detector; `make smoke` runs the reduced
-# fault-intensity sweep end to end.
+# Build and verification targets. `make check` is the tier-1 gate
+# (build, vet, gofmt, test); `make race` adds the race detector;
+# `make smoke` runs the reduced fault-intensity sweep end to end.
 
 GO ?= go
 
-.PHONY: build check vet test race smoke serve-smoke workload-smoke scenario-smoke optimize-smoke bench bench-mem fuzz cover
+.PHONY: build check vet fmt test race smoke serve-smoke workload-smoke scenario-smoke optimize-smoke bench bench-mem fuzz cover
 
 build:
 	$(GO) build ./...
@@ -12,10 +12,14 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Any file gofmt would rewrite fails the gate.
+fmt:
+	test -z "$$(gofmt -l .)"
+
 test:
 	$(GO) test ./...
 
-check: build vet test
+check: build vet fmt test
 
 race:
 	$(GO) test -race ./...
@@ -78,6 +82,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzValidate -fuzztime $(FUZZTIME) ./internal/rpki/
 	$(GO) test -run '^$$' -fuzz FuzzObjectiveDecode -fuzztime $(FUZZTIME) ./internal/optimize/
 	$(GO) test -run '^$$' -fuzz FuzzSearchStateRoundTrip -fuzztime $(FUZZTIME) ./internal/optimize/
+	$(GO) test -run '^$$' -fuzz FuzzRandMatchesMathRand -fuzztime $(FUZZTIME) ./internal/parallel/
 
 # Statement-coverage floors, one pkg:floor pair per internal package
 # whose tests the rest of the tree leans on: the BGP engine (the

@@ -803,7 +803,9 @@ func (n *Network) NextHopLPM(id RouterID, p netutil.Prefix) (RouterID, bool) {
 
 // ForwardPath walks AS-level forwarding from speaker id toward prefix
 // p, returning the sequence of router IDs ending at the originating
-// speaker. ok is false on a routing loop or a missing route.
+// speaker. ok is false on a routing loop or a missing route, and path
+// is then only how far the walk got before it gave up — no caller
+// reads it.
 func (n *Network) ForwardPath(id RouterID, p netutil.Prefix) ([]RouterID, bool) {
 	return n.forwardPath(id, p, n.NextHop)
 }
@@ -817,17 +819,16 @@ func (n *Network) ForwardPathLPM(id RouterID, p netutil.Prefix) ([]RouterID, boo
 }
 
 func (n *Network) forwardPath(id RouterID, p netutil.Prefix, hop func(RouterID, netutil.Prefix) (RouterID, bool)) ([]RouterID, bool) {
-	var path []RouterID
-	seen := make(map[RouterID]bool)
+	// Sized for the AS-path lengths the generators produce, so the
+	// usual walk allocates once.
+	path := make([]RouterID, 0, 8)
 	cur := id
 	for {
-		if seen[cur] {
-			return path, false // forwarding loop
-		}
-		seen[cur] = true
 		path = append(path, cur)
 		next, ok := hop(cur, p)
-		if !ok {
+		// Only speakers forward, so a walk that has taken more hops
+		// than there are speakers has revisited one: a forwarding loop.
+		if !ok || len(path) > len(n.speakers) {
 			return path, false
 		}
 		if next == cur {

@@ -279,6 +279,20 @@ func TestForwardPath(t *testing.T) {
 	if _, ok := net2.ForwardPath(1, ucsdPrefix); ok {
 		t.Error("ForwardPath should fail with no route")
 	}
+	// A forwarding cycle: two speakers whose best routes point at each
+	// other, installed by hand because no converged network holds one.
+	// The walk must end and report failure.
+	loop := NewNetwork()
+	a := loop.AddSpeaker(1, 1, "a")
+	b := loop.AddSpeaker(2, 2, "b")
+	a.locRib.Install(locKey(ucsdPrefix), &Route{Prefix: ucsdPrefix, From: 2})
+	b.locRib.Install(locKey(ucsdPrefix), &Route{Prefix: ucsdPrefix, From: 1})
+	if path, ok := loop.ForwardPath(1, ucsdPrefix); ok {
+		t.Errorf("ForwardPath on a cycle = %v, true", path)
+	}
+	if path, ok := loop.ForwardPathLPM(2, ucsdPrefix); ok {
+		t.Errorf("ForwardPathLPM on a cycle = %v, true", path)
+	}
 }
 
 func TestCollectorRecordsChurn(t *testing.T) {

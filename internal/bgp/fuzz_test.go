@@ -23,13 +23,13 @@ var fuzzPrefixes = []netutil.Prefix{
 // fuzzTopology: 1 is the top provider of 2 and 3; 4 is a customer of
 // both 2 and 3; 2—3 peer laterally; 5 is a collector fed by 1.
 //
-//	      5 (collector, ExportBestOf)
-//	      |
-//	      1        RFD on 1's import from 2
-//	     / \       MRAI on 2's export to 1
-//	    2---3      MED on 4's export to 3
-//	     \ /
-//	      4
+//	  5 (collector, ExportBestOf)
+//	  |
+//	  1        RFD on 1's import from 2
+//	 / \       MRAI on 2's export to 1
+//	2---3      MED on 4's export to 3
+//	 \ /
+//	  4
 func fuzzTopology() *Network {
 	net := NewNetwork()
 	for i := 1; i <= 5; i++ {

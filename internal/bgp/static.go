@@ -250,8 +250,8 @@ func solveCandidate(idx *solverIndex, s *Speaker, ownRoute *Route, cur []*Route)
 		// filter exists (rare: default-only importers, ROV).
 		var cand *Route
 		if e.pcAtS.ImportDeny != nil || s.importDeny != nil {
-			ann := staticExport(e.nb, nbBest, e.pcAtNb)
-			cand = staticImport(s, e.pcAtS, ann)
+			ann := announcement(e.nb, nbBest, e.pcAtNb)
+			cand = staticImport(s, e.pcAtS, &ann)
 			if cand == nil {
 				continue
 			}
@@ -270,8 +270,10 @@ func solveCandidate(idx *solverIndex, s *Speaker, ownRoute *Route, cur []*Route)
 		}
 	}
 	if bestEdge != nil {
-		ann := staticExport(bestEdge.nb, bestSrc, bestEdge.pcAtNb)
-		best = staticImport(s, bestEdge.pcAtS, ann)
+		// The announcement lives on the stack; the imported route is
+		// the only Route the winner costs.
+		ann := announcement(bestEdge.nb, bestSrc, bestEdge.pcAtNb)
+		best = staticImport(s, bestEdge.pcAtS, &ann)
 	}
 	return best
 }
@@ -362,27 +364,22 @@ func exportAdmits(nb *Speaker, src *Route, pc *PeerConfig) bool {
 
 // staticExport mirrors Speaker.exportRoute for the solver.
 func staticExport(s *Speaker, best *Route, pcToNeighbor *PeerConfig) *Route {
-	src := best
-	if pcToNeighbor.ExportBestOf != nil && !pcToNeighbor.ExportBestOf(src) {
+	if !exportAdmits(s, best, pcToNeighbor) {
 		return nil
 	}
-	if src.From != 0 && (src.Communities.Has(NoExport) || src.Communities.Has(NoAdvertise)) {
-		return nil
-	}
-	if !pcToNeighbor.ExportAllow.Has(src.Class) {
-		return nil
-	}
-	if pcToNeighbor.ExportFilter != nil && !pcToNeighbor.ExportFilter(src) {
-		return nil
-	}
-	if src.Path.Contains(pcToNeighbor.NeighborAS) {
-		return nil
-	}
+	ann := announcement(s, best, pcToNeighbor)
+	return &ann
+}
+
+// announcement is what s sends its neighbor for src once exportAdmits
+// has passed. It returns a value so that the solver's scan, which only
+// reads it to build the imported route, never puts it on the heap.
+func announcement(s *Speaker, src *Route, pcToNeighbor *PeerConfig) Route {
 	comms := src.Communities
 	if pcToNeighbor.ExportAddCommunities.Len() > 0 {
 		comms = comms.With(pcToNeighbor.ExportAddCommunities.Values()...)
 	}
-	return &Route{
+	return Route{
 		Prefix:      src.Prefix,
 		Path:        src.Path.Prepend(s.AS, 1+pcToNeighbor.effectivePrepend(src.Prefix)),
 		Origin:      src.Origin,

@@ -283,14 +283,14 @@ type Injector struct {
 // injectorMetrics counts injected events by kind; nil counters (no
 // registry) are free.
 type injectorMetrics struct {
-	sessionDown     *telemetry.Counter
-	sessionUp       *telemetry.Counter
-	brownouts       *telemetry.Counter
-	feedGaps        *telemetry.Counter
-	hijackAnnounce  *telemetry.Counter
-	hijackWithdraw  *telemetry.Counter
-	leakStarts      *telemetry.Counter
-	leakStops       *telemetry.Counter
+	sessionDown    *telemetry.Counter
+	sessionUp      *telemetry.Counter
+	brownouts      *telemetry.Counter
+	feedGaps       *telemetry.Counter
+	hijackAnnounce *telemetry.Counter
+	hijackWithdraw *telemetry.Counter
+	leakStarts     *telemetry.Counter
+	leakStops      *telemetry.Counter
 }
 
 // NewInjector prepares the action cursor for a schedule.

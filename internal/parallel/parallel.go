@@ -227,7 +227,10 @@ func CollectTimed[T any](n, size, workers int, fn func(Shard) T) ([]T, []Timing)
 //
 // Two streams of the same seed are decorrelated by the mix; the same
 // (seed, stream) pair always yields the same sub-seed, which is what
-// makes a parallel run reproduce a sequential one bit for bit.
+// makes a parallel run reproduce a sequential one bit for bit. The
+// draws of a stream are math/rand's for its sub-seed (see Rand), so
+// both this mix and math/rand's frozen Go 1 value stream are part of
+// every pinned output.
 func SubSeed(seed int64, stream uint64) int64 {
 	x := uint64(seed) + 0x9e3779b97f4a7c15*(stream+1)
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -236,10 +239,19 @@ func SubSeed(seed int64, stream uint64) int64 {
 	return int64(x)
 }
 
-// Rand returns a fresh deterministic RNG for (seed, stream), seeded
-// via SubSeed. Each caller owns the returned RNG exclusively; sharing
+// Rand returns a fresh deterministic RNG for (seed, stream) whose
+// draws are exactly those of rand.New(rand.NewSource(SubSeed(seed,
+// stream))). Each caller owns the returned RNG exclusively; sharing
 // one *rand.Rand across shards would both race and reintroduce
 // order-dependent draws.
+//
+// Most streams here are short — a probe-loss stream draws about three
+// floats — so the source behind it (lazySource) does not seed
+// math/rand's 607-word register up front: the first 273 words are
+// computed from the sub-seed directly, and only a stream that outlives
+// them pays for the real source. Nothing about the values changes; it
+// rests on math/rand's Go 1 value stream being frozen, and
+// TestRandMatchesMathRand fails if a toolchain ever moves it.
 func Rand(seed int64, stream uint64) *rand.Rand {
-	return rand.New(rand.NewSource(SubSeed(seed, stream))) // #nosec deterministic simulation
+	return rand.New(newLazySource(SubSeed(seed, stream))) // #nosec deterministic simulation
 }

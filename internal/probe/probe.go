@@ -137,12 +137,6 @@ func NewProber(w *simnet.World) *Prober {
 // whether one worker or eight execute it.
 const probeShardSize = 64
 
-// shardRound is one shard's slice of a round, merged in shard order.
-type shardRound struct {
-	records []Record
-	retries int
-}
-
 // Run probes every selected target once, pacing at PPS, starting at
 // virtual time start. Targets are visited in canonical prefix order.
 //
@@ -151,9 +145,10 @@ type shardRound struct {
 // independent of the worker count: each target's pacing slot is its
 // index in the canonical target order (not a shared sent counter), each
 // prefix draws probe loss from its own (round, prefix) RNG stream, and
-// shard record slices are concatenated in shard order. The BGP network
-// is static while a round runs, so concurrent forwarding lookups are
-// pure reads.
+// that same index is the target's slot in Records, allocated once at
+// its known length, so shards write disjoint ranges and nothing is
+// merged. The BGP network is static while a round runs, so concurrent
+// forwarding lookups are pure reads.
 func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Round {
 	rate := pr.PPS
 	if rate <= 0 {
@@ -171,26 +166,27 @@ func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Roun
 	for i, p := range prefixes {
 		offsets[i+1] = offsets[i] + len(sel.Targets[p])
 	}
+	round.Records = make([]Record, offsets[len(prefixes)])
 
-	shards, timings := parallel.CollectTimed(len(prefixes), probeShardSize, pr.Workers,
-		func(s parallel.Shard) shardRound {
-			var out shardRound
+	shardRetries, timings := parallel.CollectTimed(len(prefixes), probeShardSize, pr.Workers,
+		func(s parallel.Shard) int {
+			retries := 0
 			for i := s.Lo; i < s.Hi; i++ {
 				p := prefixes[i]
 				rng := pr.World.LossStream(start, p)
 				for j, tgt := range sel.Targets[p] {
-					rec, retries := pr.probeTarget(p, tgt, start+bgp.Time((offsets[i]+j)/rate), rng)
-					out.records = append(out.records, rec)
-					out.retries += retries
+					slot := offsets[i] + j
+					rec, n := pr.probeTarget(p, tgt, start+bgp.Time(slot/rate), rng)
+					round.Records[slot] = rec
+					retries += n
 				}
 			}
-			return out
+			return retries
 		})
 
-	totalSent := offsets[len(prefixes)]
-	for _, sr := range shards {
-		round.Records = append(round.Records, sr.records...)
-		totalSent += sr.retries
+	totalSent := len(round.Records)
+	for _, n := range shardRetries {
+		totalSent += n
 	}
 	for _, t := range timings {
 		pr.registry.AddShardTiming("probe", t.Shard, t.Items, t.Duration)

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,8 +15,13 @@ import (
 
 func setup(t *testing.T) (*topo.Ecosystem, *simnet.World, *seeds.Selection, *Prober) {
 	t.Helper()
+	return setupWorld(t, simnet.DefaultWorldConfig())
+}
+
+func setupWorld(t *testing.T, cfg simnet.WorldConfig) (*topo.Ecosystem, *simnet.World, *seeds.Selection, *Prober) {
+	t.Helper()
 	eco := topo.Build(topo.SmallConfig())
-	w := simnet.BuildWorld(eco, simnet.DefaultWorldConfig())
+	w := simnet.BuildWorld(eco, cfg)
 	cat := seeds.BuildCatalog(eco, w, seeds.DefaultCatalogConfig())
 	var prefixes []netutil.Prefix
 	for _, pi := range eco.Prefixes {
@@ -68,6 +74,54 @@ func TestRunRound(t *testing.T) {
 	wantDur := int64(len(round.Records))/100 + 1
 	if got := int64(round.Duration()); got < wantDur || got > wantDur+2 {
 		t.Errorf("round duration %d, want ~%d", got, wantDur)
+	}
+}
+
+// TestRunWorkersDeepEqual: shards write straight into the round's one
+// Records slice, so the round must come out the same at any width —
+// and, under -race, the shards' slots must be disjoint.
+func TestRunWorkersDeepEqual(t *testing.T) {
+	eco, w, sel, pr := setup(t)
+	w.RETerminals = map[bgp.RouterID]bool{eco.Internet2.Router: true}
+	w.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
+	pr.Retry = DefaultRetryPolicy()
+	if len(sel.Targets) <= probeShardSize {
+		t.Fatalf("%d prefixes fit one shard; the test needs several", len(sel.Targets))
+	}
+	pr.Workers = 1
+	want := pr.Run("0-0", 1000, sel)
+	for _, workers := range []int{2, 8} {
+		pr.Workers = workers
+		if got := pr.Run("0-0", 1000, sel); !reflect.DeepEqual(got, want) {
+			t.Errorf("round at %d workers differs from the round at 1", workers)
+		}
+	}
+}
+
+// TestRunAllocsIndependentOfTargets: a round allocates per prefix (its
+// loss stream) and once for Records, never per record. Every probe is
+// lost here so that the forwarding walk, which allocates the path of
+// each answered probe inside bgp, stays out of the count.
+func TestRunAllocsIndependentOfTargets(t *testing.T) {
+	cfg := simnet.DefaultWorldConfig()
+	cfg.ProbeLossProb = 1
+	_, _, three, pr := setupWorld(t, cfg)
+	one := &seeds.Selection{Targets: make(map[netutil.Prefix][]seeds.Target, len(three.Targets))}
+	records := 0
+	for p, tgts := range three.Targets {
+		one.Targets[p] = tgts[:1]
+		records += len(tgts)
+	}
+	if records < 2*len(one.Targets) {
+		t.Fatalf("%d targets over %d prefixes: too few to show growth", records, len(one.Targets))
+	}
+	pr.Workers = 1
+	allocs := func(sel *seeds.Selection) float64 {
+		return testing.AllocsPerRun(10, func() { pr.Run("0-0", 1000, sel) })
+	}
+	if a1, a3 := allocs(one), allocs(three); a3 != a1 {
+		t.Errorf("Run allocated %v times for %d records, %v for %d: it grows with targets per prefix",
+			a3, records, a1, len(one.Targets))
 	}
 }
 

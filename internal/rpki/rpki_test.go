@@ -114,10 +114,10 @@ func TestValidateRFC6811Table(t *testing.T) {
 // max are Invalid while covered.
 func FuzzValidate(f *testing.F) {
 	f.Add(uint32(0xCB00_3F00), 24, 24, uint32(11537), 24, uint32(11537))
-	f.Add(uint32(0xCB00_3F00), 24, 0, uint32(11537), 25, uint32(11537))   // maxlen-0 shorthand + more-specific
-	f.Add(uint32(0xC000_0000), 8, 16, uint32(64502), 17, uint32(64502))   // one past maxlen
-	f.Add(uint32(0x0A00_0000), 30, 40, uint32(64503), 32, uint32(64503))  // clamp to 32
-	f.Add(uint32(0xC633_6400), 24, 25, uint32(64501), 26, uint32(64999))  // covered, wrong origin, too long
+	f.Add(uint32(0xCB00_3F00), 24, 0, uint32(11537), 25, uint32(11537))  // maxlen-0 shorthand + more-specific
+	f.Add(uint32(0xC000_0000), 8, 16, uint32(64502), 17, uint32(64502))  // one past maxlen
+	f.Add(uint32(0x0A00_0000), 30, 40, uint32(64503), 32, uint32(64503)) // clamp to 32
+	f.Add(uint32(0xC633_6400), 24, 25, uint32(64501), 26, uint32(64999)) // covered, wrong origin, too long
 	f.Fuzz(func(t *testing.T, addr uint32, bits, maxLen int, origin uint32, qbits int, qorigin uint32) {
 		if bits < 0 || bits > 32 || qbits < 0 || qbits > 32 {
 			t.Skip()

@@ -13,6 +13,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -127,14 +128,30 @@ func ReadSections(r io.Reader, magic string, maxVersion uint16) ([]Section, erro
 // input's format version, for decoders that keep older layouts
 // readable (the version is 0 on error).
 func ReadSectionsVersioned(r io.Reader, magic string, maxVersion uint16) ([]Section, uint16, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxSnapshotBytes+1))
-	if err != nil {
+	// An in-memory reader (*bytes.Reader, *bytes.Buffer: every warm
+	// restore) says how much it holds, so the copy is one buffer of
+	// that size rather than a doubling series. Len only sizes the
+	// buffer: the input is still read to EOF and still capped, whatever
+	// the reader claimed.
+	size := bytes.MinRead
+	if l, ok := r.(interface{ Len() int }); ok {
+		if l.Len() > maxSnapshotBytes {
+			return nil, 0, errTooLarge()
+		}
+		size += l.Len()
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := buf.ReadFrom(io.LimitReader(r, maxSnapshotBytes+1)); err != nil {
 		return nil, 0, fmt.Errorf("snapshot: read: %w", err)
 	}
-	if len(data) > maxSnapshotBytes {
-		return nil, 0, fmt.Errorf("%w: input exceeds %d bytes", ErrCorrupt, maxSnapshotBytes)
+	if buf.Len() > maxSnapshotBytes {
+		return nil, 0, errTooLarge()
 	}
-	return DecodeSectionsVersioned(data, magic, maxVersion)
+	return DecodeSectionsVersioned(buf.Bytes(), magic, maxVersion)
+}
+
+func errTooLarge() error {
+	return fmt.Errorf("%w: input exceeds %d bytes", ErrCorrupt, maxSnapshotBytes)
 }
 
 // DecodeSections is ReadSections over in-memory bytes.

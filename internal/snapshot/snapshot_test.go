@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -205,3 +206,65 @@ func TestReadSectionsIOError(t *testing.T) {
 type errReader struct{}
 
 func (errReader) Read([]byte) (int, error) { return 0, errors.New("boom") }
+
+// lenReader claims a length it does not have: Len must only size the
+// read buffer, never decide how much is read.
+type lenReader struct {
+	io.Reader
+	claimed int
+}
+
+func (l lenReader) Len() int { return l.claimed }
+
+// TestReadSectionsSizedRead covers the readers ReadSections sizes its
+// buffer from, the ones it cannot, and the ones that lie.
+func TestReadSectionsSizedRead(t *testing.T) {
+	data := buildContainer()
+	want, err := DecodeSections(data, EngineMagic, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]io.Reader{
+		"bytes.Reader":  bytes.NewReader(data),
+		"bytes.Buffer":  bytes.NewBuffer(append([]byte(nil), data...)),
+		"plain reader":  io.MultiReader(bytes.NewReader(data)),
+		"claims less":   lenReader{bytes.NewReader(data), 3},
+		"claims more":   lenReader{bytes.NewReader(data), 10 * len(data)},
+		"claims nought": lenReader{bytes.NewReader(data), 0},
+	} {
+		got, err := ReadSections(r, EngineMagic, 1)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: sections differ from DecodeSections", name)
+		}
+	}
+
+	// A truthful in-memory reader costs one buffer, not a growth
+	// series: the bound leaves room for the reader, the section list
+	// and the decoded payload, not for a buffer that doubles to 1 MiB.
+	w := NewWriter(EngineMagic, 1)
+	w.Section(1, make([]byte, 1<<20))
+	big := w.Bytes()
+	perRead := testing.AllocsPerRun(5, func() {
+		if _, err := ReadSections(bytes.NewReader(big), EngineMagic, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRead > 6 {
+		t.Errorf("sized read of 1 MiB made %v allocations", perRead)
+	}
+
+	// Over the cap: rejected as corrupt from Len alone, before any
+	// byte is copied. The backing array is never touched, so it costs
+	// address space, not memory.
+	over := bytes.NewReader(make([]byte, maxSnapshotBytes+1))
+	if _, err := ReadSections(over, EngineMagic, 1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("over-limit reader: err = %v, want ErrCorrupt", err)
+	}
+	if over.Len() != maxSnapshotBytes+1 {
+		t.Errorf("over-limit reader was read: %d bytes left", over.Len())
+	}
+}

@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzObjectiveDecode -fuzztime $(FUZZTIME) ./internal/optimize/
 	$(GO) test -run '^$$' -fuzz FuzzSearchStateRoundTrip -fuzztime $(FUZZTIME) ./internal/optimize/
 	$(GO) test -run '^$$' -fuzz FuzzRandMatchesMathRand -fuzztime $(FUZZTIME) ./internal/parallel/
+	$(GO) test -run '^$$' -fuzz FuzzParsePrefix -fuzztime $(FUZZTIME) ./internal/netutil/
 
 # Statement-coverage floors, one pkg:floor pair per internal package
 # whose tests the rest of the tree leans on: the BGP engine (the

@@ -10,12 +10,14 @@ package repro
 // paper's full scale.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/asn"
+	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/irr"
 )
@@ -277,5 +279,30 @@ func BenchmarkParallelSweep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRestoreNetwork measures the optimizer's per-candidate
+// rewind: the snapshot of a converged world at a quarter of the paper's
+// populations (the benchmark's sweep_warm size, map store) restored
+// into the network it was taken from. Run with -benchmem.
+func BenchmarkRestoreNetwork(b *testing.B) {
+	opts := core.DefaultSurveyOptions()
+	opts.Topology.MembersUS /= 4
+	opts.Topology.MembersIntl /= 4
+	opts.Topology.NIKSCustomers /= 4
+	opts.Topology.ExtraCollectorFeeds /= 4
+	s := core.NewSurvey(opts)
+	core.NewSURFExperiment(s.Eco, s.World, s.Prober, s.Sel, 9*3600).Converge()
+	var buf bytes.Buffer
+	if err := s.Eco.Net.Snapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := bgp.RestoreNetwork(bytes.NewReader(buf.Bytes()), s.Eco.Net); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

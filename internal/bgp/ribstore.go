@@ -1,6 +1,10 @@
 package bgp
 
-import "repro/internal/netutil"
+import (
+	"slices"
+
+	"repro/internal/netutil"
+)
 
 // The RIB store abstraction. A speaker's three RIBs — adj-RIB-in,
 // loc-RIB, adj-RIB-out — used to be three map fields with ad-hoc
@@ -53,6 +57,13 @@ type ribStore interface {
 // locKey is the loc-RIB store key for p (neighbor 0 by convention).
 func locKey(p netutil.Prefix) ribKey { return ribKey{prefix: p} }
 
+// ribEntry is one (key, route) pair of a store: what a sorted walk
+// visits and what a snapshot's RIB tables decode into.
+type ribEntry struct {
+	k ribKey
+	r *Route
+}
+
 // mapStore is the reference ribStore: a bare route map. Install and
 // Get preserve pointer identity, which the rest of the engine's
 // aliasing (queue events, adj-out entries) was originally built on.
@@ -75,11 +86,18 @@ func (st *mapStore) Withdraw(k ribKey) { delete(st.m, k) }
 
 func (st *mapStore) Len() int { return len(st.m) }
 
-func (st *mapStore) Reset() { st.m = make(map[ribKey]*Route) }
+// Reset keeps the buckets: a restore refills the store to the size it
+// had, so a rewind loop reuses them instead of regrowing from empty.
+func (st *mapStore) Reset() { clear(st.m) }
 
 func (st *mapStore) WalkSorted(fn func(k ribKey, r *Route) bool) {
-	for _, k := range sortedKeysRoute(st.m) {
-		if !fn(k, st.m[k]) {
+	entries := make([]ribEntry, 0, len(st.m))
+	for k, r := range st.m {
+		entries = append(entries, ribEntry{k, r})
+	}
+	slices.SortFunc(entries, func(a, b ribEntry) int { return a.k.compare(b.k) })
+	for _, e := range entries {
+		if !fn(e.k, e.r) {
 			return
 		}
 	}

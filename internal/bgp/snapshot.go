@@ -15,6 +15,9 @@ package bgp
 //     route reference is an index into a route table built by a fixed
 //     canonical traversal, so two Snapshot calls on the same network
 //     produce identical bytes (pinned by TestSnapshotDeterministic).
+//     The three RIB tables are also read back in that order: the
+//     decoder requires strictly increasing keys and RestoreNetwork
+//     installs them as they come, without sorting anything again.
 //
 //   - Pointer identity. sendExport stores one *Route into both the
 //     adj-RIB-out and the queued event, and a queued event may hold a
@@ -32,7 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/asn"
 	"repro/internal/bgp/pathtab"
@@ -483,13 +486,14 @@ func routeRef(routes []*Route, ref uint64, d *snap.Dec) (*Route, error) {
 // --- speakers section ---
 
 // speakerState is one speaker's decoded dynamic state, held until the
-// whole snapshot validates.
+// whole snapshot validates. The three RIBs stay in file order, which
+// the decoder has checked is the sorted order apply installs in.
 type speakerState struct {
 	s           *Speaker
 	originated  map[netutil.Prefix]origination
-	adjIn       map[ribKey]*Route
-	adjOut      map[ribKey]*Route
-	locRib      map[netutil.Prefix]*Route
+	adjIn       []ribEntry
+	locRib      []ribEntry
+	adjOut      []ribEntry
 	rfd         map[ribKey]*rfdState
 	suppressed  map[ribKey]bool
 	mraiLast    map[ribKey]Time
@@ -510,18 +514,9 @@ func (st *speakerState) apply() {
 	s.originated = st.originated
 	// The RIBs load through the store interface in sorted key order —
 	// adj-RIB-in first, so an arena loc-RIB can share its records.
-	s.adjIn.Reset()
-	for _, k := range sortedKeysRoute(st.adjIn) {
-		s.adjIn.Install(k, st.adjIn[k])
-	}
-	s.locRib.Reset()
-	for _, p := range sortedRoutePrefixes(st.locRib) {
-		s.locRib.Install(locKey(p), st.locRib[p])
-	}
-	s.adjOut.Reset()
-	for _, k := range sortedKeysRoute(st.adjOut) {
-		s.adjOut.Install(k, st.adjOut[k])
-	}
+	loadStore(s.adjIn, st.adjIn)
+	loadStore(s.locRib, st.locRib)
+	loadStore(s.adjOut, st.adjOut)
 	s.rfd = st.rfd
 	s.suppressed = st.suppressed
 	s.mraiLast = st.mraiLast
@@ -531,6 +526,13 @@ func (st *speakerState) apply() {
 		pd.pc.ExportPrepend = pd.exportPrepend
 		pd.pc.down = pd.down
 		pd.pc.PrefixPrepend = pd.prefixPrepend
+	}
+}
+
+func loadStore(store ribStore, entries []ribEntry) {
+	store.Reset()
+	for _, e := range entries {
+		store.Install(e.k, e.r)
 	}
 }
 
@@ -645,9 +647,6 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 		st := &speakerState{
 			s:           s,
 			originated:  make(map[netutil.Prefix]origination),
-			adjIn:       make(map[ribKey]*Route),
-			adjOut:      make(map[ribKey]*Route),
-			locRib:      make(map[netutil.Prefix]*Route),
 			rfd:         make(map[ribKey]*rfdState),
 			suppressed:  make(map[ribKey]bool),
 			mraiLast:    make(map[ribKey]Time),
@@ -667,23 +666,14 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			st.originated[p] = origination{route: r}
 		}
 
-		if err := decRouteMap(d, st.adjIn, routes); err != nil {
+		var err error
+		if st.adjIn, err = decRouteEntries(d, routes, false); err != nil {
 			return nil, err
 		}
-
-		for j, nLoc := 0, d.Count(6); j < nLoc; j++ {
-			p, err := decPrefix(d)
-			if err != nil {
-				return nil, err
-			}
-			r, err := routeAt(routes, d.Uvarint(), d)
-			if err != nil {
-				return nil, err
-			}
-			st.locRib[p] = r
+		if st.locRib, err = decRouteEntries(d, routes, true); err != nil {
+			return nil, err
 		}
-
-		if err := decRouteMap(d, st.adjOut, routes); err != nil {
+		if st.adjOut, err = decRouteEntries(d, routes, false); err != nil {
 			return nil, err
 		}
 
@@ -741,7 +731,9 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			}
 		}
 
-		for j, nPeers := 0, d.Count(14); j < nPeers; j++ {
+		nPeers := d.Count(14)
+		st.peerDyn = make([]peerDynState, 0, nPeers)
+		for j := 0; j < nPeers; j++ {
 			nb := RouterID(d.U32())
 			var pc *PeerConfig
 			if s != nil {
@@ -982,19 +974,41 @@ func encRouteStore(e *snap.Enc, st ribStore, ri *routeIndex) {
 	})
 }
 
-func decRouteMap(d *snap.Dec, m map[ribKey]*Route, routes []*Route) error {
-	for j, n := 0, d.Count(10); j < n; j++ {
-		k, err := decRibKey(d)
+// decRouteEntries reads one RIB table in file order. Keys must be
+// strictly increasing — the order encRouteStore wrote them in — so
+// apply can install the entries as they come; anything else, a
+// duplicate included, is corruption. loc selects the loc-RIB's
+// prefix-only keys.
+func decRouteEntries(d *snap.Dec, routes []*Route, loc bool) ([]ribEntry, error) {
+	minEntry := 10
+	if loc {
+		minEntry = 6
+	}
+	n := d.Count(minEntry)
+	entries := make([]ribEntry, 0, n)
+	for j := 0; j < n; j++ {
+		var k ribKey
+		var err error
+		if loc {
+			k.prefix, err = decPrefix(d)
+		} else {
+			k, err = decRibKey(d)
+		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 		r, err := routeAt(routes, d.Uvarint(), d)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		m[k] = r
+		if j > 0 && entries[j-1].k.compare(k) >= 0 {
+			prev := entries[j-1].k
+			return nil, fmt.Errorf("%w: RIB key %s/%d does not sort after %s/%d",
+				snap.ErrCorrupt, k.prefix, k.neighbor, prev.prefix, prev.neighbor)
+		}
+		entries = append(entries, ribEntry{k, r})
 	}
-	return d.Err()
+	return entries, d.Err()
 }
 
 // encKeySet emits the true keys of a map[ribKey]bool, sorted.
@@ -1025,15 +1039,7 @@ func decKeySet(d *snap.Dec, m map[ribKey]bool) error {
 
 // sortRibKeysStable orders by (prefix, neighbor); the serialization
 // twin of the test helper sortRibKeys.
-func sortRibKeysStable(keys []ribKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.prefix != b.prefix {
-			return netutil.ComparePrefixes(a.prefix, b.prefix) < 0
-		}
-		return a.neighbor < b.neighbor
-	})
-}
+func sortRibKeysStable(keys []ribKey) { slices.SortFunc(keys, ribKey.compare) }
 
 func sortedOrigPrefixes(m map[netutil.Prefix]origination) []netutil.Prefix {
 	out := make([]netutil.Prefix, 0, len(m))
@@ -1041,23 +1047,5 @@ func sortedOrigPrefixes(m map[netutil.Prefix]origination) []netutil.Prefix {
 		out = append(out, p)
 	}
 	netutil.SortPrefixes(out)
-	return out
-}
-
-func sortedRoutePrefixes(m map[netutil.Prefix]*Route) []netutil.Prefix {
-	out := make([]netutil.Prefix, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	netutil.SortPrefixes(out)
-	return out
-}
-
-func sortedKeysRoute(m map[ribKey]*Route) []ribKey {
-	out := make([]ribKey, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortRibKeysStable(out)
 	return out
 }

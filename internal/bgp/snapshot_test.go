@@ -8,7 +8,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/asn"
 	"repro/internal/netutil"
@@ -365,5 +368,170 @@ func TestLegacyDecisionCacheRestore(t *testing.T) {
 	live.RunToQuiescence()
 	if got, want := networkSignature(restored), networkSignature(live); got != want {
 		t.Fatal("restored legacy network diverges from the live one after the drain")
+	}
+}
+
+// TestRestoreEquivalenceAcrossStores runs the restore on both ribStore
+// layouts: the format is store-agnostic, so the snapshot either layout
+// writes must restore into a base of either layout — installed straight
+// from file order — to the same observable state. The layouts differ
+// only in how many distinct route pointers the route table sees: a map
+// store keeps the sharing the file had, an arena store boxes every slot
+// separately, so the re-snapshot is the arena original's bytes as soon
+// as either side is an arena.
+func TestRestoreEquivalenceAcrossStores(t *testing.T) {
+	prefixes := []netutil.Prefix{
+		netutil.PrefixFrom(0xCB007100, 24), // 203.0.113.0/24
+		netutil.PrefixFrom(0xC6336400, 24), // 198.51.100.0/24
+		netutil.PrefixFrom(0xC0000200, 24), // 192.0.2.0/24
+	}
+	layouts := []string{"map", "arena"}
+	for seed := int64(1); seed <= 3; seed++ {
+		var orig [2]*Network
+		var data [2][]byte
+		orig[0], orig[1] = diffPair(seed, 16)
+		rng := rand.New(rand.NewSource(seed * 7919)) // #nosec test randomness
+		for _, op := range randomOps(rng, orig[0], prefixes, 20) {
+			op(orig[0])
+			op(orig[1])
+		}
+		want := networkSignature(orig[0])
+		for i, n := range orig {
+			data[i] = mustSnapshot(t, n)
+		}
+		for from := range layouts {
+			var base [2]*Network
+			base[0], base[1] = diffPair(seed, 16)
+			for to, b := range base {
+				name := fmt.Sprintf("seed %d, %s snapshot into %s store", seed, layouts[from], layouts[to])
+				// Twice: the second restore rewinds live state through Reset.
+				for pass := 0; pass < 2; pass++ {
+					if err := RestoreNetwork(bytes.NewReader(data[from]), b); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got := networkSignature(b); got != want {
+						t.Fatalf("%s: restored to a different state:\n--- original ---\n%s\n--- restored ---\n%s", name, want, got)
+					}
+					if !bytes.Equal(mustSnapshot(t, b), data[max(from, to)]) {
+						t.Fatalf("%s: re-snapshot differs from the %s original's", name, layouts[max(from, to)])
+					}
+					b.RunToQuiescence()
+				}
+			}
+		}
+	}
+}
+
+// ribTableSpans walks the first speaker record of a speakers-section
+// payload and returns the byte span of every entry of its adj-RIB-in
+// and loc-RIB tables.
+func ribTableSpans(t *testing.T, payload []byte) (adjIn, locRib [][2]int) {
+	t.Helper()
+	d := snap.NewDec(payload)
+	pos := func() int { return len(payload) - d.Rest() }
+	prefix := func() { d.U32(); d.U8() }
+	d.Count(5) // speakers
+	d.U32()    // router ID
+	for j, n := 0, d.Count(6); j < n; j++ {
+		prefix()
+		d.Uvarint()
+	}
+	table := func(minEntry int, key func()) [][2]int {
+		var spans [][2]int
+		for j, n := 0, d.Count(minEntry); j < n; j++ {
+			start := pos()
+			key()
+			d.Uvarint()
+			spans = append(spans, [2]int{start, pos()})
+		}
+		return spans
+	}
+	adjIn = table(10, func() { prefix(); d.U32() })
+	locRib = table(6, prefix)
+	if err := d.Err(); err != nil {
+		t.Fatalf("walking the speakers section: %v", err)
+	}
+	if len(adjIn) < 2 || len(locRib) < 2 {
+		t.Fatalf("first speaker has %d adj-RIB-in and %d loc-RIB entries; the test needs two of each", len(adjIn), len(locRib))
+	}
+	return adjIn, locRib
+}
+
+// TestRestoreRejectsUnsortedKeys pins the decode-order check: apply
+// installs RIB entries in file order, so a speakers section whose
+// adj-RIB-in or loc-RIB keys are out of order, or duplicated, is
+// corrupt, and is refused before the base network is touched.
+func TestRestoreRejectsUnsortedKeys(t *testing.T) {
+	build := func(origins ...RouterID) *Network {
+		n := snapNet(1, 10)
+		for i, id := range origins {
+			n.Originate(id, netutil.PrefixFrom(0xCB007100+uint32(i)<<8, 24))
+		}
+		n.RunToQuiescence()
+		return n
+	}
+	data := mustSnapshot(t, build(2, 5, 9))
+	secs, err := snap.DecodeSections(data, snap.EngineMagic, snap.EngineVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := slices.IndexFunc(secs, func(s snap.Section) bool { return s.ID == secSpeakers })
+	payload := secs[at].Payload
+	// reseal rewrites the snapshot around a new speakers payload, CRCs
+	// and all, through the container's own writer.
+	reseal := func(speakers []byte) []byte {
+		w := snap.NewWriter(snap.EngineMagic, snap.EngineVersion)
+		for i, s := range secs {
+			if i == at {
+				s.Payload = speakers
+			}
+			w.Section(s.ID, s.Payload)
+		}
+		return w.Bytes()
+	}
+	if !bytes.Equal(reseal(payload), data) {
+		t.Fatal("resealing the unmodified speakers section changed the snapshot")
+	}
+
+	// splice replaces entries a and b (adjacent spans) with the given bytes.
+	splice := func(a, b [2]int, with ...[]byte) []byte {
+		out := append([]byte(nil), payload[:a[0]]...)
+		for _, w := range with {
+			out = append(out, w...)
+		}
+		return append(out, payload[b[1]:]...)
+	}
+	entry := func(s [2]int) []byte { return payload[s[0]:s[1]] }
+	adjIn, locRib := ribTableSpans(t, payload)
+	cases := map[string][]byte{
+		"adj-RIB-in swapped":    splice(adjIn[0], adjIn[1], entry(adjIn[1]), entry(adjIn[0])),
+		"adj-RIB-in duplicated": splice(adjIn[0], adjIn[1], entry(adjIn[0]), entry(adjIn[0])),
+		"loc-RIB swapped":       splice(locRib[0], locRib[1], entry(locRib[1]), entry(locRib[0])),
+		"loc-RIB duplicated":    splice(locRib[0], locRib[1], entry(locRib[0]), entry(locRib[0])),
+	}
+
+	// The base holds different live state, so an apply that started
+	// would show.
+	base := build(3)
+	before := mustSnapshot(t, base)
+	for name, speakers := range cases {
+		err := RestoreNetwork(bytes.NewReader(reseal(speakers)), base)
+		if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "does not sort after") {
+			t.Errorf("%s: err = %v, want snap.ErrCorrupt from the key-order check", name, err)
+		}
+		if !bytes.Equal(mustSnapshot(t, base), before) {
+			t.Fatalf("%s: a rejected restore modified the base network", name)
+		}
+	}
+	if err := RestoreNetwork(bytes.NewReader(data), base); err != nil {
+		t.Fatalf("the unmodified snapshot must still restore: %v", err)
+	}
+}
+
+// TestRibKeyLayout pins the key both stores hash and compare: the
+// one-word prefix plus the neighbor, 16 pointer-free bytes.
+func TestRibKeyLayout(t *testing.T) {
+	if got := unsafe.Sizeof(ribKey{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(ribKey{}) = %d, want 16", got)
 	}
 }

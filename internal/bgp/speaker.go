@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -9,10 +10,20 @@ import (
 	"repro/internal/netutil"
 )
 
-// ribKey indexes per-(prefix, neighbor) state.
+// ribKey indexes per-(prefix, neighbor) state: 16 pointer-free bytes.
 type ribKey struct {
 	prefix   netutil.Prefix
 	neighbor RouterID
+}
+
+// compare orders keys by (prefix, neighbor), prefix order per
+// netutil.ComparePrefixes: the canonical serialization order of every
+// keyed table in the snapshot format.
+func (k ribKey) compare(o ribKey) int {
+	if c := netutil.ComparePrefixes(k.prefix, o.prefix); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.neighbor, o.neighbor)
 }
 
 // origination holds the attributes of a locally originated prefix.

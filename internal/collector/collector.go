@@ -5,8 +5,10 @@
 package collector
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/asn"
@@ -54,12 +56,11 @@ func Snapshot(net *bgp.Network, col bgp.RouterID, prefixes []netutil.Prefix) *RI
 			})
 		}
 	}
-	sort.Slice(rib.Routes, func(i, j int) bool {
-		a, b := rib.Routes[i], rib.Routes[j]
+	slices.SortFunc(rib.Routes, func(a, b PeerRoute) int {
 		if c := netutil.ComparePrefixes(a.Prefix, b.Prefix); c != 0 {
-			return c < 0
+			return c
 		}
-		return a.PeerAS < b.PeerAS
+		return cmp.Compare(a.PeerAS, b.PeerAS)
 	})
 	return rib
 }

@@ -407,7 +407,7 @@ func ribDigestFiltered(eco *topo.Ecosystem, include func(bgp.RouterID) bool) uin
 		prefixes = append(prefixes, pi.Prefix)
 	}
 	prefixes = append(prefixes, eco.MeasPrefix, bgp.DefaultPrefix)
-	sort.Slice(prefixes, func(i, j int) bool { return netutil.ComparePrefixes(prefixes[i], prefixes[j]) < 0 })
+	netutil.SortPrefixes(prefixes)
 
 	h := fnv.New64a()
 	var buf [8]byte

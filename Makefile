@@ -1,10 +1,13 @@
 # Build and verification targets. `make check` is the tier-1 gate
-# (build, vet, gofmt, test); `make race` adds the race detector;
-# `make smoke` runs the reduced fault-intensity sweep end to end.
+# (build, vet, gofmt, test) and includes the RIB memory-model and
+# delivery-allocation ceilings, which are ordinary tests; `make race`
+# adds the race detector; `make smoke` runs the reduced fault-intensity
+# sweep end to end. Performance is measured by benchmark/ (see
+# BENCHMARK.json: `bash benchmark/run.sh`), not from here.
 
 GO ?= go
 
-.PHONY: build check vet fmt test race smoke serve-smoke workload-smoke scenario-smoke optimize-smoke bench bench-mem fuzz cover
+.PHONY: build check vet fmt test race smoke serve-smoke workload-smoke scenario-smoke optimize-smoke fuzz cover
 
 build:
 	$(GO) build ./...
@@ -43,29 +46,6 @@ serve-smoke:
 # -workers 2 vs 8 byte-identical). See scripts/determinism_smoke.sh.
 workload-smoke scenario-smoke optimize-smoke:
 	sh scripts/determinism_smoke.sh $(@:-smoke=)
-
-# Full benchmark run across all packages, converted to a committed
-# JSON baseline. Two steps (temp file, then convert) so a failing test
-# run is not swallowed by the pipe. BENCHTIME=1x gives a fast smoke.
-BENCHTIME ?= 1s
-
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... > bench.out.tmp
-	$(GO) run ./cmd/benchjson < bench.out.tmp > BENCH_baseline.json
-	rm -f bench.out.tmp
-
-# Memory-model regression gate: rerun the RIB memory benchmarks (the
-# vantage-table bytes-per-route model, steady-state delivery allocs,
-# and the ~80K-AS/~1M-prefix internet-scale smoke) and fail if
-# bytes/route or allocs/delivery regressed more than 10% against the
-# committed BENCH_baseline.json. The internet benchmark additionally
-# hard-fails itself above the 64 bytes/route budget.
-bench-mem:
-	$(GO) test -run '^$$' -bench 'BenchmarkRIBBytesPerRoute|BenchmarkDeliveryAllocs|BenchmarkMatCacheBound' -benchtime 1x ./internal/bgp/ > benchmem.out.tmp
-	$(GO) test -run '^$$' -bench BenchmarkInternetScaleRIB -benchtime 1x ./internal/topo/ >> benchmem.out.tmp
-	$(GO) run ./cmd/benchjson < benchmem.out.tmp > benchmem.json.tmp
-	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json -current benchmem.json.tmp -tolerance 0.10 bytes/route allocs/delivery boxed/walk
-	rm -f benchmem.out.tmp benchmem.json.tmp
 
 # Every native fuzz target, 30s each (override with FUZZTIME); CI runs
 # the same list as its fuzz smoke step.

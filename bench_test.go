@@ -216,21 +216,18 @@ func BenchmarkFullExperiment(b *testing.B) {
 // engine. The decision-evals/op metric counts full decision-process
 // evaluations — the work the dirty-set propagation and the
 // single-comparison fast path exist to avoid; the tests' full-scan
-// reference does at least 5x more (TestIncrementalEvalReduction). The
-// sub-benchmark keeps the name BENCH_baseline.json records it under.
+// reference does at least 5x more (TestIncrementalEvalReduction).
 func BenchmarkIncrementalSweep(b *testing.B) {
-	b.Run("incremental", func(b *testing.B) {
-		var evals int64
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			s := core.NewSurvey(core.SmallSurveyOptions())
-			b.StartTimer()
-			x := core.NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, 9*3600)
-			_ = x.Run()
-			evals += s.Eco.Net.Stats().FullScans
-		}
-		b.ReportMetric(float64(evals)/float64(b.N), "decision-evals/op")
-	})
+	var evals int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := core.NewSurvey(core.SmallSurveyOptions())
+		b.StartTimer()
+		x := core.NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, 9*3600)
+		_ = x.Run()
+		evals += s.Eco.Net.Stats().FullScans
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "decision-evals/op")
 }
 
 // BenchmarkOriginViews measures the converged-routing solve behind
@@ -263,9 +260,8 @@ func BenchmarkFaultSweep(b *testing.B) {
 
 // BenchmarkParallelSweep measures the sharded fault-intensity sweep at
 // increasing worker counts. The sweep points are independent
-// world-rebuild-and-score runs, so wall clock should fall roughly
-// linearly with workers up to the point count (four intensities here);
-// the deterministic merge keeps the output identical at every width.
+// world-rebuild-and-score runs (four intensities here); the
+// deterministic merge keeps the output identical at every width.
 func BenchmarkParallelSweep(b *testing.B) {
 	intensities := core.SweepIntensities(0.5)
 	for _, workers := range []int{1, 2, 4} {

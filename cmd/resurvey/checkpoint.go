@@ -5,13 +5,15 @@ package main
 // this file keeps only what is CLI-specific: mapping flags to the
 // configuration fingerprint and managing the -snapshot-dir files.
 // -resume rebuilds the world from the same flags, restores the newest
-// valid checkpoint into it, and continues; the finished run's stdout,
+// usable checkpoint into it, and continues; the finished run's stdout,
 // manifest, and artifact bytes are identical to an uninterrupted run's.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 
+	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/snapshot"
 	"repro/internal/telemetry"
@@ -43,12 +45,17 @@ func writeCheckpoint(o options, reg *telemetry.Registry, s *core.Survey, ck core
 }
 
 // loadLatestCheckpoint scans -snapshot-dir for the newest checkpoint
-// this run can resume from, skipping unreadable or corrupt files (with
-// a stderr note) in favour of the next-newest valid one. It returns
-// nil when nothing usable exists — the caller cold-starts — plus the
-// number of corrupt files skipped, which the caller surfaces as
-// snapshot_checkpoint_corrupt_total once a registry is live.
-func loadLatestCheckpoint(o options) (*core.Checkpoint, int) {
+// this run can resume from and restores its engine section into net,
+// the freshly built world. A checkpoint is usable only if that restore
+// succeeds: the fingerprint knows the flags but not the topology they
+// built (-scale, a generator change), RestoreNetwork does — it refuses
+// a snapshot of another network, or of a retired format, and leaves net
+// untouched. Unreadable, corrupt and refused files are skipped with a
+// stderr note in favour of the next-newest. It returns nil when nothing
+// usable exists — the caller cold-starts on the untouched net — plus
+// the number of files skipped as unusable, which the caller surfaces as
+// snapshot_checkpoint_corrupt_total.
+func loadLatestCheckpoint(o options, net *bgp.Network) (*core.Checkpoint, int) {
 	want := fingerprintOf(o)
 	var ck *core.Checkpoint
 	corrupt, err := snapshot.NewestValid(o.SnapshotDir, ".rckp", func(name string, data []byte) (bool, error) {
@@ -60,6 +67,18 @@ func loadLatestCheckpoint(o options) (*core.Checkpoint, int) {
 		if c.Fingerprint != want {
 			fmt.Fprintf(os.Stderr, "resurvey: checkpoint %s belongs to a different run configuration, skipping\n", name)
 			return false, nil
+		}
+		// Telemetry is checked on a scratch registry first: once the
+		// engine state is in net there is no falling back.
+		if len(c.Telemetry) > 0 {
+			if _, err := telemetry.New().LoadState(bytes.NewReader(c.Telemetry)); err != nil {
+				fmt.Fprintf(os.Stderr, "resurvey: checkpoint %s telemetry unusable, trying older: %v\n", name, err)
+				return false, err
+			}
+		}
+		if err := bgp.RestoreNetwork(bytes.NewReader(c.Engine), net); err != nil {
+			fmt.Fprintf(os.Stderr, "resurvey: checkpoint %s engine state unusable, trying older: %v\n", name, err)
+			return false, err
 		}
 		ck = c
 		return true, nil

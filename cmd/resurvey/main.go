@@ -20,16 +20,20 @@
 //
 // Checkpoint/restart: -snapshot-dir writes an engine+telemetry
 // checkpoint after every configuration round; -resume continues from
-// the latest valid checkpoint there (falling back past corrupt files,
-// and to a cold start when none is usable), reproducing the
-// uninterrupted run's output byte for byte at any worker count.
+// the latest usable checkpoint there (falling back past corrupt files
+// and files whose engine state belongs to another topology, such as a
+// different -scale, and to a cold start when none is usable),
+// reproducing the uninterrupted run's output byte for byte at any
+// worker count.
 //
 // Workloads: -workload NAME runs a named virtual-clock workload
-// (update-storm, flap-cascade-rfd, diurnal-churn, or replay with
-// -trace file.mrt) through the discrete-event engine instead of the
-// survey script; -duration overrides its virtual horizon and -round
-// selects the round-granularity compatibility scheduler. Workload
-// output is deterministic and byte-identical at any -workers width.
+// (update-storm, flap-cascade-rfd, diurnal-churn, hijack-flash, or
+// replay with -trace file.mrt) through the discrete-event engine
+// instead of the survey script; -duration overrides its virtual horizon,
+// -round selects the round-granularity compatibility scheduler, and
+// -rov F deploys RPKI origin validation at that fraction first (what
+// hijack-flash's forgeries run into). Workload output is deterministic
+// and byte-identical at any -workers width.
 //
 // Scenarios: -scenario {hijack,leak} replaces the survey script with
 // an adversarial scenario sweep — the schedule (a forged-origin hijack
@@ -66,6 +70,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/irr"
 	"repro/internal/netutil"
+	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/telemetry"
 )
@@ -165,48 +170,47 @@ func run(w io.Writer, o options) error {
 		return runScenario(w, o, reg)
 	}
 
-	// Resume: pick the newest valid checkpoint and restore the
-	// telemetry state first (before any new span opens), so the resumed
-	// run's phase tree and metrics continue exactly where the saved run
-	// left off. Corrupt checkpoints are skipped in favour of older valid
-	// ones and surfaced via snapshot_checkpoint_corrupt_total.
-	var ck *core.Checkpoint
-	var openSpans []*telemetry.Span
-	if o.Resume {
-		var corrupt int
-		ck, corrupt = loadLatestCheckpoint(o)
-		if ck != nil && reg != nil && len(ck.Telemetry) > 0 {
-			spans, err := reg.LoadState(bytes.NewReader(ck.Telemetry))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "resurvey: checkpoint telemetry unusable, cold-starting: %v\n", err)
-				reg = o.NewRegistry()
-				ck = nil
-				corrupt++
-			} else {
-				openSpans = spans
-			}
-		}
-		if corrupt > 0 {
-			reg.Counter("snapshot_checkpoint_corrupt_total").Add(int64(corrupt))
-		}
-	}
-
 	pl := o.Pipeline(reg)
 	opts := pl.SurveyOptions()
 
-	// On resume the checkpointed state already contains the completed
-	// build phase; re-recording it would duplicate the span.
-	var buildSpan *telemetry.Span
-	if ck == nil {
-		buildSpan = reg.StartSpan("build")
-	}
+	// The world is built before a checkpoint is chosen, because choosing
+	// one means restoring its engine section into this network — the
+	// only check that the checkpoint belongs to this topology. The
+	// build span is held aside and joins the registry only on a cold
+	// start: a checkpoint's telemetry already carries the original
+	// run's, and re-recording it would duplicate the span.
+	buildReg := o.NewRegistry()
+	buildSpan := buildReg.StartSpan("build")
 	fmt.Fprintf(w, "building ecosystem (seed %d)...\n", o.Seed)
 	s := pl.NewSurvey()
 	buildSpan.End()
 
-	if ck != nil {
-		if err := bgp.RestoreNetwork(bytes.NewReader(ck.Engine), s.Eco.Net); err != nil {
-			return fmt.Errorf("resume: restore engine state: %w", err)
+	// Resume: the newest usable checkpoint's engine state is now in the
+	// network; restore its telemetry state before any new span opens,
+	// so the resumed run's phase tree and metrics continue exactly where
+	// the saved run left off. Unusable checkpoints were skipped in
+	// favour of older ones and are surfaced via
+	// snapshot_checkpoint_corrupt_total.
+	var ck *core.Checkpoint
+	if o.Resume {
+		var corrupt int
+		ck, corrupt = loadLatestCheckpoint(o, s.Eco.Net)
+		if corrupt > 0 {
+			reg.Counter("snapshot_checkpoint_corrupt_total").Add(int64(corrupt))
+		}
+	}
+	if ck == nil {
+		reg.Merge(buildReg)
+	} else {
+		var openSpans []*telemetry.Span
+		if reg != nil && len(ck.Telemetry) > 0 {
+			var err error
+			if openSpans, err = reg.LoadState(bytes.NewReader(ck.Telemetry)); err != nil {
+				return fmt.Errorf("resume: restore telemetry state: %w", err)
+			}
+			// The saved state carries the saved run's worker count; the
+			// manifest reports this run's.
+			reg.SetWorkers(parallel.Workers(o.Workers))
 		}
 		s.Resume = ck.Resume(openSpans)
 	}

@@ -241,26 +241,165 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// tinyNet builds an n-speaker chain: the smallest networks that are
+// distinguishable by topology fingerprint.
+func tinyNet(t *testing.T, n int) (*bgp.Network, []byte) {
+	t.Helper()
+	net := bgp.NewNetwork()
+	for i := 1; i <= n; i++ {
+		net.AddSpeaker(bgp.RouterID(i), asn.AS(64511+i), "")
+		if i > 1 {
+			pc := bgp.PeerConfig{ClassifyAs: bgp.ClassPeer, ExportAllow: bgp.NewClassSet(bgp.ClassOwn)}
+			net.Connect(bgp.RouterID(i-1), bgp.RouterID(i), pc, pc)
+		}
+	}
+	var buf bytes.Buffer
+	if err := net.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return net, buf.Bytes()
+}
+
 // TestLoadLatestCheckpointFingerprint checks that checkpoints from a
 // different run configuration are skipped without being counted as
-// corrupt.
+// corrupt, and that one whose flags match but whose engine section
+// belongs to another topology — all the fingerprint cannot see — is
+// skipped, counted, and leaves the world as built.
 func TestLoadLatestCheckpointFingerprint(t *testing.T) {
 	dir := t.TempDir()
 	c := syntheticCheckpoint()
+	base, engine := tinyNet(t, 2)
+	c.Engine = engine
 	if err := os.WriteFile(filepath.Join(dir, checkpointName(c.Phase, c.Done)), c.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Same flags: found.
+	// Same flags, same topology: found.
 	o := options{NSeeds: 3, Config: cliconf.Config{Small: true, Seed: 7, Faults: 0.5, SnapshotDir: dir}}
-	ck, corrupt := loadLatestCheckpoint(o)
+	ck, corrupt := loadLatestCheckpoint(o, base)
 	if ck == nil || corrupt != 0 {
 		t.Fatalf("matching fingerprint: ck=%v corrupt=%d, want found with 0 corrupt", ck, corrupt)
 	}
+	// Same flags, another topology: refused where it is chosen.
+	other, before := tinyNet(t, 3)
+	ck, corrupt = loadLatestCheckpoint(o, other)
+	if ck != nil || corrupt != 1 {
+		t.Fatalf("foreign engine section: ck=%v corrupt=%d, want nil with 1 corrupt", ck, corrupt)
+	}
+	var after bytes.Buffer
+	if err := other.Snapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after.Bytes()) {
+		t.Fatal("refusing a foreign engine section modified the base network")
+	}
 	// Different seed: skipped, not corrupt, nothing usable left.
 	o.Seed = 8
-	ck, corrupt = loadLatestCheckpoint(o)
+	ck, corrupt = loadLatestCheckpoint(o, base)
 	if ck != nil || corrupt != 0 {
 		t.Fatalf("mismatched fingerprint: ck=%v corrupt=%d, want nil with 0 corrupt", ck, corrupt)
+	}
+}
+
+// TestResumeAcrossScales is the regression for `-scale small
+// -snapshot-dir ck` followed by `-snapshot-dir ck -resume` at paper
+// scale: the flags fingerprint is the same ({seed, small=false, ...}),
+// the worlds are not. Every checkpoint in the directory must be
+// refused against the paper-scale network — which stays as built, so
+// the run cold-starts instead of dying after the telemetry state was
+// merged (the run itself is TestResumeUnusableEngineColdStarts' path).
+func TestResumeAcrossScales(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the reduced pipeline and builds the paper-scale world")
+	}
+	ckDir := filepath.Join(t.TempDir(), "ck")
+	small := resumeOptions(ckDir, "", "", false, 0)
+	small.Small, small.Scale = false, "small"
+	if err := run(io.Discard, small); err != nil {
+		t.Fatal(err)
+	}
+	files := checkpointFiles(t, ckDir)
+	if len(files) == 0 {
+		t.Fatal("the small-scale run wrote no checkpoints")
+	}
+
+	paper := small
+	paper.Scale, paper.Resume = "", true
+	if fingerprintOf(paper) != fingerprintOf(small) {
+		t.Fatal("the two runs no longer share a fingerprint; this test needs another pair")
+	}
+	net := paper.Pipeline(nil).NewSurvey().Eco.Net
+	before := net.EventsProcessed()
+	ck, corrupt := loadLatestCheckpoint(paper, net)
+	if ck != nil || corrupt != len(files) {
+		t.Fatalf("ck=%v corrupt=%d, want nil with all %d checkpoints refused", ck, corrupt, len(files))
+	}
+	if net.EventsProcessed() != before || net.Now() != 0 {
+		t.Fatal("refused checkpoints modified the paper-scale network")
+	}
+}
+
+// TestResumeUnusableEngineColdStarts: a directory holding only a
+// checkpoint this run's flags match but whose engine section no
+// decoder reads any more (the frozen RBGP v1 golden file). -resume
+// must skip it, count it, and cold-start: exit 0 with the cold run's
+// stdout and, the counter aside, its manifest.
+func TestResumeUnusableEngineColdStarts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full reduced pipeline twice")
+	}
+	dir := t.TempDir()
+	ckDir := filepath.Join(dir, "ck")
+	p := filepath.Join(dir, "m.json")
+
+	var cold bytes.Buffer
+	if err := run(&cold, resumeOptions(ckDir, p, "", false, 0)); err != nil {
+		t.Fatal(err)
+	}
+	coldManifest, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	names := checkpointFiles(t, ckDir)
+	data, err := os.ReadFile(filepath.Join(ckDir, names[len(names)-1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Engine, err = os.ReadFile(filepath.Join("..", "..", "internal", "bgp", "testdata", "golden_v1.rbgp")); err != nil {
+		t.Fatal(err)
+	}
+	v1Dir := filepath.Join(dir, "ck-v1")
+	if err := os.Mkdir(v1Dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(v1Dir, names[len(names)-1]), c.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var resumed bytes.Buffer
+	if err := run(&resumed, resumeOptions(v1Dir, p, "", true, 0)); err != nil {
+		t.Fatalf("-resume over an unusable engine section: %v, want a cold start", err)
+	}
+	resumedManifest, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cold.Bytes(), resumed.Bytes()) {
+		t.Errorf("stdout differs between cold run and cold-start fallback:\n--- cold ---\n%s\n--- resumed ---\n%s", cold.Bytes(), resumed.Bytes())
+	}
+	m, err := telemetry.ReadManifest(bytes.NewReader(resumedManifest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := m.Counter("snapshot_checkpoint_corrupt_total"); v != 1 {
+		t.Errorf("snapshot_checkpoint_corrupt_total = %d, want 1 (the refused checkpoint)", v)
+	}
+	if !bytes.Equal(stripCorruptCounter(t, coldManifest), stripCorruptCounter(t, resumedManifest)) {
+		t.Errorf("manifest (minus the corrupt counter) differs between cold run and cold-start fallback")
 	}
 }
 

@@ -32,26 +32,20 @@ import (
 //     index entries, not two records.
 //
 // Pointer-stability contract (see ribstore.go): Get materializes a
-// *Route on first access and memoizes it per slot until that slot
-// changes, so callers observe stable pointers exactly as long as the
-// entry is unchanged — the property the snapshot route index relies
-// on. Bulk loads that never Get stay fully packed.
+// *Route on first access and memoizes it per slot, so callers observe
+// a stable pointer for an unchanged slot until the next epoch clear.
+// Bulk loads that never Get stay fully packed.
 //
 // The memo is bounded: once a store holds matCacheCap boxed routes the
 // next insert drops the whole epoch (see Get), so a full WalkSorted
-// over a large table no longer re-boxes the entire store permanently.
+// over a large table does not box the entire store permanently.
 // Dropping the memo only costs a re-boxing — never wrong results,
-// because every comparison on routes is semantic. The one consumer that
-// needs stability across repeated walks — Network.Snapshot's route
-// index, which walks once to number pointers and again to encode them
-// — pins the caches for its duration (pinMat).
+// because every comparison on routes is semantic and nothing holds a
+// box across two walks (Network.Snapshot numbers and records each
+// store in one).
 type ribBackend struct {
 	paths    *pathtab.Table
 	prefixes *prefixIndex
-	// pinMat suspends the materialization-cache epoch clearing while a
-	// snapshot is being encoded (pointer identity must hold across its
-	// two walks); Network.pinMatCaches sweeps oversized caches on unpin.
-	pinMat bool
 }
 
 func newRIBBackend() *ribBackend {
@@ -247,10 +241,10 @@ func (st *arenaStore) Get(k ribKey) *Route {
 	r := st.ar.materialize(k.prefix, slot)
 	if st.mat == nil {
 		st.mat = make(map[uint64]*Route)
-	} else if len(st.mat) >= matCacheCap && !st.ar.be.pinMat {
+	} else if len(st.mat) >= matCacheCap {
 		// Epoch clear: deterministic (depends only on access history),
-		// and safe — no reader outside a pinned snapshot compares boxes
-		// by pointer.
+		// and safe — no reader compares boxes from two epochs by
+		// pointer.
 		st.mat = make(map[uint64]*Route)
 	}
 	st.mat[key] = r
@@ -404,31 +398,10 @@ func (n *Network) RIBStats() RIBStats {
 	return rs
 }
 
-// pinMatCaches suspends materialization-cache epoch clearing (snapshot
-// encoding needs pointer identity across its two store walks) and
-// returns the unpin function, which sweeps any cache the pinned walks
-// grew past the cap. A no-op on map-layout networks.
-func (n *Network) pinMatCaches() func() {
-	if n.ribBE == nil {
-		return func() {}
-	}
-	n.ribBE.pinMat = true
-	return func() {
-		n.ribBE.pinMat = false
-		for _, s := range n.speakers {
-			for _, store := range []ribStore{s.adjIn, s.locRib, s.adjOut} {
-				if st, ok := store.(*arenaStore); ok && len(st.mat) > matCacheCap {
-					st.mat = nil
-				}
-			}
-		}
-	}
-}
-
 // MatCacheEntries reports the total boxed *Route entries held by the
 // arena materialization caches across all speakers — the quantity the
 // cache bound exists to limit (0 on map-layout networks). Exposed for
-// the leak-regression tests and benchmarks.
+// the leak-regression tests.
 func (n *Network) MatCacheEntries() int {
 	total := 0
 	for _, s := range n.speakers {

@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"repro/internal/asn"
@@ -31,13 +30,27 @@ func buildVantageArena(nPrefixes int) (*Network, []netutil.Prefix) {
 	return n, prefixes
 }
 
+// maxMatCache returns the largest materialization cache any single
+// store of the network holds.
+func maxMatCache(n *Network) int {
+	most := 0
+	for _, s := range n.speakers {
+		for _, store := range []ribStore{s.adjIn, s.locRib, s.adjOut} {
+			if st, ok := store.(*arenaStore); ok && len(st.mat) > most {
+				most = len(st.mat)
+			}
+		}
+	}
+	return most
+}
+
 // TestMatCacheBoundedByWalks pins the fix for the arena Get
-// materialization-cache leak: a full-table walk (every snapshot
-// performs several) used to box the entire store into the per-key memo
-// permanently; the bounded cache must keep the retained boxes at or
-// under matCacheCap per store, while the snapshot itself — whose route
-// index needs pointer identity across its two walks — still encodes
-// and restores correctly.
+// materialization-cache leak: a full-table walk used to box the entire
+// store into the per-key memo permanently. The bounded cache must hold
+// every store at or under matCacheCap after a point-Get pass and after
+// a snapshot's walk, and the epoch clears that bound it — which now
+// also happen in the middle of that walk — must not change a byte of
+// what the snapshot writes or what it restores to.
 func TestMatCacheBoundedByWalks(t *testing.T) {
 	const nPrefixes = 3 * matCacheCap / 2
 	n, prefixes := buildVantageArena(nPrefixes)
@@ -49,21 +62,20 @@ func TestMatCacheBoundedByWalks(t *testing.T) {
 			t.Fatalf("vantage lost route for %v", p)
 		}
 	}
-	if got := n.MatCacheEntries(); got > 3*2*matCacheCap {
-		t.Fatalf("after a full point-Get pass: %d boxed routes retained, want <= %d", got, 3*2*matCacheCap)
+	if got := maxMatCache(n); got > matCacheCap {
+		t.Fatalf("after a full point-Get pass: a store retains %d boxed routes, want <= %d", got, matCacheCap)
 	}
 
-	// A snapshot walks every store (twice); after it, the unpin sweep
-	// must have dropped any cache the pinned walks grew past the cap.
+	// A snapshot walks every store, each longer than the cap.
 	var buf bytes.Buffer
 	if err := n.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.MatCacheEntries(); got > 3*2*matCacheCap {
-		t.Fatalf("after snapshot: %d boxed routes retained, want <= %d", got, 3*2*matCacheCap)
+	if got := maxMatCache(n); got > matCacheCap {
+		t.Fatalf("after snapshot: a store retains %d boxed routes, want <= %d", got, matCacheCap)
 	}
-	if got := n.MatCacheEntries(); got >= 2*nPrefixes {
-		t.Fatalf("after snapshot: %d boxed routes retained — the whole table is boxed again (leak)", got)
+	if n.MatCacheEntries() == 0 {
+		t.Fatal("after snapshot: no boxed routes at all — the walk did not go through the memo this test bounds")
 	}
 
 	// The snapshot taken under the bound must restore into an
@@ -88,22 +100,4 @@ func TestMatCacheBoundedByWalks(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("second snapshot differs from the first after cache epoch clears")
 	}
-}
-
-// BenchmarkMatCacheBound reports how many boxed *Route entries the
-// arena caches retain after a full-table snapshot walk. The
-// "boxed/walk" metric is gated against BENCH_baseline.json by
-// `make bench-mem`: reintroducing the unbounded memo multiplies it by
-// the table size over the cap, tripping the gate.
-func BenchmarkMatCacheBound(b *testing.B) {
-	const nPrefixes = 3 * matCacheCap / 2
-	n, _ := buildVantageArena(nPrefixes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.Snapshot(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(n.MatCacheEntries()), "boxed/walk")
-	b.ReportMetric(float64(nPrefixes), "routes-walked")
 }

@@ -28,11 +28,11 @@ import (
 //
 //   - Install/Get round-trip semantic route values exactly, including
 //     LearnedAt. mapStore additionally round-trips pointer identity;
-//     arenaStore returns materialized routes but keeps the returned
-//     pointer STABLE for an unchanged slot (repeated Gets return the
-//     same *Route until the slot is installed over or withdrawn).
-//     The snapshot route index keys on route pointers, so slot-stable
-//     pointers are load-bearing, not an optimization.
+//     arenaStore returns materialized routes and keeps the returned
+//     pointer stable for an unchanged slot until its next epoch clear
+//     (arena.go), which is an optimization, not a guarantee: nothing
+//     may key on a store's route pointer across two walks. The
+//     snapshot route index numbers and records each store in one.
 //   - WalkSorted visits entries ordered by (prefix, neighbor) — prefix
 //     order per netutil.ComparePrefixes — the canonical serialization
 //     order of the snapshot format.

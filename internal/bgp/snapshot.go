@@ -45,8 +45,8 @@ import (
 )
 
 // Engine snapshot section IDs. File order is meta, fingerprint,
-// paths (v2+), routes, speakers, queue, churn, dirty; secPaths got the
-// next free ID when v2 introduced it, so IDs are not positional.
+// paths, routes, speakers, queue, churn, dirty; secPaths got the next
+// free ID when v2 introduced it, so IDs are not positional.
 const (
 	secMeta        = 1
 	secFingerprint = 2
@@ -80,14 +80,8 @@ func (n *Network) snapshotBytes() ([]byte, error) {
 	if n.batchDepth != 0 {
 		return nil, errors.New("bgp: Snapshot called inside Batch")
 	}
-	// Pin the arena materialization caches: the route index numbers
-	// pointers in one walk and the speaker/queue encoders re-walk the
-	// same stores expecting identical pointers, so the bounded cache
-	// must not epoch-clear between them.
-	unpin := n.pinMatCaches()
-	defer unpin()
 	ri := newRouteIndex(n)
-	// The v2 path table: paths referenced from the route table and the
+	// The path table: paths referenced from the route table and the
 	// churn log are interned in first-appearance order (route-table
 	// order, then churn order), so identical networks produce identical
 	// tables. Encoding the referers first populates the table; the
@@ -114,16 +108,11 @@ func (n *Network) snapshotBytes() ([]byte, error) {
 // touched, and a decode error leaves base unmodified. Metrics wiring,
 // CollectorFeedDown, and policy functions are kept from base.
 func RestoreNetwork(r io.Reader, base *Network) error {
-	sections, version, err := snap.ReadSectionsVersioned(r, snap.EngineMagic, snap.EngineVersion)
+	sections, err := snap.ReadSections(r, snap.EngineMagic, snap.EngineVersion)
 	if err != nil {
 		return err
 	}
-	// v1 has no path table section and carries paths inline; v2 inserts
-	// secPaths between the fingerprint and the route table.
-	wantIDs := []byte{secMeta, secFingerprint, secRoutes, secSpeakers, secQueue, secChurn, secDirty}
-	if version >= 2 {
-		wantIDs = []byte{secMeta, secFingerprint, secPaths, secRoutes, secSpeakers, secQueue, secChurn, secDirty}
-	}
+	wantIDs := []byte{secMeta, secFingerprint, secPaths, secRoutes, secSpeakers, secQueue, secChurn, secDirty}
 	if len(sections) != len(wantIDs) {
 		return fmt.Errorf("%w: got %d sections, want %d", snap.ErrCorrupt, len(sections), len(wantIDs))
 	}
@@ -139,31 +128,27 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 	if !bytes.Equal(sections[1].Payload, base.encodeFingerprint()) {
 		return ErrSnapshotMismatch
 	}
-	var paths []asn.Path
-	off := 0
-	if version >= 2 {
-		off = 1
-		if paths, err = decodePaths(sections[2].Payload); err != nil {
-			return err
-		}
-	}
-	routes, err := decodeRoutes(sections[2+off].Payload, paths, version)
+	paths, err := decodePaths(sections[2].Payload)
 	if err != nil {
 		return err
 	}
-	spks, err := decodeSpeakers(sections[3+off].Payload, base, routes)
+	routes, err := decodeRoutes(sections[3].Payload, paths)
 	if err != nil {
 		return err
 	}
-	queue, err := decodeQueue(sections[4+off].Payload, routes)
+	spks, err := decodeSpeakers(sections[4].Payload, base, routes)
 	if err != nil {
 		return err
 	}
-	churn, err := decodeChurn(sections[5+off].Payload, paths, version)
+	queue, err := decodeQueue(sections[5].Payload, routes)
 	if err != nil {
 		return err
 	}
-	dirty, err := decodeDirty(sections[6+off].Payload)
+	churn, err := decodeChurn(sections[6].Payload, paths)
+	if err != nil {
+		return err
+	}
+	dirty, err := decodeDirty(sections[7].Payload)
 	if err != nil {
 		return err
 	}
@@ -302,42 +287,60 @@ func (n *Network) encodeFingerprint() []byte {
 // canonical traversal order: per speaker (ascending ID) originated →
 // adj-RIB-in → loc-RIB → adj-RIB-out, then queued events in (at, seq)
 // order. First sighting wins, so shared pointers share an index.
+//
+// That numbering walk is the only walk of the stores a snapshot makes:
+// it records each store's (key, index) pairs as it goes and the
+// speakers section is written from the record. An arena store hands
+// out a box per visit and may drop its memo between visits, so a
+// second walk would meet pointers the index never numbered.
 type routeIndex struct {
 	idx  map[*Route]uint64
 	list []*Route
+	// ribs[i] is speaker n.order[i]'s adj-RIB-in, loc-RIB and
+	// adj-RIB-out, each in WalkSorted order.
+	ribs [][3][]ribRef
+}
+
+// ribRef is one RIB table entry as the speakers section stores it: the
+// store key and the route's index in the route table.
+type ribRef struct {
+	k   ribKey
+	idx uint64
 }
 
 func newRouteIndex(n *Network) *routeIndex {
-	ri := &routeIndex{idx: make(map[*Route]uint64)}
-	for _, id := range n.order {
+	ri := &routeIndex{idx: make(map[*Route]uint64), ribs: make([][3][]ribRef, len(n.order))}
+	for i, id := range n.order {
 		s := n.speakers[id]
 		for _, p := range sortedOrigPrefixes(s.originated) {
 			ri.add(s.originated[p].route)
 		}
-		addAll := func(st ribStore) {
-			st.WalkSorted(func(_ ribKey, r *Route) bool {
-				ri.add(r)
+		for t, st := range [3]ribStore{s.adjIn, s.locRib, s.adjOut} {
+			refs := make([]ribRef, 0, st.Len())
+			st.WalkSorted(func(k ribKey, r *Route) bool {
+				refs = append(refs, ribRef{k, ri.add(r)})
 				return true
 			})
+			ri.ribs[i][t] = refs
 		}
-		addAll(s.adjIn)
-		addAll(s.locRib)
-		addAll(s.adjOut)
 	}
 	for _, it := range n.queue.Sorted() {
-		ri.add(it.V.route)
+		if it.V.route != nil {
+			ri.add(it.V.route)
+		}
 	}
 	return ri
 }
 
-func (ri *routeIndex) add(r *Route) {
-	if r == nil {
-		return
-	}
-	if _, ok := ri.idx[r]; !ok {
-		ri.idx[r] = uint64(len(ri.list))
+// add numbers r on first sight and returns its index.
+func (ri *routeIndex) add(r *Route) uint64 {
+	i, ok := ri.idx[r]
+	if !ok {
+		i = uint64(len(ri.list))
+		ri.idx[r] = i
 		ri.list = append(ri.list, r)
 	}
+	return i
 }
 
 // ref encodes a nilable route reference as index+1 (0 = nil).
@@ -424,9 +427,9 @@ func encodeRoutes(ri *routeIndex, pt *pathtab.Table) []byte {
 	return e.Bytes()
 }
 
-// decodeRoutes reads the route table; in v1 each route carries its
-// path inline, in v2 a reference into the decoded path table.
-func decodeRoutes(payload []byte, paths []asn.Path, version uint16) ([]*Route, error) {
+// decodeRoutes reads the route table; each route's path is a reference
+// into the decoded path table.
+func decodeRoutes(payload []byte, paths []asn.Path) ([]*Route, error) {
 	d := snap.NewDec(payload)
 	n := d.Count(20) // minimum encoded route size
 	routes := make([]*Route, 0, n)
@@ -436,15 +439,8 @@ func decodeRoutes(payload []byte, paths []asn.Path, version uint16) ([]*Route, e
 		if r.Prefix, err = decPrefix(d); err != nil {
 			return nil, err
 		}
-		if version >= 2 {
-			if r.Path, err = pathByID(paths, d.Uvarint(), d); err != nil {
-				return nil, err
-			}
-		} else if pl := d.Count(4); pl > 0 {
-			r.Path = make(asn.Path, pl)
-			for j := range r.Path {
-				r.Path[j] = asn.AS(d.U32())
-			}
+		if r.Path, err = pathByID(paths, d.Uvarint(), d); err != nil {
+			return nil, err
 		}
 		r.Origin = Origin(d.U8())
 		r.MED = d.U32()
@@ -539,7 +535,7 @@ func loadStore(store ribStore, entries []ribEntry) {
 func (n *Network) encodeSpeakers(ri *routeIndex) []byte {
 	var e snap.Enc
 	e.Uvarint(uint64(len(n.order)))
-	for _, id := range n.order {
+	for i, id := range n.order {
 		s := n.speakers[id]
 		e.U32(uint32(s.ID))
 
@@ -550,18 +546,9 @@ func (n *Network) encodeSpeakers(ri *routeIndex) []byte {
 			e.Uvarint(ri.must(s.originated[p].route))
 		}
 
-		encRouteStore(&e, s.adjIn, ri)
-
-		// The loc-RIB serializes under prefix-only keys (its neighbor
-		// component is always 0).
-		e.Uvarint(uint64(s.locRib.Len()))
-		s.locRib.WalkSorted(func(k ribKey, r *Route) bool {
-			encPrefix(&e, k.prefix)
-			e.Uvarint(ri.must(r))
-			return true
-		})
-
-		encRouteStore(&e, s.adjOut, ri)
+		encRouteTable(&e, ri.ribs[i][0], false)
+		encRouteTable(&e, ri.ribs[i][1], true)
+		encRouteTable(&e, ri.ribs[i][2], false)
 
 		rfdKeys := make([]ribKey, 0, len(s.rfd))
 		for k := range s.rfd {
@@ -714,21 +701,11 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			st.medSeen[p] = true
 		}
 
-		// Snapshots written while the engine had a decision cache list
-		// its entries here: validated like any other reference, then
-		// dropped.
-		for j, nCache := 0, d.Count(7); j < nCache; j++ {
-			if _, err := decPrefix(d); err != nil {
-				return nil, err
-			}
-			for c, nc := 0, d.Count(1); c < nc; c++ {
-				if _, err := routeAt(routes, d.Uvarint(), d); err != nil {
-					return nil, err
-				}
-			}
-			if _, err := routeRef(routes, d.Uvarint(), d); err != nil {
-				return nil, err
-			}
+		// Reserved: the removed decision cache's entry count. No writer
+		// has listed entries since the cache went; one that does is not
+		// a snapshot this engine wrote.
+		if nCache := d.Uvarint(); nCache != 0 && d.Err() == nil {
+			return nil, fmt.Errorf("%w: reserved decision-cache count is %d, want 0", snap.ErrCorrupt, nCache)
 		}
 
 		nPeers := d.Count(14)
@@ -838,15 +815,10 @@ func encodeChurn(recs []UpdateRecord, pt *pathtab.Table) []byte {
 	return e.Bytes()
 }
 
-// decodeChurn reads the churn log; paths are inline in v1, path-table
-// references in v2.
-func decodeChurn(payload []byte, paths []asn.Path, version uint16) ([]UpdateRecord, error) {
+// decodeChurn reads the churn log; paths are path-table references.
+func decodeChurn(payload []byte, paths []asn.Path) ([]UpdateRecord, error) {
 	d := snap.NewDec(payload)
-	minRec := 24
-	if version >= 2 {
-		minRec = 23 // the inline path became a one-byte-minimum table reference
-	}
-	n := d.Count(minRec)
+	n := d.Count(23) // minimum encoded record size
 	var recs []UpdateRecord
 	if n > 0 {
 		recs = make([]UpdateRecord, 0, n)
@@ -862,15 +834,8 @@ func decodeChurn(payload []byte, paths []asn.Path, version uint16) ([]UpdateReco
 			return nil, err
 		}
 		rec.Announce = d.Bool()
-		if version >= 2 {
-			if rec.Path, err = pathByID(paths, d.Uvarint(), d); err != nil {
-				return nil, err
-			}
-		} else if pl := d.Count(4); pl > 0 {
-			rec.Path = make(asn.Path, pl)
-			for j := range rec.Path {
-				rec.Path[j] = asn.AS(d.U32())
-			}
+		if rec.Path, err = pathByID(paths, d.Uvarint(), d); err != nil {
+			return nil, err
 		}
 		recs = append(recs, rec)
 	}
@@ -964,18 +929,23 @@ func decCommunities(d *snap.Dec) CommunitySet {
 	return NewCommunitySet(vals...)
 }
 
-// encRouteStore emits a ribStore's entries under sorted keys.
-func encRouteStore(e *snap.Enc, st ribStore, ri *routeIndex) {
-	e.Uvarint(uint64(st.Len()))
-	st.WalkSorted(func(k ribKey, r *Route) bool {
-		encRibKey(e, k)
-		e.Uvarint(ri.must(r))
-		return true
-	})
+// encRouteTable emits one RIB table from the entries the route index
+// recorded, which are in sorted key order. loc selects the loc-RIB's
+// prefix-only keys (its neighbor component is always 0).
+func encRouteTable(e *snap.Enc, refs []ribRef, loc bool) {
+	e.Uvarint(uint64(len(refs)))
+	for _, ref := range refs {
+		if loc {
+			encPrefix(e, ref.k.prefix)
+		} else {
+			encRibKey(e, ref.k)
+		}
+		e.Uvarint(ref.idx)
+	}
 }
 
 // decRouteEntries reads one RIB table in file order. Keys must be
-// strictly increasing — the order encRouteStore wrote them in — so
+// strictly increasing — the order encRouteTable wrote them in — so
 // apply can install the entries as they come; anything else, a
 // duplicate included, is corruption. loc selects the loc-RIB's
 // prefix-only keys.

@@ -14,7 +14,8 @@ import (
 
 // fuzzSeedInputs builds the seed corpus of FuzzSnapshotDecode: a valid
 // snapshot, that snapshot truncated at every section boundary, one
-// with a flipped CRC byte, and one claiming a future format version.
+// with a flipped CRC byte, one claiming a future format version, and
+// the two frozen fixtures of retired layouts.
 func fuzzSeedInputs(t testing.TB) [][]byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -40,15 +41,15 @@ func fuzzSeedInputs(t testing.TB) [][]byte {
 	future := append([]byte(nil), valid...)
 	binary.BigEndian.PutUint16(future[4:], snap.EngineVersion+1)
 	inputs = append(inputs, future)
-	// The frozen v1 golden file keeps the legacy decode path in the
-	// corpus now that fresh snapshots are written in v2.
-	if legacy, err := os.ReadFile(filepath.Join("testdata", "golden_v1.rbgp")); err == nil {
-		inputs = append(inputs, legacy)
-	}
-	// Likewise the frozen snapshot that still lists decision-cache
-	// entries: its count guards and index checks are decode-only now.
-	if legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v2_deccache.rbgp")); err == nil {
-		inputs = append(inputs, legacy)
+	// The two retired layouts stay in the corpus as refusal seeds: the
+	// frozen v1 golden file (refused by version) and the frozen v2
+	// snapshot that still lists decision-cache entries (refused at the
+	// reserved count, after every section before it decoded). Mutating
+	// them explores the refusals' neighbourhood.
+	for _, name := range []string{"golden_v1.rbgp", "legacy_v2_deccache.rbgp"} {
+		if retired, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
+			inputs = append(inputs, retired)
+		}
 	}
 	return inputs
 }

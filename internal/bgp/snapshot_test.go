@@ -223,6 +223,48 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// countingStore counts the sorted walks made of the store it wraps.
+type countingStore struct {
+	ribStore
+	walks int
+}
+
+func (c *countingStore) WalkSorted(fn func(ribKey, *Route) bool) {
+	c.walks++
+	c.ribStore.WalkSorted(fn)
+}
+
+// TestSnapshotWalksEachStoreOnce pins the one-walk encoder on both
+// layouts: the walk that numbers a store's routes is the only one a
+// snapshot makes of it (an arena store gives no pointer guarantee
+// across two), and the bytes are those of the unwrapped network.
+func TestSnapshotWalksEachStoreOnce(t *testing.T) {
+	mapNet, arenaNet := diffPair(5, 14)
+	for name, n := range map[string]*Network{"map": mapNet, "arena": arenaNet} {
+		n.Originate(3, netutil.PrefixFrom(0xCB007100, 24))
+		n.Originate(9, netutil.PrefixFrom(0xC0000200, 24))
+		n.RunToQuiescence()
+		want := mustSnapshot(t, n)
+
+		var stores []*countingStore
+		for _, s := range n.speakers {
+			for _, field := range []*ribStore{&s.adjIn, &s.locRib, &s.adjOut} {
+				c := &countingStore{ribStore: *field}
+				*field = c
+				stores = append(stores, c)
+			}
+		}
+		if got := mustSnapshot(t, n); !bytes.Equal(got, want) {
+			t.Errorf("%s: snapshot through counting stores differs from the plain one", name)
+		}
+		for _, c := range stores {
+			if c.walks != 1 {
+				t.Fatalf("%s: a store was walked %d times by one Snapshot, want 1", name, c.walks)
+			}
+		}
+	}
+}
+
 func TestSnapshotInsideBatchFails(t *testing.T) {
 	n := snapNet(1, 8)
 	var err error
@@ -296,79 +338,43 @@ func TestSnapshotVersionPinned(t *testing.T) {
 		t.Fatalf("header version %d != EngineVersion %d", v, snap.EngineVersion)
 	}
 	if snap.EngineVersion != 2 {
-		t.Log("EngineVersion bumped: commit a new testdata/golden_v<N>.rbgp (keep the old ones as legacy fixtures) and document the change in internal/snapshot/FORMAT.md")
+		t.Log("EngineVersion bumped: commit a new testdata/golden_v<N>.rbgp (keep the old ones as refusal fixtures) and document the change in internal/snapshot/FORMAT.md")
 	}
 }
 
-// TestLegacyV1Restore pins backward compatibility: the frozen v1
-// golden file (inline paths, no path-table section) must keep
-// restoring to the canonical network state even though new snapshots
-// are written in v2. golden_v1.rbgp is never regenerated — it is the
-// compatibility contract itself.
-func TestLegacyV1Restore(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_v1.rbgp"))
+// refusedUntouched restores the frozen fixture into a mid-flight
+// network and requires the typed refusal with the base left exactly as
+// it was: the retired layouts have no decoder any more, and a refusal
+// that half-applied state would be worse than the shim it replaced.
+func refusedUntouched(t *testing.T, fixture string, want error) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", fixture))
 	if err != nil {
-		t.Fatalf("read legacy golden (frozen fixture, never regenerated): %v", err)
+		t.Fatalf("read fixture (frozen, never regenerated): %v", err)
 	}
-	if v := uint16(want[4])<<8 | uint16(want[5]); v != 1 {
-		t.Fatalf("legacy fixture claims version %d, want 1 — was it overwritten?", v)
+	base := goldenNet()
+	before := networkSignature(base)
+	if err := RestoreNetwork(bytes.NewReader(data), base); !errors.Is(err, want) {
+		t.Fatalf("restore %s: err = %v, want %v", fixture, err, want)
 	}
-	restored := mraiRfdNet()
-	if err := RestoreNetwork(bytes.NewReader(want), restored); err != nil {
-		t.Fatalf("v1 restore: %v", err)
-	}
-	if got, wantSig := networkSignature(restored), networkSignature(goldenNet()); got != wantSig {
-		t.Fatal("v1 snapshot restored to a different state")
-	}
-	// A restored legacy network must re-snapshot in the current format
-	// and round-trip through it.
-	reenc := mustSnapshot(t, restored)
-	if v := uint16(reenc[4])<<8 | uint16(reenc[5]); v != snap.EngineVersion {
-		t.Fatalf("re-encoded legacy network claims version %d, want %d", v, snap.EngineVersion)
-	}
-	again := mraiRfdNet()
-	if err := RestoreNetwork(bytes.NewReader(reenc), again); err != nil {
-		t.Fatalf("v2 re-restore: %v", err)
-	}
-	if got, wantSig := networkSignature(again), networkSignature(goldenNet()); got != wantSig {
-		t.Fatal("v1→v2 upgrade round-trip changed the state")
+	if networkSignature(base) != before {
+		t.Fatalf("refusing %s modified the base network", fixture)
 	}
 }
 
-// TestLegacyDecisionCacheRestore pins the other compatibility
-// contract: a v2 snapshot written while the engine still had its
-// memoized decision cache lists cache entries per speaker (and routes
-// only they reference). The frozen fixture — the mid-flight scenario
-// plus a second origination and a withdrawal, two cache entries — must
-// keep restoring to the state the same events produce today, with the
-// entries validated and dropped.
+// TestV1SnapshotRefused: one format generation per magic. The frozen
+// v1 golden file (inline paths, no path-table section) is what the last
+// v1 writer produced; it is refused by version, not misread.
+func TestV1SnapshotRefused(t *testing.T) {
+	refusedUntouched(t, "golden_v1.rbgp", snap.ErrVersion)
+}
+
+// TestLegacyDecisionCacheRestore: a v2 snapshot written while the
+// engine still had its memoized decision cache lists cache entries per
+// speaker where the format now reserves a zero count. The frozen
+// fixture (two entries) is corrupt to today's decoder.
 func TestLegacyDecisionCacheRestore(t *testing.T) {
-	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v2_deccache.rbgp"))
-	if err != nil {
-		t.Fatalf("read legacy fixture (frozen, never regenerated): %v", err)
-	}
-	live := mraiRfdNet()
-	p := driveToMidFlight(live)
-	live.Originate(3, p)
-	live.Run(live.Now() + 3)
-	live.WithdrawOrigination(1, p)
-	live.Run(live.Now() + 2)
-
-	restored := mraiRfdNet()
-	if err := RestoreNetwork(bytes.NewReader(legacy), restored); err != nil {
-		t.Fatalf("legacy restore: %v", err)
-	}
-	if got, want := networkSignature(restored), networkSignature(live); got != want {
-		t.Fatalf("legacy snapshot restored to a different state:\n--- live ---\n%s\n--- restored ---\n%s", want, got)
-	}
-	if reenc := mustSnapshot(t, restored); len(reenc) >= len(legacy) {
-		t.Fatalf("re-encoded snapshot is %d bytes, the legacy one %d: cache entries were not dropped", len(reenc), len(legacy))
-	}
-	restored.RunToQuiescence()
-	live.RunToQuiescence()
-	if got, want := networkSignature(restored), networkSignature(live); got != want {
-		t.Fatal("restored legacy network diverges from the live one after the drain")
-	}
+	refusedUntouched(t, "legacy_v2_deccache.rbgp", snap.ErrCorrupt)
 }
 
 // TestRestoreEquivalenceAcrossStores runs the restore on both ribStore

@@ -124,6 +124,13 @@ func (s *Speaker) addPeer(pc *PeerConfig) {
 // Best returns the speaker's current loc-RIB route for prefix p.
 func (s *Speaker) Best(p netutil.Prefix) *Route { return s.locRib.Get(locKey(p)) }
 
+// WalkBest visits the loc-RIB — every prefix the speaker has a best
+// route for — in prefix order until fn returns false. The routes are
+// the ones Best returns and must not be modified.
+func (s *Speaker) WalkBest(fn func(*Route) bool) {
+	s.locRib.WalkSorted(func(_ ribKey, r *Route) bool { return fn(r) })
+}
+
 // AdjIn returns the route currently held from the given neighbor for
 // prefix p, or nil. Suppressed (damped) routes are still visible here.
 func (s *Speaker) AdjIn(p netutil.Prefix, neighbor RouterID) *Route {
@@ -206,7 +213,9 @@ func routesEqual(a, b *Route) bool {
 }
 
 // exportRoute computes the route s would announce to the neighbor
-// described by pc, or nil if policy withholds the prefix.
+// described by pc, or nil if policy withholds the prefix. It only
+// selects the source route; whether and how that route is announced is
+// the one export policy the static solver also applies (static.go).
 func (s *Speaker) exportRoute(p netutil.Prefix, pc *PeerConfig) *Route {
 	var src *Route
 	if pc.ExportBestOf != nil {
@@ -226,37 +235,11 @@ func (s *Speaker) exportRoute(p netutil.Prefix, pc *PeerConfig) *Route {
 	} else {
 		src = s.locRib.Get(locKey(p))
 	}
-	if src == nil {
+	if src == nil || !exportAdmits(src, pc) {
 		return nil
 	}
-	// Well-known scoping communities: routes *learned* with NoExport
-	// or NoAdvertise are never re-advertised (RFC 1997); the
-	// originating speaker itself may still announce them.
-	if src.From != 0 && (src.Communities.Has(NoExport) || src.Communities.Has(NoAdvertise)) {
-		return nil
-	}
-	if !pc.ExportAllow.Has(src.Class) {
-		return nil
-	}
-	if pc.ExportFilter != nil && !pc.ExportFilter(src) {
-		return nil
-	}
-	// Sender-side loop avoidance: pointless to announce a path already
-	// containing the neighbor's AS.
-	if src.Path.Contains(pc.NeighborAS) {
-		return nil
-	}
-	comms := src.Communities
-	if pc.ExportAddCommunities.Len() > 0 {
-		comms = comms.With(pc.ExportAddCommunities.Values()...)
-	}
-	return &Route{
-		Prefix:      p,
-		Path:        src.Path.Prepend(s.AS, 1+pc.effectivePrepend(p)),
-		Origin:      src.Origin,
-		MED:         pc.ExportMED,
-		Communities: comms,
-	}
+	ann := announcement(s, src, pc)
+	return &ann
 }
 
 // announcementEqual compares wire-visible attributes of announcements.

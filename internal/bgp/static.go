@@ -230,7 +230,7 @@ func solveCandidate(idx *solverIndex, s *Speaker, ownRoute *Route, cur []*Route)
 			continue
 		}
 		// Sender-side checks without materializing the announcement.
-		if !exportAdmits(e.nb, nbBest, e.pcAtNb) {
+		if !exportAdmits(nbBest, e.pcAtNb) {
 			continue
 		}
 		if nbBest.Path.Contains(s.AS) || e.nb.AS == s.AS {
@@ -340,12 +340,17 @@ func (n *Network) ExportView(res *StaticResult, from, to RouterID) *Route {
 	return staticExport(s, best, pcTo)
 }
 
-// exportAdmits runs the sender-side export checks without building
-// the announcement.
-func exportAdmits(nb *Speaker, src *Route, pc *PeerConfig) bool {
+// exportAdmits runs the sender-side export checks on the source route
+// src toward the neighbor described by pc, without building the
+// announcement. It is the export policy of both the event engine
+// (Speaker.exportRoute) and the static solver.
+func exportAdmits(src *Route, pc *PeerConfig) bool {
 	if pc.ExportBestOf != nil && !pc.ExportBestOf(src) {
 		return false
 	}
+	// Well-known scoping communities: routes *learned* with NoExport
+	// or NoAdvertise are never re-advertised (RFC 1997); the
+	// originating speaker itself may still announce them.
 	if src.From != 0 && (src.Communities.Has(NoExport) || src.Communities.Has(NoAdvertise)) {
 		return false
 	}
@@ -355,16 +360,15 @@ func exportAdmits(nb *Speaker, src *Route, pc *PeerConfig) bool {
 	if pc.ExportFilter != nil && !pc.ExportFilter(src) {
 		return false
 	}
-	if src.Path.Contains(pc.NeighborAS) {
-		return false
-	}
-	_ = nb
-	return true
+	// Sender-side loop avoidance: pointless to announce a path already
+	// containing the neighbor's AS.
+	return !src.Path.Contains(pc.NeighborAS)
 }
 
-// staticExport mirrors Speaker.exportRoute for the solver.
+// staticExport is the solver's export: the loc-RIB best, under the
+// same policy Speaker.exportRoute ends in.
 func staticExport(s *Speaker, best *Route, pcToNeighbor *PeerConfig) *Route {
-	if !exportAdmits(s, best, pcToNeighbor) {
+	if !exportAdmits(best, pcToNeighbor) {
 		return nil
 	}
 	ann := announcement(s, best, pcToNeighbor)

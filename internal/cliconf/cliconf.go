@@ -297,7 +297,7 @@ func Register(fs *flag.FlagSet, c *Config, which Flags) {
 		fs.BoolVar(&c.Resume, "resume", c.Resume, "continue from the newest valid checkpoint in -snapshot-dir, skipping completed rounds; corrupt checkpoints fall back to the next-newest valid one, no usable checkpoint to a cold start; output is byte-identical to an uninterrupted run")
 	}
 	if which&FlagWorkload != 0 {
-		fs.StringVar(&c.Workload, "workload", c.Workload, "run a named virtual-clock workload instead of the survey script: update-storm, flap-cascade-rfd, diurnal-churn, or replay (reads an MRT trace on stdin); deterministic and byte-identical at any -workers width")
+		fs.StringVar(&c.Workload, "workload", c.Workload, "run a named virtual-clock workload instead of the survey script: update-storm, flap-cascade-rfd, diurnal-churn, hijack-flash, or replay (of the MRT update trace named by -trace); deterministic and byte-identical at any -workers width")
 		fs.Int64Var(&c.Duration, "duration", c.Duration, "virtual horizon of the -workload run in seconds (0 = the workload's default)")
 		fs.BoolVar(&c.RoundMode, "round", c.RoundMode, "quantize the -workload to round boundaries (the historical round-granularity scheduler) instead of event-granularity timers")
 	}

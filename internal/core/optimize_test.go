@@ -123,7 +123,7 @@ func TestOptimizeEvaluationPreservesPristine(t *testing.T) {
 	if err := driver.Eco.Net.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	d0 := ribDigest(driver.Eco)
+	d0 := ribDigest(driver.Eco, nil)
 
 	ev := newPolicyEvaluator(opts, obj, driver, snap.Bytes(), 1)
 	rng := parallel.Rand(99, 0)
@@ -156,7 +156,7 @@ func TestOptimizeEvaluationPreservesPristine(t *testing.T) {
 	if err := ev.rewind(slot); err != nil {
 		t.Fatal(err)
 	}
-	if d := ribDigest(driver.Eco); d != d0 {
+	if d := ribDigest(driver.Eco, nil); d != d0 {
 		t.Fatalf("post-rewind RIB digest %x != pristine %x", d, d0)
 	}
 	var again bytes.Buffer

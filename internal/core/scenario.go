@@ -202,7 +202,7 @@ func runScenarioPoint(ctx context.Context, opts ScenarioSweepOptions, adoption f
 	if inj != nil {
 		inj.Finish(s.Eco.Net)
 	}
-	pt.EndDigest = ribDigestExcluding(s.Eco, nil)
+	pt.EndDigest = ribDigest(s.Eco, nil)
 
 	pt.Summary = Summarize(s.Eco, result)
 	pt.Validation = Validate(s.Eco, result)
@@ -261,7 +261,7 @@ func scenarioCensus(eco *topo.Ecosystem, sched *faults.Schedule) func(*ScenarioP
 				}
 			}
 		}
-		pt.MidSignature = ribDigestExcluding(eco, exclude)
+		pt.MidSignature = ribDigest(eco, exclude)
 	}
 }
 
@@ -309,12 +309,4 @@ func yesNo(b bool) string {
 		return "yes"
 	}
 	return "no"
-}
-
-// ribDigestExcluding is ribDigest with a censored router set: the
-// excluded speakers' RIBs are left out of the hash, so the signature
-// compares "everyone but the attacker" across runs that differ only in
-// the attacker's own local state.
-func ribDigestExcluding(eco *topo.Ecosystem, exclude map[bgp.RouterID]bool) uint64 {
-	return ribDigestFiltered(eco, func(id bgp.RouterID) bool { return !exclude[id] })
 }

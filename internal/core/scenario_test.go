@@ -316,7 +316,7 @@ func TestScenarioInjectorCommutesProperty(t *testing.T) {
 		w := build()
 		v.run(w)
 		w.s.Eco.Net.RunToQuiescence()
-		digests[i] = ribDigest(w.s.Eco)
+		digests[i] = ribDigest(w.s.Eco, nil)
 	}
 	for i := 1; i < len(digests); i++ {
 		if digests[i] != digests[0] {

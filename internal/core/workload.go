@@ -149,12 +149,18 @@ func (p *Pipeline) RunWorkload(opts WorkloadOptions) (*WorkloadResult, error) {
 	if !KnownWorkload(opts.Name) {
 		return nil, fmt.Errorf("core: unknown workload %q (have %v)", opts.Name, WorkloadNames())
 	}
+	return p.runWorkload(p.NewSurvey(), opts)
+}
+
+// runWorkload is RunWorkload on a survey the caller built from this
+// pipeline and keeps: the tests check the result against the world it
+// was read from.
+func (p *Pipeline) runWorkload(s *Survey, opts WorkloadOptions) (*WorkloadResult, error) {
 	d := opts.Duration
 	if d <= 0 {
 		d = defaultWorkloadDuration(opts.Name)
 	}
 
-	s := p.NewSurvey()
 	reg := p.metrics
 	if reg == nil {
 		reg = telemetry.New()
@@ -259,7 +265,7 @@ func (p *Pipeline) RunWorkload(opts WorkloadOptions) (*WorkloadResult, error) {
 	res.UpdatesDelivered = reg.Counter("bgp_updates_delivered_total").Value() - updates0
 	res.RFDPenalties = reg.Counter("bgp_rfd_penalties_total").Value() - penalties0
 	res.RFDSuppressions = reg.Counter("bgp_rfd_suppressions_total").Value() - suppressions0
-	res.RIBDigest = ribDigest(s.Eco)
+	res.RIBDigest = ribDigest(s.Eco, nil)
 	res.SpeedupRatio = eng.SpeedupRatio()
 	return res, nil
 }
@@ -388,27 +394,22 @@ func (p *Pipeline) buildWorkload(eco *topo.Ecosystem, opts WorkloadOptions, hori
 	return nil, fmt.Errorf("core: unknown workload %q", opts.Name)
 }
 
-// ribDigest hashes every speaker's best route for every known prefix
-// (speakers in network order, prefixes in canonical order) — a compact
-// stand-in for full RIB byte equality.
-func ribDigest(eco *topo.Ecosystem) uint64 {
-	return ribDigestFiltered(eco, nil)
-}
-
-// ribDigestFiltered is ribDigest restricted to the speakers include
-// admits (nil admits everyone). The scenario sweep uses it to censor
-// the injected actor's own router from the signature.
-func ribDigestFiltered(eco *topo.Ecosystem, include func(bgp.RouterID) bool) uint64 {
-	prefixes := make([]netutil.Prefix, 0, len(eco.Prefixes)+len(eco.ExcludedPrefixes)+2)
-	for _, pi := range eco.Prefixes {
-		prefixes = append(prefixes, pi.Prefix)
-	}
-	for _, pi := range eco.ExcludedPrefixes {
-		prefixes = append(prefixes, pi.Prefix)
-	}
-	prefixes = append(prefixes, eco.MeasPrefix, bgp.DefaultPrefix)
-	netutil.SortPrefixes(prefixes)
-
+// ribDigest hashes every speaker's loc-RIB (speakers in network order,
+// each RIB in prefix order) — a compact stand-in for full RIB byte
+// equality. The speakers in exclude (nil: nobody) are left out, which
+// is how the scenario sweep censors the injected actor's own router
+// from its signature.
+//
+// The digest reads what the RIBs hold rather than probing them with a
+// prefix list, and hashes exactly what such a probe over the known
+// prefixes would: a loc-RIB only ever holds prefixes from
+// eco.Prefixes ∪ eco.ExcludedPrefixes ∪ {eco.MeasPrefix, 0/0}. Every
+// origination the tree makes (the generator's default routes, the
+// experiments', workloads' and hijacks' measurement prefix, the storm
+// generators' study prefixes, a replayed trace filtered to known
+// prefixes) is drawn from that set, and a leak re-exports only what it
+// learned.
+func ribDigest(eco *topo.Ecosystem, exclude map[bgp.RouterID]bool) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	u32 := func(v uint32) {
@@ -417,25 +418,21 @@ func ribDigestFiltered(eco *topo.Ecosystem, include func(bgp.RouterID) bool) uin
 	}
 	net := eco.Net
 	for _, id := range net.Speakers() {
-		if include != nil && !include(id) {
+		if exclude[id] {
 			continue
 		}
-		sp := net.Speaker(id)
-		for _, p := range prefixes {
-			r := sp.Best(p)
-			if r == nil {
-				continue
-			}
+		net.Speaker(id).WalkBest(func(r *bgp.Route) bool {
 			u32(uint32(id))
-			u32(p.Addr())
-			u32(uint32(p.Bits()))
+			u32(r.Prefix.Addr())
+			u32(uint32(r.Prefix.Bits()))
 			u32(uint32(r.From))
 			u32(r.LocalPref)
 			u32(uint32(len(r.Path)))
 			for _, a := range r.Path {
 				u32(uint32(a))
 			}
-		}
+			return true
+		})
 	}
 	return h.Sum64()
 }

@@ -15,9 +15,15 @@ import (
 func runNamedWorkload(t *testing.T, name string, d vtime.Time, workers int, round bool) (*WorkloadResult, string) {
 	t.Helper()
 	p := NewPipeline(WithSmall(), WithSeed(1), WithWorkers(workers))
-	res, err := p.RunWorkload(WorkloadOptions{Name: name, Duration: d, RoundMode: round})
+	s := p.NewSurvey()
+	res, err := p.runWorkload(s, WorkloadOptions{Name: name, Duration: d, RoundMode: round})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
+	}
+	// Every named-workload test doubles as a check of the reported
+	// digest against the probing oracle (ribdigest_test.go).
+	if want := ribDigestProbe(s.Eco, nil); res.RIBDigest != want {
+		t.Fatalf("%s: reported rib digest %016x, probing oracle %016x", name, res.RIBDigest, want)
 	}
 	var buf bytes.Buffer
 	WriteWorkloadReport(&buf, res)
@@ -142,7 +148,7 @@ func TestCommutingEventsInterleaving(t *testing.T) {
 		}
 		eng.RunUntil(start + 300)
 		net.RunToQuiescence()
-		return ribDigest(s.Eco)
+		return ribDigest(s.Eco, nil)
 	}
 
 	_, evs := build()
@@ -209,11 +215,15 @@ func TestReplayWorkload(t *testing.T) {
 		t.Fatalf("flush: %v", err)
 	}
 
-	res, err := NewPipeline(WithSmall(), WithSeed(1)).RunWorkload(WorkloadOptions{
+	s := p.NewSurvey()
+	res, err := p.runWorkload(s, WorkloadOptions{
 		Name: "replay", Duration: 600, Trace: bytes.NewReader(buf.Bytes()),
 	})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
+	}
+	if want := ribDigestProbe(s.Eco, nil); res.RIBDigest != want {
+		t.Fatalf("replay: reported rib digest %016x, probing oracle %016x", res.RIBDigest, want)
 	}
 	if got := res.EventsByKind["withdraw"]; got != 2 {
 		t.Fatalf("withdraws applied: %d, want 2", got)

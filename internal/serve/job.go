@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"repro/internal/bgp"
 	"repro/internal/cliconf"
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -287,30 +286,22 @@ func (s *Server) runSurvey(ctx context.Context, j *Job) ([]byte, error) {
 	jobDir := filepath.Join(s.cfg.DataDir, j.ID)
 	reg := telemetry.New()
 
-	ck := loadLatestCheckpoint(jobDir, j.Spec.fingerprint())
-	var openSpans []*telemetry.Span
-	if ck != nil {
-		spans, err := reg.LoadState(bytes.NewReader(ck.Telemetry))
-		if err != nil {
-			ck = nil // unusable telemetry: cold-start rather than diverge
-		} else {
-			openSpans = spans
-		}
-	}
-
 	pl := j.Spec.Options.Pipeline(reg)
-	// On resume the checkpointed registry already holds the completed
-	// build phase; re-recording it would duplicate the span.
-	var buildSpan *telemetry.Span
-	if ck == nil {
-		buildSpan = reg.StartSpan("build")
-	}
+	// The world is built before a checkpoint is chosen (choosing one
+	// restores its engine section into this network), so the build span
+	// is held aside and joins the registry only on a cold start: a
+	// checkpoint's registry state already holds the original run's.
+	buildReg := telemetry.New()
+	buildSpan := buildReg.StartSpan("build")
 	sv := pl.NewSurvey()
 	buildSpan.End()
 
-	if ck != nil {
-		if err := bgp.RestoreNetwork(bytes.NewReader(ck.Engine), sv.Eco.Net); err != nil {
-			return nil, fmt.Errorf("resume: restore engine state: %w", err)
+	if ck := loadLatestCheckpoint(jobDir, j.Spec.fingerprint(), sv.Eco.Net); ck == nil {
+		reg.Merge(buildReg)
+	} else {
+		openSpans, err := reg.LoadState(bytes.NewReader(ck.Telemetry))
+		if err != nil {
+			return nil, fmt.Errorf("resume: restore telemetry state: %w", err)
 		}
 		sv.Resume = ck.Resume(openSpans)
 		s.reg.Counter("serve_jobs_resumed_total").Inc()

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"repro/internal/bgp"
 	"repro/internal/core"
 	snap "repro/internal/snapshot"
+	"repro/internal/telemetry"
 )
 
 // Durable job state. Each job owns one directory under the server's
@@ -42,10 +45,7 @@ func jobID(seq uint64) string { return fmt.Sprintf("job-%06d", seq) }
 func encodeJob(r *jobRecord) []byte {
 	w := snap.NewWriter(snap.JobMagic, snap.JobVersion)
 
-	// v2 spec layout: the full portable JobOptions. v1 recorded only the
-	// survey/sweep subset (and rejected the other kinds on decode — a
-	// recovered workload job lost its workload name); decodeJob still
-	// reads v1 manifests with the historical layout.
+	// The spec is the full portable JobOptions.
 	var sp snap.Enc
 	sp.String(r.Spec.Tenant)
 	sp.U8(uint8(r.Spec.kind))
@@ -77,7 +77,7 @@ func encodeJob(r *jobRecord) []byte {
 }
 
 func decodeJob(data []byte) (*jobRecord, error) {
-	secs, version, err := snap.DecodeSectionsVersioned(data, snap.JobMagic, snap.JobVersion)
+	secs, err := snap.DecodeSections(data, snap.JobMagic, snap.JobVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -95,34 +95,24 @@ func decodeJob(data []byte) (*jobRecord, error) {
 	r.Spec.Tenant = d.String()
 	r.Spec.kind = jobKind(d.U8())
 	r.Spec.Options.Small = d.Bool()
-	if version >= 2 {
-		r.Spec.Options.Scale = d.String()
-	}
+	r.Spec.Options.Scale = d.String()
 	r.Spec.Options.Seed = d.I64()
 	r.Spec.Options.Workers = int(d.Uvarint())
 	r.Spec.Options.Faults = d.F64()
 	d.Bool() // reserved engine-mode byte
-	if version >= 2 {
-		r.Spec.Options.Workload = d.String()
-		r.Spec.Options.DurationSeconds = d.I64()
-		r.Spec.Options.RoundMode = d.Bool()
-		r.Spec.Options.Scenario = d.String()
-		r.Spec.Options.ROV = d.F64()
-		r.Spec.Options.Objective = d.String()
-		r.Spec.Options.Budget = int(d.Uvarint())
-		r.Spec.Options.Strategy = d.String()
-	}
+	r.Spec.Options.Workload = d.String()
+	r.Spec.Options.DurationSeconds = d.I64()
+	r.Spec.Options.RoundMode = d.Bool()
+	r.Spec.Options.Scenario = d.String()
+	r.Spec.Options.ROV = d.F64()
+	r.Spec.Options.Objective = d.String()
+	r.Spec.Options.Budget = int(d.Uvarint())
+	r.Spec.Options.Strategy = d.String()
 	r.Spec.TimeoutSeconds = d.F64()
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	if version < 2 {
-		// v1 manifests only ever recorded survey and sweep jobs; any
-		// other kind byte is corruption, not a lost feature.
-		if r.Spec.kind != kindSurvey && r.Spec.kind != kindSweep {
-			return nil, fmt.Errorf("%w: job kind %d", snap.ErrCorrupt, r.Spec.kind)
-		}
-	} else if r.Spec.kind >= numJobKinds {
+	if r.Spec.kind >= numJobKinds {
 		return nil, fmt.Errorf("%w: job kind %d", snap.ErrCorrupt, r.Spec.kind)
 	}
 	r.Spec.Kind = r.Spec.kind.String()
@@ -187,14 +177,27 @@ func checkpointName(phase, done int) string {
 	return fmt.Sprintf("ckpt-%d-%02d.rckp", phase, done)
 }
 
-// loadLatestCheckpoint returns the newest valid checkpoint in jobDir
-// matching the fingerprint, skipping corrupt files for older ones, and
-// nil when nothing usable exists (the job cold-starts).
-func loadLatestCheckpoint(jobDir string, want core.CheckpointFingerprint) *core.Checkpoint {
+// loadLatestCheckpoint returns the newest checkpoint in jobDir that
+// matches the fingerprint and whose engine section restores into net,
+// the job's freshly built world — the same rule as cmd/resurvey's
+// -resume: the fingerprint knows the options but not the topology they
+// built, RestoreNetwork does, and it leaves net untouched when it
+// refuses. Corrupt and refused files are skipped for older ones; nil
+// means nothing usable exists and the job cold-starts on the untouched
+// net.
+func loadLatestCheckpoint(jobDir string, want core.CheckpointFingerprint, net *bgp.Network) *core.Checkpoint {
 	var ck *core.Checkpoint
 	snap.NewestValid(jobDir, ".rckp", func(_ string, data []byte) (bool, error) {
 		c, err := core.DecodeCheckpoint(data)
 		if err != nil || c.Fingerprint != want {
+			return false, err
+		}
+		// Telemetry is checked on a scratch registry first: once the
+		// engine state is in net there is no falling back.
+		if _, err := telemetry.New().LoadState(bytes.NewReader(c.Telemetry)); err != nil {
+			return false, err
+		}
+		if err := bgp.RestoreNetwork(bytes.NewReader(c.Engine), net); err != nil {
 			return false, err
 		}
 		ck = c

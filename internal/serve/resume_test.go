@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cliconf"
+	"repro/internal/core"
 )
 
 // runToDone submits spec on a fresh server over dir and returns the
@@ -178,44 +179,83 @@ func TestOptimizeKillAndRestart(t *testing.T) {
 	}
 }
 
-// TestResumeSkipsCorruptCheckpoint: a truncated newest checkpoint falls
-// back to the next-newest valid one; the job still finishes with the
-// cold run's bytes.
+// TestResumeSkipsCorruptCheckpoint: a newest checkpoint that cannot be
+// used falls back to the next-newest usable one, and to a cold start
+// when none is left; either way the job finishes with the cold run's
+// bytes. Unusable means torn on disk, or intact but carrying an engine
+// section this world cannot take — here the frozen RBGP v1 golden
+// file, refused like a snapshot of another topology would be, which
+// the options fingerprint cannot tell apart from the job's own.
 func TestResumeSkipsCorruptCheckpoint(t *testing.T) {
 	spec := JobSpec{Options: cliconf.JobOptions{Small: true, Seed: 3}}
 	cold := runToDone(t, t.TempDir(), spec)
 
-	dir := t.TempDir()
-	s := newTestServer(t, Config{DataDir: dir})
-	s.crashAfterCheckpoints = 3
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	foreignEngine := func(t *testing.T, path string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := core.DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Engine, err = os.ReadFile(filepath.Join("..", "bgp", "testdata", "golden_v1.rbgp")); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, c.Encode(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	<-j.done
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, cks []string)
+	}{
+		// A torn write that beat the atomic-rename discipline (e.g.
+		// disk corruption).
+		{"truncated", func(t *testing.T, cks []string) {
+			if err := os.Truncate(cks[len(cks)-1], 10); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"foreign-engine", func(t *testing.T, cks []string) { foreignEngine(t, cks[len(cks)-1]) }},
+		{"every-engine-foreign", func(t *testing.T, cks []string) {
+			for _, ck := range cks {
+				foreignEngine(t, ck)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newTestServer(t, Config{DataDir: dir})
+			s.crashAfterCheckpoints = 3
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.done
 
-	// Truncate the newest checkpoint to emulate a torn write that beat
-	// the atomic-rename discipline (e.g. disk corruption).
-	cks, _ := filepath.Glob(filepath.Join(dir, j.ID, "*.rckp"))
-	if len(cks) < 2 {
-		t.Fatalf("want >= 2 checkpoints to corrupt one, got %d", len(cks))
-	}
-	newest := cks[len(cks)-1]
-	if err := os.Truncate(newest, 10); err != nil {
-		t.Fatal(err)
-	}
+			cks, _ := filepath.Glob(filepath.Join(dir, j.ID, "*.rckp"))
+			if len(cks) < 2 {
+				t.Fatalf("want >= 2 checkpoints to damage one, got %d", len(cks))
+			}
+			tc.damage(t, cks)
 
-	s2 := newTestServer(t, Config{DataDir: dir})
-	s2.Start()
-	j2 := s2.job(j.ID)
-	<-j2.done
-	if st := s2.jobState(j.ID); st != StateDone {
-		t.Fatalf("resumed job finished %s, want done", st)
-	}
-	s2.mu.Lock()
-	resumed := j2.output
-	s2.mu.Unlock()
-	if !bytes.Equal(cold, resumed) {
-		t.Fatal("resume after corrupt-checkpoint fallback diverged from the cold run")
+			s2 := newTestServer(t, Config{DataDir: dir})
+			s2.Start()
+			j2 := s2.job(j.ID)
+			<-j2.done
+			if st := s2.jobState(j.ID); st != StateDone {
+				s2.mu.Lock()
+				msg := j2.errMsg
+				s2.mu.Unlock()
+				t.Fatalf("resumed job finished %s (%s), want done", st, msg)
+			}
+			s2.mu.Lock()
+			resumed := j2.output
+			s2.mu.Unlock()
+			if !bytes.Equal(cold, resumed) {
+				t.Fatal("resume after unusable-checkpoint fallback diverged from the cold run")
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -640,9 +641,8 @@ func TestShutdownAbandonsPastTimeout(t *testing.T) {
 	}
 }
 
-// TestJobRecordRoundTrip pins the RJOB v2 codec: every portable job
-// option — including the workload, scenario, and optimizer fields v1
-// silently dropped — survives the round trip, for every job kind.
+// TestJobRecordRoundTrip pins the RJOB codec: every portable job
+// option survives the round trip, for every job kind.
 func TestJobRecordRoundTrip(t *testing.T) {
 	for _, spec := range []JobSpec{
 		{
@@ -701,44 +701,45 @@ func TestJobRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJobRecordV1Compat: v1 manifests written before the job options
-// grew workload/scenario/optimizer fields still decode, with the
-// historical field set and the historical survey/sweep kind gate.
+// TestJobRecordV1Compat: one format generation per magic. A v1
+// manifest (the layout before the job options grew their workload,
+// scenario and optimizer fields) is refused by version, and a data dir
+// that holds one loses only that job: the scan skips it, counts it
+// corrupt, and still lists its neighbours.
 func TestJobRecordV1Compat(t *testing.T) {
-	encodeV1 := func(kind jobKind) []byte {
-		w := snap.NewWriter(snap.JobMagic, 1)
-		var sp snap.Enc
-		sp.String("alice")
-		sp.U8(uint8(kind))
-		sp.Bool(true) // Small
-		sp.I64(42)    // Seed
-		sp.Uvarint(3) // Workers
-		sp.F64(0.5)   // Faults
-		sp.Bool(true) // reserved engine-mode byte
-		sp.F64(30)    // TimeoutSeconds
-		w.Section(jobSecSpec, sp.Bytes())
-		var st snap.Enc
-		st.Uvarint(7)
-		st.U8(uint8(StateDone))
-		st.String("")
-		w.Section(jobSecState, st.Bytes())
-		w.Section(jobSecOutput, []byte(`{"x":1}`))
-		return w.Bytes()
+	w := snap.NewWriter(snap.JobMagic, 1)
+	var sp snap.Enc
+	sp.String("alice")
+	sp.U8(uint8(kindSweep))
+	sp.Bool(true) // Small
+	sp.I64(42)    // Seed
+	sp.Uvarint(3) // Workers
+	sp.F64(0.5)   // Faults
+	sp.Bool(true) // reserved engine-mode byte
+	sp.F64(30)    // TimeoutSeconds
+	w.Section(jobSecSpec, sp.Bytes())
+	var st snap.Enc
+	st.Uvarint(7)
+	st.U8(uint8(StateDone))
+	st.String("")
+	w.Section(jobSecState, st.Bytes())
+	w.Section(jobSecOutput, []byte(`{"x":1}`))
+	if _, err := decodeJob(w.Bytes()); !errors.Is(err, snap.ErrVersion) {
+		t.Fatalf("v1 manifest: err = %v, want ErrVersion", err)
 	}
-	got, err := decodeJob(encodeV1(kindSweep))
-	if err != nil {
+
+	dir := t.TempDir()
+	for _, seq := range []uint64{6, 8} {
+		r := &jobRecord{Seq: seq, Spec: JobSpec{Tenant: "x", Kind: "survey", kind: kindSurvey}, State: StateDone}
+		if err := writeJobRecord(dir, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := snap.WriteFileAtomic(filepath.Join(dir, jobID(7)), "job.rjob", w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	want := JobSpec{
-		Tenant: "alice", Kind: "sweep", kind: kindSweep,
-		Options:        cliconf.JobOptions{Small: true, Seed: 42, Workers: 3, Faults: 0.5},
-		TimeoutSeconds: 30,
-	}
-	if got.Spec != want || got.Seq != 7 || got.State != StateDone {
-		t.Fatalf("v1 decode diverged:\n got %+v\nwant %+v", got.Spec, want)
-	}
-	// v1 never recorded the newer kinds; such a kind byte is corruption.
-	if _, err := decodeJob(encodeV1(kindOptimize)); err == nil {
-		t.Error("v1 manifest with an optimize kind byte decoded without error")
+	recs, corrupt := loadJobRecords(dir)
+	if corrupt != 1 || len(recs) != 2 || recs[0].Seq != 6 || recs[1].Seq != 8 {
+		t.Fatalf("scan over a v1 manifest: %d records, %d corrupt; want jobs 6 and 8 with 1 corrupt", len(recs), corrupt)
 	}
 }

@@ -8,8 +8,8 @@
 // consumer needs: deterministic bytes (writers append in a fixed
 // order; Enc has no map iteration), integrity (per-section CRC so a
 // corrupted checkpoint is detected before any state is half-applied),
-// and forward refusal (a decoder rejects snapshots from a future
-// format version instead of misreading them).
+// and version refusal (a decoder rejects snapshots of any format
+// version but its own instead of misreading them).
 package snapshot
 
 import (
@@ -30,14 +30,14 @@ const (
 	// EngineVersion is the bgp.Network snapshot format version. v2
 	// added the interned path table section (paths referenced by ID
 	// from the route table and churn log); v1 snapshots, with inline
-	// paths, remain decodable.
+	// paths, are refused with ErrVersion.
 	EngineVersion = 2
 	// CheckpointVersion is the resurvey checkpoint format version.
 	CheckpointVersion = 1
 	// JobVersion is the resurveyd job-manifest format version. v2
 	// carries the full portable job options (workload, scenario, and
 	// optimizer fields) and admits every job kind; v1 manifests, which
-	// recorded only survey/sweep jobs, remain decodable.
+	// recorded only survey/sweep jobs, are refused with ErrVersion.
 	JobVersion = 2
 	// SearchVersion is the optimizer search-state format version.
 	SearchVersion = 1
@@ -70,8 +70,8 @@ const maxSnapshotBytes = 1 << 30
 // distinguish it from I/O errors with errors.Is.
 var ErrCorrupt = errors.New("snapshot: corrupt")
 
-// ErrVersion is wrapped when the input's format version is newer than
-// the decoder understands.
+// ErrVersion is wrapped when the input's format version is not the one
+// the decoder reads: a retired older generation or a future one.
 var ErrVersion = errors.New("snapshot: unsupported format version")
 
 // Section is one decoded [id, payload] pair.
@@ -116,18 +116,12 @@ func (w *Writer) Bytes() []byte { return w.buf }
 
 // ReadSections reads a whole container from r, validates magic,
 // version, lengths, and per-section CRCs, and returns the sections in
-// file order. It never panics on malformed input and never allocates
-// more than the input's actual size (plus the cap above) regardless of
-// what the length prefixes claim.
-func ReadSections(r io.Reader, magic string, maxVersion uint16) ([]Section, error) {
-	sections, _, err := ReadSectionsVersioned(r, magic, maxVersion)
-	return sections, err
-}
-
-// ReadSectionsVersioned is ReadSections but additionally returns the
-// input's format version, for decoders that keep older layouts
-// readable (the version is 0 on error).
-func ReadSectionsVersioned(r io.Reader, magic string, maxVersion uint16) ([]Section, uint16, error) {
+// file order. Each magic has exactly one live format generation: the
+// input's version must equal the one the caller names, and anything
+// older or newer wraps ErrVersion. It never panics on malformed input
+// and never allocates more than the input's actual size (plus the cap
+// above) regardless of what the length prefixes claim.
+func ReadSections(r io.Reader, magic string, version uint16) ([]Section, error) {
 	// An in-memory reader (*bytes.Reader, *bytes.Buffer: every warm
 	// restore) says how much it holds, so the copy is one buffer of
 	// that size rather than a doubling series. Len only sizes the
@@ -136,18 +130,18 @@ func ReadSectionsVersioned(r io.Reader, magic string, maxVersion uint16) ([]Sect
 	size := bytes.MinRead
 	if l, ok := r.(interface{ Len() int }); ok {
 		if l.Len() > maxSnapshotBytes {
-			return nil, 0, errTooLarge()
+			return nil, errTooLarge()
 		}
 		size += l.Len()
 	}
 	buf := bytes.NewBuffer(make([]byte, 0, size))
 	if _, err := buf.ReadFrom(io.LimitReader(r, maxSnapshotBytes+1)); err != nil {
-		return nil, 0, fmt.Errorf("snapshot: read: %w", err)
+		return nil, fmt.Errorf("snapshot: read: %w", err)
 	}
 	if buf.Len() > maxSnapshotBytes {
-		return nil, 0, errTooLarge()
+		return nil, errTooLarge()
 	}
-	return DecodeSectionsVersioned(buf.Bytes(), magic, maxVersion)
+	return DecodeSections(buf.Bytes(), magic, version)
 }
 
 func errTooLarge() error {
@@ -155,24 +149,16 @@ func errTooLarge() error {
 }
 
 // DecodeSections is ReadSections over in-memory bytes.
-func DecodeSections(data []byte, magic string, maxVersion uint16) ([]Section, error) {
-	sections, _, err := DecodeSectionsVersioned(data, magic, maxVersion)
-	return sections, err
-}
-
-// DecodeSectionsVersioned is ReadSectionsVersioned over in-memory
-// bytes.
-func DecodeSectionsVersioned(data []byte, magic string, maxVersion uint16) ([]Section, uint16, error) {
+func DecodeSections(data []byte, magic string, version uint16) ([]Section, error) {
 	if len(data) < len(magic)+2 {
-		return nil, 0, fmt.Errorf("%w: truncated header", ErrCorrupt)
+		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	if string(data[:len(magic)]) != magic {
-		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:len(magic)])
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:len(magic)])
 	}
 	data = data[len(magic):]
-	version := binary.BigEndian.Uint16(data)
-	if version > maxVersion {
-		return nil, 0, fmt.Errorf("%w: got v%d, decoder understands <= v%d", ErrVersion, version, maxVersion)
+	if got := binary.BigEndian.Uint16(data); got != version {
+		return nil, fmt.Errorf("%w: got v%d, decoder reads v%d only", ErrVersion, got, version)
 	}
 	data = data[2:]
 
@@ -182,25 +168,25 @@ func DecodeSectionsVersioned(data []byte, magic string, maxVersion uint16) ([]Se
 		data = data[1:]
 		n, sz := binary.Uvarint(data)
 		if sz <= 0 {
-			return nil, 0, fmt.Errorf("%w: section 0x%02x: bad length varint", ErrCorrupt, id)
+			return nil, fmt.Errorf("%w: section 0x%02x: bad length varint", ErrCorrupt, id)
 		}
 		data = data[sz:]
 		if n > uint64(len(data)) {
-			return nil, 0, fmt.Errorf("%w: section 0x%02x: length %d exceeds remaining %d bytes", ErrCorrupt, id, n, len(data))
+			return nil, fmt.Errorf("%w: section 0x%02x: length %d exceeds remaining %d bytes", ErrCorrupt, id, n, len(data))
 		}
 		payload := data[:n]
 		data = data[n:]
 		if len(data) < 4 {
-			return nil, 0, fmt.Errorf("%w: section 0x%02x: truncated checksum", ErrCorrupt, id)
+			return nil, fmt.Errorf("%w: section 0x%02x: truncated checksum", ErrCorrupt, id)
 		}
 		want := binary.BigEndian.Uint32(data)
 		data = data[4:]
 		if got := crc32.ChecksumIEEE(payload); got != want {
-			return nil, 0, fmt.Errorf("%w: section 0x%02x: checksum mismatch (got %08x want %08x)", ErrCorrupt, id, got, want)
+			return nil, fmt.Errorf("%w: section 0x%02x: checksum mismatch (got %08x want %08x)", ErrCorrupt, id, got, want)
 		}
 		sections = append(sections, Section{ID: id, Payload: payload})
 	}
-	return sections, version, nil
+	return sections, nil
 }
 
 // Enc builds a section payload. All integers are encoded little-endian

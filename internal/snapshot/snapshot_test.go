@@ -71,12 +71,25 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
-func TestFutureVersion(t *testing.T) {
-	data := NewWriter(EngineMagic, 9).Bytes()
-	if _, err := DecodeSections(data, EngineMagic, 1); !errors.Is(err, ErrVersion) {
-		t.Fatalf("err = %v, want ErrVersion", err)
+// refusedByBothReaders asserts that a container written at version got
+// is an ErrVersion to a decoder that reads version want, through
+// either reader.
+func refusedByBothReaders(t *testing.T, got, want uint16) {
+	t.Helper()
+	data := NewWriter(EngineMagic, got).Bytes()
+	if _, err := DecodeSections(data, EngineMagic, want); !errors.Is(err, ErrVersion) {
+		t.Errorf("DecodeSections v%d as v%d: err = %v, want ErrVersion", got, want, err)
+	}
+	if _, err := ReadSections(bytes.NewReader(data), EngineMagic, want); !errors.Is(err, ErrVersion) {
+		t.Errorf("ReadSections v%d as v%d: err = %v, want ErrVersion", got, want, err)
 	}
 }
+
+func TestFutureVersion(t *testing.T) { refusedByBothReaders(t, 9, 2) }
+
+// TestRetiredVersion: one format generation per magic — a version
+// older than the decoder's is refused exactly like a newer one.
+func TestRetiredVersion(t *testing.T) { refusedByBothReaders(t, 1, 2) }
 
 func TestTruncationAtEveryByte(t *testing.T) {
 	data := buildContainer()

@@ -340,7 +340,7 @@ func TestStaticMatchesEngine(t *testing.T) {
 	}
 	for _, id := range f.net.Speakers() {
 		eng := f.net.Speaker(id).Best(ucsdPrefix)
-		st := res.Best[id]
+		st := res.Best(id)
 		switch {
 		case eng == nil && st == nil:
 		case eng == nil || st == nil:
@@ -361,7 +361,7 @@ func TestStaticTwoOrigins(t *testing.T) {
 		t.Fatal("no convergence")
 	}
 	// Columbia prefers the R&E side (higher localpref via NYSERNet).
-	best := res.Best[f.columbia]
+	best := res.Best(f.columbia)
 	if best == nil {
 		t.Fatal("Columbia unrouted")
 	}
@@ -371,12 +371,12 @@ func TestStaticTwoOrigins(t *testing.T) {
 	// Level3 hears the UCSD origination from its customer CENIC (a
 	// Gao-Rexford-legal export) and prefers the customer route over
 	// its peer route from Cogent.
-	if b := res.Best[f.level3]; b == nil || b.Path.Origin() != 7377 || b.Class != ClassCustomer {
+	if b := res.Best(f.level3); b == nil || b.Path.Origin() != 7377 || b.Class != ClassCustomer {
 		t.Errorf("Level3 best = %v, want customer route to 7377", b)
 	}
 	// Cogent itself originates the prefix, so its own route wins
 	// locally regardless of what Level3 tells it.
-	if b := res.Best[f.cogent]; b == nil || b.Class != ClassOwn {
+	if b := res.Best(f.cogent); b == nil || b.Class != ClassOwn {
 		t.Errorf("Cogent best = %v, want its own origination", b)
 	}
 }

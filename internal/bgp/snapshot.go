@@ -125,7 +125,7 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(sections[1].Payload, base.encodeFingerprint()) {
+	if !base.fingerprintEquals(sections[1].Payload) {
 		return ErrSnapshotMismatch
 	}
 	paths, err := decodePaths(sections[2].Payload)
@@ -235,15 +235,24 @@ func (s IncStats) fields() []int64 {
 
 // --- fingerprint section ---
 
-// encodeFingerprint digests static topology and policy: everything a
+// walkFingerprint digests static topology and policy: everything a
 // restore must take from the base network rather than the snapshot.
 // Dynamic per-peer settings (ExportPrepend, PrefixPrepend, session
 // down) are deliberately excluded — they are state, carried in the
-// speakers section.
-func (n *Network) encodeFingerprint() []byte {
+// speakers section. The digest is yielded in chunks — the speaker
+// count, then one speaker at a time — from a buffer the next chunk
+// reuses, so a consumer that only compares never holds a fingerprint-
+// sized allocation; it stops when yield returns false. It is computed
+// on every call, never cached: PeerConfigs are reachable by pointer
+// and setters mutate fingerprinted fields.
+func (n *Network) walkFingerprint(yield func(chunk []byte) bool) {
 	var e snap.Enc
 	e.Uvarint(uint64(len(n.order)))
+	if !yield(e.Bytes()) {
+		return
+	}
 	for _, id := range n.order {
+		e.Reset()
 		s := n.speakers[id]
 		e.U32(uint32(s.ID))
 		e.U32(uint32(s.AS))
@@ -277,8 +286,35 @@ func (n *Network) encodeFingerprint() []byte {
 			e.Bool(pc.ExportFilter != nil)
 			e.Bool(pc.ExportBestOf != nil)
 		}
+		if !yield(e.Bytes()) {
+			return
+		}
 	}
-	return e.Bytes()
+}
+
+// encodeFingerprint is the fingerprint section of a snapshot.
+func (n *Network) encodeFingerprint() []byte {
+	var out []byte
+	n.walkFingerprint(func(chunk []byte) bool {
+		out = append(out, chunk...)
+		return true
+	})
+	return out
+}
+
+// fingerprintEquals reports whether n's fingerprint is exactly want (a
+// snapshot's fingerprint section), comparing chunk by chunk in place
+// and stopping at the first difference.
+func (n *Network) fingerprintEquals(want []byte) bool {
+	equal := true
+	n.walkFingerprint(func(chunk []byte) bool {
+		equal = len(chunk) <= len(want) && bytes.Equal(chunk, want[:len(chunk)])
+		if equal {
+			want = want[len(chunk):]
+		}
+		return equal
+	})
+	return equal && len(want) == 0
 }
 
 // --- route table ---

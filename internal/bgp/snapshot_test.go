@@ -288,6 +288,51 @@ func TestRestoreFingerprintMismatch(t *testing.T) {
 	if got, want := networkSignature(other), networkSignature(snapNet(2, 10)); got != want {
 		t.Fatal("failed restore mutated the base network")
 	}
+
+	// The comparison runs chunk by chunk against the section in place,
+	// so its two ends need pinning: a fingerprint that stops early (here
+	// inside the last speaker, and at a speaker boundary: the empty
+	// network's count byte would otherwise match a prefix) and one that
+	// carries a byte past the base's last chunk.
+	secs, err := snap.DecodeSections(data, snap.EngineMagic, snap.EngineVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := orig.encodeFingerprint()
+	if !bytes.Equal(secs[1].Payload, fp) {
+		t.Fatal("section 1 is not the fingerprint")
+	}
+	lastSpeaker := 0
+	orig.walkFingerprint(func(chunk []byte) bool { lastSpeaker = len(chunk); return true })
+	for name, payload := range map[string][]byte{
+		"strict prefix":       fp[:len(fp)-1],
+		"prefix of speakers":  fp[:len(fp)-lastSpeaker],
+		"empty":               nil,
+		"trailing byte":       append(bytes.Clone(fp), 0),
+		"identical (control)": fp,
+	} {
+		w := snap.NewWriter(snap.EngineMagic, snap.EngineVersion)
+		for i, sec := range secs {
+			if i == 1 {
+				sec.Payload = payload
+			}
+			w.Section(sec.ID, sec.Payload)
+		}
+		base := snapNet(1, 10)
+		err := RestoreNetwork(bytes.NewReader(w.Bytes()), base)
+		if name == "identical (control)" {
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("%s: err = %v, want ErrSnapshotMismatch", name, err)
+		}
+		if got, want := networkSignature(base), networkSignature(snapNet(1, 10)); got != want {
+			t.Errorf("%s: failed restore mutated the base network", name)
+		}
+	}
 }
 
 // goldenNet is the frozen canonical network of the golden-format test:

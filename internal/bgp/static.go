@@ -2,7 +2,7 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/asn"
 	"repro/internal/netutil"
@@ -75,22 +75,124 @@ func (n *Network) solverIdx() *solverIndex {
 	return idx
 }
 
-// StaticResult holds the converged best route per speaker for one
-// solved prefix. Speakers with no route are absent from Best.
+// StaticResult is the converged routing of one solved prefix. It
+// borrows the StaticSolver that produced it: Best and
+// Network.ExportView read the solver's working memory, so a result is
+// good until that solver's next Solve and panics if read after it.
+// Reads change nothing and may run concurrently.
 type StaticResult struct {
 	Prefix netutil.Prefix
-	Best   map[RouterID]*Route
 	// Converged is false if the iteration cap was hit (a policy
 	// dispute); the partial result is still returned.
 	Converged bool
 	// Rounds is the number of relaxation rounds performed.
 	Rounds int
+
+	solver *StaticSolver
+	gen    uint64 // solver.gen when this result was produced
+}
+
+// Best returns speaker id's converged route, built on demand from the
+// solver's nodes, or nil if the speaker holds no route.
+func (r *StaticResult) Best(id RouterID) *Route {
+	nd := r.node(id)
+	if nd == nil {
+		return nil
+	}
+	return r.solver.routeOf(nd)
+}
+
+func (r *StaticResult) node(id RouterID) *staticNode {
+	sv := r.solver
+	if r.gen != sv.gen {
+		panic("bgp: StaticResult read after its StaticSolver's next Solve")
+	}
+	if int(id) >= len(sv.nodes) || !sv.nodes[id].has {
+		return nil
+	}
+	return &sv.nodes[id]
 }
 
 // maxStaticRounds caps relaxation rounds. Gao-Rexford-compliant
 // policies converge in O(network diameter) rounds; the cap triggers
 // only for genuinely unstable (dispute-wheel) configurations.
 const maxStaticRounds = 200
+
+// candView is the solver's allocation-free candidate descriptor: the
+// decisive attributes of a route. The effective path length is
+// computed up front (neighbor path plus the neighbor's prepends), so
+// comparing candidates never looks inside a path.
+type candView struct {
+	lp     uint32
+	plen   int
+	med    uint32
+	igp    uint32
+	fromAS asn.AS
+	from   RouterID
+	origin Origin
+}
+
+// pathCell is one run of a persistent AS path: n copies of as followed
+// by the path at cell next (0 is the empty path). A speaker adopting a
+// route from a neighbor conses one cell (the neighbor's AS, 1 + its
+// prepends) onto the neighbor's head cell. Cells are never rewritten,
+// so a speaker's path stays what it was when the speaker chose it even
+// after the neighbor moves on — exactly as immutable as the copied
+// asn.Path it replaces, which keeps every intermediate comparison of
+// the relaxation, and so Rounds and a non-converged partial result,
+// what they were with copied paths.
+type pathCell struct {
+	as   asn.AS
+	n    uint32
+	next uint32
+}
+
+// staticNode is one speaker's current best in value form: what the
+// decision process and the export policy read, with the path as a
+// cell index. has is false for a speaker without a route.
+type staticNode struct {
+	candView
+	class RouteClass
+	has   bool
+	path  uint32
+	comms CommunitySet
+	// route is the node as a *Route, built only where something opaque
+	// demands one (a policy callback on a session the node is exported
+	// over, or the import filter that admitted it) and dropped with the
+	// node when the speaker's best changes.
+	route *Route
+}
+
+// ownNode is an origination: own routes carry LocalPrefOwn, the empty
+// path and no neighbor.
+var ownNode = staticNode{candView: candView{lp: LocalPrefOwn, origin: OriginIGP, fromAS: asn.None}, class: ClassOwn, has: true}
+
+const (
+	flagOwn   = 1 << iota // the speaker originates the prefix in this solve
+	flagDirty             // the speaker is queued for the next round
+)
+
+// StaticSolver is the fixpoint solver's reusable working memory. A
+// solve on a warmed solver allocates only its StaticResult; callers
+// that solve many prefixes (core.ComputeOriginViews) keep one solver
+// per goroutine. A solver is not safe for concurrent use, and each
+// Solve invalidates the result of the one before.
+type StaticSolver struct {
+	net    *Network
+	idx    *solverIndex
+	prefix netutil.Prefix
+	gen    uint64
+
+	nodes []staticNode // by RouterID
+	flags []uint8      // by RouterID
+	cells []pathCell   // cells[0] is unused: index 0 is the empty path
+	batch []RouterID
+	next  []RouterID
+}
+
+// NewStaticSolver returns a solver for n. It follows n's topology
+// changes: each Solve reads the current adjacency index.
+func (n *Network) NewStaticSolver() *StaticSolver { return &StaticSolver{net: n} }
 
 // SolveStatic computes the converged routing for prefix p originated
 // at the given speakers, without touching the event engine or any
@@ -104,43 +206,45 @@ const maxStaticRounds = 200
 // solver's per-speaker best; the reproduction attaches VRF splits only
 // to collector sessions for the measurement prefix, which the event
 // engine handles with full fidelity.
+//
+// SolveStatic is the one-shot form: a fresh solver per call, which the
+// result keeps alive. Solve many prefixes on one NewStaticSolver.
 func (n *Network) SolveStatic(p netutil.Prefix, origins []StaticOrigin) *StaticResult {
-	res := &StaticResult{Prefix: p}
+	return n.NewStaticSolver().Solve(p, origins)
+}
 
-	own := make(map[RouterID]*Route, len(origins))
+// Solve is SolveStatic on the solver's memory. The result borrows the
+// solver until its next Solve.
+func (sv *StaticSolver) Solve(p netutil.Prefix, origins []StaticOrigin) *StaticResult {
 	for _, o := range origins {
-		if n.speakers[o.Speaker] == nil {
+		if sv.net.speakers[o.Speaker] == nil {
 			panic(fmt.Sprintf("bgp: SolveStatic: unknown speaker %d", o.Speaker))
 		}
-		own[o.Speaker] = &Route{
-			Prefix:    p,
-			Origin:    OriginIGP,
-			LocalPref: LocalPrefOwn,
-			Class:     ClassOwn,
-			FromAS:    asn.None,
-		}
 	}
-
-	idx := n.solverIdx()
-	cur := make([]*Route, idx.maxID+1)
-	ownArr := make([]*Route, idx.maxID+1)
-	for id, r := range own {
-		ownArr[id] = r
+	sv.gen++
+	sv.idx, sv.prefix = sv.net.solverIdx(), p
+	if size := int(sv.idx.maxID) + 1; len(sv.nodes) != size {
+		sv.nodes, sv.flags = make([]staticNode, size), make([]uint8, size)
+	} else {
+		clear(sv.nodes)
+		clear(sv.flags)
 	}
+	sv.cells = append(sv.cells[:0], pathCell{})
+	res := &StaticResult{Prefix: p, solver: sv, gen: sv.gen}
 
 	// Worklist relaxation: recompute only speakers whose inputs may
 	// have changed, in sorted order for determinism. The hot loop
-	// compares candidates on their decisive attributes and only
-	// materializes the winner's Route (one path allocation per
-	// loc-RIB change), which makes whole-ecosystem sweeps cheap.
-	dirty := make([]bool, idx.maxID+1)
-	batch := make([]RouterID, 0, len(own))
-	for id := range own {
-		dirty[id] = true
-		batch = append(batch, id)
+	// compares candidates on their decisive attributes; a loc-RIB
+	// change costs one path cell, which makes whole-ecosystem sweeps
+	// cheap.
+	batch, next := sv.batch[:0], sv.next[:0]
+	for _, o := range origins {
+		if sv.flags[o.Speaker] == 0 {
+			sv.flags[o.Speaker] = flagOwn | flagDirty
+			batch = append(batch, o.Speaker)
+		}
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i] < batch[j] })
-	var next []RouterID
+	slices.Sort(batch)
 	for round := 1; round <= maxStaticRounds; round++ {
 		if len(batch) == 0 {
 			res.Converged = true
@@ -148,134 +252,202 @@ func (n *Network) SolveStatic(p netutil.Prefix, origins []StaticOrigin) *StaticR
 		}
 		next = next[:0]
 		for _, id := range batch {
-			dirty[id] = false
+			sv.flags[id] &^= flagDirty
 		}
 		for _, id := range batch {
-			s := idx.speakers[id]
-			if s == nil {
+			if !sv.relax(id) {
 				continue
 			}
-			best := solveCandidate(idx, s, ownArr[id], cur)
-			if routesEqual(cur[id], best) {
-				continue
-			}
-			cur[id] = best
-			for _, e := range idx.adj[id] {
-				if !dirty[e.nbID] {
-					dirty[e.nbID] = true
+			for _, e := range sv.idx.adj[id] {
+				if sv.flags[e.nbID]&flagDirty == 0 {
+					sv.flags[e.nbID] |= flagDirty
 					next = append(next, e.nbID)
 				}
 			}
 		}
 		batch, next = next, batch
-		sort.Slice(batch, func(i, j int) bool { return batch[i] < batch[j] })
+		slices.Sort(batch)
 		res.Rounds = round
 	}
-	bestMap := make(map[RouterID]*Route, 256)
-	for id, r := range cur {
-		if r != nil {
-			bestMap[RouterID(id)] = r
-		}
-	}
-	res.Best = bestMap
+	sv.batch, sv.next = batch, next
 	return res
 }
 
-// candView is the solver's allocation-free candidate descriptor: the
-// decisive attributes of a route that may not have been materialized
-// yet. The effective path length is computed up front (neighbor path
-// plus the neighbor's prepends), so a candidate never needs a Route —
-// and Route never needs a smuggled length-override field — until it
-// has actually won the scan.
-type candView struct {
-	lp     uint32
-	plen   int
-	med    uint32
-	igp    uint32
-	fromAS asn.AS
-	from   RouterID
-	origin Origin
-}
-
-// viewOf describes an already-materialized route (an origination or an
-// import-filtered candidate) in candView form.
-func viewOf(r *Route) candView {
-	return candView{
-		lp:     r.LocalPref,
-		plen:   r.Path.Len(),
-		med:    r.MED,
-		igp:    r.IGPCost,
-		fromAS: r.FromAS,
-		from:   r.From,
-		origin: r.Origin,
-	}
-}
-
-// solveCandidate picks the speaker's best route from its origination
-// and its neighbors' current bests, allocating only for the winner.
-func solveCandidate(idx *solverIndex, s *Speaker, ownRoute *Route, cur []*Route) *Route {
-	best := ownRoute // own routes carry LocalPrefOwn and always win
-	haveBest := best != nil
-	var bestView candView
-	if haveBest {
-		bestView = viewOf(best)
+// relax re-runs speaker id's decision over its origination and its
+// neighbors' current bests, and reports whether its best changed.
+func (sv *StaticSolver) relax(id RouterID) bool {
+	s := sv.idx.speakers[id]
+	var best staticNode
+	if sv.flags[id]&flagOwn != 0 {
+		best = ownNode // carries LocalPrefOwn, so it wins the scan below
 	}
 	var bestEdge *solverEdge
-	var bestSrc *Route
 
-	for i := range idx.adj[s.ID] {
-		e := &idx.adj[s.ID][i]
-		nbBest := cur[e.nbID]
-		if nbBest == nil {
+	edges := sv.idx.adj[id]
+	for i := range edges {
+		e := &edges[i]
+		nb := &sv.nodes[e.nbID]
+		if !nb.has {
 			continue
 		}
-		// Sender-side checks without materializing the announcement.
-		if !exportAdmits(nbBest, e.pcAtNb) {
+		// Sender-side checks without building the announcement. A
+		// policy callback is the one thing that needs nb's best as a
+		// *Route; nb's other callback sessions then read the same one.
+		if e.pcAtNb.hasExportCallback() && nb.route == nil {
+			nb.route = sv.routeOf(nb)
+		}
+		if !sv.exportAdmits(nb, e.pcAtNb) {
 			continue
 		}
-		if nbBest.Path.Contains(s.AS) || e.nb.AS == s.AS {
+		if e.nb.AS == s.AS || sv.pathContains(nb.path, s.AS) {
 			continue
 		}
 		// Candidate shape if imported.
 		cv := candView{
 			lp:     e.pcAtS.localPref(),
-			plen:   nbBest.Path.Len() + 1 + e.pcAtNb.effectivePrepend(nbBest.Prefix),
+			plen:   nb.plen + 1 + e.pcAtNb.effectivePrepend(sv.prefix),
 			med:    e.pcAtNb.ExportMED,
 			igp:    e.pcAtS.IGPCost,
 			fromAS: e.pcAtS.NeighborAS,
 			from:   e.nbID,
-			origin: nbBest.Origin,
+			origin: nb.origin,
 		}
-		// ImportDeny needs a materialized route; only build one when a
-		// filter exists (rare: default-only importers, ROV).
+		// ImportDeny is shown the imported route; only build one when
+		// a filter exists (rare: default-only importers, ROV).
 		var cand *Route
 		if e.pcAtS.ImportDeny != nil || s.importDeny != nil {
-			ann := announcement(e.nb, nbBest, e.pcAtNb)
+			ann := sv.announcement(e.nb, nb, e.pcAtNb)
 			cand = staticImport(s, e.pcAtS, &ann)
 			if cand == nil {
 				continue
 			}
 		}
 		// Compare against the current best on the decisive attributes.
-		if haveBest && compareShape(bestView, cv) <= 0 {
+		if best.has && compareShape(best.candView, cv) <= 0 {
 			continue // existing best wins or ties (earlier neighbor)
 		}
-		haveBest, bestView = true, cv
-		if cand == nil {
-			// Track the winner by edge; the real route is materialized
-			// once, after the scan.
-			best, bestEdge, bestSrc = nil, e, nbBest
-		} else {
-			best, bestEdge, bestSrc = cand, nil, nil
-		}
+		best, bestEdge = staticNode{candView: cv, has: true, route: cand}, e
 	}
 	if bestEdge != nil {
-		// The announcement lives on the stack; the imported route is
-		// the only Route the winner costs.
-		ann := announcement(bestEdge.nb, bestSrc, bestEdge.pcAtNb)
-		best = staticImport(s, bestEdge.pcAtS, &ann)
+		// Complete the winner: the rest of what the import assigns, and
+		// its path as one cell on the neighbor's.
+		nb := &sv.nodes[bestEdge.nbID]
+		best.class = bestEdge.pcAtS.ClassifyAs
+		best.comms = exportCommunities(nb.comms, bestEdge.pcAtNb)
+		sv.cells = append(sv.cells, pathCell{as: bestEdge.nb.AS, n: uint32(best.plen - nb.plen), next: nb.path})
+		best.path = uint32(len(sv.cells) - 1)
 	}
-	return best
+	if sv.sameRoute(&sv.nodes[id], &best) {
+		if bestEdge != nil {
+			sv.cells = sv.cells[:len(sv.cells)-1]
+		}
+		return false
+	}
+	sv.nodes[id] = best
+	return true
+}
+
+// sameRoute is routesEqual on nodes.
+func (sv *StaticSolver) sameRoute(a, b *staticNode) bool {
+	if !a.has || !b.has {
+		return a.has == b.has
+	}
+	return a.from == b.from &&
+		a.lp == b.lp &&
+		a.med == b.med &&
+		a.origin == b.origin &&
+		a.class == b.class &&
+		a.plen == b.plen &&
+		sv.samePath(a.path, b.path) &&
+		slices.Equal(a.comms.cs, b.comms.cs)
+}
+
+// samePath compares two cell chains run by run. A speaker never
+// imports a path holding its own AS, so the AS a cell adds is never
+// the first AS of the chain it extends: equal paths split into equal
+// runs, and two chains that reach the same cell are equal from there.
+func (sv *StaticSolver) samePath(a, b uint32) bool {
+	for a != b {
+		if a == 0 || b == 0 {
+			return false
+		}
+		ca, cb := sv.cells[a], sv.cells[b]
+		if ca.as != cb.as || ca.n != cb.n {
+			return false
+		}
+		a, b = ca.next, cb.next
+	}
+	return true
+}
+
+// pathContains is asn.Path.Contains on a cell chain.
+func (sv *StaticSolver) pathContains(path uint32, a asn.AS) bool {
+	for c := path; c != 0; c = sv.cells[c].next {
+		if sv.cells[c].as == a {
+			return true
+		}
+	}
+	return false
+}
+
+// expand writes out run copies of as followed by nd's path: nd's own
+// path for run 0, what a neighbor of AS as announces otherwise.
+func (sv *StaticSolver) expand(as asn.AS, run int, nd *staticNode) asn.Path {
+	if run+nd.plen == 0 {
+		return nil
+	}
+	out := make(asn.Path, run, run+nd.plen)
+	for i := range out {
+		out[i] = as
+	}
+	for c := nd.path; c != 0; c = sv.cells[c].next {
+		for i := uint32(0); i < sv.cells[c].n; i++ {
+			out = append(out, sv.cells[c].as)
+		}
+	}
+	return out
+}
+
+// routeOf returns nd as a *Route: the one the solve already built, or
+// a fresh one.
+func (sv *StaticSolver) routeOf(nd *staticNode) *Route {
+	if nd.route != nil {
+		return nd.route
+	}
+	return &Route{
+		Prefix:      sv.prefix,
+		Path:        sv.expand(asn.None, 0, nd),
+		Origin:      nd.origin,
+		MED:         nd.med,
+		LocalPref:   nd.lp,
+		Class:       nd.class,
+		From:        nd.from,
+		FromAS:      nd.fromAS,
+		EBGP:        nd.from != 0,
+		IGPCost:     nd.igp,
+		Communities: nd.comms,
+	}
+}
+
+// exportAdmits is the package's exportAdmits on a node: the shared
+// attribute check and a walk of the cells, or, on a session that
+// carries a policy callback, the Route form unchanged.
+func (sv *StaticSolver) exportAdmits(nd *staticNode, pc *PeerConfig) bool {
+	if pc.hasExportCallback() {
+		return exportAdmits(sv.routeOf(nd), pc)
+	}
+	return exportAdmitsAttrs(nd.from != 0, nd.comms, nd.class, pc) && !sv.pathContains(nd.path, pc.NeighborAS)
+}
+
+// announcement is the package's announcement from a node.
+func (sv *StaticSolver) announcement(s *Speaker, nd *staticNode, pcToNeighbor *PeerConfig) Route {
+	return Route{
+		Prefix:      sv.prefix,
+		Path:        sv.expand(s.AS, 1+pcToNeighbor.effectivePrepend(sv.prefix), nd),
+		Origin:      nd.origin,
+		MED:         pcToNeighbor.ExportMED,
+		Communities: exportCommunities(nd.comms, pcToNeighbor),
+	}
 }
 
 // compareShape compares the current best against a candidate, both
@@ -323,38 +495,41 @@ func compareShape(best, cand candView) int {
 // ExportView computes the announcement speaker `from` would send to
 // speaker `to` under the converged static result, or nil if policy
 // withholds the prefix. Collectors use this to reconstruct the routes
-// their peers export (Tables 3-4, Figure 5).
+// their peers export (Tables 3-4, Figure 5). It builds the one
+// announcement it is asked for straight from the solver's cells.
 func (n *Network) ExportView(res *StaticResult, from, to RouterID) *Route {
 	s := n.speakers[from]
 	if s == nil || s.Collector {
 		return nil
 	}
-	best := res.Best[from]
+	best := res.node(from)
 	if best == nil {
 		return nil
 	}
 	pcTo := s.peers[to]
-	if pcTo == nil {
+	if pcTo == nil || !res.solver.exportAdmits(best, pcTo) {
 		return nil
 	}
-	return staticExport(s, best, pcTo)
+	ann := res.solver.announcement(s, best, pcTo)
+	return &ann
+}
+
+// hasExportCallback reports whether the session's export policy
+// includes caller-supplied code, which is shown a *Route.
+func (pc *PeerConfig) hasExportCallback() bool {
+	return pc.ExportBestOf != nil || pc.ExportFilter != nil
 }
 
 // exportAdmits runs the sender-side export checks on the source route
 // src toward the neighbor described by pc, without building the
 // announcement. It is the export policy of both the event engine
-// (Speaker.exportRoute) and the static solver.
+// (Speaker.exportRoute) and the static solver, which applies the same
+// checks to a node when the session carries no callback.
 func exportAdmits(src *Route, pc *PeerConfig) bool {
 	if pc.ExportBestOf != nil && !pc.ExportBestOf(src) {
 		return false
 	}
-	// Well-known scoping communities: routes *learned* with NoExport
-	// or NoAdvertise are never re-advertised (RFC 1997); the
-	// originating speaker itself may still announce them.
-	if src.From != 0 && (src.Communities.Has(NoExport) || src.Communities.Has(NoAdvertise)) {
-		return false
-	}
-	if !pc.ExportAllow.Has(src.Class) {
+	if !exportAdmitsAttrs(src.From != 0, src.Communities, src.Class, pc) {
 		return false
 	}
 	if pc.ExportFilter != nil && !pc.ExportFilter(src) {
@@ -365,30 +540,41 @@ func exportAdmits(src *Route, pc *PeerConfig) bool {
 	return !src.Path.Contains(pc.NeighborAS)
 }
 
-// staticExport is the solver's export: the loc-RIB best, under the
-// same policy Speaker.exportRoute ends in.
-func staticExport(s *Speaker, best *Route, pcToNeighbor *PeerConfig) *Route {
-	if !exportAdmits(best, pcToNeighbor) {
-		return nil
+// exportAdmitsAttrs is the callback-free, path-free core of
+// exportAdmits, on the attributes a Route and a solver node share. It
+// is small enough to inline into both callers.
+func exportAdmitsAttrs(learned bool, comms CommunitySet, class RouteClass, pc *PeerConfig) bool {
+	// Well-known scoping communities: routes *learned* with NoExport
+	// or NoAdvertise are never re-advertised (RFC 1997); the
+	// originating speaker itself may still announce them.
+	return !(learned && scopedToReceiver(comms)) && pc.ExportAllow.Has(class)
+}
+
+// scopedToReceiver is its own function so that exportAdmitsAttrs makes
+// one call, not two, and stays under the inlining budget.
+func scopedToReceiver(comms CommunitySet) bool {
+	return comms.Has(NoExport) || comms.Has(NoAdvertise)
+}
+
+// exportCommunities is what an announcement to the neighbor described
+// by pc carries for a source route tagged comms.
+func exportCommunities(comms CommunitySet, pc *PeerConfig) CommunitySet {
+	if pc.ExportAddCommunities.Len() > 0 {
+		return comms.With(pc.ExportAddCommunities.Values()...)
 	}
-	ann := announcement(s, best, pcToNeighbor)
-	return &ann
+	return comms
 }
 
 // announcement is what s sends its neighbor for src once exportAdmits
-// has passed. It returns a value so that the solver's scan, which only
-// reads it to build the imported route, never puts it on the heap.
+// has passed. It returns a value so that a caller that only reads it
+// to build the imported route never puts it on the heap.
 func announcement(s *Speaker, src *Route, pcToNeighbor *PeerConfig) Route {
-	comms := src.Communities
-	if pcToNeighbor.ExportAddCommunities.Len() > 0 {
-		comms = comms.With(pcToNeighbor.ExportAddCommunities.Values()...)
-	}
 	return Route{
 		Prefix:      src.Prefix,
 		Path:        src.Path.Prepend(s.AS, 1+pcToNeighbor.effectivePrepend(src.Prefix)),
 		Origin:      src.Origin,
 		MED:         pcToNeighbor.ExportMED,
-		Communities: comms,
+		Communities: exportCommunities(src.Communities, pcToNeighbor),
 	}
 }
 

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestEngineMatchesSolverOnRandomTopologies(t *testing.T) {
 
 		for _, id := range net.Speakers() {
 			eng := net.Speaker(id).Best(p)
-			st := res.Best[id]
+			st := res.Best(id)
 			switch {
 			case eng == nil && st == nil:
 			case eng == nil || st == nil:
@@ -177,37 +178,15 @@ func TestExportViewNilCases(t *testing.T) {
 }
 
 func TestSolverDetectsDispute(t *testing.T) {
-	// A classic dispute wheel: three ASes each prefer the route via
-	// their clockwise neighbor over the direct route (encoded with
-	// localpref on peer sessions). The solver must hit the round cap
-	// and report non-convergence rather than hang.
-	net := NewNetwork()
-	net.AddSpeaker(1, 101, "a")
-	net.AddSpeaker(2, 102, "b")
-	net.AddSpeaker(3, 103, "c")
-	net.AddSpeaker(4, 104, "origin")
-	all := NewClassSet(ClassOwn, ClassCustomer, ClassPeer, ClassProvider, ClassREPeer)
-	mk := func(lp uint32) PeerConfig {
-		return PeerConfig{ClassifyAs: ClassPeer, ImportLocalPref: lp, ExportAllow: all}
+	// The solver must hit the round cap and report non-convergence
+	// rather than hang, and hand back the partial result.
+	res := disputeWheel().SolveStatic(netutil.MustParsePrefix("198.51.100.0/24"), []StaticOrigin{{Speaker: 4}})
+	if res.Converged || res.Rounds != maxStaticRounds {
+		t.Fatalf("dispute wheel: converged=%v after %d rounds, want non-convergence at the %d-round cap",
+			res.Converged, res.Rounds, maxStaticRounds)
 	}
-	// Each wheel AS prefers the clockwise neighbor (lp 300) over the
-	// origin (lp 100).
-	net.Connect(1, 2, mk(300), mk(100)) // 1 prefers via 2; 2 dislikes via 1
-	net.Connect(2, 3, mk(300), mk(100))
-	net.Connect(3, 1, mk(300), mk(100))
-	net.Connect(4, 1, mk(100), mk(200))
-	net.Connect(4, 2, mk(100), mk(200))
-	net.Connect(4, 3, mk(100), mk(200))
-	p := netutil.MustParsePrefix("198.51.100.0/24")
-	res := net.SolveStatic(p, []StaticOrigin{{Speaker: 4}})
-	if res.Converged {
-		// Some parameterizations of the wheel do stabilize; accept
-		// either outcome but require the solver to terminate with a
-		// bounded round count.
-		t.Logf("wheel stabilized in %d rounds", res.Rounds)
-	}
-	if res.Rounds > maxStaticRounds {
-		t.Fatalf("solver exceeded its round cap: %d", res.Rounds)
+	if res.Best(4) == nil || res.Best(1) == nil {
+		t.Fatal("non-converged solve returned no partial result")
 	}
 }
 
@@ -241,14 +220,66 @@ func TestSolveStaticConcurrentCold(t *testing.T) {
 	wg.Wait()
 
 	for i, want := range serial {
-		if got[i].Converged != want.Converged || len(got[i].Best) != len(want.Best) {
-			t.Fatalf("origin %d: concurrent solve converged=%v with %d routes, serial converged=%v with %d",
-				i+1, got[i].Converged, len(got[i].Best), want.Converged, len(want.Best))
+		if got[i].Converged != want.Converged || got[i].Rounds != want.Rounds {
+			t.Fatalf("origin %d: concurrent solve converged=%v in %d rounds, serial converged=%v in %d",
+				i+1, got[i].Converged, got[i].Rounds, want.Converged, want.Rounds)
 		}
-		for id, r := range want.Best {
-			if !routesEqual(got[i].Best[id], r) {
-				t.Errorf("origin %d speaker %d: concurrent %v, serial %v", i+1, id, got[i].Best[id], r)
+		for _, id := range cold.Speakers() {
+			if g, w := got[i].Best(id), want.Best(id); !routesEqual(g, w) {
+				t.Errorf("origin %d speaker %d: concurrent %v, serial %v", i+1, id, g, w)
 			}
 		}
+	}
+}
+
+// TestStaticSolverAllocs is the solver's allocation ceiling: on a
+// network without policy callbacks or import filters nothing demands a
+// *Route, so a warmed solver allocates its StaticResult and no more.
+func TestStaticSolverAllocs(t *testing.T) {
+	const n = 300
+	net := randomGaoRexfordNetwork(rand.New(rand.NewSource(42)), n) // #nosec test randomness
+	p := netutil.MustParsePrefix("203.0.113.0/24")
+	sv := net.NewStaticSolver()
+	origin := 0
+	solve := func() {
+		origin++
+		if res := sv.Solve(p, []StaticOrigin{{Speaker: RouterID(1 + origin%n)}}); !res.Converged {
+			t.Fatal("did not converge")
+		}
+	}
+	for i := 0; i < n; i++ {
+		solve() // grow the cell slab and the batches to their largest
+	}
+	if got := testing.AllocsPerRun(n, solve); got > 2 {
+		t.Fatalf("warmed StaticSolver.Solve allocates %.1f times per solve, want <= 2", got)
+	} else {
+		t.Logf("allocs per warmed solve = %.1f", got)
+	}
+}
+
+// TestStaticResultStaleReadPanics: a result borrows its solver, so
+// reading it after the solver's next Solve must fail loudly rather
+// than answer for another prefix.
+func TestStaticResultStaleReadPanics(t *testing.T) {
+	net := randomGaoRexfordNetwork(rand.New(rand.NewSource(7)), 12) // #nosec test randomness
+	sv := net.NewStaticSolver()
+	first := sv.Solve(netutil.MustParsePrefix("203.0.113.0/24"), []StaticOrigin{{Speaker: 1}})
+	second := sv.Solve(netutil.MustParsePrefix("198.51.100.0/24"), []StaticOrigin{{Speaker: 2}})
+	if second.Best(2) == nil {
+		t.Fatal("current result has no route at its origin")
+	}
+	for name, read := range map[string]func(){
+		"Best":       func() { first.Best(1) },
+		"ExportView": func() { net.ExportView(first, 1, net.Speaker(1).Peers()[0]) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "StaticResult read after its StaticSolver's next Solve") {
+					t.Errorf("%s on a stale result: recovered %q, want a panic naming the misuse", name, msg)
+				}
+			}()
+			read()
+		}()
 	}
 }

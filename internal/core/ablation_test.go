@@ -113,28 +113,39 @@ func TestAblateRoundGap(t *testing.T) {
 	// §3.3's design choice, demonstrated: with ~9% of members damping
 	// flapping routes, a 10-minute schedule fabricates oscillation and
 	// switch-to-commodity artefacts that the one-hour schedule avoids.
-	rows := AblateRoundGap([]int{600, 3600}, SmallSurveyOptions())
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	fast, slow := rows[0], rows[1]
-	if fast.GapSeconds != 600 || slow.GapSeconds != 3600 {
-		t.Fatalf("row order wrong: %+v", rows)
-	}
-	if slow.Artefacts != 0 {
-		t.Errorf("one-hour schedule produced %d artefacts", slow.Artefacts)
-	}
-	if slow.Agreement != 1.0 {
-		t.Errorf("baseline self-agreement = %.3f", slow.Agreement)
-	}
-	if fast.Artefacts == 0 {
-		t.Error("10-minute schedule should trip route-flap damping")
-	}
-	if fast.Agreement >= 1.0 {
-		t.Error("10-minute schedule should disagree with the baseline somewhere")
-	}
-	if !strings.Contains(GapAblationTable(rows).String(), "00:10:00") {
-		t.Error("table rendering wrong")
+	for _, tt := range []struct {
+		name     string
+		gaps     []int
+		baseline int // index of the row every row is compared against
+	}{
+		{name: "no gaps", gaps: nil},
+		{name: "largest gap stands in for a missing hour", gaps: []int{1800, 600}, baseline: 0},
+		{name: "standard ladder", gaps: []int{600, 1800, 3600}, baseline: 2},
+	} {
+		rows := AblateRoundGap(tt.gaps, SmallSurveyOptions())
+		if len(rows) != len(tt.gaps) {
+			t.Fatalf("%s: %d rows for %d gaps", tt.name, len(rows), len(tt.gaps))
+		}
+		for i, row := range rows {
+			if row.GapSeconds != tt.gaps[i] {
+				t.Fatalf("%s: row order wrong: %+v", tt.name, rows)
+			}
+			if i == tt.baseline && row.Agreement != 1.0 {
+				t.Errorf("%s: baseline self-agreement = %.3f", tt.name, row.Agreement)
+			}
+			if row.GapSeconds == 3600 && row.Artefacts != 0 {
+				t.Errorf("%s: one-hour schedule produced %d artefacts", tt.name, row.Artefacts)
+			}
+			if row.GapSeconds == 600 && row.Artefacts == 0 {
+				t.Errorf("%s: 10-minute schedule should trip route-flap damping", tt.name)
+			}
+			if row.GapSeconds == 600 && row.Agreement >= 1.0 {
+				t.Errorf("%s: 10-minute schedule should disagree with the baseline somewhere", tt.name)
+			}
+		}
+		if len(rows) > 0 && !strings.Contains(GapAblationTable(rows).String(), "00:10:00") {
+			t.Errorf("%s: table rendering wrong", tt.name)
+		}
 	}
 }
 

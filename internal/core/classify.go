@@ -10,8 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/netutil"
 	"repro/internal/probe"
@@ -32,8 +33,9 @@ const (
 	ObsRE
 	// ObsCommodity: every response arrived on the commodity VLAN.
 	ObsCommodity
-	// ObsMixed: responses arrived on both VLANs within the round.
-	ObsMixed
+	// ObsMixed: responses arrived on both VLANs within the round. A
+	// round's observation is the OR of its records' (see observe).
+	ObsMixed = ObsRE | ObsCommodity
 )
 
 func (o RoundObs) String() string {
@@ -113,31 +115,28 @@ func (i Inference) String() string {
 // supports that conclusion given the experiment's prepend ordering.
 func (i Inference) EqualLocalPref() bool { return i == InfSwitchToRE }
 
+// observe is what one record shows on its own: the VLAN its response
+// arrived on, ObsLoss if it has none.
+func observe(r *probe.Record) RoundObs {
+	if r.Responded {
+		switch r.VLAN {
+		case simnet.VLANRE:
+			return ObsRE
+		case simnet.VLANCommodity:
+			return ObsCommodity
+		}
+	}
+	return ObsLoss
+}
+
 // ObserveRound reduces one prefix's probe records from a single round
 // to a RoundObs.
 func ObserveRound(records []probe.Record) RoundObs {
-	sawRE, sawC := false, false
-	for _, r := range records {
-		if !r.Responded {
-			continue
-		}
-		switch r.VLAN {
-		case simnet.VLANRE:
-			sawRE = true
-		case simnet.VLANCommodity:
-			sawC = true
-		}
+	var o RoundObs
+	for i := range records {
+		o |= observe(&records[i])
 	}
-	switch {
-	case sawRE && sawC:
-		return ObsMixed
-	case sawRE:
-		return ObsRE
-	case sawC:
-		return ObsCommodity
-	default:
-		return ObsLoss
-	}
+	return o
 }
 
 // Observe reduces probing rounds to every prefix's observation
@@ -149,49 +148,67 @@ func ObserveRound(records []probe.Record) RoundObs {
 //
 // Each round's records are grouped by prefix once, whatever order
 // they arrive in (rounds read back through probe.ReadJSON need not be
-// in the prober's canonical order). maxTargets > 0 restricts each
-// group to its first maxTargets distinct destinations by address, the
-// target-budget ablation's question; 0 keeps every record.
-// Round.Records is only read, never reordered.
+// in the prober's canonical order), by sorting their positions: the
+// records themselves are neither copied nor moved, so Round.Records is
+// only read. The prober writes a prefix's records together and
+// prefixes in ascending order, which the sort detects in one pass.
+// maxTargets > 0 restricts each group to its first maxTargets distinct
+// destinations by address, the target-budget ablation's question; 0
+// keeps every record.
 func Observe(rounds []*probe.Round, maxTargets int) map[netutil.Prefix][]RoundObs {
 	obs := make(map[netutil.Prefix][]RoundObs)
+	var order []int32 // positions in the round's Records, reused across rounds
 	for i, rd := range rounds {
-		groups := make(map[netutil.Prefix][]probe.Record)
-		for _, rec := range rd.Records {
-			groups[rec.Prefix] = append(groups[rec.Prefix], rec)
+		recs := rd.Records
+		order = order[:0]
+		for j := range recs {
+			order = append(order, int32(j))
 		}
-		for p, recs := range groups {
+		slices.SortFunc(order, func(a, b int32) int {
+			ra, rb := &recs[a], &recs[b]
+			if c := netutil.ComparePrefixes(ra.Prefix, rb.Prefix); c != 0 {
+				return c
+			}
+			if maxTargets > 0 && ra.Dst != rb.Dst {
+				return cmp.Compare(ra.Dst, rb.Dst)
+			}
+			return cmp.Compare(a, b)
+		})
+		for lo, hi := 0, 0; lo < len(order); lo = hi {
+			p := recs[order[lo]].Prefix
+			for hi = lo + 1; hi < len(order) && recs[order[hi]].Prefix == p; hi++ {
+			}
 			seq := obs[p]
 			if seq == nil {
 				seq = make([]RoundObs, len(rounds))
 				obs[p] = seq
 			}
-			seq[i] = ObserveRound(firstTargets(recs, maxTargets))
+			for _, j := range firstTargets(recs, order[lo:hi], maxTargets) {
+				seq[i] |= observe(&recs[j])
+			}
 		}
 	}
 	return obs
 }
 
-// firstTargets restricts one prefix's records from one round to its
-// first k distinct destinations by address (the stable order the
-// prober uses); k <= 0 keeps them all. It sorts recs in place, so
-// recs must be the caller's own copy, not a window of Round.Records.
-func firstTargets(recs []probe.Record, k int) []probe.Record {
+// firstTargets trims group — one prefix's record positions in recs,
+// sorted by destination address — to the records of its first k
+// distinct destinations; k <= 0 keeps them all.
+func firstTargets(recs []probe.Record, group []int32, k int) []int32 {
 	if k <= 0 {
-		return recs
+		return group
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Dst < recs[j].Dst })
 	distinct := 0
-	for i := range recs {
-		if i > 0 && recs[i].Dst == recs[i-1].Dst {
+	for i, j := range group {
+		if i > 0 && recs[j].Dst == recs[group[i-1]].Dst {
 			continue
 		}
 		if distinct == k {
-			return recs[:i]
+			return group[:i]
 		}
 		distinct++
 	}
-	return recs
+	return group
 }
 
 // Classify reduces a prefix's per-round observation sequence to its

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -268,6 +269,54 @@ func TestObserveMatchesRescan(t *testing.T) {
 	} {
 		if got := Observe(hand, k)[a]; !reflect.DeepEqual(got, want) {
 			t.Errorf("hand-built k=%d: %s observed %v, want %v", k, a, got, want)
+		}
+	}
+}
+
+// TestObserveOrderIndependent: Observe groups by sorting record
+// positions, so rounds whose records arrive shuffled must reduce to
+// exactly what the prober's canonical order reduces to, under every
+// target budget, and the records must stay where the caller put them.
+func TestObserveOrderIndependent(t *testing.T) {
+	canonical := getSurvey(t).Internet2.Rounds
+	rng := rand.New(rand.NewSource(22))
+	shuffled := make([]*probe.Round, len(canonical))
+	for i, rd := range canonical {
+		cp := &probe.Round{Config: rd.Config, Start: rd.Start, End: rd.End, Records: slices.Clone(rd.Records)}
+		rng.Shuffle(len(cp.Records), func(a, b int) { cp.Records[a], cp.Records[b] = cp.Records[b], cp.Records[a] })
+		shuffled[i] = cp
+	}
+	before := make([][]probe.Record, len(shuffled))
+	for i, rd := range shuffled {
+		before[i] = slices.Clone(rd.Records)
+	}
+	for k := 0; k <= 3; k++ {
+		if got, want := Observe(shuffled, k), Observe(canonical, k); !reflect.DeepEqual(got, want) {
+			t.Errorf("maxTargets %d: Observe on shuffled records differs from the canonical order", k)
+		}
+	}
+	for i, rd := range shuffled {
+		if !slices.Equal(rd.Records, before[i]) {
+			t.Errorf("Observe moved records of round %d", i)
+		}
+	}
+}
+
+// TestObserveAllocs is Observe's allocation ceiling: one observation
+// sequence per prefix plus the map and the one position slice, not a
+// copy of every record. Exact counts, so an ordinary test.
+func TestObserveAllocs(t *testing.T) {
+	rounds := getSurvey(t).Internet2.Rounds
+	records := 0
+	for _, rd := range rounds {
+		records += len(rd.Records)
+	}
+	for _, k := range []int{0, 2} {
+		prefixes := len(Observe(rounds, k))
+		got := testing.AllocsPerRun(5, func() { Observe(rounds, k) })
+		t.Logf("maxTargets %d: %.0f allocations for %d records of %d prefixes in %d rounds", k, got, records, prefixes, len(rounds))
+		if ceiling := float64(prefixes + 64); got > ceiling {
+			t.Errorf("maxTargets %d: Observe allocates %.0f times, want <= %.0f (prefixes + 64)", k, got, ceiling)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/asn"
 	"repro/internal/bgp"
@@ -36,7 +37,9 @@ type OriginView struct {
 // origin suffices because an origin announces all its prefixes with
 // the same per-session policy. Solves are independent reads of the
 // quiescent network, so they run across all CPUs; the result is
-// deterministic regardless of scheduling.
+// deterministic regardless of scheduling. Each running shard draws a
+// bgp.StaticSolver from a pool and reads its result — which borrows
+// the solver — before handing the solver back.
 func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 	// Collector -> peers mapping.
 	type colPeer struct{ col, peer bgp.RouterID }
@@ -59,13 +62,18 @@ func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 
 	// One origin per shard: a panicking solve surfaces as a ShardPanic
 	// naming its origin's index.
+	var solvers sync.Pool
 	results := parallel.Collect(len(origins), 1, 0, func(s parallel.Shard) *OriginView {
 		origin := origins[s.Lo]
 		info := eco.AS(origin)
 		ov := &OriginView{Origin: origin, REPrepend: -1, CommodityPrepend: -1}
+		sv, _ := solvers.Get().(*bgp.StaticSolver)
+		if sv == nil {
+			sv = eco.Net.NewStaticSolver()
+		}
 		// Solve one representative prefix for this origin.
 		p := info.Prefixes[0]
-		res := eco.Net.SolveStatic(p, []bgp.StaticOrigin{{Speaker: info.Router}})
+		res := sv.Solve(p, []bgp.StaticOrigin{{Speaker: info.Router}})
 
 		for _, cp := range colPeers {
 			r := eco.Net.ExportView(res, cp.peer, cp.col)
@@ -85,13 +93,14 @@ func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 				}
 			}
 		}
-		if best := res.Best[eco.RIPE.Router]; best != nil {
+		if best := res.Best(eco.RIPE.Router); best != nil {
 			ov.RIPEHasRoute = true
 			// §4.3: classify RIPE's neighbors as R&E or commodity.
 			if nb := eco.ByRouter(best.From); nb != nil {
 				ov.RIPEViaRE = eco.REASNs[nb.AS]
 			}
 		}
+		solvers.Put(sv)
 		return ov
 	})
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bgp"
 	"repro/internal/report"
 )
@@ -43,16 +45,13 @@ func AblateRoundGap(gaps []int, opts SurveyOptions) []GapAblationRow {
 		x.Cfg.DormancySeed = 0
 		results[gap] = x.Run()
 	}
+	if len(gaps) == 0 {
+		return nil
+	}
 	base := results[3600]
 	if base == nil {
 		// Fall back to the largest gap as baseline.
-		maxGap := gaps[0]
-		for _, g := range gaps {
-			if g > maxGap {
-				maxGap = g
-			}
-		}
-		base = results[maxGap]
+		base = results[slices.Max(gaps)]
 	}
 
 	var out []GapAblationRow

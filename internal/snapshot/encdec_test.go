@@ -73,6 +73,13 @@ func TestEncDecRoundTrip(t *testing.T) {
 	if err := d.Done(); err != nil {
 		t.Fatalf("Done after full read: %v", err)
 	}
+
+	// Reset starts the next payload in the same buffer.
+	e.Reset()
+	e.U16(7)
+	if got := e.Bytes(); !bytes.Equal(got, []byte{7, 0}) {
+		t.Errorf("payload after Reset = %v, want the new payload alone", got)
+	}
 }
 
 // TestDecTruncationLatches reads each scalar type off an empty payload

@@ -200,6 +200,10 @@ type Enc struct {
 // Bytes returns the encoded payload.
 func (e *Enc) Bytes() []byte { return e.buf }
 
+// Reset empties the encoder, keeping its buffer for the next payload;
+// bytes handed out by Bytes are overwritten.
+func (e *Enc) Reset() { e.buf = e.buf[:0] }
+
 // U8 appends one byte.
 func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
 

@@ -217,13 +217,13 @@ func TestHiddenCommodityInvisibleAtCollector(t *testing.T) {
 	// commodity announcements — that is the point of §4.2's caveat).
 	for _, upAS := range hidden.CommodityProviders {
 		up := e.AS(upAS)
-		if r := res.Best[up.Router]; r != nil && r.From == hidden.Router {
+		if r := res.Best(up.Router); r != nil && r.From == hidden.Router {
 			t.Errorf("hidden upstream %v learned %v directly from the member", upAS, r)
 		}
 	}
 	// The R&E provider must have one.
 	re := e.AS(hidden.REProviders[0])
-	if res.Best[re.Router] == nil {
+	if res.Best(re.Router) == nil {
 		t.Error("R&E provider did not learn the member prefix")
 	}
 }

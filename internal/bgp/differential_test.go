@@ -160,6 +160,7 @@ func TestPropertyArenaCommutingBatches(t *testing.T) {
 				net.SetPrefixPrepend(op.router, op.nb, op.prefix, op.k)
 			}
 			net.RunToQuiescence()
+			requireExportsSettled(t, net)
 			return ribSignature(net)
 		}
 

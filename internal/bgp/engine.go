@@ -11,16 +11,20 @@ import (
 	"repro/internal/vtime"
 )
 
-// event is a BGP update in flight: an announcement (route != nil) or a
+// event is a BGP update in flight: an announcement (route != 0) or a
 // withdrawal, due at a speaker, plus internal timer events (RFD reuse
-// checks, MRAI flushes). Its due time and FIFO tie-break live in the
-// vtime.Queue item wrapping it, so the queue's (At, Seq) ordering is
-// the single definition of delivery order.
+// checks, MRAI flushes). It lives in the queue by value, inside the
+// vtime.Item that carries its due time and FIFO tie-break, so the
+// queue's (At, Seq) ordering is the single definition of delivery order
+// and queuing an event costs no allocation of its own. The announced
+// route waits in Network.inflight rather than in the event: a
+// pointer-free item moves through the heap without write barriers, and
+// the garbage collector never scans the queue.
 type event struct {
 	to     RouterID
 	from   RouterID
 	prefix netutil.Prefix
-	route  *Route // nil = withdraw
+	route  uint32 // the announced route's slot in Network.inflight; 0 = withdraw
 	rfd    bool   // RFD reuse-check timer rather than an update
 	mrai   bool   // MRAI flush timer, delivered to the *sender*
 }
@@ -54,7 +58,7 @@ type Network struct {
 	byName   map[string]RouterID
 
 	clock Time
-	queue vtime.Queue[*event]
+	queue vtime.Queue[event]
 
 	// DefaultDelay is the per-hop propagation delay applied when a
 	// session has none configured.
@@ -104,6 +108,67 @@ type Network struct {
 	// stores over the shared path table and prefix index in ribBE.
 	compact bool
 	ribBE   *ribBackend
+
+	// Per-update scratch (see bestCandidate and exportPath): the
+	// full-scan candidate buffer, emptied after every scan so it keeps
+	// no route alive, and the last prepended export path, so every
+	// session of one fan-out shares one path.
+	cands    []*Route
+	prepends prependMemo
+
+	// inflight holds the route of every queued announcement by the
+	// slot its event carries (see event); slot 0 stays nil. freeSlots
+	// lists the released slots for reuse.
+	inflight  []*Route
+	freeSlots []uint32
+}
+
+// park stores r (nil: none) for a queued event and returns its slot.
+func (n *Network) park(r *Route) uint32 {
+	if r == nil {
+		return 0
+	}
+	if k := len(n.freeSlots); k > 0 {
+		slot := n.freeSlots[k-1]
+		n.freeSlots = n.freeSlots[:k-1]
+		n.inflight[slot] = r
+		return slot
+	}
+	if len(n.inflight) == 0 {
+		n.inflight = append(n.inflight, nil)
+	}
+	n.inflight = append(n.inflight, r)
+	return uint32(len(n.inflight) - 1)
+}
+
+// parked returns the route in slot, nil for slot 0.
+func (n *Network) parked(slot uint32) *Route {
+	if slot == 0 {
+		return nil
+	}
+	return n.inflight[slot]
+}
+
+// unpark releases slot and returns its route.
+func (n *Network) unpark(slot uint32) *Route {
+	r := n.parked(slot)
+	if slot != 0 {
+		n.inflight[slot] = nil
+		n.freeSlots = append(n.freeSlots, slot)
+	}
+	return r
+}
+
+// prependMemo is a one-entry memo of src.Path prepended n times with
+// the AS of speaker id. Holding src keeps its address from being
+// reused, so pointer identity is a sound key (an arena store that
+// re-boxes src only costs a miss); paths are immutable once built, so
+// every announcement may share the one it holds.
+type prependMemo struct {
+	src  *Route
+	id   RouterID
+	n    int
+	path asn.Path
 }
 
 // netMetrics caches the dynamic engine's hot-path counters so the
@@ -630,7 +695,7 @@ func (n *Network) exportToPeer(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
 		if last, ok := s.mraiLast[k]; ok && n.clock < last+pc.MRAI {
 			if !s.mraiPending[k] {
 				s.mraiPending[k] = true
-				n.queue.Push(vtime.Time(last+pc.MRAI), &event{
+				n.queue.Push(vtime.Time(last+pc.MRAI), event{
 					to:     s.ID,
 					from:   pc.Neighbor,
 					prefix: p,
@@ -644,17 +709,26 @@ func (n *Network) exportToPeer(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
 }
 
 // sendExport performs the actual adj-RIB-out comparison and enqueue.
+// The announcement is compared as a value and reaches the heap only
+// when it differs: the one *Route the adj-RIB-out entry and the queued
+// event then share. Two sessions never share a Route, even with equal
+// announcements — the snapshot numbers routes per distinct pointer
+// (routeIndex), so sharing would change its route table — only the
+// path.
 func (n *Network) sendExport(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
-	r := s.exportRoute(p, pc)
+	ann, ok := n.exportRoute(s, p, pc)
 	k := ribKey{p, pc.Neighbor}
 	prev := s.adjOut.Get(k)
-	if announcementEqual(prev, r) {
-		return
-	}
-	if r == nil {
-		s.adjOut.Withdraw(k)
-	} else {
+	var r *Route
+	switch {
+	case ok && !announcementEqual(prev, &ann):
+		r = new(Route)
+		*r = ann
 		s.adjOut.Install(k, r)
+	case !ok && prev != nil:
+		s.adjOut.Withdraw(k)
+	default:
+		return
 	}
 	delay := pc.Delay
 	if delay <= 0 {
@@ -663,11 +737,11 @@ func (n *Network) sendExport(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
 	if pc.MRAI > 0 {
 		s.mraiLast[ribKey{p, pc.Neighbor}] = n.clock
 	}
-	n.queue.Push(vtime.Time(n.clock+delay), &event{
+	n.queue.Push(vtime.Time(n.clock+delay), event{
 		to:     pc.Neighbor,
 		from:   s.ID,
 		prefix: p,
-		route:  r,
+		route:  n.park(r),
 	})
 }
 
@@ -685,7 +759,7 @@ func (n *Network) Run(until Time) int {
 		if Time(it.At) > n.clock {
 			n.clock = Time(it.At)
 		}
-		n.deliver(it.V)
+		n.deliver(&it.V)
 		processed++
 	}
 	n.eventsProcessed += processed
@@ -699,22 +773,26 @@ const MaxTime = Time(1 << 40)
 func (n *Network) RunToQuiescence() int { return n.Run(MaxTime) }
 
 func (n *Network) deliver(e *event) {
+	route := n.unpark(e.route) // released on every path, dropped or not
 	s := n.speakers[e.to]
 	if s == nil {
 		return
 	}
-	// Updates in flight when the session went down are lost.
-	if pcIn := s.peers[e.from]; pcIn != nil && pcIn.down && !e.rfd {
-		return
-	}
 	if e.mrai {
-		// Flush timer at the sender: re-evaluate the deferred export.
+		// Flush timer at the sender: re-evaluate the deferred export. A
+		// timer is not an update in flight, so it ends the batch even
+		// when the session is down; otherwise the session's next export
+		// inside the interval would find the batch still pending and
+		// schedule nothing.
 		pcOut := s.peers[e.from]
-		k := ribKey{e.prefix, e.from}
-		s.mraiPending[k] = false
+		s.mraiPending[ribKey{e.prefix, e.from}] = false
 		if pcOut != nil && !pcOut.down && !s.Collector {
 			n.sendExport(s, e.prefix, pcOut)
 		}
+		return
+	}
+	// Updates in flight when the session went down are lost.
+	if pcIn := s.peers[e.from]; pcIn != nil && pcIn.down && !e.rfd {
 		return
 	}
 	if e.rfd {
@@ -741,16 +819,16 @@ func (n *Network) deliver(e *event) {
 			Collector: s.ID,
 			PeerAS:    peerAS,
 			Prefix:    e.prefix,
-			Announce:  e.route != nil,
+			Announce:  route != nil,
 		}
-		if e.route != nil {
-			rec.Path = e.route.Path
+		if route != nil {
+			rec.Path = route.Path
 		}
 		n.Churn.Records = append(n.Churn.Records, rec)
 	}
 
 	before := s.effectiveCandidate(e.prefix, e.from)
-	changed := s.applyImport(e.prefix, e.from, e.route, n.clock)
+	changed := s.applyImport(e.prefix, e.from, route, n.clock)
 	if !changed {
 		return
 	}
@@ -758,7 +836,7 @@ func (n *Network) deliver(e *event) {
 	if pcIn := s.peers[e.from]; pcIn != nil && pcIn.RFD != nil {
 		k := ribKey{e.prefix, e.from}
 		if reuse := s.rfdReuseTime(k, pcIn.RFD); reuse >= 0 {
-			n.queue.Push(vtime.Time(reuse+1), &event{
+			n.queue.Push(vtime.Time(reuse+1), event{
 				to:     s.ID,
 				from:   e.from,
 				prefix: e.prefix,

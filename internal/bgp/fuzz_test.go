@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/asn"
@@ -160,6 +161,36 @@ func decodeFuzzOps(data []byte) []fuzzOp {
 	return ops
 }
 
+// TestExportsSettledOnRandomInputs is the settled-exports invariant in
+// tier-1: seeded random inputs to the fuzz target's decoder, each
+// ending at quiescence with every session up. The differential
+// harness cannot see a lost update — the engine and its reference lose
+// the same one; the MRAI flush timer dropped on a down session (the
+// flap-inside-a-window seed below) fails this within the first few
+// thousand inputs.
+func TestExportsSettledOnRandomInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(25)) // #nosec test randomness
+	var data []byte
+	defer func() {
+		if t.Failed() {
+			t.Logf("input % x", data)
+		}
+	}()
+	for i := 0; i < 5000; i++ {
+		data = make([]byte, 3*(4+rng.Intn(20)))
+		rng.Read(data)
+		n := fuzzTopology()
+		for _, p := range fuzzPrefixes {
+			n.Originate(4, p)
+		}
+		n.RunToQuiescence()
+		for _, op := range decodeFuzzOps(data) {
+			op(n)
+		}
+		requireExportsSettled(t, n)
+	}
+}
+
 func FuzzIncrementalEvents(f *testing.F) {
 	// A quiet input, a config-delta battery, and a flap battery.
 	f.Add([]byte{})
@@ -179,6 +210,16 @@ func FuzzIncrementalEvents(f *testing.F) {
 		0x02, 0x00, 0x00, // flap 1—2 (the RFD/MRAI session)
 		0x04, 0x01, 0x03, // advance, partial
 		0x03, 0x00, 0x00, // restore 1—2
+	})
+	// Session flap inside an MRAI window: the flush timer fires onto the
+	// down session, and the next export after the restore, inside the
+	// new window, must still reach the neighbour.
+	f.Add([]byte{
+		0x00, 0x01, 0x09, // router 2 prepends prefix 0 once toward 1, inside 2→1's MRAI window
+		0x02, 0x00, 0x00, // session 1—2 down with the flush pending
+		0x04, 0x04, 0x00, // advance 5, drain: the timer fires
+		0x03, 0x00, 0x00, // session 1—2 back up: sent at once, a new window opens
+		0x00, 0x01, 0x18, // router 2 prepends prefix 0 three times toward 1, inside it
 	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -204,5 +245,7 @@ func FuzzIncrementalEvents(f *testing.F) {
 			t.Fatalf("work accounting diverged: full {runs %d, changes %d}, incremental {runs %d, changes %d}",
 				fst.DecisionRuns, fst.BestChanges, ist.DecisionRuns, ist.BestChanges)
 		}
+		// The ops end at quiescence with every session up.
+		requireExportsSettled(t, inc)
 	})
 }

@@ -242,5 +242,5 @@ func (n *Network) fastPathHit() {
 func (n *Network) scanDecision(s *Speaker, p netutil.Prefix) bool {
 	n.inc.FullScans++
 	n.metrics.fullScans.Inc()
-	return s.runDecision(p)
+	return s.runDecision(p, n.bestCandidate(s, p, nil))
 }

@@ -3,6 +3,7 @@ package bgp
 import (
 	"testing"
 
+	"repro/internal/asn"
 	"repro/internal/netutil"
 )
 
@@ -76,7 +77,9 @@ func TestCommunityThroughChainWithPrepends(t *testing.T) {
 
 func TestSessionDownDuringMRAIWindow(t *testing.T) {
 	// A deferred (MRAI-held) export must not fire onto a session that
-	// went down before the flush.
+	// went down before the flush, and the flush timer must still end
+	// the batch: the first change after the restore, inside the new
+	// window, reaches the edge.
 	net := chainNet()
 	net.Speaker(2).Peer(3).MRAI = 50
 	p := netutil.MustParsePrefix("203.0.113.0/24")
@@ -97,6 +100,13 @@ func TestSessionDownDuringMRAIWindow(t *testing.T) {
 	if r == nil || r.Path.PrependCount() != 1 {
 		t.Errorf("post-restore route wrong: %v", r)
 	}
+	net.SetPrefixPrepend(1, 2, p, 3)
+	net.RunToQuiescence()
+	want := asn.Path{200, 100, 100, 100, 100}
+	if r := net.Speaker(3).Best(p); r == nil || !r.Path.Equal(want) {
+		t.Errorf("change after the restore: edge holds %v, want %v", r, want)
+	}
+	requireExportsSettled(t, net)
 }
 
 func TestConnectInitialTableExchange(t *testing.T) {

@@ -27,6 +27,66 @@ func prepended(r *Route, k int) *Route {
 	return &c
 }
 
+// requireExportsSettled pins what quiescence means for exports: every
+// up session of every non-collector speaker carries what its speaker
+// would announce now. For each exportable prefix the adj-RIB-out equals
+// the export computed afresh (absent = withheld), and where the session
+// carries an announcement the neighbour's adj-RIB-in holds its path,
+// unless the neighbour's loop detection or import filter drops it. An
+// update or flush timer lost on the way leaves a session stale with
+// nothing queued to repair it; this finds it. A withheld export is not
+// checked at the neighbour: an update queued before a session reset is
+// still delivered if the session is back up first (ROADMAP item 1), so
+// a withdrawn route can linger there.
+func requireExportsSettled(t *testing.T, n *Network) {
+	t.Helper()
+	if q := n.PendingEvents(); q != 0 {
+		t.Fatalf("requireExportsSettled on a busy network: %d events queued", q)
+	}
+	for _, id := range n.Speakers() {
+		s := n.Speaker(id)
+		if s.Collector {
+			continue
+		}
+		for _, p := range s.exportablePrefixes() {
+			for _, nb := range s.peerOrder {
+				pc := s.peers[nb]
+				if pc.down {
+					continue
+				}
+				var want *Route
+				if ann, ok := n.exportRoute(s, p, pc); ok {
+					want = &ann
+				}
+				if got := s.AdjOut(p, nb); !announcementEqual(got, want) {
+					t.Fatalf("speaker %d → %d, %s: adj-RIB-out %s, but the export now is %s",
+						id, nb, p, routeSig(got), routeSig(want))
+				}
+				rcv := n.Speaker(nb)
+				if want == nil || importDrops(rcv, rcv.peers[id], want) {
+					continue
+				}
+				if got := rcv.AdjIn(p, id); got == nil || !got.Path.Equal(want.Path) {
+					t.Fatalf("speaker %d → %d, %s: the neighbour holds %s, but the session carries %s",
+						id, nb, p, routeSig(got), routeSig(want))
+				}
+			}
+		}
+	}
+}
+
+// importDrops mirrors applyImport's filters: receiver-side loop
+// detection, then the session's and the speaker's import filter on a
+// copy classified as the session classifies.
+func importDrops(s *Speaker, pc *PeerConfig, ann *Route) bool {
+	if ann.Path.Contains(s.AS) {
+		return true
+	}
+	filtered := *ann
+	filtered.Class = pc.ClassifyAs
+	return pc.ImportDeny != nil && pc.ImportDeny(&filtered) || s.importDeny != nil && s.importDeny(&filtered)
+}
+
 // TestPropertyPrependMonotonic: at equal localpref, adding prepends to
 // a route never makes it preferred over a route it did not already
 // beat. Checked pairwise over random routes and then end-to-end on a
@@ -69,6 +129,7 @@ func TestPropertyPrependMonotonic(t *testing.T) {
 		net.SetReferenceScan(k%2 == 0) // alternate engine and reference: the property holds in both
 		net.Originate(4, p)
 		net.RunToQuiescence()
+		requireExportsSettled(t, net)
 		via3 := net.Speaker(1).Best(p) != nil && net.Speaker(1).Best(p).From == 3
 		if via3 && !wasVia3 {
 			t.Fatalf("prepend sweep k=%d flipped the best path back toward the prepended leg", k)
@@ -187,6 +248,7 @@ func TestPropertyOrderIndependence(t *testing.T) {
 				net.SetPrefixPrepend(op.router, op.nb, op.prefix, op.k)
 			}
 			net.RunToQuiescence()
+			requireExportsSettled(t, net)
 			return ribSignature(net)
 		}
 
@@ -230,4 +292,5 @@ func TestPropertyDirtySetBounded(t *testing.T) {
 		}
 	})
 	inc.RunToQuiescence()
+	requireExportsSettled(t, inc)
 }

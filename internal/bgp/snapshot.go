@@ -20,8 +20,8 @@ package bgp
 //     installs them as they come, without sorting anything again.
 //
 //   - Pointer identity. sendExport stores one *Route into both the
-//     adj-RIB-out and the queued event, and a queued event may hold a
-//     stale pointer no RIB reaches any more. The route table assigns
+//     adj-RIB-out and the queued event's Network.inflight slot, and a
+//     queued event may hold a stale pointer no RIB reaches any more. The route table assigns
 //     one index per distinct pointer, so aliasing survives a round
 //     trip.
 //
@@ -95,7 +95,7 @@ func (n *Network) snapshotBytes() ([]byte, error) {
 	sw.Section(secPaths, encodePaths(pt))
 	sw.Section(secRoutes, routesPayload)
 	sw.Section(secSpeakers, n.encodeSpeakers(ri))
-	sw.Section(secQueue, encodeQueue(n.queue.Sorted(), ri))
+	sw.Section(secQueue, n.encodeQueue(ri))
 	sw.Section(secChurn, churnPayload)
 	sw.Section(secDirty, encodeDirty(n.dirtyQueue))
 	return sw.Bytes(), nil
@@ -140,7 +140,7 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 	if err != nil {
 		return err
 	}
-	queue, err := decodeQueue(sections[5].Payload, routes)
+	queue, queueRoutes, err := decodeQueue(sections[5].Payload, routes)
 	if err != nil {
 		return err
 	}
@@ -159,6 +159,11 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 	base.DefaultDelay = meta.defaultDelay
 	base.inc = meta.inc
 	base.Churn = ChurnLog{Records: churn, TotalMessages: meta.churnTotal}
+	clear(base.inflight)
+	base.inflight, base.freeSlots = base.inflight[:0], base.freeSlots[:0]
+	for i, r := range queueRoutes {
+		queue[i].V.route = base.park(r)
+	}
 	base.queue.Restore(queue, meta.seq)
 	base.batchDepth = 0
 	base.dirtyQueue = dirty
@@ -361,8 +366,8 @@ func newRouteIndex(n *Network) *routeIndex {
 		}
 	}
 	for _, it := range n.queue.Sorted() {
-		if it.V.route != nil {
-			ri.add(it.V.route)
+		if r := n.parked(it.V.route); r != nil {
+			ri.add(r)
 		}
 	}
 	return ri
@@ -788,51 +793,57 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 // vtime.Queue.Sorted traversal — with each item's due time and
 // sequence number written explicitly, so the wire format is identical
 // to the pre-vtime eventHeap encoding byte for byte.
-func encodeQueue(items []vtime.Item[*event], ri *routeIndex) []byte {
+func (n *Network) encodeQueue(ri *routeIndex) []byte {
+	items := n.queue.Sorted()
 	var e snap.Enc
 	e.Uvarint(uint64(len(items)))
 	for _, it := range items {
-		ev := it.V
+		ev := &it.V
 		e.I64(int64(it.At))
 		e.U64(it.Seq)
 		e.U32(uint32(ev.to))
 		e.U32(uint32(ev.from))
 		encPrefix(&e, ev.prefix)
-		e.Uvarint(ri.ref(ev.route))
+		e.Uvarint(ri.ref(n.parked(ev.route)))
 		e.Bool(ev.rfd)
 		e.Bool(ev.mrai)
 	}
 	return e.Bytes()
 }
 
-func decodeQueue(payload []byte, routes []*Route) ([]vtime.Item[*event], error) {
+// decodeQueue returns the pending events and, beside them, the route
+// each announces (nil for withdrawals and timers): slots in
+// Network.inflight are the restoring network's to assign.
+func decodeQueue(payload []byte, routes []*Route) ([]vtime.Item[event], []*Route, error) {
 	d := snap.NewDec(payload)
 	n := d.Count(32)
-	q := make([]vtime.Item[*event], 0, n)
+	q := make([]vtime.Item[event], 0, n)
+	qr := make([]*Route, 0, n)
 	for i := 0; i < n; i++ {
-		it := vtime.Item[*event]{
+		it := vtime.Item[event]{
 			At:  vtime.Time(d.I64()),
 			Seq: d.U64(),
-			V:   &event{},
 		}
-		ev := it.V
+		ev := &it.V
 		ev.to = RouterID(d.U32())
 		ev.from = RouterID(d.U32())
 		var err error
 		if ev.prefix, err = decPrefix(d); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if ev.route, err = routeRef(routes, d.Uvarint(), d); err != nil {
-			return nil, err
+		r, err := routeRef(routes, d.Uvarint(), d)
+		if err != nil {
+			return nil, nil, err
 		}
 		ev.rfd = d.Bool()
 		ev.mrai = d.Bool()
 		q = append(q, it)
+		qr = append(qr, r)
 	}
 	if err := d.Done(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return q, nil
+	return q, qr, nil
 }
 
 // --- churn section ---

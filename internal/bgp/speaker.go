@@ -153,21 +153,30 @@ func (s *Speaker) AdjOut(p netutil.Prefix, neighbor RouterID) *Route {
 	return s.adjOut.Get(ribKey{p, neighbor})
 }
 
-// candidateSet collects the decision-process inputs for p: the local
-// origination first, then unsuppressed adj-RIB-in routes in neighbor
-// order.
-func (s *Speaker) candidateSet(p netutil.Prefix) []*Route {
-	candidates := make([]*Route, 0, len(s.peerOrder)+1)
-	if o, ok := s.originated[p]; ok {
-		candidates = append(candidates, o.route)
+// candidateSet appends to buf the decision-process inputs for p that
+// admit accepts (nil accepts all): the local origination first, then
+// unsuppressed adj-RIB-in routes in neighbor order.
+func (s *Speaker) candidateSet(p netutil.Prefix, admit func(*Route) bool, buf []*Route) []*Route {
+	if o, ok := s.originated[p]; ok && (admit == nil || admit(o.route)) {
+		buf = append(buf, o.route)
 	}
 	for _, nb := range s.peerOrder {
 		k := ribKey{p, nb}
-		if r := s.adjIn.Get(k); r != nil && !s.suppressed[k] {
-			candidates = append(candidates, r)
+		if r := s.adjIn.Get(k); r != nil && !s.suppressed[k] && (admit == nil || admit(r)) {
+			buf = append(buf, r)
 		}
 	}
-	return candidates
+	return buf
+}
+
+// bestCandidate is the decision process over s's candidates for p that
+// admit accepts, collected in the network's one candidate buffer. The
+// buffer is emptied before returning so it keeps no route alive.
+func (n *Network) bestCandidate(s *Speaker, p netutil.Prefix, admit func(*Route) bool) *Route {
+	n.cands = s.candidateSet(p, admit, n.cands[:0])
+	best, _ := Best(n.cands)
+	clear(n.cands)
+	return best
 }
 
 // effectiveCandidate returns the route neighbor nb currently
@@ -180,10 +189,10 @@ func (s *Speaker) effectiveCandidate(p netutil.Prefix, nb RouterID) *Route {
 	return s.adjIn.Get(k)
 }
 
-// runDecision recomputes the best route for p by a scan over every
-// candidate and reports whether the loc-RIB changed.
-func (s *Speaker) runDecision(p netutil.Prefix) bool {
-	best, _ := Best(s.candidateSet(p))
+// runDecision completes a full-scan decision for p: best is the winner
+// of the scan over every candidate (Network.bestCandidate). It reports
+// whether the loc-RIB changed.
+func (s *Speaker) runDecision(p netutil.Prefix, best *Route) bool {
 	prev := s.locRib.Get(locKey(p))
 	if routesEqual(prev, best) {
 		return false
@@ -212,34 +221,39 @@ func routesEqual(a, b *Route) bool {
 		communitiesEqual(a.Communities, b.Communities)
 }
 
-// exportRoute computes the route s would announce to the neighbor
-// described by pc, or nil if policy withholds the prefix. It only
+// exportRoute computes the announcement s would send the neighbor
+// described by pc; ok is false if policy withholds the prefix. It only
 // selects the source route; whether and how that route is announced is
-// the one export policy the static solver also applies (static.go).
-func (s *Speaker) exportRoute(p netutil.Prefix, pc *PeerConfig) *Route {
+// the one export policy the static solver also applies (static.go). The
+// announcement is a value, so comparing it with what the session last
+// carried costs nothing on the heap (sendExport), and its path is the
+// one every session of the fan-out shares (exportPath).
+func (n *Network) exportRoute(s *Speaker, p netutil.Prefix, pc *PeerConfig) (ann Route, ok bool) {
 	var src *Route
 	if pc.ExportBestOf != nil {
 		// VRF-style export: best among matching adj-RIB-in routes and
 		// matching originations, ignoring the loc-RIB choice.
-		var cands []*Route
-		if o, ok := s.originated[p]; ok && pc.ExportBestOf(o.route) {
-			cands = append(cands, o.route)
-		}
-		for _, nb := range s.peerOrder {
-			k := ribKey{p, nb}
-			if r := s.adjIn.Get(k); r != nil && !s.suppressed[k] && pc.ExportBestOf(r) {
-				cands = append(cands, r)
-			}
-		}
-		src, _ = Best(cands)
+		src = n.bestCandidate(s, p, pc.ExportBestOf)
 	} else {
 		src = s.locRib.Get(locKey(p))
 	}
 	if src == nil || !exportAdmits(src, pc) {
-		return nil
+		return Route{}, false
 	}
-	ann := announcement(s, src, pc)
-	return &ann
+	return announcement(src, n.exportPath(s, src, pc), pc), true
+}
+
+// exportPath is src's path as s announces it toward the neighbor
+// described by pc: s's AS prepended 1 + effectivePrepend times. A
+// fan-out exports one source route to every session in turn, so a
+// one-entry memo builds the path once for all sessions with the same
+// prepend count.
+func (n *Network) exportPath(s *Speaker, src *Route, pc *PeerConfig) asn.Path {
+	count := 1 + pc.effectivePrepend(src.Prefix)
+	if m := &n.prepends; m.src != src || m.id != s.ID || m.n != count {
+		*m = prependMemo{src: src, id: s.ID, n: count, path: src.Path.Prepend(s.AS, count)}
+	}
+	return n.prepends.path
 }
 
 // announcementEqual compares wire-visible attributes of announcements.
@@ -303,7 +317,8 @@ func (s *Speaker) applyImport(p netutil.Prefix, nb RouterID, r *Route, now Time)
 		return true
 	}
 
-	in := &Route{
+	// Built as a value: a duplicate never reaches the heap.
+	in := Route{
 		Prefix:      p,
 		Path:        r.Path,
 		Origin:      r.Origin,
@@ -317,12 +332,14 @@ func (s *Speaker) applyImport(p netutil.Prefix, nb RouterID, r *Route, now Time)
 		LearnedAt:   now,
 		Communities: r.Communities,
 	}
-	if prev != nil && routesEqual(prev, in) {
+	if prev != nil && routesEqual(prev, &in) {
 		// Duplicate announcement: no flap, no age reset needed for our
 		// model (the route version is unchanged).
 		return false
 	}
-	s.adjIn.Install(k, in)
+	installed := new(Route)
+	*installed = in
+	s.adjIn.Install(k, installed)
 	if in.MED != 0 {
 		s.medSeen[p] = true
 	}

@@ -523,7 +523,7 @@ func (pc *PeerConfig) hasExportCallback() bool {
 // exportAdmits runs the sender-side export checks on the source route
 // src toward the neighbor described by pc, without building the
 // announcement. It is the export policy of both the event engine
-// (Speaker.exportRoute) and the static solver, which applies the same
+// (Network.exportRoute) and the static solver, which applies the same
 // checks to a node when the session carries no callback.
 func exportAdmits(src *Route, pc *PeerConfig) bool {
 	if pc.ExportBestOf != nil && !pc.ExportBestOf(src) {
@@ -565,13 +565,15 @@ func exportCommunities(comms CommunitySet, pc *PeerConfig) CommunitySet {
 	return comms
 }
 
-// announcement is what s sends its neighbor for src once exportAdmits
-// has passed. It returns a value so that a caller that only reads it
-// to build the imported route never puts it on the heap.
-func announcement(s *Speaker, src *Route, pcToNeighbor *PeerConfig) Route {
+// announcement is what a speaker sends its neighbor for src once
+// exportAdmits has passed, carrying path: src's path with the speaker's
+// AS prepended (Network.exportPath). It returns a value so that a
+// caller that only compares it or reads it to build the imported route
+// never puts it on the heap.
+func announcement(src *Route, path asn.Path, pcToNeighbor *PeerConfig) Route {
 	return Route{
 		Prefix:      src.Prefix,
-		Path:        src.Path.Prepend(s.AS, 1+pcToNeighbor.effectivePrepend(src.Prefix)),
+		Path:        path,
 		Origin:      src.Origin,
 		MED:         pcToNeighbor.ExportMED,
 		Communities: exportCommunities(src.Communities, pcToNeighbor),

@@ -168,7 +168,7 @@ func solveCandidate(idx *solverIndex, s *Speaker, ownRoute *Route, cur []*Route)
 		// filter exists (rare: default-only importers, ROV).
 		var cand *Route
 		if e.pcAtS.ImportDeny != nil || s.importDeny != nil {
-			ann := announcement(e.nb, nbBest, e.pcAtNb)
+			ann := referenceAnnouncement(e.nb, nbBest, e.pcAtNb)
 			cand = staticImport(s, e.pcAtS, &ann)
 			if cand == nil {
 				continue
@@ -190,7 +190,7 @@ func solveCandidate(idx *solverIndex, s *Speaker, ownRoute *Route, cur []*Route)
 	if bestEdge != nil {
 		// The announcement lives on the stack; the imported route is
 		// the only Route the winner costs.
-		ann := announcement(bestEdge.nb, bestSrc, bestEdge.pcAtNb)
+		ann := referenceAnnouncement(bestEdge.nb, bestSrc, bestEdge.pcAtNb)
 		best = staticImport(s, bestEdge.pcAtS, &ann)
 	}
 	return best
@@ -217,13 +217,20 @@ func (n *Network) referenceExportView(res *referenceResult, from, to RouterID) *
 }
 
 // staticExport is the solver's export: the loc-RIB best, under the
-// same policy Speaker.exportRoute ends in.
+// same policy Network.exportRoute ends in.
 func staticExport(s *Speaker, best *Route, pcToNeighbor *PeerConfig) *Route {
 	if !exportAdmits(best, pcToNeighbor) {
 		return nil
 	}
-	ann := announcement(s, best, pcToNeighbor)
+	ann := referenceAnnouncement(s, best, pcToNeighbor)
 	return &ann
+}
+
+// referenceAnnouncement is announcement with the path prepended afresh
+// on every call, as the reference built it before the engine's one
+// path per fan-out (Network.exportPath).
+func referenceAnnouncement(s *Speaker, src *Route, pc *PeerConfig) Route {
+	return announcement(src, src.Path.Prepend(s.AS, 1+pc.effectivePrepend(src.Prefix)), pc)
 }
 
 // diffSolverReference solves (p, origins) on sv and on the reference

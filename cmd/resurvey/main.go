@@ -194,7 +194,13 @@ func run(w io.Writer, o options) error {
 	var ck *core.Checkpoint
 	if o.Resume {
 		var corrupt int
-		ck, corrupt = loadLatestCheckpoint(o, s.Eco.Net)
+		var err error
+		ck, corrupt, err = core.LatestCheckpoint(o.SnapshotDir, fingerprintOf(o), s.Eco.Net, func(note string) {
+			fmt.Fprintln(os.Stderr, "resurvey:", note)
+		})
+		if err != nil && !os.IsNotExist(err) {
+			fmt.Fprintln(os.Stderr, "resurvey: resume:", err)
+		}
 		if corrupt > 0 {
 			reg.Counter("snapshot_checkpoint_corrupt_total").Add(int64(corrupt))
 		}
@@ -215,8 +221,11 @@ func run(w io.Writer, o options) error {
 		s.Resume = ck.Resume(openSpans)
 	}
 	if o.SnapshotDir != "" {
+		// Checkpoint I/O is deliberately invisible to telemetry and
+		// stdout — a resumed run must reproduce the uninterrupted run's
+		// bytes exactly — so failures only warn on stderr.
 		s.Checkpoint = func(sck core.SurveyCheckpoint) {
-			if err := writeCheckpoint(o, reg, s, sck); err != nil {
+			if err := core.WriteCheckpoint(o.SnapshotDir, fingerprintOf(o), sck, s.Eco.Net, reg); err != nil {
 				fmt.Fprintln(os.Stderr, "resurvey: checkpoint:", err)
 			}
 		}

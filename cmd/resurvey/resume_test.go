@@ -270,18 +270,18 @@ func TestLoadLatestCheckpointFingerprint(t *testing.T) {
 	c := syntheticCheckpoint()
 	base, engine := tinyNet(t, 2)
 	c.Engine = engine
-	if err := os.WriteFile(filepath.Join(dir, checkpointName(c.Phase, c.Done)), c.Encode(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, core.CheckpointName(c.Phase, c.Done)), c.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Same flags, same topology: found.
 	o := options{NSeeds: 3, Config: cliconf.Config{Small: true, Seed: 7, Faults: 0.5, SnapshotDir: dir}}
-	ck, corrupt := loadLatestCheckpoint(o, base)
+	ck, corrupt, _ := core.LatestCheckpoint(dir, fingerprintOf(o), base, nil)
 	if ck == nil || corrupt != 0 {
 		t.Fatalf("matching fingerprint: ck=%v corrupt=%d, want found with 0 corrupt", ck, corrupt)
 	}
 	// Same flags, another topology: refused where it is chosen.
 	other, before := tinyNet(t, 3)
-	ck, corrupt = loadLatestCheckpoint(o, other)
+	ck, corrupt, _ = core.LatestCheckpoint(dir, fingerprintOf(o), other, nil)
 	if ck != nil || corrupt != 1 {
 		t.Fatalf("foreign engine section: ck=%v corrupt=%d, want nil with 1 corrupt", ck, corrupt)
 	}
@@ -294,7 +294,7 @@ func TestLoadLatestCheckpointFingerprint(t *testing.T) {
 	}
 	// Different seed: skipped, not corrupt, nothing usable left.
 	o.Seed = 8
-	ck, corrupt = loadLatestCheckpoint(o, base)
+	ck, corrupt, _ = core.LatestCheckpoint(dir, fingerprintOf(o), base, nil)
 	if ck != nil || corrupt != 0 {
 		t.Fatalf("mismatched fingerprint: ck=%v corrupt=%d, want nil with 0 corrupt", ck, corrupt)
 	}
@@ -329,7 +329,7 @@ func TestResumeAcrossScales(t *testing.T) {
 	}
 	net := paper.Pipeline(nil).NewSurvey().Eco.Net
 	before := net.EventsProcessed()
-	ck, corrupt := loadLatestCheckpoint(paper, net)
+	ck, corrupt, _ := core.LatestCheckpoint(ckDir, fingerprintOf(paper), net, nil)
 	if ck != nil || corrupt != len(files) {
 		t.Fatalf("ck=%v corrupt=%d, want nil with all %d checkpoints refused", ck, corrupt, len(files))
 	}

@@ -1,5 +1,7 @@
 package bgp
 
+import "repro/internal/asn"
+
 // DecisionStep identifies which rule of the BGP decision process chose
 // between two routes. The experiment analysis uses this to attribute a
 // selection to localpref, path length, or route age (Appendix A).
@@ -43,74 +45,121 @@ func (s DecisionStep) String() string {
 	}
 }
 
-// Compare applies the BGP decision process to routes a and b for the
-// same prefix. It returns a negative value if a is preferred, positive
-// if b is preferred, and 0 only if the routes tie on every rule
-// (possible only when both come from the same neighbor). The returned
-// step names the rule that decided.
+// candView is a route's decisive attributes: everything the decision
+// process reads, with the AS path reduced to its length. Compare views
+// both routes it is given; the static solver builds views straight from
+// its nodes, with the effective path length computed up front (neighbor
+// path plus the neighbor's prepends), so comparing candidates never
+// looks inside a path. Fields run widest first, which keeps the view at
+// 40 bytes and the solver's staticNode at 80.
+type candView struct {
+	age    Time // LearnedAt; always 0 in the solver, which models no age
+	plen   int
+	lp     uint32
+	med    uint32
+	igp    uint32
+	fromAS asn.AS
+	from   RouterID
+	origin Origin
+	ebgp   bool
+}
+
+// view makes v r's candView. It stores field by field and compare
+// reads the fields back one by one: a view built as a value and then
+// copied whole would make the copy's wide loads wait on the narrow
+// stores, at several times the cost of the rule order itself.
+func (v *candView) view(r *Route) {
+	v.age = r.LearnedAt
+	v.plen = r.Path.Len()
+	v.lp = r.LocalPref
+	v.med = r.MED
+	v.igp = r.IGPCost
+	v.fromAS = r.FromAS
+	v.from = r.From
+	v.origin = r.Origin
+	v.ebgp = r.EBGP
+}
+
+// compare is the BGP decision process, the one place its rule order is
+// written. It returns a negative value if a is preferred, positive if b
+// is preferred, and 0 only if the views tie on every rule (possible
+// only when both come from the same neighbor), with the step that
+// decided.
 //
 // The rule order follows the standard implementation (and §2, §A of
 // the paper): localpref, AS path length, origin, MED (same neighbor AS
 // only), eBGP over iBGP, IGP cost, route age (oldest wins), router ID.
-func Compare(a, b *Route) (int, DecisionStep) {
+func (a *candView) compare(b *candView) (int, DecisionStep) {
 	// 1. Highest localpref.
-	if a.LocalPref != b.LocalPref {
-		if a.LocalPref > b.LocalPref {
+	if a.lp != b.lp {
+		if a.lp > b.lp {
 			return -1, ByLocalPref
 		}
 		return 1, ByLocalPref
 	}
 	// 2. Shortest AS path.
-	if la, lb := a.Path.Len(), b.Path.Len(); la != lb {
-		if la < lb {
+	if a.plen != b.plen {
+		if a.plen < b.plen {
 			return -1, ByPathLen
 		}
 		return 1, ByPathLen
 	}
 	// 3. Lowest origin.
-	if a.Origin != b.Origin {
-		if a.Origin < b.Origin {
+	if a.origin != b.origin {
+		if a.origin < b.origin {
 			return -1, ByOrigin
 		}
 		return 1, ByOrigin
 	}
 	// 4. Lowest MED, only comparable between routes from the same
 	// neighboring AS.
-	if a.FromAS == b.FromAS && a.MED != b.MED {
-		if a.MED < b.MED {
+	if a.fromAS == b.fromAS && a.med != b.med {
+		if a.med < b.med {
 			return -1, ByMED
 		}
 		return 1, ByMED
 	}
 	// 5. Prefer eBGP-learned over iBGP-learned.
-	if a.EBGP != b.EBGP {
-		if a.EBGP {
+	if a.ebgp != b.ebgp {
+		if a.ebgp {
 			return -1, ByEBGP
 		}
 		return 1, ByEBGP
 	}
 	// 6. Lowest IGP cost to the exit.
-	if a.IGPCost != b.IGPCost {
-		if a.IGPCost < b.IGPCost {
+	if a.igp != b.igp {
+		if a.igp < b.igp {
 			return -1, ByIGPCost
 		}
 		return 1, ByIGPCost
 	}
 	// 7. Oldest route (stability preference).
-	if a.LearnedAt != b.LearnedAt {
-		if a.LearnedAt < b.LearnedAt {
+	if a.age != b.age {
+		if a.age < b.age {
 			return -1, ByAge
 		}
 		return 1, ByAge
 	}
 	// 8. Lowest router ID of the advertising speaker.
-	if a.From != b.From {
-		if a.From < b.From {
+	if a.from != b.from {
+		if a.from < b.from {
 			return -1, ByRouterID
 		}
 		return 1, ByRouterID
 	}
 	return 0, ByNone
+}
+
+// Compare applies the BGP decision process (candView.compare) to routes
+// a and b for the same prefix. It returns a negative value if a is
+// preferred, positive if b is preferred, and 0 only if the routes tie
+// on every rule (possible only when both come from the same neighbor).
+// The returned step names the rule that decided.
+func Compare(a, b *Route) (int, DecisionStep) {
+	var va, vb candView
+	va.view(a)
+	vb.view(b)
+	return va.compare(&vb)
 }
 
 // Best returns the preferred route among candidates, together with the

@@ -117,6 +117,133 @@ func randomRoute(rng *rand.Rand) *Route {
 	return r
 }
 
+// referenceCompare is Compare as it stood before the rule order moved
+// onto candView, kept verbatim apart from its name.
+func referenceCompare(a, b *Route) (int, DecisionStep) {
+	// 1. Highest localpref.
+	if a.LocalPref != b.LocalPref {
+		if a.LocalPref > b.LocalPref {
+			return -1, ByLocalPref
+		}
+		return 1, ByLocalPref
+	}
+	// 2. Shortest AS path.
+	if la, lb := a.Path.Len(), b.Path.Len(); la != lb {
+		if la < lb {
+			return -1, ByPathLen
+		}
+		return 1, ByPathLen
+	}
+	// 3. Lowest origin.
+	if a.Origin != b.Origin {
+		if a.Origin < b.Origin {
+			return -1, ByOrigin
+		}
+		return 1, ByOrigin
+	}
+	// 4. Lowest MED, only comparable between routes from the same
+	// neighboring AS.
+	if a.FromAS == b.FromAS && a.MED != b.MED {
+		if a.MED < b.MED {
+			return -1, ByMED
+		}
+		return 1, ByMED
+	}
+	// 5. Prefer eBGP-learned over iBGP-learned.
+	if a.EBGP != b.EBGP {
+		if a.EBGP {
+			return -1, ByEBGP
+		}
+		return 1, ByEBGP
+	}
+	// 6. Lowest IGP cost to the exit.
+	if a.IGPCost != b.IGPCost {
+		if a.IGPCost < b.IGPCost {
+			return -1, ByIGPCost
+		}
+		return 1, ByIGPCost
+	}
+	// 7. Oldest route (stability preference).
+	if a.LearnedAt != b.LearnedAt {
+		if a.LearnedAt < b.LearnedAt {
+			return -1, ByAge
+		}
+		return 1, ByAge
+	}
+	// 8. Lowest router ID of the advertising speaker.
+	if a.From != b.From {
+		if a.From < b.From {
+			return -1, ByRouterID
+		}
+		return 1, ByRouterID
+	}
+	return 0, ByNone
+}
+
+// TestCompareMatchesReference pins the one comparator to the two it
+// replaced. On random route pairs (MED within and across neighbor ASes,
+// iBGP, equal From, differing age) Compare must return the old
+// comparator's value and step. On random solver views, the way relax
+// asks it must agree in sign with compareShape, the solver's own
+// comparator: there only the incumbent may be an origination, because
+// relax only ever challenges with an import.
+func TestCompareMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26)) // #nosec test randomness
+	steps := make(map[DecisionStep]int)
+	for i := 0; i < 20000; i++ {
+		a, b := randomRoute(rng), randomRoute(rng)
+		if i%16 == 0 {
+			// The same neighbor's route again, a fresh copy or re-learned.
+			again := *a
+			again.LearnedAt = Time(rng.Intn(2)) * a.LearnedAt
+			b = &again
+		}
+		gc, gs := Compare(a, b)
+		wc, ws := referenceCompare(a, b)
+		if gc != wc || gs != ws {
+			t.Fatalf("Compare = %d,%v; reference %d,%v\na=%v\nb=%v", gc, gs, wc, ws, a, b)
+		}
+		steps[gs]++
+	}
+	for s := ByNone; s <= ByRouterID; s++ {
+		if steps[s] == 0 {
+			t.Errorf("no random route pair decided by %v", s)
+		}
+	}
+
+	randomImport := func() candView {
+		return candView{
+			plen:   rng.Intn(3),
+			lp:     []uint32{100, 200, LocalPrefOwn}[rng.Intn(3)],
+			med:    uint32(rng.Intn(3)),
+			igp:    uint32(rng.Intn(3)),
+			fromAS: asn.AS(rng.Intn(3)),
+			from:   RouterID(1 + rng.Intn(4)),
+			origin: Origin(rng.Intn(3)),
+			ebgp:   true,
+		}
+	}
+	sign := func(c int) int {
+		switch {
+		case c < 0:
+			return -1
+		case c > 0:
+			return 1
+		}
+		return 0
+	}
+	for i := 0; i < 20000; i++ {
+		best, cand := randomImport(), randomImport()
+		if rng.Intn(4) == 0 {
+			best = ownNode.candView
+		}
+		c, _ := cand.compare(&best)
+		if want := -sign(compareShape(best, cand)); sign(c) != want {
+			t.Fatalf("candidate %+v against best %+v: compare %d, compareShape says %d", cand, best, c, want)
+		}
+	}
+}
+
 // TestCompareAntisymmetric checks Compare(a,b) == -Compare(b,a).
 //
 // Note the full relation is not transitive in real BGP because of the

@@ -238,13 +238,6 @@ func (n *Network) EventsProcessed() int { return n.eventsProcessed }
 // PendingEvents returns the number of queued (undelivered) events.
 func (n *Network) PendingEvents() int { return n.queue.Len() }
 
-// NextEventTime returns the due time of the earliest queued event; ok
-// is false when the queue is empty.
-func (n *Network) NextEventTime() (Time, bool) {
-	it, ok := n.queue.Peek()
-	return Time(it.At), ok
-}
-
 // AddSpeaker creates a speaker. IDs and names must be unique.
 func (n *Network) AddSpeaker(id RouterID, as asn.AS, name string) *Speaker {
 	if _, dup := n.speakers[id]; dup {

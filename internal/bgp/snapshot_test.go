@@ -586,3 +586,15 @@ func TestRibKeyLayout(t *testing.T) {
 		t.Errorf("unsafe.Sizeof(ribKey{}) = %d, want 16", got)
 	}
 }
+
+// TestCandViewLayout pins the decision process's input at 40 bytes and
+// the solver node that embeds it at 80: candView's fields run widest
+// first, so adding age and eBGP cost the node nothing.
+func TestCandViewLayout(t *testing.T) {
+	if got := unsafe.Sizeof(candView{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(candView{}) = %d, want 40", got)
+	}
+	if got := unsafe.Sizeof(staticNode{}); got != 80 {
+		t.Errorf("unsafe.Sizeof(staticNode{}) = %d, want 80", got)
+	}
+}

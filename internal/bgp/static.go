@@ -118,20 +118,6 @@ func (r *StaticResult) node(id RouterID) *staticNode {
 // only for genuinely unstable (dispute-wheel) configurations.
 const maxStaticRounds = 200
 
-// candView is the solver's allocation-free candidate descriptor: the
-// decisive attributes of a route. The effective path length is
-// computed up front (neighbor path plus the neighbor's prepends), so
-// comparing candidates never looks inside a path.
-type candView struct {
-	lp     uint32
-	plen   int
-	med    uint32
-	igp    uint32
-	fromAS asn.AS
-	from   RouterID
-	origin Origin
-}
-
 // pathCell is one run of a persistent AS path: n copies of as followed
 // by the path at cell next (0 is the empty path). A speaker adopting a
 // route from a neighbor conses one cell (the neighbor's AS, 1 + its
@@ -304,13 +290,14 @@ func (sv *StaticSolver) relax(id RouterID) bool {
 		}
 		// Candidate shape if imported.
 		cv := candView{
-			lp:     e.pcAtS.localPref(),
 			plen:   nb.plen + 1 + e.pcAtNb.effectivePrepend(sv.prefix),
+			lp:     e.pcAtS.localPref(),
 			med:    e.pcAtNb.ExportMED,
 			igp:    e.pcAtS.IGPCost,
 			fromAS: e.pcAtS.NeighborAS,
 			from:   e.nbID,
 			origin: nb.origin,
+			ebgp:   true,
 		}
 		// ImportDeny is shown the imported route; only build one when
 		// a filter exists (rare: default-only importers, ROV).
@@ -323,8 +310,10 @@ func (sv *StaticSolver) relax(id RouterID) bool {
 			}
 		}
 		// Compare against the current best on the decisive attributes.
-		if best.has && compareShape(best.candView, cv) <= 0 {
-			continue // existing best wins or ties (earlier neighbor)
+		if best.has {
+			if c, _ := cv.compare(&best.candView); c >= 0 {
+				continue // existing best wins or ties (earlier neighbor)
+			}
 		}
 		best, bestEdge = staticNode{candView: cv, has: true, route: cand}, e
 	}
@@ -448,48 +437,6 @@ func (sv *StaticSolver) announcement(s *Speaker, nd *staticNode, pcToNeighbor *P
 		MED:         pcToNeighbor.ExportMED,
 		Communities: exportCommunities(nd.comms, pcToNeighbor),
 	}
-}
-
-// compareShape compares the current best against a candidate, both
-// described by their decisive attributes, mirroring Compare's rule
-// order for the attributes the static solver exercises (age is always
-// zero). It returns >0 when the candidate wins.
-func compareShape(best, cand candView) int {
-	switch {
-	case cand.lp != best.lp:
-		if cand.lp > best.lp {
-			return 1
-		}
-		return -1
-	case cand.plen != best.plen:
-		if cand.plen < best.plen {
-			return 1
-		}
-		return -1
-	case cand.origin != best.origin:
-		if cand.origin < best.origin {
-			return 1
-		}
-		return -1
-	case cand.fromAS == best.fromAS && cand.med != best.med:
-		if cand.med < best.med {
-			return 1
-		}
-		return -1
-	case best.from == 0:
-		return 1 // eBGP beats a locally sourced route at equal attrs
-	case cand.igp != best.igp:
-		if cand.igp < best.igp {
-			return 1
-		}
-		return -1
-	case cand.from != best.from:
-		if cand.from < best.from {
-			return 1
-		}
-		return -1
-	}
-	return 0
 }
 
 // ExportView computes the announcement speaker `from` would send to

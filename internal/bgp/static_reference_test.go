@@ -2,9 +2,10 @@ package bgp
 
 // The reference oracle: the solver as it stood before StaticSolver
 // (a heap *Route and a freshly copied AS path at every speaker on
-// every loc-RIB change), kept verbatim apart from its names, and the
-// differentials that hold the cell-based solver equal to it on full
-// routes, Converged, Rounds and every ExportView.
+// every loc-RIB change) and the comparator it ran on, compareShape,
+// kept verbatim apart from their names, and the differentials that
+// hold the cell-based solver equal to it on full routes, Converged,
+// Rounds and every ExportView.
 
 import (
 	"fmt"
@@ -127,6 +128,48 @@ func viewOf(r *Route) candView {
 		from:   r.From,
 		origin: r.Origin,
 	}
+}
+
+// compareShape compares the current best against a candidate, both
+// described by their decisive attributes, mirroring Compare's rule
+// order for the attributes the static solver exercises (age is always
+// zero). It returns >0 when the candidate wins.
+func compareShape(best, cand candView) int {
+	switch {
+	case cand.lp != best.lp:
+		if cand.lp > best.lp {
+			return 1
+		}
+		return -1
+	case cand.plen != best.plen:
+		if cand.plen < best.plen {
+			return 1
+		}
+		return -1
+	case cand.origin != best.origin:
+		if cand.origin < best.origin {
+			return 1
+		}
+		return -1
+	case cand.fromAS == best.fromAS && cand.med != best.med:
+		if cand.med < best.med {
+			return 1
+		}
+		return -1
+	case best.from == 0:
+		return 1 // eBGP beats a locally sourced route at equal attrs
+	case cand.igp != best.igp:
+		if cand.igp < best.igp {
+			return 1
+		}
+		return -1
+	case cand.from != best.from:
+		if cand.from < best.from {
+			return 1
+		}
+		return -1
+	}
+	return 0
 }
 
 // solveCandidate picks the speaker's best route from its origination

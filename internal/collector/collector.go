@@ -182,14 +182,3 @@ func ReadUpdates(rd io.Reader) ([]bgp.UpdateRecord, error) {
 		})
 	}
 }
-
-// CountInWindow counts updates for prefix p with At in [from, to).
-func CountInWindow(records []bgp.UpdateRecord, p netutil.Prefix, from, to bgp.Time) int {
-	n := 0
-	for _, rec := range records {
-		if rec.Prefix == p && rec.At >= from && rec.At < to {
-			n++
-		}
-	}
-	return n
-}

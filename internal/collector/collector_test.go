@@ -100,23 +100,6 @@ func TestUpdatesMRTRoundTrip(t *testing.T) {
 	_ = p
 }
 
-func TestCountInWindow(t *testing.T) {
-	p := netutil.MustParsePrefix("10.0.0.0/24")
-	q := netutil.MustParsePrefix("10.0.1.0/24")
-	recs := []bgp.UpdateRecord{
-		{At: 5, Prefix: p}, {At: 10, Prefix: p}, {At: 10, Prefix: q}, {At: 15, Prefix: p},
-	}
-	if n := CountInWindow(recs, p, 5, 15); n != 2 {
-		t.Errorf("CountInWindow = %d, want 2", n)
-	}
-	if n := CountInWindow(recs, p, 0, 100); n != 3 {
-		t.Errorf("CountInWindow = %d, want 3", n)
-	}
-	if n := CountInWindow(recs, q, 0, 100); n != 1 {
-		t.Errorf("CountInWindow = %d, want 1", n)
-	}
-}
-
 func TestSnapshotMultiplePrefixesAndPeers(t *testing.T) {
 	net := bgp.NewNetwork()
 	net.AddSpeaker(1, 65001, "o1")

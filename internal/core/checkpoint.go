@@ -9,10 +9,10 @@ package core
 // nested engine snapshot (bgp.Network.Snapshot), and the telemetry
 // registry state (telemetry.Registry.SaveState).
 //
-// The codec used to live in cmd/resurvey; it moved here so the
-// resident service (internal/serve) and the CLI share one format —
-// a job interrupted under either front end resumes under the other.
-// cmd/resurvey keeps only the -snapshot-dir file management.
+// The codec and the checkpoint-directory helpers live here so the
+// resident service (internal/serve) and the CLI share one format and
+// one file convention — a job interrupted under either front end
+// resumes under the other.
 
 import (
 	"bytes"
@@ -97,6 +97,68 @@ func BuildCheckpoint(fp CheckpointFingerprint, ck SurveyCheckpoint, net *bgp.Net
 		c.Telemetry = tb.Bytes()
 	}
 	return c, nil
+}
+
+// CheckpointName is the file name both front ends give the checkpoint
+// taken after round done of phase; the names sort chronologically.
+func CheckpointName(phase, done int) string {
+	return fmt.Sprintf("ckpt-%d-%02d.rckp", phase, done)
+}
+
+// WriteCheckpoint builds the checkpoint of the survey-level progress ck
+// (BuildCheckpoint) and persists it into dir atomically
+// (snapshot.WriteFileAtomic).
+func WriteCheckpoint(dir string, fp CheckpointFingerprint, ck SurveyCheckpoint, net *bgp.Network, reg *telemetry.Registry) error {
+	c, err := BuildCheckpoint(fp, ck, net, reg)
+	if err != nil {
+		return err
+	}
+	return snap.WriteFileAtomic(dir, CheckpointName(ck.Phase, ck.Done), c.Encode())
+}
+
+// LatestCheckpoint scans dir for the newest checkpoint a run with
+// fingerprint want can resume from and restores its engine section
+// into net, the run's freshly built world. A checkpoint is usable only
+// if that restore succeeds: the fingerprint knows the options but not
+// the topology they built (-scale, a generator change), RestoreNetwork
+// does — it refuses a snapshot of another network, or of a retired
+// format, and leaves net untouched. Unreadable, corrupt and refused
+// files are skipped in favour of the next-newest, each with a line to
+// note (nil drops them). It returns nil when nothing usable exists —
+// the caller cold-starts on the untouched net — plus the number of
+// files skipped as unusable and the directory read error, a missing
+// directory included.
+func LatestCheckpoint(dir string, want CheckpointFingerprint, net *bgp.Network, note func(string)) (*Checkpoint, int, error) {
+	if note == nil {
+		note = func(string) {}
+	}
+	var ck *Checkpoint
+	corrupt, err := snap.NewestValid(dir, ".rckp", func(name string, data []byte) (bool, error) {
+		c, err := DecodeCheckpoint(data)
+		if err != nil {
+			note(fmt.Sprintf("checkpoint %s unusable, trying older: %v", name, err))
+			return false, err
+		}
+		if c.Fingerprint != want {
+			note(fmt.Sprintf("checkpoint %s belongs to a different run configuration, skipping", name))
+			return false, nil
+		}
+		// Telemetry is checked on a scratch registry first: once the
+		// engine state is in net there is no falling back.
+		if len(c.Telemetry) > 0 {
+			if _, err := telemetry.New().LoadState(bytes.NewReader(c.Telemetry)); err != nil {
+				note(fmt.Sprintf("checkpoint %s telemetry unusable, trying older: %v", name, err))
+				return false, err
+			}
+		}
+		if err := bgp.RestoreNetwork(bytes.NewReader(c.Engine), net); err != nil {
+			note(fmt.Sprintf("checkpoint %s engine state unusable, trying older: %v", name, err))
+			return false, err
+		}
+		ck = c
+		return true, nil
+	})
+	return ck, corrupt, err
 }
 
 // Resume converts the checkpoint into the SurveyResume a freshly

@@ -29,27 +29,25 @@ import (
 // per (round, prefix) via parallel.SubSeed (see simnet.LossStream),
 // and the fault sweep's schedule seed is
 // parallel.SubSeed(seed, faultSeedStream). Bare seed parameters that
-// predate the pipeline (SplitOutages, simnet.World.InjectDormancy)
-// keep their own documented conventions but are fed from options
-// threaded through here rather than ad-hoc constants.
+// predate the pipeline (simnet.World.InjectDormancy) keep their own
+// documented conventions but are fed from options threaded through
+// here rather than ad-hoc constants.
 type Pipeline struct {
-	survey        SurveyOptions
-	surveySet     bool
-	small         bool
-	scale         topo.Scale
-	scaleSet      bool
-	seed          int64
-	seedSet       bool
-	outageSeed    int64
-	outageSeedSet bool
-	workers       int
-	faults        float64
-	scenario      string
-	rov           float64
-	objective     string
-	budget        int
-	strategy      string
-	metrics       *telemetry.Registry
+	survey    SurveyOptions
+	surveySet bool
+	small     bool
+	scale     topo.Scale
+	scaleSet  bool
+	seed      int64
+	seedSet   bool
+	workers   int
+	faults    float64
+	scenario  string
+	rov       float64
+	objective string
+	budget    int
+	strategy  string
+	metrics   *telemetry.Registry
 }
 
 // PipelineOption configures a Pipeline; options are applied by
@@ -142,14 +140,6 @@ func WithMetrics(reg *telemetry.Registry) PipelineOption {
 	return func(p *Pipeline) { p.metrics = reg }
 }
 
-// WithOutageSplit sets how injected mid-experiment outages divide
-// between the two experiments: 0 keeps the historical in-order halves
-// split, any other value shuffles deterministically first (see
-// SplitOutages).
-func WithOutageSplit(seed int64) PipelineOption {
-	return func(p *Pipeline) { p.outageSeed, p.outageSeedSet = seed, true }
-}
-
 // faultSeedStream is the parallel.SubSeed stream id reserved for
 // deriving the fault-sweep schedule seed from the session seed, so a
 // different session seed yields a different (but reproducible) fault
@@ -179,9 +169,6 @@ func NewPipeline(opts ...PipelineOption) *Pipeline {
 	}
 	if p.seedSet {
 		p.survey.Topology.Seed = p.seed
-	}
-	if p.outageSeedSet {
-		p.survey.OutageSeed = p.outageSeed
 	}
 	return p
 }

@@ -112,7 +112,7 @@ func TestRIBDigestMatchesProbeInScenarios(t *testing.T) {
 // world with an origin withdrawn.
 func TestRIBDigestMatchesProbeOnArena(t *testing.T) {
 	opts := SmallSurveyOptions()
-	topo.WithCompactRIB(true)(&opts.Topology)
+	opts.Topology.CompactRIB = true
 	s := NewSurvey(opts)
 	if !s.Eco.Net.CompactRIB() {
 		t.Fatal("world is not on the arena store")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 
 	"repro/internal/bgp"
 	"repro/internal/netutil"
@@ -20,8 +19,7 @@ type Survey struct {
 	World  *simnet.World
 	Sel    *seeds.Selection
 	Prober *probe.Prober
-	// Opts are the options the survey was built with; RunBoth reads
-	// OutageSeed from here.
+	// Opts are the options the survey was built with.
 	Opts SurveyOptions
 	// Metrics, when set via SetMetrics, instruments the network, the
 	// prober, and both experiments. Nil (the default) disables
@@ -106,11 +104,6 @@ type SurveyOptions struct {
 	Catalog  seeds.CatalogConfig
 	// TargetsPerPrefix is the responsive-address goal (§3.2: three).
 	TargetsPerPrefix int
-	// OutageSeed controls how the injected mid-experiment outages are
-	// divided between the SURF and Internet2 runs: 0 keeps the
-	// historical in-order halves split; any other value shuffles the
-	// list deterministically before splitting (see SplitOutages).
-	OutageSeed int64
 }
 
 // DefaultSurveyOptions returns the paper-scale configuration.
@@ -161,29 +154,12 @@ func NewSurvey(opts SurveyOptions) *Survey {
 	}
 }
 
-// SplitOutages deterministically divides an outage list between the
-// two experiments. Seed 0 preserves the historical behaviour — the
-// first half (rounded down) goes to the first experiment, the rest to
-// the second — while any nonzero seed applies a deterministic shuffle
-// before the same split, so reruns with the same seed reproduce the
-// same assignment.
-//
-// The seed arrives via SurveyOptions.OutageSeed, threaded from
-// NewPipeline's WithOutageSplit option; callers should not invent
-// ad-hoc seeds here. New derived streams should instead follow the
-// parallel.SubSeed(sessionSeed, stream) convention documented in
-// package parallel.
-func SplitOutages(outages []Outage, seed int64) (first, second []Outage) {
+// SplitOutages divides an outage list between the two experiments in
+// order: the first half (rounded down) goes to the first experiment,
+// the rest to the second. The halves alias outages.
+func SplitOutages(outages []Outage) (first, second []Outage) {
 	n := len(outages)
-	if n == 0 {
-		return nil, nil
-	}
-	split := append([]Outage(nil), outages...)
-	if seed != 0 {
-		rng := rand.New(rand.NewSource(seed)) // #nosec deterministic split
-		rng.Shuffle(n, func(i, j int) { split[i], split[j] = split[j], split[i] })
-	}
-	return split[:n/2], split[n/2:]
+	return outages[:n/2], outages[n/2:]
 }
 
 // RunBoth executes the SURF experiment, tears down its R&E
@@ -202,7 +178,7 @@ func (s *Survey) RunBoth() {
 // whatever had not completed. A checkpointed run cancelled mid-flight
 // resumes from its last durable round.
 func (s *Survey) RunBothContext(ctx context.Context) error {
-	surfOutages, i2Outages := SplitOutages(s.pickOutages(), s.Opts.OutageSeed)
+	surfOutages, i2Outages := SplitOutages(s.pickOutages())
 	s.Prober.Workers = s.Workers
 	surfStart := bgp.Time(9 * 3600)
 	if s.Resume == nil || s.Resume.Phase == 0 {

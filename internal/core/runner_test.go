@@ -4,25 +4,23 @@ import "testing"
 
 // On the default small topology, pickOutages must find enough
 // candidates that both experiments receive at least one injected
-// outage, whatever the split seed.
+// outage.
 func TestOutageSplitBothHalvesNonEmpty(t *testing.T) {
 	s := NewSurvey(SmallSurveyOptions())
 	outages := s.pickOutages()
 	if len(outages) < 2 {
 		t.Fatalf("only %d outage candidates on the small topology", len(outages))
 	}
-	for _, seed := range []int64{0, 1, 42} {
-		first, second := SplitOutages(outages, seed)
-		if len(first) == 0 || len(second) == 0 {
-			t.Errorf("seed %d: empty half (%d/%d)", seed, len(first), len(second))
-		}
-		if len(first)+len(second) != len(outages) {
-			t.Errorf("seed %d: split lost outages (%d+%d != %d)", seed, len(first), len(second), len(outages))
-		}
+	first, second := SplitOutages(outages)
+	if len(first) == 0 || len(second) == 0 {
+		t.Errorf("empty half (%d/%d)", len(first), len(second))
+	}
+	if len(first)+len(second) != len(outages) {
+		t.Errorf("split lost outages (%d+%d != %d)", len(first), len(second), len(outages))
 	}
 }
 
-// Seed 0 must preserve the historical in-order halves split exactly.
+// The split must be the historical in-order halves, exactly.
 func TestSplitOutagesSeedZeroIsInOrder(t *testing.T) {
 	outages := []Outage{
 		{A: 1, B: 2, DownRound: 6, UpRound: -1},
@@ -30,7 +28,7 @@ func TestSplitOutagesSeedZeroIsInOrder(t *testing.T) {
 		{A: 5, B: 6, DownRound: 6, UpRound: -1},
 		{A: 7, B: 8, DownRound: 2, UpRound: 4},
 	}
-	first, second := SplitOutages(outages, 0)
+	first, second := SplitOutages(outages)
 	if len(first) != 2 || len(second) != 2 {
 		t.Fatalf("split %d/%d, want 2/2", len(first), len(second))
 	}
@@ -41,22 +39,5 @@ func TestSplitOutagesSeedZeroIsInOrder(t *testing.T) {
 		if second[i] != outages[2+i] {
 			t.Errorf("second[%d] = %+v, want %+v", i, second[i], outages[2+i])
 		}
-	}
-	// Nonzero seed: deterministic — two calls agree.
-	a1, a2 := SplitOutages(outages, 99)
-	b1, b2 := SplitOutages(outages, 99)
-	for i := range a1 {
-		if a1[i] != b1[i] {
-			t.Fatal("shuffled split not deterministic")
-		}
-	}
-	for i := range a2 {
-		if a2[i] != b2[i] {
-			t.Fatal("shuffled split not deterministic")
-		}
-	}
-	// The input list must not be mutated by a shuffling split.
-	if outages[0] != (Outage{A: 1, B: 2, DownRound: 6, UpRound: -1}) {
-		t.Error("SplitOutages mutated its input")
 	}
 }

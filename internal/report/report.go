@@ -70,11 +70,6 @@ func Pct(n, total int) string {
 	return fmt.Sprintf("%.1f%%", 100*float64(n)/float64(total))
 }
 
-// Count formats "N (P%)".
-func Count(n, total int) string {
-	return fmt.Sprintf("%d %s", n, Pct(n, total))
-}
-
 // Series is a labelled sequence of (x, y) points, for the figures.
 type Series struct {
 	Name   string

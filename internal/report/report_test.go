@@ -56,12 +56,6 @@ func TestPct(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	if got := Count(9852, 12047); got != "9852 81.8%" {
-		t.Errorf("Count = %q", got)
-	}
-}
-
 func TestSeries(t *testing.T) {
 	s := &Series{Name: "cdf", Labels: []string{"a", "b", "c"}, Values: []float64{0.5, 1}}
 	out := s.String()

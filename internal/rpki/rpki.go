@@ -135,25 +135,3 @@ func (t *Table) DropInvalid() func(*bgp.Route) bool {
 		return t.ValidateRoute(r) == Invalid
 	}
 }
-
-// ComposeDeny chains deny predicates (nil entries skipped): the result
-// denies when any constituent denies.
-func ComposeDeny(fns ...func(*bgp.Route) bool) func(*bgp.Route) bool {
-	var active []func(*bgp.Route) bool
-	for _, f := range fns {
-		if f != nil {
-			active = append(active, f)
-		}
-	}
-	if len(active) == 0 {
-		return nil
-	}
-	return func(r *bgp.Route) bool {
-		for _, f := range active {
-			if f(r) {
-				return true
-			}
-		}
-		return false
-	}
-}

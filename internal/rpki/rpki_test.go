@@ -213,17 +213,3 @@ func TestDropInvalidInEngine(t *testing.T) {
 		t.Error("non-ROV transit should hold the hijack candidate")
 	}
 }
-
-func TestComposeDeny(t *testing.T) {
-	denyA := func(r *bgp.Route) bool { return r.MED == 1 }
-	denyB := func(r *bgp.Route) bool { return r.MED == 2 }
-	combined := ComposeDeny(denyA, nil, denyB)
-	for med, want := range map[uint32]bool{0: false, 1: true, 2: true, 3: false} {
-		if got := combined(&bgp.Route{MED: med}); got != want {
-			t.Errorf("combined(MED=%d) = %v, want %v", med, got, want)
-		}
-	}
-	if ComposeDeny(nil, nil) != nil {
-		t.Error("all-nil composition should be nil")
-	}
-}

@@ -296,12 +296,16 @@ func (s *Server) runSurvey(ctx context.Context, j *Job) ([]byte, error) {
 	sv := pl.NewSurvey()
 	buildSpan.End()
 
-	if ck := loadLatestCheckpoint(jobDir, j.Spec.fingerprint(), sv.Eco.Net); ck == nil {
+	// Unusable files and a missing job directory both mean a cold start.
+	if ck, _, _ := core.LatestCheckpoint(jobDir, j.Spec.fingerprint(), sv.Eco.Net, nil); ck == nil {
 		reg.Merge(buildReg)
 	} else {
-		openSpans, err := reg.LoadState(bytes.NewReader(ck.Telemetry))
-		if err != nil {
-			return nil, fmt.Errorf("resume: restore telemetry state: %w", err)
+		var openSpans []*telemetry.Span
+		if len(ck.Telemetry) > 0 {
+			var err error
+			if openSpans, err = reg.LoadState(bytes.NewReader(ck.Telemetry)); err != nil {
+				return nil, fmt.Errorf("resume: restore telemetry state: %w", err)
+			}
 		}
 		sv.Resume = ck.Resume(openSpans)
 		s.reg.Counter("serve_jobs_resumed_total").Inc()
@@ -309,11 +313,7 @@ func (s *Server) runSurvey(ctx context.Context, j *Job) ([]byte, error) {
 
 	crashLeft := s.crashAfterCheckpoints
 	sv.Checkpoint = func(sck core.SurveyCheckpoint) {
-		c, err := core.BuildCheckpoint(j.Spec.fingerprint(), sck, sv.Eco.Net, reg)
-		if err == nil {
-			err = snap.WriteFileAtomic(jobDir, checkpointName(c.Phase, c.Done), c.Encode())
-		}
-		if err != nil {
+		if err := core.WriteCheckpoint(jobDir, j.Spec.fingerprint(), sck, sv.Eco.Net, reg); err != nil {
 			s.reg.Counter("serve_checkpoint_errors_total").Inc()
 			return
 		}

@@ -1,16 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 
-	"repro/internal/bgp"
-	"repro/internal/core"
 	snap "repro/internal/snapshot"
-	"repro/internal/telemetry"
 )
 
 // Durable job state. Each job owns one directory under the server's
@@ -165,43 +161,4 @@ func loadJobRecords(dataDir string) ([]*jobRecord, int) {
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	return recs, corrupt
-}
-
-// --- per-job survey checkpoints ---
-
-// The checkpoint files inside a job directory use the same RCKP codec
-// and naming as cmd/resurvey's -snapshot-dir, so a job's progress is
-// inspectable (and even resumable) with the CLI's conventions.
-
-func checkpointName(phase, done int) string {
-	return fmt.Sprintf("ckpt-%d-%02d.rckp", phase, done)
-}
-
-// loadLatestCheckpoint returns the newest checkpoint in jobDir that
-// matches the fingerprint and whose engine section restores into net,
-// the job's freshly built world — the same rule as cmd/resurvey's
-// -resume: the fingerprint knows the options but not the topology they
-// built, RestoreNetwork does, and it leaves net untouched when it
-// refuses. Corrupt and refused files are skipped for older ones; nil
-// means nothing usable exists and the job cold-starts on the untouched
-// net.
-func loadLatestCheckpoint(jobDir string, want core.CheckpointFingerprint, net *bgp.Network) *core.Checkpoint {
-	var ck *core.Checkpoint
-	snap.NewestValid(jobDir, ".rckp", func(_ string, data []byte) (bool, error) {
-		c, err := core.DecodeCheckpoint(data)
-		if err != nil || c.Fingerprint != want {
-			return false, err
-		}
-		// Telemetry is checked on a scratch registry first: once the
-		// engine state is in net there is no falling back.
-		if _, err := telemetry.New().LoadState(bytes.NewReader(c.Telemetry)); err != nil {
-			return false, err
-		}
-		if err := bgp.RestoreNetwork(bytes.NewReader(c.Engine), net); err != nil {
-			return false, err
-		}
-		ck = c
-		return true, nil
-	})
-	return ck
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/cliconf"
@@ -176,6 +177,67 @@ func TestOptimizeKillAndRestart(t *testing.T) {
 	if resumed.EvalDecisionRuns >= cold.EvalDecisionRuns {
 		t.Errorf("resume did not save work: %d decision runs vs cold %d",
 			resumed.EvalDecisionRuns, cold.EvalDecisionRuns)
+	}
+}
+
+// TestResumeFromTelemetryFreeCheckpoint: a checkpoint written without a
+// registry (resurvey without -manifest or -metrics) carries no
+// telemetry. The job resumes from it, as the CLI does, instead of
+// skipping it as unusable, and its survey results equal the cold run's;
+// only the manifest, which restarts from an empty registry, differs.
+func TestResumeFromTelemetryFreeCheckpoint(t *testing.T) {
+	spec := JobSpec{Options: cliconf.JobOptions{Small: true, Seed: 3}}
+	var cold jobOutput
+	if err := json.Unmarshal(runToDone(t, t.TempDir(), spec), &cold); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	s := newTestServer(t, Config{DataDir: dir})
+	s.crashAfterCheckpoints = 3
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.done
+	cks, _ := filepath.Glob(filepath.Join(dir, j.ID, "*.rckp"))
+	if len(cks) == 0 {
+		t.Fatal("crash left no checkpoint files")
+	}
+	for _, path := range cks {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := core.DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Telemetry = nil
+		if err := os.WriteFile(path, c.Encode(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2 := newTestServer(t, Config{DataDir: dir})
+	s2.Start()
+	j2 := s2.job(j.ID)
+	<-j2.done
+	if st := s2.jobState(j.ID); st != StateDone {
+		t.Fatalf("resumed job finished %s, want done", st)
+	}
+	if got := s2.counter("serve_jobs_resumed_total"); got != 1 {
+		t.Fatalf("serve_jobs_resumed_total = %d, want 1: the telemetry-free checkpoint was skipped", got)
+	}
+	s2.mu.Lock()
+	out := j2.output
+	s2.mu.Unlock()
+	var resumed jobOutput
+	if err := json.Unmarshal(out, &resumed); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed.SURF, cold.SURF) || !reflect.DeepEqual(resumed.Internet2, cold.Internet2) {
+		t.Fatal("survey results resumed from a telemetry-free checkpoint diverged from the cold run")
 	}
 }
 

@@ -60,46 +60,3 @@ func (s Scale) Config() GenConfig {
 		return DefaultConfig()
 	}
 }
-
-// Option adjusts a generator configuration. Options are applied in
-// order, so later options override earlier ones (put WithScale or
-// WithConfig first: both replace the whole base configuration).
-type Option func(*GenConfig)
-
-// WithScale selects a size tier's base configuration.
-func WithScale(s Scale) Option {
-	return func(cfg *GenConfig) { *cfg = s.Config() }
-}
-
-// WithConfig replaces the base configuration wholesale, for callers
-// that assemble a bespoke GenConfig.
-func WithConfig(c GenConfig) Option {
-	return func(cfg *GenConfig) { *cfg = c }
-}
-
-// WithSeed sets the generator seed.
-func WithSeed(seed int64) Option {
-	return func(cfg *GenConfig) { cfg.Seed = seed }
-}
-
-// WithCompactRIB selects (or deselects) the arena-backed RIB layout
-// independently of the scale tier's default.
-func WithCompactRIB(on bool) Option {
-	return func(cfg *GenConfig) { cfg.CompactRIB = on }
-}
-
-// Generate builds an ecosystem from functional options, starting from
-// the paper-scale defaults:
-//
-//	eco := topo.Generate(topo.WithScale(topo.ScaleSmall), topo.WithSeed(7))
-//
-// Build(cfg) remains the primitive for callers holding a full
-// GenConfig; Generate is the constructor everything above the
-// generator (cliconf, core.Pipeline) goes through.
-func Generate(opts ...Option) *Ecosystem {
-	cfg := DefaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return Build(cfg)
-}

@@ -44,51 +44,6 @@ func TestScaleConfig(t *testing.T) {
 	}
 }
 
-func TestGenerateMatchesBuild(t *testing.T) {
-	cfg := SmallConfig()
-	cfg.Seed = 7
-	want := Build(cfg)
-	got := Generate(WithScale(ScaleSmall), WithSeed(7))
-
-	if len(got.ASes) != len(want.ASes) || len(got.Prefixes) != len(want.Prefixes) {
-		t.Fatalf("Generate: %d ASes / %d prefixes, Build: %d / %d",
-			len(got.ASes), len(got.Prefixes), len(want.ASes), len(want.Prefixes))
-	}
-	for i := range want.ASes {
-		w, g := want.ASes[i], got.ASes[i]
-		if w.AS != g.AS || w.Router != g.Router || w.Policy != g.Policy {
-			t.Fatalf("AS %d differs: Build %v/%v/%v, Generate %v/%v/%v",
-				i, w.AS, w.Router, w.Policy, g.AS, g.Router, g.Policy)
-		}
-	}
-	if !reflect.DeepEqual(got.CollectorPeerASes, want.CollectorPeerASes) {
-		t.Error("collector peer sets differ between Generate and Build")
-	}
-}
-
-func TestGenerateOptionOrder(t *testing.T) {
-	// Options apply in order: a later WithSeed overrides the scale
-	// tier's default seed; WithCompactRIB overrides the tier's layout.
-	cfg := DefaultConfig()
-	WithScale(ScaleInternet)(&cfg)
-	WithSeed(99)(&cfg)
-	WithCompactRIB(false)(&cfg)
-	if cfg.MembersUS != InternetConfig().MembersUS {
-		t.Error("WithScale did not install the internet base")
-	}
-	if cfg.Seed != 99 || cfg.CompactRIB || !cfg.DensePrefixes {
-		t.Errorf("overrides not applied: seed=%d compact=%v dense=%v",
-			cfg.Seed, cfg.CompactRIB, cfg.DensePrefixes)
-	}
-	custom := SmallConfig()
-	custom.MeanExtraPrefixes = 9
-	cfg = DefaultConfig()
-	WithConfig(custom)(&cfg)
-	if cfg.MeanExtraPrefixes != 9 {
-		t.Error("WithConfig did not replace the base configuration")
-	}
-}
-
 // TestCompactRIBSameBestRoutes is the generator-level differential: the
 // same small ecosystem built on the map layout and the arena layout
 // must converge to identical best routes and forwarding decisions.

@@ -46,6 +46,7 @@ import (
 type ribBackend struct {
 	paths    *pathtab.Table
 	prefixes *prefixIndex
+	jr       *journal // the network's open undo journal, nil when none
 }
 
 func newRIBBackend() *ribBackend {
@@ -256,7 +257,15 @@ func (st *arenaStore) Install(k ribKey, r *Route) {
 		panic("bgp: Install(nil route); use Withdraw")
 	}
 	key := st.storeKey(k)
+	if st.ar.be.jr != nil {
+		st.save(key)
+	}
 	rec, comms := st.ar.pack(r)
+	st.put(key, rec, comms)
+}
+
+// put stores rec under key, replacing any previous entry.
+func (st *arenaStore) put(key uint64, rec packedRoute, comms CommunitySet) {
 	if prev, ok := st.slots[key]; ok {
 		st.ar.release(prev)
 	}
@@ -264,8 +273,8 @@ func (st *arenaStore) Install(k ribKey, r *Route) {
 	// Loc-RIB delta encoding: share the adj-RIB-in record for the same
 	// (prefix, From) when it matches — it always does when the decision
 	// process installs the candidate it just scanned.
-	if st.sibling != nil && r.From != 0 {
-		sibKey := uint64(key>>32)<<32 | uint64(r.From)
+	if st.sibling != nil && rec.from != 0 {
+		sibKey := uint64(key>>32)<<32 | uint64(rec.from)
 		if sibSlot, ok := st.sibling.slots[sibKey]; ok &&
 			sameRecord(st.ar.recs[sibSlot], rec) &&
 			communitiesEqual(st.ar.comms[sibSlot], comms) {
@@ -279,6 +288,14 @@ func (st *arenaStore) Install(k ribKey, r *Route) {
 
 func (st *arenaStore) Withdraw(k ribKey) {
 	key := st.storeKey(k)
+	if st.ar.be.jr != nil {
+		st.save(key)
+	}
+	st.drop(key)
+}
+
+// drop removes the entry under key, if any.
+func (st *arenaStore) drop(key uint64) {
 	slot, ok := st.slots[key]
 	if !ok {
 		return
@@ -289,6 +306,10 @@ func (st *arenaStore) Withdraw(k ribKey) {
 }
 
 func (st *arenaStore) Len() int { return len(st.slots) }
+
+// setJournal sets the whole network's journal: arena stores share it
+// through their backend.
+func (st *arenaStore) setJournal(j *journal) { st.ar.be.jr = j }
 
 func (st *arenaStore) Reset() {
 	for _, slot := range st.slots {

@@ -72,8 +72,12 @@ func TestCommunitySetSortedInvariant(t *testing.T) {
 
 // chainNet builds origin(1) -> middle(2) -> edge(3), all customer
 // relationships upward.
-func chainNet() *Network {
+func chainNet() *Network { return chainNetOn(false) }
+
+// chainNetOn is chainNet on the map (false) or arena (true) RIB store.
+func chainNetOn(compact bool) *Network {
 	net := NewNetwork()
+	net.SetCompactRIB(compact)
 	net.AddSpeaker(1, 100, "origin")
 	net.AddSpeaker(2, 200, "middle")
 	net.AddSpeaker(3, 300, "edge")

@@ -121,6 +121,9 @@ type Network struct {
 	// lists the released slots for reuse.
 	inflight  []*Route
 	freeSlots []uint32
+
+	// jr is the open undo journal, nil when none (see journal.go).
+	jr *journal
 }
 
 // park stores r (nil: none) for a queued event and returns its slot.
@@ -240,6 +243,9 @@ func (n *Network) PendingEvents() int { return n.queue.Len() }
 
 // AddSpeaker creates a speaker. IDs and names must be unique.
 func (n *Network) AddSpeaker(id RouterID, as asn.AS, name string) *Speaker {
+	if n.jr != nil {
+		panic("bgp: AddSpeaker with an open journal")
+	}
 	if _, dup := n.speakers[id]; dup {
 		panic(fmt.Sprintf("bgp: duplicate speaker id %d", id))
 	}
@@ -257,7 +263,7 @@ func (n *Network) AddSpeaker(id RouterID, as asn.AS, name string) *Speaker {
 		loc.sibling = in // loc-RIB delta-encodes against adj-RIB-in
 		s.adjIn, s.locRib, s.adjOut = in, loc, newArenaStore(ar)
 	}
-	s.metrics = &n.metrics
+	s.net = n
 	n.speakers[id] = s
 	n.solver.Store(nil)
 	// Generators add speakers in ascending ID order, so the common case
@@ -301,6 +307,9 @@ func (n *Network) Connect(a, b RouterID, cfgAtA, cfgAtB PeerConfig) {
 	sa, sb := n.speakers[a], n.speakers[b]
 	if sa == nil || sb == nil {
 		panic(fmt.Sprintf("bgp: Connect(%d,%d): unknown speaker", a, b))
+	}
+	if n.jr != nil {
+		panic("bgp: Connect with an open journal")
 	}
 	cfgAtA.Neighbor, cfgAtA.NeighborAS = b, sb.AS
 	cfgAtB.Neighbor, cfgAtB.NeighborAS = a, sa.AS
@@ -369,10 +378,10 @@ func (n *Network) OriginateWith(id RouterID, p netutil.Prefix, opts OriginateOpt
 		LearnedAt:   n.clock,
 		Communities: opts.Communities,
 	}
-	s.originated[p] = origination{route: after}
-	if after.MED != 0 {
-		s.medSeen[p] = true
+	if n.jr != nil {
+		n.jr.orig.save(s.originated, p)
 	}
+	s.originated[p] = origination{route: after}
 	n.decide(s, p, 0, before, after)
 }
 
@@ -386,6 +395,9 @@ func (n *Network) WithdrawOrigination(id RouterID, p netutil.Prefix) {
 	o, ok := s.originated[p]
 	if !ok {
 		return
+	}
+	if n.jr != nil {
+		n.jr.orig.save(s.originated, p)
 	}
 	delete(s.originated, p)
 	n.decide(s, p, 0, o.route, nil)
@@ -403,6 +415,7 @@ func (n *Network) SetExportPrepend(id, nb RouterID, prepends int) {
 	if pc == nil || pc.ExportPrepend == prepends {
 		return
 	}
+	n.savePeer(pc)
 	pc.ExportPrepend = prepends
 	// Re-export every prefix this speaker currently advertises (or
 	// should advertise) to nb. Prefixes pinned by a per-prefix
@@ -430,6 +443,8 @@ func (n *Network) SetSessionDown(a, b RouterID) {
 	if pcA == nil || pcB == nil || pcA.down {
 		return
 	}
+	n.savePeer(pcA)
+	n.savePeer(pcB)
 	pcA.down, pcB.down = true, true
 	n.flushSession(sa, b)
 	n.flushSession(sb, a)
@@ -446,6 +461,8 @@ func (n *Network) SetSessionUp(a, b RouterID) {
 	if pcA == nil || pcB == nil || !pcA.down {
 		return
 	}
+	n.savePeer(pcA)
+	n.savePeer(pcB)
 	pcA.down, pcB.down = false, false
 	for _, p := range sa.exportablePrefixes() {
 		n.requestExport(sa, p, pcA)
@@ -503,8 +520,12 @@ func (n *Network) SetPrefixPrepend(id, nb RouterID, p netutil.Prefix, prepends i
 	if hadOverride && pcN.PrefixPrepend[p] == prepends {
 		return
 	}
+	n.savePeer(pcN)
 	if pcN.PrefixPrepend == nil {
 		pcN.PrefixPrepend = make(map[netutil.Prefix]int)
+	}
+	if n.jr != nil {
+		n.jr.prepends.save(pcN.PrefixPrepend, p)
 	}
 	pcN.PrefixPrepend[p] = prepends
 	// Unified no-op detection with SetExportPrepend: recording an
@@ -531,6 +552,9 @@ func (n *Network) SetImportDeny(id RouterID, fn func(*Route) bool) {
 	s := n.speakers[id]
 	if s == nil {
 		return
+	}
+	if n.jr != nil {
+		n.jr.denies = append(n.jr.denies, denyUndo{s, s.importDeny})
 	}
 	s.importDeny = fn
 	if fn == nil {
@@ -575,6 +599,7 @@ func (n *Network) SetImportLocalPref(id, nb RouterID, pref uint32) uint32 {
 	if old == pref {
 		return old
 	}
+	n.savePeer(pc)
 	pc.ImportLocalPref = pref
 	lp := pc.localPref()
 	// Retroactive pass: collect the session's entries first (stores do
@@ -622,6 +647,7 @@ func (n *Network) SetExportAllow(id, nb RouterID, allow ClassSet) ClassSet {
 	if old == allow {
 		return old
 	}
+	n.savePeer(pc)
 	pc.ExportAllow = allow
 	for _, p := range s.exportablePrefixes() {
 		n.requestExport(s, p, pc)
@@ -687,6 +713,9 @@ func (n *Network) exportToPeer(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
 		k := ribKey{p, pc.Neighbor}
 		if last, ok := s.mraiLast[k]; ok && n.clock < last+pc.MRAI {
 			if !s.mraiPending[k] {
+				if n.jr != nil {
+					n.jr.flags.save(s.mraiPending, k)
+				}
 				s.mraiPending[k] = true
 				n.queue.Push(vtime.Time(last+pc.MRAI), event{
 					to:     s.ID,
@@ -728,7 +757,10 @@ func (n *Network) sendExport(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
 		delay = n.DefaultDelay
 	}
 	if pc.MRAI > 0 {
-		s.mraiLast[ribKey{p, pc.Neighbor}] = n.clock
+		if n.jr != nil {
+			n.jr.times.save(s.mraiLast, k)
+		}
+		s.mraiLast[k] = n.clock
 	}
 	n.queue.Push(vtime.Time(n.clock+delay), event{
 		to:     pc.Neighbor,
@@ -778,7 +810,11 @@ func (n *Network) deliver(e *event) {
 		// inside the interval would find the batch still pending and
 		// schedule nothing.
 		pcOut := s.peers[e.from]
-		s.mraiPending[ribKey{e.prefix, e.from}] = false
+		k := ribKey{e.prefix, e.from}
+		if n.jr != nil {
+			n.jr.flags.save(s.mraiPending, k)
+		}
+		s.mraiPending[k] = false
 		if pcOut != nil && !pcOut.down && !s.Collector {
 			n.sendExport(s, e.prefix, pcOut)
 		}

@@ -1,0 +1,257 @@
+package bgp
+
+// The undo journal: rewinding a network to a fork point by undoing
+// what changed since, instead of restoring a snapshot of everything.
+//
+// OpenJournal marks the fork point. While the journal is open, every
+// write to a speaker's dynamic state first records what it overwrites —
+// (table, key, previous value) — and Rewind replays those records in
+// reverse, so a rewind costs what the writes since the fork cost, not
+// what the network holds. The network-wide scalars and the small
+// queues (clock, event queue, in-flight route slots, dirty queue, work
+// counters, churn log) are saved once, by value, at open, and copied
+// back on every rewind.
+//
+// What is recorded, and where:
+//
+//   - RIB entries, inside the stores: a map store records the previous
+//     *Route (exact pointers, because a snapshot numbers routes per
+//     distinct pointer); an arena store records the previous packed
+//     record, so recording materialises nothing.
+//   - The speaker tables originated, rfd, suppressed, mraiLast,
+//     mraiPending and medSeen, at their write sites. rfdState is
+//     mutated in place (Flap, Suppressed), so its value is recorded
+//     beside its pointer.
+//   - Session settings: each setter records the whole PeerConfig
+//     before changing it (ExportPrepend, PrefixPrepend, ExportAllow,
+//     ImportLocalPref, down), and SetImportDeny the speaker's filter.
+//
+// The logs are independent — no map appears in two — so Rewind replays
+// them one after another, each in reverse. Topology is not journaled:
+// AddSpeaker and Connect panic while a journal is open, and
+// RestoreNetwork refuses such a network. Telemetry counters and the
+// per-update scratch (candidate buffer, prepend memo) are not network
+// state and are left alone. With no journal open each hook is one nil
+// check.
+
+import (
+	"errors"
+
+	"repro/internal/netutil"
+	"repro/internal/vtime"
+)
+
+// journal is an open undo journal (see the file comment).
+type journal struct {
+	routes   keyedLog[ribKey, *Route] // map-store RIB entries
+	packed   []packedUndo             // arena-store RIB entries
+	orig     keyedLog[netutil.Prefix, origination]
+	flags    keyedLog[ribKey, bool] // suppressed, mraiPending
+	times    keyedLog[ribKey, Time] // mraiLast
+	medSeen  keyedLog[netutil.Prefix, bool]
+	prepends keyedLog[netutil.Prefix, int] // PeerConfig.PrefixPrepend
+	rfd      []rfdUndo
+	peers    []peerUndo
+	denies   []denyUndo
+
+	// The fork point's scalars and queues, saved at open.
+	clock           Time
+	queue           []vtime.Item[event]
+	seq             uint64
+	inflight        []*Route
+	freeSlots       []uint32
+	dirtyQueue      []dirtyKey
+	eventsProcessed int
+	inc             IncStats
+	defaultDelay    Time
+	churn           ChurnLog
+}
+
+// keyedUndo is the value m[k] held before a write; ok is false when k
+// was absent.
+type keyedUndo[K comparable, V any] struct {
+	m  map[K]V
+	k  K
+	v  V
+	ok bool
+}
+
+type keyedLog[K comparable, V any] []keyedUndo[K, V]
+
+// save records m[k] ahead of a write to it.
+func (l *keyedLog[K, V]) save(m map[K]V, k K) {
+	v, ok := m[k]
+	*l = append(*l, keyedUndo[K, V]{m, k, v, ok})
+}
+
+// undo puts every recorded value back.
+func (l *keyedLog[K, V]) undo() {
+	replay((*[]keyedUndo[K, V])(l), func(u *keyedUndo[K, V]) {
+		if u.ok {
+			u.m[u.k] = u.v
+		} else {
+			delete(u.m, u.k)
+		}
+	})
+}
+
+// replay undoes every entry of *log, newest first, and empties the log,
+// keeping its backing array for the next round.
+func replay[T any](log *[]T, undo func(*T)) {
+	s := *log
+	for i := len(s) - 1; i >= 0; i-- {
+		undo(&s[i])
+	}
+	clear(s)
+	*log = s[:0]
+}
+
+// packedUndo is an arena store's entry under key before a write.
+type packedUndo struct {
+	st    *arenaStore
+	key   uint64
+	rec   packedRoute
+	comms CommunitySet
+	ok    bool
+}
+
+// rfdUndo is m[k] before a write: st is the state pointer (nil when
+// absent) and v its value then.
+type rfdUndo struct {
+	m  map[ribKey]*rfdState
+	k  ribKey
+	st *rfdState
+	v  rfdState
+}
+
+type peerUndo struct {
+	pc *PeerConfig
+	v  PeerConfig
+}
+
+type denyUndo struct {
+	s  *Speaker
+	fn func(*Route) bool
+}
+
+// OpenJournal makes the network's current state the fork point that
+// Rewind returns to. Like Snapshot it is an error inside a Batch, and
+// a second OpenJournal before CloseJournal is an error too.
+func (n *Network) OpenJournal() error {
+	if n.batchDepth != 0 {
+		return errors.New("bgp: OpenJournal called inside Batch")
+	}
+	if n.jr != nil {
+		return errors.New("bgp: journal already open")
+	}
+	j := &journal{
+		clock:           n.clock,
+		queue:           n.queue.Sorted(),
+		seq:             n.queue.Seq(),
+		inflight:        append([]*Route(nil), n.inflight...),
+		freeSlots:       append([]uint32(nil), n.freeSlots...),
+		dirtyQueue:      append([]dirtyKey(nil), n.dirtyQueue...),
+		eventsProcessed: n.eventsProcessed,
+		inc:             n.inc,
+		defaultDelay:    n.DefaultDelay,
+		churn:           n.Churn,
+	}
+	n.setJournal(j)
+	return nil
+}
+
+// CloseJournal stops recording; the network keeps its current state.
+func (n *Network) CloseJournal() { n.setJournal(nil) }
+
+func (n *Network) setJournal(j *journal) {
+	n.jr = j
+	for _, s := range n.speakers {
+		s.adjIn.setJournal(j)
+		s.locRib.setJournal(j)
+		s.adjOut.setJournal(j)
+	}
+}
+
+// Rewind returns the network to the state it had at OpenJournal and
+// leaves the journal open and empty, ready for the next round.
+func (n *Network) Rewind() error {
+	j := n.jr
+	if j == nil {
+		return errors.New("bgp: Rewind without an open journal")
+	}
+	if n.batchDepth != 0 {
+		return errors.New("bgp: Rewind called inside Batch")
+	}
+	j.routes.undo()
+	replay(&j.packed, func(u *packedUndo) {
+		if u.ok {
+			u.st.put(u.key, u.rec, u.comms)
+		} else {
+			u.st.drop(u.key)
+		}
+	})
+	j.orig.undo()
+	j.flags.undo()
+	j.times.undo()
+	j.medSeen.undo()
+	j.prepends.undo()
+	replay(&j.rfd, func(u *rfdUndo) {
+		if u.st == nil {
+			delete(u.m, u.k)
+		} else {
+			*u.st = u.v
+			u.m[u.k] = u.st
+		}
+	})
+	replay(&j.peers, func(u *peerUndo) { *u.pc = u.v })
+	replay(&j.denies, func(u *denyUndo) { u.s.importDeny = u.fn })
+
+	n.clock = j.clock
+	n.queue.Restore(j.queue, j.seq)
+	grown := len(n.inflight)
+	n.inflight = append(n.inflight[:0], j.inflight...)
+	if grown > len(n.inflight) {
+		clear(n.inflight[len(n.inflight):grown])
+	}
+	n.freeSlots = append(n.freeSlots[:0], j.freeSlots...)
+	n.dirtyQueue = append(n.dirtyQueue[:0], j.dirtyQueue...)
+	clear(n.dirtySet)
+	for _, k := range n.dirtyQueue {
+		n.dirtySet[k] = true // not nil: it held these keys at open
+	}
+	n.eventsProcessed = j.eventsProcessed
+	n.inc = j.inc
+	n.DefaultDelay = j.defaultDelay
+	n.Churn = j.churn
+	return nil
+}
+
+// savePeer records pc ahead of a setter's change to it.
+func (n *Network) savePeer(pc *PeerConfig) {
+	if n.jr != nil {
+		n.jr.peers = append(n.jr.peers, peerUndo{pc, *pc})
+	}
+}
+
+// saveRFD records s.rfd[k], pointer and value, ahead of a write to it
+// or to the state it points at.
+func (s *Speaker) saveRFD(k ribKey) {
+	u := rfdUndo{m: s.rfd, k: k, st: s.rfd[k]}
+	if u.st != nil {
+		u.v = *u.st
+	}
+	s.net.jr.rfd = append(s.net.jr.rfd, u)
+}
+
+// save records the arena entry under key ahead of a write to it.
+func (st *arenaStore) save(key uint64) {
+	u := packedUndo{st: st, key: key}
+	if slot, ok := st.slots[key]; ok {
+		u.rec, u.ok = st.ar.recs[slot], true
+		if u.rec.flags&prFlagHasComms != 0 {
+			u.comms = st.ar.comms[slot]
+		}
+	}
+	j := st.ar.be.jr
+	j.packed = append(j.packed, u)
+}

@@ -52,6 +52,9 @@ type ribStore interface {
 	Len() int
 	// Reset empties the store.
 	Reset()
+	// setJournal makes Install and Withdraw record what they overwrite
+	// into j (nil: stop recording); see journal.go.
+	setJournal(j *journal)
 }
 
 // locKey is the loc-RIB store key for p (neighbor 0 by convention).
@@ -68,7 +71,8 @@ type ribEntry struct {
 // Get preserve pointer identity, which the rest of the engine's
 // aliasing (queue events, adj-out entries) was originally built on.
 type mapStore struct {
-	m map[ribKey]*Route
+	m  map[ribKey]*Route
+	jr *journal
 }
 
 func newMapStore() *mapStore { return &mapStore{m: make(map[ribKey]*Route)} }
@@ -79,10 +83,20 @@ func (st *mapStore) Install(k ribKey, r *Route) {
 	if r == nil {
 		panic("bgp: Install(nil route); use Withdraw")
 	}
+	if st.jr != nil {
+		st.jr.routes.save(st.m, k)
+	}
 	st.m[k] = r
 }
 
-func (st *mapStore) Withdraw(k ribKey) { delete(st.m, k) }
+func (st *mapStore) Withdraw(k ribKey) {
+	if st.jr != nil {
+		st.jr.routes.save(st.m, k)
+	}
+	delete(st.m, k)
+}
+
+func (st *mapStore) setJournal(j *journal) { st.jr = j }
 
 func (st *mapStore) Len() int { return len(st.m) }
 

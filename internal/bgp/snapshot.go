@@ -4,10 +4,12 @@ package bgp
 // state of a Network — RIBs, damping timers, MRAI batches, the
 // in-flight event queue, churn log, dirty-set, and work counters —
 // into the versioned container of internal/snapshot; RestoreNetwork
-// rehydrates it into a freshly built base network whose
-// topology and policy match. The restored network is byte-identical in
-// every observable output to the original: same messages at the same
-// virtual times, same churn records, same RIB contents.
+// rehydrates it into a freshly built base network whose topology and
+// policy match. Checkpoint/resume is its one production caller: a
+// rewind within one process is the undo journal's job (journal.go).
+// The restored network is byte-identical in every observable output to
+// the original: same messages at the same virtual times, same churn
+// records, same RIB contents.
 //
 // Two invariants shape the format:
 //
@@ -21,9 +23,9 @@ package bgp
 //
 //   - Pointer identity. sendExport stores one *Route into both the
 //     adj-RIB-out and the queued event's Network.inflight slot, and a
-//     queued event may hold a stale pointer no RIB reaches any more. The route table assigns
-//     one index per distinct pointer, so aliasing survives a round
-//     trip.
+//     queued event may hold a stale pointer no RIB reaches any more.
+//     The route table assigns one index per distinct pointer, so
+//     aliasing survives a round trip.
 //
 // Policy func values (ImportDeny, ExportFilter, ExportBestOf) cannot
 // be serialized; they come from the base network, and a fingerprint
@@ -108,6 +110,9 @@ func (n *Network) snapshotBytes() ([]byte, error) {
 // touched, and a decode error leaves base unmodified. Metrics wiring,
 // CollectorFeedDown, and policy functions are kept from base.
 func RestoreNetwork(r io.Reader, base *Network) error {
+	if base.jr != nil {
+		return errors.New("bgp: RestoreNetwork into a network with an open journal")
+	}
 	sections, err := snap.ReadSections(r, snap.EngineMagic, snap.EngineVersion)
 	if err != nil {
 		return err

@@ -79,9 +79,9 @@ type Speaker struct {
 	// full scan is then sound.
 	medSeen map[netutil.Prefix]bool
 
-	// metrics points at the owning network's counter set (nil-safe
-	// counters; see Network.SetMetrics).
-	metrics *netMetrics
+	// net is the owning network: its counter set (nil-safe counters;
+	// see Network.SetMetrics) and its open undo journal, if any.
+	net *Network
 }
 
 func newSpeaker(id RouterID, as asn.AS, name string) *Speaker {
@@ -341,6 +341,9 @@ func (s *Speaker) applyImport(p netutil.Prefix, nb RouterID, r *Route, now Time)
 	*installed = in
 	s.adjIn.Install(k, installed)
 	if in.MED != 0 {
+		if s.net.jr != nil {
+			s.net.jr.medSeen.save(s.medSeen, p)
+		}
 		s.medSeen[p] = true
 	}
 	if pc.RFD != nil {
@@ -351,17 +354,19 @@ func (s *Speaker) applyImport(p netutil.Prefix, nb RouterID, r *Route, now Time)
 }
 
 func (s *Speaker) rfdFlap(k ribKey, cfg *RFDConfig, now Time) {
+	if s.net.jr != nil {
+		s.saveRFD(k)
+		s.net.jr.flags.save(s.suppressed, k)
+	}
 	st := s.rfd[k]
 	if st == nil {
 		st = &rfdState{lastUpdate: now}
 		s.rfd[k] = st
 	}
-	if s.metrics != nil {
-		s.metrics.rfdPenalties.Inc()
-	}
+	s.net.metrics.rfdPenalties.Inc()
 	if st.Flap(now, cfg) {
-		if s.metrics != nil && !s.suppressed[k] {
-			s.metrics.rfdSuppressions.Inc()
+		if !s.suppressed[k] {
+			s.net.metrics.rfdSuppressions.Inc()
 		}
 		s.suppressed[k] = true
 	} else {
@@ -394,6 +399,10 @@ func (s *Speaker) rfdRecheck(k ribKey, cfg *RFDConfig, now Time) bool {
 	st := s.rfd[k]
 	if st == nil || !s.suppressed[k] {
 		return false
+	}
+	if s.net.jr != nil {
+		s.saveRFD(k)
+		s.net.jr.flags.save(s.suppressed, k)
 	}
 	if !st.Suppressed(now, cfg) {
 		delete(s.suppressed, k)

@@ -18,14 +18,15 @@ import (
 
 // This file is the bridge between the pure search machinery in
 // internal/optimize and a live measurement world: RunOptimizeContext
-// builds one converged survey, snapshots the pristine fork point, and
-// then evaluates every candidate configuration by rewinding that
-// snapshot and pushing the candidate's traffic-engineering delta
-// through the engine. It is the one sweep that forks instead of
-// building a world per point: a candidate's catchment census is tens
-// of milliseconds, so the rewind that replaces a build + convergence
-// is most of what an evaluation costs (see EXPERIMENTS.md, "Warm
-// start").
+// builds one converged survey, opens an undo journal at that pristine
+// fork point (bgp.Network.OpenJournal), and evaluates every candidate
+// configuration by rewinding the journal and pushing the candidate's
+// traffic-engineering delta through the engine. It is the one sweep
+// that forks instead of building a world per point, and a rewind costs
+// what the previous candidate's delta touched, not what the world
+// holds (see EXPERIMENTS.md, "Warm start"). The pristine snapshot is
+// still taken once: its size is reported, and the tests hold every
+// rewind to it byte for byte.
 
 // OptimizeOptions configures a policy-optimization run.
 type OptimizeOptions struct {
@@ -48,11 +49,6 @@ type OptimizeOptions struct {
 	// SearchSeed keys every proposal RNG stream (the pipeline derives
 	// it from the session seed via optimizeSeedStream).
 	SearchSeed int64
-	// Cold disables warm-started evaluation: every candidate gets a
-	// freshly built world and pays full initial convergence. Only
-	// useful for measuring what the warm path saves (the savings test
-	// in optimize_test.go); searches should leave it false.
-	Cold bool
 	// Metrics receives the run's counters and spans; nil disables
 	// telemetry. Evaluation-world engines are never instrumented —
 	// engine counters would vary with evaluation scheduling — so
@@ -95,15 +91,12 @@ type OptimizeResult struct {
 	BaselineEval  optimize.Eval
 	BestEval      optimize.Eval
 	Trajectory    []optimize.TrajectoryPoint
-	// WarmRestores counts snapshot rewinds (one per warm evaluation,
-	// plus the final rewind that returns the driver world to the
-	// pristine fork point). ColdBuilds counts from-scratch worlds.
+	// WarmRestores counts journal rewinds (one per evaluation, plus the
+	// final rewind that returns a world to the pristine fork point).
 	WarmRestores int64
-	ColdBuilds   int64
 	// EvalDecisionRuns totals the BGP decision evaluations the
-	// candidate evaluations cost (excluding the shared one-time
-	// convergence on the warm path, including per-candidate initial
-	// convergence on the cold path) — the warm-start savings metric.
+	// candidate evaluations cost, excluding the one-time convergence
+	// of each evaluation world — the warm-start savings metric.
 	EvalDecisionRuns int64
 	// SnapshotBytes is the pristine snapshot's size.
 	SnapshotBytes int
@@ -115,34 +108,20 @@ type OptimizeResult struct {
 // (see the Pipeline doc for the derivation map).
 const optimizeSeedStream = 0x0071
 
-// lpUndo records one import-localpref override so the evaluator can
-// un-apply it before the next snapshot rewind (ImportLocalPref is part
-// of the restore fingerprint — see TestSetImportLocalPrefFingerprint).
-type lpUndo struct {
-	id, nb bgp.RouterID
-	pref   uint32
-}
-
-// optSlot is one reusable evaluation world.
-type optSlot struct {
-	s  *Survey
-	lp []lpUndo
-}
-
 // policyEvaluator implements optimize.Evaluator against a pool of
-// warm-startable worlds. Evaluations are pure per candidate (rewind →
-// apply → converge → census), so any slot can serve any candidate and
+// journaled worlds. Evaluations are pure per candidate (rewind → apply
+// → converge → census), so any world can serve any candidate and
 // results are independent of scheduling.
 type policyEvaluator struct {
-	opts     OptimizeOptions
-	obj      optimize.Objective
-	baseSnap []byte
-	start    bgp.Time
-	pool     chan *optSlot
-	reg      *telemetry.Registry
+	opts  OptimizeOptions
+	obj   optimize.Objective
+	start bgp.Time
+	// pool holds the evaluation worlds, each with its journal open at
+	// the fork point; nil is a world not built yet.
+	pool chan *Survey
+	reg  *telemetry.Registry
 
 	warmRestores atomic.Int64
-	coldBuilds   atomic.Int64
 	decisionRuns atomic.Int64
 }
 
@@ -150,73 +129,75 @@ type policyEvaluator struct {
 // convergence, matching RunBothContext's SURF experiment start.
 const optStart = bgp.Time(9 * 3600)
 
-func newPolicyEvaluator(opts OptimizeOptions, obj optimize.Objective, driver *Survey, baseSnap []byte, slots int) *policyEvaluator {
+// newPolicyEvaluator forks the converged driver world and slots-1
+// further worlds, which converge on first use.
+func newPolicyEvaluator(opts OptimizeOptions, obj optimize.Objective, driver *Survey, slots int) (*policyEvaluator, error) {
 	ev := &policyEvaluator{
-		opts:     opts,
-		obj:      obj,
-		baseSnap: baseSnap,
-		start:    optStart,
-		pool:     make(chan *optSlot, slots),
-		reg:      opts.Metrics,
+		opts:  opts,
+		obj:   obj,
+		start: optStart,
+		pool:  make(chan *Survey, slots),
+		reg:   opts.Metrics,
 	}
-	ev.pool <- ev.prepSlot(driver)
+	if err := ev.fork(driver); err != nil {
+		return nil, err
+	}
+	ev.pool <- driver
 	for i := 1; i < slots; i++ {
-		ev.pool <- ev.prepSlot(NewSurvey(opts.Survey))
+		ev.pool <- nil
 	}
-	return ev
+	return ev, nil
 }
 
-// prepSlot wires a survey world for evaluation probing: response
+// fork wires a converged world for evaluation probing — response
 // terminal mapping as in Experiment.RunContext, no injected dormancy
-// (evaluations measure steady state, not loss).
-func (ev *policyEvaluator) prepSlot(s *Survey) *optSlot {
+// (evaluations measure steady state, not loss) — and opens the journal
+// every evaluation rewinds to.
+func (ev *policyEvaluator) fork(s *Survey) error {
 	s.Prober.Workers = 1
 	s.World.RETerminals = map[bgp.RouterID]bool{s.Eco.MeasSURF.Router: true}
 	s.World.CommodityTerminals = map[bgp.RouterID]bool{s.Eco.MeasCommodity.Router: true}
-	return &optSlot{s: s}
+	if err := s.Eco.Net.OpenJournal(); err != nil {
+		return fmt.Errorf("optimize: open journal at the fork point: %w", err)
+	}
+	return nil
 }
 
 func (ev *policyEvaluator) Evaluate(ctx context.Context, c optimize.Candidate) (optimize.Eval, error) {
 	if err := ctx.Err(); err != nil {
 		return optimize.Eval{}, err
 	}
-	if ev.opts.Cold {
-		slot := ev.prepSlot(NewSurvey(ev.opts.Survey))
-		ev.coldBuilds.Add(1)
-		ev.reg.Counter("opt_cold_builds_total").Inc()
-		st0 := slot.s.Eco.Net.Stats()
-		// The cold path pays the full initial convergence inside the
-		// metered window — exactly what the warm path amortizes away.
-		x := NewSURFExperiment(slot.s.Eco, slot.s.World, slot.s.Prober, slot.s.Sel, ev.start)
-		x.Converge()
-		return ev.measure(slot, c, st0)
+	s := <-ev.pool
+	defer func() { ev.pool <- s }()
+	if s == nil {
+		// Converging builds the same pristine state the driver's
+		// journal holds: the build and convergence are deterministic.
+		w := NewSurvey(ev.opts.Survey)
+		NewSURFExperiment(w.Eco, w.World, w.Prober, w.Sel, ev.start).Converge()
+		if err := ev.fork(w); err != nil {
+			return optimize.Eval{}, err
+		}
+		s = w
 	}
-
-	slot := <-ev.pool
-	defer func() { ev.pool <- slot }()
-	if err := ev.rewind(slot); err != nil {
+	if err := ev.rewind(s); err != nil {
 		return optimize.Eval{}, err
 	}
-	ev.warmRestores.Add(1)
+	// The counters keep their names from when a rewind was a snapshot
+	// restore, so manifests stay comparable across versions.
 	ev.reg.Counter("opt_warm_restores_total").Inc()
 	ev.reg.Counter("snapshot_restore_total").Inc()
 	ev.reg.Counter("core_warm_start_skipped_convergence_runs_total").Inc()
-	return ev.measure(slot, c, slot.s.Eco.Net.Stats())
+	return ev.measure(s, c, s.Eco.Net.Stats())
 }
 
-// rewind returns a slot's world to the pristine fork point: un-apply
-// any live localpref overrides (they are part of the restore
-// fingerprint), then restore the snapshot (which rewinds all route
-// state, prepends, and originations).
-func (ev *policyEvaluator) rewind(slot *optSlot) error {
-	net := slot.s.Eco.Net
-	for _, u := range slot.lp {
-		net.SetImportLocalPref(u.id, u.nb, u.pref)
+// rewind undoes the previous candidate's delta — route state,
+// prepends, localpref overrides, originations, queue and clock — and
+// returns the world to the pristine fork point.
+func (ev *policyEvaluator) rewind(s *Survey) error {
+	if err := s.Eco.Net.Rewind(); err != nil {
+		return fmt.Errorf("optimize: rewind to the fork point: %w", err)
 	}
-	slot.lp = slot.lp[:0]
-	if err := bgp.RestoreNetwork(bytes.NewReader(ev.baseSnap), net); err != nil {
-		return fmt.Errorf("optimize: rewind to pristine snapshot: %w", err)
-	}
+	ev.warmRestores.Add(1)
 	return nil
 }
 
@@ -225,8 +206,7 @@ func (ev *policyEvaluator) rewind(slot *optSlot) error {
 // probe round when the objective needs one). st0 anchors the work
 // metering: the returned Eval's DecisionRuns/FullScans cover exactly
 // the delta this candidate cost.
-func (ev *policyEvaluator) measure(slot *optSlot, c optimize.Candidate, st0 bgp.IncStats) (optimize.Eval, error) {
-	s := slot.s
+func (ev *policyEvaluator) measure(s *Survey, c optimize.Candidate, st0 bgp.IncStats) (optimize.Eval, error) {
 	net := s.Eco.Net
 	eco := s.Eco
 	meas := eco.MeasPrefix
@@ -245,20 +225,18 @@ func (ev *policyEvaluator) measure(slot *optSlot, c optimize.Candidate, st0 bgp.
 		if i := c.Genes[optimize.GeneRELocalPref]; i != 0 {
 			pref := optimize.LocalPrefChoices[i]
 			for _, nb := range reSessions {
-				old := net.SetImportLocalPref(nb, reOrigin, pref)
-				slot.lp = append(slot.lp, lpUndo{id: nb, nb: reOrigin, pref: old})
+				net.SetImportLocalPref(nb, reOrigin, pref)
 			}
 		}
 		if i := c.Genes[optimize.GeneCommodityLocalPref]; i != 0 {
 			pref := optimize.LocalPrefChoices[i]
 			for _, nb := range comSessions {
-				old := net.SetImportLocalPref(nb, comOrigin, pref)
-				slot.lp = append(slot.lp, lpUndo{id: nb, nb: comOrigin, pref: old})
+				net.SetImportLocalPref(nb, comOrigin, pref)
 			}
 		}
 		if c.Genes[optimize.GeneREAction] == 1 {
 			// Re-originate with NO_EXPORT: the R&E announcement stops at
-			// direct peers. Origination state rewinds with the snapshot.
+			// direct peers. The journal rewinds the origination.
 			net.OriginateWith(reOrigin, meas, bgp.OriginateOpts{
 				Communities: bgp.NewCommunitySet(bgp.NoExport),
 			})
@@ -417,7 +395,10 @@ func RunOptimizeContext(ctx context.Context, opts OptimizeOptions) (*OptimizeRes
 	if slots < 1 {
 		slots = 1
 	}
-	ev := newPolicyEvaluator(opts, obj, driver, baseSnap, slots)
+	ev, err := newPolicyEvaluator(opts, obj, driver, slots)
+	if err != nil {
+		return nil, err
+	}
 
 	// Score the pristine configuration once, outside the budget, so the
 	// report can state the improvement (and the savings test has a
@@ -475,17 +456,12 @@ func RunOptimizeContext(ctx context.Context, opts OptimizeOptions) (*OptimizeRes
 		return nil, err
 	}
 	// Leave the driver world at the pristine fork point.
-	if !opts.Cold {
-		dslot := <-ev.pool
-		if err := ev.rewind(dslot); err != nil {
-			return nil, err
-		}
-		ev.pool <- dslot
-		ev.warmRestores.Add(1)
-		reg.Counter("snapshot_restore_total").Inc()
+	if err := ev.rewind(driver); err != nil {
+		return nil, err
 	}
+	driver.Eco.Net.CloseJournal()
+	reg.Counter("snapshot_restore_total").Inc()
 	res.WarmRestores = ev.warmRestores.Load()
-	res.ColdBuilds = ev.coldBuilds.Load()
 	res.EvalDecisionRuns = ev.decisionRuns.Load()
 	reg.Gauge("opt_warm_restore_reuse").Set(float64(res.WarmRestores))
 	return res, nil
@@ -512,11 +488,11 @@ func WriteOptimizeReport(w io.Writer, res *OptimizeResult) error {
 	lines := fmt.Sprintf(
 		"\nBaseline: score %.6f (%s) [%s]\nBest:     score %.6f (%s) [%s]\n"+
 			"Improvement: %+.6f over %d candidates in %d generations (%d restarts)\n"+
-			"Evaluation: %d warm restores, %d cold builds, %d decision runs, snapshot %d bytes\n",
+			"Evaluation: %d warm restores, 0 cold builds, %d decision runs, snapshot %d bytes\n",
 		res.BaselineScore, optimize.Baseline().Label(), census(res.BaselineEval),
 		res.Best.Score, res.Best.Candidate.Label(), census(res.BestEval),
 		res.Best.Score-res.BaselineScore, res.Evaluated, res.Generations, res.Restarts,
-		res.WarmRestores, res.ColdBuilds, res.EvalDecisionRuns, res.SnapshotBytes)
+		res.WarmRestores, res.EvalDecisionRuns, res.SnapshotBytes)
 	_, err := io.WriteString(w, lines)
 	return err
 }

@@ -237,7 +237,7 @@ type optimizeSummary struct {
 	BestScore        float64         `json:"best_score"`
 	BestConfig       string          `json:"best_config"`
 	WarmRestores     int64           `json:"warm_restores"`
-	ColdBuilds       int64           `json:"cold_builds"`
+	ColdBuilds       int64           `json:"cold_builds"` // always 0: every evaluation is warm
 	EvalDecisionRuns int64           `json:"eval_decision_runs"`
 	Trajectory       []optimizePoint `json:"trajectory,omitempty"`
 }
@@ -478,7 +478,6 @@ func (s *Server) runOptimize(ctx context.Context, j *Job) ([]byte, error) {
 		BestScore:        res.Best.Score,
 		BestConfig:       res.Best.Candidate.Label(),
 		WarmRestores:     res.WarmRestores,
-		ColdBuilds:       res.ColdBuilds,
 		EvalDecisionRuns: res.EvalDecisionRuns,
 	}
 	for _, p := range res.Trajectory {

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/asn"
@@ -34,15 +35,16 @@ import (
 // Pointer-stability contract (see ribstore.go): Get materializes a
 // *Route on first access and memoizes it per slot, so callers observe
 // a stable pointer for an unchanged slot until the next epoch clear.
-// Bulk loads that never Get stay fully packed.
+// Bulk loads that never Get stay fully packed, and so does a snapshot:
+// it numbers a store's records by position and reads their fields from
+// the arena (appendSorted).
 //
 // The memo is bounded: once a store holds matCacheCap boxed routes the
 // next insert drops the whole epoch (see Get), so a full WalkSorted
 // over a large table does not box the entire store permanently.
 // Dropping the memo only costs a re-boxing — never wrong results,
 // because every comparison on routes is semantic and nothing holds a
-// box across two walks (Network.Snapshot numbers and records each
-// store in one).
+// box across two walks.
 type ribBackend struct {
 	paths    *pathtab.Table
 	prefixes *prefixIndex
@@ -178,10 +180,16 @@ func (a *speakerArena) pack(r *Route) (packedRoute, CommunitySet) {
 	return rec, r.Communities
 }
 
-// materialize rebuilds the *Route for a record under prefix p.
+// materialize boxes the route for a record under prefix p.
 func (a *speakerArena) materialize(p netutil.Prefix, slot uint32) *Route {
-	rec := a.recs[slot]
-	r := &Route{
+	r := a.unpack(p, slot)
+	return &r
+}
+
+// unpack rebuilds the route for a record under prefix p, as a value.
+func (a *speakerArena) unpack(p netutil.Prefix, slot uint32) Route {
+	rec := &a.recs[slot]
+	r := Route{
 		Prefix:    p,
 		Path:      a.be.paths.Resolve(rec.pathID),
 		Origin:    Origin(rec.origin),
@@ -245,8 +253,8 @@ func (st *arenaStore) Get(k ribKey) *Route {
 	} else if len(st.mat) >= matCacheCap {
 		// Epoch clear: deterministic (depends only on access history),
 		// and safe — no reader compares boxes from two epochs by
-		// pointer.
-		st.mat = make(map[uint64]*Route)
+		// pointer. clear keeps the buckets for the next epoch.
+		clear(st.mat)
 	}
 	st.mat[key] = r
 	return r
@@ -320,19 +328,34 @@ func (st *arenaStore) Reset() {
 }
 
 func (st *arenaStore) WalkSorted(fn func(k ribKey, r *Route) bool) {
-	keys := make([]ribKey, 0, len(st.slots))
-	for key := range st.slots {
-		keys = append(keys, ribKey{
-			prefix:   st.ar.be.prefixes.At(uint32(key >> 32)),
-			neighbor: RouterID(key),
-		})
-	}
-	sortRibKeysStable(keys)
-	for _, k := range keys {
-		if !fn(k, st.Get(k)) {
+	for _, ref := range st.sorted(nil) {
+		if !fn(ref.k, st.Get(ref.k)) {
 			return
 		}
 	}
+}
+
+// appendSorted numbers the store's records by position: a snapshot
+// reads each one's fields from the arena and boxes none.
+func (st *arenaStore) appendSorted(refs []ribRef, ri *routeIndex) []ribRef {
+	start := len(refs)
+	refs = st.sorted(refs)
+	ri.addRecords(st.ar, refs[start:])
+	return refs
+}
+
+// sorted appends the store's entries, each with its arena slot, to refs
+// in (prefix, neighbor) order.
+func (st *arenaStore) sorted(refs []ribRef) []ribRef {
+	start := len(refs)
+	for key, slot := range st.slots {
+		refs = append(refs, ribRef{
+			k:    ribKey{prefix: st.ar.be.prefixes.At(uint32(key >> 32)), neighbor: RouterID(key)},
+			slot: slot,
+		})
+	}
+	slices.SortFunc(refs[start:], func(a, b ribRef) int { return a.k.compare(b.k) })
+	return refs
 }
 
 // RIBStats describes the compact engine's memory model: entry counts

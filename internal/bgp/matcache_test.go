@@ -48,9 +48,10 @@ func maxMatCache(n *Network) int {
 // materialization-cache leak: a full-table walk used to box the entire
 // store into the per-key memo permanently. The bounded cache must hold
 // every store at or under matCacheCap after a point-Get pass and after
-// a snapshot's walk, and the epoch clears that bound it — which now
-// also happen in the middle of that walk — must not change a byte of
-// what the snapshot writes or what it restores to.
+// a full WalkSorted, whose epoch clears happen mid-walk; a snapshot
+// boxes nothing at all, so it leaves the memo as it found it, and the
+// epoch clears must not change a byte of what it writes or what it
+// restores to.
 func TestMatCacheBoundedByWalks(t *testing.T) {
 	const nPrefixes = 3 * matCacheCap / 2
 	n, prefixes := buildVantageArena(nPrefixes)
@@ -66,16 +67,27 @@ func TestMatCacheBoundedByWalks(t *testing.T) {
 		t.Fatalf("after a full point-Get pass: a store retains %d boxed routes, want <= %d", got, matCacheCap)
 	}
 
-	// A snapshot walks every store, each longer than the cap.
+	// A full walk of every store, each longer than the cap.
+	for _, s := range n.speakers {
+		for _, st := range []ribStore{s.adjIn, s.locRib, s.adjOut} {
+			st.WalkSorted(func(ribKey, *Route) bool { return true })
+		}
+	}
+	if got := maxMatCache(n); got > matCacheCap {
+		t.Fatalf("after full walks: a store retains %d boxed routes, want <= %d", got, matCacheCap)
+	}
+	boxed := n.MatCacheEntries()
+	if boxed == 0 {
+		t.Fatal("after full walks: no boxed routes at all — the walk did not go through the memo this test bounds")
+	}
+
+	// A snapshot reads the arena records and boxes none.
 	var buf bytes.Buffer
 	if err := n.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := maxMatCache(n); got > matCacheCap {
-		t.Fatalf("after snapshot: a store retains %d boxed routes, want <= %d", got, matCacheCap)
-	}
-	if n.MatCacheEntries() == 0 {
-		t.Fatal("after snapshot: no boxed routes at all — the walk did not go through the memo this test bounds")
+	if got := n.MatCacheEntries(); got != boxed {
+		t.Fatalf("snapshot changed the memo from %d to %d boxed routes; it should box nothing", boxed, got)
 	}
 
 	// The snapshot taken under the bound must restore into an

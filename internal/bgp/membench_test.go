@@ -87,7 +87,7 @@ func TestDeliveryAllocs(t *testing.T) {
 		ceiling float64
 	}{
 		{"map", false, 2.7},
-		{"arena", true, 11.9},
+		{"arena", true, 6.4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1789)) // #nosec test randomness

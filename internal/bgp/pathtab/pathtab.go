@@ -17,7 +17,11 @@
 // slices, so sharing is safe throughout the engine.
 package pathtab
 
-import "repro/internal/asn"
+import (
+	"encoding/binary"
+
+	"repro/internal/asn"
+)
 
 // ID is a dense reference to an interned path. The zero ID is the
 // empty path.
@@ -30,12 +34,13 @@ const Empty ID = 0
 // Table is not safe for concurrent use; the engine drives it from the
 // single-threaded event loop, matching every other engine structure.
 type Table struct {
-	// byKey maps the packed string form of a path to its ID. Using the
-	// string conversion of the raw AS words as the key makes lookups
-	// allocation-free on the hit path (the compiler recognises the
-	// map[string] lookup with a []byte-ish conversion) and avoids a
-	// second hashing scheme.
+	// byKey maps the packed string form of a path to its ID. A lookup
+	// indexes it with string(buf), which the compiler does without
+	// copying, so only an insert allocates a key string.
 	byKey map[string]ID
+	// buf is the scratch buffer every key is built in: one per table,
+	// which is why even Lookup is not safe for concurrent use.
+	buf []byte
 	// paths[i] is the canonical slice for ID i+1.
 	paths []asn.Path
 	// words counts the total AS elements stored, for memory accounting.
@@ -47,16 +52,15 @@ func New() *Table {
 	return &Table{byKey: make(map[string]ID)}
 }
 
-// key packs a path into a string of little-endian 4-byte AS words.
-func key(p asn.Path) string {
-	b := make([]byte, 4*len(p))
-	for i, a := range p {
-		b[4*i] = byte(a)
-		b[4*i+1] = byte(a >> 8)
-		b[4*i+2] = byte(a >> 16)
-		b[4*i+3] = byte(a >> 24)
+// key packs p into the scratch buffer as little-endian 4-byte AS words
+// and returns the buffer, valid until the next key.
+func (t *Table) key(p asn.Path) []byte {
+	b := t.buf[:0]
+	for _, a := range p {
+		b = binary.LittleEndian.AppendUint32(b, uint32(a))
 	}
-	return string(b)
+	t.buf = b
+	return b
 }
 
 // Intern returns the ID for p, assigning the next free ID on first
@@ -66,12 +70,12 @@ func (t *Table) Intern(p asn.Path) ID {
 	if len(p) == 0 {
 		return Empty
 	}
-	k := key(p)
-	if id, ok := t.byKey[k]; ok {
+	k := t.key(p)
+	if id, ok := t.byKey[string(k)]; ok {
 		return id
 	}
 	id := ID(len(t.paths) + 1)
-	t.byKey[k] = id
+	t.byKey[string(k)] = id
 	t.paths = append(t.paths, p.Clone())
 	t.words += len(p)
 	return id
@@ -83,7 +87,7 @@ func (t *Table) Lookup(p asn.Path) (ID, bool) {
 	if len(p) == 0 {
 		return Empty, true
 	}
-	id, ok := t.byKey[key(p)]
+	id, ok := t.byKey[string(t.key(p))]
 	return id, ok
 }
 

@@ -90,6 +90,31 @@ func TestLookupDoesNotIntern(t *testing.T) {
 	}
 }
 
+// TestInternHitAllocs pins the hit path at zero allocations: the key is
+// built in the table's scratch buffer, and only an insert turns it into
+// a string. Every arena Install interns its route's path, so a hit that
+// allocated would cost two allocations per installed route.
+func TestInternHitAllocs(t *testing.T) {
+	tab := New()
+	p := asn.MustParsePath("174 3356 7377 7377")
+	want := tab.Intern(p)
+	q := p.Clone() // an equal path in a distinct slice, as a new route carries
+	if got := testing.AllocsPerRun(100, func() {
+		if tab.Intern(q) != want {
+			t.Fatal("hit returned a different ID")
+		}
+	}); got != 0 {
+		t.Errorf("Intern hit: %.1f allocations, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if id, ok := tab.Lookup(q); !ok || id != want {
+			t.Fatal("Lookup missed an interned path")
+		}
+	}); got != 0 {
+		t.Errorf("Lookup: %.1f allocations, want 0", got)
+	}
+}
+
 func TestResolveUnissuedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -31,8 +31,9 @@ import (
 //     arenaStore returns materialized routes and keeps the returned
 //     pointer stable for an unchanged slot until its next epoch clear
 //     (arena.go), which is an optimization, not a guarantee: nothing
-//     may key on a store's route pointer across two walks. The
-//     snapshot route index numbers and records each store in one.
+//     may key on a store's route pointer across two walks. A snapshot
+//     walks each store once, through appendSorted, and keys on no
+//     arena pointer at all.
 //   - WalkSorted visits entries ordered by (prefix, neighbor) — prefix
 //     order per netutil.ComparePrefixes — the canonical serialization
 //     order of the snapshot format.
@@ -55,6 +56,10 @@ type ribStore interface {
 	// setJournal makes Install and Withdraw record what they overwrite
 	// into j (nil: stop recording); see journal.go.
 	setJournal(j *journal)
+	// appendSorted appends the store's entries to refs in (prefix,
+	// neighbor) order, numbering their routes in ri: the one walk a
+	// snapshot makes of a store (snapshot.go).
+	appendSorted(refs []ribRef, ri *routeIndex) []ribRef
 }
 
 // locKey is the loc-RIB store key for p (neighbor 0 by convention).
@@ -103,6 +108,16 @@ func (st *mapStore) Len() int { return len(st.m) }
 // Reset keeps the buckets: a restore refills the store to the size it
 // had, so a rewind loop reuses them instead of regrowing from empty.
 func (st *mapStore) Reset() { clear(st.m) }
+
+// appendSorted numbers every route through ri's pointer map, which
+// keeps the sharing between stores and queued events.
+func (st *mapStore) appendSorted(refs []ribRef, ri *routeIndex) []ribRef {
+	st.WalkSorted(func(k ribKey, r *Route) bool {
+		refs = append(refs, ribRef{k: k, idx: ri.add(r)})
+		return true
+	})
+	return refs
+}
 
 func (st *mapStore) WalkSorted(fn func(k ribKey, r *Route) bool) {
 	entries := make([]ribEntry, 0, len(st.m))

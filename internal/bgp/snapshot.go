@@ -25,7 +25,8 @@ package bgp
 //     adj-RIB-out and the queued event's Network.inflight slot, and a
 //     queued event may hold a stale pointer no RIB reaches any more.
 //     The route table assigns one index per distinct pointer, so
-//     aliasing survives a round trip.
+//     aliasing survives a round trip. An arena store has no pointers to
+//     keep: each of its entries is numbered by position (routeIndex).
 //
 // Policy func values (ImportDeny, ExportFilter, ExportBestOf) cannot
 // be serialized; they come from the base network, and a fingerprint
@@ -34,9 +35,11 @@ package bgp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 
 	"repro/internal/asn"
@@ -78,30 +81,89 @@ func (n *Network) Snapshot(w io.Writer) error {
 	return err
 }
 
+// snapshotBytes encodes the snapshot into one buffer, sized once from
+// counts the network holds, with every section appended straight into
+// it in file order.
 func (n *Network) snapshotBytes() ([]byte, error) {
 	if n.batchDepth != 0 {
 		return nil, errors.New("bgp: Snapshot called inside Batch")
 	}
 	ri := newRouteIndex(n)
-	// The path table: paths referenced from the route table and the
-	// churn log are interned in first-appearance order (route-table
-	// order, then churn order), so identical networks produce identical
-	// tables. Encoding the referers first populates the table; the
-	// sections are then written in file order.
-	pt := pathtab.New()
-	routesPayload := encodeRoutes(ri, pt)
-	churnPayload := encodeChurn(n.Churn.Records, pt)
+	pt, routeBytes := n.numberPaths(ri)
 	sw := snap.NewWriter(snap.EngineMagic, snap.EngineVersion)
-	sw.Section(secMeta, n.encodeMeta())
-	sw.Section(secFingerprint, n.encodeFingerprint())
-	sw.Section(secPaths, encodePaths(pt))
-	sw.Section(secRoutes, routesPayload)
-	sw.Section(secSpeakers, n.encodeSpeakers(ri))
-	sw.Section(secQueue, n.encodeQueue(ri))
-	sw.Section(secChurn, churnPayload)
-	sw.Section(secDirty, encodeDirty(n.dirtyQueue))
+	sw.Grow(n.sizeHint(ri, pt, routeBytes))
+	for _, sec := range []struct {
+		id  byte
+		enc func(e *snap.Enc)
+	}{
+		{secMeta, n.encodeMeta},
+		{secFingerprint, n.encodeFingerprint},
+		{secPaths, pt.encode},
+		{secRoutes, func(e *snap.Enc) { encodeRoutes(e, ri, pt) }},
+		{secSpeakers, func(e *snap.Enc) { n.encodeSpeakers(e, ri) }},
+		{secQueue, func(e *snap.Enc) { n.encodeQueue(e, ri) }},
+		{secChurn, func(e *snap.Enc) { encodeChurn(e, n.Churn.Records, pt) }},
+		{secDirty, func(e *snap.Enc) { encodeDirty(e, n.dirtyQueue) }},
+	} {
+		sec.enc(sw.Begin(sec.id))
+		sw.End()
+	}
 	return sw.Bytes(), nil
 }
+
+// sectionOverhead is what a section costs the Writer's buffer beyond its
+// payload while it is open: the id byte, the room left for the uvarint
+// length, and the CRC.
+const sectionOverhead = 1 + binary.MaxVarintLen64 + 4
+
+// sizeHint bounds the encoded snapshot, header aside, from counts the
+// network already holds, so the Writer's buffer is allocated once. The
+// route table (routeBytes, summed while its paths were numbered) and
+// the path table are exact; every other term is an upper bound,
+// uvarints included.
+func (n *Network) sizeHint(ri *routeIndex, pt *snapPaths, routeBytes int) int {
+	idx := uvarintLen(uint64(ri.n) + 1) // widest route reference
+	pathID := uvarintLen(uint64(len(pt.list)))
+	count := func(c int) int { return uvarintLen(uint64(c)) }
+	size := 8*sectionOverhead +
+		5*8 + 1 + 9*8 + // meta
+		2*count(len(n.order)) + // the fingerprint's and the speakers section's speaker counts
+		pt.size() + routeBytes +
+		count(len(ri.queue)) + len(ri.queue)*(8+8+4+4+5+idx+1+1) +
+		count(len(n.Churn.Records)) + len(n.Churn.Records)*(8+4+4+5+1+pathID) +
+		count(len(n.dirtyQueue)) + len(n.dirtyQueue)*13
+	for i, id := range n.order {
+		s := n.speakers[id]
+		size += 4 + 4 + count(len(s.Name)) + len(s.Name) + 1 + count(len(s.peerOrder)) // fingerprint
+		size += 4 + count(len(s.originated)) + len(s.originated)*(5+idx)
+		for t, refs := range ri.ribs[i] {
+			key := 5 + 4
+			if t == 1 {
+				key = 5 // the loc-RIB's prefix-only keys
+			}
+			size += count(len(refs)) + len(refs)*(key+idx)
+		}
+		size += count(len(s.rfd)) + len(s.rfd)*(9+25) +
+			count(len(s.suppressed)) + len(s.suppressed)*9 +
+			count(len(s.mraiLast)) + len(s.mraiLast)*(9+8) +
+			count(len(s.mraiPending)) + len(s.mraiPending)*9 +
+			count(len(s.medSeen)) + len(s.medSeen)*5 +
+			1 + count(len(s.peerOrder))
+		for _, nb := range s.peerOrder {
+			pc := s.peers[nb]
+			size += 4 + 4 + 1 + 4 + 1 + 4 + 8 + 8 + 4 + 1 + 3 + // fingerprint
+				count(pc.ExportAddCommunities.Len()) + 4*pc.ExportAddCommunities.Len() +
+				4 + 8 + 1 + count(len(pc.PrefixPrepend)) + len(pc.PrefixPrepend)*13 // speakers
+			if pc.RFD != nil {
+				size += 5 * 8
+			}
+		}
+	}
+	return size
+}
+
+// uvarintLen is the encoded size of v as a uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // RestoreNetwork decodes an RBGP snapshot from r and installs its
 // state into base, which must be a freshly built network with the
@@ -197,8 +259,7 @@ type metaState struct {
 	inc             IncStats
 }
 
-func (n *Network) encodeMeta() []byte {
-	var e snap.Enc
+func (n *Network) encodeMeta(e *snap.Enc) {
 	e.I64(int64(n.clock))
 	e.U64(n.queue.Seq())
 	e.U64(uint64(n.eventsProcessed))
@@ -209,7 +270,6 @@ func (n *Network) encodeMeta() []byte {
 	for _, v := range n.inc.fields() {
 		e.I64(v)
 	}
-	return e.Bytes()
 }
 
 func decodeMeta(payload []byte) (metaState, error) {
@@ -302,14 +362,12 @@ func (n *Network) walkFingerprint(yield func(chunk []byte) bool) {
 	}
 }
 
-// encodeFingerprint is the fingerprint section of a snapshot.
-func (n *Network) encodeFingerprint() []byte {
-	var out []byte
+// encodeFingerprint writes the fingerprint section of a snapshot.
+func (n *Network) encodeFingerprint(e *snap.Enc) {
 	n.walkFingerprint(func(chunk []byte) bool {
-		out = append(out, chunk...)
+		e.Raw(chunk)
 		return true
 	})
-	return out
 }
 
 // fingerprintEquals reports whether n's fingerprint is exactly want (a
@@ -329,48 +387,85 @@ func (n *Network) fingerprintEquals(want []byte) bool {
 
 // --- route table ---
 
-// routeIndex assigns one index per distinct installed *Route, in
+// routeIndex assigns one index per distinct installed route, in
 // canonical traversal order: per speaker (ascending ID) originated →
 // adj-RIB-in → loc-RIB → adj-RIB-out, then queued events in (at, seq)
 // order. First sighting wins, so shared pointers share an index.
 //
+// Two kinds of route are numbered. A *Route — an origination, a map
+// store's entry, a queued announcement — goes through the pointer map.
+// An arena store's entry is numbered by position: the store never hands
+// out a pointer that anything else holds (Get boxes afresh, and nothing
+// parks or originates a box), so its k-th entry in sorted order is
+// simply the next index, and its fields are read from the packed record
+// when the route table is written. Nothing is boxed.
+//
 // That numbering walk is the only walk of the stores a snapshot makes:
-// it records each store's (key, index) pairs as it goes and the
-// speakers section is written from the record. An arena store hands
-// out a box per visit and may drop its memo between visits, so a
-// second walk would meet pointers the index never numbered.
+// it records each store's entries as it goes and the route table and
+// the speakers section are written from the record.
 type routeIndex struct {
-	idx  map[*Route]uint64
-	list []*Route
+	idx  map[*Route]uint32 // every numbered *Route
+	list []*Route          // the numbered *Routes in index order
+	runs []routeRun        // the route table in index order
+	n    uint32            // routes numbered so far
 	// ribs[i] is speaker n.order[i]'s adj-RIB-in, loc-RIB and
-	// adj-RIB-out, each in WalkSorted order.
+	// adj-RIB-out, each in sorted key order: windows onto one slice.
 	ribs [][3][]ribRef
+	// queue is the pending events in (At, Seq) order.
+	queue []vtime.Item[event]
+}
+
+// routeRun is one stretch of the route table: the next boxed entries
+// of list, then, when ar is set, one arena store's records.
+type routeRun struct {
+	boxed int
+	ar    *speakerArena
+	recs  []ribRef
 }
 
 // ribRef is one RIB table entry as the speakers section stores it: the
-// store key and the route's index in the route table.
+// store key and the route's index in the route table, plus the arena
+// slot holding an arena store's record.
 type ribRef struct {
-	k   ribKey
-	idx uint64
+	k    ribKey
+	idx  uint32
+	slot uint32
 }
 
 func newRouteIndex(n *Network) *routeIndex {
-	ri := &routeIndex{idx: make(map[*Route]uint64), ribs: make([][3][]ribRef, len(n.order))}
+	queue := n.queue.Sorted()
+	// Presize for what the walk will hold: every store entry in refs,
+	// and in the pointer map every origination and queued route, plus
+	// every entry when the stores are maps.
+	entries, boxed := 0, len(queue)
+	for _, s := range n.speakers {
+		boxed += len(s.originated)
+		entries += s.adjIn.Len() + s.locRib.Len() + s.adjOut.Len()
+	}
+	if !n.compact {
+		boxed += entries
+	}
+	ri := &routeIndex{
+		idx:   make(map[*Route]uint32, boxed),
+		list:  make([]*Route, 0, boxed),
+		ribs:  make([][3][]ribRef, len(n.order)),
+		queue: queue,
+	}
+	refs := make([]ribRef, 0, entries)
+	var orig []netutil.Prefix
 	for i, id := range n.order {
 		s := n.speakers[id]
-		for _, p := range sortedOrigPrefixes(s.originated) {
+		orig = sortedOrigPrefixes(orig[:0], s.originated)
+		for _, p := range orig {
 			ri.add(s.originated[p].route)
 		}
 		for t, st := range [3]ribStore{s.adjIn, s.locRib, s.adjOut} {
-			refs := make([]ribRef, 0, st.Len())
-			st.WalkSorted(func(k ribKey, r *Route) bool {
-				refs = append(refs, ribRef{k, ri.add(r)})
-				return true
-			})
-			ri.ribs[i][t] = refs
+			start := len(refs)
+			refs = st.appendSorted(refs, ri)
+			ri.ribs[i][t] = refs[start:len(refs):len(refs)]
 		}
 	}
-	for _, it := range n.queue.Sorted() {
+	for _, it := range queue {
 		if r := n.parked(it.V.route); r != nil {
 			ri.add(r)
 		}
@@ -379,14 +474,82 @@ func newRouteIndex(n *Network) *routeIndex {
 }
 
 // add numbers r on first sight and returns its index.
-func (ri *routeIndex) add(r *Route) uint64 {
+func (ri *routeIndex) add(r *Route) uint32 {
 	i, ok := ri.idx[r]
 	if !ok {
-		i = uint64(len(ri.list))
+		i = ri.n
+		ri.n++
 		ri.idx[r] = i
 		ri.list = append(ri.list, r)
+		ri.tail().boxed++
 	}
 	return i
+}
+
+// addRecords numbers an arena store's entries, in sorted key order, by
+// position.
+func (ri *routeIndex) addRecords(ar *speakerArena, recs []ribRef) {
+	if len(recs) == 0 {
+		return
+	}
+	for j := range recs {
+		recs[j].idx = ri.n
+		ri.n++
+	}
+	run := ri.tail()
+	run.ar, run.recs = ar, recs
+}
+
+// tail returns the run the next routes join: the last one, unless an
+// arena store's records already close it.
+func (ri *routeIndex) tail() *routeRun {
+	if len(ri.runs) == 0 || ri.runs[len(ri.runs)-1].ar != nil {
+		ri.runs = append(ri.runs, routeRun{})
+	}
+	return &ri.runs[len(ri.runs)-1]
+}
+
+// eachRoute visits the route table in index order: a *Route, or an
+// arena record under its key.
+func (ri *routeIndex) eachRoute(boxed func(r *Route), packed func(ar *speakerArena, ref ribRef)) {
+	list := ri.list
+	for _, run := range ri.runs {
+		for _, r := range list[:run.boxed] {
+			boxed(r)
+		}
+		list = list[run.boxed:]
+		for _, ref := range run.recs {
+			packed(run.ar, ref)
+		}
+	}
+}
+
+// numberPaths builds the snapshot's path table: the paths the route
+// table and the churn log reference, numbered in first-appearance order
+// (route-table order, then churn order), so identical networks produce
+// identical tables. Numbering them before anything is written lets the
+// paths section precede its referers in one buffer. It also returns
+// the route table's encoded size.
+func (n *Network) numberPaths(ri *routeIndex) (pt *snapPaths, routeBytes int) {
+	pt = newSnapPaths(n.ribBE)
+	routeBytes = uvarintLen(uint64(ri.n))
+	add := func(pathID pathtab.ID, comms int) {
+		routeBytes += routeFixedBytes + uvarintLen(uint64(pathID)) + uvarintLen(uint64(comms)) + 4*comms
+	}
+	ri.eachRoute(
+		func(r *Route) { add(pt.id(r.Path), r.Communities.Len()) },
+		func(ar *speakerArena, ref ribRef) {
+			rec := &ar.recs[ref.slot]
+			comms := 0
+			if rec.flags&prFlagHasComms != 0 {
+				comms = ar.comms[ref.slot].Len()
+			}
+			add(pt.netID(rec.pathID), comms)
+		})
+	for _, rec := range n.Churn.Records {
+		pt.id(rec.Path)
+	}
+	return pt, routeBytes
 }
 
 // ref encodes a nilable route reference as index+1 (0 = nil).
@@ -398,26 +561,87 @@ func (ri *routeIndex) ref(r *Route) uint64 {
 	if !ok {
 		panic("bgp: snapshot route index missed a traversal path")
 	}
-	return i + 1
+	return uint64(i) + 1
 }
 
 // must encodes a non-nil route reference as its bare index.
 func (ri *routeIndex) must(r *Route) uint64 { return ri.ref(r) - 1 }
 
-// encodePaths serializes the interned path table: a count, then per
-// path (IDs 1..Len in order) a uvarint length and the AS words. The
-// empty path is implicit as ID 0.
-func encodePaths(pt *pathtab.Table) []byte {
-	var e snap.Enc
-	e.Uvarint(uint64(pt.Len()))
-	for id := 1; id <= pt.Len(); id++ {
-		p := pt.Resolve(pathtab.ID(id))
+// snapPaths is a snapshot's path table: every path the route table and
+// the churn log reference, numbered from 1 in first-appearance order.
+// On an arena network a path the network's own table holds (every
+// record's, and nearly every other) is numbered through a slice indexed
+// by its network ID, which costs no key and no copy; the rest go
+// through a local pathtab.Table. A path is in exactly one of the two,
+// so equal paths always share a number.
+type snapPaths struct {
+	net     *pathtab.Table // the arena network's table; nil on the map store
+	byNet   []pathtab.ID   // network ID → snapshot ID, 0 until numbered
+	local   *pathtab.Table // paths net does not hold
+	byLocal []pathtab.ID   // local ID-1 → snapshot ID
+	list    []asn.Path     // snapshot ID-1 → path
+}
+
+func newSnapPaths(be *ribBackend) *snapPaths {
+	pt := &snapPaths{local: pathtab.New()}
+	if be != nil {
+		pt.net = be.paths
+		pt.byNet = make([]pathtab.ID, be.paths.Len()+1)
+	}
+	return pt
+}
+
+// netID numbers the network table's path x.
+func (pt *snapPaths) netID(x pathtab.ID) pathtab.ID {
+	if x == pathtab.Empty {
+		return pathtab.Empty
+	}
+	if id := pt.byNet[x]; id != 0 {
+		return id
+	}
+	pt.list = append(pt.list, pt.net.Resolve(x))
+	pt.byNet[x] = pathtab.ID(len(pt.list))
+	return pt.byNet[x]
+}
+
+// id numbers path p.
+func (pt *snapPaths) id(p asn.Path) pathtab.ID {
+	if len(p) == 0 {
+		return pathtab.Empty
+	}
+	if pt.net != nil {
+		if x, ok := pt.net.Lookup(p); ok {
+			return pt.netID(x)
+		}
+	}
+	l := pt.local.Intern(p)
+	if int(l) > len(pt.byLocal) {
+		pt.list = append(pt.list, pt.local.Resolve(l))
+		pt.byLocal = append(pt.byLocal, pathtab.ID(len(pt.list)))
+	}
+	return pt.byLocal[l-1]
+}
+
+// size is the paths section's encoded size.
+func (pt *snapPaths) size() int {
+	size := uvarintLen(uint64(len(pt.list)))
+	for _, p := range pt.list {
+		size += uvarintLen(uint64(len(p))) + 4*len(p)
+	}
+	return size
+}
+
+// encode writes the paths section: a count, then per path (IDs 1..count
+// in order) a uvarint length and the AS words. The empty path is
+// implicit as ID 0.
+func (pt *snapPaths) encode(e *snap.Enc) {
+	e.Uvarint(uint64(len(pt.list)))
+	for _, p := range pt.list {
 		e.Uvarint(uint64(len(p)))
 		for _, a := range p {
 			e.U32(uint32(a))
 		}
 	}
-	return e.Bytes()
 }
 
 // decodePaths returns the table as a slice: paths[i] is ID i+1.
@@ -453,24 +677,37 @@ func pathByID(paths []asn.Path, id uint64, d *snap.Dec) (asn.Path, error) {
 	return paths[id-1], nil
 }
 
-func encodeRoutes(ri *routeIndex, pt *pathtab.Table) []byte {
-	var e snap.Enc
-	e.Uvarint(uint64(len(ri.list)))
-	for _, r := range ri.list {
-		encPrefix(&e, r.Prefix)
-		e.Uvarint(uint64(pt.Intern(r.Path)))
-		e.U8(uint8(r.Origin))
-		e.U32(r.MED)
-		e.U32(r.LocalPref)
-		e.U8(uint8(r.Class))
-		e.U32(uint32(r.From))
-		e.U32(uint32(r.FromAS))
-		e.Bool(r.EBGP)
-		e.U32(r.IGPCost)
-		e.I64(int64(r.LearnedAt))
-		encCommunities(&e, r.Communities)
-	}
-	return e.Bytes()
+// encodeRoutes writes the route table. An arena record is unpacked
+// into a Route on the stack, so both kinds share one encoder.
+func encodeRoutes(e *snap.Enc, ri *routeIndex, pt *snapPaths) {
+	e.Uvarint(uint64(ri.n))
+	ri.eachRoute(
+		func(r *Route) { encRoute(e, r, pt.id(r.Path)) },
+		func(ar *speakerArena, ref ribRef) {
+			r := ar.unpack(ref.k.prefix, ref.slot)
+			encRoute(e, &r, pt.netID(ar.recs[ref.slot].pathID))
+		})
+}
+
+// routeFixedBytes is an encoded route's size but for its path ID and
+// communities.
+const routeFixedBytes = 5 + 1 + 4 + 4 + 1 + 4 + 4 + 1 + 4 + 8
+
+// encRoute writes one route-table entry; pathID is r.Path's number in
+// the snapshot's path table.
+func encRoute(e *snap.Enc, r *Route, pathID pathtab.ID) {
+	encPrefix(e, r.Prefix)
+	e.Uvarint(uint64(pathID))
+	e.U8(uint8(r.Origin))
+	e.U32(r.MED)
+	e.U32(r.LocalPref)
+	e.U8(uint8(r.Class))
+	e.U32(uint32(r.From))
+	e.U32(uint32(r.FromAS))
+	e.Bool(r.EBGP)
+	e.U32(r.IGPCost)
+	e.I64(int64(r.LearnedAt))
+	encCommunities(e, r.Communities)
 }
 
 // decodeRoutes reads the route table; each route's path is a reference
@@ -578,67 +815,62 @@ func loadStore(store ribStore, entries []ribEntry) {
 	}
 }
 
-func (n *Network) encodeSpeakers(ri *routeIndex) []byte {
-	var e snap.Enc
+// encodeSpeakers writes the speakers section. Its sorted key lists are
+// built in two scratch slices every speaker reuses.
+func (n *Network) encodeSpeakers(e *snap.Enc, ri *routeIndex) {
+	var keys []ribKey
+	var pfx []netutil.Prefix
 	e.Uvarint(uint64(len(n.order)))
 	for i, id := range n.order {
 		s := n.speakers[id]
 		e.U32(uint32(s.ID))
 
-		orig := sortedOrigPrefixes(s.originated)
-		e.Uvarint(uint64(len(orig)))
-		for _, p := range orig {
-			encPrefix(&e, p)
+		pfx = sortedOrigPrefixes(pfx[:0], s.originated)
+		e.Uvarint(uint64(len(pfx)))
+		for _, p := range pfx {
+			encPrefix(e, p)
 			e.Uvarint(ri.must(s.originated[p].route))
 		}
 
-		encRouteTable(&e, ri.ribs[i][0], false)
-		encRouteTable(&e, ri.ribs[i][1], true)
-		encRouteTable(&e, ri.ribs[i][2], false)
+		encRouteTable(e, ri.ribs[i][0], false)
+		encRouteTable(e, ri.ribs[i][1], true)
+		encRouteTable(e, ri.ribs[i][2], false)
 
-		rfdKeys := make([]ribKey, 0, len(s.rfd))
-		for k := range s.rfd {
-			rfdKeys = append(rfdKeys, k)
-		}
-		sortRibKeysStable(rfdKeys)
-		e.Uvarint(uint64(len(rfdKeys)))
-		for _, k := range rfdKeys {
+		keys = sortedKeys(keys[:0], s.rfd)
+		e.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
 			st := s.rfd[k]
-			encRibKey(&e, k)
+			encRibKey(e, k)
 			e.F64(st.penalty)
 			e.I64(int64(st.lastUpdate))
 			e.Bool(st.suppressed)
 			e.I64(int64(st.suppressAt))
 		}
 
-		encKeySet(&e, s.suppressed)
+		keys = encKeySet(e, keys[:0], s.suppressed)
 
-		mraiKeys := make([]ribKey, 0, len(s.mraiLast))
-		for k := range s.mraiLast {
-			mraiKeys = append(mraiKeys, k)
-		}
-		sortRibKeysStable(mraiKeys)
-		e.Uvarint(uint64(len(mraiKeys)))
-		for _, k := range mraiKeys {
-			encRibKey(&e, k)
+		keys = sortedKeys(keys[:0], s.mraiLast)
+		e.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			encRibKey(e, k)
 			e.I64(int64(s.mraiLast[k]))
 		}
 
 		// Only true entries: the deliver path parks explicit false
 		// values after an MRAI flush, but absent and false are
 		// indistinguishable to every reader.
-		encKeySet(&e, s.mraiPending)
+		keys = encKeySet(e, keys[:0], s.mraiPending)
 
-		med := make([]netutil.Prefix, 0, len(s.medSeen))
+		pfx = pfx[:0]
 		for p, v := range s.medSeen {
 			if v {
-				med = append(med, p)
+				pfx = append(pfx, p)
 			}
 		}
-		netutil.SortPrefixes(med)
-		e.Uvarint(uint64(len(med)))
-		for _, p := range med {
-			encPrefix(&e, p)
+		netutil.SortPrefixes(pfx)
+		e.Uvarint(uint64(len(pfx)))
+		for _, p := range pfx {
+			encPrefix(e, p)
 		}
 
 		e.Uvarint(0) // reserved, see FORMAT.md: the removed decision cache's entry list
@@ -649,19 +881,18 @@ func (n *Network) encodeSpeakers(ri *routeIndex) []byte {
 			e.U32(uint32(nb))
 			e.I64(int64(pc.ExportPrepend))
 			e.Bool(pc.down)
-			pfx := make([]netutil.Prefix, 0, len(pc.PrefixPrepend))
+			pfx = pfx[:0]
 			for p := range pc.PrefixPrepend {
 				pfx = append(pfx, p)
 			}
 			netutil.SortPrefixes(pfx)
 			e.Uvarint(uint64(len(pfx)))
 			for _, p := range pfx {
-				encPrefix(&e, p)
+				encPrefix(e, p)
 				e.I64(int64(pc.PrefixPrepend[p]))
 			}
 		}
 	}
-	return e.Bytes()
 }
 
 func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerState, error) {
@@ -798,22 +1029,19 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 // vtime.Queue.Sorted traversal — with each item's due time and
 // sequence number written explicitly, so the wire format is identical
 // to the pre-vtime eventHeap encoding byte for byte.
-func (n *Network) encodeQueue(ri *routeIndex) []byte {
-	items := n.queue.Sorted()
-	var e snap.Enc
-	e.Uvarint(uint64(len(items)))
-	for _, it := range items {
+func (n *Network) encodeQueue(e *snap.Enc, ri *routeIndex) {
+	e.Uvarint(uint64(len(ri.queue)))
+	for _, it := range ri.queue {
 		ev := &it.V
 		e.I64(int64(it.At))
 		e.U64(it.Seq)
 		e.U32(uint32(ev.to))
 		e.U32(uint32(ev.from))
-		encPrefix(&e, ev.prefix)
+		encPrefix(e, ev.prefix)
 		e.Uvarint(ri.ref(n.parked(ev.route)))
 		e.Bool(ev.rfd)
 		e.Bool(ev.mrai)
 	}
-	return e.Bytes()
 }
 
 // decodeQueue returns the pending events and, beside them, the route
@@ -853,18 +1081,16 @@ func decodeQueue(payload []byte, routes []*Route) ([]vtime.Item[event], []*Route
 
 // --- churn section ---
 
-func encodeChurn(recs []UpdateRecord, pt *pathtab.Table) []byte {
-	var e snap.Enc
+func encodeChurn(e *snap.Enc, recs []UpdateRecord, pt *snapPaths) {
 	e.Uvarint(uint64(len(recs)))
 	for _, rec := range recs {
 		e.I64(int64(rec.At))
 		e.U32(uint32(rec.Collector))
 		e.U32(uint32(rec.PeerAS))
-		encPrefix(&e, rec.Prefix)
+		encPrefix(e, rec.Prefix)
 		e.Bool(rec.Announce)
-		e.Uvarint(uint64(pt.Intern(rec.Path)))
+		e.Uvarint(uint64(pt.id(rec.Path)))
 	}
-	return e.Bytes()
 }
 
 // decodeChurn reads the churn log; paths are path-table references.
@@ -899,15 +1125,13 @@ func decodeChurn(payload []byte, paths []asn.Path) ([]UpdateRecord, error) {
 
 // --- dirty section ---
 
-func encodeDirty(queue []dirtyKey) []byte {
-	var e snap.Enc
+func encodeDirty(e *snap.Enc, queue []dirtyKey) {
 	e.Uvarint(uint64(len(queue)))
 	for _, k := range queue {
 		e.U32(uint32(k.router))
-		encPrefix(&e, k.prefix)
+		encPrefix(e, k.prefix)
 		e.U32(uint32(k.neighbor))
 	}
-	return e.Bytes()
 }
 
 func decodeDirty(payload []byte) ([]dirtyKey, error) {
@@ -962,9 +1186,8 @@ func decRibKey(d *snap.Dec) (ribKey, error) {
 }
 
 func encCommunities(e *snap.Enc, cs CommunitySet) {
-	vals := cs.Values()
-	e.Uvarint(uint64(len(vals)))
-	for _, c := range vals {
+	e.Uvarint(uint64(len(cs.cs)))
+	for _, c := range cs.cs {
 		e.U32(uint32(c))
 	}
 }
@@ -992,7 +1215,7 @@ func encRouteTable(e *snap.Enc, refs []ribRef, loc bool) {
 		} else {
 			encRibKey(e, ref.k)
 		}
-		e.Uvarint(ref.idx)
+		e.Uvarint(uint64(ref.idx))
 	}
 }
 
@@ -1033,9 +1256,9 @@ func decRouteEntries(d *snap.Dec, routes []*Route, loc bool) ([]ribEntry, error)
 	return entries, d.Err()
 }
 
-// encKeySet emits the true keys of a map[ribKey]bool, sorted.
-func encKeySet(e *snap.Enc, m map[ribKey]bool) {
-	keys := make([]ribKey, 0, len(m))
+// encKeySet emits the true keys of a map[ribKey]bool, sorted, through
+// the scratch slice keys, which it returns.
+func encKeySet(e *snap.Enc, keys []ribKey, m map[ribKey]bool) []ribKey {
 	for k, v := range m {
 		if v {
 			keys = append(keys, k)
@@ -1046,6 +1269,7 @@ func encKeySet(e *snap.Enc, m map[ribKey]bool) {
 	for _, k := range keys {
 		encRibKey(e, k)
 	}
+	return keys
 }
 
 func decKeySet(d *snap.Dec, m map[ribKey]bool) error {
@@ -1063,11 +1287,20 @@ func decKeySet(d *snap.Dec, m map[ribKey]bool) error {
 // twin of the test helper sortRibKeys.
 func sortRibKeysStable(keys []ribKey) { slices.SortFunc(keys, ribKey.compare) }
 
-func sortedOrigPrefixes(m map[netutil.Prefix]origination) []netutil.Prefix {
-	out := make([]netutil.Prefix, 0, len(m))
+// sortedOrigPrefixes appends m's prefixes to out, sorted.
+func sortedOrigPrefixes(out []netutil.Prefix, m map[netutil.Prefix]origination) []netutil.Prefix {
 	for p := range m {
 		out = append(out, p)
 	}
 	netutil.SortPrefixes(out)
+	return out
+}
+
+// sortedKeys appends m's keys to out, sorted.
+func sortedKeys[V any](out []ribKey, m map[ribKey]V) []ribKey {
+	for k := range m {
+		out = append(out, k)
+	}
+	sortRibKeysStable(out)
 	return out
 }

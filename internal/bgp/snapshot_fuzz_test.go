@@ -54,11 +54,6 @@ func fuzzSeedInputs(t testing.TB) [][]byte {
 	return inputs
 }
 
-func uvarintLen(v uint64) int {
-	var tmp [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(tmp[:], v)
-}
-
 // FuzzSnapshotDecode feeds arbitrary bytes to RestoreNetwork: the
 // decoder must return an error or restore a consistent network — never
 // panic, and never allocate past the input's own size class.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -111,8 +112,13 @@ func TestRestoreEquivalence(t *testing.T) {
 // mraiRfdNet is a small hand-built network with damping and MRAI
 // batching enabled, used to park RFD penalties and a pending MRAI
 // flush in flight.
-func mraiRfdNet() *Network {
+func mraiRfdNet() *Network { return mraiRfdNetOn(false) }
+
+// mraiRfdNetOn builds mraiRfdNet, on the arena store when compact is
+// set.
+func mraiRfdNetOn(compact bool) *Network {
 	n := NewNetwork()
+	n.SetCompactRIB(compact)
 	n.AddSpeaker(1, 65001, "origin")
 	n.AddSpeaker(2, 65002, "transit")
 	n.AddSpeaker(3, 65003, "edge")
@@ -223,7 +229,8 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// countingStore counts the sorted walks made of the store it wraps.
+// countingStore counts the sorted walks made of the store it wraps, of
+// either kind: WalkSorted and the snapshot's own appendSorted.
 type countingStore struct {
 	ribStore
 	walks int
@@ -234,10 +241,16 @@ func (c *countingStore) WalkSorted(fn func(ribKey, *Route) bool) {
 	c.ribStore.WalkSorted(fn)
 }
 
+func (c *countingStore) appendSorted(refs []ribRef, ri *routeIndex) []ribRef {
+	c.walks++
+	return c.ribStore.appendSorted(refs, ri)
+}
+
 // TestSnapshotWalksEachStoreOnce pins the one-walk encoder on both
 // layouts: the walk that numbers a store's routes is the only one a
-// snapshot makes of it (an arena store gives no pointer guarantee
-// across two), and the bytes are those of the unwrapped network.
+// snapshot makes of it (the route table and the speakers section are
+// written from its record), and the bytes are those of the unwrapped
+// network.
 func TestSnapshotWalksEachStoreOnce(t *testing.T) {
 	mapNet, arenaNet := diffPair(5, 14)
 	for name, n := range map[string]*Network{"map": mapNet, "arena": arenaNet} {
@@ -261,6 +274,60 @@ func TestSnapshotWalksEachStoreOnce(t *testing.T) {
 			if c.walks != 1 {
 				t.Fatalf("%s: a store was walked %d times by one Snapshot, want 1", name, c.walks)
 			}
+		}
+	}
+}
+
+// TestSnapshotAllocs pins the arena encoder at O(speakers) allocations:
+// records are numbered by position and written from the arena, paths
+// are numbered by network ID, and the container is one buffer, so a
+// table of thousands of routes costs a few dozen allocations, not a box
+// and a map entry per route.
+func TestSnapshotAllocs(t *testing.T) {
+	n, _ := buildVantageArena(2500)
+	routes := n.RIBStats().Routes
+	if routes < 5000 {
+		t.Fatalf("vantage network holds %d routes; the test needs at least 5000", routes)
+	}
+	got := testing.AllocsPerRun(5, func() {
+		if err := n.Snapshot(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ceiling := float64(routes) / 20
+	t.Logf("%.0f allocations per snapshot of %d routes (ceiling %.0f)", got, routes, ceiling)
+	if got > ceiling {
+		t.Errorf("one snapshot makes %.0f allocations, want at most %.0f (routes ÷ 20)", got, ceiling)
+	}
+}
+
+// TestSnapshotSizeHint pins the Writer's single allocation: the size
+// computed before the first byte is written covers what is written, on
+// both stores and on every kind of state (queue, churn, damping, the
+// dirty set), and overshoots by little.
+func TestSnapshotSizeHint(t *testing.T) {
+	mapNet, arenaNet := diffPair(4, 16)
+	prefixes := []netutil.Prefix{netutil.PrefixFrom(0xCB007100, 24), netutil.PrefixFrom(0xC0000200, 24)}
+	rng := rand.New(rand.NewSource(11)) // #nosec test randomness
+	for _, op := range randomOps(rng, mapNet, prefixes, 16) {
+		op(mapNet)
+		op(arenaNet)
+	}
+	vantage, _ := buildVantageArena(3000)
+	for name, n := range map[string]*Network{
+		"midflight map": goldenNetOn(false), "midflight arena": goldenNetOn(true),
+		"random map": mapNet, "random arena": arenaNet, "vantage arena": vantage,
+	} {
+		ri := newRouteIndex(n)
+		pt, routeBytes := n.numberPaths(ri)
+		hint := len(snap.EngineMagic) + 2 + n.sizeHint(ri, pt, routeBytes)
+		size := len(mustSnapshot(t, n))
+		t.Logf("%s: %d bytes, hint %d", name, size, hint)
+		if hint < size {
+			t.Errorf("%s: hint %d bytes is short of the %d written", name, hint, size)
+		}
+		if slack := hint - size; slack > size/10+256 {
+			t.Errorf("%s: hint %d bytes overshoots the %d written by %d", name, hint, size, slack)
 		}
 	}
 }
@@ -298,7 +365,9 @@ func TestRestoreFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := orig.encodeFingerprint()
+	var fpEnc snap.Enc
+	orig.encodeFingerprint(&fpEnc)
+	fp := fpEnc.Bytes()
 	if !bytes.Equal(secs[1].Payload, fp) {
 		t.Fatal("section 1 is not the fingerprint")
 	}
@@ -338,39 +407,54 @@ func TestRestoreFingerprintMismatch(t *testing.T) {
 // goldenNet is the frozen canonical network of the golden-format test:
 // the mid-flight damping scenario, whose state exercises every section
 // (RIBs, RFD, MRAI, queue, churn, caches).
-func goldenNet() *Network {
-	n := mraiRfdNet()
+func goldenNet() *Network { return goldenNetOn(false) }
+
+// goldenNetOn is goldenNet on the arena store when compact is set.
+func goldenNetOn(compact bool) *Network {
+	n := mraiRfdNetOn(compact)
 	driveToMidFlight(n)
 	return n
 }
 
-// TestGoldenSnapshotFormat pins the current wire format: encoding the
-// canonical network must reproduce the committed golden bytes, and the
-// committed bytes must restore to the canonical state. A failure after
-// a codec change means the format changed: bump
+// TestGoldenSnapshotFormat pins the current wire format on both stores:
+// encoding the canonical network must reproduce the committed golden
+// bytes, and the committed bytes must restore to the canonical state.
+// The arena file pins the positional numbering of arena records too:
+// its route table holds one entry per store entry, in walk order. A
+// failure after a codec change means the format changed: bump
 // snapshot.EngineVersion, document it in internal/snapshot/FORMAT.md,
 // and regenerate with -update.
 func TestGoldenSnapshotFormat(t *testing.T) {
-	golden := filepath.Join("testdata", "golden_v2.rbgp")
-	data := mustSnapshot(t, goldenNet())
-	if *updateGolden {
-		if err := os.WriteFile(golden, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(data, want) {
-		t.Fatalf("encoding the canonical network produced %d bytes differing from the %d golden bytes: codec change without a format-version bump (see internal/snapshot/FORMAT.md)", len(data), len(want))
-	}
-	restored := mraiRfdNet()
-	if err := RestoreNetwork(bytes.NewReader(want), restored); err != nil {
-		t.Fatalf("golden restore: %v", err)
-	}
-	if got, wantSig := networkSignature(restored), networkSignature(goldenNet()); got != wantSig {
-		t.Fatal("golden snapshot restored to a different state")
+	for _, tc := range []struct {
+		file    string
+		compact bool
+	}{
+		{"golden_v2.rbgp", false},
+		{"golden_arena_v2.rbgp", true},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			golden := filepath.Join("testdata", tc.file)
+			data := mustSnapshot(t, goldenNetOn(tc.compact))
+			if *updateGolden {
+				if err := os.WriteFile(golden, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("read golden (regenerate with -update): %v", err)
+			}
+			if !bytes.Equal(data, want) {
+				t.Fatalf("encoding the canonical network produced %d bytes differing from the %d golden bytes: codec change without a format-version bump (see internal/snapshot/FORMAT.md)", len(data), len(want))
+			}
+			restored := mraiRfdNetOn(tc.compact)
+			if err := RestoreNetwork(bytes.NewReader(want), restored); err != nil {
+				t.Fatalf("golden restore: %v", err)
+			}
+			if got, wantSig := networkSignature(restored), networkSignature(goldenNetOn(tc.compact)); got != wantSig {
+				t.Fatal("golden snapshot restored to a different state")
+			}
+		})
 	}
 }
 
@@ -426,10 +510,10 @@ func TestLegacyDecisionCacheRestore(t *testing.T) {
 // layouts: the format is store-agnostic, so the snapshot either layout
 // writes must restore into a base of either layout — installed straight
 // from file order — to the same observable state. The layouts differ
-// only in how many distinct route pointers the route table sees: a map
-// store keeps the sharing the file had, an arena store boxes every slot
-// separately, so the re-snapshot is the arena original's bytes as soon
-// as either side is an arena.
+// only in how many route-table entries a store's entries take: a map
+// store keeps the sharing the file had, an arena store numbers every
+// entry by position, so the re-snapshot is the arena original's bytes
+// as soon as either side is an arena.
 func TestRestoreEquivalenceAcrossStores(t *testing.T) {
 	prefixes := []netutil.Prefix{
 		netutil.PrefixFrom(0xCB007100, 24), // 203.0.113.0/24

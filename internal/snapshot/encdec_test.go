@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 )
@@ -143,5 +145,44 @@ func TestWriterReadSections(t *testing.T) {
 	if len(secs) != 2 || secs[0].ID != 1 || string(secs[0].Payload) != "alpha" ||
 		secs[1].ID != 2 || len(secs[1].Payload) != 0 {
 		t.Fatalf("sections = %+v", secs)
+	}
+}
+
+// TestWriterBeginEnd pins the in-place section against the layout it
+// replaces: for payloads whose uvarint lengths take one to three bytes,
+// a payload appended between Begin and End yields exactly
+// [id][uvarint length][payload][crc32], and once Grow has sized the
+// buffer a whole section allocates nothing.
+func TestWriterBeginEnd(t *testing.T) {
+	for _, size := range []int{0, 1, 127, 128, 300, 16383, 16384, 70000} {
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte(i * 7)
+		}
+		want := []byte(CheckpointMagic)
+		want = binary.BigEndian.AppendUint16(want, CheckpointVersion)
+		for _, id := range []byte{3, 9} {
+			want = append(want, id)
+			want = binary.AppendUvarint(want, uint64(size))
+			want = append(want, payload...)
+			want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
+		}
+
+		w := NewWriter(CheckpointMagic, CheckpointVersion)
+		w.Grow(2 * len(want)) // room for the measured section's warm-up run too
+		e := w.Begin(3)
+		for _, b := range payload {
+			e.U8(b)
+		}
+		w.End()
+		if got := testing.AllocsPerRun(1, func() { w.Section(9, payload) }); got != 0 {
+			t.Errorf("payload %d: a section into a grown buffer made %.0f allocations, want 0", size, got)
+		}
+		// AllocsPerRun ran the section twice (a warm-up, then the
+		// measured run); keep the first.
+		got := w.Bytes()[:len(want)]
+		if !bytes.Equal(got, want) {
+			t.Errorf("payload %d: Begin/End wrote % x..., want % x...", size, got[:min(len(got), 24)], want[:min(len(want), 24)])
+		}
 	}
 }

@@ -16,7 +16,9 @@ import (
 // that a crash at any instant leaves either the previous file or the
 // complete new one: the bytes go to dir/name.tmp, are fsynced, and only
 // then renamed over the target. Without the fsync a power loss can
-// persist the rename before the data and leave an empty file.
+// persist the rename before the data and leave an empty file. A write,
+// sync, close or rename that fails removes dir/name.tmp, so a full disk
+// is not left holding a partial file on top.
 func WriteFileAtomic(dir, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -33,10 +35,14 @@ func WriteFileAtomic(dir, name string, data []byte) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(f.Name(), path)
 	}
-	return os.Rename(f.Name(), path)
+	if err != nil {
+		// Best effort: the write's error is the one the caller acts on.
+		_ = os.Remove(f.Name())
+	}
+	return err
 }
 
 // NewestValid offers dir's regular files with extension ext to accept,

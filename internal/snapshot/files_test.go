@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"syscall"
 	"testing"
 )
 
@@ -31,6 +32,34 @@ func TestWriteFileAtomic(t *testing.T) {
 	// A target the temp file cannot be created next to fails cleanly.
 	if err := WriteFileAtomic(filepath.Join(dir, "a.rckp"), "b", nil); err == nil {
 		t.Error("write under a regular file succeeded")
+	}
+}
+
+// TestWriteFileAtomicFullDisk fails the write the way a full disk does:
+// the temp file is a symlink to /dev/full, whose every write returns
+// ENOSPC. The error must say so, the previous target must be intact,
+// and no .tmp may be left behind.
+func TestWriteFileAtomicFullDisk(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	dir := t.TempDir()
+	if err := WriteFileAtomic(dir, "a.rckp", []byte("previous")); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "a.rckp.tmp")
+	if err := os.Symlink("/dev/full", tmp); err != nil {
+		t.Fatal(err)
+	}
+	err := WriteFileAtomic(dir, "a.rckp", []byte("new checkpoint"))
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("err = %v, want ENOSPC", err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "a.rckp")); err != nil || string(got) != "previous" {
+		t.Errorf("target reads %q, %v after the failed write; want the previous bytes", got, err)
+	}
+	if _, err := os.Lstat(tmp); !os.IsNotExist(err) {
+		t.Errorf("%s left behind after the failed write (lstat: %v)", filepath.Base(tmp), err)
 	}
 }
 

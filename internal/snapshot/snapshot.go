@@ -20,6 +20,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Format versions. Any change to a payload layout — field added,
@@ -80,39 +81,81 @@ type Section struct {
 	Payload []byte
 }
 
-// Writer accumulates sections and writes the container.
+// Writer assembles a container in one buffer. A section's payload is
+// appended straight into that buffer through the Enc that Begin
+// returns; End then writes the payload's length in front of it and its
+// CRC behind it. Grow sizes the buffer up front, so an encoder that
+// knows its output size allocates the container once and copies no
+// payload.
 type Writer struct {
-	magic   string
-	version uint16
-	buf     []byte
+	e    Enc
+	open int // offset of the open section's payload; 0 when none is open
 }
+
+// lenRoom is the room Begin leaves for a section's uvarint length: the
+// widest uvarint, so End never has to move a payload right.
+const lenRoom = binary.MaxVarintLen64
 
 // NewWriter starts a container with the given 4-byte magic and format
 // version.
 func NewWriter(magic string, version uint16) *Writer {
-	w := &Writer{magic: magic, version: version}
-	w.buf = append(w.buf, magic...)
-	w.buf = binary.BigEndian.AppendUint16(w.buf, version)
+	w := &Writer{}
+	w.e.buf = append(w.e.buf, magic...)
+	w.e.buf = binary.BigEndian.AppendUint16(w.e.buf, version)
 	return w
 }
 
-// Section appends one section. Payload bytes are copied into the
-// container immediately; the caller may reuse the slice.
+// Grow makes room for at least n more bytes, so that writing that many
+// reallocates nothing.
+func (w *Writer) Grow(n int) { w.e.buf = slices.Grow(w.e.buf, n) }
+
+// Begin opens section id and returns the encoder its payload is
+// appended through, valid until End. Sections do not nest.
+func (w *Writer) Begin(id byte) *Enc {
+	if w.open != 0 {
+		panic("snapshot: Begin inside an open section")
+	}
+	w.e.buf = append(w.e.buf, id)
+	w.e.buf = append(w.e.buf, make([]byte, lenRoom)...)
+	w.open = len(w.e.buf)
+	return &w.e
+}
+
+// End closes the open section: the payload moves left over the length
+// room it does not need, and the CRC follows it.
+func (w *Writer) End() {
+	if w.open == 0 {
+		panic("snapshot: End without Begin")
+	}
+	size := len(w.e.buf) - w.open
+	at := w.open - lenRoom
+	n := binary.PutUvarint(w.e.buf[at:w.open], uint64(size))
+	copy(w.e.buf[at+n:], w.e.buf[w.open:])
+	w.e.buf = w.e.buf[:at+n+size]
+	w.e.buf = binary.BigEndian.AppendUint32(w.e.buf, crc32.ChecksumIEEE(w.e.buf[at+n:]))
+	w.open = 0
+}
+
+// Section appends one section whose payload is already encoded. The
+// bytes are copied into the container; the caller may reuse the slice.
 func (w *Writer) Section(id byte, payload []byte) {
-	w.buf = append(w.buf, id)
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(payload)))
-	w.buf = append(w.buf, payload...)
-	w.buf = binary.BigEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(payload))
+	w.Begin(id).Raw(payload)
+	w.End()
 }
 
 // WriteTo writes the assembled container.
 func (w *Writer) WriteTo(out io.Writer) (int64, error) {
-	n, err := out.Write(w.buf)
+	n, err := out.Write(w.Bytes())
 	return int64(n), err
 }
 
 // Bytes returns the assembled container.
-func (w *Writer) Bytes() []byte { return w.buf }
+func (w *Writer) Bytes() []byte {
+	if w.open != 0 {
+		panic("snapshot: Bytes with a section open")
+	}
+	return w.e.buf
+}
 
 // ReadSections reads a whole container from r, validates magic,
 // version, lengths, and per-section CRCs, and returns the sections in
@@ -207,6 +250,10 @@ func (e *Enc) Reset() { e.buf = e.buf[:0] }
 // U8 appends one byte.
 func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
 
+// Raw appends b as it is, with no length prefix: bytes another encoder
+// already produced.
+func (e *Enc) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
 // Bool appends 1 or 0.
 func (e *Enc) Bool(v bool) {
 	if v {
@@ -240,7 +287,7 @@ func (e *Enc) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Bytes appends a uvarint length followed by the bytes.
+// Blob appends a uvarint length followed by the bytes.
 func (e *Enc) Blob(b []byte) {
 	e.Uvarint(uint64(len(b)))
 	e.buf = append(e.buf, b...)

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
@@ -8,13 +9,21 @@ import (
 	"repro/internal/bgp"
 )
 
+// maxSnapshotAllocsPerRoute is the internet tier's snapshot allocation
+// ceiling: the routes ÷ 20 that TestSnapshotAllocs holds a small arena
+// network to. A snapshot that boxed each route would make more than one
+// allocation per route.
+const maxSnapshotAllocsPerRoute = 0.05
+
 // BenchmarkInternetScaleRIB is the internet-scale smoke: it builds the
 // ~80K-AS / ~1M-prefix ecosystem on the compact RIB layout, converges
 // the default-route flood through the real engine, then feeds the full
 // member prefix table through a vantage speaker into a collector — the
 // RIB shape a RouteViews peer actually holds. It gates the memory
 // model: the amortised bytes-per-route of the arena + path table +
-// indices must stay at or under 64.
+// indices must stay at or under 64. It then snapshots the network once
+// and gates the snapshot's allocations per route (see
+// maxSnapshotAllocsPerRoute).
 func BenchmarkInternetScaleRIB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := Build(InternetConfig())
@@ -67,12 +76,31 @@ func BenchmarkInternetScaleRIB(b *testing.B) {
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
+		heapMB := float64(ms.HeapAlloc) / (1 << 20)
+
+		// What a checkpoint of this network costs: one snapshot into
+		// io.Discard, its allocation measured. The encoder numbers arena
+		// records by position and writes one buffer, so its allocations
+		// grow with speakers and path-table growth steps, not with routes.
+		before := ms
+		if err := e.Net.Snapshot(io.Discard); err != nil {
+			b.Fatalf("snapshot: %v", err)
+		}
+		runtime.ReadMemStats(&ms)
+		snapMB := float64(ms.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		snapAllocs := float64(ms.Mallocs-before.Mallocs) / float64(rs.Routes)
+		if snapAllocs > maxSnapshotAllocsPerRoute {
+			b.Fatalf("snapshot made %.4f allocations per route, over the %.2f ceiling (%.0f MB allocated)", snapAllocs, maxSnapshotAllocsPerRoute, snapMB)
+		}
+
 		b.ReportMetric(float64(ases), "ases")
 		b.ReportMetric(float64(prefixes), "prefixes")
 		b.ReportMetric(float64(rs.Routes), "routes")
 		b.ReportMetric(float64(rs.DistinctPaths), "paths")
 		b.ReportMetric(bpr, "bytes/route")
-		b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heap-MB")
+		b.ReportMetric(heapMB, "heap-MB")
+		b.ReportMetric(snapMB, "snapshot-MB")
+		b.ReportMetric(snapAllocs, "snapshot-allocs/route")
 		runtime.KeepAlive(e)
 	}
 }

@@ -69,9 +69,10 @@ fuzz:
 # whose tests the rest of the tree leans on: the BGP engine (the
 # decision path's differential harness), the snapshot container (every
 # checkpoint rides on its integrity checks), the event engine, the
-# workload generators, origin validation, the fault injector and the
-# search harness. CI runs this target.
-COVER_FLOORS := bgp:80 snapshot:85 vtime:80 workload:80 rpki:85 faults:80 optimize:80
+# workload generators, origin validation, the fault injector, the
+# search harness, the survey pipeline with its analysis pass, and the
+# job service. CI runs this target.
+COVER_FLOORS := bgp:80 snapshot:85 vtime:80 workload:80 rpki:85 faults:80 optimize:80 core:75 serve:80
 
 cover:
 	@set -e; for pf in $(COVER_FLOORS); do \

@@ -223,17 +223,31 @@ func itoa(n int) string {
 	return out
 }
 
-// TestRelationshipAccuracy sanity-checks the asrel integration at test
-// scale.
-func TestRelationshipAccuracy(t *testing.T) {
-	s := core.NewSurvey(core.SmallSurveyOptions())
-	views := core.ComputeOriginViews(s.Eco)
-	acc, edges, paths := relationshipAccuracy(s, views)
-	if edges < 100 || paths < 1000 {
-		t.Fatalf("too little data: %d edges, %d paths", edges, paths)
+// TestSmallSeed1Golden pins `resurvey -small -seed 1`'s stdout, every
+// table and figure of the report, byte for byte. An intended change of
+// the output regenerates the file:
+//
+//	go run ./cmd/resurvey -small -seed 1 > cmd/resurvey/testdata/small_seed1.txt
+func TestSmallSeed1Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full reduced pipeline")
 	}
-	if acc < 0.85 {
-		t.Errorf("relationship accuracy = %.3f", acc)
+	want, err := os.ReadFile(filepath.Join("testdata", "small_seed1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run(&got, options{NSeeds: 1, Config: cliconf.Config{Small: true, Seed: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("stdout differs from testdata/small_seed1.txt at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("stdout has %d lines, testdata/small_seed1.txt %d", len(gl), len(wl))
 	}
 }
 

@@ -275,13 +275,13 @@ func TestLoadLatestCheckpointFingerprint(t *testing.T) {
 	}
 	// Same flags, same topology: found.
 	o := options{NSeeds: 3, Config: cliconf.Config{Small: true, Seed: 7, Faults: 0.5, SnapshotDir: dir}}
-	ck, corrupt, _ := core.LatestCheckpoint(dir, fingerprintOf(o), base, nil)
+	ck, corrupt, _ := core.LatestCheckpoint(dir, o.Job().Fingerprint(o.NSeeds), base, nil)
 	if ck == nil || corrupt != 0 {
 		t.Fatalf("matching fingerprint: ck=%v corrupt=%d, want found with 0 corrupt", ck, corrupt)
 	}
 	// Same flags, another topology: refused where it is chosen.
 	other, before := tinyNet(t, 3)
-	ck, corrupt, _ = core.LatestCheckpoint(dir, fingerprintOf(o), other, nil)
+	ck, corrupt, _ = core.LatestCheckpoint(dir, o.Job().Fingerprint(o.NSeeds), other, nil)
 	if ck != nil || corrupt != 1 {
 		t.Fatalf("foreign engine section: ck=%v corrupt=%d, want nil with 1 corrupt", ck, corrupt)
 	}
@@ -294,7 +294,7 @@ func TestLoadLatestCheckpointFingerprint(t *testing.T) {
 	}
 	// Different seed: skipped, not corrupt, nothing usable left.
 	o.Seed = 8
-	ck, corrupt, _ = core.LatestCheckpoint(dir, fingerprintOf(o), base, nil)
+	ck, corrupt, _ = core.LatestCheckpoint(dir, o.Job().Fingerprint(o.NSeeds), base, nil)
 	if ck != nil || corrupt != 0 {
 		t.Fatalf("mismatched fingerprint: ck=%v corrupt=%d, want nil with 0 corrupt", ck, corrupt)
 	}
@@ -324,12 +324,12 @@ func TestResumeAcrossScales(t *testing.T) {
 
 	paper := small
 	paper.Scale, paper.Resume = "", true
-	if fingerprintOf(paper) != fingerprintOf(small) {
+	if paper.Job().Fingerprint(paper.NSeeds) != small.Job().Fingerprint(small.NSeeds) {
 		t.Fatal("the two runs no longer share a fingerprint; this test needs another pair")
 	}
 	net := paper.Pipeline(nil).NewSurvey().Eco.Net
 	before := net.EventsProcessed()
-	ck, corrupt, _ := core.LatestCheckpoint(ckDir, fingerprintOf(paper), net, nil)
+	ck, corrupt, _ := core.LatestCheckpoint(ckDir, paper.Job().Fingerprint(paper.NSeeds), net, nil)
 	if ck != nil || corrupt != len(files) {
 		t.Fatalf("ck=%v corrupt=%d, want nil with all %d checkpoints refused", ck, corrupt, len(files))
 	}

@@ -55,8 +55,8 @@ type Config struct {
 	// Scenario and ROV drive adversarial scenario sweeps
 	// (FlagScenario): -scenario picks a family (hijack, leak) swept
 	// over RPKI ROV adoption fractions; -rov caps the adoption ladder,
-	// or — without -scenario — deploys ROV at that fraction for the
-	// run.
+	// or — with -workload — deploys ROV at that fraction for the run.
+	// Any other run rejects -rov.
 	Scenario string
 	ROV      float64
 	// Objective, Budget, and Strategy drive policy-optimization search
@@ -97,7 +97,8 @@ type JobOptions struct {
 	Scenario string `json:"scenario,omitempty"`
 	// ROV is the RPKI route-origin-validation adoption fraction in
 	// [0, 1]: the adoption-ladder cap for scenario sweeps, the
-	// deployed fraction for plain and workload runs (0 = off).
+	// deployed fraction for workload runs (0 = off). Validate rejects
+	// it on any other run.
 	ROV float64 `json:"rov,omitempty"`
 	// Objective selects a policy-optimization search run targeting the
 	// given spec (see optimize.ParseSpec); empty disables.
@@ -117,6 +118,18 @@ func (j JobOptions) WorkloadOptions() core.WorkloadOptions {
 		Name:      j.Workload,
 		Duration:  vtime.Time(j.DurationSeconds),
 		RoundMode: j.RoundMode,
+	}
+}
+
+// Fingerprint is the checkpoint compatibility key of a survey run of
+// the job repeated over nSeeds seeds (worker count excluded — see
+// core.CheckpointFingerprint).
+func (j JobOptions) Fingerprint(nSeeds int) core.CheckpointFingerprint {
+	return core.CheckpointFingerprint{
+		Seed:   j.Seed,
+		Small:  j.Small,
+		Faults: j.Faults,
+		NSeeds: nSeeds,
 	}
 }
 
@@ -158,6 +171,9 @@ func (j JobOptions) Validate() error {
 	if math.IsNaN(j.ROV) || math.IsInf(j.ROV, 0) || j.ROV < 0 || j.ROV > 1 {
 		return fmt.Errorf("-rov fraction %v out of range: want a value in [0, 1]", j.ROV)
 	}
+	if j.ROV > 0 && j.Scenario == "" && j.Workload == "" {
+		return fmt.Errorf("-rov requires -scenario or -workload")
+	}
 	if j.Objective != "" {
 		if _, err := optimize.ParseSpec(j.Objective); err != nil {
 			return err
@@ -186,9 +202,9 @@ func (j JobOptions) Validate() error {
 	return nil
 }
 
-// PipelineOptions converts the job into core.Pipeline options, wiring
-// reg (nil is fine) as the metrics sink.
-func (j JobOptions) PipelineOptions(reg *telemetry.Registry) []core.PipelineOption {
+// Pipeline builds the core.Pipeline the job describes, wiring reg (nil
+// is fine) as the metrics sink.
+func (j JobOptions) Pipeline(reg *telemetry.Registry) *core.Pipeline {
 	opts := []core.PipelineOption{
 		core.WithSeed(j.Seed),
 		core.WithWorkers(j.Workers),
@@ -213,13 +229,7 @@ func (j JobOptions) PipelineOptions(reg *telemetry.Registry) []core.PipelineOpti
 			core.WithBudget(j.Budget),
 			core.WithStrategy(j.Strategy))
 	}
-	return opts
-}
-
-// Pipeline builds the core.Pipeline the job describes; extra options
-// append after (and can thus override) the job-derived ones.
-func (j JobOptions) Pipeline(reg *telemetry.Registry, extra ...core.PipelineOption) *core.Pipeline {
-	return core.NewPipeline(append(j.PipelineOptions(reg), extra...)...)
+	return core.NewPipeline(opts...)
 }
 
 // Job extracts the run-defining subset of the parsed flags.
@@ -341,17 +351,10 @@ func (c Config) NewRegistry() *telemetry.Registry {
 	return telemetry.New()
 }
 
-// PipelineOptions converts the parsed flags into core.Pipeline
-// options, wiring reg (from NewRegistry; nil is fine) as the metrics
-// sink.
-func (c Config) PipelineOptions(reg *telemetry.Registry) []core.PipelineOption {
-	return c.Job().PipelineOptions(reg)
-}
-
-// Pipeline builds the core.Pipeline the flags describe; extra options
-// append after (and can thus override) the flag-derived ones.
-func (c Config) Pipeline(reg *telemetry.Registry, extra ...core.PipelineOption) *core.Pipeline {
-	return c.Job().Pipeline(reg, extra...)
+// Pipeline builds the core.Pipeline the flags describe, wiring reg
+// (from NewRegistry; nil is fine) as the metrics sink.
+func (c Config) Pipeline(reg *telemetry.Registry) *core.Pipeline {
+	return c.Job().Pipeline(reg)
 }
 
 // WriteManifest snapshots reg to the -manifest path (a no-op without

@@ -68,6 +68,8 @@ func TestValidate(t *testing.T) {
 		{Faults: math.NaN()},
 		{Faults: math.Inf(1)},
 		{Workers: -1},
+		{ROV: 0.5}, // nothing on the survey path deploys ROV
+		{ROV: 0.5, Objective: "catchment:re=0.5"},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted", bad)
@@ -77,6 +79,8 @@ func TestValidate(t *testing.T) {
 		{},
 		{Faults: 0.5, Workers: 8},
 		{Faults: 1},
+		{ROV: 0.5, Scenario: "hijack"},
+		{ROV: 0.5, Workload: "hijack-flash"},
 	} {
 		if err := good.Validate(); err != nil {
 			t.Errorf("Validate(%+v) rejected: %v", good, err)

@@ -70,10 +70,11 @@ type Checkpoint struct {
 	Telemetry []byte
 }
 
-// BuildCheckpoint assembles an encodable Checkpoint from the
-// survey-level progress callback's payload plus the run's fingerprint,
-// snapshotting the engine (and, when instrumented, the registry).
-func BuildCheckpoint(fp CheckpointFingerprint, ck SurveyCheckpoint, net *bgp.Network, reg *telemetry.Registry) (*Checkpoint, error) {
+// WriteCheckpoint assembles the checkpoint of the survey-level
+// progress ck under the run's fingerprint, snapshotting the engine
+// (and, when instrumented, the registry), and persists it into dir
+// atomically (snapshot.WriteFileAtomic).
+func WriteCheckpoint(dir string, fp CheckpointFingerprint, ck SurveyCheckpoint, net *bgp.Network, reg *telemetry.Registry) error {
 	c := &Checkpoint{
 		Fingerprint: fp,
 		Phase:       ck.Phase,
@@ -86,34 +87,23 @@ func BuildCheckpoint(fp CheckpointFingerprint, ck SurveyCheckpoint, net *bgp.Net
 	}
 	var eng bytes.Buffer
 	if err := net.Snapshot(&eng); err != nil {
-		return nil, err
+		return err
 	}
 	c.Engine = eng.Bytes()
 	if reg != nil {
 		var tb bytes.Buffer
 		if err := reg.SaveState(&tb); err != nil {
-			return nil, err
+			return err
 		}
 		c.Telemetry = tb.Bytes()
 	}
-	return c, nil
+	return snap.WriteFileAtomic(dir, CheckpointName(ck.Phase, ck.Done), c.Encode())
 }
 
 // CheckpointName is the file name both front ends give the checkpoint
 // taken after round done of phase; the names sort chronologically.
 func CheckpointName(phase, done int) string {
 	return fmt.Sprintf("ckpt-%d-%02d.rckp", phase, done)
-}
-
-// WriteCheckpoint builds the checkpoint of the survey-level progress ck
-// (BuildCheckpoint) and persists it into dir atomically
-// (snapshot.WriteFileAtomic).
-func WriteCheckpoint(dir string, fp CheckpointFingerprint, ck SurveyCheckpoint, net *bgp.Network, reg *telemetry.Registry) error {
-	c, err := BuildCheckpoint(fp, ck, net, reg)
-	if err != nil {
-		return err
-	}
-	return snap.WriteFileAtomic(dir, CheckpointName(ck.Phase, ck.Done), c.Encode())
 }
 
 // LatestCheckpoint scans dir for the newest checkpoint a run with
@@ -159,31 +149,6 @@ func LatestCheckpoint(dir string, want CheckpointFingerprint, net *bgp.Network, 
 		return true, nil
 	})
 	return ck, corrupt, err
-}
-
-// Resume converts the checkpoint into the SurveyResume a freshly
-// built survey continues from. openSpans is LoadState's return value
-// when the caller restored the checkpoint's telemetry state (the
-// innermost open span is adopted as the in-flight experiment span);
-// nil when the run is uninstrumented.
-func (c *Checkpoint) Resume(openSpans []*telemetry.Span) *SurveyResume {
-	r := &SurveyResume{
-		Phase: c.Phase,
-		Exp: &ExperimentResume{
-			Done:             c.Done,
-			ChurnStart:       c.ChurnStart,
-			Rounds:           c.Rounds,
-			CollectorOrigins: c.Origins,
-		},
-	}
-	if len(openSpans) > 0 {
-		r.Exp.Span = openSpans[len(openSpans)-1]
-	}
-	if c.Phase == 1 {
-		r.SURF = c.SURF
-		r.StartI2 = c.Start
-	}
-	return r
 }
 
 // Encode serializes the checkpoint as an RCKP container.

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
 
 	"repro/internal/faults"
 	"repro/internal/parallel"
@@ -105,10 +108,10 @@ func WithScenario(name string) PipelineOption {
 }
 
 // WithROV sets the RPKI route-origin-validation adoption fraction in
-// [0, 1]. For plain runs and workloads a positive fraction deploys
-// drop-invalid import filtering on that (seeded, nested) fraction of
-// ASes before anything else happens; for scenario sweeps it caps the
-// adoption ladder (0 keeps the full default ladder).
+// [0, 1]. For workloads a positive fraction deploys drop-invalid
+// import filtering on that (seeded, nested) fraction of ASes before
+// anything else happens; for scenario sweeps it caps the adoption
+// ladder (0 keeps the full default ladder). Nothing else reads it.
 func WithROV(frac float64) PipelineOption {
 	return func(p *Pipeline) { p.rov = frac }
 }
@@ -182,17 +185,6 @@ func (p *Pipeline) Workers() int { return p.workers }
 // Faults returns the configured max fault-sweep intensity (0 = off).
 func (p *Pipeline) Faults() float64 { return p.faults }
 
-// Scenario returns the configured scenario family ("" = off).
-func (p *Pipeline) Scenario() string { return p.scenario }
-
-// ROV returns the configured route-origin-validation adoption
-// fraction (0 = off / full default ladder for sweeps).
-func (p *Pipeline) ROV() float64 { return p.rov }
-
-// Metrics returns the registry the pipeline instruments with (nil
-// when telemetry is disabled).
-func (p *Pipeline) Metrics() *telemetry.Registry { return p.metrics }
-
 // SurveyOptions returns the resolved survey configuration.
 func (p *Pipeline) SurveyOptions() SurveyOptions { return p.survey }
 
@@ -207,6 +199,67 @@ func (p *Pipeline) NewSurvey() *Survey {
 		p.metrics.SetWorkers(parallel.Workers(p.workers))
 	}
 	return s
+}
+
+// OpenSurvey builds the pipeline's survey (NewSurvey) and, when
+// resumeDir is set, continues the newest checkpoint there that a run
+// with fingerprint fp can use (LatestCheckpoint, which passes note a
+// line per skipped file): engine state into the new world, telemetry
+// state into the pipeline's registry, progress into the survey's
+// Resume. Without one the survey starts cold. It returns the number
+// of checkpoints skipped as unusable.
+func (p *Pipeline) OpenSurvey(resumeDir string, fp CheckpointFingerprint, note func(string)) (*Survey, int, error) {
+	// The world is built before a checkpoint is chosen, because choosing
+	// one means restoring its engine section into this network — the
+	// only check that the checkpoint belongs to this topology. The
+	// build span is held aside and joins the registry only on a cold
+	// start: a checkpoint's telemetry already carries the original
+	// run's, and re-recording it would duplicate the span.
+	reg, buildReg := p.metrics, telemetry.New()
+	buildSpan := buildReg.StartSpan("build")
+	s := p.NewSurvey()
+	buildSpan.End()
+
+	var ck *Checkpoint
+	var corrupt int
+	if resumeDir != "" {
+		var err error
+		ck, corrupt, err = LatestCheckpoint(resumeDir, fp, s.Eco.Net, note)
+		// A missing directory is a cold start like an empty one.
+		if err != nil && !os.IsNotExist(err) && note != nil {
+			note(fmt.Sprintf("resume: %v", err))
+		}
+	}
+	if ck == nil {
+		reg.Merge(buildReg)
+		return s, corrupt, nil
+	}
+	s.Resume = &SurveyResume{
+		Phase: ck.Phase,
+		Exp: &ExperimentResume{
+			Done:             ck.Done,
+			ChurnStart:       ck.ChurnStart,
+			Rounds:           ck.Rounds,
+			CollectorOrigins: ck.Origins,
+		},
+	}
+	if ck.Phase == 1 {
+		s.Resume.SURF, s.Resume.StartI2 = ck.SURF, ck.Start
+	}
+	if reg != nil && len(ck.Telemetry) > 0 {
+		open, err := reg.LoadState(bytes.NewReader(ck.Telemetry))
+		if err != nil {
+			return nil, corrupt, fmt.Errorf("resume: restore telemetry state: %w", err)
+		}
+		// The innermost open span is the in-flight experiment's.
+		if len(open) > 0 {
+			s.Resume.Exp.Span = open[len(open)-1]
+		}
+		// The saved state carries the saved run's worker count; the
+		// manifest reports this run's.
+		reg.SetWorkers(parallel.Workers(p.workers))
+	}
+	return s, corrupt, nil
 }
 
 // FaultSweepOptions returns the sweep configuration the pipeline

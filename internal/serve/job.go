@@ -103,17 +103,6 @@ func (sp *JobSpec) Validate() error {
 	return sp.Options.Validate()
 }
 
-// fingerprint is the checkpoint compatibility key for the job's
-// configuration (worker count excluded — see core.CheckpointFingerprint).
-func (sp *JobSpec) fingerprint() core.CheckpointFingerprint {
-	return core.CheckpointFingerprint{
-		Seed:   sp.Options.Seed,
-		Small:  sp.Options.Small,
-		Faults: sp.Options.Faults,
-		NSeeds: 1,
-	}
-}
-
 // Job is one submitted job. All mutable fields are guarded by the
 // owning Server's mu; the runner goroutine mutates only through
 // Server methods.
@@ -243,13 +232,15 @@ type optimizeSummary struct {
 }
 
 // jobOutput is the document GET /jobs/{id}/output serves: experiment
-// digests (or sweep points) plus the run's full telemetry manifest.
-// Every field serializes deterministically (JSON object keys and map
-// keys are sorted), so a resumed job reproduces a cold run's output
-// byte for byte.
+// digests (or sweep points), a survey's analysis report exactly as
+// resurvey prints it (core.Analysis.WriteText), and the run's full
+// telemetry manifest. Every field serializes deterministically (JSON
+// object keys and map keys are sorted), so a resumed job reproduces a
+// cold run's output byte for byte.
 type jobOutput struct {
 	SURF      *resultSummary    `json:"surf,omitempty"`
 	Internet2 *resultSummary    `json:"internet2,omitempty"`
+	Analysis  string            `json:"analysis,omitempty"`
 	Sweep     []sweepSummary    `json:"sweep,omitempty"`
 	Workload  *workloadSummary  `json:"workload,omitempty"`
 	Scenario  []scenarioSummary `json:"scenario,omitempty"`
@@ -278,52 +269,27 @@ type workloadSummary struct {
 // --- the runner ---
 
 // runSurvey executes a survey job: resume from the newest checkpoint
-// in the job's directory when one exists, checkpoint after every
-// round, stream progress, and render the deterministic output
-// document. It mirrors cmd/resurvey's resume flow so the two front
-// ends have identical crash semantics.
+// in the job's directory when one exists (the CLI's -resume path,
+// core.Pipeline.OpenSurvey), checkpoint after every round, stream
+// progress, and render the deterministic output document with the
+// analysis report the CLI prints.
 func (s *Server) runSurvey(ctx context.Context, j *Job) ([]byte, error) {
 	jobDir := filepath.Join(s.cfg.DataDir, j.ID)
 	reg := telemetry.New()
-
-	pl := j.Spec.Options.Pipeline(reg)
-	// The world is built before a checkpoint is chosen (choosing one
-	// restores its engine section into this network), so the build span
-	// is held aside and joins the registry only on a cold start: a
-	// checkpoint's registry state already holds the original run's.
-	buildReg := telemetry.New()
-	buildSpan := buildReg.StartSpan("build")
-	sv := pl.NewSurvey()
-	buildSpan.End()
+	fp := j.Spec.Options.Fingerprint(1)
 
 	// Unusable files and a missing job directory both mean a cold start.
-	if ck, _, _ := core.LatestCheckpoint(jobDir, j.Spec.fingerprint(), sv.Eco.Net, nil); ck == nil {
-		reg.Merge(buildReg)
-	} else {
-		var openSpans []*telemetry.Span
-		if len(ck.Telemetry) > 0 {
-			var err error
-			if openSpans, err = reg.LoadState(bytes.NewReader(ck.Telemetry)); err != nil {
-				return nil, fmt.Errorf("resume: restore telemetry state: %w", err)
-			}
-		}
-		sv.Resume = ck.Resume(openSpans)
+	sv, _, err := j.Spec.Options.Pipeline(reg).OpenSurvey(jobDir, fp, nil)
+	if err != nil {
+		return nil, err
+	}
+	if sv.Resume != nil {
 		s.reg.Counter("serve_jobs_resumed_total").Inc()
 	}
 
 	crashLeft := s.crashAfterCheckpoints
 	sv.Checkpoint = func(sck core.SurveyCheckpoint) {
-		if err := core.WriteCheckpoint(jobDir, j.Spec.fingerprint(), sck, sv.Eco.Net, reg); err != nil {
-			s.reg.Counter("serve_checkpoint_errors_total").Inc()
-			return
-		}
-		s.checkpointed(j)
-		if s.crashAfterCheckpoints > 0 {
-			crashLeft--
-			if crashLeft == 0 {
-				panic(errCrash)
-			}
-		}
+		s.checkpointed(j, core.WriteCheckpoint(jobDir, fp, sck, sv.Eco.Net, reg), &crashLeft)
 	}
 	sv.Progress = func(phase int, ev core.RoundProgress) {
 		s.publish(j, event{Type: "round", Phase: phase, Round: &ev})
@@ -332,9 +298,16 @@ func (s *Server) runSurvey(ctx context.Context, j *Job) ([]byte, error) {
 	if err := sv.RunBothContext(ctx); err != nil {
 		return nil, err
 	}
+	a, err := core.Analyze(sv)
+	if err != nil {
+		return nil, err
+	}
+	var text bytes.Buffer
+	a.WriteText(&text)
 	return renderOutput(j, reg, &jobOutput{
 		SURF:      summarize(sv.SURF),
 		Internet2: summarize(sv.Internet2),
+		Analysis:  text.String(),
 	})
 }
 
@@ -450,17 +423,7 @@ func (s *Server) runOptimize(ctx context.Context, j *Job) ([]byte, error) {
 	}
 	crashLeft := s.crashAfterCheckpoints
 	opts.Checkpoint = func(state []byte, p core.OptimizeProgress) {
-		if err := snap.WriteFileAtomic(jobDir, core.SearchStateName(p.Generation), state); err != nil {
-			s.reg.Counter("serve_checkpoint_errors_total").Inc()
-			return
-		}
-		s.checkpointed(j)
-		if s.crashAfterCheckpoints > 0 {
-			crashLeft--
-			if crashLeft == 0 {
-				panic(errCrash)
-			}
-		}
+		s.checkpointed(j, snap.WriteFileAtomic(jobDir, core.SearchStateName(p.Generation), state), &crashLeft)
 	}
 
 	res, err := core.RunOptimizeContext(ctx, opts)

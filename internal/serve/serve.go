@@ -337,15 +337,27 @@ func (s *Server) setStateLocked(j *Job, to State, errMsg string) {
 	}
 }
 
-// checkpointed records a durable checkpoint: the job (re-)enters
-// Checkpointed and the manifest is rewritten so a crash from here
-// resumes rather than restarts.
-func (s *Server) checkpointed(j *Job) {
+// checkpointed records the outcome err of a job's checkpoint write. A
+// failed write is counted and otherwise ignored: the job runs on,
+// resumable from its previous checkpoint. After a durable one the job
+// (re-)enters Checkpointed and the manifest is rewritten so a crash
+// from here resumes rather than restarts; *crashLeft counts down the
+// crash knob.
+func (s *Server) checkpointed(j *Job, err error, crashLeft *int) {
+	if err != nil {
+		s.reg.Counter("serve_checkpoint_errors_total").Inc()
+		return
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if j.state == StateRunning || j.state == StateCheckpointed {
 		s.setStateLocked(j, StateCheckpointed, "")
 		s.reg.Counter("serve_checkpoints_total").Inc()
+	}
+	s.mu.Unlock()
+	if s.crashAfterCheckpoints > 0 {
+		if *crashLeft--; *crashLeft == 0 {
+			panic(errCrash)
+		}
 	}
 }
 

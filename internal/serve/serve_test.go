@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cliconf"
+	"repro/internal/core"
 	snap "repro/internal/snapshot"
 )
 
@@ -262,6 +263,10 @@ func TestSubmitValidation(t *testing.T) {
 		`{"kind": "optimize", "options": {"objective": "catchment:re=2"}}`,                 // cliconf range check
 		`{"kind": "optimize", "options": {"objective": "catchment:re=0.5", "budget": -1}}`, // cliconf range check
 		`{"kind": "optimize", "options": {"objective": "catchment:re=0.5", "strategy": "anneal"}}`,
+		// -rov outside -scenario and -workload: nothing would deploy it.
+		`{"options": {"rov": 0.5}}`,
+		`{"kind": "sweep", "options": {"faults": 0.5, "rov": 0.5}}`,
+		`{"kind": "optimize", "options": {"objective": "catchment:re=0.5", "rov": 0.5}}`,
 		`{"options": {"faults": 2}}`,           // cliconf range check
 		`{"options": {"workers": -1}}`,         // cliconf range check
 		`{"timeout_seconds": -1}`,              // negative deadline
@@ -337,6 +342,33 @@ func TestWorkloadJob(t *testing.T) {
 
 	if out2 := run(); !bytes.Equal(out1, out2) {
 		t.Fatalf("workload job output not reproducible:\n%s\nvs\n%s", out1, out2)
+	}
+}
+
+// TestSurveyJobAnalysis: a survey job's output carries the report
+// resurvey prints for the same options, byte for byte — one renderer,
+// core.Analysis.WriteText, for both front ends.
+func TestSurveyJobAnalysis(t *testing.T) {
+	opts := cliconf.JobOptions{Small: true, Seed: 3}
+	var doc jobOutput
+	if err := json.Unmarshal(runToDone(t, t.TempDir(), JobSpec{Options: opts}), &doc); err != nil {
+		t.Fatal(err)
+	}
+
+	cli := cliconf.Config{Small: opts.Small, Seed: opts.Seed}
+	sv := cli.Pipeline(cli.NewRegistry()).NewSurvey()
+	sv.RunBoth()
+	a, err := core.Analyze(sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	a.WriteText(&want)
+	if doc.Analysis != want.String() {
+		t.Fatalf("job analysis differs from the CLI's report:\n--- job ---\n%s\n--- cli ---\n%s", doc.Analysis, want.String())
+	}
+	if !strings.Contains(doc.Analysis, "Table 4:") {
+		t.Errorf("job analysis has no Table 4")
 	}
 }
 

@@ -53,9 +53,12 @@ while :; do
     sleep 0.2
 done
 
-# Output document: must be JSON with the surf digest and a manifest.
+# Output document: must be JSON with the surf digest, the analysis
+# report (Table 4 included) and a manifest.
 OUT="$(curl -sf "$BASE/jobs/$JOB/output")"
 echo "$OUT" | grep -q '"surf"' || { echo "output missing surf digest: $OUT" >&2; exit 1; }
+# printf, not echo: sh's echo would expand the report's \n escapes.
+printf '%s\n' "$OUT" | grep -q '"analysis":"[^"]*Table 4:' || { echo "output analysis missing Table 4" >&2; exit 1; }
 echo "$OUT" | grep -q '"manifest"' || { echo "output missing manifest" >&2; exit 1; }
 
 # Health and metrics reflect the completed job.

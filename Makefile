@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/mrt/
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalEvents -fuzztime $(FUZZTIME) ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/bgp/
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzIntern -fuzztime $(FUZZTIME) ./internal/bgp/pathtab/
 	$(GO) test -run '^$$' -fuzz FuzzValidate -fuzztime $(FUZZTIME) ./internal/rpki/
 	$(GO) test -run '^$$' -fuzz FuzzObjectiveDecode -fuzztime $(FUZZTIME) ./internal/optimize/

@@ -14,7 +14,7 @@ import (
 // -budget 8`: two generations of four candidates, a few dozen
 // milliseconds.
 func searchConfig() cliconf.Config {
-	return cliconf.Config{Small: true, Seed: 1, Budget: 8, Objective: "catchment:re=0.3", Strategy: "evolve"}
+	return cliconf.Config{JobOptions: cliconf.JobOptions{Small: true, Seed: 1, Budget: 8, Objective: "catchment:re=0.3", Strategy: "evolve"}}
 }
 
 func runOut(t *testing.T, cfg cliconf.Config) string {

@@ -25,7 +25,7 @@ import (
 func main() {
 	// reprobe historically defaults to the reduced-scale ecosystem —
 	// the Config value at Register time is the flag default.
-	cfg := cliconf.Config{Small: true, Seed: 1}
+	cfg := cliconf.Config{JobOptions: cliconf.JobOptions{Small: true, Seed: 1}}
 	cliconf.Register(flag.CommandLine, &cfg, cliconf.FlagSmall|cliconf.FlagSeed|cliconf.FlagWorkers)
 	configLabel := flag.String("config", "0-0", "prepend configuration (e.g. 4-0, 0-2)")
 	experiment := flag.String("experiment", "internet2", "which R&E origin announces: internet2 or surf")
@@ -73,16 +73,10 @@ func run(c cliconf.Config, configLabel, experiment string) error {
 	net := eco.Net
 	net.Originate(eco.MeasCommodity.Router, eco.MeasPrefix)
 	net.Originate(reOrigin, eco.MeasPrefix)
-	for _, nb := range net.Speaker(reOrigin).Peers() {
-		net.SetPrefixPrepend(reOrigin, nb, eco.MeasPrefix, cfg.RE)
-	}
-	for _, nb := range net.Speaker(eco.MeasCommodity.Router).Peers() {
-		net.SetPrefixPrepend(eco.MeasCommodity.Router, nb, eco.MeasPrefix, cfg.Commodity)
-	}
+	cfg.Announce(net, eco.MeasPrefix, reOrigin, eco.MeasCommodity.Router)
 	net.RunToQuiescence()
 
-	world.RETerminals = map[bgp.RouterID]bool{reOrigin: true}
-	world.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
+	world.SetTerminals(reOrigin, eco.MeasCommodity.Router)
 
 	round := s.Prober.Run(cfg.Label(), net.Now(), s.Sel)
 	fmt.Fprintf(os.Stderr, "reprobe: %d probes in config %s (%d prefixes)\n",

@@ -81,7 +81,7 @@ type options struct {
 }
 
 func main() {
-	o := options{Config: cliconf.Config{Seed: 1}}
+	o := options{Config: cliconf.Config{JobOptions: cliconf.JobOptions{Seed: 1}}}
 	cliconf.Register(flag.CommandLine, &o.Config, cliconf.FlagAll|cliconf.FlagSnapshot|cliconf.FlagWorkload|cliconf.FlagScenario)
 	flag.StringVar(&o.JSONDir, "json", "", "directory for scamper-style probe JSON")
 	flag.StringVar(&o.MRTDir, "mrt", "", "directory for MRT collector dumps")
@@ -164,7 +164,7 @@ func run(w io.Writer, o options) error {
 	}
 
 	pl := o.Pipeline(reg)
-	fp := o.Job().Fingerprint(o.NSeeds)
+	fp := o.Fingerprint(o.NSeeds)
 	resumeDir := ""
 	if o.Resume {
 		resumeDir = o.SnapshotDir
@@ -183,8 +183,8 @@ func run(w io.Writer, o options) error {
 		// Checkpoint I/O is deliberately invisible to telemetry and
 		// stdout — a resumed run must reproduce the uninterrupted run's
 		// bytes exactly — so failures only warn on stderr.
-		s.Checkpoint = func(sck core.SurveyCheckpoint) {
-			if err := core.WriteCheckpoint(o.SnapshotDir, fp, sck, s.Eco.Net, reg); err != nil {
+		s.Checkpoint = func(ck *core.Checkpoint) {
+			if err := core.WriteCheckpoint(o.SnapshotDir, fp, ck, s.Eco.Net, reg); err != nil {
 				fmt.Fprintln(os.Stderr, "resurvey: checkpoint:", err)
 			}
 		}
@@ -198,7 +198,9 @@ func run(w io.Writer, o options) error {
 		st.WithMaxTargets, report.Pct(st.WithMaxTargets, st.Responsive))
 
 	fmt.Fprintln(w, "running SURF and Internet2 experiments...")
-	s.RunBoth()
+	if err := s.RunBothContext(context.Background()); err != nil {
+		return err
+	}
 	fmt.Fprintln(w)
 
 	a, err := core.Analyze(s)
@@ -292,7 +294,7 @@ type workloadManifestOptions struct {
 // without -zerotime, so byte-stable comparisons stay clean.
 func runWorkload(w io.Writer, o options, reg *telemetry.Registry) error {
 	pl := o.Pipeline(reg)
-	wopts := o.Job().WorkloadOptions()
+	wopts := o.WorkloadOptions()
 	if o.Workload == "replay" {
 		f, err := os.Open(o.Trace)
 		if err != nil {

@@ -20,13 +20,13 @@ import (
 // intensities with a usage error before any work starts.
 func TestFaultsFlagValidation(t *testing.T) {
 	for _, bad := range []float64{-0.1, 1.01, 5, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		o := options{NSeeds: 1, Config: cliconf.Config{Faults: bad}}
+		o := options{NSeeds: 1, Config: cliconf.Config{JobOptions: cliconf.JobOptions{Faults: bad}}}
 		if err := o.validate(); err == nil {
 			t.Errorf("-faults %v accepted, want usage error", bad)
 		}
 	}
 	for _, good := range []float64{0, 0.1, 0.5, 1} {
-		o := options{NSeeds: 1, Config: cliconf.Config{Faults: good}}
+		o := options{NSeeds: 1, Config: cliconf.Config{JobOptions: cliconf.JobOptions{Faults: good}}}
 		if err := o.validate(); err != nil {
 			t.Errorf("-faults %v rejected: %v", good, err)
 		}
@@ -67,11 +67,9 @@ func TestManifestGolden(t *testing.T) {
 		o := options{
 			NSeeds: 1,
 			Config: cliconf.Config{
-				Small:    true,
-				Seed:     1,
-				Faults:   0.5,
-				Manifest: p,
-				ZeroTime: true,
+				JobOptions: cliconf.JobOptions{Small: true, Seed: 1, Faults: 0.5},
+				Manifest:   p,
+				ZeroTime:   true,
 			},
 		}
 		if err := run(io.Discard, o); err != nil {
@@ -237,7 +235,7 @@ func TestSmallSeed1Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := run(&got, options{NSeeds: 1, Config: cliconf.Config{Small: true, Seed: 1}}); err != nil {
+	if err := run(&got, options{NSeeds: 1, Config: cliconf.Config{JobOptions: cliconf.JobOptions{Small: true, Seed: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
@@ -270,12 +268,9 @@ func TestWorkersDeterminismMatrix(t *testing.T) {
 		o := options{
 			NSeeds: 1,
 			Config: cliconf.Config{
-				Small:    true,
-				Seed:     1,
-				Workers:  n,
-				Faults:   0.5,
-				Manifest: p,
-				ZeroTime: true,
+				JobOptions: cliconf.JobOptions{Small: true, Seed: 1, Workers: n, Faults: 0.5},
+				Manifest:   p,
+				ZeroTime:   true,
 			},
 		}
 		var out bytes.Buffer

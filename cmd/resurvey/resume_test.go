@@ -7,12 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/asn"
-	"repro/internal/bgp"
 	"repro/internal/cliconf"
 	"repro/internal/core"
-	"repro/internal/netutil"
-	"repro/internal/probe"
 	"repro/internal/telemetry"
 )
 
@@ -24,9 +20,7 @@ func resumeOptions(snapshotDir, manifest, mrtDir string, resume bool, workers in
 		NSeeds: 1,
 		MRTDir: mrtDir,
 		Config: cliconf.Config{
-			Small:       true,
-			Seed:        1,
-			Workers:     workers,
+			JobOptions:  cliconf.JobOptions{Small: true, Seed: 1, Workers: workers},
 			Manifest:    manifest,
 			ZeroTime:    true,
 			SnapshotDir: snapshotDir,
@@ -210,96 +204,6 @@ func TestResumeWorkersByteEqual(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip pins the RCKP codec on a synthetic
-// checkpoint without running the pipeline: encode, decode, compare.
-func TestCheckpointRoundTrip(t *testing.T) {
-	c := syntheticCheckpoint()
-	got, err := core.DecodeCheckpoint(c.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fingerprint != c.Fingerprint || got.Phase != c.Phase || got.Done != c.Done ||
-		got.ChurnStart != c.ChurnStart || got.Start != c.Start {
-		t.Fatalf("progress fields diverged: %+v vs %+v", got, c)
-	}
-	if len(got.Rounds) != len(c.Rounds) || got.Rounds[0].Config != c.Rounds[0].Config ||
-		len(got.Rounds[0].Records) != len(c.Rounds[0].Records) ||
-		got.Rounds[0].Records[0] != c.Rounds[0].Records[0] {
-		t.Fatal("rounds diverged through the codec")
-	}
-	if len(got.Origins) != len(c.Origins) || got.Origins[64512].FinalOrigin != 11537 ||
-		!got.Origins[64512].OriginsSeen[11537] {
-		t.Fatalf("origins diverged: %+v", got.Origins)
-	}
-	if got.SURF == nil || got.SURF.Name != c.SURF.Name ||
-		len(got.SURF.PerPrefix) != len(c.SURF.PerPrefix) ||
-		len(got.SURF.Churn) != len(c.SURF.Churn) {
-		t.Fatal("SURF result diverged through the codec")
-	}
-	if !bytes.Equal(got.Engine, c.Engine) || !bytes.Equal(got.Telemetry, c.Telemetry) {
-		t.Fatal("nested payloads diverged")
-	}
-}
-
-// tinyNet builds an n-speaker chain: the smallest networks that are
-// distinguishable by topology fingerprint.
-func tinyNet(t *testing.T, n int) (*bgp.Network, []byte) {
-	t.Helper()
-	net := bgp.NewNetwork()
-	for i := 1; i <= n; i++ {
-		net.AddSpeaker(bgp.RouterID(i), asn.AS(64511+i), "")
-		if i > 1 {
-			pc := bgp.PeerConfig{ClassifyAs: bgp.ClassPeer, ExportAllow: bgp.NewClassSet(bgp.ClassOwn)}
-			net.Connect(bgp.RouterID(i-1), bgp.RouterID(i), pc, pc)
-		}
-	}
-	var buf bytes.Buffer
-	if err := net.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return net, buf.Bytes()
-}
-
-// TestLoadLatestCheckpointFingerprint checks that checkpoints from a
-// different run configuration are skipped without being counted as
-// corrupt, and that one whose flags match but whose engine section
-// belongs to another topology — all the fingerprint cannot see — is
-// skipped, counted, and leaves the world as built.
-func TestLoadLatestCheckpointFingerprint(t *testing.T) {
-	dir := t.TempDir()
-	c := syntheticCheckpoint()
-	base, engine := tinyNet(t, 2)
-	c.Engine = engine
-	if err := os.WriteFile(filepath.Join(dir, core.CheckpointName(c.Phase, c.Done)), c.Encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Same flags, same topology: found.
-	o := options{NSeeds: 3, Config: cliconf.Config{Small: true, Seed: 7, Faults: 0.5, SnapshotDir: dir}}
-	ck, corrupt, _ := core.LatestCheckpoint(dir, o.Job().Fingerprint(o.NSeeds), base, nil)
-	if ck == nil || corrupt != 0 {
-		t.Fatalf("matching fingerprint: ck=%v corrupt=%d, want found with 0 corrupt", ck, corrupt)
-	}
-	// Same flags, another topology: refused where it is chosen.
-	other, before := tinyNet(t, 3)
-	ck, corrupt, _ = core.LatestCheckpoint(dir, o.Job().Fingerprint(o.NSeeds), other, nil)
-	if ck != nil || corrupt != 1 {
-		t.Fatalf("foreign engine section: ck=%v corrupt=%d, want nil with 1 corrupt", ck, corrupt)
-	}
-	var after bytes.Buffer
-	if err := other.Snapshot(&after); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after.Bytes()) {
-		t.Fatal("refusing a foreign engine section modified the base network")
-	}
-	// Different seed: skipped, not corrupt, nothing usable left.
-	o.Seed = 8
-	ck, corrupt, _ = core.LatestCheckpoint(dir, o.Job().Fingerprint(o.NSeeds), base, nil)
-	if ck != nil || corrupt != 0 {
-		t.Fatalf("mismatched fingerprint: ck=%v corrupt=%d, want nil with 0 corrupt", ck, corrupt)
-	}
-}
-
 // TestResumeAcrossScales is the regression for `-scale small
 // -snapshot-dir ck` followed by `-snapshot-dir ck -resume` at paper
 // scale: the flags fingerprint is the same ({seed, small=false, ...}),
@@ -324,12 +228,12 @@ func TestResumeAcrossScales(t *testing.T) {
 
 	paper := small
 	paper.Scale, paper.Resume = "", true
-	if paper.Job().Fingerprint(paper.NSeeds) != small.Job().Fingerprint(small.NSeeds) {
+	if paper.Fingerprint(paper.NSeeds) != small.Fingerprint(small.NSeeds) {
 		t.Fatal("the two runs no longer share a fingerprint; this test needs another pair")
 	}
 	net := paper.Pipeline(nil).NewSurvey().Eco.Net
 	before := net.EventsProcessed()
-	ck, corrupt, _ := core.LatestCheckpoint(ckDir, paper.Job().Fingerprint(paper.NSeeds), net, nil)
+	ck, corrupt, _ := core.LatestCheckpoint(ckDir, paper.Fingerprint(paper.NSeeds), net, nil)
 	if ck != nil || corrupt != len(files) {
 		t.Fatalf("ck=%v corrupt=%d, want nil with all %d checkpoints refused", ck, corrupt, len(files))
 	}
@@ -400,52 +304,6 @@ func TestResumeUnusableEngineColdStarts(t *testing.T) {
 	}
 	if !bytes.Equal(stripCorruptCounter(t, coldManifest), stripCorruptCounter(t, resumedManifest)) {
 		t.Errorf("manifest (minus the corrupt counter) differs between cold run and cold-start fallback")
-	}
-}
-
-func syntheticCheckpoint() *core.Checkpoint {
-	surf := resultFixture()
-	return &core.Checkpoint{
-		Fingerprint: core.CheckpointFingerprint{Seed: 7, Small: true, Faults: 0.5, NSeeds: 3},
-		Phase:       1,
-		Done:        3,
-		ChurnStart:  42,
-		Start:       9 * 3600,
-		Rounds:      surf.Rounds,
-		Origins:     surf.CollectorOrigins,
-		SURF:        surf,
-		Engine:      []byte("not a real engine snapshot"),
-		Telemetry:   []byte(`{"counters":[]}`),
-	}
-}
-
-// resultFixture builds a small but fully populated core.Result for
-// codec round-trip tests.
-func resultFixture() *core.Result {
-	pfx := netutil.PrefixFrom(0x0a000000, 24)
-	return &core.Result{
-		Name:        "SURF",
-		Configs:     []core.PrependConfig{{RE: 0, Commodity: 0}, {RE: 1, Commodity: 0}},
-		ConfigTimes: []bgp.Time{9 * 3600, 10 * 3600},
-		Rounds: []*probe.Round{{
-			Config: "0-0",
-			Start:  9 * 3600,
-			End:    9*3600 + 60,
-			Records: []probe.Record{{
-				Prefix: pfx, Dst: 0x0a000001, Proto: 1, Port: 33434,
-				SentAt: 9*3600 + 5, Responded: true, VLAN: 2, RTTms: 17.5, Retries: 1,
-			}},
-		}},
-		PerPrefix: map[netutil.Prefix]*core.PrefixResult{
-			pfx: {Prefix: pfx, Seq: []core.RoundObs{1, 2, 1}, Inference: 2, Confidence: 0.75, Observed: 3},
-		},
-		Churn: []bgp.UpdateRecord{{
-			At: 9*3600 + 1, Collector: 3, PeerAS: 64512, Prefix: pfx,
-			Announce: true, Path: asn.Path{64512, 11537},
-		}},
-		CollectorOrigins: map[uint32]*core.PeerView{
-			64512: {FinalOrigin: 11537, OriginsSeen: map[uint32]bool{11537: true, 396955: true}},
-		},
 	}
 }
 

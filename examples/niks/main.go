@@ -54,12 +54,7 @@ func main() {
 	net.RunToQuiescence()
 	describe("at 0-0")
 	for _, cfg := range core.Schedule() {
-		for _, nb := range net.Speaker(eco.MeasSURF.Router).Peers() {
-			net.SetPrefixPrepend(eco.MeasSURF.Router, nb, meas, cfg.RE)
-		}
-		for _, nb := range net.Speaker(eco.MeasCommodity.Router).Peers() {
-			net.SetPrefixPrepend(eco.MeasCommodity.Router, nb, meas, cfg.Commodity)
-		}
+		cfg.Announce(net, meas, eco.MeasSURF.Router, eco.MeasCommodity.Router)
 		net.RunToQuiescence()
 		best := niks.Best(meas)
 		via := eco.ByRouter(best.From)
@@ -74,12 +69,7 @@ func main() {
 	net.Originate(eco.Internet2.Router, meas)
 	net.RunToQuiescence()
 	for _, cfg := range core.Schedule() {
-		for _, nb := range net.Speaker(eco.Internet2.Router).Peers() {
-			net.SetPrefixPrepend(eco.Internet2.Router, nb, meas, cfg.RE)
-		}
-		for _, nb := range net.Speaker(eco.MeasCommodity.Router).Peers() {
-			net.SetPrefixPrepend(eco.MeasCommodity.Router, nb, meas, cfg.Commodity)
-		}
+		cfg.Announce(net, meas, eco.Internet2.Router, eco.MeasCommodity.Router)
 		net.RunToQuiescence()
 		best := niks.Best(meas)
 		via := eco.ByRouter(best.From)

@@ -22,20 +22,14 @@ import (
 	"repro/internal/vtime"
 )
 
-// Config holds the shared flag values. Commands embed it in their own
-// options struct and register the subset of flags they support; field
-// values at Register time become the flag defaults, so a command can
-// keep its historical defaults (reprobe defaults -small to true).
+// Config holds the shared flag values: the run itself (JobOptions)
+// plus the front-end concerns only a command line has. Commands embed
+// it in their own options struct and register the subset of flags they
+// support; field values at Register time become the flag defaults, so
+// a command can keep its historical defaults (reprobe defaults -small
+// to true).
 type Config struct {
-	Small bool
-	// Scale selects the topology size tier by name (small, paper,
-	// internet); empty keeps the -small / default behaviour. The
-	// internet tier builds the ~80K-AS / ~1M-prefix ecosystem on the
-	// compact arena-backed RIB layout.
-	Scale    string
-	Seed     int64
-	Workers  int
-	Faults   float64
+	JobOptions
 	Manifest string
 	Metrics  bool
 	ZeroTime bool
@@ -45,36 +39,15 @@ type Config struct {
 	// the newest valid checkpoint there instead of starting cold.
 	SnapshotDir string
 	Resume      bool
-	// Workload and Duration drive virtual-clock workload runs
-	// (FlagWorkload): -workload picks a named schedule and replaces
-	// the survey's experiment script; -duration overrides the
-	// workload's default virtual horizon in seconds.
-	Workload  string
-	Duration  int64
-	RoundMode bool
-	// Scenario and ROV drive adversarial scenario sweeps
-	// (FlagScenario): -scenario picks a family (hijack, leak) swept
-	// over RPKI ROV adoption fractions; -rov caps the adoption ladder,
-	// or — with -workload — deploys ROV at that fraction for the run.
-	// Any other run rejects -rov.
-	Scenario string
-	ROV      float64
-	// Objective, Budget, and Strategy drive policy-optimization search
-	// runs (FlagOptimize): -objective picks the target spec
-	// ("catchment:re=0.4" or "probe:re=...,commodity=...,loss=...") and
-	// switches the run into search mode; -budget bounds the candidate
-	// evaluations; -strategy picks the searcher.
-	Objective string
-	Budget    int
-	Strategy  string
 }
 
 // JobOptions is the portable description of one pipeline run — the
 // configuration fields with run semantics, separated from Config's
 // front-end concerns (manifest paths, metrics dumps, checkpoint
-// directories). The CLI flags map onto it via Config.Job, and
-// resurveyd job submissions unmarshal into it directly, so both front
-// ends validate and construct a run through the identical path.
+// directories). The CLI flags bind straight into the JobOptions a
+// Config embeds, and resurveyd job submissions unmarshal into it
+// directly, so both front ends validate and construct a run through
+// the identical path.
 type JobOptions struct {
 	Small bool `json:"small,omitempty"`
 	// Scale names the topology size tier (small, paper, internet);
@@ -232,25 +205,6 @@ func (j JobOptions) Pipeline(reg *telemetry.Registry) *core.Pipeline {
 	return core.NewPipeline(opts...)
 }
 
-// Job extracts the run-defining subset of the parsed flags.
-func (c Config) Job() JobOptions {
-	return JobOptions{
-		Small:           c.Small,
-		Scale:           c.Scale,
-		Seed:            c.Seed,
-		Workers:         c.Workers,
-		Faults:          c.Faults,
-		Workload:        c.Workload,
-		DurationSeconds: c.Duration,
-		RoundMode:       c.RoundMode,
-		Scenario:        c.Scenario,
-		ROV:             c.ROV,
-		Objective:       c.Objective,
-		Budget:          c.Budget,
-		Strategy:        c.Strategy,
-	}
-}
-
 // Flags selects which shared flags Register installs.
 type Flags uint
 
@@ -308,7 +262,7 @@ func Register(fs *flag.FlagSet, c *Config, which Flags) {
 	}
 	if which&FlagWorkload != 0 {
 		fs.StringVar(&c.Workload, "workload", c.Workload, "run a named virtual-clock workload instead of the survey script: update-storm, flap-cascade-rfd, diurnal-churn, hijack-flash, or replay (of the MRT update trace named by -trace); deterministic and byte-identical at any -workers width")
-		fs.Int64Var(&c.Duration, "duration", c.Duration, "virtual horizon of the -workload run in seconds (0 = the workload's default)")
+		fs.Int64Var(&c.DurationSeconds, "duration", c.DurationSeconds, "virtual horizon of the -workload run in seconds (0 = the workload's default)")
 		fs.BoolVar(&c.RoundMode, "round", c.RoundMode, "quantize the -workload to round boundaries (the historical round-granularity scheduler) instead of event-granularity timers")
 	}
 	if which&FlagScenario != 0 {
@@ -332,7 +286,7 @@ func Register(fs *flag.FlagSet, c *Config, which Flags) {
 // (shared with resurveyd's submission endpoint), plus the flag-only
 // cross-checks.
 func (c Config) Validate() error {
-	if err := c.Job().Validate(); err != nil {
+	if err := c.JobOptions.Validate(); err != nil {
 		return err
 	}
 	if c.Resume && c.SnapshotDir == "" {
@@ -349,12 +303,6 @@ func (c Config) NewRegistry() *telemetry.Registry {
 		return nil
 	}
 	return telemetry.New()
-}
-
-// Pipeline builds the core.Pipeline the flags describe, wiring reg
-// (from NewRegistry; nil is fine) as the metrics sink.
-func (c Config) Pipeline(reg *telemetry.Registry) *core.Pipeline {
-	return c.Job().Pipeline(reg)
 }
 
 // WriteManifest snapshots reg to the -manifest path (a no-op without

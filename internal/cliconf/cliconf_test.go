@@ -4,12 +4,14 @@ import (
 	"flag"
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestRegisterKeepsFieldDefaults(t *testing.T) {
 	// Commands seed the Config with their historical defaults before
 	// Register; parsing no flags must leave those values intact.
-	c := Config{Small: true, Seed: 7}
+	c := Config{JobOptions: JobOptions{Small: true, Seed: 7}}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	Register(fs, &c, FlagAll)
 	if err := fs.Parse(nil); err != nil {
@@ -31,8 +33,33 @@ func TestRegisterParsesSharedFlags(t *testing.T) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	want := Config{Small: true, Seed: 42, Workers: 8, Faults: 0.5,
-		Manifest: "m.json", Metrics: true, ZeroTime: true}
+	want := Config{JobOptions: JobOptions{Small: true, Seed: 42, Workers: 8, Faults: 0.5}, Manifest: "m.json", Metrics: true, ZeroTime: true}
+	if c != want {
+		t.Errorf("parsed %+v, want %+v", c, want)
+	}
+}
+
+// TestRegisterBindsJobOptions: the run flags bind straight into the
+// embedded JobOptions under their historical names (-duration fills
+// DurationSeconds), beside the front-end fields.
+func TestRegisterBindsJobOptions(t *testing.T) {
+	var c Config
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	Register(fs, &c, FlagWorkload|FlagScenario|FlagSnapshot)
+	args := []string{
+		"-workload", "hijack-flash", "-duration", "60", "-round",
+		"-scenario", "leak", "-rov", "0.25",
+		"-snapshot-dir", "ck", "-resume",
+	}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	want := Config{
+		JobOptions: JobOptions{Workload: "hijack-flash", DurationSeconds: 60, RoundMode: true,
+			Scenario: "leak", ROV: 0.25},
+		SnapshotDir: "ck",
+		Resume:      true,
+	}
 	if c != want {
 		t.Errorf("parsed %+v, want %+v", c, want)
 	}
@@ -62,7 +89,7 @@ func TestRegisterSubsets(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	for _, bad := range []Config{
+	for _, bad := range []JobOptions{
 		{Faults: -0.1},
 		{Faults: 1.5},
 		{Faults: math.NaN()},
@@ -71,29 +98,29 @@ func TestValidate(t *testing.T) {
 		{ROV: 0.5}, // nothing on the survey path deploys ROV
 		{ROV: 0.5, Objective: "catchment:re=0.5"},
 	} {
-		if err := bad.Validate(); err == nil {
+		if err := (Config{JobOptions: bad}).Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted", bad)
 		}
 	}
-	for _, good := range []Config{
+	for _, good := range []JobOptions{
 		{},
 		{Faults: 0.5, Workers: 8},
 		{Faults: 1},
 		{ROV: 0.5, Scenario: "hijack"},
 		{ROV: 0.5, Workload: "hijack-flash"},
 	} {
-		if err := good.Validate(); err != nil {
+		if err := (Config{JobOptions: good}).Validate(); err != nil {
 			t.Errorf("Validate(%+v) rejected: %v", good, err)
 		}
 	}
 }
 
 // TestJobValidationParity pins the CLI/server contract: a Config and
-// the JobOptions extracted from it accept and reject identically (with
-// the same message), so a job submission resurveyd rejects is exactly
-// one the flags would reject.
+// the JobOptions it embeds accept and reject identically (with the same
+// message), so a job submission resurveyd rejects is exactly one the
+// flags would reject.
 func TestJobValidationParity(t *testing.T) {
-	for _, c := range []Config{
+	for _, j := range []JobOptions{
 		{},
 		{Faults: -0.1},
 		{Faults: 1.5},
@@ -101,22 +128,29 @@ func TestJobValidationParity(t *testing.T) {
 		{Workers: -1},
 		{Small: true, Seed: 7, Workers: 8, Faults: 0.5},
 	} {
-		cfgErr, jobErr := c.Validate(), c.Job().Validate()
+		c := Config{JobOptions: j}
+		cfgErr, jobErr := c.Validate(), j.Validate()
 		if (cfgErr == nil) != (jobErr == nil) {
-			t.Errorf("Config(%+v): Validate=%v but Job().Validate=%v", c, cfgErr, jobErr)
+			t.Errorf("Config(%+v): Validate=%v but JobOptions.Validate=%v", c, cfgErr, jobErr)
 		} else if cfgErr != nil && cfgErr.Error() != jobErr.Error() {
 			t.Errorf("Config(%+v): messages diverge: %q vs %q", c, cfgErr, jobErr)
 		}
 	}
 }
 
+// checkSweepWiring asserts that the pipeline's fault sweep carries the
+// seed, the worker bound, and the intensity ladder up to faults.
+func checkSweepWiring(t *testing.T, pl *core.Pipeline, seed int64, workers int, faults float64) {
+	t.Helper()
+	f := pl.FaultSweepOptions()
+	if pl.Seed() != seed || f.Workers != workers || f.Intensities[len(f.Intensities)-1] != faults {
+		t.Errorf("pipeline carries seed=%d workers=%d intensities=%v", pl.Seed(), f.Workers, f.Intensities)
+	}
+}
+
 func TestJobPipelineWiring(t *testing.T) {
 	j := JobOptions{Small: true, Seed: 5, Workers: 3, Faults: 0.25}
-	pl := j.Pipeline(nil)
-	if pl.Seed() != 5 || pl.Workers() != 3 || pl.Faults() != 0.25 {
-		t.Errorf("pipeline carries seed=%d workers=%d faults=%v",
-			pl.Seed(), pl.Workers(), pl.Faults())
-	}
+	checkSweepWiring(t, j.Pipeline(nil), 5, 3, 0.25)
 }
 
 func TestScaleFlag(t *testing.T) {
@@ -132,22 +166,22 @@ func TestScaleFlag(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Errorf("-scale internet rejected: %v", err)
 	}
-	if err := (Config{Scale: "planet"}).Validate(); err == nil {
+	if err := (JobOptions{Scale: "planet"}).Validate(); err == nil {
 		t.Error("-scale planet accepted")
 	}
-	if err := (Config{Small: true, Scale: "paper"}).Validate(); err == nil {
+	if err := (JobOptions{Small: true, Scale: "paper"}).Validate(); err == nil {
 		t.Error("-small with -scale paper accepted")
 	}
-	if err := (Config{Small: true, Scale: "small"}).Validate(); err != nil {
+	if err := (JobOptions{Small: true, Scale: "small"}).Validate(); err != nil {
 		t.Errorf("-small with agreeing -scale small rejected: %v", err)
 	}
 	// The tier must reach the pipeline's topology configuration and
-	// override -small (Job round-trips the field like the server path).
-	pl := Config{Scale: "paper"}.Job().Pipeline(nil)
+	// override -small.
+	pl := JobOptions{Scale: "paper"}.Pipeline(nil)
 	if got := pl.SurveyOptions().Topology; got.MembersUS == 0 || got.CompactRIB {
 		t.Errorf("paper scale not installed: %+v", got)
 	}
-	pl = Config{Scale: "internet"}.Job().Pipeline(nil)
+	pl = JobOptions{Scale: "internet"}.Pipeline(nil)
 	if got := pl.SurveyOptions().Topology; !got.CompactRIB || !got.DensePrefixes {
 		t.Errorf("internet scale not installed: %+v", got)
 	}
@@ -167,7 +201,7 @@ func TestOptimizeFlags(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("valid optimize config rejected: %v", err)
 	}
-	for _, bad := range []Config{
+	for _, bad := range []JobOptions{
 		{Objective: "catchment"},                            // missing re=
 		{Objective: "catchment:re=1.5"},                     // out of range
 		{Objective: "summit:re=0.5"},                        // unknown kind
@@ -182,15 +216,9 @@ func TestOptimizeFlags(t *testing.T) {
 			t.Errorf("Validate(%+v) accepted", bad)
 		}
 	}
-	// The fields must reach the pipeline (Job round-trips them like the
-	// server path does).
-	pl := Config{Objective: "probe:re=0.5,commodity=0.5,loss=0", Budget: 12, Strategy: "evolve"}.Job().Pipeline(nil)
-	if pl.Objective() != "probe:re=0.5,commodity=0.5,loss=0" || pl.Budget() != 12 || pl.Strategy() != "evolve" {
-		t.Errorf("pipeline carries objective=%q budget=%d strategy=%q",
-			pl.Objective(), pl.Budget(), pl.Strategy())
-	}
-	opts := pl.OptimizeOptions()
-	if opts.Objective == "" || opts.Budget != 12 || opts.Strategy != "evolve" {
+	// The fields must reach the pipeline's search configuration.
+	opts := JobOptions{Objective: "probe:re=0.5,commodity=0.5,loss=0", Budget: 12, Strategy: "evolve"}.Pipeline(nil).OptimizeOptions()
+	if opts.Objective != "probe:re=0.5,commodity=0.5,loss=0" || opts.Budget != 12 || opts.Strategy != "evolve" {
 		t.Errorf("OptimizeOptions not threaded: %+v", opts)
 	}
 }
@@ -209,12 +237,9 @@ func TestNewRegistryNilWhenUnobserved(t *testing.T) {
 }
 
 func TestPipelineWiring(t *testing.T) {
-	c := Config{Small: true, Seed: 5, Workers: 3, Faults: 0.25}
+	c := Config{JobOptions: JobOptions{Small: true, Seed: 5, Workers: 3, Faults: 0.25}}
 	pl := c.Pipeline(nil)
-	if pl.Seed() != 5 || pl.Workers() != 3 || pl.Faults() != 0.25 {
-		t.Errorf("pipeline carries seed=%d workers=%d faults=%v",
-			pl.Seed(), pl.Workers(), pl.Faults())
-	}
+	checkSweepWiring(t, pl, 5, 3, 0.25)
 	if pl.SurveyOptions().Topology.Seed != 5 {
 		t.Errorf("survey topology seed = %d, want 5", pl.SurveyOptions().Topology.Seed)
 	}

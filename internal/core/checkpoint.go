@@ -1,8 +1,11 @@
 package core
 
-// Survey checkpoint codec. A checkpoint is an RCKP container
-// (internal/snapshot, format documented in internal/snapshot/FORMAT.md)
-// capturing a survey run between two configuration rounds: the
+// Survey checkpoint codec. A Checkpoint is the one value a survey's
+// progress lives in: the experiments hand it to their Checkpoint hooks,
+// WriteCheckpoint persists it as an RCKP container (internal/snapshot,
+// format documented in internal/snapshot/FORMAT.md), and a decoded one
+// is what a resumed run continues from. It captures a survey run
+// between two configuration rounds: the
 // configuration fingerprint the run was started with, the survey-level
 // progress, the partial probe rounds, the seeded collector views, the
 // completed SURF result (once the second experiment is in flight), a
@@ -51,15 +54,25 @@ type CheckpointFingerprint struct {
 	NSeeds int
 }
 
-// Checkpoint is one decoded RCKP file.
+// Checkpoint is a survey run's progress between two configuration
+// rounds, and one RCKP file. The experiments fill the progress fields;
+// WriteCheckpoint adds the fingerprint and the nested sections.
 type Checkpoint struct {
 	Fingerprint CheckpointFingerprint
-	// Phase, Done, ChurnStart, and Start mirror SurveyCheckpoint.
-	Phase      int
-	Done       int
+	// Phase is 0 while the SURF experiment runs, 1 for Internet2.
+	Phase int
+	// Done counts the in-flight experiment's completed configuration
+	// rounds, 1 to len(Schedule()).
+	Done int
+	// ChurnStart is the in-flight experiment's churn-log index at the
+	// start of its measured window.
 	ChurnStart int
-	Start      bgp.Time
-	// Rounds and Origins are the in-flight experiment's partial output.
+	// Start is the in-flight experiment's start time. For Phase 1 a
+	// resumed run cannot recompute it: it derives from the network clock
+	// after the SURF teardown.
+	Start bgp.Time
+	// Rounds (one per completed round) and Origins (the seeded collector
+	// views) are the in-flight experiment's partial output.
 	Rounds  []*probe.Round
 	Origins map[uint32]*PeerView
 	// SURF is the completed first experiment's result (Phase 1 only).
@@ -68,36 +81,32 @@ type Checkpoint struct {
 	// telemetry.Registry.SaveState (empty when the run had no registry).
 	Engine    []byte
 	Telemetry []byte
+
+	// span is the in-flight experiment's still-open span, reloaded from
+	// Telemetry by OpenSurvey; the resumed experiment nests under it
+	// instead of opening a second one.
+	span *telemetry.Span
 }
 
-// WriteCheckpoint assembles the checkpoint of the survey-level
-// progress ck under the run's fingerprint, snapshotting the engine
-// (and, when instrumented, the registry), and persists it into dir
-// atomically (snapshot.WriteFileAtomic).
-func WriteCheckpoint(dir string, fp CheckpointFingerprint, ck SurveyCheckpoint, net *bgp.Network, reg *telemetry.Registry) error {
-	c := &Checkpoint{
-		Fingerprint: fp,
-		Phase:       ck.Phase,
-		Done:        ck.Done,
-		ChurnStart:  ck.ChurnStart,
-		Start:       ck.Start,
-		Rounds:      ck.Partial.Rounds,
-		Origins:     ck.Partial.CollectorOrigins,
-		SURF:        ck.SURF,
-	}
+// WriteCheckpoint completes ck, a run's progress as the survey's
+// Checkpoint hook hands it over, with the run's fingerprint, an engine
+// snapshot and, when instrumented, the registry state, and persists it
+// into dir atomically (snapshot.WriteFileAtomic).
+func WriteCheckpoint(dir string, fp CheckpointFingerprint, ck *Checkpoint, net *bgp.Network, reg *telemetry.Registry) error {
+	ck.Fingerprint = fp
 	var eng bytes.Buffer
 	if err := net.Snapshot(&eng); err != nil {
 		return err
 	}
-	c.Engine = eng.Bytes()
+	ck.Engine = eng.Bytes()
 	if reg != nil {
 		var tb bytes.Buffer
 		if err := reg.SaveState(&tb); err != nil {
 			return err
 		}
-		c.Telemetry = tb.Bytes()
+		ck.Telemetry = tb.Bytes()
 	}
-	return snap.WriteFileAtomic(dir, CheckpointName(ck.Phase, ck.Done), c.Encode())
+	return snap.WriteFileAtomic(dir, CheckpointName(ck.Phase, ck.Done), ck.Encode())
 }
 
 // CheckpointName is the file name both front ends give the checkpoint
@@ -193,8 +202,10 @@ func (c *Checkpoint) Encode() []byte {
 }
 
 // DecodeCheckpoint parses an RCKP container, validating section
-// structure and every nested count; any corruption the container's
-// CRCs or these checks catch yields an error, never a panic.
+// structure, every nested count, and the progress a resumed run
+// trusts (a phase, 1 to len(Schedule()) rounds done, one probe round
+// per round done); any corruption the container's CRCs or these checks
+// catch yields an error, never a panic.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	secs, err := snap.DecodeSections(data, snap.CheckpointMagic, snap.CheckpointVersion)
 	if err != nil {
@@ -231,6 +242,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if c.Phase > 1 {
 		return nil, fmt.Errorf("%w: phase %d", snap.ErrCorrupt, c.Phase)
 	}
+	if c.Done < 1 || c.Done > len(Schedule()) {
+		return nil, fmt.Errorf("%w: %d rounds done, want 1 to %d", snap.ErrCorrupt, c.Done, len(Schedule()))
+	}
 
 	d = snap.NewDec(secs[2].Payload)
 	n := d.Count(1)
@@ -244,6 +258,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
+	}
+	if len(c.Rounds) != c.Done {
+		return nil, fmt.Errorf("%w: %d probe rounds for %d rounds done", snap.ErrCorrupt, len(c.Rounds), c.Done)
 	}
 
 	d = snap.NewDec(secs[3].Payload)

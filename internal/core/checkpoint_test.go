@@ -1,0 +1,194 @@
+package core
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/asn"
+	"repro/internal/bgp"
+	"repro/internal/netutil"
+	"repro/internal/probe"
+	"repro/internal/telemetry"
+)
+
+// TestCheckpointRoundTrip pins the RCKP codec on a real mid-run
+// checkpoint: the value the Checkpoint hook hands over in the second
+// experiment, completed by WriteCheckpoint with an engine snapshot and
+// the registry state, decodes from its file deeply equal.
+func TestCheckpointRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	checked := false
+	runWritingCheckpoints(t, dir, telemetry.New(), func(_ *bgp.Network, ck *Checkpoint) bool {
+		if ck.Phase != 1 || ck.Done != 3 {
+			return false
+		}
+		// Compare now: Rounds and Origins alias the live result.
+		if ck.SURF == nil || len(ck.Origins) == 0 || len(ck.Engine) == 0 || len(ck.Telemetry) == 0 {
+			t.Fatalf("checkpoint lacks a section worth pinning: %+v", ck)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, CheckpointName(ck.Phase, ck.Done)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ck) {
+			t.Fatalf("decoded checkpoint differs from the one written:\n got %+v\nwant %+v", got, ck)
+		}
+		checked = true
+		return true
+	})
+	if !checked {
+		t.Fatal("checkpoint (phase 1, done 3) never fired")
+	}
+}
+
+// tinyNet builds an n-speaker chain: the smallest networks that are
+// distinguishable by topology fingerprint.
+func tinyNet(t *testing.T, n int) (*bgp.Network, []byte) {
+	t.Helper()
+	net := bgp.NewNetwork()
+	for i := 1; i <= n; i++ {
+		net.AddSpeaker(bgp.RouterID(i), asn.AS(64511+i), "")
+		if i > 1 {
+			pc := bgp.PeerConfig{ClassifyAs: bgp.ClassPeer, ExportAllow: bgp.NewClassSet(bgp.ClassOwn)}
+			net.Connect(bgp.RouterID(i-1), bgp.RouterID(i), pc, pc)
+		}
+	}
+	var buf bytes.Buffer
+	if err := net.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return net, buf.Bytes()
+}
+
+// TestLoadLatestCheckpointFingerprint checks that checkpoints from a
+// different run configuration are skipped without being counted as
+// corrupt, and that one whose flags match but whose engine section
+// belongs to another topology — all the fingerprint cannot see — is
+// skipped, counted, and leaves the world as built.
+func TestLoadLatestCheckpointFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	c := syntheticCheckpoint()
+	base, engine := tinyNet(t, 2)
+	c.Engine = engine
+	if err := os.WriteFile(filepath.Join(dir, CheckpointName(c.Phase, c.Done)), c.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Same flags, same topology: found.
+	fp := c.Fingerprint
+	ck, corrupt, _ := LatestCheckpoint(dir, fp, base, nil)
+	if ck == nil || corrupt != 0 {
+		t.Fatalf("matching fingerprint: ck=%v corrupt=%d, want found with 0 corrupt", ck, corrupt)
+	}
+	// Same flags, another topology: refused where it is chosen.
+	other, before := tinyNet(t, 3)
+	ck, corrupt, _ = LatestCheckpoint(dir, fp, other, nil)
+	if ck != nil || corrupt != 1 {
+		t.Fatalf("foreign engine section: ck=%v corrupt=%d, want nil with 1 corrupt", ck, corrupt)
+	}
+	var after bytes.Buffer
+	if err := other.Snapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after.Bytes()) {
+		t.Fatal("refusing a foreign engine section modified the base network")
+	}
+	// Different seed: skipped, not corrupt, nothing usable left.
+	fp.Seed++
+	ck, corrupt, _ = LatestCheckpoint(dir, fp, base, nil)
+	if ck != nil || corrupt != 0 {
+		t.Fatalf("mismatched fingerprint: ck=%v corrupt=%d, want nil with 0 corrupt", ck, corrupt)
+	}
+}
+
+// FuzzCheckpointDecode feeds arbitrary bytes to DecodeCheckpoint: it
+// must return an error or a checkpoint whose progress a resumed run
+// can trust — never panic — and a decoded checkpoint must re-encode to
+// bytes that decode and re-encode to themselves. The corpus starts
+// from the synthetic fixture and a real checkpoint of a small run.
+func FuzzCheckpointDecode(f *testing.F) {
+	f.Add(syntheticCheckpoint().Encode())
+	runWritingCheckpoints(f, f.TempDir(), nil, func(_ *bgp.Network, ck *Checkpoint) bool {
+		// The engine section is an opaque payload to this decoder
+		// (FuzzSnapshotDecode covers it); leaving it out keeps the seed
+		// small enough to mutate quickly.
+		c := *ck
+		c.Engine = nil
+		f.Add(c.Encode())
+		return true
+	})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if c.Phase > 1 || c.Done < 1 || c.Done > len(Schedule()) || len(c.Rounds) != c.Done ||
+			(c.Phase == 1 && c.SURF == nil) {
+			t.Fatalf("accepted untrustworthy progress: phase %d, %d done, %d rounds", c.Phase, c.Done, len(c.Rounds))
+		}
+		enc := c.Encode()
+		again, err := DecodeCheckpoint(enc)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+		}
+		if !bytes.Equal(again.Encode(), enc) {
+			t.Fatal("re-encoding a decoded checkpoint is not stable")
+		}
+	})
+}
+
+// syntheticCheckpoint is a small phase-1 checkpoint for codec tests
+// that need no pipeline run.
+func syntheticCheckpoint() *Checkpoint {
+	surf := resultFixture()
+	r := surf.Rounds[0]
+	return &Checkpoint{
+		Fingerprint: CheckpointFingerprint{Seed: 7, Small: true, Faults: 0.5, NSeeds: 3},
+		Phase:       1,
+		Done:        3,
+		ChurnStart:  42,
+		Start:       9 * 3600,
+		Rounds:      []*probe.Round{r, r, r},
+		Origins:     surf.CollectorOrigins,
+		SURF:        surf,
+		Engine:      []byte("not a real engine snapshot"),
+		Telemetry:   []byte(`{"counters":[]}`),
+	}
+}
+
+// resultFixture builds a small but fully populated Result for codec
+// round-trip tests.
+func resultFixture() *Result {
+	pfx := netutil.PrefixFrom(0x0a000000, 24)
+	return &Result{
+		Name:        "SURF",
+		Configs:     []PrependConfig{{RE: 0, Commodity: 0}, {RE: 1, Commodity: 0}},
+		ConfigTimes: []bgp.Time{9 * 3600, 10 * 3600},
+		Rounds: []*probe.Round{{
+			Config: "0-0",
+			Start:  9 * 3600,
+			End:    9*3600 + 60,
+			Records: []probe.Record{{
+				Prefix: pfx, Dst: 0x0a000001, Proto: 1, Port: 33434,
+				SentAt: 9*3600 + 5, Responded: true, VLAN: 2, RTTms: 17.5, Retries: 1,
+			}},
+		}},
+		PerPrefix: map[netutil.Prefix]*PrefixResult{
+			pfx: {Prefix: pfx, Seq: []RoundObs{1, 2, 1}, Inference: 2, Confidence: 0.75, Observed: 3},
+		},
+		Churn: []bgp.UpdateRecord{{
+			At: 9*3600 + 1, Collector: 3, PeerAS: 64512, Prefix: pfx,
+			Announce: true, Path: asn.Path{64512, 11537},
+		}},
+		CollectorOrigins: map[uint32]*PeerView{
+			64512: {FinalOrigin: 11537, OriginsSeen: map[uint32]bool{11537: true, 396955: true}},
+		},
+	}
+}

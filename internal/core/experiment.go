@@ -24,6 +24,19 @@ type PrependConfig struct {
 // Label renders "4-0" style names.
 func (c PrependConfig) Label() string { return fmt.Sprintf("%d-%d", c.RE, c.Commodity) }
 
+// Announce sets c's per-prefix prepends on prefix: the R&E origin's
+// over each of its sessions in Peers order, then the commodity
+// origin's. Inside a Network.Batch the touches collapse into one
+// delta; outside one each drains as it is made.
+func (c PrependConfig) Announce(net *bgp.Network, prefix netutil.Prefix, reOrigin, commodityOrigin bgp.RouterID) {
+	for _, nb := range net.Speaker(reOrigin).Peers() {
+		net.SetPrefixPrepend(reOrigin, nb, prefix, c.RE)
+	}
+	for _, nb := range net.Speaker(commodityOrigin).Peers() {
+		net.SetPrefixPrepend(commodityOrigin, nb, prefix, c.Commodity)
+	}
+}
+
 // Schedule returns the nine configurations in the experiment order:
 // decreasing R&E prepends, then increasing commodity prepends, to
 // minimize the variables changing between tests.
@@ -96,10 +109,11 @@ type Experiment struct {
 	// any value (see probe.Prober.Workers and classify).
 	Workers int
 	// Checkpoint, when non-nil, fires after each configuration round
-	// completes, with the number of rounds done so far, the churn-log
-	// index recorded at the start of the measured window, and the
-	// partial result. The callback must not mutate res.
-	Checkpoint func(done, churnStart int, res *Result)
+	// completes with the experiment's progress: the rounds done so far,
+	// the churn-log index recorded at the start of the measured window,
+	// the start time, and the partial Rounds and seeded Origins, which
+	// alias the running result and must not be mutated.
+	Checkpoint func(ck *Checkpoint)
 	// Progress, when non-nil, fires after each configuration round
 	// (after Checkpoint, so a streamed event implies any checkpoint is
 	// already durable) with that round's headline numbers. It is a
@@ -109,27 +123,9 @@ type Experiment struct {
 	// Resume, when non-nil, fast-forwards Run past the first Done
 	// configuration rounds: the network must already hold the
 	// checkpointed engine state, and Resume carries the outputs those
-	// rounds produced.
-	Resume *ExperimentResume
-}
-
-// ExperimentResume carries the progress a resumed Run starts from.
-type ExperimentResume struct {
-	// Done is the number of configuration rounds already completed.
-	Done int
-	// ChurnStart is the churn-log index at the start of the measured
-	// window (the restored network's log includes everything since the
-	// world was built, so the index stays valid across restore).
-	ChurnStart int
-	// Rounds are the probe rounds the completed configurations produced.
-	Rounds []*probe.Round
-	// CollectorOrigins is the seeded per-peer origin view (filled at the
-	// start of the measured window; the loop itself never touches it).
-	CollectorOrigins map[uint32]*PeerView
-	// Span, when non-nil, is the still-open experiment span reloaded
-	// from a telemetry checkpoint; Run adopts it instead of opening a
-	// second one.
-	Span *telemetry.Span
+	// rounds produced. ChurnStart stays valid across the restore, since
+	// the restored churn log holds everything since the world was built.
+	Resume *Checkpoint
 }
 
 // Converge performs the pre-measurement part of Run: announce the
@@ -146,12 +142,7 @@ func (x *Experiment) Converge() {
 	net.Batch(func() {
 		net.Originate(x.Cfg.CommodityOrigin, meas)
 		net.Originate(x.Cfg.REOrigin, meas)
-		for _, nb := range x.reSessions() {
-			net.SetPrefixPrepend(x.Cfg.REOrigin, nb, meas, first.RE)
-		}
-		for _, nb := range x.commoditySessions() {
-			net.SetPrefixPrepend(x.Cfg.CommodityOrigin, nb, meas, first.Commodity)
-		}
+		first.Announce(net, meas, x.Cfg.REOrigin, x.Cfg.CommodityOrigin)
 	})
 	x.advance(x.Cfg.Start)
 	st1 := net.Stats()
@@ -231,10 +222,10 @@ func (x *Experiment) Run() *Result {
 // a half-applied configuration.
 func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 	var expSpan *telemetry.Span
-	if x.Resume != nil && x.Resume.Span != nil {
+	if x.Resume != nil && x.Resume.span != nil {
 		// The checkpoint left this span open; keep nesting under it
 		// instead of starting a parallel experiment phase.
-		expSpan = x.Resume.Span
+		expSpan = x.Resume.span
 	} else {
 		expSpan = x.Metrics.StartSpan("experiment:" + x.Cfg.Name)
 	}
@@ -255,11 +246,7 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 	// Terminal mapping: responses reaching the R&E origin arrive on
 	// the R&E VLAN; the commodity origin terminates the commodity
 	// VLAN (Figure 2).
-	x.World.RETerminals = map[bgp.RouterID]bool{x.Cfg.REOrigin: true}
-	x.World.CommodityTerminals = map[bgp.RouterID]bool{x.Cfg.CommodityOrigin: true}
-
-	reSessions := x.reSessions()
-	commSessions := x.commoditySessions()
+	x.World.SetTerminals(x.Cfg.REOrigin, x.Cfg.CommodityOrigin)
 
 	churnStart := 0
 	t := x.Cfg.Start
@@ -268,13 +255,17 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 		// The network was restored to the state the checkpoint captured
 		// (mid-experiment, after round Done); replay the bookkeeping the
 		// completed rounds produced and rejoin the loop.
+		if x.Resume.ChurnStart > len(net.Churn.Records) {
+			return nil, fmt.Errorf("core: resume: churn start %d beyond the restored churn log (%d records)",
+				x.Resume.ChurnStart, len(net.Churn.Records))
+		}
 		startRound = x.Resume.Done
 		res.Rounds = append(res.Rounds, x.Resume.Rounds...)
 		for i, cfg := range Schedule()[:startRound] {
 			res.Configs = append(res.Configs, cfg)
 			res.ConfigTimes = append(res.ConfigTimes, x.Cfg.Start+bgp.Time(i)*x.Cfg.RoundGap)
 		}
-		for as, pv := range x.Resume.CollectorOrigins {
+		for as, pv := range x.Resume.Origins {
 			res.CollectorOrigins[as] = pv
 		}
 		churnStart = x.Resume.ChurnStart
@@ -337,12 +328,7 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 					net.SetSessionUp(o.A, o.B)
 				}
 			}
-			for _, nb := range reSessions {
-				net.SetPrefixPrepend(x.Cfg.REOrigin, nb, meas, cfg.RE)
-			}
-			for _, nb := range commSessions {
-				net.SetPrefixPrepend(x.Cfg.CommodityOrigin, nb, meas, cfg.Commodity)
-			}
+			cfg.Announce(net, meas, x.Cfg.REOrigin, x.Cfg.CommodityOrigin)
 		})
 		res.Configs = append(res.Configs, cfg)
 		res.ConfigTimes = append(res.ConfigTimes, t)
@@ -365,7 +351,13 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 		t = probeAt
 		cfgSpan.End()
 		if x.Checkpoint != nil {
-			x.Checkpoint(i+1, churnStart, res)
+			x.Checkpoint(&Checkpoint{
+				Done:       i + 1,
+				ChurnStart: churnStart,
+				Start:      x.Cfg.Start,
+				Rounds:     res.Rounds,
+				Origins:    res.CollectorOrigins,
+			})
 		}
 		if x.Progress != nil {
 			x.Progress(RoundProgress{
@@ -404,16 +396,6 @@ func (x *Experiment) advance(to bgp.Time) {
 		return
 	}
 	x.Eco.Net.Run(to)
-}
-
-// reSessions lists the neighbors over which the R&E origin announces
-// the measurement prefix (all its non-collector sessions).
-func (x *Experiment) reSessions() []bgp.RouterID {
-	return x.Eco.Net.Speaker(x.Cfg.REOrigin).Peers()
-}
-
-func (x *Experiment) commoditySessions() []bgp.RouterID {
-	return x.Eco.Net.Speaker(x.Cfg.CommodityOrigin).Peers()
 }
 
 // classifyShardSize is the number of prefixes per classification
@@ -535,12 +517,7 @@ func (x *Experiment) TeardownRE() {
 	net := x.Eco.Net
 	meas := x.Eco.MeasPrefix
 	net.Batch(func() {
-		for _, nb := range x.reSessions() {
-			net.SetPrefixPrepend(x.Cfg.REOrigin, nb, meas, 0)
-		}
-		for _, nb := range x.commoditySessions() {
-			net.SetPrefixPrepend(x.Cfg.CommodityOrigin, nb, meas, 0)
-		}
+		PrependConfig{}.Announce(net, meas, x.Cfg.REOrigin, x.Cfg.CommodityOrigin)
 		net.WithdrawOrigination(x.Cfg.REOrigin, meas)
 	})
 	net.RunToQuiescence()

@@ -41,8 +41,6 @@ type OptimizeOptions struct {
 	// Budget is the total candidate-evaluation budget (0 returns the
 	// baseline configuration unevaluated).
 	Budget int
-	// Lambda is the generation width; 0 means the strategy default (4).
-	Lambda int
 	// Workers bounds concurrent candidate evaluations; <= 0 means
 	// GOMAXPROCS. Results are byte-identical at any width.
 	Workers int
@@ -155,8 +153,7 @@ func newPolicyEvaluator(opts OptimizeOptions, obj optimize.Objective, driver *Su
 // every evaluation rewinds to.
 func (ev *policyEvaluator) fork(s *Survey) error {
 	s.Prober.Workers = 1
-	s.World.RETerminals = map[bgp.RouterID]bool{s.Eco.MeasSURF.Router: true}
-	s.World.CommodityTerminals = map[bgp.RouterID]bool{s.Eco.MeasCommodity.Router: true}
+	s.World.SetTerminals(s.Eco.MeasSURF.Router, s.Eco.MeasCommodity.Router)
 	if err := s.Eco.Net.OpenJournal(); err != nil {
 		return fmt.Errorf("optimize: open journal at the fork point: %w", err)
 	}
@@ -212,25 +209,21 @@ func (ev *policyEvaluator) measure(s *Survey, c optimize.Candidate, st0 bgp.IncS
 	meas := eco.MeasPrefix
 	reOrigin := eco.MeasSURF.Router
 	comOrigin := eco.MeasCommodity.Router
-	reSessions := net.Speaker(reOrigin).Peers()
-	comSessions := net.Speaker(comOrigin).Peers()
 
 	net.Batch(func() {
-		for _, nb := range reSessions {
-			net.SetPrefixPrepend(reOrigin, nb, meas, int(c.Genes[optimize.GeneREPrepend]))
-		}
-		for _, nb := range comSessions {
-			net.SetPrefixPrepend(comOrigin, nb, meas, int(c.Genes[optimize.GeneCommodityPrepend]))
-		}
+		PrependConfig{
+			RE:        int(c.Genes[optimize.GeneREPrepend]),
+			Commodity: int(c.Genes[optimize.GeneCommodityPrepend]),
+		}.Announce(net, meas, reOrigin, comOrigin)
 		if i := c.Genes[optimize.GeneRELocalPref]; i != 0 {
 			pref := optimize.LocalPrefChoices[i]
-			for _, nb := range reSessions {
+			for _, nb := range net.Speaker(reOrigin).Peers() {
 				net.SetImportLocalPref(nb, reOrigin, pref)
 			}
 		}
 		if i := c.Genes[optimize.GeneCommodityLocalPref]; i != 0 {
 			pref := optimize.LocalPrefChoices[i]
-			for _, nb := range comSessions {
+			for _, nb := range net.Speaker(comOrigin).Peers() {
 				net.SetImportLocalPref(nb, comOrigin, pref)
 			}
 		}
@@ -304,7 +297,6 @@ func (o OptimizeOptions) search() (optimize.Objective, optimize.Searcher, optimi
 	return obj, sr, optimize.Options{
 		Seed:    o.SearchSeed,
 		Budget:  o.Budget,
-		Lambda:  o.Lambda,
 		Workers: o.Workers,
 		Metrics: o.Metrics,
 	}, nil

@@ -179,12 +179,6 @@ func NewPipeline(opts ...PipelineOption) *Pipeline {
 // Seed returns the resolved session (topology) seed.
 func (p *Pipeline) Seed() int64 { return p.survey.Topology.Seed }
 
-// Workers returns the configured worker bound (0 = GOMAXPROCS).
-func (p *Pipeline) Workers() int { return p.workers }
-
-// Faults returns the configured max fault-sweep intensity (0 = off).
-func (p *Pipeline) Faults() float64 { return p.faults }
-
 // SurveyOptions returns the resolved survey configuration.
 func (p *Pipeline) SurveyOptions() SurveyOptions { return p.survey }
 
@@ -234,18 +228,7 @@ func (p *Pipeline) OpenSurvey(resumeDir string, fp CheckpointFingerprint, note f
 		reg.Merge(buildReg)
 		return s, corrupt, nil
 	}
-	s.Resume = &SurveyResume{
-		Phase: ck.Phase,
-		Exp: &ExperimentResume{
-			Done:             ck.Done,
-			ChurnStart:       ck.ChurnStart,
-			Rounds:           ck.Rounds,
-			CollectorOrigins: ck.Origins,
-		},
-	}
-	if ck.Phase == 1 {
-		s.Resume.SURF, s.Resume.StartI2 = ck.SURF, ck.Start
-	}
+	s.Resume = ck
 	if reg != nil && len(ck.Telemetry) > 0 {
 		open, err := reg.LoadState(bytes.NewReader(ck.Telemetry))
 		if err != nil {
@@ -253,7 +236,7 @@ func (p *Pipeline) OpenSurvey(resumeDir string, fp CheckpointFingerprint, note f
 		}
 		// The innermost open span is the in-flight experiment's.
 		if len(open) > 0 {
-			s.Resume.Exp.Span = open[len(open)-1]
+			ck.span = open[len(open)-1]
 		}
 		// The saved state carries the saved run's worker count; the
 		// manifest reports this run's.
@@ -286,12 +269,6 @@ func (p *Pipeline) FaultSweepOptions() FaultSweepOptions {
 func (p *Pipeline) RunFaultSweepContext(ctx context.Context) ([]FaultSweepPoint, error) {
 	return RunFaultSweepContext(ctx, p.FaultSweepOptions())
 }
-
-// Objective returns the configured optimization target ("" = off).
-func (p *Pipeline) Objective() string { return p.objective }
-
-// Budget returns the optimizer's candidate-evaluation budget.
-func (p *Pipeline) Budget() int { return p.budget }
 
 // Strategy returns the optimizer's search strategy (defaulted to
 // "hillclimb" when unset).

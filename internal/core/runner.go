@@ -30,16 +30,17 @@ type Survey struct {
 	// identical for any value.
 	Workers int
 	// Checkpoint, when non-nil, fires after every configuration round
-	// of either experiment with the survey-level progress; callers
-	// persist it (together with a bgp.Network.Snapshot and, when
-	// instrumented, telemetry.Registry.SaveState) to make the run
-	// resumable.
-	Checkpoint func(ck SurveyCheckpoint)
+	// of either experiment with the run's progress filled in (Phase,
+	// Done, ChurnStart, Start, Rounds, Origins, and SURF once the second
+	// experiment is in flight); callers persist it with WriteCheckpoint
+	// to make the run resumable. Rounds and Origins alias the running
+	// result: the callback must not mutate them.
+	Checkpoint func(ck *Checkpoint)
 	// Resume, when non-nil, makes RunBoth continue a checkpointed run
 	// instead of starting cold. The survey's network must already hold
 	// the checkpointed engine state (bgp.RestoreNetwork) and its
-	// registry the checkpointed telemetry state.
-	Resume *SurveyResume
+	// registry the checkpointed telemetry state; OpenSurvey does both.
+	Resume *Checkpoint
 	// Progress, when non-nil, fires after every configuration round of
 	// either experiment (phase 0 = SURF, 1 = Internet2) — the hook
 	// streaming front ends (resurveyd's SSE feed) subscribe to. Pure
@@ -50,47 +51,10 @@ type Survey struct {
 	Internet2 *Result
 }
 
-// SurveyCheckpoint is the survey-level progress handed to the
-// Checkpoint hook: which experiment is in flight, how far it got, and
-// the partial outputs a resumed run needs to carry forward.
-type SurveyCheckpoint struct {
-	// Phase is 0 while the SURF experiment runs, 1 for Internet2.
-	Phase int
-	// Done counts completed configuration rounds of the in-flight
-	// experiment.
-	Done int
-	// ChurnStart is the in-flight experiment's churn-log index at the
-	// start of its measured window.
-	ChurnStart int
-	// Start is the in-flight experiment's start time. For Phase 1 this
-	// is the value a resumed run cannot recompute (it derives from the
-	// network clock after the SURF teardown).
-	Start bgp.Time
-	// Partial is the in-flight experiment's result so far (Rounds and
-	// the seeded CollectorOrigins are filled; classification is not).
-	Partial *Result
-	// SURF is the completed first experiment's result when Phase is 1.
-	SURF *Result
-}
-
-// SurveyResume carries a SurveyCheckpoint back into RunBoth.
-type SurveyResume struct {
-	// Phase and Exp locate the round to continue from.
-	Phase int
-	Exp   *ExperimentResume
-	// SURF is the completed first experiment's result (Phase 1 only).
-	SURF *Result
-	// StartI2 is the Internet2 experiment's start time (Phase 1 only).
-	StartI2 bgp.Time
-}
-
 // SetMetrics wires the whole survey — BGP engine, prober, and the
 // experiments RunBoth creates — to one registry. Call it before
-// RunBoth; a nil registry disables instrumentation.
-//
-// Deprecated: construct through NewPipeline with WithMetrics, the
-// single wiring path for surveys; SetMetrics remains as the mechanism
-// the pipeline options delegate to.
+// RunBoth; a nil registry disables instrumentation. NewPipeline's
+// WithMetrics calls it for every survey the pipeline builds.
 func (s *Survey) SetMetrics(r *telemetry.Registry) {
 	s.Metrics = r
 	s.Eco.Net.SetMetrics(r)
@@ -186,11 +150,9 @@ func (s *Survey) RunBothContext(ctx context.Context) error {
 		x1.Cfg.Outages = surfOutages
 		x1.Metrics = s.Metrics
 		x1.Workers = s.Workers
-		x1.Checkpoint = s.checkpointHook(0, surfStart)
+		x1.Checkpoint = s.checkpointHook(0)
 		x1.Progress = s.progressHook(0)
-		if s.Resume != nil {
-			x1.Resume = s.Resume.Exp
-		}
+		x1.Resume = s.Resume
 		res, err := x1.RunContext(ctx)
 		if err != nil {
 			return err
@@ -201,21 +163,21 @@ func (s *Survey) RunBothContext(ctx context.Context) error {
 		s.SURF = s.Resume.SURF
 	}
 
-	var i2Start bgp.Time
+	// A checkpoint of the second experiment carries its start time: it
+	// derives from the network clock after the SURF teardown, which a
+	// resumed run never replays.
+	i2Start := s.Eco.Net.Now() + 7*24*3600
+	var i2Resume *Checkpoint
 	if s.Resume != nil && s.Resume.Phase == 1 {
-		i2Start = s.Resume.StartI2
-	} else {
-		i2Start = s.Eco.Net.Now() + 7*24*3600
+		i2Start, i2Resume = s.Resume.Start, s.Resume
 	}
 	x2 := NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, i2Start)
 	x2.Cfg.Outages = i2Outages
 	x2.Metrics = s.Metrics
 	x2.Workers = s.Workers
-	x2.Checkpoint = s.checkpointHook(1, i2Start)
+	x2.Checkpoint = s.checkpointHook(1)
 	x2.Progress = s.progressHook(1)
-	if s.Resume != nil && s.Resume.Phase == 1 {
-		x2.Resume = s.Resume.Exp
-	}
+	x2.Resume = i2Resume
 	res, err := x2.RunContext(ctx)
 	if err != nil {
 		return err
@@ -234,20 +196,15 @@ func (s *Survey) progressHook(phase int) func(RoundProgress) {
 }
 
 // checkpointHook adapts the survey-level Checkpoint callback to one
-// experiment's hook; it returns nil (disabling per-round checkpoints)
-// when the survey has no callback installed.
-func (s *Survey) checkpointHook(phase int, start bgp.Time) func(int, int, *Result) {
+// experiment's hook, adding the phase and, in the second experiment,
+// the completed SURF result; it returns nil (disabling per-round
+// checkpoints) when the survey has no callback installed.
+func (s *Survey) checkpointHook(phase int) func(*Checkpoint) {
 	if s.Checkpoint == nil {
 		return nil
 	}
-	return func(done, churnStart int, res *Result) {
-		ck := SurveyCheckpoint{
-			Phase:      phase,
-			Done:       done,
-			ChurnStart: churnStart,
-			Start:      start,
-			Partial:    res,
-		}
+	return func(ck *Checkpoint) {
+		ck.Phase = phase
 		if phase == 1 {
 			ck.SURF = s.SURF
 		}

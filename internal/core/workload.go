@@ -65,11 +65,9 @@ type WorkloadOptions struct {
 	// workload's default.
 	Duration vtime.Time
 	// RoundMode quantizes every event (and the BGP timers it implies)
-	// to RoundGap boundaries — the round-granularity compatibility
-	// scheduler.
+	// to DefaultRoundGap boundaries — the round-granularity
+	// compatibility scheduler.
 	RoundMode bool
-	// RoundGap overrides the quantum; 0 means DefaultRoundGap.
-	RoundGap vtime.Time
 	// Trace is the MRT update stream for the "replay" workload.
 	Trace io.Reader
 }
@@ -172,8 +170,7 @@ func (p *Pipeline) runWorkload(s *Survey, opts WorkloadOptions) (*WorkloadResult
 	// register the terminals the probe responses classify against.
 	net.Originate(s.Eco.MeasCommodity.Router, s.Eco.MeasPrefix)
 	net.Originate(s.Eco.MeasSURF.Router, s.Eco.MeasPrefix)
-	s.World.RETerminals = map[bgp.RouterID]bool{s.Eco.MeasSURF.Router: true}
-	s.World.CommodityTerminals = map[bgp.RouterID]bool{s.Eco.MeasCommodity.Router: true}
+	s.World.SetTerminals(s.Eco.MeasSURF.Router, s.Eco.MeasCommodity.Router)
 	// ROV deployment precedes every workload event: the seeded
 	// fraction of ASes filters RPKI-invalid routes on import for the
 	// whole run (hijack-flash forgeries die at deployed borders; every
@@ -196,11 +193,7 @@ func (p *Pipeline) runWorkload(s *Survey, opts WorkloadOptions) (*WorkloadResult
 	eng.Coupling = func(from, to vtime.Time) { net.Run(bgp.Time(to)) }
 	var sched vtime.Scheduler = eng
 	if opts.RoundMode {
-		gap := opts.RoundGap
-		if gap <= 0 {
-			gap = DefaultRoundGap
-		}
-		sched = &vtime.RoundScheduler{Gap: gap, Engine: eng}
+		sched = &vtime.RoundScheduler{Gap: DefaultRoundGap, Engine: eng}
 	}
 
 	gen, err := p.buildWorkload(s.Eco, opts, d)

@@ -107,12 +107,8 @@ type proberMetrics struct {
 }
 
 // SetMetrics wires the prober to the registry. A nil registry
-// disables instrumentation.
-//
-// Deprecated: construct through core.NewPipeline with
-// core.WithMetrics, which wires every component consistently;
-// SetMetrics remains as the mechanism the pipeline options delegate
-// to.
+// disables instrumentation. core.Survey.SetMetrics calls it for every
+// survey a pipeline builds.
 func (pr *Prober) SetMetrics(r *telemetry.Registry) {
 	pr.registry = r
 	pr.metrics = proberMetrics{

@@ -288,8 +288,8 @@ func (s *Server) runSurvey(ctx context.Context, j *Job) ([]byte, error) {
 	}
 
 	crashLeft := s.crashAfterCheckpoints
-	sv.Checkpoint = func(sck core.SurveyCheckpoint) {
-		s.checkpointed(j, core.WriteCheckpoint(jobDir, fp, sck, sv.Eco.Net, reg), &crashLeft)
+	sv.Checkpoint = func(ck *core.Checkpoint) {
+		s.checkpointed(j, core.WriteCheckpoint(jobDir, fp, ck, sv.Eco.Net, reg), &crashLeft)
 	}
 	sv.Progress = func(phase int, ev core.RoundProgress) {
 		s.publish(j, event{Type: "round", Phase: phase, Round: &ev})

@@ -355,7 +355,7 @@ func TestSurveyJobAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cli := cliconf.Config{Small: opts.Small, Seed: opts.Seed}
+	cli := cliconf.Config{JobOptions: cliconf.JobOptions{Small: opts.Small, Seed: opts.Seed}}
 	sv := cli.Pipeline(cli.NewRegistry()).NewSurvey()
 	sv.RunBoth()
 	a, err := core.Analyze(sv)

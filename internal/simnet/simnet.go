@@ -152,6 +152,14 @@ type World struct {
 	brownouts map[netutil.Prefix][]brownout
 }
 
+// SetTerminals makes re the one R&E terminal and commodity the one
+// commodity terminal: a response whose forwarding ends at re arrives
+// on the R&E VLAN, one ending at commodity on the commodity VLAN.
+func (w *World) SetTerminals(re, commodity bgp.RouterID) {
+	w.RETerminals = map[bgp.RouterID]bool{re: true}
+	w.CommodityTerminals = map[bgp.RouterID]bool{commodity: true}
+}
+
 // brownout is a correlated burst-loss window: every probe toward the
 // prefix inside [from, to) is dropped with probability loss. Unlike
 // the i.i.d. ProbeLossProb, the window is shared by all hosts of the

@@ -65,6 +65,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSearchStateRoundTrip -fuzztime $(FUZZTIME) ./internal/optimize/
 	$(GO) test -run '^$$' -fuzz FuzzRandMatchesMathRand -fuzztime $(FUZZTIME) ./internal/parallel/
 	$(GO) test -run '^$$' -fuzz FuzzParsePrefix -fuzztime $(FUZZTIME) ./internal/netutil/
+	$(GO) test -run '^$$' -fuzz FuzzQueueMatchesReference -fuzztime $(FUZZTIME) ./internal/vtime/
+	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime $(FUZZTIME) ./internal/serve/
 
 # Statement-coverage floors, one pkg:floor pair per internal package
 # whose tests the rest of the tree leans on: the BGP engine (the

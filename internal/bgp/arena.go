@@ -294,6 +294,8 @@ func (st *arenaStore) put(key uint64, rec packedRoute, comms CommunitySet) {
 	st.slots[key] = st.ar.alloc(rec, comms)
 }
 
+func (st *arenaStore) stored(k ribKey, _ *Route) *Route { return st.Get(k) }
+
 func (st *arenaStore) Withdraw(k ribKey) {
 	key := st.storeKey(k)
 	if st.ar.be.jr != nil {

@@ -18,8 +18,8 @@ import (
 // queue's (At, Seq) ordering is the single definition of delivery order
 // and queuing an event costs no allocation of its own. The announced
 // route waits in Network.inflight rather than in the event: a
-// pointer-free item moves through the heap without write barriers, and
-// the garbage collector never scans the queue.
+// pointer-free item is stored in the queue without write barriers, and
+// the garbage collector never scans it.
 type event struct {
 	to     RouterID
 	from   RouterID
@@ -321,10 +321,10 @@ func (n *Network) Connect(a, b RouterID, cfgAtA, cfgAtB PeerConfig) {
 	// each side's existing exportable state (RFC 4271 §9.2: the whole
 	// Adj-RIB-Out is advertised when the session comes up).
 	for _, p := range sa.exportablePrefixes() {
-		n.exportToPeer(sa, p, &pa)
+		n.exportToPeer(sa, p, &pa, sa.Best(p))
 	}
 	for _, p := range sb.exportablePrefixes() {
-		n.exportToPeer(sb, p, &pb)
+		n.exportToPeer(sb, p, &pb, sb.Best(p))
 	}
 }
 
@@ -446,8 +446,8 @@ func (n *Network) SetSessionDown(a, b RouterID) {
 	n.savePeer(pcA)
 	n.savePeer(pcB)
 	pcA.down, pcB.down = true, true
-	n.flushSession(sa, b)
-	n.flushSession(sb, a)
+	n.flushSession(sa, pcA)
+	n.flushSession(sb, pcB)
 }
 
 // SetSessionUp restores a torn-down session and re-advertises current
@@ -472,9 +472,10 @@ func (n *Network) SetSessionUp(a, b RouterID) {
 	}
 }
 
-// flushSession drops every adj-RIB-in entry s holds from neighbor nb
-// and every adj-RIB-out entry toward nb, rerunning decisions.
-func (n *Network) flushSession(s *Speaker, nb RouterID) {
+// flushSession drops every adj-RIB-in entry s holds over the session pc
+// and every adj-RIB-out entry it carries, rerunning decisions.
+func (n *Network) flushSession(s *Speaker, pc *PeerConfig) {
+	nb := pc.Neighbor
 	// Collect first, mutate after: stores do not allow mutation during
 	// a walk.
 	var prefixes []netutil.Prefix
@@ -496,9 +497,8 @@ func (n *Network) flushSession(s *Speaker, nb RouterID) {
 	}
 	netutil.SortPrefixes(prefixes)
 	for _, p := range prefixes {
-		before := s.effectiveCandidate(p, nb)
-		if s.applyImport(p, nb, nil, n.clock) {
-			n.decide(s, p, nb, before, nil)
+		if before, after, changed := s.applyImport(p, pc, nil, n.clock); changed {
+			n.decide(s, p, nb, before, after)
 		}
 	}
 }
@@ -571,9 +571,12 @@ func (n *Network) SetImportDeny(id RouterID, fn func(*Route) bool) {
 		return true
 	})
 	for _, k := range denied {
-		before := s.effectiveCandidate(k.prefix, k.neighbor)
-		if s.applyImport(k.prefix, k.neighbor, nil, n.clock) {
-			n.decide(s, k.prefix, k.neighbor, before, nil)
+		pc := s.peers[k.neighbor]
+		if pc == nil {
+			continue
+		}
+		if before, after, changed := s.applyImport(k.prefix, pc, nil, n.clock); changed {
+			n.decide(s, k.prefix, k.neighbor, before, after)
 		}
 	}
 }
@@ -678,21 +681,16 @@ func (s *Speaker) exportablePrefixes() []netutil.Prefix {
 }
 
 // exportAfterDecision performs the post-decision export fan-out: on
-// change every session re-exports; without one only VRF-filtered
-// (ExportBestOf) sessions do, since their announcement can move
-// without the loc-RIB.
-func (n *Network) exportAfterDecision(s *Speaker, p netutil.Prefix, changed bool) {
-	if !changed {
-		for _, nb := range s.peerOrder {
-			pc := s.peers[nb]
-			if pc.ExportBestOf != nil {
-				n.exportToPeer(s, p, pc)
-			}
+// change every session re-exports best, the route the decision just
+// put in the loc-RIB, so the fan-out reads no loc-RIB at all; without
+// one only VRF-filtered (ExportBestOf) sessions do, since their
+// announcement can move without the loc-RIB, and best (nil) goes
+// unread.
+func (n *Network) exportAfterDecision(s *Speaker, p netutil.Prefix, best *Route, changed bool) {
+	for _, pc := range s.peerOrder {
+		if changed || pc.ExportBestOf != nil {
+			n.exportToPeer(s, p, pc, best)
 		}
-		return
-	}
-	for _, nb := range s.peerOrder {
-		n.exportToPeer(s, p, s.peers[nb])
 	}
 }
 
@@ -701,7 +699,8 @@ func (n *Network) exportAfterDecision(s *Speaker, p netutil.Prefix, changed bool
 // MRAI: inside the interval the export is deferred to a flush timer,
 // so rapid best-path changes collapse into one update (RFC 4271
 // §9.2.1.1; the reproduction applies the interval to withdrawals too).
-func (n *Network) exportToPeer(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
+// best is s's loc-RIB route for p.
+func (n *Network) exportToPeer(s *Speaker, p netutil.Prefix, pc *PeerConfig, best *Route) {
 	if pc == nil || pc.down {
 		return
 	}
@@ -710,7 +709,7 @@ func (n *Network) exportToPeer(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
 		return
 	}
 	if pc.MRAI > 0 {
-		k := ribKey{p, pc.Neighbor}
+		k := ribKey{prefix: p, neighbor: pc.Neighbor}
 		if last, ok := s.mraiLast[k]; ok && n.clock < last+pc.MRAI {
 			if !s.mraiPending[k] {
 				if n.jr != nil {
@@ -727,7 +726,7 @@ func (n *Network) exportToPeer(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
 			return
 		}
 	}
-	n.sendExport(s, p, pc)
+	n.sendExport(s, p, pc, best)
 }
 
 // sendExport performs the actual adj-RIB-out comparison and enqueue.
@@ -737,9 +736,9 @@ func (n *Network) exportToPeer(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
 // announcements — the snapshot numbers routes per distinct pointer
 // (routeIndex), so sharing would change its route table — only the
 // path.
-func (n *Network) sendExport(s *Speaker, p netutil.Prefix, pc *PeerConfig) {
-	ann, ok := n.exportRoute(s, p, pc)
-	k := ribKey{p, pc.Neighbor}
+func (n *Network) sendExport(s *Speaker, p netutil.Prefix, pc *PeerConfig, best *Route) {
+	ann, ok := n.exportRoute(s, p, pc, best)
+	k := ribKey{prefix: p, neighbor: pc.Neighbor}
 	prev := s.adjOut.Get(k)
 	var r *Route
 	switch {
@@ -797,51 +796,53 @@ const MaxTime = Time(1 << 40)
 // RunToQuiescence drains the queue completely.
 func (n *Network) RunToQuiescence() int { return n.Run(MaxTime) }
 
+// deliver serves one queued event at speaker e.to. Each fact it needs
+// is read once: the session, and the adj-RIB-in entry, which the
+// import step reads and hands back as the effective candidate before
+// and after the change.
 func (n *Network) deliver(e *event) {
 	route := n.unpark(e.route) // released on every path, dropped or not
 	s := n.speakers[e.to]
 	if s == nil {
 		return
 	}
+	pc := s.peers[e.from]
 	if e.mrai {
 		// Flush timer at the sender: re-evaluate the deferred export. A
 		// timer is not an update in flight, so it ends the batch even
 		// when the session is down; otherwise the session's next export
 		// inside the interval would find the batch still pending and
 		// schedule nothing.
-		pcOut := s.peers[e.from]
-		k := ribKey{e.prefix, e.from}
+		k := ribKey{prefix: e.prefix, neighbor: e.from}
 		if n.jr != nil {
 			n.jr.flags.save(s.mraiPending, k)
 		}
 		s.mraiPending[k] = false
-		if pcOut != nil && !pcOut.down && !s.Collector {
-			n.sendExport(s, e.prefix, pcOut)
+		if pc != nil && !pc.down && !s.Collector {
+			n.sendExport(s, e.prefix, pc, s.Best(e.prefix))
 		}
 		return
 	}
-	// Updates in flight when the session went down are lost.
-	if pcIn := s.peers[e.from]; pcIn != nil && pcIn.down && !e.rfd {
-		return
-	}
 	if e.rfd {
-		k := ribKey{e.prefix, e.from}
-		cfg := s.peers[e.from].RFD
-		if cfg != nil && s.rfdRecheck(k, cfg, n.clock) {
+		k := ribKey{prefix: e.prefix, neighbor: e.from}
+		if cfg := pc.RFD; cfg != nil && s.rfdRecheck(k, cfg, n.clock) {
 			// The suppressed route became usable: its effective
 			// candidate went from nil to the held adj-in entry.
 			n.decide(s, e.prefix, e.from, nil, s.adjIn.Get(k))
 		}
 		return
 	}
+	// Updates in flight when the session went down are lost.
+	if pc != nil && pc.down {
+		return
+	}
 
 	n.Churn.TotalMessages++
 	n.metrics.updatesDelivered.Inc()
 	if s.Collector && (n.CollectorFeedDown == nil || !n.CollectorFeedDown(s.ID, n.clock)) {
-		pcIn := s.peers[e.from]
 		var peerAS asn.AS
-		if pcIn != nil {
-			peerAS = pcIn.NeighborAS
+		if pc != nil {
+			peerAS = pc.NeighborAS
 		}
 		rec := UpdateRecord{
 			At:        n.clock,
@@ -855,16 +856,18 @@ func (n *Network) deliver(e *event) {
 		}
 		n.Churn.Records = append(n.Churn.Records, rec)
 	}
+	if pc == nil {
+		return
+	}
 
-	before := s.effectiveCandidate(e.prefix, e.from)
-	changed := s.applyImport(e.prefix, e.from, route, n.clock)
+	before, after, changed := s.applyImport(e.prefix, pc, route, n.clock)
 	if !changed {
 		return
 	}
 	// If RFD suppressed the route, schedule the reuse recheck.
-	if pcIn := s.peers[e.from]; pcIn != nil && pcIn.RFD != nil {
-		k := ribKey{e.prefix, e.from}
-		if reuse := s.rfdReuseTime(k, pcIn.RFD); reuse >= 0 {
+	if pc.RFD != nil {
+		k := ribKey{prefix: e.prefix, neighbor: e.from}
+		if reuse := s.rfdReuseTime(k, pc.RFD); reuse >= 0 {
 			n.queue.Push(vtime.Time(reuse+1), event{
 				to:     s.ID,
 				from:   e.from,
@@ -873,7 +876,7 @@ func (n *Network) deliver(e *event) {
 			})
 		}
 	}
-	n.decide(s, e.prefix, e.from, before, s.effectiveCandidate(e.prefix, e.from))
+	n.decide(s, e.prefix, e.from, before, after)
 }
 
 // NextHop returns the neighbor the speaker forwards traffic for p to,

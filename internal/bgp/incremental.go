@@ -137,7 +137,7 @@ func (n *Network) drainDirty() {
 		n.inc.DirtyEvals++
 		n.metrics.incDirtyEvals.Inc()
 		seqBefore := n.queue.Seq()
-		n.exportToPeer(s, k.prefix, pc)
+		n.exportToPeer(s, k.prefix, pc, s.Best(k.prefix))
 		if n.queue.Seq() == seqBefore {
 			// Nothing entered the event queue: the recomputed
 			// announcement matched the adj-RIB-out, so no neighbor is
@@ -156,10 +156,11 @@ func (n *Network) drainDirty() {
 func (n *Network) decide(s *Speaker, p netutil.Prefix, from RouterID, before, after *Route) {
 	n.metrics.decisionRuns.Inc()
 	n.inc.DecisionRuns++
+	var best *Route
 	var changed bool
 	switch {
 	case n.referenceScan:
-		changed = n.scanDecision(s, p)
+		best, changed = n.scanDecision(s, p)
 	case routesEqual(before, after):
 		// The effective candidate is semantically unchanged (damped
 		// flap, equal re-origination): the selection cannot move. A
@@ -168,20 +169,21 @@ func (n *Network) decide(s *Speaker, p netutil.Prefix, from RouterID, before, af
 		n.inc.NoopDecisions++
 		n.metrics.incNoop.Inc()
 	default:
-		changed = n.deltaBest(s, p, from, after)
+		best, changed = n.deltaBest(s, p, from, after)
 	}
 	if changed {
 		n.metrics.bestChanges.Inc()
 		n.inc.BestChanges++
 	}
-	n.exportAfterDecision(s, p, changed)
+	n.exportAfterDecision(s, p, best, changed)
 }
 
 // deltaBest updates the loc-RIB for a single-slot change with one
 // comparison when sound, a full scan otherwise, and reports whether the
-// loc-RIB changed. It mirrors runDecision's change-detection semantics
-// exactly (semantic equality keeps the previous pointer).
-func (n *Network) deltaBest(s *Speaker, p netutil.Prefix, from RouterID, after *Route) bool {
+// loc-RIB changed and, if it did, the route it now holds. It mirrors
+// runDecision's change-detection semantics exactly (semantic equality
+// keeps the previous pointer).
+func (n *Network) deltaBest(s *Speaker, p netutil.Prefix, from RouterID, after *Route) (*Route, bool) {
 	prev := s.locRib.Get(locKey(p))
 	if !s.medSeen[p] {
 		switch {
@@ -189,7 +191,7 @@ func (n *Network) deltaBest(s *Speaker, p netutil.Prefix, from RouterID, after *
 			if prev == nil || prev.From != from {
 				// A non-best candidate disappeared; the best stands.
 				n.fastPathHit()
-				return false
+				return nil, false
 			}
 			// The best itself disappeared: only a scan finds the
 			// runner-up.
@@ -197,7 +199,7 @@ func (n *Network) deltaBest(s *Speaker, p netutil.Prefix, from RouterID, after *
 			// First candidate wins unopposed.
 			n.fastPathHit()
 			s.locRib.Install(locKey(p), after)
-			return true
+			return after, true
 		case prev.From == from:
 			// The best route's own slot changed. If the replacement
 			// still beats the old best it beats every other candidate
@@ -206,10 +208,10 @@ func (n *Network) deltaBest(s *Speaker, p netutil.Prefix, from RouterID, after *
 			if c, _ := Compare(after, prev); c <= 0 {
 				n.fastPathHit()
 				if routesEqual(prev, after) {
-					return false
+					return nil, false
 				}
 				s.locRib.Install(locKey(p), after)
-				return true
+				return after, true
 			}
 			// The slot degraded below the old best: scan.
 		default:
@@ -220,11 +222,11 @@ func (n *Network) deltaBest(s *Speaker, p netutil.Prefix, from RouterID, after *
 			if c < 0 {
 				n.fastPathHit()
 				s.locRib.Install(locKey(p), after)
-				return true
+				return after, true
 			}
 			if c > 0 {
 				n.fastPathHit()
-				return false
+				return nil, false
 			}
 			// c == 0 is impossible for distinct From; scan defensively.
 		}
@@ -238,9 +240,11 @@ func (n *Network) fastPathHit() {
 }
 
 // scanDecision is the metered full scan: the fast path's fallback and
-// the whole of the tests' reference.
-func (n *Network) scanDecision(s *Speaker, p netutil.Prefix) bool {
+// the whole of the tests' reference. It returns what deltaBest does:
+// the scanned best, and whether the loc-RIB changed.
+func (n *Network) scanDecision(s *Speaker, p netutil.Prefix) (*Route, bool) {
 	n.inc.FullScans++
 	n.metrics.fullScans.Inc()
-	return s.runDecision(p, n.bestCandidate(s, p, nil))
+	best := n.bestCandidate(s, p, nil)
+	return best, s.runDecision(p, best)
 }

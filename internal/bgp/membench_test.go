@@ -109,7 +109,7 @@ func TestDeliveryAllocs(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			for i := 0; i < rounds; i++ {
 				k := i % len(prefixes)
-				nb := n.speakers[origins[k]].peerOrder[0]
+				nb := n.speakers[origins[k]].peerOrder[0].Neighbor
 				n.SetPrefixPrepend(origins[k], nb, prefixes[k], 1+i%3)
 				n.RunToQuiescence()
 			}

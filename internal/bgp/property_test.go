@@ -49,13 +49,13 @@ func requireExportsSettled(t *testing.T, n *Network) {
 			continue
 		}
 		for _, p := range s.exportablePrefixes() {
-			for _, nb := range s.peerOrder {
-				pc := s.peers[nb]
+			for _, pc := range s.peerOrder {
+				nb := pc.Neighbor
 				if pc.down {
 					continue
 				}
 				var want *Route
-				if ann, ok := n.exportRoute(s, p, pc); ok {
+				if ann, ok := n.exportRoute(s, p, pc, s.Best(p)); ok {
 					want = &ann
 				}
 				if got := s.AdjOut(p, nb); !announcementEqual(got, want) {

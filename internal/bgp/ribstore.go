@@ -46,6 +46,10 @@ type ribStore interface {
 	Install(k ribKey, r *Route)
 	// Withdraw removes the entry under k (a no-op when absent).
 	Withdraw(k ribKey)
+	// stored returns what Get(k) returns right after Install(k, r):
+	// r itself from the pointer-exact map store, with no lookup; the
+	// arena's boxed copy, kept in its memo for the reads to come.
+	stored(k ribKey, r *Route) *Route
 	// WalkSorted visits every entry in (prefix, neighbor) order until
 	// fn returns false.
 	WalkSorted(fn func(k ribKey, r *Route) bool)
@@ -100,6 +104,8 @@ func (st *mapStore) Withdraw(k ribKey) {
 	}
 	delete(st.m, k)
 }
+
+func (st *mapStore) stored(_ ribKey, r *Route) *Route { return r }
 
 func (st *mapStore) setJournal(j *journal) { st.jr = j }
 

@@ -149,8 +149,7 @@ func (n *Network) sizeHint(ri *routeIndex, pt *snapPaths, routeBytes int) int {
 			count(len(s.mraiPending)) + len(s.mraiPending)*9 +
 			count(len(s.medSeen)) + len(s.medSeen)*5 +
 			1 + count(len(s.peerOrder))
-		for _, nb := range s.peerOrder {
-			pc := s.peers[nb]
+		for _, pc := range s.peerOrder {
 			size += 4 + 4 + 1 + 4 + 1 + 4 + 8 + 8 + 4 + 1 + 3 + // fingerprint
 				count(pc.ExportAddCommunities.Len()) + 4*pc.ExportAddCommunities.Len() +
 				4 + 8 + 1 + count(len(pc.PrefixPrepend)) + len(pc.PrefixPrepend)*13 // speakers
@@ -329,8 +328,7 @@ func (n *Network) walkFingerprint(yield func(chunk []byte) bool) {
 		e.String(s.Name)
 		e.Bool(s.Collector)
 		e.Uvarint(uint64(len(s.peerOrder)))
-		for _, nb := range s.peerOrder {
-			pc := s.peers[nb]
+		for _, pc := range s.peerOrder {
 			e.U32(uint32(pc.Neighbor))
 			e.U32(uint32(pc.NeighborAS))
 			e.U8(uint8(pc.ClassifyAs))
@@ -876,9 +874,8 @@ func (n *Network) encodeSpeakers(e *snap.Enc, ri *routeIndex) {
 		e.Uvarint(0) // reserved, see FORMAT.md: the removed decision cache's entry list
 
 		e.Uvarint(uint64(len(s.peerOrder)))
-		for _, nb := range s.peerOrder {
-			pc := s.peers[nb]
-			e.U32(uint32(nb))
+		for _, pc := range s.peerOrder {
+			e.U32(uint32(pc.Neighbor))
 			e.I64(int64(pc.ExportPrepend))
 			e.Bool(pc.down)
 			pfx = pfx[:0]

@@ -160,12 +160,12 @@ func TestRestoreEquivalenceMidFlight(t *testing.T) {
 
 	// The scenario must actually be mid-flight, or the test is vacuous.
 	transit := orig.Speaker(2)
-	k := ribKey{p, RouterID(1)}
+	k := ribKey{prefix: p, neighbor: 1}
 	if st := transit.rfd[k]; st == nil || st.penalty <= 0 {
 		t.Fatal("scenario did not accumulate RFD penalty at the transit speaker")
 	}
 	origin := orig.Speaker(1)
-	if !origin.mraiPending[ribKey{p, RouterID(2)}] {
+	if !origin.mraiPending[ribKey{prefix: p, neighbor: 2}] {
 		t.Fatal("scenario did not leave an MRAI flush pending")
 	}
 	if orig.queue.Len() == 0 {

@@ -10,10 +10,15 @@ import (
 	"repro/internal/netutil"
 )
 
-// ribKey indexes per-(prefix, neighbor) state: 16 pointer-free bytes.
+// ribKey indexes per-(prefix, neighbor) state: 16 pointer-free bytes
+// with no padding, so Go hashes and compares a key as one memory block
+// rather than field by field. The alignment of prefix would otherwise
+// leave four padding bytes after neighbor; pad fills them and is
+// always zero.
 type ribKey struct {
 	prefix   netutil.Prefix
 	neighbor RouterID
+	pad      uint32
 }
 
 // compare orders keys by (prefix, neighbor), prefix order per
@@ -48,7 +53,7 @@ type Speaker struct {
 	Collector bool
 
 	peers     map[RouterID]*PeerConfig
-	peerOrder []RouterID // deterministic export order
+	peerOrder []*PeerConfig // the sessions by neighbor ID: the export order
 
 	// The three RIBs sit behind the ribStore interface (ribstore.go):
 	// the map layout by default, the arena layout under
@@ -108,7 +113,9 @@ func (s *Speaker) Peer(id RouterID) *PeerConfig { return s.peers[id] }
 // Peers returns neighbor IDs in deterministic order.
 func (s *Speaker) Peers() []RouterID {
 	out := make([]RouterID, len(s.peerOrder))
-	copy(out, s.peerOrder)
+	for i, pc := range s.peerOrder {
+		out[i] = pc.Neighbor
+	}
 	return out
 }
 
@@ -117,8 +124,8 @@ func (s *Speaker) addPeer(pc *PeerConfig) {
 		panic(fmt.Sprintf("bgp: speaker %d already peers with %d", s.ID, pc.Neighbor))
 	}
 	s.peers[pc.Neighbor] = pc
-	s.peerOrder = append(s.peerOrder, pc.Neighbor)
-	sort.Slice(s.peerOrder, func(i, j int) bool { return s.peerOrder[i] < s.peerOrder[j] })
+	s.peerOrder = append(s.peerOrder, pc)
+	sort.Slice(s.peerOrder, func(i, j int) bool { return s.peerOrder[i].Neighbor < s.peerOrder[j].Neighbor })
 }
 
 // Best returns the speaker's current loc-RIB route for prefix p.
@@ -134,14 +141,14 @@ func (s *Speaker) WalkBest(fn func(*Route) bool) {
 // AdjIn returns the route currently held from the given neighbor for
 // prefix p, or nil. Suppressed (damped) routes are still visible here.
 func (s *Speaker) AdjIn(p netutil.Prefix, neighbor RouterID) *Route {
-	return s.adjIn.Get(ribKey{p, neighbor})
+	return s.adjIn.Get(ribKey{prefix: p, neighbor: neighbor})
 }
 
 // AdjInAll returns all adj-RIB-in routes for p in neighbor order.
 func (s *Speaker) AdjInAll(p netutil.Prefix) []*Route {
 	var out []*Route
-	for _, nb := range s.peerOrder {
-		if r := s.adjIn.Get(ribKey{p, nb}); r != nil {
+	for _, pc := range s.peerOrder {
+		if r := s.adjIn.Get(ribKey{prefix: p, neighbor: pc.Neighbor}); r != nil {
 			out = append(out, r)
 		}
 	}
@@ -150,7 +157,7 @@ func (s *Speaker) AdjInAll(p netutil.Prefix) []*Route {
 
 // AdjOut returns what the speaker last announced to neighbor for p.
 func (s *Speaker) AdjOut(p netutil.Prefix, neighbor RouterID) *Route {
-	return s.adjOut.Get(ribKey{p, neighbor})
+	return s.adjOut.Get(ribKey{prefix: p, neighbor: neighbor})
 }
 
 // candidateSet appends to buf the decision-process inputs for p that
@@ -160,9 +167,9 @@ func (s *Speaker) candidateSet(p netutil.Prefix, admit func(*Route) bool, buf []
 	if o, ok := s.originated[p]; ok && (admit == nil || admit(o.route)) {
 		buf = append(buf, o.route)
 	}
-	for _, nb := range s.peerOrder {
-		k := ribKey{p, nb}
-		if r := s.adjIn.Get(k); r != nil && !s.suppressed[k] && (admit == nil || admit(r)) {
+	for _, pc := range s.peerOrder {
+		k := ribKey{prefix: p, neighbor: pc.Neighbor}
+		if r := s.adjIn.Get(k); r != nil && !s.damped(k) && (admit == nil || admit(r)) {
 			buf = append(buf, r)
 		}
 	}
@@ -182,12 +189,18 @@ func (n *Network) bestCandidate(s *Speaker, p netutil.Prefix, admit func(*Route)
 // effectiveCandidate returns the route neighbor nb currently
 // contributes to p's decision: nil when absent or damped.
 func (s *Speaker) effectiveCandidate(p netutil.Prefix, nb RouterID) *Route {
-	k := ribKey{p, nb}
-	if s.suppressed[k] {
+	k := ribKey{prefix: p, neighbor: nb}
+	if s.damped(k) {
 		return nil
 	}
 	return s.adjIn.Get(k)
 }
+
+// damped reports whether route-flap damping holds back the route under
+// k. The suppressed set holds only true entries, so a speaker with no
+// route damped right now — every speaker without RFD among them —
+// skips the lookup.
+func (s *Speaker) damped(k ribKey) bool { return len(s.suppressed) != 0 && s.suppressed[k] }
 
 // runDecision completes a full-scan decision for p: best is the winner
 // of the scan over every candidate (Network.bestCandidate). It reports
@@ -222,20 +235,19 @@ func routesEqual(a, b *Route) bool {
 }
 
 // exportRoute computes the announcement s would send the neighbor
-// described by pc; ok is false if policy withholds the prefix. It only
-// selects the source route; whether and how that route is announced is
-// the one export policy the static solver also applies (static.go). The
-// announcement is a value, so comparing it with what the session last
-// carried costs nothing on the heap (sendExport), and its path is the
-// one every session of the fan-out shares (exportPath).
-func (n *Network) exportRoute(s *Speaker, p netutil.Prefix, pc *PeerConfig) (ann Route, ok bool) {
-	var src *Route
+// described by pc; ok is false if policy withholds the prefix. best is
+// s's loc-RIB route for p. It only selects the source route;
+// whether and how that route is announced is the one export policy the
+// static solver also applies (static.go). The announcement is a value,
+// so comparing it with what the session last carried costs nothing on
+// the heap (sendExport), and its path is the one every session of the
+// fan-out shares (exportPath).
+func (n *Network) exportRoute(s *Speaker, p netutil.Prefix, pc *PeerConfig, best *Route) (ann Route, ok bool) {
+	src := best
 	if pc.ExportBestOf != nil {
 		// VRF-style export: best among matching adj-RIB-in routes and
 		// matching originations, ignoring the loc-RIB choice.
 		src = n.bestCandidate(s, p, pc.ExportBestOf)
-	} else {
-		src = s.locRib.Get(locKey(p))
 	}
 	if src == nil || !exportAdmits(src, pc) {
 		return Route{}, false
@@ -278,17 +290,19 @@ func communitiesEqual(a, b CommunitySet) bool {
 	return true
 }
 
-// applyImport installs (or removes, when r is nil) a route from
-// neighbor nb at virtual time now, applying import policy and RFD.
-// It returns true if the adj-RIB-in (or suppression state) changed in
-// a way that requires a decision run.
-func (s *Speaker) applyImport(p netutil.Prefix, nb RouterID, r *Route, now Time) bool {
-	pc := s.peers[nb]
-	if pc == nil {
-		return false
-	}
-	k := ribKey{p, nb}
+// applyImport installs (or removes, when r is nil) a route received
+// over the session pc at virtual time now, applying import policy and
+// RFD. changed reports whether the adj-RIB-in (or suppression state)
+// changed in a way that requires a decision run; before and after are
+// the session's effective candidate for p (nil when absent or damped)
+// around the change, both derived from the one read of the adj-RIB-in
+// entry.
+func (s *Speaker) applyImport(p netutil.Prefix, pc *PeerConfig, r *Route, now Time) (before, after *Route, changed bool) {
+	k := ribKey{prefix: p, neighbor: pc.Neighbor}
 	prev := s.adjIn.Get(k)
+	if before = prev; before != nil && s.damped(k) {
+		before = nil
+	}
 
 	// Import filtering and receiver-side loop detection turn an
 	// announcement into an effective withdrawal.
@@ -308,13 +322,13 @@ func (s *Speaker) applyImport(p netutil.Prefix, nb RouterID, r *Route, now Time)
 
 	if r == nil {
 		if prev == nil {
-			return false
+			return before, before, false
 		}
 		s.adjIn.Withdraw(k)
 		if pc.RFD != nil {
 			s.rfdFlap(k, pc.RFD, now)
 		}
-		return true
+		return before, nil, true
 	}
 
 	// Built as a value: a duplicate never reaches the heap.
@@ -325,7 +339,7 @@ func (s *Speaker) applyImport(p netutil.Prefix, nb RouterID, r *Route, now Time)
 		MED:         r.MED,
 		LocalPref:   pc.localPref(),
 		Class:       pc.ClassifyAs,
-		From:        nb,
+		From:        pc.Neighbor,
 		FromAS:      pc.NeighborAS,
 		EBGP:        true,
 		IGPCost:     pc.IGPCost,
@@ -335,7 +349,7 @@ func (s *Speaker) applyImport(p netutil.Prefix, nb RouterID, r *Route, now Time)
 	if prev != nil && routesEqual(prev, &in) {
 		// Duplicate announcement: no flap, no age reset needed for our
 		// model (the route version is unchanged).
-		return false
+		return before, before, false
 	}
 	installed := new(Route)
 	*installed = in
@@ -348,9 +362,11 @@ func (s *Speaker) applyImport(p netutil.Prefix, nb RouterID, r *Route, now Time)
 	}
 	if pc.RFD != nil {
 		s.rfdFlap(k, pc.RFD, now)
-		return true
 	}
-	return true
+	if s.damped(k) {
+		return before, nil, true
+	}
+	return before, s.adjIn.stored(k, installed), true
 }
 
 func (s *Speaker) rfdFlap(k ribKey, cfg *RFDConfig, now Time) {

@@ -57,17 +57,16 @@ func (n *Network) solverIdx() *solverIndex {
 	}
 	for id, s := range n.speakers {
 		edges := make([]solverEdge, 0, len(s.peerOrder))
-		for _, nbID := range s.peerOrder {
-			nb := n.speakers[nbID]
+		for _, pcAtS := range s.peerOrder {
+			nb := n.speakers[pcAtS.Neighbor]
 			if nb == nil || nb.Collector {
 				continue
 			}
 			pcAtNb := nb.peers[id]
-			pcAtS := s.peers[nbID]
-			if pcAtNb == nil || pcAtS == nil {
+			if pcAtNb == nil {
 				continue
 			}
-			edges = append(edges, solverEdge{nbID: nbID, nb: nb, pcAtNb: pcAtNb, pcAtS: pcAtS})
+			edges = append(edges, solverEdge{nbID: pcAtS.Neighbor, nb: nb, pcAtNb: pcAtNb, pcAtS: pcAtS})
 		}
 		idx.adj[id] = edges
 	}

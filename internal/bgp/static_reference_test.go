@@ -290,7 +290,8 @@ func diffSolverReference(n *Network, sv *StaticSolver, p netutil.Prefix, origins
 		if g, w := got.Best(id), want.Best[id]; !reflect.DeepEqual(g, w) {
 			return fmt.Errorf("speaker %d best: %+v, reference %+v", id, g, w)
 		}
-		for _, to := range n.speakers[id].peerOrder {
+		for _, pc := range n.speakers[id].peerOrder {
+			to := pc.Neighbor
 			if g, w := n.ExportView(got, id, to), n.referenceExportView(want, id, to); !reflect.DeepEqual(g, w) {
 				return fmt.Errorf("export view %d -> %d: %+v, reference %+v", id, to, g, w)
 			}
@@ -312,8 +313,7 @@ func sprinklePolicy(rng *rand.Rand, net *Network, prepended netutil.Prefix) {
 			maxLen := 3 + rng.Intn(3)
 			net.SetImportDeny(id, func(r *Route) bool { return r.Path.Len() > maxLen })
 		}
-		for _, nb := range s.peerOrder {
-			pc := s.peers[nb]
+		for _, pc := range s.peerOrder {
 			switch rng.Intn(14) {
 			case 0:
 				avoid := asn.AS(1001 + rng.Intn(len(net.order)))

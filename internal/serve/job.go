@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"path/filepath"
+	"time"
 
 	"repro/internal/cliconf"
 	"repro/internal/core"
@@ -56,7 +58,9 @@ type JobSpec struct {
 	// Options configures the pipeline (fields as the CLI flags).
 	Options cliconf.JobOptions `json:"options"`
 	// TimeoutSeconds, when positive, deadlines the job; on expiry it
-	// stops at the next round boundary and is marked failed.
+	// stops at the next round boundary and is marked failed. Nonzero
+	// values must convert to a positive time.Duration (see
+	// checkTimeout).
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 
 	kind jobKind
@@ -97,10 +101,32 @@ func (sp *JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("unknown job kind %q: want \"survey\", \"sweep\", \"workload\", \"scenario\", or \"optimize\"", sp.Kind)
 	}
-	if sp.TimeoutSeconds < 0 {
-		return fmt.Errorf("timeout_seconds %v out of range: want >= 0", sp.TimeoutSeconds)
+	if err := checkTimeout(sp.TimeoutSeconds); err != nil {
+		return err
 	}
 	return sp.Options.Validate()
+}
+
+// checkTimeout accepts 0 (no deadline) and any number of seconds that
+// converts to a positive time.Duration: from one nanosecond to about
+// 292 years. NaN, infinities, negative values and values outside that
+// range are rejected; converted, the large ones overflow to a negative
+// duration, a deadline that has already passed.
+func checkTimeout(sec float64) error {
+	if sec == 0 {
+		return nil
+	}
+	if ns := sec * float64(time.Second); !(ns >= 1 && ns < math.MaxInt64) {
+		return fmt.Errorf("timeout_seconds %v out of range: want 0 (none) or 1e-9 to %.4g",
+			sec, math.MaxInt64/float64(time.Second))
+	}
+	return nil
+}
+
+// timeout is the job's deadline as a duration, 0 for none. Positive
+// for every TimeoutSeconds checkTimeout accepts other than 0.
+func (sp *JobSpec) timeout() time.Duration {
+	return time.Duration(sp.TimeoutSeconds * float64(time.Second))
 }
 
 // Job is one submitted job. All mutable fields are guarded by the

@@ -111,6 +111,9 @@ func decodeJob(data []byte) (*jobRecord, error) {
 	if r.Spec.kind >= numJobKinds {
 		return nil, fmt.Errorf("%w: job kind %d", snap.ErrCorrupt, r.Spec.kind)
 	}
+	if err := checkTimeout(r.Spec.TimeoutSeconds); err != nil {
+		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
+	}
 	r.Spec.Kind = r.Spec.kind.String()
 
 	d = snap.NewDec(secs[1].Payload)

@@ -254,9 +254,8 @@ func (s *Server) dispatch(ctx context.Context, j *Job) ([]byte, error) {
 func (s *Server) execute(j *Job) {
 	defer s.wg.Done()
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	if j.Spec.TimeoutSeconds > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx,
-			time.Duration(j.Spec.TimeoutSeconds*float64(time.Second)))
+	if d := j.Spec.timeout(); d > 0 {
+		ctx, cancel = context.WithTimeout(s.baseCtx, d)
 	}
 	defer cancel()
 

@@ -270,6 +270,8 @@ func TestSubmitValidation(t *testing.T) {
 		`{"options": {"faults": 2}}`,           // cliconf range check
 		`{"options": {"workers": -1}}`,         // cliconf range check
 		`{"timeout_seconds": -1}`,              // negative deadline
+		`{"timeout_seconds": 1e10}`,            // overflows time.Duration
+		`{"timeout_seconds": 1e-12}`,           // rounds to no time at all
 		`{"options": {"unknown_field": true}}`, // strict decoding
 		`not json`,
 	} {

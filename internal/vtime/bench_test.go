@@ -7,7 +7,7 @@ import (
 
 // BenchmarkEventEngine measures the raw dispatch loop: a population of
 // self-rescheduling handlers (each with its own deterministic stride)
-// churning through the heap until a fixed horizon. Beyond ns/op it
+// churning through the queue until a fixed horizon. Beyond ns/op it
 // reports sustained events/s and the p99 queue depth observed across
 // dispatches — the two numbers that bound how large a workload the
 // virtual clock can carry.

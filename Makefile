@@ -73,9 +73,9 @@ fuzz:
 # decision path's differential harness), the snapshot container (every
 # checkpoint rides on its integrity checks), the event engine, the
 # workload generators, origin validation, the fault injector, the
-# search harness, the survey pipeline with its analysis pass, and the
-# job service. CI runs this target.
-COVER_FLOORS := bgp:80 snapshot:85 vtime:80 workload:80 rpki:85 faults:80 optimize:80 core:75 serve:80
+# search harness, the survey pipeline with its analysis pass, the job
+# service, and the commands' shared flag set. CI runs this target.
+COVER_FLOORS := bgp:80 snapshot:85 vtime:80 workload:80 rpki:85 faults:80 optimize:80 core:75 serve:80 cliconf:94
 
 cover:
 	@set -e; for pf in $(COVER_FLOORS); do \

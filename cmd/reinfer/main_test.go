@@ -75,7 +75,7 @@ func TestRunCompareEndToEnd(t *testing.T) {
 func TestRunFiles(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFixture(t, dir, "one.json", false)
-	if err := run(cliconf.Config{JobOptions: cliconf.JobOptions{Workers: 2}}, []string{path}); err != nil {
+	if err := run(cliconf.Config{JobOptions: core.JobOptions{Workers: 2}}, []string{path}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(cliconf.Config{}, []string{filepath.Join(dir, "nope.json")}); err == nil {

@@ -48,7 +48,7 @@ import (
 func main() {
 	// Like reprobe, reoptimize defaults to the reduced-scale ecosystem:
 	// a search multiplies world evaluations, so full scale is opt-in.
-	cfg := cliconf.Config{JobOptions: cliconf.JobOptions{Small: true, Seed: 1, Budget: 32}}
+	cfg := cliconf.Config{JobOptions: core.JobOptions{Small: true, Seed: 1, Budget: 32}}
 	cliconf.Register(flag.CommandLine, &cfg,
 		cliconf.FlagSmall|cliconf.FlagSeed|cliconf.FlagWorkers|
 			cliconf.FlagObservability|cliconf.FlagOptimize|cliconf.FlagSnapshot)

@@ -8,13 +8,14 @@ import (
 	"testing"
 
 	"repro/internal/cliconf"
+	"repro/internal/core"
 )
 
 // searchConfig is `-small -objective catchment:re=0.3 -strategy evolve
 // -budget 8`: two generations of four candidates, a few dozen
 // milliseconds.
 func searchConfig() cliconf.Config {
-	return cliconf.Config{JobOptions: cliconf.JobOptions{Small: true, Seed: 1, Budget: 8, Objective: "catchment:re=0.3", Strategy: "evolve"}}
+	return cliconf.Config{JobOptions: core.JobOptions{Small: true, Seed: 1, Budget: 8, Objective: "catchment:re=0.3", Strategy: "evolve"}}
 }
 
 func runOut(t *testing.T, cfg cliconf.Config) string {

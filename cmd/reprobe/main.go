@@ -25,7 +25,7 @@ import (
 func main() {
 	// reprobe historically defaults to the reduced-scale ecosystem —
 	// the Config value at Register time is the flag default.
-	cfg := cliconf.Config{JobOptions: cliconf.JobOptions{Small: true, Seed: 1}}
+	cfg := cliconf.Config{JobOptions: core.JobOptions{Small: true, Seed: 1}}
 	cliconf.Register(flag.CommandLine, &cfg, cliconf.FlagSmall|cliconf.FlagSeed|cliconf.FlagWorkers)
 	configLabel := flag.String("config", "0-0", "prepend configuration (e.g. 4-0, 0-2)")
 	experiment := flag.String("experiment", "internet2", "which R&E origin announces: internet2 or surf")

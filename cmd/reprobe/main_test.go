@@ -5,6 +5,7 @@ import (
 
 	"path/filepath"
 	"repro/internal/cliconf"
+	"repro/internal/core"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func TestRunProducesJSON(t *testing.T) {
 	}
 	old := os.Stdout
 	os.Stdout = f
-	err = run(cliconf.Config{JobOptions: cliconf.JobOptions{Small: true, Seed: 1, Workers: 2}}, "0-2", "internet2")
+	err = run(cliconf.Config{JobOptions: core.JobOptions{Small: true, Seed: 1, Workers: 2}}, "0-2", "internet2")
 	os.Stdout = old
 	f.Close()
 	if err != nil {
@@ -38,10 +39,10 @@ func TestRunProducesJSON(t *testing.T) {
 }
 
 func TestRunRejectsBadArgs(t *testing.T) {
-	if err := run(cliconf.Config{JobOptions: cliconf.JobOptions{Small: true, Seed: 1}}, "9-9", "internet2"); err == nil {
+	if err := run(cliconf.Config{JobOptions: core.JobOptions{Small: true, Seed: 1}}, "9-9", "internet2"); err == nil {
 		t.Error("bad config accepted")
 	}
-	if err := run(cliconf.Config{JobOptions: cliconf.JobOptions{Small: true, Seed: 1}}, "0-0", "marsnet"); err == nil {
+	if err := run(cliconf.Config{JobOptions: core.JobOptions{Small: true, Seed: 1}}, "0-0", "marsnet"); err == nil {
 		t.Error("bad experiment accepted")
 	}
 }

@@ -81,7 +81,7 @@ type options struct {
 }
 
 func main() {
-	o := options{Config: cliconf.Config{JobOptions: cliconf.JobOptions{Seed: 1}}}
+	o := options{Config: cliconf.Config{JobOptions: core.JobOptions{Seed: 1}}}
 	cliconf.Register(flag.CommandLine, &o.Config, cliconf.FlagAll|cliconf.FlagSnapshot|cliconf.FlagWorkload|cliconf.FlagScenario)
 	flag.StringVar(&o.JSONDir, "json", "", "directory for scamper-style probe JSON")
 	flag.StringVar(&o.MRTDir, "mrt", "", "directory for MRT collector dumps")
@@ -102,7 +102,10 @@ func main() {
 	}
 }
 
-// validate rejects flag combinations the pipeline cannot honour.
+// validate rejects flag combinations the pipeline cannot honour: the
+// shared checks of cliconf.Config.Validate, which allow one run mode,
+// plus resurvey's own flags (-seeds, -json, -mrt and -dataset only the
+// survey script reads, -trace only a replay).
 func (o options) validate() error {
 	if err := o.Config.Validate(); err != nil {
 		return err
@@ -110,27 +113,19 @@ func (o options) validate() error {
 	if o.NSeeds < 1 {
 		return fmt.Errorf("-seeds %d out of range: want >= 1", o.NSeeds)
 	}
-	if o.Workload != "" {
+	if mode := o.Mode(); mode != core.ModeSurvey {
 		if o.SnapshotDir != "" || o.Resume {
-			return fmt.Errorf("-workload does not support -snapshot-dir/-resume")
+			return fmt.Errorf("-%s does not support -snapshot-dir/-resume", mode)
 		}
-		if o.Faults > 0 || o.NSeeds > 1 || o.JSONDir != "" || o.MRTDir != "" || o.Dataset != "" {
-			return fmt.Errorf("-workload replaces the survey script; drop -faults/-seeds/-json/-mrt/-dataset")
+		if o.NSeeds > 1 || o.JSONDir != "" || o.MRTDir != "" || o.Dataset != "" {
+			return fmt.Errorf("-%s replaces the survey script; drop -seeds/-json/-mrt/-dataset", mode)
 		}
-		if o.Workload == "replay" && o.Trace == "" {
-			return fmt.Errorf("-workload replay requires -trace")
-		}
+	}
+	if o.Workload == "replay" && o.Trace == "" {
+		return fmt.Errorf("-workload replay requires -trace")
 	}
 	if o.Trace != "" && o.Workload != "replay" {
 		return fmt.Errorf("-trace requires -workload replay")
-	}
-	if o.Scenario != "" {
-		if o.SnapshotDir != "" || o.Resume {
-			return fmt.Errorf("-scenario does not support -snapshot-dir/-resume")
-		}
-		if o.Faults > 0 || o.NSeeds > 1 || o.JSONDir != "" || o.MRTDir != "" || o.Dataset != "" {
-			return fmt.Errorf("-scenario replaces the survey script; drop -faults/-seeds/-json/-mrt/-dataset")
-		}
 	}
 	return nil
 }
@@ -156,10 +151,10 @@ func run(w io.Writer, o options) error {
 		fmt.Fprintf(w, "pprof listening on http://%s/debug/pprof/\n", o.PProf)
 	}
 
-	if o.Workload != "" {
+	switch o.Mode() {
+	case core.ModeWorkload:
 		return runWorkload(w, o, reg)
-	}
-	if o.Scenario != "" {
+	case core.ModeScenario:
 		return runScenario(w, o, reg)
 	}
 

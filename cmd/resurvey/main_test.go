@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cliconf"
@@ -20,19 +21,50 @@ import (
 // intensities with a usage error before any work starts.
 func TestFaultsFlagValidation(t *testing.T) {
 	for _, bad := range []float64{-0.1, 1.01, 5, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		o := options{NSeeds: 1, Config: cliconf.Config{JobOptions: cliconf.JobOptions{Faults: bad}}}
+		o := options{NSeeds: 1, Config: cliconf.Config{JobOptions: core.JobOptions{Faults: bad}}}
 		if err := o.validate(); err == nil {
 			t.Errorf("-faults %v accepted, want usage error", bad)
 		}
 	}
 	for _, good := range []float64{0, 0.1, 0.5, 1} {
-		o := options{NSeeds: 1, Config: cliconf.Config{JobOptions: cliconf.JobOptions{Faults: good}}}
+		o := options{NSeeds: 1, Config: cliconf.Config{JobOptions: core.JobOptions{Faults: good}}}
 		if err := o.validate(); err != nil {
 			t.Errorf("-faults %v rejected: %v", good, err)
 		}
 	}
 	if err := (options{NSeeds: 0}).validate(); err == nil {
 		t.Error("-seeds 0 accepted, want usage error")
+	}
+}
+
+// TestRunModeFlagValidation: one run mode per invocation, and the
+// survey script's own flags only on the survey.
+func TestRunModeFlagValidation(t *testing.T) {
+	storm := core.JobOptions{Workload: "update-storm"}
+	for _, tc := range []struct {
+		o    options
+		want string
+	}{
+		{options{NSeeds: 1, Config: cliconf.Config{JobOptions: core.JobOptions{Workload: "update-storm", Faults: 0.5}}},
+			"-faults conflicts with -workload"},
+		{options{NSeeds: 1, Config: cliconf.Config{JobOptions: core.JobOptions{Scenario: "leak", Faults: 0.5}}},
+			"-faults conflicts with -scenario"},
+		{options{NSeeds: 2, Config: cliconf.Config{JobOptions: storm}}, "-workload replaces the survey script"},
+		{options{NSeeds: 1, JSONDir: "out", Config: cliconf.Config{JobOptions: core.JobOptions{Scenario: "hijack"}}},
+			"-scenario replaces the survey script"},
+		{options{NSeeds: 1, Config: cliconf.Config{JobOptions: storm, SnapshotDir: "ck"}},
+			"-workload does not support -snapshot-dir/-resume"},
+		{options{NSeeds: 1, Config: cliconf.Config{JobOptions: core.JobOptions{Workload: "replay"}}},
+			"-workload replay requires -trace"},
+		{options{NSeeds: 1, Trace: "u.mrt", Config: cliconf.Config{JobOptions: storm}},
+			"-trace requires -workload replay"},
+	} {
+		if err := tc.o.validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("validate(%+v) = %v, want %q", tc.o, err, tc.want)
+		}
+	}
+	if err := (options{NSeeds: 1, Trace: "u.mrt", Config: cliconf.Config{JobOptions: core.JobOptions{Workload: "replay"}}}).validate(); err != nil {
+		t.Errorf("-workload replay -trace rejected: %v", err)
 	}
 }
 
@@ -67,7 +99,7 @@ func TestManifestGolden(t *testing.T) {
 		o := options{
 			NSeeds: 1,
 			Config: cliconf.Config{
-				JobOptions: cliconf.JobOptions{Small: true, Seed: 1, Faults: 0.5},
+				JobOptions: core.JobOptions{Small: true, Seed: 1, Faults: 0.5},
 				Manifest:   p,
 				ZeroTime:   true,
 			},
@@ -235,7 +267,7 @@ func TestSmallSeed1Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := run(&got, options{NSeeds: 1, Config: cliconf.Config{JobOptions: cliconf.JobOptions{Small: true, Seed: 1}}}); err != nil {
+	if err := run(&got, options{NSeeds: 1, Config: cliconf.Config{JobOptions: core.JobOptions{Small: true, Seed: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
@@ -268,7 +300,7 @@ func TestWorkersDeterminismMatrix(t *testing.T) {
 		o := options{
 			NSeeds: 1,
 			Config: cliconf.Config{
-				JobOptions: cliconf.JobOptions{Small: true, Seed: 1, Workers: n, Faults: 0.5},
+				JobOptions: core.JobOptions{Small: true, Seed: 1, Workers: n, Faults: 0.5},
 				Manifest:   p,
 				ZeroTime:   true,
 			},

@@ -20,7 +20,7 @@ func resumeOptions(snapshotDir, manifest, mrtDir string, resume bool, workers in
 		NSeeds: 1,
 		MRTDir: mrtDir,
 		Config: cliconf.Config{
-			JobOptions:  cliconf.JobOptions{Small: true, Seed: 1, Workers: workers},
+			JobOptions:  core.JobOptions{Small: true, Seed: 1, Workers: workers},
 			Manifest:    manifest,
 			ZeroTime:    true,
 			SnapshotDir: snapshotDir,

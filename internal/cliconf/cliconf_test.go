@@ -1,17 +1,24 @@
 package cliconf
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/serve"
+	"repro/internal/telemetry"
 )
 
 func TestRegisterKeepsFieldDefaults(t *testing.T) {
 	// Commands seed the Config with their historical defaults before
 	// Register; parsing no flags must leave those values intact.
-	c := Config{JobOptions: JobOptions{Small: true, Seed: 7}}
+	c := Config{JobOptions: core.JobOptions{Small: true, Seed: 7}}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	Register(fs, &c, FlagAll)
 	if err := fs.Parse(nil); err != nil {
@@ -33,7 +40,7 @@ func TestRegisterParsesSharedFlags(t *testing.T) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	want := Config{JobOptions: JobOptions{Small: true, Seed: 42, Workers: 8, Faults: 0.5}, Manifest: "m.json", Metrics: true, ZeroTime: true}
+	want := Config{JobOptions: core.JobOptions{Small: true, Seed: 42, Workers: 8, Faults: 0.5}, Manifest: "m.json", Metrics: true, ZeroTime: true}
 	if c != want {
 		t.Errorf("parsed %+v, want %+v", c, want)
 	}
@@ -55,7 +62,7 @@ func TestRegisterBindsJobOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Config{
-		JobOptions: JobOptions{Workload: "hijack-flash", DurationSeconds: 60, RoundMode: true,
+		JobOptions: core.JobOptions{Workload: "hijack-flash", DurationSeconds: 60, RoundMode: true,
 			Scenario: "leak", ROV: 0.25},
 		SnapshotDir: "ck",
 		Resume:      true,
@@ -89,7 +96,7 @@ func TestRegisterSubsets(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	for _, bad := range []JobOptions{
+	for _, bad := range []core.JobOptions{
 		{Faults: -0.1},
 		{Faults: 1.5},
 		{Faults: math.NaN()},
@@ -102,7 +109,7 @@ func TestValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) accepted", bad)
 		}
 	}
-	for _, good := range []JobOptions{
+	for _, good := range []core.JobOptions{
 		{},
 		{Faults: 0.5, Workers: 8},
 		{Faults: 1},
@@ -113,27 +120,40 @@ func TestValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) rejected: %v", good, err)
 		}
 	}
+	if err := (Config{Resume: true}).Validate(); err == nil {
+		t.Error("-resume without -snapshot-dir accepted")
+	}
 }
 
-// TestJobValidationParity pins the CLI/server contract: a Config and
-// the JobOptions it embeds accept and reject identically (with the same
+// TestJobValidationParity pins the CLI/server contract: a Config, the
+// core.JobOptions it embeds, and a resurveyd submission of the kind
+// the options run accept and reject identically (with the same
 // message), so a job submission resurveyd rejects is exactly one the
 // flags would reject.
 func TestJobValidationParity(t *testing.T) {
-	for _, j := range []JobOptions{
+	for _, j := range []core.JobOptions{
 		{},
 		{Faults: -0.1},
 		{Faults: 1.5},
 		{Faults: math.NaN()},
 		{Workers: -1},
 		{Small: true, Seed: 7, Workers: 8, Faults: 0.5},
+		// One run mode: the fault sweep conflicts with the other three.
+		{Faults: 0.5, Workload: "update-storm"},
+		{Faults: 0.5, Scenario: "hijack"},
+		{Faults: 0.5, Objective: "catchment:re=0.4"},
 	} {
 		c := Config{JobOptions: j}
-		cfgErr, jobErr := c.Validate(), j.Validate()
-		if (cfgErr == nil) != (jobErr == nil) {
-			t.Errorf("Config(%+v): Validate=%v but JobOptions.Validate=%v", c, cfgErr, jobErr)
-		} else if cfgErr != nil && cfgErr.Error() != jobErr.Error() {
-			t.Errorf("Config(%+v): messages diverge: %q vs %q", c, cfgErr, jobErr)
+		kind := j.Mode().String()
+		if j.Mode() == core.ModeSurvey && j.Faults > 0 {
+			kind = "sweep"
+		}
+		spec := serve.JobSpec{Kind: kind, Options: j}
+		cfgErr, jobErr, specErr := c.Validate(), j.Validate(), spec.Validate()
+		if (cfgErr == nil) != (jobErr == nil) || (jobErr == nil) != (specErr == nil) {
+			t.Errorf("%+v: Config.Validate=%v, JobOptions.Validate=%v, JobSpec.Validate=%v", j, cfgErr, jobErr, specErr)
+		} else if cfgErr != nil && (cfgErr.Error() != jobErr.Error() || specErr.Error() != jobErr.Error()) {
+			t.Errorf("%+v: messages diverge: %q, %q, %q", j, cfgErr, jobErr, specErr)
 		}
 	}
 }
@@ -149,7 +169,7 @@ func checkSweepWiring(t *testing.T, pl *core.Pipeline, seed int64, workers int, 
 }
 
 func TestJobPipelineWiring(t *testing.T) {
-	j := JobOptions{Small: true, Seed: 5, Workers: 3, Faults: 0.25}
+	j := core.JobOptions{Small: true, Seed: 5, Workers: 3, Faults: 0.25}
 	checkSweepWiring(t, j.Pipeline(nil), 5, 3, 0.25)
 }
 
@@ -166,22 +186,22 @@ func TestScaleFlag(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Errorf("-scale internet rejected: %v", err)
 	}
-	if err := (JobOptions{Scale: "planet"}).Validate(); err == nil {
+	if err := (core.JobOptions{Scale: "planet"}).Validate(); err == nil {
 		t.Error("-scale planet accepted")
 	}
-	if err := (JobOptions{Small: true, Scale: "paper"}).Validate(); err == nil {
+	if err := (core.JobOptions{Small: true, Scale: "paper"}).Validate(); err == nil {
 		t.Error("-small with -scale paper accepted")
 	}
-	if err := (JobOptions{Small: true, Scale: "small"}).Validate(); err != nil {
+	if err := (core.JobOptions{Small: true, Scale: "small"}).Validate(); err != nil {
 		t.Errorf("-small with agreeing -scale small rejected: %v", err)
 	}
 	// The tier must reach the pipeline's topology configuration and
 	// override -small.
-	pl := JobOptions{Scale: "paper"}.Pipeline(nil)
+	pl := core.JobOptions{Scale: "paper"}.Pipeline(nil)
 	if got := pl.SurveyOptions().Topology; got.MembersUS == 0 || got.CompactRIB {
 		t.Errorf("paper scale not installed: %+v", got)
 	}
-	pl = JobOptions{Scale: "internet"}.Pipeline(nil)
+	pl = core.JobOptions{Scale: "internet"}.Pipeline(nil)
 	if got := pl.SurveyOptions().Topology; !got.CompactRIB || !got.DensePrefixes {
 		t.Errorf("internet scale not installed: %+v", got)
 	}
@@ -201,7 +221,7 @@ func TestOptimizeFlags(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("valid optimize config rejected: %v", err)
 	}
-	for _, bad := range []JobOptions{
+	for _, bad := range []core.JobOptions{
 		{Objective: "catchment"},                            // missing re=
 		{Objective: "catchment:re=1.5"},                     // out of range
 		{Objective: "summit:re=0.5"},                        // unknown kind
@@ -217,7 +237,7 @@ func TestOptimizeFlags(t *testing.T) {
 		}
 	}
 	// The fields must reach the pipeline's search configuration.
-	opts := JobOptions{Objective: "probe:re=0.5,commodity=0.5,loss=0", Budget: 12, Strategy: "evolve"}.Pipeline(nil).OptimizeOptions()
+	opts := core.JobOptions{Objective: "probe:re=0.5,commodity=0.5,loss=0", Budget: 12, Strategy: "evolve"}.Pipeline(nil).OptimizeOptions()
 	if opts.Objective != "probe:re=0.5,commodity=0.5,loss=0" || opts.Budget != 12 || opts.Strategy != "evolve" {
 		t.Errorf("OptimizeOptions not threaded: %+v", opts)
 	}
@@ -237,10 +257,53 @@ func TestNewRegistryNilWhenUnobserved(t *testing.T) {
 }
 
 func TestPipelineWiring(t *testing.T) {
-	c := Config{JobOptions: JobOptions{Small: true, Seed: 5, Workers: 3, Faults: 0.25}}
+	c := Config{JobOptions: core.JobOptions{Small: true, Seed: 5, Workers: 3, Faults: 0.25}}
 	pl := c.Pipeline(nil)
 	checkSweepWiring(t, pl, 5, 3, 0.25)
 	if pl.SurveyOptions().Topology.Seed != 5 {
 		t.Errorf("survey topology seed = %d, want 5", pl.SurveyOptions().Topology.Seed)
+	}
+}
+
+// TestManifestAndMetricsOutputs: -manifest writes the registry's
+// manifest with the run's seed and the options given, -metrics the
+// Prometheus exposition; without the flags both are no-ops.
+func TestManifestAndMetricsOutputs(t *testing.T) {
+	reg := telemetry.New()
+	reg.Counter("probes_total").Add(3)
+	var off Config
+	var buf bytes.Buffer
+	if err := off.WriteManifest(reg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := off.DumpMetrics(&buf, reg); err != nil || buf.Len() != 0 {
+		t.Fatalf("DumpMetrics without -metrics wrote %q (err %v)", buf.String(), err)
+	}
+
+	path := filepath.Join(t.TempDir(), "m.json")
+	on := Config{JobOptions: core.JobOptions{Seed: 9}, Manifest: path, Metrics: true, ZeroTime: true}
+	if err := on.WriteManifest(reg, map[string]int{"n": 1}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m telemetry.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	var opts bytes.Buffer
+	if err := json.Compact(&opts, m.Options); err != nil {
+		t.Fatal(err)
+	}
+	if m.Seed != 9 || opts.String() != `{"n":1}` || m.Counter("probes_total") != 3 {
+		t.Errorf("manifest seed %d options %s probes_total %d", m.Seed, opts.String(), m.Counter("probes_total"))
+	}
+	if err := on.DumpMetrics(&buf, reg); err != nil || !strings.Contains(buf.String(), "probes_total 3") {
+		t.Errorf("DumpMetrics with -metrics wrote %q (err %v)", buf.String(), err)
+	}
+	if err := (Config{Manifest: filepath.Join(path, "sub", "m.json")}).WriteManifest(reg, nil); err == nil {
+		t.Error("WriteManifest into a missing directory succeeded")
 	}
 }

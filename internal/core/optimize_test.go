@@ -385,8 +385,8 @@ func TestOptimizeCheckpointResume(t *testing.T) {
 // TestOptimizePipelineWiring: the pipeline derives the optimize
 // configuration from the session seed and options.
 func TestOptimizePipelineWiring(t *testing.T) {
-	p := NewPipeline(WithSmall(), WithSeed(11), WithWorkers(3),
-		WithObjective("catchment:re=0.4"), WithBudget(9), WithStrategy("evolve"))
+	p := JobOptions{Small: true, Seed: 11, Workers: 3,
+		Objective: "catchment:re=0.4", Budget: 9, Strategy: "evolve"}.Pipeline(nil)
 	opts := p.OptimizeOptions()
 	if opts.Objective != "catchment:re=0.4" || opts.Budget != 9 || opts.Strategy != "evolve" {
 		t.Fatalf("pipeline options not threaded: %+v", opts)

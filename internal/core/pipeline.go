@@ -13,18 +13,14 @@ import (
 )
 
 // Pipeline is the single construction path for surveys, experiments,
-// and fault sweeps. Commands configure one with functional options and
-// then ask it for fully wired components:
+// and fault sweeps. Front ends describe the run as a JobOptions and
+// build it with JobOptions.Pipeline; code that needs an explicit
+// survey configuration uses NewPipeline's functional options. Either
+// way the pipeline hands out fully wired components:
 //
-//	p := core.NewPipeline(core.WithSmall(), core.WithSeed(1),
-//	        core.WithWorkers(4), core.WithMetrics(reg))
+//	p := core.JobOptions{Small: true, Seed: 1, Workers: 4}.Pipeline(reg)
 //	s := p.NewSurvey()
 //	s.RunBoth()
-//
-// It replaces the previous convention of constructing a Survey and
-// then calling scattered SetMetrics setters on Survey, Prober, and
-// Network — the options wire everything once, identically across
-// binaries.
 //
 // Seed derivation: the pipeline holds ONE session seed. Everything
 // else derives from it deterministically — the topology generator uses
@@ -36,21 +32,14 @@ import (
 // documented conventions but are fed from options threaded through
 // here rather than ad-hoc constants.
 type Pipeline struct {
-	survey    SurveyOptions
-	surveySet bool
-	small     bool
-	scale     topo.Scale
-	scaleSet  bool
-	seed      int64
-	seedSet   bool
-	workers   int
-	faults    float64
-	scenario  string
-	rov       float64
-	objective string
-	budget    int
-	strategy  string
-	metrics   *telemetry.Registry
+	// job is the run; the pipeline assumes it passed Validate.
+	job JobOptions
+	// survey is WithSurvey's configuration until NewPipeline resolves
+	// it, then the survey configuration everything is built from.
+	survey *SurveyOptions
+	// seedSet records that job.Seed overrides the survey's own seed.
+	seedSet bool
+	metrics *telemetry.Registry
 }
 
 // PipelineOption configures a Pipeline; options are applied by
@@ -62,78 +51,32 @@ type PipelineOption func(*Pipeline)
 // scale defaults. It overrides WithSmall; WithSeed still overrides the
 // topology seed inside it.
 func WithSurvey(opts SurveyOptions) PipelineOption {
-	return func(p *Pipeline) { p.survey, p.surveySet = opts, true }
+	return func(p *Pipeline) { p.survey = &opts }
 }
 
 // WithSmall selects the reduced test-scale ecosystem
 // (SmallSurveyOptions) instead of the paper-scale default.
 func WithSmall() PipelineOption {
-	return func(p *Pipeline) { p.small = true }
-}
-
-// WithScale selects the topology size tier (small, paper, internet —
-// see topo.Scale) for everything the pipeline builds. It overrides
-// WithSmall; WithSurvey still overrides both. The internet tier builds
-// on the compact arena-backed RIB layout, without which its ~80K-AS /
-// ~1M-prefix tables would not fit in memory.
-func WithScale(s topo.Scale) PipelineOption {
-	return func(p *Pipeline) { p.scale, p.scaleSet = s, true }
+	return func(p *Pipeline) { p.job.Small = true }
 }
 
 // WithSeed sets the session seed every stochastic component derives
 // from (see the Pipeline doc for the derivation map).
 func WithSeed(seed int64) PipelineOption {
-	return func(p *Pipeline) { p.seed, p.seedSet = seed, true }
+	return func(p *Pipeline) { p.job.Seed, p.seedSet = seed, true }
 }
 
 // WithWorkers bounds the shard workers of every parallel loop the
 // pipeline drives (probing, classification, fault-sweep points);
 // n <= 0 means GOMAXPROCS. Output is identical for any value.
 func WithWorkers(n int) PipelineOption {
-	return func(p *Pipeline) { p.workers = n }
-}
-
-// WithFaults enables the fault-intensity sweep up to the given max
-// intensity in (0, 1]; 0 disables it. Validation happens at the flag
-// layer (cliconf) — the pipeline assumes a sane value.
-func WithFaults(intensity float64) PipelineOption {
-	return func(p *Pipeline) { p.faults = intensity }
+	return func(p *Pipeline) { p.job.Workers = n }
 }
 
 // WithScenario selects an adversarial scenario family (hijack, leak —
-// see faults.ScenarioNames) for the pipeline's scenario sweep; empty
-// disables it. Validation happens at the flag layer (cliconf).
+// see faults.ScenarioNames) for the pipeline's scenario sweep.
 func WithScenario(name string) PipelineOption {
-	return func(p *Pipeline) { p.scenario = name }
-}
-
-// WithROV sets the RPKI route-origin-validation adoption fraction in
-// [0, 1]. For workloads a positive fraction deploys drop-invalid
-// import filtering on that (seeded, nested) fraction of ASes before
-// anything else happens; for scenario sweeps it caps the adoption
-// ladder (0 keeps the full default ladder). Nothing else reads it.
-func WithROV(frac float64) PipelineOption {
-	return func(p *Pipeline) { p.rov = frac }
-}
-
-// WithObjective selects the policy-optimization target (see
-// optimize.ParseSpec — "catchment:re=0.4" or
-// "probe:re=0.5,commodity=0.3,loss=0.2"); empty disables optimization.
-// Validation happens at the flag layer (cliconf).
-func WithObjective(spec string) PipelineOption {
-	return func(p *Pipeline) { p.objective = spec }
-}
-
-// WithBudget sets the optimizer's candidate-evaluation budget.
-func WithBudget(n int) PipelineOption {
-	return func(p *Pipeline) { p.budget = n }
-}
-
-// WithStrategy selects the optimizer's search strategy ("hillclimb" or
-// "evolve"); empty means hillclimb. Validation happens at the flag
-// layer (cliconf).
-func WithStrategy(name string) PipelineOption {
-	return func(p *Pipeline) { p.strategy = name }
+	return func(p *Pipeline) { p.job.Scenario = name }
 }
 
 // WithMetrics instruments everything the pipeline constructs with the
@@ -159,20 +102,30 @@ const (
 
 // NewPipeline resolves the options into a ready pipeline.
 func NewPipeline(opts ...PipelineOption) *Pipeline {
-	p := &Pipeline{survey: DefaultSurveyOptions()}
+	p := &Pipeline{}
 	for _, o := range opts {
 		o(p)
 	}
-	switch {
-	case p.surveySet:
-	case p.scaleSet:
-		p.survey.Topology = p.scale.Config()
-	case p.small:
-		p.survey = SmallSurveyOptions()
+	return p.resolve()
+}
+
+// resolve fixes the survey configuration: WithSurvey's, else the
+// topology tier the job names (Scale over Small, paper scale by
+// default), with the session seed written in when one was given.
+func (p *Pipeline) resolve() *Pipeline {
+	s := DefaultSurveyOptions()
+	switch tier, err := topo.ParseScale(p.job.Scale); {
+	case p.survey != nil:
+		s = *p.survey // a copy: one WithSurvey option may build many pipelines
+	case err == nil:
+		s.Topology = tier.Config()
+	case p.job.Small:
+		s.Topology = topo.SmallConfig()
 	}
 	if p.seedSet {
-		p.survey.Topology.Seed = p.seed
+		s.Topology.Seed = p.job.Seed
 	}
+	p.survey = &s
 	return p
 }
 
@@ -180,17 +133,17 @@ func NewPipeline(opts ...PipelineOption) *Pipeline {
 func (p *Pipeline) Seed() int64 { return p.survey.Topology.Seed }
 
 // SurveyOptions returns the resolved survey configuration.
-func (p *Pipeline) SurveyOptions() SurveyOptions { return p.survey }
+func (p *Pipeline) SurveyOptions() SurveyOptions { return *p.survey }
 
 // NewSurvey builds a fully wired survey: world, seed selection,
 // prober, metrics, and worker bounds, all from the pipeline options.
 func (p *Pipeline) NewSurvey() *Survey {
-	s := NewSurvey(p.survey)
-	s.Workers = p.workers
-	s.Prober.Workers = p.workers
+	s := NewSurvey(*p.survey)
+	s.Workers = p.job.Workers
+	s.Prober.Workers = p.job.Workers
 	if p.metrics != nil {
 		s.SetMetrics(p.metrics)
-		p.metrics.SetWorkers(parallel.Workers(p.workers))
+		p.metrics.SetWorkers(parallel.Workers(p.job.Workers))
 	}
 	return s
 }
@@ -240,7 +193,7 @@ func (p *Pipeline) OpenSurvey(resumeDir string, fp CheckpointFingerprint, note f
 		}
 		// The saved state carries the saved run's worker count; the
 		// manifest reports this run's.
-		reg.SetWorkers(parallel.Workers(p.workers))
+		reg.SetWorkers(parallel.Workers(p.job.Workers))
 	}
 	return s, corrupt, nil
 }
@@ -248,17 +201,17 @@ func (p *Pipeline) OpenSurvey(resumeDir string, fp CheckpointFingerprint, note f
 // FaultSweepOptions returns the sweep configuration the pipeline
 // implies: reduced-scale worlds carrying the session topology seed, a
 // schedule seed derived via parallel.SubSeed(seed, faultSeedStream),
-// the intensity ladder up to WithFaults' max, and the pipeline's
+// the intensity ladder up to the job's Faults, and the pipeline's
 // worker bound and registry.
 func (p *Pipeline) FaultSweepOptions() FaultSweepOptions {
 	fopts := DefaultFaultSweepOptions()
 	fopts.Survey.Topology.Seed = p.Seed()
 	fopts.FaultSeed = parallel.SubSeed(p.Seed(), faultSeedStream)
-	if p.faults > 0 {
-		fopts.Intensities = SweepIntensities(p.faults)
+	if p.job.Faults > 0 {
+		fopts.Intensities = SweepIntensities(p.job.Faults)
 	}
 	fopts.Metrics = p.metrics
-	fopts.Workers = p.workers
+	fopts.Workers = p.job.Workers
 	return fopts
 }
 
@@ -273,10 +226,10 @@ func (p *Pipeline) RunFaultSweepContext(ctx context.Context) ([]FaultSweepPoint,
 // Strategy returns the optimizer's search strategy (defaulted to
 // "hillclimb" when unset).
 func (p *Pipeline) Strategy() string {
-	if p.strategy == "" {
+	if p.job.Strategy == "" {
 		return "hillclimb"
 	}
-	return p.strategy
+	return p.job.Strategy
 }
 
 // OptimizeOptions returns the policy-optimization configuration the
@@ -285,11 +238,11 @@ func (p *Pipeline) Strategy() string {
 // objective, budget, strategy, worker bound, and registry.
 func (p *Pipeline) OptimizeOptions() OptimizeOptions {
 	return OptimizeOptions{
-		Survey:     p.survey,
-		Objective:  p.objective,
+		Survey:     *p.survey,
+		Objective:  p.job.Objective,
 		Strategy:   p.Strategy(),
-		Budget:     p.budget,
-		Workers:    p.workers,
+		Budget:     p.job.Budget,
+		Workers:    p.job.Workers,
 		SearchSeed: parallel.SubSeed(p.Seed(), optimizeSeedStream),
 		Metrics:    p.metrics,
 	}
@@ -304,18 +257,18 @@ func (p *Pipeline) RunOptimizeContext(ctx context.Context) (*OptimizeResult, err
 // ScenarioSweepOptions returns the scenario-sweep configuration the
 // pipeline implies: the session topology seed, schedule and
 // deployment seeds derived via parallel.SubSeed, the adoption ladder
-// capped at WithROV's fraction (0 = the full default ladder), and the
+// capped at the job's ROV fraction (0 = the full default ladder), and the
 // pipeline's worker bound and registry.
 func (p *Pipeline) ScenarioSweepOptions() ScenarioSweepOptions {
-	sopts := DefaultScenarioSweepOptions(p.scenario)
+	sopts := DefaultScenarioSweepOptions(p.job.Scenario)
 	sopts.Survey.Topology.Seed = p.Seed()
 	sopts.ScenarioSeed = parallel.SubSeed(p.Seed(), scenarioSeedStream)
 	sopts.ROVSeed = parallel.SubSeed(p.Seed(), rovSeedStream)
-	if p.rov > 0 {
-		sopts.Adoptions = ScenarioAdoptions(p.rov)
+	if p.job.ROV > 0 {
+		sopts.Adoptions = ScenarioAdoptions(p.job.ROV)
 	}
 	sopts.Metrics = p.metrics
-	sopts.Workers = p.workers
+	sopts.Workers = p.job.Workers
 	return sopts
 }
 

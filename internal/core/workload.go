@@ -175,9 +175,9 @@ func (p *Pipeline) runWorkload(s *Survey, opts WorkloadOptions) (*WorkloadResult
 	// fraction of ASes filters RPKI-invalid routes on import for the
 	// whole run (hijack-flash forgeries die at deployed borders; every
 	// legitimate route is covered by a ROA and unaffected).
-	if p.rov > 0 {
+	if p.job.ROV > 0 {
 		table := rpki.FromEcosystem(s.Eco)
-		deployed := rpki.Deploy(net, table, s.Eco, p.rov, parallel.SubSeed(p.Seed(), rovSeedStream))
+		deployed := rpki.Deploy(net, table, s.Eco, p.job.ROV, parallel.SubSeed(p.Seed(), rovSeedStream))
 		reg.Gauge("workload_rov_deployed_ases").Set(float64(deployed))
 	}
 	net.RunToQuiescence()

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/cliconf"
 	"repro/internal/core"
 	"repro/internal/faults"
 	snap "repro/internal/snapshot"
@@ -46,8 +45,9 @@ func (k jobKind) String() string {
 }
 
 // JobSpec is a submission body: who is asking, what to run, and the
-// run configuration. Options reuses cliconf.JobOptions so the server
-// validates a submission exactly as the CLI validates its flags.
+// run configuration. Options is the core.JobOptions the CLI flags bind
+// into, so the server validates a submission exactly as the CLI
+// validates its flags.
 type JobSpec struct {
 	// Tenant names the submitting tenant for rate limiting; empty maps
 	// to "default".
@@ -56,7 +56,7 @@ type JobSpec struct {
 	// "optimize".
 	Kind string `json:"kind,omitempty"`
 	// Options configures the pipeline (fields as the CLI flags).
-	Options cliconf.JobOptions `json:"options"`
+	Options core.JobOptions `json:"options"`
 	// TimeoutSeconds, when positive, deadlines the job; on expiry it
 	// stops at the next round boundary and is marked failed. Nonzero
 	// values must convert to a positive time.Duration (see
@@ -66,45 +66,48 @@ type JobSpec struct {
 	kind jobKind
 }
 
-// Validate normalizes and rejects a submission; the Options check is
-// the identical cliconf.JobOptions.Validate the CLI runs.
+// Validate normalizes and rejects a submission: the options must pass
+// the core.JobOptions.Validate the CLI runs, and name the run mode the
+// kind runs, so a job never runs while ignoring one of its options.
 func (sp *JobSpec) Validate() error {
 	if sp.Tenant == "" {
 		sp.Tenant = "default"
 	}
-	switch sp.Kind {
-	case "", "survey":
-		sp.Kind, sp.kind = "survey", kindSurvey
-	case "sweep":
-		sp.kind = kindSweep
-		if sp.Options.Faults == 0 {
-			return fmt.Errorf("sweep job needs options.faults in (0, 1]")
+	if sp.Kind == "" {
+		sp.Kind = "survey"
+	}
+	sp.kind = numJobKinds
+	for k := kindSurvey; k < numJobKinds; k++ {
+		if sp.Kind == k.String() {
+			sp.kind = k
 		}
-	case "workload":
-		sp.kind = kindWorkload
-		if sp.Options.Workload == "" {
-			return fmt.Errorf("workload job needs options.workload (one of %v)", core.WorkloadNames())
-		}
-		if sp.Options.Workload == "replay" {
-			return fmt.Errorf("workload job cannot replay a trace (no upload channel); use the CLI")
-		}
-	case "scenario":
-		sp.kind = kindScenario
-		if sp.Options.Scenario == "" {
-			return fmt.Errorf("scenario job needs options.scenario (one of %v)", faults.ScenarioNames())
-		}
-	case "optimize":
-		sp.kind = kindOptimize
-		if sp.Options.Objective == "" {
-			return fmt.Errorf("optimize job needs options.objective (catchment:re=<frac> or probe:re=,commodity=,loss=)")
-		}
-	default:
+	}
+	if sp.kind == numJobKinds {
 		return fmt.Errorf("unknown job kind %q: want \"survey\", \"sweep\", \"workload\", \"scenario\", or \"optimize\"", sp.Kind)
 	}
 	if err := checkTimeout(sp.TimeoutSeconds); err != nil {
 		return err
 	}
-	return sp.Options.Validate()
+	if err := sp.Options.Validate(); err != nil {
+		return err
+	}
+	// Every kind but survey and sweep is named after the mode it runs.
+	if mode := sp.Options.Mode(); mode != core.ModeSurvey && mode.String() != sp.Kind {
+		return fmt.Errorf("%s job cannot run the options of a %s run: submit kind %q", sp.Kind, mode, mode)
+	}
+	switch {
+	case sp.kind == kindSweep && sp.Options.Faults == 0:
+		return fmt.Errorf("sweep job needs options.faults in (0, 1]")
+	case sp.kind == kindWorkload && sp.Options.Workload == "":
+		return fmt.Errorf("workload job needs options.workload (one of %v)", core.WorkloadNames())
+	case sp.Options.Workload == "replay":
+		return fmt.Errorf("workload job cannot replay a trace (no upload channel); use the CLI")
+	case sp.kind == kindScenario && sp.Options.Scenario == "":
+		return fmt.Errorf("scenario job needs options.scenario (one of %v)", faults.ScenarioNames())
+	case sp.kind == kindOptimize && sp.Options.Objective == "":
+		return fmt.Errorf("optimize job needs options.objective (catchment:re=<frac> or probe:re=,commodity=,loss=)")
+	}
+	return nil
 }
 
 // checkTimeout accepts 0 (no deadline) and any number of seconds that
@@ -157,12 +160,12 @@ type Job struct {
 
 // JobStatus is the wire form of a job's current state.
 type JobStatus struct {
-	ID      string             `json:"id"`
-	Tenant  string             `json:"tenant"`
-	Kind    string             `json:"kind"`
-	State   string             `json:"state"`
-	Error   string             `json:"error,omitempty"`
-	Options cliconf.JobOptions `json:"options"`
+	ID      string          `json:"id"`
+	Tenant  string          `json:"tenant"`
+	Kind    string          `json:"kind"`
+	State   string          `json:"state"`
+	Error   string          `json:"error,omitempty"`
+	Options core.JobOptions `json:"options"`
 }
 
 func (j *Job) status() JobStatus {

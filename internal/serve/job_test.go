@@ -8,7 +8,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cliconf"
+	"repro/internal/core"
 	snap "repro/internal/snapshot"
 )
 
@@ -25,7 +25,7 @@ func TestTimeoutRange(t *testing.T) {
 		{-1, false}, {1e-12, false}, {9.3e9, false}, {1e10, false}, {1e300, false},
 		{math.Inf(1), false}, {math.Inf(-1), false}, {math.NaN(), false},
 	} {
-		spec := JobSpec{Options: cliconf.JobOptions{Small: true}, TimeoutSeconds: tc.sec}
+		spec := JobSpec{Options: core.JobOptions{Small: true}, TimeoutSeconds: tc.sec}
 		err := spec.Validate()
 		if (err == nil) != tc.ok {
 			t.Errorf("timeout_seconds %v: Validate = %v, want ok %v", tc.sec, err, tc.ok)
@@ -80,7 +80,7 @@ func FuzzJobSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted options do not encode: %v", err)
 		}
-		var back cliconf.JobOptions
+		var back core.JobOptions
 		dec = json.NewDecoder(bytes.NewReader(enc))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&back); err != nil {
@@ -89,8 +89,40 @@ func FuzzJobSpec(f *testing.F) {
 		if !reflect.DeepEqual(back, spec.Options) {
 			t.Fatalf("options round trip:\n got %+v\nwant %+v", back, spec.Options)
 		}
-		if _, err := decodeJob(encodeJob(&jobRecord{Spec: spec})); err != nil {
+		r, err := decodeJob(encodeJob(&jobRecord{Spec: spec}))
+		if err != nil {
 			t.Fatalf("accepted spec does not reload from its job record: %v", err)
 		}
+		if err := r.Spec.Validate(); err != nil || r.Spec != spec {
+			t.Fatalf("reloaded spec %+v (Validate: %v), want %+v", r.Spec, err, spec)
+		}
 	})
+}
+
+// TestJobRecordRevalidated: a job record is re-queued as it stands, so
+// one holding options the submission endpoint would refuse is corrupt.
+// Such records can only be crafted: the encoder writes what it is given.
+func TestJobRecordRevalidated(t *testing.T) {
+	dir := t.TempDir()
+	for i, tc := range []struct {
+		name string
+		spec JobSpec
+	}{
+		{"faults NaN", JobSpec{kind: kindSweep, Options: core.JobOptions{Faults: math.NaN()}}},
+		{"scale planet", JobSpec{kind: kindSurvey, Options: core.JobOptions{Scale: "planet"}}},
+		{"workload bogus", JobSpec{kind: kindWorkload, Options: core.JobOptions{Workload: "bogus"}}},
+		{"workers 2^63", JobSpec{kind: kindSurvey, Options: core.JobOptions{Workers: math.MinInt64}}},
+	} {
+		tc.spec.Tenant = "mallory"
+		r := &jobRecord{Seq: uint64(i + 1), Spec: tc.spec, State: StateQueued}
+		if _, err := decodeJob(encodeJob(r)); !errors.Is(err, snap.ErrCorrupt) {
+			t.Errorf("%s: decodeJob err = %v, want ErrCorrupt", tc.name, err)
+		}
+		if err := writeJobRecord(dir, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recs, corrupt := loadJobRecords(dir); len(recs) != 0 || corrupt != 4 {
+		t.Errorf("scan loaded %d records with %d corrupt, want 0 and 4", len(recs), corrupt)
+	}
 }

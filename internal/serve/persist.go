@@ -111,10 +111,12 @@ func decodeJob(data []byte) (*jobRecord, error) {
 	if r.Spec.kind >= numJobKinds {
 		return nil, fmt.Errorf("%w: job kind %d", snap.ErrCorrupt, r.Spec.kind)
 	}
-	if err := checkTimeout(r.Spec.TimeoutSeconds); err != nil {
+	// A record is re-queued as it stands, so it must be a spec the
+	// submission endpoint would accept.
+	r.Spec.Kind = r.Spec.kind.String()
+	if err := r.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
-	r.Spec.Kind = r.Spec.kind.String()
 
 	d = snap.NewDec(secs[1].Payload)
 	r.Seq = d.Uvarint()

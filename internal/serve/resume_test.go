@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cliconf"
 	"repro/internal/core"
 )
 
@@ -43,7 +42,7 @@ func runToDone(t *testing.T, dir string, spec JobSpec) []byte {
 func TestKillAndRestartByteEqual(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			spec := JobSpec{Options: cliconf.JobOptions{
+			spec := JobSpec{Options: core.JobOptions{
 				Small: true, Seed: 1, Workers: workers,
 			}}
 
@@ -114,7 +113,7 @@ func TestKillAndRestartByteEqual(t *testing.T) {
 // instead of re-evaluating the finished generations. The resumed
 // search settles on the identical best configuration and score.
 func TestOptimizeKillAndRestart(t *testing.T) {
-	spec := JobSpec{Kind: "optimize", Options: cliconf.JobOptions{
+	spec := JobSpec{Kind: "optimize", Options: core.JobOptions{
 		Small: true, Seed: 1, Workers: 2,
 		Objective: "catchment:re=0.3", Budget: 8, Strategy: "evolve",
 	}}
@@ -186,7 +185,7 @@ func TestOptimizeKillAndRestart(t *testing.T) {
 // skipping it as unusable, and its survey results equal the cold run's;
 // only the manifest, which restarts from an empty registry, differs.
 func TestResumeFromTelemetryFreeCheckpoint(t *testing.T) {
-	spec := JobSpec{Options: cliconf.JobOptions{Small: true, Seed: 3}}
+	spec := JobSpec{Options: core.JobOptions{Small: true, Seed: 3}}
 	var cold jobOutput
 	if err := json.Unmarshal(runToDone(t, t.TempDir(), spec), &cold); err != nil {
 		t.Fatal(err)
@@ -249,7 +248,7 @@ func TestResumeFromTelemetryFreeCheckpoint(t *testing.T) {
 // file, refused like a snapshot of another topology would be, which
 // the options fingerprint cannot tell apart from the job's own.
 func TestResumeSkipsCorruptCheckpoint(t *testing.T) {
-	spec := JobSpec{Options: cliconf.JobOptions{Small: true, Seed: 3}}
+	spec := JobSpec{Options: core.JobOptions{Small: true, Seed: 3}}
 	cold := runToDone(t, t.TempDir(), spec)
 
 	foreignEngine := func(t *testing.T, path string) {

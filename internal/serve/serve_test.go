@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cliconf"
 	"repro/internal/core"
 	snap "repro/internal/snapshot"
 )
@@ -179,7 +178,7 @@ func TestPanicIsolation(t *testing.T) {
 		}
 		return []byte("{}"), nil
 	}
-	j1, err := s.Submit(JobSpec{Options: cliconf.JobOptions{Small: true}})
+	j1, err := s.Submit(JobSpec{Options: core.JobOptions{Small: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Errorf("serve_job_panics_total = %d, want 1", got)
 	}
 
-	j2, err := s.Submit(JobSpec{Options: cliconf.JobOptions{Small: true}})
+	j2, err := s.Submit(JobSpec{Options: core.JobOptions{Small: true}})
 	if err != nil {
 		t.Fatalf("server stopped accepting after an isolated panic: %v", err)
 	}
@@ -208,7 +207,7 @@ func TestCancel(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	j, err := s.Submit(JobSpec{Options: cliconf.JobOptions{Small: true}})
+	j, err := s.Submit(JobSpec{Options: core.JobOptions{Small: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +231,7 @@ func TestDeadline(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	j, err := s.Submit(JobSpec{Options: cliconf.JobOptions{Small: true}, TimeoutSeconds: 0.02})
+	j, err := s.Submit(JobSpec{Options: core.JobOptions{Small: true}, TimeoutSeconds: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +241,7 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: the endpoint rejects what cliconf rejects,
+// TestSubmitValidation: the endpoint rejects what the CLI rejects,
 // with a 400, plus the serve-specific shape errors.
 func TestSubmitValidation(t *testing.T) {
 	s := newTestServer(t, Config{})
@@ -253,22 +252,32 @@ func TestSubmitValidation(t *testing.T) {
 		`{"kind": "sweep"}`,    // sweep without faults
 		`{"kind": "workload"}`, // workload without options.workload
 		`{"kind": "workload", "options": {"workload": "replay"}}`, // no upload channel
-		`{"kind": "workload", "options": {"workload": "bogus"}}`,  // cliconf name check
+		`{"kind": "workload", "options": {"workload": "bogus"}}`,  // JobOptions name check
 		`{"kind": "workload", "options": {"workload": "update-storm", "duration_seconds": -5}}`,
 		`{"kind": "scenario"}`, // scenario without options.scenario
-		`{"kind": "scenario", "options": {"scenario": "bogus"}}`,            // cliconf name check
-		`{"kind": "scenario", "options": {"scenario": "hijack", "rov": 2}}`, // cliconf range check
+		`{"kind": "scenario", "options": {"scenario": "bogus"}}`,            // JobOptions name check
+		`{"kind": "scenario", "options": {"scenario": "hijack", "rov": 2}}`, // JobOptions range check
 		`{"kind": "optimize"}`, // optimize without options.objective
-		`{"kind": "optimize", "options": {"objective": "summit:re=0.5"}}`,                  // cliconf spec check
-		`{"kind": "optimize", "options": {"objective": "catchment:re=2"}}`,                 // cliconf range check
-		`{"kind": "optimize", "options": {"objective": "catchment:re=0.5", "budget": -1}}`, // cliconf range check
+		`{"kind": "optimize", "options": {"objective": "summit:re=0.5"}}`,                  // JobOptions spec check
+		`{"kind": "optimize", "options": {"objective": "catchment:re=2"}}`,                 // JobOptions range check
+		`{"kind": "optimize", "options": {"objective": "catchment:re=0.5", "budget": -1}}`, // JobOptions range check
 		`{"kind": "optimize", "options": {"objective": "catchment:re=0.5", "strategy": "anneal"}}`,
 		// -rov outside -scenario and -workload: nothing would deploy it.
 		`{"options": {"rov": 0.5}}`,
 		`{"kind": "sweep", "options": {"faults": 0.5, "rov": 0.5}}`,
 		`{"kind": "optimize", "options": {"objective": "catchment:re=0.5", "rov": 0.5}}`,
-		`{"options": {"faults": 2}}`,           // cliconf range check
-		`{"options": {"workers": -1}}`,         // cliconf range check
+		// Options naming another run mode than the kind, which the job
+		// would run while ignoring them.
+		`{"kind": "survey", "options": {"workload": "update-storm"}}`,
+		`{"kind": "survey", "options": {"scenario": "hijack"}}`,
+		`{"kind": "survey", "options": {"objective": "catchment:re=0.4"}}`,
+		`{"kind": "sweep", "options": {"faults": 0.5, "scenario": "hijack"}}`,
+		`{"kind": "sweep", "options": {"faults": 0.5, "workload": "update-storm"}}`,
+		`{"kind": "workload", "options": {"workload": "update-storm", "faults": 0.5}}`,
+		`{"kind": "scenario", "options": {"scenario": "hijack", "faults": 0.5}}`,
+		`{"kind": "optimize", "options": {"objective": "catchment:re=0.4", "faults": 0.5}}`,
+		`{"options": {"faults": 2}}`,           // JobOptions range check
+		`{"options": {"workers": -1}}`,         // JobOptions range check
 		`{"timeout_seconds": -1}`,              // negative deadline
 		`{"timeout_seconds": 1e10}`,            // overflows time.Duration
 		`{"timeout_seconds": 1e-12}`,           // rounds to no time at all
@@ -305,7 +314,7 @@ func TestRemovedIncrementalOptionRejected(t *testing.T) {
 // jobs have no checkpoint — recovery relies on exactly this).
 func TestWorkloadJob(t *testing.T) {
 	s := newTestServer(t, Config{})
-	spec := JobSpec{Kind: "workload", Options: cliconf.JobOptions{
+	spec := JobSpec{Kind: "workload", Options: core.JobOptions{
 		Small: true, Seed: 1,
 		Workload: "update-storm", DurationSeconds: 300,
 	}}
@@ -351,14 +360,15 @@ func TestWorkloadJob(t *testing.T) {
 // resurvey prints for the same options, byte for byte — one renderer,
 // core.Analysis.WriteText, for both front ends.
 func TestSurveyJobAnalysis(t *testing.T) {
-	opts := cliconf.JobOptions{Small: true, Seed: 3}
+	opts := core.JobOptions{Small: true, Seed: 3}
 	var doc jobOutput
 	if err := json.Unmarshal(runToDone(t, t.TempDir(), JobSpec{Options: opts}), &doc); err != nil {
 		t.Fatal(err)
 	}
 
-	cli := cliconf.Config{JobOptions: cliconf.JobOptions{Small: opts.Small, Seed: opts.Seed}}
-	sv := cli.Pipeline(cli.NewRegistry()).NewSurvey()
+	// resurvey builds its survey from the same options, without a
+	// registry unless -manifest or -metrics asks for one.
+	sv := opts.Pipeline(nil).NewSurvey()
 	sv.RunBoth()
 	a, err := core.Analyze(sv)
 	if err != nil {
@@ -380,7 +390,7 @@ func TestSurveyJobAnalysis(t *testing.T) {
 // and a second identical submission reproduces it byte for byte.
 func TestScenarioJob(t *testing.T) {
 	s := newTestServer(t, Config{})
-	spec := JobSpec{Kind: "scenario", Options: cliconf.JobOptions{
+	spec := JobSpec{Kind: "scenario", Options: core.JobOptions{
 		Small: true, Seed: 1, Scenario: "hijack", ROV: 0.25,
 	}}
 	run := func() []byte {
@@ -436,7 +446,7 @@ func TestScenarioJob(t *testing.T) {
 func TestOptimizeJob(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, Config{DataDir: dir})
-	spec := JobSpec{Kind: "optimize", Options: cliconf.JobOptions{
+	spec := JobSpec{Kind: "optimize", Options: core.JobOptions{
 		Small: true, Seed: 1, Workers: 2,
 		Objective: "catchment:re=0.3", Budget: 8, Strategy: "evolve",
 	}}
@@ -509,7 +519,7 @@ func TestEventsStream(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	j, err := s.Submit(JobSpec{Options: cliconf.JobOptions{Small: true}})
+	j, err := s.Submit(JobSpec{Options: core.JobOptions{Small: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +551,7 @@ func TestHTTPSurface(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	j, err := s.Submit(JobSpec{Tenant: "alice", Options: cliconf.JobOptions{Small: true}})
+	j, err := s.Submit(JobSpec{Tenant: "alice", Options: core.JobOptions{Small: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +627,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		<-release
 		return []byte("{}"), nil
 	}
-	j, err := s.Submit(JobSpec{Options: cliconf.JobOptions{Small: true}})
+	j, err := s.Submit(JobSpec{Options: core.JobOptions{Small: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +636,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	go func() { done <- s.Shutdown(context.Background()) }()
 	time.Sleep(10 * time.Millisecond) // let closing take effect
 
-	if _, err := s.Submit(JobSpec{Options: cliconf.JobOptions{Small: true}}); err == nil {
+	if _, err := s.Submit(JobSpec{Options: core.JobOptions{Small: true}}); err == nil {
 		t.Error("submission accepted while draining")
 	}
 	close(release)
@@ -648,7 +658,7 @@ func TestShutdownAbandonsPastTimeout(t *testing.T) {
 		<-ctx.Done() // never finishes voluntarily
 		return nil, ctx.Err()
 	}
-	j, err := s.Submit(JobSpec{Options: cliconf.JobOptions{Small: true}})
+	j, err := s.Submit(JobSpec{Options: core.JobOptions{Small: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,14 +693,14 @@ func TestJobRecordRoundTrip(t *testing.T) {
 			Tenant:         "alice",
 			Kind:           "sweep",
 			kind:           kindSweep,
-			Options:        cliconf.JobOptions{Small: true, Seed: 42, Workers: 3, Faults: 0.5},
+			Options:        core.JobOptions{Small: true, Seed: 42, Workers: 3, Faults: 0.5},
 			TimeoutSeconds: 30,
 		},
 		{
 			Tenant: "bob",
 			Kind:   "workload",
 			kind:   kindWorkload,
-			Options: cliconf.JobOptions{
+			Options: core.JobOptions{
 				Small: true, Seed: 7,
 				Workload: "update-storm", DurationSeconds: 600, RoundMode: true,
 			},
@@ -699,7 +709,7 @@ func TestJobRecordRoundTrip(t *testing.T) {
 			Tenant: "carol",
 			Kind:   "scenario",
 			kind:   kindScenario,
-			Options: cliconf.JobOptions{
+			Options: core.JobOptions{
 				Scale: "paper", Seed: 9, Scenario: "hijack", ROV: 0.5,
 			},
 		},
@@ -707,7 +717,7 @@ func TestJobRecordRoundTrip(t *testing.T) {
 			Tenant: "dave",
 			Kind:   "optimize",
 			kind:   kindOptimize,
-			Options: cliconf.JobOptions{
+			Options: core.JobOptions{
 				Small: true, Seed: 11, Workers: 2,
 				Objective: "catchment:re=0.3", Budget: 16, Strategy: "evolve",
 			},

@@ -47,7 +47,7 @@ func main() {
 		if flag.NArg() != 2 {
 			err = fmt.Errorf("-compare needs exactly two files")
 		} else {
-			err = runCompare(flag.Arg(0), flag.Arg(1))
+			err = runCompare(flag.Arg(0), flag.Arg(1), cfg.Workers)
 		}
 	} else {
 		err = run(cfg, flag.Args())
@@ -58,47 +58,51 @@ func main() {
 	}
 }
 
+// attribute assigns a probe to its covering /24. Without the ecosystem
+// that is the best guess — the dominant prefix size in the survey. Real
+// deployments would attribute against the announced prefix list.
+func attribute(addr uint32) (netutil.Prefix, bool) {
+	return netutil.PrefixFrom(addr, 24), true
+}
+
 // classifyFile loads one experiment's probe JSON and classifies every
 // prefix.
-func classifyFile(name string) (map[netutil.Prefix]core.Inference, error) {
+func classifyFile(name string, workers int) (*core.Result, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	rounds, err := probe.ReadJSON(f, func(addr uint32) (netutil.Prefix, bool) {
-		return netutil.PrefixFrom(addr, 24), true
-	})
+	rounds, err := probe.ReadJSON(f, attribute)
 	if err != nil {
 		return nil, err
 	}
-	perPrefix := observe(rounds)
-	out := make(map[netutil.Prefix]core.Inference, len(perPrefix))
-	for p, seq := range perPrefix {
-		out[p] = core.Classify(seq)
-	}
-	return out, nil
+	return classify(rounds, workers, nil), nil
 }
 
-// observe hands ReadJSON's rounds to core.Observe, the reduction the
-// live survey classifies from: a prefix with no record in some round
-// reads as loss there, so it is excluded rather than classified over
-// a shortened sequence.
-func observe(rounds []probe.Round) map[netutil.Prefix][]core.RoundObs {
-	ptrs := make([]*probe.Round, len(rounds))
+// classify rebuilds what saved rounds hold of a core.Result — the
+// rounds and their per-prefix classification — through the live
+// survey's own path: core.Observe, under which a prefix with no record
+// in some round reads as loss there (so it is excluded rather than
+// classified over a shortened sequence), then core.ClassifyAll at the
+// paper's strict rule (quorum 0).
+func classify(rounds []probe.Round, workers int, reg *telemetry.Registry) *core.Result {
+	res := &core.Result{Rounds: make([]*probe.Round, len(rounds))}
 	for i := range rounds {
-		ptrs[i] = &rounds[i]
+		res.Rounds[i] = &rounds[i]
 	}
-	return core.Observe(ptrs, 0)
+	res.PerPrefix = core.Observe(res.Rounds, 0)
+	core.ClassifyAll(res.PerPrefix, 0, workers, reg)
+	return res
 }
 
 // runCompare prints the Table 2-style agreement between two runs.
-func runCompare(fileA, fileB string) error {
-	a, err := classifyFile(fileA)
+func runCompare(fileA, fileB string, workers int) error {
+	a, err := classifyFile(fileA, workers)
 	if err != nil {
 		return err
 	}
-	b, err := classifyFile(fileB)
+	b, err := classifyFile(fileB, workers)
 	if err != nil {
 		return err
 	}
@@ -116,11 +120,12 @@ func runCompare(fileA, fileB string) error {
 		matrix[x] = make(map[core.Inference]int)
 	}
 	same, total, incomparable := 0, 0, 0
-	for p, ia := range a {
-		ib, ok := b[p]
-		if !ok {
+	for _, pa := range a.PerPrefix {
+		pb := b.Find(pa.Prefix)
+		if pb == nil {
 			continue
 		}
+		ia, ib := pa.Inference, pb.Inference
 		if !isComparable(ia) || !isComparable(ib) {
 			incomparable++
 			continue
@@ -165,16 +170,9 @@ func run(c cliconf.Config, files []string) error {
 		readers = append(readers, f)
 	}
 
-	// Without the ecosystem, attribute probes to their covering /24 —
-	// the dominant prefix size in the survey. Real deployments would
-	// attribute against the announced prefix list.
-	resolve := func(addr uint32) (netutil.Prefix, bool) {
-		return netutil.PrefixFrom(addr, 24), true
-	}
-
 	var rounds []probe.Round
 	for _, r := range readers {
-		rs, err := probe.ReadJSON(r, resolve)
+		rs, err := probe.ReadJSON(r, attribute)
 		if err != nil {
 			return err
 		}
@@ -192,36 +190,12 @@ func run(c cliconf.Config, files []string) error {
 	}
 	fmt.Println()
 
-	perPrefix := observe(rounds)
-
-	// Classify in parallel over fixed-size shards of the canonical
-	// prefix order; per-prefix classification is pure, so the shard
-	// merge is identical for any -workers value.
-	prefixes := make([]netutil.Prefix, 0, len(perPrefix))
-	for p := range perPrefix {
-		prefixes = append(prefixes, p)
-	}
-	netutil.SortPrefixes(prefixes)
-	shards, timings := parallel.CollectTimed(len(prefixes), 64, c.Workers,
-		func(s parallel.Shard) []core.Inference {
-			out := make([]core.Inference, 0, s.Items())
-			for _, p := range prefixes[s.Lo:s.Hi] {
-				out = append(out, core.Classify(perPrefix[p]))
-			}
-			return out
-		})
-	for _, t := range timings {
-		reg.AddShardTiming("classify", t.Shard, t.Items, t.Duration)
-	}
 	counts := make(map[core.Inference]int)
 	total := 0
-	for _, sh := range shards {
-		for _, inf := range sh {
-			counts[inf]++
-			reg.Counter(telemetry.Label("core_classifications_total", "label", inf.String())).Inc()
-			if inf != core.InfUnresponsive {
-				total++
-			}
+	for _, pr := range classify(rounds, c.Workers, reg).PerPrefix {
+		counts[pr.Inference]++
+		if pr.Inference != core.InfUnresponsive {
+			total++
 		}
 	}
 	t := &report.Table{

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/bgp"
@@ -39,21 +40,73 @@ func writeFixture(t *testing.T, dir, name string, surfStyle bool) string {
 	return path
 }
 
+// TestOfflineEqualsOnline: reinfer is the survey's own classifier run
+// over saved probe JSON. A -small survey writes both experiments'
+// rounds; reclassified through reinfer's path, every probed /24 must
+// come back with the sequence and inference the survey gave it. The
+// /24 limit is reinfer's: it attributes each record to its covering
+// /24, which for a probed /24 is the prefix itself. The small tier
+// probes 579 prefixes, 423 of them /24s, in each experiment; the test
+// requires at least 100.
+func TestOfflineEqualsOnline(t *testing.T) {
+	s := core.NewSurvey(core.SmallSurveyOptions())
+	s.RunBoth()
+	dir := t.TempDir()
+	for _, online := range []*core.Result{s.SURF, s.Internet2} {
+		path := filepath.Join(dir, "rounds.json")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rd := range online.Rounds {
+			if err := s.Prober.WriteJSON(f, rd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		offline, err := classifyFile(path, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compared := 0
+		for _, want := range online.PerPrefix {
+			if want.Prefix.Bits() != 24 {
+				continue
+			}
+			compared++
+			got := offline.Find(want.Prefix)
+			switch {
+			case got == nil:
+				t.Errorf("%s: %s missing offline", online.Name, want.Prefix)
+			case got.Inference != want.Inference || !slices.Equal(got.Seq, want.Seq):
+				t.Errorf("%s: %s offline %v %v, online %v %v",
+					online.Name, want.Prefix, got.Inference, got.Seq, want.Inference, want.Seq)
+			}
+		}
+		t.Logf("%s: %d of %d probed prefixes are /24s, compared offline", online.Name, compared, len(online.PerPrefix))
+		if compared < 100 {
+			t.Errorf("%s: only %d /24 prefixes compared, want >= 100", online.Name, compared)
+		}
+	}
+}
+
 func TestClassifyFile(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFixture(t, dir, "june.json", false)
-	infs, err := classifyFile(path)
+	res, err := classifyFile(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infs) == 0 {
+	if len(res.PerPrefix) == 0 {
 		t.Fatal("no prefixes classified")
 	}
 	counts := map[core.Inference]int{}
-	for _, inf := range infs {
-		counts[inf]++
+	for _, pr := range res.PerPrefix {
+		counts[pr.Inference]++
 	}
-	total := len(infs) - counts[core.InfUnresponsive]
+	total := len(res.PerPrefix) - counts[core.InfUnresponsive]
 	re := counts[core.InfAlwaysRE]
 	if re*100 < total*70 {
 		t.Errorf("Always R&E = %d of %d, implausibly low", re, total)
@@ -64,10 +117,10 @@ func TestRunCompareEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	a := writeFixture(t, dir, "surf.json", true)
 	b := writeFixture(t, dir, "june.json", false)
-	if err := runCompare(a, b); err != nil {
+	if err := runCompare(a, b, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCompare(a, filepath.Join(dir, "missing.json")); err == nil {
+	if err := runCompare(a, filepath.Join(dir, "missing.json"), 2); err == nil {
 		t.Error("missing file should error")
 	}
 }
@@ -128,33 +181,20 @@ func TestMissingRoundReadsAsLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	infs, err := classifyFile(path)
+	res, err := classifyFile(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if infs[gap] != core.InfUnresponsive {
-		t.Errorf("prefix missing one round classified %v, want %v", infs[gap], core.InfUnresponsive)
+	if inf := res.Find(gap).Inference; inf != core.InfUnresponsive {
+		t.Errorf("prefix missing one round classified %v, want %v", inf, core.InfUnresponsive)
 	}
-	if infs[whole] != core.InfSwitchToRE {
-		t.Errorf("complete prefix classified %v, want %v", infs[whole], core.InfSwitchToRE)
+	if inf := res.Find(whole).Inference; inf != core.InfSwitchToRE {
+		t.Errorf("complete prefix classified %v, want %v", inf, core.InfSwitchToRE)
 	}
-
-	in, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	rounds, err := probe.ReadJSON(in, func(addr uint32) (netutil.Prefix, bool) {
-		return netutil.PrefixFrom(addr, 24), true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := observe(rounds)
-	if got := core.SwitchConfig(obs[whole]); got != switchAt {
+	if got := core.SwitchConfig(res.Find(whole).Seq); got != switchAt {
 		t.Errorf("complete prefix switches at round %d, want %d", got, switchAt)
 	}
-	seq := obs[gap]
+	seq := res.Find(gap).Seq
 	if len(seq) != len(core.Schedule()) || seq[2] != core.ObsLoss ||
 		seq[switchAt-1] != core.ObsCommodity || seq[switchAt] != core.ObsRE {
 		t.Errorf("gapped prefix observed %v: want loss at round 2 and the change still at round %d", seq, switchAt)

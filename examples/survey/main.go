@@ -56,14 +56,14 @@ func main() {
 	fmt.Printf("... %d ASes total inferred to tie-break on AS path length (%s of %d classified)\n",
 		len(equal), report.Pct(len(equal), len(byAS)), len(byAS))
 
-	// Per-prefix detail for one switching prefix.
-	for p, pr := range s.Internet2.PerPrefix {
+	// Per-prefix detail for the first switching prefix.
+	for _, pr := range s.Internet2.PerPrefix {
 		if pr.Inference != core.InfSwitchToRE {
 			continue
 		}
-		pi := s.Eco.PrefixInfoFor(p)
+		pi := s.Eco.PrefixInfoFor(pr.Prefix)
 		fmt.Printf("\nexample switching prefix %s (origin %v, %s class):\n  ",
-			p, pi.Origin, pi.NeighborClass)
+			pr.Prefix, pi.Origin, pi.NeighborClass)
 		for i, obs := range pr.Seq {
 			fmt.Printf("%s=%s ", core.Schedule()[i].Label(), obs)
 		}

@@ -694,7 +694,7 @@ const routeFixedBytes = 5 + 1 + 4 + 4 + 1 + 4 + 4 + 1 + 4 + 8
 // encRoute writes one route-table entry; pathID is r.Path's number in
 // the snapshot's path table.
 func encRoute(e *snap.Enc, r *Route, pathID pathtab.ID) {
-	encPrefix(e, r.Prefix)
+	e.Prefix(r.Prefix)
 	e.Uvarint(uint64(pathID))
 	e.U8(uint8(r.Origin))
 	e.U32(r.MED)
@@ -717,7 +717,7 @@ func decodeRoutes(payload []byte, paths []asn.Path) ([]*Route, error) {
 	for i := 0; i < n; i++ {
 		r := &Route{}
 		var err error
-		if r.Prefix, err = decPrefix(d); err != nil {
+		if r.Prefix, err = d.Prefix(); err != nil {
 			return nil, err
 		}
 		if r.Path, err = pathByID(paths, d.Uvarint(), d); err != nil {
@@ -826,7 +826,7 @@ func (n *Network) encodeSpeakers(e *snap.Enc, ri *routeIndex) {
 		pfx = sortedOrigPrefixes(pfx[:0], s.originated)
 		e.Uvarint(uint64(len(pfx)))
 		for _, p := range pfx {
-			encPrefix(e, p)
+			e.Prefix(p)
 			e.Uvarint(ri.must(s.originated[p].route))
 		}
 
@@ -868,7 +868,7 @@ func (n *Network) encodeSpeakers(e *snap.Enc, ri *routeIndex) {
 		netutil.SortPrefixes(pfx)
 		e.Uvarint(uint64(len(pfx)))
 		for _, p := range pfx {
-			encPrefix(e, p)
+			e.Prefix(p)
 		}
 
 		e.Uvarint(0) // reserved, see FORMAT.md: the removed decision cache's entry list
@@ -885,7 +885,7 @@ func (n *Network) encodeSpeakers(e *snap.Enc, ri *routeIndex) {
 			netutil.SortPrefixes(pfx)
 			e.Uvarint(uint64(len(pfx)))
 			for _, p := range pfx {
-				encPrefix(e, p)
+				e.Prefix(p)
 				e.I64(int64(pc.PrefixPrepend[p]))
 			}
 		}
@@ -916,7 +916,7 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 		}
 
 		for j, nOrig := 0, d.Count(6); j < nOrig; j++ {
-			p, err := decPrefix(d)
+			p, err := d.Prefix()
 			if err != nil {
 				return nil, err
 			}
@@ -968,7 +968,7 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 		}
 
 		for j, nMed := 0, d.Count(5); j < nMed; j++ {
-			p, err := decPrefix(d)
+			p, err := d.Prefix()
 			if err != nil {
 				return nil, err
 			}
@@ -1003,7 +1003,7 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 				pd.prefixPrepend = make(map[netutil.Prefix]int, nPfx)
 			}
 			for c := 0; c < nPfx; c++ {
-				p, err := decPrefix(d)
+				p, err := d.Prefix()
 				if err != nil {
 					return nil, err
 				}
@@ -1034,7 +1034,7 @@ func (n *Network) encodeQueue(e *snap.Enc, ri *routeIndex) {
 		e.U64(it.Seq)
 		e.U32(uint32(ev.to))
 		e.U32(uint32(ev.from))
-		encPrefix(e, ev.prefix)
+		e.Prefix(ev.prefix)
 		e.Uvarint(ri.ref(n.parked(ev.route)))
 		e.Bool(ev.rfd)
 		e.Bool(ev.mrai)
@@ -1058,7 +1058,7 @@ func decodeQueue(payload []byte, routes []*Route) ([]vtime.Item[event], []*Route
 		ev.to = RouterID(d.U32())
 		ev.from = RouterID(d.U32())
 		var err error
-		if ev.prefix, err = decPrefix(d); err != nil {
+		if ev.prefix, err = d.Prefix(); err != nil {
 			return nil, nil, err
 		}
 		r, err := routeRef(routes, d.Uvarint(), d)
@@ -1084,7 +1084,7 @@ func encodeChurn(e *snap.Enc, recs []UpdateRecord, pt *snapPaths) {
 		e.I64(int64(rec.At))
 		e.U32(uint32(rec.Collector))
 		e.U32(uint32(rec.PeerAS))
-		encPrefix(e, rec.Prefix)
+		e.Prefix(rec.Prefix)
 		e.Bool(rec.Announce)
 		e.Uvarint(uint64(pt.id(rec.Path)))
 	}
@@ -1105,7 +1105,7 @@ func decodeChurn(payload []byte, paths []asn.Path) ([]UpdateRecord, error) {
 			PeerAS:    asn.AS(d.U32()),
 		}
 		var err error
-		if rec.Prefix, err = decPrefix(d); err != nil {
+		if rec.Prefix, err = d.Prefix(); err != nil {
 			return nil, err
 		}
 		rec.Announce = d.Bool()
@@ -1126,7 +1126,7 @@ func encodeDirty(e *snap.Enc, queue []dirtyKey) {
 	e.Uvarint(uint64(len(queue)))
 	for _, k := range queue {
 		e.U32(uint32(k.router))
-		encPrefix(e, k.prefix)
+		e.Prefix(k.prefix)
 		e.U32(uint32(k.neighbor))
 	}
 }
@@ -1138,7 +1138,7 @@ func decodeDirty(payload []byte) ([]dirtyKey, error) {
 	for i := 0; i < n; i++ {
 		k := dirtyKey{router: RouterID(d.U32())}
 		var err error
-		if k.prefix, err = decPrefix(d); err != nil {
+		if k.prefix, err = d.Prefix(); err != nil {
 			return nil, err
 		}
 		k.neighbor = RouterID(d.U32())
@@ -1152,30 +1152,13 @@ func decodeDirty(payload []byte) ([]dirtyKey, error) {
 
 // --- shared primitives ---
 
-func encPrefix(e *snap.Enc, p netutil.Prefix) {
-	e.U32(p.Addr())
-	e.U8(uint8(p.Bits()))
-}
-
-func decPrefix(d *snap.Dec) (netutil.Prefix, error) {
-	addr := d.U32()
-	bits := int(d.U8())
-	if err := d.Err(); err != nil {
-		return netutil.Prefix{}, err
-	}
-	if bits > 32 {
-		return netutil.Prefix{}, fmt.Errorf("%w: prefix length %d", snap.ErrCorrupt, bits)
-	}
-	return netutil.PrefixFrom(addr, bits), nil
-}
-
 func encRibKey(e *snap.Enc, k ribKey) {
-	encPrefix(e, k.prefix)
+	e.Prefix(k.prefix)
 	e.U32(uint32(k.neighbor))
 }
 
 func decRibKey(d *snap.Dec) (ribKey, error) {
-	p, err := decPrefix(d)
+	p, err := d.Prefix()
 	if err != nil {
 		return ribKey{}, err
 	}
@@ -1208,7 +1191,7 @@ func encRouteTable(e *snap.Enc, refs []ribRef, loc bool) {
 	e.Uvarint(uint64(len(refs)))
 	for _, ref := range refs {
 		if loc {
-			encPrefix(e, ref.k.prefix)
+			e.Prefix(ref.k.prefix)
 		} else {
 			encRibKey(e, ref.k)
 		}
@@ -1232,7 +1215,7 @@ func decRouteEntries(d *snap.Dec, routes []*Route, loc bool) ([]ribEntry, error)
 		var k ribKey
 		var err error
 		if loc {
-			k.prefix, err = decPrefix(d)
+			k.prefix, err = d.Prefix()
 		} else {
 			k, err = decRibKey(d)
 		}

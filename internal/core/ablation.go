@@ -122,9 +122,15 @@ func AblateTargets(res *Result, budgets []int) []TargetsAblationRow {
 	for _, k := range budgets {
 		row := TargetsAblationRow{MaxTargets: k}
 		agree, both := 0, 0
-		obs := Observe(res.Rounds, k)
-		for p, pr := range res.PerPrefix {
-			inf := Classify(obs[p])
+		// obs and res.PerPrefix are both in canonical prefix order:
+		// walk them side by side.
+		obs, j, found := Observe(res.Rounds, k), 0, false
+		for _, pr := range res.PerPrefix {
+			var seq []RoundObs
+			if j, found = seek(obs, j, pr.Prefix); found {
+				seq = obs[j].Seq
+			}
+			inf := Classify(seq)
 			switch inf {
 			case InfUnresponsive:
 				row.LossExcluded++

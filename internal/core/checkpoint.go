@@ -291,30 +291,13 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 
 // --- field codecs ---
 
-func encCkPrefix(e *snap.Enc, p netutil.Prefix) {
-	e.U32(p.Addr())
-	e.U8(uint8(p.Bits()))
-}
-
-func decCkPrefix(d *snap.Dec) (netutil.Prefix, error) {
-	addr := d.U32()
-	bits := int(d.U8())
-	if err := d.Err(); err != nil {
-		return netutil.Prefix{}, err
-	}
-	if bits > 32 {
-		return netutil.Prefix{}, fmt.Errorf("%w: prefix length %d", snap.ErrCorrupt, bits)
-	}
-	return netutil.PrefixFrom(addr, bits), nil
-}
-
 func encCkRound(e *snap.Enc, r *probe.Round) {
 	e.String(r.Config)
 	e.I64(int64(r.Start))
 	e.I64(int64(r.End))
 	e.Uvarint(uint64(len(r.Records)))
 	for _, rec := range r.Records {
-		encCkPrefix(e, rec.Prefix)
+		e.Prefix(rec.Prefix)
 		e.U32(rec.Dst)
 		e.U8(uint8(rec.Proto))
 		e.U16(rec.Port)
@@ -337,7 +320,7 @@ func decCkRound(d *snap.Dec) (*probe.Round, error) {
 	for i := 0; i < n; i++ {
 		var rec probe.Record
 		var err error
-		if rec.Prefix, err = decCkPrefix(d); err != nil {
+		if rec.Prefix, err = d.Prefix(); err != nil {
 			return nil, err
 		}
 		rec.Dst = d.U32()
@@ -408,15 +391,9 @@ func encCkResult(e *snap.Enc, res *Result) {
 	for _, r := range res.Rounds {
 		encCkRound(e, r)
 	}
-	prefixes := make([]netutil.Prefix, 0, len(res.PerPrefix))
-	for p := range res.PerPrefix {
-		prefixes = append(prefixes, p)
-	}
-	netutil.SortPrefixes(prefixes)
-	e.Uvarint(uint64(len(prefixes)))
-	for _, p := range prefixes {
-		pr := res.PerPrefix[p]
-		encCkPrefix(e, p)
+	e.Uvarint(uint64(len(res.PerPrefix)))
+	for _, pr := range res.PerPrefix {
+		e.Prefix(pr.Prefix)
 		e.Uvarint(uint64(len(pr.Seq)))
 		for _, o := range pr.Seq {
 			e.U8(uint8(o))
@@ -430,7 +407,7 @@ func encCkResult(e *snap.Enc, res *Result) {
 		e.I64(int64(u.At))
 		e.U32(uint32(u.Collector))
 		e.U32(uint32(u.PeerAS))
-		encCkPrefix(e, u.Prefix)
+		e.Prefix(u.Prefix)
 		e.Bool(u.Announce)
 		e.Uvarint(uint64(len(u.Path)))
 		for _, a := range u.Path {
@@ -458,22 +435,33 @@ func decCkResult(d *snap.Dec) (*Result, error) {
 		}
 		res.Rounds = append(res.Rounds, r)
 	}
+	// The per-prefix results are the analyses' input: anything the
+	// classifier cannot have produced is corrupt, including a prefix
+	// out of canonical order or repeated.
 	n = d.Count(16)
-	res.PerPrefix = make(map[netutil.Prefix]*PrefixResult, n)
 	for i := 0; i < n; i++ {
-		p, err := decCkPrefix(d)
+		p, err := d.Prefix()
 		if err != nil {
 			return nil, err
+		}
+		if i > 0 && netutil.ComparePrefixes(res.PerPrefix[i-1].Prefix, p) >= 0 {
+			return nil, fmt.Errorf("%w: per-prefix result %s out of order", snap.ErrCorrupt, p)
 		}
 		pr := &PrefixResult{Prefix: p}
 		m := d.Count(1)
 		for j := 0; j < m; j++ {
-			pr.Seq = append(pr.Seq, RoundObs(d.U8()))
+			o := RoundObs(d.U8())
+			if o > ObsMixed {
+				return nil, fmt.Errorf("%w: %s: round observation %d", snap.ErrCorrupt, p, o)
+			}
+			pr.Seq = append(pr.Seq, o)
 		}
-		pr.Inference = Inference(d.U8())
+		if pr.Inference = Inference(d.U8()); pr.Inference >= numInferences {
+			return nil, fmt.Errorf("%w: %s: inference %d", snap.ErrCorrupt, p, pr.Inference)
+		}
 		pr.Confidence = d.F64()
 		pr.Observed = int(d.Uvarint())
-		res.PerPrefix[p] = pr
+		res.PerPrefix = append(res.PerPrefix, pr)
 	}
 	n = d.Count(19)
 	for i := 0; i < n; i++ {
@@ -483,7 +471,7 @@ func decCkResult(d *snap.Dec) (*Result, error) {
 			PeerAS:    asn.AS(d.U32()),
 		}
 		var err error
-		if u.Prefix, err = decCkPrefix(d); err != nil {
+		if u.Prefix, err = d.Prefix(); err != nil {
 			return nil, err
 		}
 		u.Announce = d.Bool()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/netutil"
 	"repro/internal/probe"
+	snap "repro/internal/snapshot"
 	"repro/internal/telemetry"
 )
 
@@ -133,6 +135,21 @@ func FuzzCheckpointDecode(f *testing.F) {
 			(c.Phase == 1 && c.SURF == nil) {
 			t.Fatalf("accepted untrustworthy progress: phase %d, %d done, %d rounds", c.Phase, c.Done, len(c.Rounds))
 		}
+		if c.SURF != nil {
+			for i, pr := range c.SURF.PerPrefix {
+				if i > 0 && netutil.ComparePrefixes(c.SURF.PerPrefix[i-1].Prefix, pr.Prefix) >= 0 {
+					t.Fatalf("accepted SURF results out of canonical order at %s", pr.Prefix)
+				}
+				if pr.Inference >= numInferences {
+					t.Fatalf("accepted SURF result %s with inference %d", pr.Prefix, pr.Inference)
+				}
+				for _, o := range pr.Seq {
+					if o > ObsMixed {
+						t.Fatalf("accepted SURF result %s with observation %d", pr.Prefix, o)
+					}
+				}
+			}
+		}
 		enc := c.Encode()
 		again, err := DecodeCheckpoint(enc)
 		if err != nil {
@@ -142,6 +159,40 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatal("re-encoding a decoded checkpoint is not stable")
 		}
 	})
+}
+
+// TestDecodeRejectsCraftedSURFResults: a phase-1 checkpoint's SURF
+// rows are what the analyses read after a resume, so each row the
+// classifier cannot have produced is corrupt — an inference or a round
+// observation out of range, a prefix repeated or out of canonical order
+// — and LatestCheckpoint falls back to an older file. Once accepted, an
+// inference past the last category made Compare panic.
+func TestDecodeRejectsCraftedSURFResults(t *testing.T) {
+	a, b := netutil.PrefixFrom(0x0a000000, 24), netutil.PrefixFrom(0x0a000100, 24)
+	row := func(p netutil.Prefix, inf Inference, seq ...RoundObs) *PrefixResult {
+		return &PrefixResult{Prefix: p, Seq: seq, Inference: inf, Confidence: 1, Observed: len(seq)}
+	}
+	cases := []struct {
+		name string
+		rows []*PrefixResult
+	}{
+		{"inference-out-of-range", []*PrefixResult{row(a, 200, ObsRE), row(b, InfAlwaysRE, ObsRE)}},
+		{"observation-out-of-range", []*PrefixResult{row(a, InfAlwaysRE, ObsRE, ObsMixed+1), row(b, InfAlwaysRE, ObsRE)}},
+		{"duplicate-prefix", []*PrefixResult{row(a, InfAlwaysRE, ObsRE), row(a, InfAlwaysCommodity, ObsCommodity)}},
+		{"out-of-order-prefix", []*PrefixResult{row(b, InfAlwaysRE, ObsRE), row(a, InfAlwaysRE, ObsRE)}},
+	}
+	c := syntheticCheckpoint()
+	c.SURF.PerPrefix = []*PrefixResult{row(a, InfMixed, ObsMixed), row(b, InfInsufficientData, ObsLoss)}
+	if _, err := DecodeCheckpoint(c.Encode()); err != nil {
+		t.Fatalf("well-formed SURF rows refused: %v", err)
+	}
+	for _, tc := range cases {
+		c := syntheticCheckpoint()
+		c.SURF.PerPrefix = tc.rows
+		if _, err := DecodeCheckpoint(c.Encode()); !errors.Is(err, snap.ErrCorrupt) {
+			t.Errorf("%s: decoded with error %v, want snapshot.ErrCorrupt", tc.name, err)
+		}
+	}
 }
 
 // syntheticCheckpoint is a small phase-1 checkpoint for codec tests
@@ -180,8 +231,8 @@ func resultFixture() *Result {
 				SentAt: 9*3600 + 5, Responded: true, VLAN: 2, RTTms: 17.5, Retries: 1,
 			}},
 		}},
-		PerPrefix: map[netutil.Prefix]*PrefixResult{
-			pfx: {Prefix: pfx, Seq: []RoundObs{1, 2, 1}, Inference: 2, Confidence: 0.75, Observed: 3},
+		PerPrefix: []*PrefixResult{
+			{Prefix: pfx, Seq: []RoundObs{1, 2, 1}, Inference: 2, Confidence: 0.75, Observed: 3},
 		},
 		Churn: []bgp.UpdateRecord{{
 			At: 9*3600 + 1, Collector: 3, PeerAS: 64512, Prefix: pfx,

@@ -15,8 +15,10 @@ import (
 	"slices"
 
 	"repro/internal/netutil"
+	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/simnet"
+	"repro/internal/telemetry"
 )
 
 // RoundObs summarizes the responses of one prefix in one probing
@@ -140,11 +142,13 @@ func ObserveRound(records []probe.Record) RoundObs {
 }
 
 // Observe reduces probing rounds to every prefix's observation
-// sequence: obs[p][i] is what p's targets showed in rounds[i], and
-// ObsLoss where that round holds no record for p — the paper's rule
-// that a prefix must answer in every round. It is the one
-// records→observations reduction; the classifier, the ablations, the
-// optimizer's probe census and cmd/reinfer all read it.
+// sequence, one row per prefix in canonical prefix order: row.Seq[i] is
+// what the prefix's targets showed in rounds[i], and ObsLoss where that
+// round holds no record for it — the paper's rule that a prefix must
+// answer in every round. The rows carry Prefix and Seq only; ClassifyAll
+// fills in the rest. It is the one records→observations reduction; the
+// classifier, the ablations, the optimizer's probe census and
+// cmd/reinfer all read it.
 //
 // Each round's records are grouped by prefix once, whatever order
 // they arrive in (rounds read back through probe.ReadJSON need not be
@@ -155,9 +159,14 @@ func ObserveRound(records []probe.Record) RoundObs {
 // maxTargets > 0 restricts each group to its first maxTargets distinct
 // destinations by address, the target-budget ablation's question; 0
 // keeps every record.
-func Observe(rounds []*probe.Round, maxTargets int) map[netutil.Prefix][]RoundObs {
-	obs := make(map[netutil.Prefix][]RoundObs)
-	var order []int32 // positions in the round's Records, reused across rounds
+func Observe(rounds []*probe.Round, maxTargets int) []*PrefixResult {
+	var (
+		rows   []*PrefixResult
+		order  []int32 // positions in the round's Records, reused across rounds
+		starts []int32 // where each prefix's group begins in order, reused
+		pool   []PrefixResult
+		seqs   []RoundObs
+	)
 	for i, rd := range rounds {
 		recs := rd.Records
 		order = order[:0]
@@ -174,21 +183,54 @@ func Observe(rounds []*probe.Round, maxTargets int) map[netutil.Prefix][]RoundOb
 			}
 			return cmp.Compare(a, b)
 		})
-		for lo, hi := 0, 0; lo < len(order); lo = hi {
-			p := recs[order[lo]].Prefix
-			for hi = lo + 1; hi < len(order) && recs[order[hi]].Prefix == p; hi++ {
-			}
-			seq := obs[p]
-			if seq == nil {
-				seq = make([]RoundObs, len(rounds))
-				obs[p] = seq
-			}
-			for _, j := range firstTargets(recs, order[lo:hi], maxTargets) {
-				seq[i] |= observe(&recs[j])
+		starts = starts[:0]
+		for k, j := range order {
+			if k == 0 || recs[j].Prefix != recs[order[k-1]].Prefix {
+				starts = append(starts, int32(k))
 			}
 		}
+		groups := len(starts)
+		starts = append(starts, int32(len(order)))
+		// Rows [0, known) are sorted; this round's new prefixes are
+		// appended after them, in canonical order.
+		known, next, found := len(rows), 0, false
+		for g := 0; g < groups; g++ {
+			group := order[starts[g]:starts[g+1]]
+			p := recs[group[0]].Prefix
+			var row *PrefixResult
+			if next, found = seek(rows[:known], next, p); found {
+				row = rows[next]
+			} else {
+				if len(pool) == 0 {
+					// The round's remaining groups bound its new rows;
+					// rows and sequences come from one allocation each.
+					n := groups - g
+					pool, seqs = make([]PrefixResult, n), make([]RoundObs, n*len(rounds))
+				}
+				row = &pool[0]
+				row.Prefix, row.Seq = p, seqs[:len(rounds):len(rounds)]
+				pool, seqs = pool[1:], seqs[len(rounds):]
+				rows = append(rows, row)
+			}
+			for _, j := range firstTargets(recs, group, maxTargets) {
+				row.Seq[i] |= observe(&recs[j])
+			}
+		}
+		if known > 0 && len(rows) > known {
+			slices.SortFunc(rows, func(a, b *PrefixResult) int { return netutil.ComparePrefixes(a.Prefix, b.Prefix) })
+		}
 	}
-	return obs
+	return rows
+}
+
+// seek advances cursor j over rows, which are in canonical prefix
+// order, to the first row not below p, and reports whether that row is
+// p's: the step of every side-by-side walk of two ordered sequences.
+func seek(rows []*PrefixResult, j int, p netutil.Prefix) (int, bool) {
+	for j < len(rows) && netutil.ComparePrefixes(rows[j].Prefix, p) < 0 {
+		j++
+	}
+	return j, j < len(rows) && rows[j].Prefix == p
 }
 
 // firstTargets trims group — one prefix's record positions in recs,
@@ -319,6 +361,43 @@ func ClassifyRobust(seq []RoundObs, quorum int) RobustResult {
 		}
 	}
 	return r
+}
+
+// classifyShardSize is the number of prefixes per classification
+// shard — fixed, so shard artifacts do not depend on worker count.
+const classifyShardSize = 64
+
+// ClassifyAll classifies Observe's rows in place under the evidence
+// quorum (ClassifyRobust; quorum 0 is the paper's strict rule and
+// equals Classify). It is the one classification pass: the live
+// experiments and cmd/reinfer both run it. Rows are classified over
+// fixed-size shards of their canonical order by up to workers
+// goroutines; each row reads only its own sequence and the counters are
+// atomic, so the outcome is identical for any workers value. reg (nil
+// disables it) receives core_classifications_total{label} and
+// core_quorum_failures_total, every label present even at zero, and the
+// "classify" shard timings.
+func ClassifyAll(rows []*PrefixResult, quorum, workers int, reg *telemetry.Registry) {
+	var byLabel [numInferences]*telemetry.Counter
+	for inf := Inference(0); inf < numInferences; inf++ {
+		byLabel[inf] = reg.Counter(telemetry.Label("core_classifications_total", "label", inf.String()))
+	}
+	quorumFailures := reg.Counter("core_quorum_failures_total")
+	_, timings := parallel.CollectTimed(len(rows), classifyShardSize, workers,
+		func(s parallel.Shard) struct{} {
+			for _, pr := range rows[s.Lo:s.Hi] {
+				rr := ClassifyRobust(pr.Seq, quorum)
+				pr.Inference, pr.Confidence, pr.Observed = rr.Inference, rr.Confidence, rr.Observed
+				byLabel[rr.Inference].Inc()
+				if rr.Inference == InfInsufficientData {
+					quorumFailures.Inc()
+				}
+			}
+			return struct{}{}
+		})
+	for _, t := range timings {
+		reg.AddShardTiming("classify", t.Shard, t.Items, t.Duration)
+	}
 }
 
 // SwitchConfig returns the index of the first round in which the

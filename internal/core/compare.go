@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/asn"
-	"repro/internal/netutil"
 	"repro/internal/report"
 	"repro/internal/topo"
 )
@@ -45,15 +44,8 @@ func Compare(eco *topo.Ecosystem, surf, i2 *Result) *Comparison {
 	niksSet := niksCustomers(eco)
 	diffAS := make(map[asn.AS]bool)
 
-	var prefixes []netutil.Prefix
-	for p := range surf.PerPrefix {
-		prefixes = append(prefixes, p)
-	}
-	netutil.SortPrefixes(prefixes)
-
-	for _, p := range prefixes {
-		a := surf.PerPrefix[p]
-		b := i2.PerPrefix[p]
+	for _, a := range surf.PerPrefix {
+		b := i2.Find(a.Prefix)
 		if b == nil {
 			continue
 		}
@@ -79,7 +71,7 @@ func Compare(eco *topo.Ecosystem, surf, i2 *Result) *Comparison {
 			c.Same++
 		} else {
 			c.Different++
-			pi := eco.PrefixInfoFor(p)
+			pi := eco.PrefixInfoFor(a.Prefix)
 			if pi != nil {
 				diffAS[pi.Origin] = true
 				if niksSet[pi.Origin] {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/asn"
 	"repro/internal/bgp"
-	"repro/internal/netutil"
 	"repro/internal/topo"
 )
 
@@ -67,12 +66,8 @@ func BuildDataset(s *Survey) *Dataset {
 		ds.Configs = append(ds.Configs, cfg.Label())
 	}
 
-	var prefixes []netutil.Prefix
-	for p := range s.SURF.PerPrefix {
-		prefixes = append(prefixes, p)
-	}
-	netutil.SortPrefixes(prefixes)
-	for _, p := range prefixes {
+	for _, pr := range s.SURF.PerPrefix {
+		p := pr.Prefix
 		pi := s.Eco.PrefixInfoFor(p)
 		if pi == nil {
 			continue
@@ -83,8 +78,8 @@ func BuildDataset(s *Survey) *Dataset {
 			Class:  classLabel(pi.NeighborClass),
 			Region: pi.Region,
 		}
-		rec.SURF = experimentRecord(s.SURF.PerPrefix[p])
-		rec.Internet2 = experimentRecord(s.Internet2.PerPrefix[p])
+		rec.SURF = experimentRecord(pr)
+		rec.Internet2 = experimentRecord(s.Internet2.Find(p))
 		ds.Prefixes = append(ds.Prefixes, rec)
 	}
 	for _, u := range s.Internet2.Churn {

@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/bgp"
 	"repro/internal/netutil"
-	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/seeds"
 	"repro/internal/simnet"
@@ -106,7 +106,7 @@ type Experiment struct {
 	Metrics *telemetry.Registry
 	// Workers bounds the shard workers used for probing and
 	// classification; <= 0 means GOMAXPROCS. Results are identical for
-	// any value (see probe.Prober.Workers and classify).
+	// any value (see probe.Prober.Workers and ClassifyAll).
 	Workers int
 	// Checkpoint, when non-nil, fires after each configuration round
 	// completes with the experiment's progress: the rounds done so far,
@@ -150,7 +150,8 @@ func (x *Experiment) Converge() {
 	x.Metrics.Counter("core_initial_convergence_best_changes_total").Add(st1.BestChanges - st0.BestChanges)
 }
 
-// PrefixResult is the per-prefix outcome.
+// PrefixResult is the per-prefix outcome. Observe fills Prefix and
+// Seq; ClassifyAll the rest.
 type PrefixResult struct {
 	Prefix    netutil.Prefix
 	Seq       []RoundObs
@@ -168,10 +169,12 @@ type Result struct {
 	// Configs and ConfigTimes record the schedule as executed.
 	Configs     []PrependConfig
 	ConfigTimes []bgp.Time
-	// Rounds are the raw probing rounds.
+	// Rounds are the raw probing rounds, each holding its records in
+	// the selection's canonical prefix order, as the prober writes them.
 	Rounds []*probe.Round
-	// PerPrefix holds the classification of every probed prefix.
-	PerPrefix map[netutil.Prefix]*PrefixResult
+	// PerPrefix holds the classification of every probed prefix, in
+	// canonical prefix order; Find looks one up.
+	PerPrefix []*PrefixResult
 	// Churn is the collector-observed update log for the measurement
 	// prefix, windowed over the whole experiment.
 	Churn []bgp.UpdateRecord
@@ -179,6 +182,17 @@ type Result struct {
 	// measurement-prefix origin ASNs that peer exported at any point
 	// (Table 3's raw material), plus the final origin.
 	CollectorOrigins map[uint32]*PeerView
+}
+
+// Find returns p's result, nil if p was not probed.
+func (r *Result) Find(p netutil.Prefix) *PrefixResult {
+	i, ok := slices.BinarySearchFunc(r.PerPrefix, p, func(pr *PrefixResult, p netutil.Prefix) int {
+		return netutil.ComparePrefixes(pr.Prefix, p)
+	})
+	if !ok {
+		return nil
+	}
+	return r.PerPrefix[i]
 }
 
 // PeerView is what one collector peer showed for the measurement
@@ -234,7 +248,6 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 	meas := x.Eco.MeasPrefix
 	res := &Result{
 		Name:             x.Cfg.Name,
-		PerPrefix:        make(map[netutil.Prefix]*PrefixResult),
 		CollectorOrigins: make(map[uint32]*PeerView),
 	}
 
@@ -398,62 +411,14 @@ func (x *Experiment) advance(to bgp.Time) {
 	x.Eco.Net.Run(to)
 }
 
-// classifyShardSize is the number of prefixes per classification
-// shard — fixed, so shard artifacts do not depend on worker count.
-const classifyShardSize = 64
-
-// classify reduces rounds to per-prefix sequences (Observe) and
-// categories. Prefixes are classified in parallel over fixed-size
-// shards of the canonical prefix order; each prefix's result is pure
-// (it reads only its own observation sequence), label counters are
-// atomic, and shard results merge in shard order, so the outcome is
-// identical for any Workers value.
+// classify reduces rounds to per-prefix rows (Observe) and classifies
+// them under the experiment's quorum. Every selected prefix has a
+// record in every live round, so the rows are exactly the selection's.
 func (x *Experiment) classify(res *Result) {
 	sp := x.Metrics.StartSpan("classify")
 	defer sp.End()
-	obs := Observe(res.Rounds, 0)
-	// Pre-resolve the per-label outcome counters (all nil when
-	// telemetry is disabled).
-	var byLabel [numInferences]*telemetry.Counter
-	for inf := Inference(0); inf < numInferences; inf++ {
-		byLabel[inf] = x.Metrics.Counter(telemetry.Label("core_classifications_total", "label", inf.String()))
-	}
-	quorumFailures := x.Metrics.Counter("core_quorum_failures_total")
-
-	prefixes := make([]netutil.Prefix, 0, len(x.Sel.Targets))
-	for p := range x.Sel.Targets {
-		prefixes = append(prefixes, p)
-	}
-	netutil.SortPrefixes(prefixes)
-	shards, timings := parallel.CollectTimed(len(prefixes), classifyShardSize, x.Workers,
-		func(s parallel.Shard) []*PrefixResult {
-			out := make([]*PrefixResult, 0, s.Items())
-			for _, p := range prefixes[s.Lo:s.Hi] {
-				// A selected prefix has a target, hence a record in
-				// every round: obs[p] spans all of res.Rounds.
-				seq := obs[p]
-				rr := ClassifyRobust(seq, x.Cfg.Quorum)
-				byLabel[rr.Inference].Inc()
-				if rr.Inference == InfInsufficientData {
-					quorumFailures.Inc()
-				}
-				out = append(out, &PrefixResult{
-					Prefix: p, Seq: seq,
-					Inference:  rr.Inference,
-					Confidence: rr.Confidence,
-					Observed:   rr.Observed,
-				})
-			}
-			return out
-		})
-	for _, sr := range shards {
-		for _, pr := range sr {
-			res.PerPrefix[pr.Prefix] = pr
-		}
-	}
-	for _, t := range timings {
-		x.Metrics.AddShardTiming("classify", t.Shard, t.Items, t.Duration)
-	}
+	res.PerPrefix = Observe(res.Rounds, 0)
+	ClassifyAll(res.PerPrefix, x.Cfg.Quorum, x.Workers, x.Metrics)
 }
 
 // snapshotCollectors extracts the measurement-prefix updates observed

@@ -261,8 +261,8 @@ func (ev *policyEvaluator) measure(s *Survey, c optimize.Candidate, st0 bgp.IncS
 	}
 	if ev.obj.NeedsProbe() {
 		round := s.Prober.Run("opt", net.Now(), s.Sel)
-		for _, seq := range Observe([]*probe.Round{round}, 0) {
-			switch seq[0] {
+		for _, row := range Observe([]*probe.Round{round}, 0) {
+			switch row.Seq[0] {
 			case ObsRE:
 				e.ProbeRE++
 			case ObsCommodity:

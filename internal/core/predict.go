@@ -138,10 +138,11 @@ func EvaluatePredictors(eco *topo.Ecosystem, trainRes, evalRes *Result, views ma
 	pe := &PredictionEval{}
 	reOrigins := map[asn.AS]bool{11537: true, 1125: true}
 
-	for p, pr := range evalRes.PerPrefix {
+	for _, pr := range evalRes.PerPrefix {
 		if pr.Inference == InfUnresponsive {
 			continue
 		}
+		p := pr.Prefix
 		pi := eco.PrefixInfoFor(p)
 		if pi == nil || pi.Site != topo.SitePrimary || pi.MixedAltHost {
 			continue
@@ -164,7 +165,7 @@ func EvaluatePredictors(eco *topo.Ecosystem, trainRes, evalRes *Result, views ma
 		}
 		var trainInf Inference
 		hasTrain := false
-		if tr := trainRes.PerPrefix[p]; tr != nil && tr.Inference != InfUnresponsive {
+		if tr := trainRes.Find(p); tr != nil && tr.Inference != InfUnresponsive {
 			trainInf, hasTrain = tr.Inference, true
 		}
 		irrDoc := 0

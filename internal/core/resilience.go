@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/faults"
-	"repro/internal/netutil"
 	"repro/internal/probe"
 	"repro/internal/report"
 	"repro/internal/telemetry"
@@ -147,16 +146,8 @@ func runFaultPoint(ctx context.Context, opts FaultSweepOptions, intensity float6
 	pt.Accuracy = pt.Validation.Accuracy()
 	pt.OutageClasses = pt.Summary.PrefixCount[InfSwitchToCommodity] + pt.Summary.PrefixCount[InfOscillating]
 
-	// Sum in canonical prefix order: map iteration order would make
-	// the float total differ in the last ulp between identical runs.
-	prefixes := make([]netutil.Prefix, 0, len(pt.Result.PerPrefix))
-	for p := range pt.Result.PerPrefix {
-		prefixes = append(prefixes, p)
-	}
-	netutil.SortPrefixes(prefixes)
 	characterized, confSum := 0, 0.0
-	for _, p := range prefixes {
-		pr := pt.Result.PerPrefix[p]
+	for _, pr := range pt.Result.PerPrefix {
 		if pr.Inference == InfUnresponsive || pr.Inference == InfInsufficientData {
 			continue
 		}

@@ -40,8 +40,9 @@ func TestFaultSweepZeroIntensityBitForBit(t *testing.T) {
 	if len(pt.Result.PerPrefix) != len(base.PerPrefix) {
 		t.Fatalf("prefix counts differ: %d vs %d", len(pt.Result.PerPrefix), len(base.PerPrefix))
 	}
-	for p, want := range base.PerPrefix {
-		got := pt.Result.PerPrefix[p]
+	for _, want := range base.PerPrefix {
+		p := want.Prefix
+		got := pt.Result.Find(p)
 		if got == nil {
 			t.Fatalf("prefix %v missing from sweep result", p)
 		}
@@ -78,7 +79,8 @@ func TestFaultSweepHighIntensityOutcomes(t *testing.T) {
 		t.Fatal("intensity 1 injected nothing")
 	}
 	seen := 0
-	for p, pr := range pt.Result.PerPrefix {
+	for _, pr := range pt.Result.PerPrefix {
+		p := pr.Prefix
 		seen++
 		if pr.Inference >= numInferences {
 			t.Fatalf("prefix %v: out-of-range inference %d", p, pr.Inference)
@@ -112,9 +114,9 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	if a.Accuracy != b.Accuracy || a.MeanConfidence != b.MeanConfidence {
 		t.Fatalf("scores diverged: %v/%v vs %v/%v", a.Accuracy, a.MeanConfidence, b.Accuracy, b.MeanConfidence)
 	}
-	for p, pa := range a.Result.PerPrefix {
-		if pb := b.Result.PerPrefix[p]; pb == nil || pb.Inference != pa.Inference {
-			t.Fatalf("prefix %v diverged between identical sweeps", p)
+	for _, pa := range a.Result.PerPrefix {
+		if pb := b.Result.Find(pa.Prefix); pb == nil || pb.Inference != pa.Inference {
+			t.Fatalf("prefix %v diverged between identical sweeps", pa.Prefix)
 		}
 	}
 }

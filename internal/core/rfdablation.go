@@ -59,14 +59,14 @@ func AblateRoundGap(gaps []int, opts SurveyOptions) []GapAblationRow {
 		res := results[gap]
 		row := GapAblationRow{GapSeconds: gap}
 		agree, both := 0, 0
-		for p, pr := range res.PerPrefix {
+		for _, pr := range res.PerPrefix {
 			switch pr.Inference {
 			case InfUnresponsive:
 				row.Unresponsive++
 			case InfOscillating, InfSwitchToCommodity:
 				row.Artefacts++
 			}
-			bp := base.PerPrefix[p]
+			bp := base.Find(pr.Prefix)
 			if bp == nil || bp.Inference == InfUnresponsive || pr.Inference == InfUnresponsive {
 				continue
 			}

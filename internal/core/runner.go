@@ -228,7 +228,7 @@ func (s *Survey) pickOutages() []Outage {
 		}
 		responsive := false
 		for _, p := range info.Prefixes {
-			if _, ok := s.Sel.Targets[p]; ok {
+			if s.Sel.Targets(p) != nil {
 				responsive = true
 				break
 			}

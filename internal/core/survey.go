@@ -105,14 +105,15 @@ func (s *SurveySummary) Table() *report.Table {
 func itoa(n int) string { return strconv.Itoa(n) }
 
 // MixedRatio computes the R&E:commodity response ratio inside mixed
-// prefixes across all rounds (§4 reports ~2:1).
+// prefixes across all rounds (§4 reports ~2:1). A round's records and
+// res.PerPrefix are both in canonical prefix order, so it walks them
+// side by side.
 func MixedRatio(res *Result) (re, commodity int) {
 	for _, rd := range res.Rounds {
+		j, found := 0, false
 		for _, rec := range rd.Records {
-			if !rec.Responded {
-				continue
-			}
-			if pr := res.PerPrefix[rec.Prefix]; pr == nil || pr.Inference != InfMixed {
+			j, found = seek(res.PerPrefix, j, rec.Prefix)
+			if !found || !rec.Responded || res.PerPrefix[j].Inference != InfMixed {
 				continue
 			}
 			switch rec.VLAN {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/netutil"
 	"repro/internal/topo"
 )
 
@@ -188,7 +187,7 @@ func TestCongruenceViewLogic(t *testing.T) {
 }
 
 func TestMixedRatioEmpty(t *testing.T) {
-	res := &Result{PerPrefix: map[netutil.Prefix]*PrefixResult{}}
+	res := &Result{}
 	re, comm := MixedRatio(res)
 	if re != 0 || comm != 0 {
 		t.Error("empty result should have zero ratio")

@@ -24,18 +24,18 @@ type SwitchCDF struct {
 }
 
 // SwitchPrefixes returns the prefixes classified Switch-to-R&E in both
-// experiments (Appendix B selects these for comparability).
+// experiments (Appendix B selects these for comparability), in
+// canonical order.
 func SwitchPrefixes(a, b *Result) []netutil.Prefix {
 	var out []netutil.Prefix
-	for p, pr := range a.PerPrefix {
+	for _, pr := range a.PerPrefix {
 		if pr.Inference != InfSwitchToRE {
 			continue
 		}
-		if q := b.PerPrefix[p]; q != nil && q.Inference == InfSwitchToRE {
-			out = append(out, p)
+		if q := b.Find(pr.Prefix); q != nil && q.Inference == InfSwitchToRE {
+			out = append(out, pr.Prefix)
 		}
 	}
-	netutil.SortPrefixes(out)
 	return out
 }
 
@@ -50,7 +50,7 @@ func BuildSwitchCDF(eco *topo.Ecosystem, res *Result, prefixes []netutil.Prefix)
 	}
 	first := make(map[key]int)
 	for _, p := range prefixes {
-		pr := res.PerPrefix[p]
+		pr := res.Find(p)
 		if pr == nil {
 			continue
 		}

@@ -134,7 +134,8 @@ func NewProber(w *simnet.World) *Prober {
 const probeShardSize = 64
 
 // Run probes every selected target once, pacing at PPS, starting at
-// virtual time start. Targets are visited in canonical prefix order.
+// virtual time start. Targets are visited, and their records written,
+// in the selection's canonical prefix order.
 //
 // The prefix list is sharded (probeShardSize prefixes per shard) and
 // probed by up to Workers goroutines. Three properties make the result
@@ -151,16 +152,12 @@ func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Roun
 		rate = 100
 	}
 	round := &Round{Config: config, Start: start}
-	prefixes := make([]netutil.Prefix, 0, len(sel.Targets))
-	for p := range sel.Targets {
-		prefixes = append(prefixes, p)
-	}
-	netutil.SortPrefixes(prefixes)
+	prefixes := sel.Prefixes
 	// offsets[i] is the canonical index of prefix i's first target —
 	// the pacing slot basis that replaces the sequential sent counter.
 	offsets := make([]int, len(prefixes)+1)
-	for i, p := range prefixes {
-		offsets[i+1] = offsets[i] + len(sel.Targets[p])
+	for i, pt := range prefixes {
+		offsets[i+1] = offsets[i] + len(pt.Targets)
 	}
 	round.Records = make([]Record, offsets[len(prefixes)])
 
@@ -168,11 +165,11 @@ func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Roun
 		func(s parallel.Shard) int {
 			retries := 0
 			for i := s.Lo; i < s.Hi; i++ {
-				p := prefixes[i]
-				rng := pr.World.LossStream(start, p)
-				for j, tgt := range sel.Targets[p] {
+				pt := prefixes[i]
+				rng := pr.World.LossStream(start, pt.Prefix)
+				for j, tgt := range pt.Targets {
 					slot := offsets[i] + j
-					rec, n := pr.probeTarget(p, tgt, start+bgp.Time(slot/rate), rng)
+					rec, n := pr.probeTarget(pt.Prefix, tgt, start+bgp.Time(slot/rate), rng)
 					round.Records[slot] = rec
 					retries += n
 				}

@@ -85,8 +85,8 @@ func TestRunWorkersDeepEqual(t *testing.T) {
 	w.RETerminals = map[bgp.RouterID]bool{eco.Internet2.Router: true}
 	w.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
 	pr.Retry = DefaultRetryPolicy()
-	if len(sel.Targets) <= probeShardSize {
-		t.Fatalf("%d prefixes fit one shard; the test needs several", len(sel.Targets))
+	if len(sel.Prefixes) <= probeShardSize {
+		t.Fatalf("%d prefixes fit one shard; the test needs several", len(sel.Prefixes))
 	}
 	pr.Workers = 1
 	want := pr.Run("0-0", 1000, sel)
@@ -106,14 +106,14 @@ func TestRunAllocsIndependentOfTargets(t *testing.T) {
 	cfg := simnet.DefaultWorldConfig()
 	cfg.ProbeLossProb = 1
 	_, _, three, pr := setupWorld(t, cfg)
-	one := &seeds.Selection{Targets: make(map[netutil.Prefix][]seeds.Target, len(three.Targets))}
+	one := &seeds.Selection{Prefixes: make([]seeds.PrefixTargets, len(three.Prefixes))}
 	records := 0
-	for p, tgts := range three.Targets {
-		one.Targets[p] = tgts[:1]
-		records += len(tgts)
+	for i, pt := range three.Prefixes {
+		one.Prefixes[i] = seeds.PrefixTargets{Prefix: pt.Prefix, Targets: pt.Targets[:1]}
+		records += len(pt.Targets)
 	}
-	if records < 2*len(one.Targets) {
-		t.Fatalf("%d targets over %d prefixes: too few to show growth", records, len(one.Targets))
+	if records < 2*len(one.Prefixes) {
+		t.Fatalf("%d targets over %d prefixes: too few to show growth", records, len(one.Prefixes))
 	}
 	pr.Workers = 1
 	allocs := func(sel *seeds.Selection) float64 {
@@ -121,7 +121,7 @@ func TestRunAllocsIndependentOfTargets(t *testing.T) {
 	}
 	if a1, a3 := allocs(one), allocs(three); a3 != a1 {
 		t.Errorf("Run allocated %v times for %d records, %v for %d: it grows with targets per prefix",
-			a3, records, a1, len(one.Targets))
+			a3, records, a1, len(one.Prefixes))
 	}
 }
 

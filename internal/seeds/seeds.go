@@ -7,6 +7,7 @@ package seeds
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/netutil"
@@ -146,37 +147,31 @@ type Target struct {
 	Port  uint16
 }
 
-// SeedOrigin classifies where a prefix's selected targets came from.
-type SeedOrigin uint8
-
-// Seed origins (§3.2's ICMP vs TCP/UDP vs mixed accounting).
-const (
-	OriginNone SeedOrigin = iota
-	OriginISI
-	OriginCensys
-	OriginMixed
-)
-
-func (o SeedOrigin) String() string {
-	switch o {
-	case OriginISI:
-		return "isi"
-	case OriginCensys:
-		return "censys"
-	case OriginMixed:
-		return "mixed"
-	default:
-		return "none"
-	}
-}
-
 // Selection is the outcome of the seed-probing pass.
 type Selection struct {
-	// Targets holds up to maxPerPrefix responsive targets per prefix.
-	Targets map[netutil.Prefix][]Target
-	// Origin classifies each covered prefix's seed source.
-	Origin map[netutil.Prefix]SeedOrigin
-	Stats  SelectionStats
+	// Prefixes holds every responsive prefix with its targets, in the
+	// canonical prefix order (netutil.ComparePrefixes). It is the one
+	// place that order is decided: probe rounds, per-prefix results and
+	// every join of two experiments downstream keep it.
+	Prefixes []PrefixTargets
+	Stats    SelectionStats
+}
+
+// PrefixTargets is one responsive prefix and its selected targets.
+type PrefixTargets struct {
+	Prefix  netutil.Prefix
+	Targets []Target // up to maxPerPrefix, in selection order
+}
+
+// Targets returns p's selected targets, nil if p was not selected.
+func (s *Selection) Targets(p netutil.Prefix) []Target {
+	i, ok := slices.BinarySearchFunc(s.Prefixes, p, func(pt PrefixTargets, p netutil.Prefix) int {
+		return netutil.ComparePrefixes(pt.Prefix, p)
+	})
+	if !ok {
+		return nil
+	}
+	return s.Prefixes[i].Targets
 }
 
 // SelectionStats mirrors the §3.2 coverage numbers.
@@ -200,12 +195,13 @@ const maxCandidatesPerDataset = 10
 
 // Select probes catalog candidates with the given responsiveness
 // predicate and picks up to maxPerPrefix targets per prefix (the paper
-// uses three).
+// uses three). It walks the prefixes in canonical order, duplicates
+// collapsed; netutil.ExcludeCovered's output already is.
 func Select(cat *Catalog, prefixes []netutil.Prefix, responsive func(addr uint32, proto simnet.Proto) bool, maxPerPrefix int) *Selection {
-	sel := &Selection{
-		Targets: make(map[netutil.Prefix][]Target),
-		Origin:  make(map[netutil.Prefix]SeedOrigin),
-	}
+	prefixes = slices.Clone(prefixes)
+	netutil.SortPrefixes(prefixes)
+	prefixes = slices.Compact(prefixes)
+	sel := &Selection{}
 	sel.Stats.Prefixes = len(prefixes)
 	for _, p := range prefixes {
 		isi := cat.ISI[p]
@@ -239,7 +235,7 @@ func Select(cat *Catalog, prefixes []netutil.Prefix, responsive func(addr uint32
 		if len(targets) == 0 {
 			continue
 		}
-		sel.Targets[p] = targets
+		sel.Prefixes = append(sel.Prefixes, PrefixTargets{Prefix: p, Targets: targets})
 		sel.Stats.Responsive++
 		sel.Stats.ResponsiveTargets += len(targets)
 		if len(targets) == maxPerPrefix {
@@ -247,13 +243,10 @@ func Select(cat *Catalog, prefixes []netutil.Prefix, responsive func(addr uint32
 		}
 		switch {
 		case fromISI && fromCensys:
-			sel.Origin[p] = OriginMixed
 			sel.Stats.MixedOrigin++
 		case fromISI:
-			sel.Origin[p] = OriginISI
 			sel.Stats.ISIOnly++
 		default:
-			sel.Origin[p] = OriginCensys
 			sel.Stats.CensysOnly++
 		}
 	}

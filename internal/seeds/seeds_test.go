@@ -67,7 +67,17 @@ func TestSelectFindsResponsiveTargets(t *testing.T) {
 	if sel.Stats.Responsive > sel.Stats.WithAnySeed {
 		t.Error("cannot be responsive without a seed")
 	}
-	for p, targets := range sel.Targets {
+	if len(sel.Prefixes) != sel.Stats.Responsive {
+		t.Errorf("%d prefixes selected, %d responsive", len(sel.Prefixes), sel.Stats.Responsive)
+	}
+	for i, pt := range sel.Prefixes {
+		if i > 0 && netutil.ComparePrefixes(sel.Prefixes[i-1].Prefix, pt.Prefix) >= 0 {
+			t.Fatalf("prefixes %s, %s out of canonical order", sel.Prefixes[i-1].Prefix, pt.Prefix)
+		}
+		p, targets := pt.Prefix, pt.Targets
+		if got := sel.Targets(p); len(got) != len(targets) || &got[0] != &targets[0] {
+			t.Fatalf("Targets(%s) does not find the selected targets", p)
+		}
 		if len(targets) == 0 || len(targets) > 3 {
 			t.Fatalf("prefix %s has %d targets", p, len(targets))
 		}
@@ -80,9 +90,6 @@ func TestSelectFindsResponsiveTargets(t *testing.T) {
 			if !w.Responsive(tgt.Addr, tgt.Proto, 0) {
 				t.Fatalf("selected unresponsive target %d in %s", tgt.Addr, p)
 			}
-		}
-		if sel.Origin[p] == OriginNone {
-			t.Fatalf("prefix %s lacks a seed-origin label", p)
 		}
 	}
 	// Origin accounting adds up.
@@ -124,18 +131,10 @@ func TestSelectEmptyCatalog(t *testing.T) {
 	cat := &Catalog{ISI: map[netutil.Prefix][]ISIEntry{}, Censys: map[netutil.Prefix][]CensysService{}}
 	p := netutil.MustParsePrefix("10.0.0.0/24")
 	sel := Select(cat, []netutil.Prefix{p}, func(uint32, simnet.Proto) bool { return true }, 3)
-	if sel.Stats.Responsive != 0 || len(sel.Targets) != 0 {
+	if sel.Stats.Responsive != 0 || len(sel.Prefixes) != 0 || sel.Targets(p) != nil {
 		t.Error("empty catalog should select nothing")
 	}
 	if sel.Stats.Prefixes != 1 {
 		t.Error("prefix count wrong")
-	}
-}
-
-func TestSeedOriginStrings(t *testing.T) {
-	for _, o := range []SeedOrigin{OriginNone, OriginISI, OriginCensys, OriginMixed} {
-		if o.String() == "" {
-			t.Errorf("origin %d empty string", o)
-		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"math"
 	"testing"
+
+	"repro/internal/netutil"
 )
 
 // TestEncDecRoundTrip drives every Enc method through the matching Dec
@@ -130,6 +132,41 @@ func TestDecBoolRejectsJunk(t *testing.T) {
 // TestWriterReadSections round-trips a container through the io.Writer
 // / io.Reader surface (WriteTo + ReadSections), complementing the
 // in-memory DecodeSections tests.
+// TestPrefixCodec: Enc.Prefix writes address then length, the layout
+// of every prefix in RBGP and RCKP; Dec.Prefix reads it back and
+// refuses a length above 32 or a truncated prefix as ErrCorrupt.
+func TestPrefixCodec(t *testing.T) {
+	var e Enc
+	ps := []netutil.Prefix{
+		netutil.MustParsePrefix("0.0.0.0/0"),
+		netutil.MustParsePrefix("10.1.2.0/24"),
+		netutil.MustParsePrefix("255.255.255.255/32"),
+	}
+	for _, p := range ps {
+		e.Prefix(p)
+	}
+	if want := []byte{0, 0, 0, 0, 0, 0, 2, 1, 10, 24}; !bytes.Equal(e.Bytes()[:10], want) {
+		t.Errorf("encoded % x, want % x", e.Bytes()[:10], want)
+	}
+	d := NewDec(e.Bytes())
+	for _, want := range ps {
+		if got, err := d.Prefix(); err != nil || got != want {
+			t.Errorf("Prefix = %s, %v; want %s", got, err, want)
+		}
+	}
+	if err := d.Done(); err != nil {
+		t.Error(err)
+	}
+	for name, payload := range map[string][]byte{
+		"length 33": {10, 0, 0, 0, 33},
+		"truncated": {10, 0, 0, 0},
+	} {
+		if _, err := NewDec(payload).Prefix(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 func TestWriterReadSections(t *testing.T) {
 	w := NewWriter(EngineMagic, EngineVersion)
 	w.Section(1, []byte("alpha"))

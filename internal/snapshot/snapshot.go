@@ -21,6 +21,8 @@ import (
 	"io"
 	"math"
 	"slices"
+
+	"repro/internal/netutil"
 )
 
 // Format versions. Any change to a payload layout — field added,
@@ -293,6 +295,12 @@ func (e *Enc) Blob(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// Prefix appends a prefix as its address (u32) and length (u8).
+func (e *Enc) Prefix(p netutil.Prefix) {
+	e.U32(p.Addr())
+	e.U8(uint8(p.Bits()))
+}
+
 // Dec decodes a section payload written by Enc. It latches the first
 // error: after a failed read every further read returns the zero value
 // and Err() reports the failure, so decoders can be written as
@@ -435,4 +443,18 @@ func (d *Dec) String() string {
 func (d *Dec) Blob() []byte {
 	n := d.Count(1)
 	return d.take(n, "blob")
+}
+
+// Prefix reads a prefix written by Enc.Prefix. A length above 32 is an
+// ErrCorrupt, returned rather than latched.
+func (d *Dec) Prefix() (netutil.Prefix, error) {
+	addr := d.U32()
+	bits := int(d.U8())
+	if err := d.Err(); err != nil {
+		return netutil.Prefix{}, err
+	}
+	if bits > 32 {
+		return netutil.Prefix{}, fmt.Errorf("%w: prefix length %d", ErrCorrupt, bits)
+	}
+	return netutil.PrefixFrom(addr, bits), nil
 }

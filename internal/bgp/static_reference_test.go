@@ -278,7 +278,9 @@ func referenceAnnouncement(s *Speaker, src *Route, pc *PeerConfig) Route {
 
 // diffSolverReference solves (p, origins) on sv and on the reference
 // and describes the first difference: Converged, Rounds, any speaker's
-// full route, or the ExportView on any session.
+// full route, or the ExportView or AppendExportPath on any session.
+// The paths of every session are appended into one buffer, so a path
+// that clobbered what was there before shows up too.
 func diffSolverReference(n *Network, sv *StaticSolver, p netutil.Prefix, origins []StaticOrigin) error {
 	want := n.referenceSolveStatic(p, origins)
 	got := sv.Solve(p, origins)
@@ -286,16 +288,35 @@ func diffSolverReference(n *Network, sv *StaticSolver, p netutil.Prefix, origins
 		return fmt.Errorf("converged=%v rounds=%d, reference converged=%v rounds=%d",
 			got.Converged, got.Rounds, want.Converged, want.Rounds)
 	}
+	var buf, wantBuf asn.Path
 	for _, id := range n.order {
 		if g, w := got.Best(id), want.Best[id]; !reflect.DeepEqual(g, w) {
 			return fmt.Errorf("speaker %d best: %+v, reference %+v", id, g, w)
 		}
 		for _, pc := range n.speakers[id].peerOrder {
 			to := pc.Neighbor
-			if g, w := n.ExportView(got, id, to), n.referenceExportView(want, id, to); !reflect.DeepEqual(g, w) {
+			w := n.referenceExportView(want, id, to)
+			if g := n.ExportView(got, id, to); !reflect.DeepEqual(g, w) {
 				return fmt.Errorf("export view %d -> %d: %+v, reference %+v", id, to, g, w)
 			}
+			lo := len(buf)
+			var ok bool
+			buf, ok = n.AppendExportPath(buf, got, id, to)
+			switch {
+			case ok != (w != nil):
+				return fmt.Errorf("export path %d -> %d: ok=%v, reference view %+v", id, to, ok, w)
+			case !ok && len(buf) != lo:
+				return fmt.Errorf("export path %d -> %d: withheld, but appended %v", id, to, buf[lo:])
+			case ok && !buf[lo:].Equal(w.Path):
+				return fmt.Errorf("export path %d -> %d: %v, reference %v", id, to, buf[lo:], w.Path)
+			}
+			if ok {
+				wantBuf = append(wantBuf, w.Path...)
+			}
 		}
+	}
+	if !buf.Equal(wantBuf) {
+		return fmt.Errorf("export paths appended end to end: %v, reference %v", buf, wantBuf)
 	}
 	return nil
 }

@@ -257,6 +257,38 @@ func TestStaticSolverAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendExportPathAllocs: reading every session's export path of
+// a solve into a buffer that has grown to hold them all allocates
+// nothing on a network without policy callbacks.
+func TestAppendExportPathAllocs(t *testing.T) {
+	const n = 300
+	net := randomGaoRexfordNetwork(rand.New(rand.NewSource(42)), n) // #nosec test randomness
+	res := net.NewStaticSolver().Solve(netutil.MustParsePrefix("203.0.113.0/24"), []StaticOrigin{{Speaker: 7}})
+	type session struct{ from, to RouterID }
+	var all []session
+	for _, from := range net.Speakers() {
+		for _, to := range net.Speaker(from).Peers() {
+			all = append(all, session{from, to})
+		}
+	}
+	var buf asn.Path
+	sessions := 0
+	readAll := func() {
+		buf, sessions = buf[:0], 0
+		for _, s := range all {
+			var ok bool
+			if buf, ok = net.AppendExportPath(buf, res, s.from, s.to); ok {
+				sessions++
+			}
+		}
+	}
+	readAll() // grow the buffer
+	if got := testing.AllocsPerRun(10, readAll); got != 0 {
+		t.Fatalf("warmed AppendExportPath over %d sessions allocates %.1f times, want 0", sessions, got)
+	}
+	t.Logf("%d sessions exported %d ASes into one buffer, 0 allocations", sessions, len(buf))
+}
+
 // TestStaticResultStaleReadPanics: a result borrows its solver, so
 // reading it after the solver's next Solve must fail loudly rather
 // than answer for another prefix.
@@ -271,6 +303,9 @@ func TestStaticResultStaleReadPanics(t *testing.T) {
 	for name, read := range map[string]func(){
 		"Best":       func() { first.Best(1) },
 		"ExportView": func() { net.ExportView(first, 1, net.Speaker(1).Peers()[0]) },
+		"AppendExportPath": func() {
+			net.AppendExportPath(nil, first, 1, net.Speaker(1).Peers()[0])
+		},
 	} {
 		func() {
 			defer func() {

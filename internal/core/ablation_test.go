@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -145,6 +147,25 @@ func TestAblateRoundGap(t *testing.T) {
 		}
 		if len(rows) > 0 && !strings.Contains(GapAblationTable(rows).String(), "00:10:00") {
 			t.Errorf("%s: table rendering wrong", tt.name)
+		}
+	}
+}
+
+// TestAblateRoundGapDeterministic pins the standard ladder's rows at
+// -small, seed 1, and holds them equal whether the gaps' worlds run
+// one at a time or side by side.
+func TestAblateRoundGapDeterministic(t *testing.T) {
+	want := []GapAblationRow{
+		{GapSeconds: 600, Unresponsive: 0, Artefacts: 5, Agreement: 563.0 / 579},
+		{GapSeconds: 1800, Unresponsive: 0, Artefacts: 0, Agreement: 1},
+		{GapSeconds: 3600, Unresponsive: 0, Artefacts: 0, Agreement: 1},
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		rows := AblateRoundGap([]int{600, 1800, 3600}, SmallSurveyOptions())
+		runtime.GOMAXPROCS(prev)
+		if !reflect.DeepEqual(rows, want) {
+			t.Errorf("GOMAXPROCS %d: rows %+v, want %+v", procs, rows, want)
 		}
 	}
 }

@@ -32,14 +32,25 @@ type OriginView struct {
 	CollectorPaths []asn.Path
 }
 
+// viewMemory is one running shard's working memory: its solver, and
+// the buffer the collector peers' paths of one origin are appended
+// into, end to end, before they are copied out.
+type viewMemory struct {
+	sv    *bgp.StaticSolver
+	paths asn.Path
+	ends  []int // ends[i] is where path i ends in paths
+}
+
 // ComputeOriginViews solves converged routing for each origin AS's
 // announcements and extracts collector and RIPE views. One solve per
 // origin suffices because an origin announces all its prefixes with
 // the same per-session policy. Solves are independent reads of the
 // quiescent network, so they run across all CPUs; the result is
 // deterministic regardless of scheduling. Each running shard draws a
-// bgp.StaticSolver from a pool and reads its result — which borrows
-// the solver — before handing the solver back.
+// viewMemory from a pool and reads its result — which borrows the
+// solver — before handing the memory back. A view's collector paths
+// share one exact-size slab; each is capped at its own end, so
+// appending to one never writes into the next.
 func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 	// Collector -> peers mapping.
 	type colPeer struct{ col, peer bgp.RouterID }
@@ -62,34 +73,39 @@ func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 
 	// One origin per shard: a panicking solve surfaces as a ShardPanic
 	// naming its origin's index.
-	var solvers sync.Pool
+	var memory sync.Pool
 	results := parallel.Collect(len(origins), 1, 0, func(s parallel.Shard) *OriginView {
 		origin := origins[s.Lo]
 		info := eco.AS(origin)
 		ov := &OriginView{Origin: origin, REPrepend: -1, CommodityPrepend: -1}
-		sv, _ := solvers.Get().(*bgp.StaticSolver)
-		if sv == nil {
-			sv = eco.Net.NewStaticSolver()
+		mem, _ := memory.Get().(*viewMemory)
+		if mem == nil {
+			mem = &viewMemory{sv: eco.Net.NewStaticSolver()}
 		}
 		// Solve one representative prefix for this origin.
 		p := info.Prefixes[0]
-		res := sv.Solve(p, []bgp.StaticOrigin{{Speaker: info.Router}})
+		res := mem.sv.Solve(p, []bgp.StaticOrigin{{Speaker: info.Router}})
 
+		mem.paths, mem.ends = mem.paths[:0], mem.ends[:0]
 		for _, cp := range colPeers {
-			r := eco.Net.ExportView(res, cp.peer, cp.col)
-			if r == nil {
-				continue
+			var ok bool
+			if mem.paths, ok = eco.Net.AppendExportPath(mem.paths, res, cp.peer, cp.col); ok {
+				mem.ends = append(mem.ends, len(mem.paths))
 			}
-			ov.CollectorPaths = append(ov.CollectorPaths, r.Path)
-			up := r.Path.NeighborOfOrigin()
-			pre := r.Path.PrependCount()
-			if eco.REASNs[up] {
-				if pre > ov.REPrepend {
-					ov.REPrepend = pre
-				}
-			} else if up != asn.None {
-				if pre > ov.CommodityPrepend {
-					ov.CommodityPrepend = pre
+		}
+		if len(mem.ends) > 0 {
+			slab := make(asn.Path, len(mem.paths))
+			copy(slab, mem.paths)
+			ov.CollectorPaths = make([]asn.Path, len(mem.ends))
+			lo := 0
+			for i, hi := range mem.ends {
+				path := slab[lo:hi:hi]
+				ov.CollectorPaths[i], lo = path, hi
+				up, pre := path.NeighborOfOrigin(), path.PrependCount()
+				if eco.REASNs[up] {
+					ov.REPrepend = max(ov.REPrepend, pre)
+				} else if up != asn.None {
+					ov.CommodityPrepend = max(ov.CommodityPrepend, pre)
 				}
 			}
 		}
@@ -100,7 +116,7 @@ func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 				ov.RIPEViaRE = eco.REASNs[nb.AS]
 			}
 		}
-		solvers.Put(sv)
+		memory.Put(mem)
 		return ov
 	})
 

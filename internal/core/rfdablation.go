@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"slices"
 
 	"repro/internal/bgp"
 	"repro/internal/report"
+	"repro/internal/telemetry"
 )
 
 // This file ablates the schedule's pacing. §3.3 waited one hour
@@ -31,32 +33,34 @@ type GapAblationRow struct {
 // waits between configuration changes and compares each against the
 // one-hour run. Loss injection is disabled so the pacing effect is
 // isolated; gaps should include 3600 (the baseline). Every gap runs on
-// a world built for it.
+// a world built for it, as one point of sweepPoints: the gaps run in
+// parallel, and the rows are the same for any GOMAXPROCS.
 func AblateRoundGap(gaps []int, opts SurveyOptions) []GapAblationRow {
+	if len(gaps) == 0 {
+		return nil
+	}
 	// Isolate the pacing effect: no dormancy or random loss.
 	opts.World.FracDormantPrefix = 0
 	opts.World.ProbeLossProb = 0
 
-	results := make(map[int]*Result, len(gaps))
-	for _, gap := range gaps {
-		s := NewSurvey(opts)
-		x := NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, 9*3600)
-		x.Cfg.RoundGap = bgp.Time(gap)
-		x.Cfg.DormancySeed = 0
-		results[gap] = x.Run()
-	}
-	if len(gaps) == 0 {
-		return nil
-	}
-	base := results[3600]
-	if base == nil {
+	// The background context never cancels, so sweepPoints cannot fail.
+	results, _ := sweepPoints(context.Background(), len(gaps), 0, nil, "gapablation",
+		func(i int, reg *telemetry.Registry) *Result {
+			_, x, _ := newPointWorld(opts, reg)
+			x.Cfg.RoundGap = bgp.Time(gaps[i])
+			x.Cfg.DormancySeed = 0
+			return x.Run()
+		})
+	bi := slices.Index(gaps, 3600)
+	if bi < 0 {
 		// Fall back to the largest gap as baseline.
-		base = results[slices.Max(gaps)]
+		bi = slices.Index(gaps, slices.Max(gaps))
 	}
+	base := results[bi]
 
 	var out []GapAblationRow
-	for _, gap := range gaps {
-		res := results[gap]
+	for i, gap := range gaps {
+		res := results[i]
 		row := GapAblationRow{GapSeconds: gap}
 		agree, both := 0, 0
 		for _, pr := range res.PerPrefix {

@@ -2,12 +2,14 @@
 # (build, vet, gofmt, test) and includes the RIB memory-model and
 # delivery-allocation ceilings, which are ordinary tests; `make race`
 # adds the race detector; `make smoke` runs the reduced fault-intensity
-# sweep end to end. Performance is measured by benchmark/ (see
-# BENCHMARK.json: `bash benchmark/run.sh`), not from here.
+# sweep end to end; `make outputs-check` holds every deterministic
+# command output to its committed digest. Performance is measured by
+# benchmark/ (see BENCHMARK.json: `bash benchmark/run.sh`), not from
+# here.
 
 GO ?= go
 
-.PHONY: build check vet fmt test race smoke serve-smoke workload-smoke scenario-smoke optimize-smoke fuzz cover
+.PHONY: build check vet fmt test race smoke outputs-check serve-smoke workload-smoke scenario-smoke optimize-smoke fuzz cover
 
 build:
 	$(GO) build ./...
@@ -31,6 +33,14 @@ race:
 # the resilient pipeline, and the report path in one shot.
 smoke:
 	$(GO) test -run '^$$' -bench BenchmarkFaultSweep -benchtime 1x -v .
+
+# "No output byte moved": rerun scripts/outputs.sh's fixed matrix of
+# seeded commands and diff the digests against testdata/outputs.sha256.
+# A change that moves output bytes re-pins the file with
+# `sh scripts/outputs.sh`, and its diff names every output that moved.
+outputs-check:
+	@tmp="$$(mktemp)"; sh scripts/outputs.sh "$$tmp" && diff -u testdata/outputs.sha256 "$$tmp"; \
+		status=$$?; rm -f "$$tmp"; exit $$status
 
 # End-to-end smoke of the resident service: start resurveyd, submit a
 # job over HTTP, poll it to done, check /healthz and /metrics, then

@@ -152,20 +152,21 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Unique returns the distinct ASes in path order (first occurrence
-// wins). Useful for counting the AS-level hops a path represents,
-// ignoring prepending. It scans what it has kept instead of building a
-// set: AS paths are short, and most repeats are prepends.
-func (p Path) Unique() Path {
-	out := make(Path, 0, len(p))
+// AppendUnique appends to dst the distinct ASes of p in path order
+// (first occurrence wins) and returns the extended slice: the AS-level
+// hops the path represents, ignoring prepending. It scans what it has
+// appended instead of building a set: AS paths are short, and most
+// repeats are prepends.
+func (p Path) AppendUnique(dst Path) Path {
+	start := len(dst)
 	for i, a := range p {
 		// A prepended run repeats the AS just kept; only a poisoned
 		// path repeats one further back.
-		if (i == 0 || a != p[i-1]) && !slices.Contains(out, a) {
-			out = append(out, a)
+		if (i == 0 || a != p[i-1]) && !slices.Contains(dst[start:], a) {
+			dst = append(dst, a)
 		}
 	}
-	return out
+	return dst
 }
 
 // PrependCount returns how many times the origin AS appears at the

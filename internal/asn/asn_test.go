@@ -158,14 +158,14 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestUnique(t *testing.T) {
 	p := MustParsePath("11537 11537 2152 2152 2152 7377")
-	got := p.Unique()
+	got := p.AppendUnique(nil)
 	want := MustParsePath("11537 2152 7377")
 	if !got.Equal(want) {
-		t.Errorf("Unique = %v, want %v", got, want)
+		t.Errorf("AppendUnique = %v, want %v", got, want)
 	}
 }
 
-// uniqueBySet is Unique as a set of seen ASes: the definition the
+// uniqueBySet is AppendUnique as a set of seen ASes: the definition the
 // scan is held to.
 func uniqueBySet(p Path) Path {
 	seen := make(map[AS]bool, len(p))
@@ -179,9 +179,10 @@ func uniqueBySet(p Path) Path {
 	return out
 }
 
-// TestUniqueMatchesSet holds Unique equal to uniqueBySet on seeded
-// random paths: prepended runs, and poisoned paths that repeat an AS
-// further back.
+// TestUniqueMatchesSet holds AppendUnique equal to uniqueBySet on
+// seeded random paths: prepended runs, and poisoned paths that repeat
+// an AS further back. Appended after another path, it must dedupe
+// against its own hops only.
 func TestUniqueMatchesSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(36)) // #nosec test randomness
 	poisoned := 0
@@ -200,8 +201,12 @@ func TestUniqueMatchesSet(t *testing.T) {
 				p = append(p, a)
 			}
 		}
-		if got, want := p.Unique(), uniqueBySet(p); !got.Equal(want) {
-			t.Fatalf("Unique(%v) = %v, want %v", p, got, want)
+		want := uniqueBySet(p)
+		if got := p.AppendUnique(nil); !got.Equal(want) {
+			t.Fatalf("AppendUnique(%v) = %v, want %v", p, got, want)
+		}
+		if got := p.AppendUnique(p[:len(p):len(p)]); !got[len(p):].Equal(want) || !got[:len(p)].Equal(p) {
+			t.Fatalf("AppendUnique(%v) after the path itself = %v, want it followed by %v", p, got, want)
 		}
 	}
 	if poisoned == 0 {

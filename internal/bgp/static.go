@@ -77,9 +77,9 @@ func (n *Network) solverIdx() *solverIndex {
 
 // StaticResult is the converged routing of one solved prefix. It
 // borrows the StaticSolver that produced it: Best and
-// Network.ExportView read the solver's working memory, so a result is
-// good until that solver's next Solve and panics if read after it.
-// Reads change nothing and may run concurrently.
+// Network.AppendExportPath read the solver's working memory, so a
+// result is good until that solver's next Solve and panics if read
+// after it. Reads change nothing and may run concurrently.
 type StaticResult struct {
 	Prefix netutil.Prefix
 	// Converged is false if the iteration cap was hit (a policy
@@ -471,52 +471,28 @@ func exportRun(p netutil.Prefix, pc *PeerConfig) int {
 	return 1 + pc.effectivePrepend(p)
 }
 
-// exported returns the speaker `from`, its converged node and its
-// session toward `to` when policy lets the node out over that session
-// under res, and nil otherwise: the export checks of ExportView and
-// AppendExportPath.
-func (n *Network) exported(res *StaticResult, from, to RouterID) (*Speaker, *staticNode, *PeerConfig) {
-	s := n.speakers[from]
-	if s == nil || s.Collector {
-		return nil, nil, nil
-	}
-	best := res.node(from)
-	if best == nil {
-		return nil, nil, nil
-	}
-	pcTo := s.peers[to]
-	if pcTo == nil || !res.solver.exportAdmits(best, pcTo) {
-		return nil, nil, nil
-	}
-	return s, best, pcTo
-}
-
-// ExportView computes the announcement speaker `from` would send to
-// speaker `to` under the converged static result, or nil if policy
-// withholds the prefix. Collectors use this to reconstruct the routes
-// their peers export (Tables 3-4, Figure 5). It builds the one
-// announcement it is asked for straight from the solver's cells.
-func (n *Network) ExportView(res *StaticResult, from, to RouterID) *Route {
-	s, best, pcTo := n.exported(res, from, to)
-	if s == nil {
-		return nil
-	}
-	ann := res.solver.announcement(s, best, pcTo)
-	return &ann
-}
-
-// AppendExportPath appends to dst the AS path of ExportView(res, from,
-// to) and reports true, or returns dst unchanged and false if policy
-// withholds the prefix. A caller that wants only the paths of many
+// AppendExportPath appends to dst the AS path of the announcement
+// speaker `from` would send to speaker `to` under the converged static
+// result and reports true, or returns dst unchanged and false if policy
+// withholds the prefix. Collectors read their peers' exports this way
+// (Tables 3-4, Figure 5): a caller that wants the paths of many
 // sessions reads them into one buffer and builds no Route; into a
 // buffer with room, and on a session without a policy callback, it
 // allocates nothing.
 func (n *Network) AppendExportPath(dst asn.Path, res *StaticResult, from, to RouterID) (asn.Path, bool) {
-	s, best, pcTo := n.exported(res, from, to)
-	if s == nil {
+	s := n.speakers[from]
+	if s == nil || s.Collector {
+		return dst, false
+	}
+	best := res.node(from)
+	if best == nil {
 		return dst, false
 	}
 	sv := res.solver
+	pcTo := s.peers[to]
+	if pcTo == nil || !sv.exportAdmits(best, pcTo) {
+		return dst, false
+	}
 	return sv.appendPath(dst, s.AS, exportRun(sv.prefix, pcTo), best), true
 }
 

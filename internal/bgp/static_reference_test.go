@@ -269,6 +269,19 @@ func staticExport(s *Speaker, best *Route, pcToNeighbor *PeerConfig) *Route {
 	return &ann
 }
 
+// ExportView is the whole announcement whose path AppendExportPath
+// reads: what speaker `from` would send to speaker `to` under res, or
+// nil if policy withholds the prefix. diffSolverReference holds it
+// equal to referenceExportView on every session.
+func (n *Network) ExportView(res *StaticResult, from, to RouterID) *Route {
+	if _, ok := n.AppendExportPath(nil, res, from, to); !ok {
+		return nil
+	}
+	s := n.speakers[from]
+	ann := res.solver.announcement(s, res.node(from), s.peers[to])
+	return &ann
+}
+
 // referenceAnnouncement is announcement with the path prepended afresh
 // on every call, as the reference built it before the engine's one
 // path per fan-out (Network.exportPath).

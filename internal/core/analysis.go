@@ -198,13 +198,8 @@ func relationshipAccuracy(eco *topo.Ecosystem, views map[asn.AS]*OriginView) (ac
 	for _, origin := range origins {
 		paths = append(paths, views[origin].CollectorPaths...)
 	}
-	inf := asrel.NewInferrer()
-	for _, p := range paths {
-		inf.AddPath(p)
-	}
-	res := inf.Infer(paths)
 	correct := 0
-	for _, ie := range res.Edges() {
+	for _, ie := range asrel.Infer(paths).Edges() {
 		a, b := eco.AS(ie.A), eco.AS(ie.B)
 		if a == nil || b == nil {
 			continue

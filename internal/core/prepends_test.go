@@ -10,21 +10,22 @@ import (
 	"repro/internal/topo"
 )
 
-// referenceOriginView is one origin's view read the way the collectors'
-// routes are defined: a fresh solve, and one ExportView announcement
-// per collector peer.
+// referenceOriginView is one origin's view read one session at a time:
+// a fresh solve, and one AppendExportPath into a fresh slice per
+// collector peer. (bgp's solver-vs-reference differential holds
+// AppendExportPath equal to the reference export on every session.)
 func referenceOriginView(eco *topo.Ecosystem, origin asn.AS) *OriginView {
 	info := eco.AS(origin)
 	ov := &OriginView{Origin: origin, REPrepend: -1, CommodityPrepend: -1}
 	res := eco.Net.SolveStatic(info.Prefixes[0], []bgp.StaticOrigin{{Speaker: info.Router}})
 	for _, col := range eco.Collectors {
 		for _, peer := range eco.Net.Speaker(col).Peers() {
-			r := eco.Net.ExportView(res, peer, col)
-			if r == nil {
+			path, ok := eco.Net.AppendExportPath(nil, res, peer, col)
+			if !ok {
 				continue
 			}
-			ov.CollectorPaths = append(ov.CollectorPaths, r.Path)
-			up, pre := r.Path.NeighborOfOrigin(), r.Path.PrependCount()
+			ov.CollectorPaths = append(ov.CollectorPaths, path)
+			up, pre := path.NeighborOfOrigin(), path.PrependCount()
 			if eco.REASNs[up] {
 				ov.REPrepend = max(ov.REPrepend, pre)
 			} else if up != asn.None {
@@ -43,7 +44,7 @@ func referenceOriginView(eco *topo.Ecosystem, origin asn.AS) *OriginView {
 
 // TestOriginViewsMatchExportView holds ComputeOriginViews, which reads
 // the collector paths into one slab per view, equal to the views built
-// from one ExportView per collector peer, on every origin at -small.
+// one collector session at a time, on every origin at -small.
 // The paths of a view are capped sub-slices of its slab: appending to
 // one must leave the next as it was.
 func TestOriginViewsMatchExportView(t *testing.T) {
@@ -52,7 +53,7 @@ func TestOriginViewsMatchExportView(t *testing.T) {
 	aliasChecked := 0
 	for origin, got := range views {
 		if want := referenceOriginView(eco, origin); !reflect.DeepEqual(got, want) {
-			t.Fatalf("origin AS%s: view %+v, ExportView reading %+v", origin, got, want)
+			t.Fatalf("origin AS%s: view %+v, per-session reading %+v", origin, got, want)
 		}
 		paths := got.CollectorPaths
 		for i := 0; i+1 < len(paths); i++ {
@@ -68,5 +69,5 @@ func TestOriginViewsMatchExportView(t *testing.T) {
 	if aliasChecked == 0 {
 		t.Fatal("no view with two collector paths to check for aliasing")
 	}
-	t.Logf("%d origin views equal to the ExportView reading; %d appends left the next path intact", len(views), aliasChecked)
+	t.Logf("%d origin views equal to the per-session reading; %d appends left the next path intact", len(views), aliasChecked)
 }

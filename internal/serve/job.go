@@ -151,11 +151,12 @@ type Job struct {
 	// done closes when the runner finishes (any terminal state) or the
 	// emulated crash abandons the job.
 	done chan struct{}
-	// events is the job's full event history (JSON lines); subs receive
-	// appends live. Subscribers replay history first, so a late
-	// subscriber sees the same stream as an early one.
+	// events is the job's full event history (JSON lines), append-only;
+	// subs are the event streams' 1-slot wake-up channels, signalled on
+	// every append. Each stream reads the history from its own cursor,
+	// so a late or stalled subscriber sees the same stream as any other.
 	events []string
-	subs   map[chan string]struct{}
+	subs   map[chan struct{}]struct{}
 }
 
 // JobStatus is the wire form of a job's current state.

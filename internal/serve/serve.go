@@ -111,7 +111,7 @@ func New(cfg Config) (*Server, error) {
 			Spec:  r.Spec,
 			state: r.State,
 			done:  make(chan struct{}),
-			subs:  make(map[chan string]struct{}),
+			subs:  make(map[chan struct{}]struct{}),
 		}
 		j.errMsg = r.Error
 		j.output = r.Output
@@ -178,7 +178,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		Spec:  spec,
 		state: StateQueued,
 		done:  make(chan struct{}),
-		subs:  make(map[chan string]struct{}),
+		subs:  make(map[chan struct{}]struct{}),
 	}
 	s.nextSeq++
 	if err := writeJobRecord(s.cfg.DataDir, j.record()); err != nil {
@@ -372,12 +372,11 @@ func (s *Server) publishLocked(j *Job, ev event) {
 	if err != nil {
 		return
 	}
-	line := string(b)
-	j.events = append(j.events, line)
-	for ch := range j.subs {
+	j.events = append(j.events, string(b))
+	for wake := range j.subs {
 		select {
-		case ch <- line:
-		default: // slow subscriber: it still has the history replay
+		case wake <- struct{}{}:
+		default: // a wake-up is already pending
 		}
 	}
 }
@@ -536,47 +535,41 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 
-	// History snapshot and live subscription are atomic, so the stream
-	// is gapless: everything before the snapshot replays, everything
-	// after arrives on ch.
-	ch := make(chan string, 64)
+	// The stream is the job's event history read from a cursor: each
+	// wake-up sends every event past it, so a consumer that stalls
+	// misses nothing, however many events it falls behind.
+	wake := make(chan struct{}, 1)
 	s.mu.Lock()
-	history := append([]string(nil), j.events...)
-	terminal := j.state.Terminal()
-	if !terminal {
-		j.subs[ch] = struct{}{}
-	}
+	j.subs[wake] = struct{}{}
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
-		delete(j.subs, ch)
+		delete(j.subs, wake)
 		s.mu.Unlock()
 	}()
 
-	for _, ev := range history {
-		fmt.Fprintf(w, "data: %s\n\n", ev)
-	}
-	fl.Flush()
-	if terminal {
-		return
-	}
-	for {
-		select {
-		case ev := <-ch:
+	done := j.done
+	for sent := 0; ; {
+		// The history only grows, so the events below its length at
+		// this read stay as they are after the lock is released.
+		s.mu.Lock()
+		pending := j.events[sent:]
+		terminal := j.state.Terminal()
+		s.mu.Unlock()
+		for _, ev := range pending {
 			fmt.Fprintf(w, "data: %s\n\n", ev)
-			fl.Flush()
+		}
+		sent += len(pending)
+		fl.Flush()
+		if terminal || done == nil {
+			return
+		}
+		select {
+		case <-wake:
+		case <-done:
+			done = nil // the runner is finished: send what is left, then stop
 		case <-r.Context().Done():
 			return
-		case <-j.done:
-			for {
-				select {
-				case ev := <-ch:
-					fmt.Fprintf(w, "data: %s\n\n", ev)
-				default:
-					fl.Flush()
-					return
-				}
-			}
 		}
 	}
 }

@@ -544,6 +544,70 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
+// stallingWriter is an SSE client whose first Write blocks until
+// release closes: a consumer that stops reading while the job runs on.
+type stallingWriter struct {
+	header  http.Header
+	stalled chan struct{} // closed when the first Write blocks
+	release chan struct{}
+	body    bytes.Buffer
+}
+
+func (w *stallingWriter) Header() http.Header { return w.header }
+func (w *stallingWriter) WriteHeader(int)     {}
+func (w *stallingWriter) Flush()              {}
+
+func (w *stallingWriter) Write(b []byte) (int, error) {
+	select {
+	case <-w.stalled:
+	default:
+		close(w.stalled)
+		<-w.release
+	}
+	return w.body.Write(b)
+}
+
+// TestEventsStreamStalledConsumer: a subscriber blocked in Write while
+// the job publishes 200 events still receives the job's whole event
+// history, in order, once it reads again.
+func TestEventsStreamStalledConsumer(t *testing.T) {
+	s := newTestServer(t, Config{})
+	publishing := make(chan struct{})
+	s.runJob = func(ctx context.Context, j *Job) ([]byte, error) {
+		<-publishing
+		for i := 0; i < 200; i++ {
+			s.publish(j, event{Type: "round", Phase: i})
+		}
+		return []byte("{}"), nil
+	}
+	j, err := s.Submit(JobSpec{Options: core.JobOptions{Small: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &stallingWriter{header: http.Header{}, stalled: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/jobs/"+j.ID+"/events", nil))
+	}()
+	<-w.stalled
+	close(publishing)
+	<-j.done
+	close(w.release)
+	<-served
+
+	var want strings.Builder
+	s.mu.Lock()
+	for _, ev := range j.events {
+		fmt.Fprintf(&want, "data: %s\n\n", ev)
+	}
+	s.mu.Unlock()
+	if got := w.body.String(); got != want.String() {
+		t.Fatalf("stalled consumer received %d of %d events",
+			strings.Count(got, "data: "), strings.Count(want.String(), "data: "))
+	}
+}
+
 // TestHTTPSurface drives the remaining read endpoints end to end.
 func TestHTTPSurface(t *testing.T) {
 	s := newTestServer(t, Config{})

@@ -305,8 +305,8 @@ func BenchmarkParallelSweep(b *testing.B) {
 
 // BenchmarkRestoreNetwork measures the optimizer's per-candidate
 // rewind: the snapshot of a converged world at a quarter of the paper's
-// populations (the benchmark's sweep_warm size, map store) restored
-// into the network it was taken from. Run with -benchmem.
+// populations (the benchmark's sweep_warm size, default row layout)
+// restored into the network it was taken from. Run with -benchmem.
 func BenchmarkRestoreNetwork(b *testing.B) {
 	opts := core.DefaultSurveyOptions()
 	opts.Topology = paperQuarter()

@@ -10,8 +10,8 @@ import (
 )
 
 // The arena-backed RIB layout. At Internet scale (~80K ASes, ~1M
-// prefixes) the map layout's per-route cost — a 56-byte Route header,
-// a map bucket share, and an uninterned AS path slice — runs to
+// prefixes) the default layout's per-route cost — a 56-byte Route
+// header, its cells in a row, and an uninterned AS path slice — runs to
 // several hundred bytes; a single full feed would not fit in cache and
 // the full topology not in memory. The compact layout brings this to
 // ~40-64 bytes per route:

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/netutil"
@@ -65,5 +66,41 @@ func BenchmarkPrependChange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net.SetPrefixPrepend(1, nb, p, 1+i%4)
 		net.RunToQuiescence()
+	}
+}
+
+// BenchmarkDeliveryChurn is the per-update path alone, on both layouts:
+// TestDeliveryAllocs's prepend churn over a converged 160-AS network,
+// one operation a prepend change at each of the 40 prefixes in turn
+// (some deliver nothing, so one change alone can read zero), reported
+// per delivered update. A change to a RIB store reads here in seconds;
+// benchmark/'s event_storm is the same path end to end.
+func BenchmarkDeliveryChurn(b *testing.B) {
+	for _, layout := range []struct {
+		name    string
+		compact bool
+	}{{"rows", false}, {"arena", true}} {
+		b.Run(layout.name, func(b *testing.B) {
+			const perOp = 40
+			n, churn := deliveryChurnNet(layout.compact)
+			for i := 0; i < perOp; i++ {
+				churn(i) // the first pass grows the queue and scratch buffers
+			}
+			var before, after runtime.MemStats
+			msgs0 := n.Churn.TotalMessages
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := perOp; i < perOp*(1+b.N); i++ {
+				churn(i)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			delivered := float64(n.Churn.TotalMessages - msgs0)
+			if delivered == 0 {
+				b.Fatal("prepend churn delivered no updates")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/delivered, "ns/update")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/delivered, "allocs/update")
+		})
 	}
 }

@@ -8,12 +8,15 @@ import (
 	"repro/internal/netutil"
 )
 
-// Map-vs-arena differential harness: the two ribStore layouts must be
-// observationally identical. Every test here builds byte-identical
+// Default-vs-arena differential harness: the two ribStore layouts must
+// be observationally identical. Every test here builds byte-identical
 // topologies, one per layout, drives both through the same event
 // stream, and compares full network signatures — RIBs, churn, clock —
 // after every step. This is the contract that lets the compact layout
-// replace the map layout wholesale at Internet scale.
+// replace the default wholesale at Internet scale. The default layout
+// was a map per RIB when these tests were named ("map"); it is now the
+// row table (ribstore.go), which TestRowStoreMatchesReference holds to
+// that map.
 
 // diffPair builds two byte-identical random networks, the second on
 // the arena-backed compact layout, each with a collector attached so
@@ -111,7 +114,7 @@ func TestArenaMatchesMapIncremental(t *testing.T) {
 // over random commuting event batches (one prepend op per distinct
 // prefix), every application order on either store layout converges to
 // the same loc-RIB, byte for byte. The reference signature comes from
-// the map layout in identity order; permutations run on the arena
+// the default layout in identity order; permutations run on the arena
 // layout, so the property also covers arena slot-reuse order effects.
 func TestPropertyArenaCommutingBatches(t *testing.T) {
 	type setOp struct {

@@ -262,6 +262,9 @@ func (n *Network) AddSpeaker(id RouterID, as asn.AS, name string) *Speaker {
 		loc := newArenaStore(ar)
 		loc.sibling = in // loc-RIB delta-encodes against adj-RIB-in
 		s.adjIn, s.locRib, s.adjOut = in, loc, newArenaStore(ar)
+	} else {
+		s.rows = newRibRows()
+		s.adjIn, s.locRib, s.adjOut = s.rows.view(sideIn), s.rows.view(sideLoc), s.rows.view(sideOut)
 	}
 	s.net = n
 	n.speakers[id] = s

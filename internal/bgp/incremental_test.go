@@ -443,3 +443,67 @@ func TestDecisionStateNotRetainedAfterWithdraw(t *testing.T) {
 	}
 	runtime.KeepAlive(net)
 }
+
+// TestRowsReleasedAfterSessionFlush is the adj-RIB-in side of the
+// retention check above: a 64-session speaker learns 2,000 prefixes
+// over every session, then every session goes down (flushSession).
+// The sessions exist, down, before the heap is read, and the neighbors
+// originate then too, so the two readings see the same network and the
+// heap must come back to the first within the slack.
+func TestRowsReleasedAfterSessionFlush(t *testing.T) {
+	const (
+		sessions = 64
+		prefixes = 2_000
+		slack    = 2 << 20 // retained at the parent: 13.9 MB of emptied maps
+	)
+	net := NewNetwork()
+	const hub = RouterID(1)
+	net.AddSpeaker(hub, asn.AS(65000), "hub")
+	for i := 0; i < sessions; i++ {
+		id := RouterID(2 + i)
+		net.AddSpeaker(id, asn.AS(65001+i), "")
+		// The hub exports nothing, so what it learns stays its own.
+		net.Connect(hub, id,
+			PeerConfig{ClassifyAs: ClassCustomer, ExportAllow: NewClassSet()},
+			PeerConfig{ClassifyAs: ClassProvider, ExportAllow: NewClassSet(ClassOwn)})
+		net.SetSessionDown(hub, id)
+	}
+	for i := 0; i < sessions; i++ {
+		for p := 0; p < prefixes; p++ {
+			net.Originate(RouterID(2+i), netutil.PrefixFrom(uint32(0x0A000000+p*256), 24))
+		}
+	}
+	net.RunToQuiescence()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < sessions; i++ {
+		// One session at a time, so the event queue never holds more
+		// than one table and its high-water mark is not what is measured.
+		net.SetSessionUp(hub, RouterID(2+i))
+		net.RunToQuiescence()
+	}
+	if got := net.Speaker(hub).adjIn.Len(); got != sessions*prefixes {
+		t.Fatalf("hub holds %d adj-RIB-in routes, want %d", got, sessions*prefixes)
+	}
+	for i := 0; i < sessions; i++ {
+		net.SetSessionDown(hub, RouterID(2+i))
+	}
+	net.RunToQuiescence()
+	after := heap()
+	if n := net.Speaker(hub).adjIn.Len() + net.Speaker(hub).locRib.Len(); n != 0 {
+		t.Fatalf("hub still holds %d routes after every session went down", n)
+	}
+	grew := int64(after) - int64(before)
+	t.Logf("heap grew %d KB across learning and flushing %d routes", grew>>10, sessions*prefixes)
+	if grew > slack {
+		t.Errorf("heap grew %d KB across learning and flushing %d prefixes over %d sessions, want <= %d KB",
+			grew>>10, prefixes, sessions, slack>>10)
+	}
+	runtime.KeepAlive(net)
+}

@@ -14,10 +14,12 @@ package bgp
 //
 // What is recorded, and where:
 //
-//   - RIB entries, inside the stores: a map store records the previous
-//     *Route (exact pointers, because a snapshot numbers routes per
-//     distinct pointer); an arena store records the previous packed
-//     record, so recording materialises nothing.
+//   - RIB entries, inside the stores: a row table records the view,
+//     the key and the previous *Route (exact pointers, because a
+//     snapshot numbers routes per distinct pointer), and the rewind
+//     puts it back through the table without recording; an arena store
+//     records the previous packed record, so recording materialises
+//     nothing.
 //   - The speaker tables originated, rfd, suppressed, mraiLast,
 //     mraiPending and medSeen, at their write sites. rfdState is
 //     mutated in place (Flap, Suppressed), so its value is recorded
@@ -43,8 +45,8 @@ import (
 
 // journal is an open undo journal (see the file comment).
 type journal struct {
-	routes   keyedLog[ribKey, *Route] // map-store RIB entries
-	packed   []packedUndo             // arena-store RIB entries
+	rows     []rowUndo    // row-table RIB entries
+	packed   []packedUndo // arena-store RIB entries
 	orig     keyedLog[netutil.Prefix, origination]
 	flags    keyedLog[ribKey, bool] // suppressed, mraiPending
 	times    keyedLog[ribKey, Time] // mraiLast
@@ -105,6 +107,17 @@ func replay[T any](log *[]T, undo func(*T)) {
 	clear(s)
 	*log = s[:0]
 }
+
+// rowUndo is what a row table held under key on the view's side
+// before a write (nil: nothing).
+type rowUndo struct {
+	v    *rowView
+	k    ribKey
+	prev *Route
+}
+
+// undo puts the entry back, recording nothing.
+func (u *rowUndo) undo() { u.v.t.set(u.v.side, u.k, u.prev, false) }
 
 // packedUndo is an arena store's entry under key before a write.
 type packedUndo struct {
@@ -182,7 +195,7 @@ func (n *Network) Rewind() error {
 	if n.batchDepth != 0 {
 		return errors.New("bgp: Rewind called inside Batch")
 	}
-	j.routes.undo()
+	replay(&j.rows, (*rowUndo).undo)
 	replay(&j.packed, func(u *packedUndo) {
 		if u.ok {
 			u.st.put(u.key, u.rec, u.comms)

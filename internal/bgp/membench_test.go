@@ -71,9 +71,36 @@ func TestRIBBytesPerRoute(t *testing.T) {
 	}
 }
 
+// deliveryChurnNet is the delivery-path workload TestDeliveryAllocs
+// and BenchmarkDeliveryChurn share: a converged 160-AS Gao-Rexford
+// network with 40 originated prefixes on the given layout, and churn,
+// whose round i changes the prepend one origin applies toward its
+// first neighbor and runs the network to quiescence.
+func deliveryChurnNet(compact bool) (n *Network, churn func(i int)) {
+	rng := rand.New(rand.NewSource(1789)) // #nosec test randomness
+	n = NewNetwork()
+	n.SetCompactRIB(compact)
+	growGaoRexford(n, rng, 160)
+	prefixes := make([]netutil.Prefix, 40)
+	origins := make([]RouterID, len(prefixes))
+	for i := range prefixes {
+		prefixes[i] = netutil.PrefixFrom(uint32(0xC6336400+i*256), 24)
+		origins[i] = RouterID(1 + rng.Intn(160))
+		n.Originate(origins[i], prefixes[i])
+	}
+	n.RunToQuiescence()
+	return n, func(i int) {
+		k := i % len(prefixes)
+		nb := n.speakers[origins[k]].peerOrder[0].Neighbor
+		n.SetPrefixPrepend(origins[k], nb, prefixes[k], 1+i%3)
+		n.RunToQuiescence()
+	}
+}
+
 // TestDeliveryAllocs gates steady-state allocations per delivered
 // update on a converged network driven through prepend churn — the hot
-// path of every workload — on both stores. The map store is what
+// path of every workload — on both stores ("map" names the default,
+// now the row table, after the layout it replaced). The default is what
 // benchmark/'s event_storm and every survey run (it reports the figure
 // as bgp.allocs_per_update); the arena pays its materialisations on
 // top. Each ceiling is the committed reading plus about 10 %, so a
@@ -90,28 +117,13 @@ func TestDeliveryAllocs(t *testing.T) {
 		{"arena", true, 6.4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(1789)) // #nosec test randomness
-			n := NewNetwork()
-			n.SetCompactRIB(tc.compact)
-			growGaoRexford(n, rng, 160)
-			prefixes := make([]netutil.Prefix, 40)
-			origins := make([]RouterID, len(prefixes))
-			for i := range prefixes {
-				prefixes[i] = netutil.PrefixFrom(uint32(0xC6336400+i*256), 24)
-				origins[i] = RouterID(1 + rng.Intn(160))
-				n.Originate(origins[i], prefixes[i])
-			}
-			n.RunToQuiescence()
-
+			n, churn := deliveryChurnNet(tc.compact)
 			var before, after runtime.MemStats
 			msgs0 := n.Churn.TotalMessages
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			for i := 0; i < rounds; i++ {
-				k := i % len(prefixes)
-				nb := n.speakers[origins[k]].peerOrder[0].Neighbor
-				n.SetPrefixPrepend(origins[k], nb, prefixes[k], 1+i%3)
-				n.RunToQuiescence()
+				churn(i)
 			}
 			runtime.ReadMemStats(&after)
 			delivered := n.Churn.TotalMessages - msgs0

@@ -1,0 +1,262 @@
+package bgp
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/netutil"
+)
+
+// mapStore is the RIB layout the row table replaced, kept as the
+// oracle TestRowStoreMatchesReference holds it to: a bare route map
+// per RIB, pointer-exact. While a journal is set it logs what each
+// write overwrites in its own log, which rewind replays.
+type mapStore struct {
+	m   map[ribKey]*Route
+	jr  *journal
+	log keyedLog[ribKey, *Route]
+}
+
+func newMapStore() *mapStore { return &mapStore{m: make(map[ribKey]*Route)} }
+
+func (st *mapStore) Get(k ribKey) *Route { return st.m[k] }
+
+func (st *mapStore) Install(k ribKey, r *Route) {
+	if r == nil {
+		panic("bgp: Install(nil route); use Withdraw")
+	}
+	if st.jr != nil {
+		st.log.save(st.m, k)
+	}
+	st.m[k] = r
+}
+
+func (st *mapStore) Withdraw(k ribKey) {
+	if st.jr != nil {
+		st.log.save(st.m, k)
+	}
+	delete(st.m, k)
+}
+
+func (st *mapStore) stored(_ ribKey, r *Route) *Route { return r }
+
+func (st *mapStore) setJournal(j *journal) { st.jr = j }
+
+// rewind undoes every write since the journal was set.
+func (st *mapStore) rewind() { st.log.undo() }
+
+func (st *mapStore) Len() int { return len(st.m) }
+
+func (st *mapStore) Reset() { clear(st.m) }
+
+func (st *mapStore) appendSorted(refs []ribRef, ri *routeIndex) []ribRef {
+	st.WalkSorted(func(k ribKey, r *Route) bool {
+		refs = append(refs, ribRef{k: k, idx: ri.add(r)})
+		return true
+	})
+	return refs
+}
+
+func (st *mapStore) WalkSorted(fn func(k ribKey, r *Route) bool) {
+	entries := make([]ribEntry, 0, len(st.m))
+	for k, r := range st.m {
+		entries = append(entries, ribEntry{k, r})
+	}
+	slices.SortFunc(entries, func(a, b ribEntry) int { return a.k.compare(b.k) })
+	for _, e := range entries {
+		if !fn(e.k, e.r) {
+			return
+		}
+	}
+}
+
+// TestRowStoreMatchesReference drives a row table's three views and
+// three reference map stores through the same seeded operations —
+// installs (some sharing one *Route), withdrawals, one-side resets,
+// sessions added mid-life (a re-stride of every row), mass
+// withdrawals that compact the slab, and journal rounds ending in a
+// rewind — and after every step holds the views to the maps: Get on
+// every key, Len, the sorted walk and the snapshot's refs. It also
+// checks the table's own books: one row per prefix held, live counts,
+// and no more than half the slab free outside a journal.
+func TestRowStoreMatchesReference(t *testing.T) {
+	const (
+		steps    = 6000
+		prefixes = 72
+	)
+	rng := rand.New(rand.NewSource(38)) // #nosec test randomness
+	pfx := make([]netutil.Prefix, prefixes)
+	for i := range pfx {
+		pfx[i] = netutil.PrefixFrom(uint32(0x0A000000+rng.Intn(1<<16)*256), 8+rng.Intn(17))
+	}
+	// Session neighbors join from this pool; 0 is a legal neighbor ID
+	// for the row table, and 99 never joins, so Gets on it read nil.
+	pool := []RouterID{40, 7, 0, 23, 11, 58, 3, 31, 19, 44, 2, 50}
+	rows := newRibRows()
+	views := [3]ribStore{rows.view(sideLoc), rows.view(sideIn), rows.view(sideOut)}
+	refs := [3]*mapStore{newMapStore(), newMapStore(), newMapStore()}
+	var peers []RouterID
+	addPeer := func() {
+		nb := pool[len(peers)]
+		peers = append(peers, nb)
+		rows.addPeer(nb)
+	}
+	for range 3 {
+		addPeer()
+	}
+	key := func(side rowSide) ribKey {
+		k := ribKey{prefix: pfx[rng.Intn(len(pfx))]}
+		if side != sideLoc {
+			k.neighbor = peers[rng.Intn(len(peers))]
+		}
+		return k
+	}
+	var last *Route
+	var jr *journal
+	setJournal := func(j *journal) {
+		jr = j
+		for side := range views {
+			views[side].setJournal(j)
+			refs[side].setJournal(j)
+		}
+	}
+	restrides, resets, rewinds, compactions := 0, 0, 0, 0
+
+	check := func(step int, op string) {
+		t.Helper()
+		held := map[netutil.Prefix]bool{}
+		for side := range views {
+			v, ref := views[side], refs[side]
+			for _, p := range pfx {
+				for _, nb := range append(pool, 99) {
+					k := ribKey{prefix: p, neighbor: nb}
+					if side == int(sideLoc) && nb != 0 {
+						continue
+					}
+					if got, want := v.Get(k), ref.Get(k); got != want {
+						t.Fatalf("step %d (%s): side %d Get(%v/%d) = %p, reference %p", step, op, side, p, nb, got, want)
+					}
+				}
+			}
+			if v.Len() != ref.Len() {
+				t.Fatalf("step %d (%s): side %d Len %d, reference %d", step, op, side, v.Len(), ref.Len())
+			}
+			var got, want []ribEntry
+			v.WalkSorted(func(k ribKey, r *Route) bool { got = append(got, ribEntry{k, r}); return true })
+			ref.WalkSorted(func(k ribKey, r *Route) bool { want = append(want, ribEntry{k, r}); return true })
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d (%s): side %d walks %d entries, reference %d, or in another order", step, op, side, len(got), len(want))
+			}
+			for _, e := range want {
+				held[e.k.prefix] = true
+			}
+			riGot, riWant := &routeIndex{idx: map[*Route]uint32{}}, &routeIndex{idx: map[*Route]uint32{}}
+			if a, b := v.appendSorted(nil, riGot), ref.appendSorted(nil, riWant); !slices.Equal(a, b) {
+				t.Fatalf("step %d (%s): side %d appendSorted refs differ from the reference's", step, op, side)
+			}
+		}
+		if len(rows.index) != len(held) {
+			t.Fatalf("step %d (%s): %d rows indexed for %d prefixes held", step, op, len(rows.index), len(held))
+		}
+		for p, r := range rows.index {
+			n := int32(0)
+			for _, c := range rows.cells[int(r)*rows.stride : (int(r)+1)*rows.stride] {
+				if c != nil {
+					n++
+				}
+			}
+			if rows.prefix[r] != p || rows.live[r] != n || n == 0 {
+				t.Fatalf("step %d (%s): row %d of %v counts %d live cells, holds %d", step, op, r, p, rows.live[r], n)
+			}
+		}
+		if free := len(rows.free); jr == nil && free >= compactMin && 2*free > len(rows.prefix) {
+			t.Fatalf("step %d (%s): %d of %d rows free outside a journal", step, op, free, len(rows.prefix))
+		}
+		if len(rows.prefix)-len(rows.free) != len(rows.index) {
+			t.Fatalf("step %d (%s): %d rows, %d free, %d indexed", step, op, len(rows.prefix), len(rows.free), len(rows.index))
+		}
+	}
+
+	for step := 0; step < steps; step++ {
+		side := rowSide(rng.Intn(3))
+		v, ref := views[side], refs[side]
+		op := ""
+		switch x := rng.Intn(1000); {
+		case x < 480:
+			op = "install"
+			k := key(side)
+			r := last
+			if r == nil || rng.Intn(4) != 0 {
+				r = &Route{Prefix: k.prefix, From: k.neighbor, LocalPref: uint32(step)}
+			}
+			last = r
+			v.Install(k, r)
+			ref.Install(k, r)
+		case x < 900:
+			op = "withdraw"
+			k := key(side)
+			if side != sideLoc && rng.Intn(10) == 0 {
+				k.neighbor = 99
+			}
+			v.Withdraw(k)
+			ref.Withdraw(k)
+		case x < 915:
+			// A mass withdrawal: every entry of three prefixes in four.
+			op = "drain"
+			before := len(rows.prefix)
+			for s := range views {
+				var drop []ribKey
+				refs[s].WalkSorted(func(k ribKey, _ *Route) bool {
+					if slices.Index(pfx, k.prefix)%4 != 0 {
+						drop = append(drop, k)
+					}
+					return true
+				})
+				for _, k := range drop {
+					views[s].Withdraw(k)
+					refs[s].Withdraw(k)
+				}
+			}
+			if len(rows.prefix) < before {
+				compactions++
+			}
+		case x < 925 && jr == nil:
+			op = "reset"
+			resets++
+			v.Reset()
+			ref.Reset()
+		case x < 935 && jr == nil && len(peers) < len(pool):
+			op = "addPeer"
+			if len(rows.index) > 0 {
+				restrides++
+			}
+			addPeer()
+		case x < 955 && jr == nil:
+			op = "open journal"
+			setJournal(&journal{})
+		case x < 985 && jr != nil:
+			op = "rewind"
+			rewinds++
+			replay(&jr.rows, (*rowUndo).undo)
+			for _, ref := range refs {
+				ref.rewind()
+			}
+			if rng.Intn(2) == 0 {
+				setJournal(nil)
+			}
+		default:
+			op = "get"
+			k := key(side)
+			if got, want := v.Get(k), ref.Get(k); got != want {
+				t.Fatalf("step %d: Get(%v/%d) = %p, reference %p", step, k.prefix, k.neighbor, got, want)
+			}
+		}
+		check(step, op)
+	}
+	t.Logf("%d steps: %d re-strides with rows present, %d resets, %d rewinds, %d compacting drains; %d sessions, %d rows at the end",
+		steps, restrides, resets, rewinds, compactions, len(peers), len(rows.prefix))
+	if restrides == 0 || resets == 0 || rewinds == 0 || compactions == 0 {
+		t.Fatal("the operation mix missed a re-stride, a reset, a rewind or a compaction")
+	}
+}

@@ -390,8 +390,8 @@ func (n *Network) fingerprintEquals(want []byte) bool {
 // adj-RIB-in → loc-RIB → adj-RIB-out, then queued events in (at, seq)
 // order. First sighting wins, so shared pointers share an index.
 //
-// Two kinds of route are numbered. A *Route — an origination, a map
-// store's entry, a queued announcement — goes through the pointer map.
+// Two kinds of route are numbered. A *Route — an origination, a row
+// table's entry, a queued announcement — goes through the pointer map.
 // An arena store's entry is numbered by position: the store never hands
 // out a pointer that anything else holds (Get boxes afresh, and nothing
 // parks or originates a box), so its k-th entry in sorted order is
@@ -434,7 +434,7 @@ func newRouteIndex(n *Network) *routeIndex {
 	queue := n.queue.Sorted()
 	// Presize for what the walk will hold: every store entry in refs,
 	// and in the pointer map every origination and queued route, plus
-	// every entry when the stores are maps.
+	// every entry when the stores are row tables.
 	entries, boxed := 0, len(queue)
 	for _, s := range n.speakers {
 		boxed += len(s.originated)
@@ -573,7 +573,7 @@ func (ri *routeIndex) must(r *Route) uint64 { return ri.ref(r) - 1 }
 // through a local pathtab.Table. A path is in exactly one of the two,
 // so equal paths always share a number.
 type snapPaths struct {
-	net     *pathtab.Table // the arena network's table; nil on the map store
+	net     *pathtab.Table // the arena network's table; nil on the row table
 	byNet   []pathtab.ID   // network ID → snapshot ID, 0 until numbered
 	local   *pathtab.Table // paths net does not hold
 	byLocal []pathtab.ID   // local ID-1 → snapshot ID
@@ -928,13 +928,17 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 		}
 
 		var err error
-		if st.adjIn, err = decRouteEntries(d, routes, false); err != nil {
+		var peers map[RouterID]*PeerConfig
+		if s != nil {
+			peers = s.peers
+		}
+		if st.adjIn, err = decRouteEntries(d, routes, peers); err != nil {
 			return nil, err
 		}
-		if st.locRib, err = decRouteEntries(d, routes, true); err != nil {
+		if st.locRib, err = decRouteEntries(d, routes, nil); err != nil {
 			return nil, err
 		}
-		if st.adjOut, err = decRouteEntries(d, routes, false); err != nil {
+		if st.adjOut, err = decRouteEntries(d, routes, peers); err != nil {
 			return nil, err
 		}
 
@@ -1202,9 +1206,11 @@ func encRouteTable(e *snap.Enc, refs []ribRef, loc bool) {
 // decRouteEntries reads one RIB table in file order. Keys must be
 // strictly increasing — the order encRouteTable wrote them in — so
 // apply can install the entries as they come; anything else, a
-// duplicate included, is corruption. loc selects the loc-RIB's
-// prefix-only keys.
-func decRouteEntries(d *snap.Dec, routes []*Route, loc bool) ([]ribEntry, error) {
+// duplicate included, is corruption, and so is an adj-RIB key whose
+// neighbor is not in peers, the speaker's sessions. A nil peers
+// selects the loc-RIB's prefix-only keys.
+func decRouteEntries(d *snap.Dec, routes []*Route, peers map[RouterID]*PeerConfig) ([]ribEntry, error) {
+	loc := peers == nil
 	minEntry := 10
 	if loc {
 		minEntry = 6
@@ -1221,6 +1227,9 @@ func decRouteEntries(d *snap.Dec, routes []*Route, loc bool) ([]ribEntry, error)
 		}
 		if err != nil {
 			return nil, err
+		}
+		if !loc && peers[k.neighbor] == nil {
+			return nil, fmt.Errorf("%w: RIB key %s/%d names no session of the speaker", snap.ErrCorrupt, k.prefix, k.neighbor)
 		}
 		r, err := routeAt(routes, d.Uvarint(), d)
 		if err != nil {

@@ -595,7 +595,8 @@ func ribTableSpans(t *testing.T, payload []byte) (adjIn, locRib [][2]int) {
 // TestRestoreRejectsUnsortedKeys pins the decode-order check: apply
 // installs RIB entries in file order, so a speakers section whose
 // adj-RIB-in or loc-RIB keys are out of order, or duplicated, is
-// corrupt, and is refused before the base network is touched.
+// corrupt, and is refused before the base network is touched. So is an
+// adj-RIB key naming a neighbor the speaker has no session with.
 func TestRestoreRejectsUnsortedKeys(t *testing.T) {
 	build := func(origins ...RouterID) *Network {
 		n := snapNet(1, 10)
@@ -638,21 +639,31 @@ func TestRestoreRejectsUnsortedKeys(t *testing.T) {
 	}
 	entry := func(s [2]int) []byte { return payload[s[0]:s[1]] }
 	adjIn, locRib := ribTableSpans(t, payload)
-	cases := map[string][]byte{
-		"adj-RIB-in swapped":    splice(adjIn[0], adjIn[1], entry(adjIn[1]), entry(adjIn[0])),
-		"adj-RIB-in duplicated": splice(adjIn[0], adjIn[1], entry(adjIn[0]), entry(adjIn[0])),
-		"loc-RIB swapped":       splice(locRib[0], locRib[1], entry(locRib[1]), entry(locRib[0])),
-		"loc-RIB duplicated":    splice(locRib[0], locRib[1], entry(locRib[0]), entry(locRib[0])),
+	// The first adj-RIB-in entry again, its neighbor a router the
+	// speaker has no session with: the row table has no slot for it.
+	var stranger snap.Enc
+	stranger.U32(0xFFFFFFF0)
+	strangerEntry := slices.Concat(entry(adjIn[0])[:5], stranger.Bytes(), entry(adjIn[0])[9:])
+	const order, session = "does not sort after", "names no session"
+	cases := map[string]struct {
+		speakers []byte
+		want     string
+	}{
+		"adj-RIB-in swapped":         {splice(adjIn[0], adjIn[1], entry(adjIn[1]), entry(adjIn[0])), order},
+		"adj-RIB-in duplicated":      {splice(adjIn[0], adjIn[1], entry(adjIn[0]), entry(adjIn[0])), order},
+		"loc-RIB swapped":            {splice(locRib[0], locRib[1], entry(locRib[1]), entry(locRib[0])), order},
+		"loc-RIB duplicated":         {splice(locRib[0], locRib[1], entry(locRib[0]), entry(locRib[0])), order},
+		"adj-RIB-in neighbor absent": {splice(adjIn[0], adjIn[0], strangerEntry), session},
 	}
 
 	// The base holds different live state, so an apply that started
 	// would show.
 	base := build(3)
 	before := mustSnapshot(t, base)
-	for name, speakers := range cases {
-		err := RestoreNetwork(bytes.NewReader(reseal(speakers)), base)
-		if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "does not sort after") {
-			t.Errorf("%s: err = %v, want snap.ErrCorrupt from the key-order check", name, err)
+	for name, tc := range cases {
+		err := RestoreNetwork(bytes.NewReader(reseal(tc.speakers)), base)
+		if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), tc.want) {
+			t.Errorf("%s: err = %v, want snap.ErrCorrupt saying %q", name, err, tc.want)
 		}
 		if !bytes.Equal(mustSnapshot(t, base), before) {
 			t.Fatalf("%s: a rejected restore modified the base network", name)

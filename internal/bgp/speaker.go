@@ -56,8 +56,10 @@ type Speaker struct {
 	peerOrder []*PeerConfig // the sessions by neighbor ID: the export order
 
 	// The three RIBs sit behind the ribStore interface (ribstore.go):
-	// the map layout by default, the arena layout under
-	// Network.SetCompactRIB. The loc-RIB is keyed with neighbor 0.
+	// views onto rows by default, the arena layout under
+	// Network.SetCompactRIB (rows is then nil). The loc-RIB is keyed
+	// with neighbor 0.
+	rows       *ribRows
 	adjIn      ribStore
 	adjOut     ribStore
 	locRib     ribStore
@@ -89,15 +91,14 @@ type Speaker struct {
 	net *Network
 }
 
+// newSpeaker returns a speaker without RIBs: AddSpeaker gives it the
+// network's layout.
 func newSpeaker(id RouterID, as asn.AS, name string) *Speaker {
 	return &Speaker{
 		ID:          id,
 		AS:          as,
 		Name:        name,
 		peers:       make(map[RouterID]*PeerConfig),
-		adjIn:       newMapStore(),
-		adjOut:      newMapStore(),
-		locRib:      newMapStore(),
 		originated:  make(map[netutil.Prefix]origination),
 		rfd:         make(map[ribKey]*rfdState),
 		suppressed:  make(map[ribKey]bool),
@@ -126,6 +127,9 @@ func (s *Speaker) addPeer(pc *PeerConfig) {
 	s.peers[pc.Neighbor] = pc
 	s.peerOrder = append(s.peerOrder, pc)
 	sort.Slice(s.peerOrder, func(i, j int) bool { return s.peerOrder[i].Neighbor < s.peerOrder[j].Neighbor })
+	if s.rows != nil {
+		s.rows.addPeer(pc.Neighbor)
+	}
 }
 
 // Best returns the speaker's current loc-RIB route for prefix p.

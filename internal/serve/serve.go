@@ -75,6 +75,9 @@ type Server struct {
 	// runJob executes one job and returns its output document; tests
 	// substitute a fake. The default dispatches on the job kind.
 	runJob func(ctx context.Context, j *Job) ([]byte, error)
+	// persist writes a job's manifest into the data dir (an fsync per
+	// call); tests that cycle through many jobs substitute a no-op.
+	persist func(r *jobRecord) error
 	// crashAfterCheckpoints > 0 makes the Nth checkpoint write panic
 	// with errCrash — the kill-and-restart test knob.
 	crashAfterCheckpoints int
@@ -99,6 +102,7 @@ func New(cfg Config) (*Server, error) {
 		baseStop: stop,
 	}
 	s.runJob = s.dispatch
+	s.persist = func(r *jobRecord) error { return writeJobRecord(cfg.DataDir, r) }
 
 	recs, corrupt := loadJobRecords(cfg.DataDir)
 	if corrupt > 0 {
@@ -120,7 +124,7 @@ func New(cfg Config) (*Server, error) {
 				// Died before the first checkpoint: nothing durable to
 				// resume, so recovery re-queues it from scratch.
 				j.state = StateQueued
-				_ = writeJobRecord(s.cfg.DataDir, j.record())
+				_ = s.persist(j.record())
 			}
 			s.reg.Counter("serve_jobs_recovered_total").Inc()
 		} else {
@@ -181,7 +185,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		subs:  make(map[chan struct{}]struct{}),
 	}
 	s.nextSeq++
-	if err := writeJobRecord(s.cfg.DataDir, j.record()); err != nil {
+	if err := s.persist(j.record()); err != nil {
 		return nil, fmt.Errorf("persist job: %w", err)
 	}
 	s.jobs[j.ID] = j
@@ -326,7 +330,7 @@ func (s *Server) setStateLocked(j *Job, to State, errMsg string) {
 	if errMsg != "" {
 		j.errMsg = errMsg
 	}
-	if err := writeJobRecord(s.cfg.DataDir, j.record()); err != nil {
+	if err := s.persist(j.record()); err != nil {
 		s.reg.Counter("serve_persist_errors_total").Inc()
 	}
 	s.publishLocked(j, event{Type: "state", State: to.String()})

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -220,6 +221,51 @@ func TestCancel(t *testing.T) {
 	}
 	if got := s.counter("serve_jobs_cancelled_total"); got != 1 {
 		t.Errorf("serve_jobs_cancelled_total = %d, want 1", got)
+	}
+}
+
+// TestSubmitCancelNoGoroutineLeak: a thousand jobs submitted, started
+// and cancelled one after another leave no goroutine behind — not the
+// runner, not its context's. The manifests are not written: a thousand
+// jobs' fsyncs would take minutes on a slow disk, and persistence
+// starts no goroutine.
+func TestSubmitCancelNoGoroutineLeak(t *testing.T) {
+	const cycles = 1000
+	s := newTestServer(t, Config{})
+	s.persist = func(*jobRecord) error { return nil }
+	started := make(chan struct{}, 1)
+	s.runJob = func(ctx context.Context, j *Job) ([]byte, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	settled := func() int {
+		runtime.GC()
+		return runtime.NumGoroutine()
+	}
+	before := settled()
+	for i := 0; i < cycles; i++ {
+		j, err := s.Submit(JobSpec{Options: core.JobOptions{Small: true}})
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		<-started
+		if err := s.Cancel(j.ID); err != nil {
+			t.Fatal(err)
+		}
+		<-j.done
+	}
+	// A runner returns just after closing done; give the last one a
+	// moment.
+	after := settled()
+	for deadline := time.Now().Add(5 * time.Second); after > before+2 && time.Now().Before(deadline); after = settled() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after > before+2 || after < before-2 {
+		t.Fatalf("%d goroutines after %d submit/cancel cycles, %d before (want within 2)", after, cycles, before)
+	}
+	if got := s.counter("serve_jobs_cancelled_total"); got != cycles {
+		t.Errorf("serve_jobs_cancelled_total = %d, want %d", got, cycles)
 	}
 }
 

@@ -45,7 +45,7 @@ func TestScaleConfig(t *testing.T) {
 }
 
 // TestCompactRIBSameBestRoutes is the generator-level differential: the
-// same small ecosystem built on the map layout and the arena layout
+// same small ecosystem built on the default layout and the arena layout
 // must converge to identical best routes and forwarding decisions.
 func TestCompactRIBSameBestRoutes(t *testing.T) {
 	build := func(compact bool) *Ecosystem {

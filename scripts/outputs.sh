@@ -10,9 +10,12 @@
 #   workers, at paper scale, with -faults 0.5 -seeds 2, for the
 #   update-storm workload and the hijack scenario, and with -json,
 #   -dataset and -snapshot-dir; every -json and -dataset file;
-#   reoptimize, reprobe, and reinfer over the -json files; and RCKP
-#   sections 1-6 of every checkpoint (section 7 is wall-clock
-#   telemetry).
+#   reoptimize, reprobe, and reinfer over the -json files; the stdout
+#   of examples/survey; a -resume from the middle of SURF (a copy of
+#   the -snapshot-dir with its fifth checkpoint on deleted), its stdout
+#   and manifest; and RCKP sections 1-6 of every checkpoint of both
+#   directories (section 7 is wall-clock telemetry), so the resumed
+#   run's rewritten checkpoints must digest like the cold run's.
 #
 # `make outputs-check` writes a fresh digest and diffs it against the
 # committed one. A change that moves output bytes re-pins the file by
@@ -29,6 +32,7 @@ trap 'rm -rf "$WORK"' EXIT
 for bin in resurvey reoptimize reprobe reinfer; do
     (cd "$ROOT" && go build -buildvcs=false -o "$WORK/bin/$bin" "./cmd/$bin")
 done
+(cd "$ROOT" && go build -buildvcs=false -o "$WORK/bin/example-survey" ./examples/survey)
 mkdir "$WORK/out"
 cd "$WORK/out"
 
@@ -46,6 +50,10 @@ survey update-storm -small -workload update-storm -duration 600
 survey hijack -small -scenario hijack
 survey json -small -json probes -dataset dataset.json.gz
 survey ckpt -small -snapshot-dir ckpt
+cp -R ckpt ckpt-resume
+rm ckpt-resume/ckpt-0-0[5-9].rckp ckpt-resume/ckpt-1-*.rckp
+survey resume -small -workers 4 -snapshot-dir ckpt-resume -resume
+"$WORK/bin/example-survey" >example-survey.txt
 "$WORK/bin/reoptimize" -small -seed 1 -objective catchment:re=0.3 -budget 16 \
     -zerotime -manifest reoptimize.json >reoptimize.txt 2>"$WORK/reoptimize.err"
 "$WORK/bin/reprobe" -small -seed 1 -config 0-2 >reprobe.txt 2>"$WORK/reprobe.err"
@@ -56,7 +64,7 @@ survey ckpt -small -snapshot-dir ckpt
     # An RCKP file is magic[4] version:u16 then sections of id:u8
     # length:uvarint payload crc32:u32, in id order; digest the bytes
     # before section 7.
-    python3 - ckpt/*.rckp <<'PY'
+    python3 - ckpt/*.rckp ckpt-resume/*.rckp <<'PY'
 import hashlib, sys
 for name in sys.argv[1:]:
     b = open(name, "rb").read()

@@ -3,7 +3,6 @@ package bgp
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/asn"
 	"repro/internal/netutil"
@@ -83,12 +82,6 @@ type Network struct {
 	// share it by pointer, so SetMetrics enables the whole network at
 	// once.
 	metrics netMetrics
-
-	// solver caches the static solver's RouterID-indexed adjacency;
-	// nil means not built or invalidated (AddSpeaker, Connect and
-	// RestoreNetwork clear it). Atomic because concurrent SolveStatic
-	// calls on a quiescent network may all find it cold.
-	solver atomic.Pointer[solverIndex]
 
 	// Delta-engine state (see incremental.go): the dirty-pair work
 	// queue fed by config setters and session flaps, and the
@@ -263,12 +256,11 @@ func (n *Network) AddSpeaker(id RouterID, as asn.AS, name string) *Speaker {
 		loc.sibling = in // loc-RIB delta-encodes against adj-RIB-in
 		s.adjIn, s.locRib, s.adjOut = in, loc, newArenaStore(ar)
 	} else {
-		s.rows = newRibRows()
+		s.rows = newRibRows(s)
 		s.adjIn, s.locRib, s.adjOut = s.rows.view(sideIn), s.rows.view(sideLoc), s.rows.view(sideOut)
 	}
 	s.net = n
 	n.speakers[id] = s
-	n.solver.Store(nil)
 	// Generators add speakers in ascending ID order, so the common case
 	// is a plain append; re-sorting on every insertion would make an
 	// 80K-speaker build quadratic.
@@ -317,9 +309,8 @@ func (n *Network) Connect(a, b RouterID, cfgAtA, cfgAtB PeerConfig) {
 	cfgAtA.Neighbor, cfgAtA.NeighborAS = b, sb.AS
 	cfgAtB.Neighbor, cfgAtB.NeighborAS = a, sa.AS
 	pa, pb := cfgAtA, cfgAtB
-	sa.addPeer(&pa)
-	sb.addPeer(&pb)
-	n.solver.Store(nil)
+	sa.addPeer(sb, &pa, &pb)
+	sb.addPeer(sa, &pb, &pa)
 	// Initial table exchange: a freshly established session carries
 	// each side's existing exportable state (RFC 4271 §9.2: the whole
 	// Adj-RIB-Out is advertised when the session comes up).
@@ -414,7 +405,7 @@ func (n *Network) SetExportPrepend(id, nb RouterID, prepends int) {
 	if s == nil {
 		return
 	}
-	pc := s.peers[nb]
+	pc := s.Peer(nb)
 	if pc == nil || pc.ExportPrepend == prepends {
 		return
 	}
@@ -438,14 +429,15 @@ func (n *Network) SetExportPrepend(id, nb RouterID, prepends int) {
 // produce the paper's "Switch to commodity" and "Oscillating"
 // categories (§4).
 func (n *Network) SetSessionDown(a, b RouterID) {
-	sa, sb := n.speakers[a], n.speakers[b]
-	if sa == nil || sb == nil {
+	sa := n.speakers[a]
+	if sa == nil {
 		return
 	}
-	pcA, pcB := sa.peers[b], sb.peers[a]
-	if pcA == nil || pcB == nil || pcA.down {
+	ss := sa.session(b)
+	if ss == nil || ss.pc.down {
 		return
 	}
+	sb, pcA, pcB := ss.nb, ss.pc, ss.pcAtNb
 	n.savePeer(pcA)
 	n.savePeer(pcB)
 	pcA.down, pcB.down = true, true
@@ -456,14 +448,15 @@ func (n *Network) SetSessionDown(a, b RouterID) {
 // SetSessionUp restores a torn-down session and re-advertises current
 // state in both directions.
 func (n *Network) SetSessionUp(a, b RouterID) {
-	sa, sb := n.speakers[a], n.speakers[b]
-	if sa == nil || sb == nil {
+	sa := n.speakers[a]
+	if sa == nil {
 		return
 	}
-	pcA, pcB := sa.peers[b], sb.peers[a]
-	if pcA == nil || pcB == nil || !pcA.down {
+	ss := sa.session(b)
+	if ss == nil || !ss.pc.down {
 		return
 	}
+	sb, pcA, pcB := ss.nb, ss.pc, ss.pcAtNb
 	n.savePeer(pcA)
 	n.savePeer(pcB)
 	pcA.down, pcB.down = false, false
@@ -515,7 +508,7 @@ func (n *Network) SetPrefixPrepend(id, nb RouterID, p netutil.Prefix, prepends i
 	if s == nil {
 		return
 	}
-	pcN := s.peers[nb]
+	pcN := s.Peer(nb)
 	if pcN == nil {
 		return
 	}
@@ -574,7 +567,7 @@ func (n *Network) SetImportDeny(id RouterID, fn func(*Route) bool) {
 		return true
 	})
 	for _, k := range denied {
-		pc := s.peers[k.neighbor]
+		pc := s.Peer(k.neighbor)
 		if pc == nil {
 			continue
 		}
@@ -597,7 +590,7 @@ func (n *Network) SetImportLocalPref(id, nb RouterID, pref uint32) uint32 {
 	if s == nil {
 		return 0
 	}
-	pc := s.peers[nb]
+	pc := s.Peer(nb)
 	if pc == nil {
 		return 0
 	}
@@ -645,7 +638,7 @@ func (n *Network) SetExportAllow(id, nb RouterID, allow ClassSet) ClassSet {
 	if s == nil {
 		return 0
 	}
-	pc := s.peers[nb]
+	pc := s.Peer(nb)
 	if pc == nil {
 		return 0
 	}
@@ -690,8 +683,8 @@ func (s *Speaker) exportablePrefixes() []netutil.Prefix {
 // announcement can move without the loc-RIB, and best (nil) goes
 // unread.
 func (n *Network) exportAfterDecision(s *Speaker, p netutil.Prefix, best *Route, changed bool) {
-	for _, pc := range s.peerOrder {
-		if changed || pc.ExportBestOf != nil {
+	for i := range s.sessions {
+		if pc := s.sessions[i].pc; changed || pc.ExportBestOf != nil {
 			n.exportToPeer(s, p, pc, best)
 		}
 	}
@@ -809,7 +802,7 @@ func (n *Network) deliver(e *event) {
 	if s == nil {
 		return
 	}
-	pc := s.peers[e.from]
+	pc := s.Peer(e.from)
 	if e.mrai {
 		// Flush timer at the sender: re-evaluate the deferred export. A
 		// timer is not an update in flight, so it ends the batch even

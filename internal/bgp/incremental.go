@@ -130,7 +130,7 @@ func (n *Network) drainDirty() {
 		if s == nil {
 			continue
 		}
-		pc := s.peers[k.neighbor]
+		pc := s.Peer(k.neighbor)
 		if pc == nil {
 			continue
 		}

@@ -8,9 +8,10 @@ package bgp
 // (table, key, previous value) — and Rewind replays those records in
 // reverse, so a rewind costs what the writes since the fork cost, not
 // what the network holds. The network-wide scalars and the small
-// queues (clock, event queue, in-flight route slots, dirty queue, work
-// counters, churn log) are saved once, by value, at open, and copied
-// back on every rewind.
+// queues (clock, event queue, in-flight route slots, work counters,
+// churn log) are saved once, by value, at open, and copied back on
+// every rewind. The dirty queue is not among them: OpenJournal and
+// Rewind refuse to run inside a Batch, and outside one it is empty.
 //
 // What is recorded, and where:
 //
@@ -62,7 +63,6 @@ type journal struct {
 	seq             uint64
 	inflight        []*Route
 	freeSlots       []uint32
-	dirtyQueue      []dirtyKey
 	eventsProcessed int
 	inc             IncStats
 	defaultDelay    Time
@@ -163,7 +163,6 @@ func (n *Network) OpenJournal() error {
 		seq:             n.queue.Seq(),
 		inflight:        append([]*Route(nil), n.inflight...),
 		freeSlots:       append([]uint32(nil), n.freeSlots...),
-		dirtyQueue:      append([]dirtyKey(nil), n.dirtyQueue...),
 		eventsProcessed: n.eventsProcessed,
 		inc:             n.inc,
 		defaultDelay:    n.DefaultDelay,
@@ -227,11 +226,6 @@ func (n *Network) Rewind() error {
 		clear(n.inflight[len(n.inflight):grown])
 	}
 	n.freeSlots = append(n.freeSlots[:0], j.freeSlots...)
-	n.dirtyQueue = append(n.dirtyQueue[:0], j.dirtyQueue...)
-	clear(n.dirtySet)
-	for _, k := range n.dirtyQueue {
-		n.dirtySet[k] = true // not nil: it held these keys at open
-	}
 	n.eventsProcessed = j.eventsProcessed
 	n.inc = j.inc
 	n.DefaultDelay = j.defaultDelay

@@ -91,7 +91,7 @@ func deliveryChurnNet(compact bool) (n *Network, churn func(i int)) {
 	n.RunToQuiescence()
 	return n, func(i int) {
 		k := i % len(prefixes)
-		nb := n.speakers[origins[k]].peerOrder[0].Neighbor
+		nb := n.speakers[origins[k]].sessions[0].nbID
 		n.SetPrefixPrepend(origins[k], nb, prefixes[k], 1+i%3)
 		n.RunToQuiescence()
 	}

@@ -49,8 +49,8 @@ func requireExportsSettled(t *testing.T, n *Network) {
 			continue
 		}
 		for _, p := range s.exportablePrefixes() {
-			for _, pc := range s.peerOrder {
-				nb := pc.Neighbor
+			for _, ss := range s.sessions {
+				nb, pc := ss.nbID, ss.pc
 				if pc.down {
 					continue
 				}
@@ -63,7 +63,7 @@ func requireExportsSettled(t *testing.T, n *Network) {
 						id, nb, p, routeSig(got), routeSig(want))
 				}
 				rcv := n.Speaker(nb)
-				if want == nil || importDrops(rcv, rcv.peers[id], want) {
+				if want == nil || importDrops(rcv, rcv.Peer(id), want) {
 					continue
 				}
 				if got := rcv.AdjIn(p, id); got == nil || !got.Path.Equal(want.Path) {

@@ -13,9 +13,10 @@ import (
 //
 //   - ribRows (this file), the default: one table per speaker with one
 //     row per prefix the speaker holds anything for. A row is the
-//     loc-RIB route and, for every session in peerOrder position, the
-//     route learned over it (adj-RIB-in) and the route announced over
-//     it (adj-RIB-out). The three ribStore values are views onto the
+//     loc-RIB route and, for every session at its position in the
+//     speaker's session table (Speaker.sessions), the route learned
+//     over it (adj-RIB-in) and the route announced over it
+//     (adj-RIB-out). The three ribStore values are views onto the
 //     table, and the table remembers the prefix it last wrote, so the
 //     stretch of one delivery — applyImport, the decision, the export
 //     fan-out, all on one (speaker, prefix) — hashes the prefix once
@@ -107,7 +108,7 @@ const compactMin = 32
 // speaker's adj-RIB-in, loc-RIB and adj-RIB-out as one table.
 //
 // Row r is cells[r·stride : (r+1)·stride]: the loc-RIB route, then for
-// slot i — the session with neighbor nbrs[i], which is peerOrder[i] —
+// slot i — the session at position i of the owner's session table —
 // the adj-RIB-in route and the adj-RIB-out route. A row lives while
 // any of its cells is set: live counts them, and the row that empties
 // leaves the index for the free list, which new prefixes reuse before
@@ -116,8 +117,8 @@ const compactMin = 32
 // table that shrinks gives its memory back; never while a journal is
 // open, whose rewind would only grow it again.
 type ribRows struct {
-	nbrs   []RouterID               // slot i's neighbor, ascending
-	stride int                      // cells per row: 1 + 2·len(nbrs)
+	sp     *Speaker                 // the owner: slot i is sp.sessions[i]
+	stride int                      // cells per row: 1 + 2·len(sp.sessions)
 	index  map[netutil.Prefix]int32 // live prefix → row
 	cells  []*Route                 // the slab
 	prefix []netutil.Prefix         // row → prefix
@@ -138,8 +139,8 @@ type ribRows struct {
 	views [3]rowView
 }
 
-func newRibRows() *ribRows {
-	t := &ribRows{stride: 1, index: make(map[netutil.Prefix]int32)}
+func newRibRows(sp *Speaker) *ribRows {
+	t := &ribRows{sp: sp, stride: 1, index: make(map[netutil.Prefix]int32)}
 	for i := range t.views {
 		t.views[i] = rowView{t, rowSide(i)}
 	}
@@ -149,13 +150,11 @@ func newRibRows() *ribRows {
 // view returns the ribStore over one side of the table.
 func (t *ribRows) view(side rowSide) ribStore { return &t.views[side] }
 
-// addPeer gives every row a slot for the new session nb, at its
-// position in neighbor order.
-func (t *ribRows) addPeer(nb RouterID) {
-	i, _ := slices.BinarySearch(t.nbrs, nb)
-	t.nbrs = slices.Insert(t.nbrs, i, nb)
+// addSlot gives every row a slot for the session the owner just
+// inserted at position i of its table.
+func (t *ribRows) addSlot(i int) {
 	old := t.stride
-	t.stride = 1 + 2*len(t.nbrs)
+	t.stride = 1 + 2*len(t.sp.sessions)
 	if len(t.prefix) == 0 {
 		return
 	}
@@ -175,12 +174,13 @@ func (t *ribRows) slotOf(side rowSide, nb RouterID) (int, bool) {
 	if side == sideLoc {
 		return 0, true
 	}
-	for i := t.slot; i < t.slot+2 && i < len(t.nbrs); i++ {
-		if t.nbrs[i] == nb {
+	ss := t.sp.sessions
+	for i := t.slot; i < t.slot+2 && i < len(ss); i++ {
+		if ss[i].nbID == nb {
 			return i, true
 		}
 	}
-	return slices.BinarySearch(t.nbrs, nb)
+	return t.sp.slot(nb)
 }
 
 // offset returns the cell of side for the slot within a row.
@@ -366,8 +366,8 @@ func (t *ribRows) walk(side rowSide, fn func(k ribKey, r *Route) bool) {
 			}
 			continue
 		}
-		for i, nb := range t.nbrs {
-			if rt := row[2*i+int(side)]; rt != nil && !fn(ribKey{prefix: p, neighbor: nb}, rt) {
+		for i := range t.sp.sessions {
+			if rt := row[2*i+int(side)]; rt != nil && !fn(ribKey{prefix: p, neighbor: t.sp.sessions[i].nbID}, rt) {
 				return
 			}
 		}

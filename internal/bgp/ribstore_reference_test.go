@@ -93,14 +93,16 @@ func TestRowStoreMatchesReference(t *testing.T) {
 	// Session neighbors join from this pool; 0 is a legal neighbor ID
 	// for the row table, and 99 never joins, so Gets on it read nil.
 	pool := []RouterID{40, 7, 0, 23, 11, 58, 3, 31, 19, 44, 2, 50}
-	rows := newRibRows()
+	owner := newSpeaker(1, 1, "")
+	rows := newRibRows(owner)
+	owner.rows = rows
 	views := [3]ribStore{rows.view(sideLoc), rows.view(sideIn), rows.view(sideOut)}
 	refs := [3]*mapStore{newMapStore(), newMapStore(), newMapStore()}
 	var peers []RouterID
 	addPeer := func() {
 		nb := pool[len(peers)]
 		peers = append(peers, nb)
-		rows.addPeer(nb)
+		owner.addPeer(newSpeaker(nb, 0, ""), &PeerConfig{Neighbor: nb}, nil)
 	}
 	for range 3 {
 		addPeer()

@@ -2,8 +2,8 @@ package bgp
 
 // Engine-state serialization. Snapshot writes the complete dynamic
 // state of a Network — RIBs, damping timers, MRAI batches, the
-// in-flight event queue, churn log, dirty-set, and work counters —
-// into the versioned container of internal/snapshot; RestoreNetwork
+// in-flight event queue, churn log, and work counters — into the
+// versioned container of internal/snapshot; RestoreNetwork
 // rehydrates it into a freshly built base network whose topology and
 // policy match. Checkpoint/resume is its one production caller: a
 // rewind within one process is the undo journal's job (journal.go).
@@ -71,7 +71,8 @@ var ErrSnapshotMismatch = errors.New("bgp: snapshot fingerprint does not match b
 // Snapshot serializes the network's complete dynamic state to w in the
 // RBGP format (see internal/snapshot/FORMAT.md). Snapshotting inside a
 // Batch is an error: batched dirty-pair work has no stable on-disk
-// meaning before the drain.
+// meaning before the drain, so the file's dirty section is always
+// empty.
 func (n *Network) Snapshot(w io.Writer) error {
 	data, err := n.snapshotBytes()
 	if err != nil {
@@ -103,7 +104,7 @@ func (n *Network) snapshotBytes() ([]byte, error) {
 		{secSpeakers, func(e *snap.Enc) { n.encodeSpeakers(e, ri) }},
 		{secQueue, func(e *snap.Enc) { n.encodeQueue(e, ri) }},
 		{secChurn, func(e *snap.Enc) { encodeChurn(e, n.Churn.Records, pt) }},
-		{secDirty, func(e *snap.Enc) { encodeDirty(e, n.dirtyQueue) }},
+		{secDirty, func(e *snap.Enc) { e.Uvarint(0) }}, // reserved, see FORMAT.md: the dirty queue, empty outside a Batch
 	} {
 		sec.enc(sw.Begin(sec.id))
 		sw.End()
@@ -131,10 +132,10 @@ func (n *Network) sizeHint(ri *routeIndex, pt *snapPaths, routeBytes int) int {
 		pt.size() + routeBytes +
 		count(len(ri.queue)) + len(ri.queue)*(8+8+4+4+5+idx+1+1) +
 		count(len(n.Churn.Records)) + len(n.Churn.Records)*(8+4+4+5+1+pathID) +
-		count(len(n.dirtyQueue)) + len(n.dirtyQueue)*13
+		1 // the dirty section's zero count
 	for i, id := range n.order {
 		s := n.speakers[id]
-		size += 4 + 4 + count(len(s.Name)) + len(s.Name) + 1 + count(len(s.peerOrder)) // fingerprint
+		size += 4 + 4 + count(len(s.Name)) + len(s.Name) + 1 + count(len(s.sessions)) // fingerprint
 		size += 4 + count(len(s.originated)) + len(s.originated)*(5+idx)
 		for t, refs := range ri.ribs[i] {
 			key := 5 + 4
@@ -148,8 +149,9 @@ func (n *Network) sizeHint(ri *routeIndex, pt *snapPaths, routeBytes int) int {
 			count(len(s.mraiLast)) + len(s.mraiLast)*(9+8) +
 			count(len(s.mraiPending)) + len(s.mraiPending)*9 +
 			count(len(s.medSeen)) + len(s.medSeen)*5 +
-			1 + count(len(s.peerOrder))
-		for _, pc := range s.peerOrder {
+			1 + count(len(s.sessions))
+		for i := range s.sessions {
+			pc := s.sessions[i].pc
 			size += 4 + 4 + 1 + 4 + 1 + 4 + 8 + 8 + 4 + 1 + 3 + // fingerprint
 				count(pc.ExportAddCommunities.Len()) + 4*pc.ExportAddCommunities.Len() +
 				4 + 8 + 1 + count(len(pc.PrefixPrepend)) + len(pc.PrefixPrepend)*13 // speakers
@@ -169,8 +171,13 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // identical topology and policy (same builder, same seed): the
 // snapshot's fingerprint is verified against base before any state is
 // touched, and a decode error leaves base unmodified. Metrics wiring,
-// CollectorFeedDown, and policy functions are kept from base.
+// CollectorFeedDown, and policy functions are kept from base. Like
+// Snapshot it is an error inside a Batch, whose end would drain into
+// the restored state.
 func RestoreNetwork(r io.Reader, base *Network) error {
+	if base.batchDepth != 0 {
+		return errors.New("bgp: RestoreNetwork called inside Batch")
+	}
 	if base.jr != nil {
 		return errors.New("bgp: RestoreNetwork into a network with an open journal")
 	}
@@ -214,8 +221,7 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 	if err != nil {
 		return err
 	}
-	dirty, err := decodeDirty(sections[7].Payload)
-	if err != nil {
+	if err := decodeDirty(sections[7].Payload); err != nil {
 		return err
 	}
 
@@ -231,16 +237,6 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 		queue[i].V.route = base.park(r)
 	}
 	base.queue.Restore(queue, meta.seq)
-	base.batchDepth = 0
-	base.dirtyQueue = dirty
-	base.dirtySet = nil
-	if len(dirty) > 0 {
-		base.dirtySet = make(map[dirtyKey]bool, len(dirty))
-		for _, k := range dirty {
-			base.dirtySet[k] = true
-		}
-	}
-	base.solver.Store(nil)
 	for _, st := range spks {
 		st.apply()
 	}
@@ -327,8 +323,9 @@ func (n *Network) walkFingerprint(yield func(chunk []byte) bool) {
 		e.U32(uint32(s.AS))
 		e.String(s.Name)
 		e.Bool(s.Collector)
-		e.Uvarint(uint64(len(s.peerOrder)))
-		for _, pc := range s.peerOrder {
+		e.Uvarint(uint64(len(s.sessions)))
+		for i := range s.sessions {
+			pc := s.sessions[i].pc
 			e.U32(uint32(pc.Neighbor))
 			e.U32(uint32(pc.NeighborAS))
 			e.U8(uint8(pc.ClassifyAs))
@@ -873,8 +870,9 @@ func (n *Network) encodeSpeakers(e *snap.Enc, ri *routeIndex) {
 
 		e.Uvarint(0) // reserved, see FORMAT.md: the removed decision cache's entry list
 
-		e.Uvarint(uint64(len(s.peerOrder)))
-		for _, pc := range s.peerOrder {
+		e.Uvarint(uint64(len(s.sessions)))
+		for i := range s.sessions {
+			pc := s.sessions[i].pc
 			e.U32(uint32(pc.Neighbor))
 			e.I64(int64(pc.ExportPrepend))
 			e.Bool(pc.down)
@@ -928,17 +926,13 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 		}
 
 		var err error
-		var peers map[RouterID]*PeerConfig
-		if s != nil {
-			peers = s.peers
-		}
-		if st.adjIn, err = decRouteEntries(d, routes, peers); err != nil {
+		if st.adjIn, err = decRouteEntries(d, routes, s); err != nil {
 			return nil, err
 		}
 		if st.locRib, err = decRouteEntries(d, routes, nil); err != nil {
 			return nil, err
 		}
-		if st.adjOut, err = decRouteEntries(d, routes, peers); err != nil {
+		if st.adjOut, err = decRouteEntries(d, routes, s); err != nil {
 			return nil, err
 		}
 
@@ -992,7 +986,7 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			nb := RouterID(d.U32())
 			var pc *PeerConfig
 			if s != nil {
-				pc = s.peers[nb]
+				pc = s.Peer(nb)
 			}
 			if d.Err() == nil && pc == nil {
 				return nil, fmt.Errorf("%w: snapshot peer %d of speaker %d not in base network", snap.ErrCorrupt, nb, id)
@@ -1126,32 +1120,16 @@ func decodeChurn(payload []byte, paths []asn.Path) ([]UpdateRecord, error) {
 
 // --- dirty section ---
 
-func encodeDirty(e *snap.Enc, queue []dirtyKey) {
-	e.Uvarint(uint64(len(queue)))
-	for _, k := range queue {
-		e.U32(uint32(k.router))
-		e.Prefix(k.prefix)
-		e.U32(uint32(k.neighbor))
-	}
-}
-
-func decodeDirty(payload []byte) ([]dirtyKey, error) {
+// decodeDirty checks the reserved dirty section: its count must be 0.
+// Snapshot refuses to run inside a Batch and a setter outside one
+// drains at once, so no writer has a dirty pair to list; one that does
+// is not a snapshot this engine wrote.
+func decodeDirty(payload []byte) error {
 	d := snap.NewDec(payload)
-	n := d.Count(13)
-	var out []dirtyKey
-	for i := 0; i < n; i++ {
-		k := dirtyKey{router: RouterID(d.U32())}
-		var err error
-		if k.prefix, err = d.Prefix(); err != nil {
-			return nil, err
-		}
-		k.neighbor = RouterID(d.U32())
-		out = append(out, k)
+	if n := d.Uvarint(); n != 0 && d.Err() == nil {
+		return fmt.Errorf("%w: reserved dirty-queue count is %d, want 0", snap.ErrCorrupt, n)
 	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return d.Done()
 }
 
 // --- shared primitives ---
@@ -1207,10 +1185,10 @@ func encRouteTable(e *snap.Enc, refs []ribRef, loc bool) {
 // strictly increasing — the order encRouteTable wrote them in — so
 // apply can install the entries as they come; anything else, a
 // duplicate included, is corruption, and so is an adj-RIB key whose
-// neighbor is not in peers, the speaker's sessions. A nil peers
-// selects the loc-RIB's prefix-only keys.
-func decRouteEntries(d *snap.Dec, routes []*Route, peers map[RouterID]*PeerConfig) ([]ribEntry, error) {
-	loc := peers == nil
+// neighbor is not a session of s. A nil s selects the loc-RIB's
+// prefix-only keys.
+func decRouteEntries(d *snap.Dec, routes []*Route, s *Speaker) ([]ribEntry, error) {
+	loc := s == nil
 	minEntry := 10
 	if loc {
 		minEntry = 6
@@ -1228,7 +1206,7 @@ func decRouteEntries(d *snap.Dec, routes []*Route, peers map[RouterID]*PeerConfi
 		if err != nil {
 			return nil, err
 		}
-		if !loc && peers[k.neighbor] == nil {
+		if !loc && s.session(k.neighbor) == nil {
 			return nil, fmt.Errorf("%w: RIB key %s/%d names no session of the speaker", snap.ErrCorrupt, k.prefix, k.neighbor)
 		}
 		r, err := routeAt(routes, d.Uvarint(), d)

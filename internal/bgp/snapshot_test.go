@@ -344,6 +344,68 @@ func TestSnapshotInsideBatchFails(t *testing.T) {
 	}
 }
 
+// TestRestoreInsideBatchFails: RestoreNetwork refuses to run inside a
+// Batch, as Snapshot, OpenJournal and Rewind do, and the batch still
+// ends at depth 0, so the setters after it drain.
+func TestRestoreInsideBatchFails(t *testing.T) {
+	n := chainNet()
+	p := netutil.MustParsePrefix("203.0.113.0/24")
+	n.Originate(1, p)
+	n.RunToQuiescence()
+	data := mustSnapshot(t, n)
+	var err error
+	n.Batch(func() { err = RestoreNetwork(bytes.NewReader(data), n) })
+	if err == nil {
+		t.Fatal("RestoreNetwork inside Batch succeeded")
+	}
+	n.SetExportPrepend(1, 2, 3)
+	n.RunToQuiescence()
+	if got, want := n.Speaker(3).Best(p).Path.String(), "200 100 100 100 100"; got != want {
+		t.Fatalf("speaker 3 path after the batch = %q, want %q", got, want)
+	}
+}
+
+// TestRestoreRejectsDirtyEntries: the dirty section is a reserved zero
+// count. A file that lists a dirty pair there, as the section's layout
+// once allowed, is corrupt, and refusing it leaves the base untouched.
+func TestRestoreRejectsDirtyEntries(t *testing.T) {
+	n := snapNet(1, 10)
+	p := netutil.PrefixFrom(0xCB007100, 24)
+	n.Originate(2, p)
+	n.RunToQuiescence()
+	data := mustSnapshot(t, n)
+	secs, err := snap.DecodeSections(data, snap.EngineMagic, snap.EngineVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirty snap.Enc
+	dirty.Uvarint(1)
+	dirty.U32(2)
+	dirty.Prefix(p)
+	dirty.U32(1)
+	w := snap.NewWriter(snap.EngineMagic, snap.EngineVersion)
+	for _, s := range secs {
+		if s.ID == secDirty {
+			if !bytes.Equal(s.Payload, []byte{0}) {
+				t.Fatalf("dirty section written as % x, want the single zero count", s.Payload)
+			}
+			s.Payload = dirty.Bytes()
+		}
+		w.Section(s.ID, s.Payload)
+	}
+	base := snapNet(1, 10)
+	before := networkSignature(base)
+	if err := RestoreNetwork(bytes.NewReader(w.Bytes()), base); !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("restore with a dirty entry: err = %v, want snap.ErrCorrupt", err)
+	}
+	if networkSignature(base) != before {
+		t.Fatal("refusing the dirty entry modified the base network")
+	}
+	if err := RestoreNetwork(bytes.NewReader(data), base); err != nil {
+		t.Fatalf("the unmodified snapshot must still restore: %v", err)
+	}
+}
+
 func TestRestoreFingerprintMismatch(t *testing.T) {
 	orig := snapNet(1, 10)
 	data := mustSnapshot(t, orig)

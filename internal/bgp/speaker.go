@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/asn"
 	"repro/internal/netutil"
@@ -52,8 +52,11 @@ type Speaker struct {
 	// never re-exports routes.
 	Collector bool
 
-	peers     map[RouterID]*PeerConfig
-	peerOrder []*PeerConfig // the sessions by neighbor ID: the export order
+	// sessions is the speaker's one session table, sorted by neighbor
+	// ID: the export order, the row table's slot order (ribstore.go)
+	// and the static solver's adjacency (static.go). addPeer alone
+	// inserts into it.
+	sessions []session
 
 	// The three RIBs sit behind the ribStore interface (ribstore.go):
 	// views onto rows by default, the arena layout under
@@ -98,7 +101,6 @@ func newSpeaker(id RouterID, as asn.AS, name string) *Speaker {
 		ID:          id,
 		AS:          as,
 		Name:        name,
-		peers:       make(map[RouterID]*PeerConfig),
 		originated:  make(map[netutil.Prefix]origination),
 		rfd:         make(map[ribKey]*rfdState),
 		suppressed:  make(map[ribKey]bool),
@@ -108,27 +110,66 @@ func newSpeaker(id RouterID, as asn.AS, name string) *Speaker {
 	}
 }
 
+// session is one BGP session as one of its speakers sees it: the
+// neighbor, and the policy of each side toward the other.
+type session struct {
+	nbID   RouterID
+	nb     *Speaker
+	pcAtNb *PeerConfig // nb's policy toward the speaker (export side)
+	pc     *PeerConfig // the speaker's policy toward nb (import side)
+}
+
+// slot returns the position of neighbor nb's session in s.sessions; ok
+// is false when nb is not a neighbor, and the position is then where
+// its session would go.
+func (s *Speaker) slot(nb RouterID) (int, bool) {
+	lo, hi := 0, len(s.sessions)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.sessions[m].nbID < nb {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.sessions) && s.sessions[lo].nbID == nb
+}
+
+// session returns s's session with neighbor nb, or nil.
+func (s *Speaker) session(nb RouterID) *session {
+	if i, ok := s.slot(nb); ok {
+		return &s.sessions[i]
+	}
+	return nil
+}
+
 // Peer returns the speaker's policy toward neighbor id, or nil.
-func (s *Speaker) Peer(id RouterID) *PeerConfig { return s.peers[id] }
+func (s *Speaker) Peer(id RouterID) *PeerConfig {
+	if ss := s.session(id); ss != nil {
+		return ss.pc
+	}
+	return nil
+}
 
 // Peers returns neighbor IDs in deterministic order.
 func (s *Speaker) Peers() []RouterID {
-	out := make([]RouterID, len(s.peerOrder))
-	for i, pc := range s.peerOrder {
-		out[i] = pc.Neighbor
+	out := make([]RouterID, len(s.sessions))
+	for i := range s.sessions {
+		out[i] = s.sessions[i].nbID
 	}
 	return out
 }
 
-func (s *Speaker) addPeer(pc *PeerConfig) {
-	if _, dup := s.peers[pc.Neighbor]; dup {
-		panic(fmt.Sprintf("bgp: speaker %d already peers with %d", s.ID, pc.Neighbor))
+// addPeer inserts s's session with nb, where pc is s's policy toward
+// nb and pcAtNb nb's toward s, and gives the row table its slot.
+func (s *Speaker) addPeer(nb *Speaker, pc, pcAtNb *PeerConfig) {
+	i, dup := s.slot(nb.ID)
+	if dup {
+		panic(fmt.Sprintf("bgp: speaker %d already peers with %d", s.ID, nb.ID))
 	}
-	s.peers[pc.Neighbor] = pc
-	s.peerOrder = append(s.peerOrder, pc)
-	sort.Slice(s.peerOrder, func(i, j int) bool { return s.peerOrder[i].Neighbor < s.peerOrder[j].Neighbor })
+	s.sessions = slices.Insert(s.sessions, i, session{nbID: nb.ID, nb: nb, pcAtNb: pcAtNb, pc: pc})
 	if s.rows != nil {
-		s.rows.addPeer(pc.Neighbor)
+		s.rows.addSlot(i)
 	}
 }
 
@@ -151,8 +192,8 @@ func (s *Speaker) AdjIn(p netutil.Prefix, neighbor RouterID) *Route {
 // AdjInAll returns all adj-RIB-in routes for p in neighbor order.
 func (s *Speaker) AdjInAll(p netutil.Prefix) []*Route {
 	var out []*Route
-	for _, pc := range s.peerOrder {
-		if r := s.adjIn.Get(ribKey{prefix: p, neighbor: pc.Neighbor}); r != nil {
+	for i := range s.sessions {
+		if r := s.adjIn.Get(ribKey{prefix: p, neighbor: s.sessions[i].nbID}); r != nil {
 			out = append(out, r)
 		}
 	}
@@ -171,8 +212,8 @@ func (s *Speaker) candidateSet(p netutil.Prefix, admit func(*Route) bool, buf []
 	if o, ok := s.originated[p]; ok && (admit == nil || admit(o.route)) {
 		buf = append(buf, o.route)
 	}
-	for _, pc := range s.peerOrder {
-		k := ribKey{prefix: p, neighbor: pc.Neighbor}
+	for i := range s.sessions {
+		k := ribKey{prefix: p, neighbor: s.sessions[i].nbID}
 		if r := s.adjIn.Get(k); r != nil && !s.damped(k) && (admit == nil || admit(r)) {
 			buf = append(buf, r)
 		}

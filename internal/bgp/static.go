@@ -9,70 +9,16 @@ import (
 	"repro/internal/netutil"
 )
 
+// The static solver: the converged routing of one prefix as a
+// whole-graph fixpoint, without the event engine. Its adjacency is each
+// speaker's one session table (Speaker.sessions), the table the engine
+// exports through and the row table takes its slots from; the solver
+// walks it by value and adds only a RouterID-indexed slice of speakers,
+// rebuilt when the network has grown.
+
 // StaticOrigin describes a prefix origination for the fixpoint solver.
 type StaticOrigin struct {
 	Speaker RouterID
-}
-
-// solverEdge caches one directed adjacency for the solver: everything
-// needed to evaluate neighbor nb's export toward a speaker without
-// map lookups.
-type solverEdge struct {
-	nbID   RouterID
-	nb     *Speaker
-	pcAtNb *PeerConfig // nb's policy toward the speaker (export side)
-	pcAtS  *PeerConfig // the speaker's policy toward nb (import side)
-}
-
-// solverIndex is the RouterID-indexed adjacency cache. RouterIDs are
-// dense (the topology builder assigns them sequentially), so slices
-// beat maps by a wide margin in the solver's hot loop.
-type solverIndex struct {
-	maxID    RouterID
-	speakers []*Speaker     // by RouterID
-	adj      [][]solverEdge // by RouterID
-}
-
-// solverIdx returns the cached index, rebuilding it after topology
-// changes (AddSpeaker/Connect/RestoreNetwork clear it). Concurrent
-// callers that all find it cleared each build one; the builds read the
-// same frozen topology, so they are identical and any of them may win
-// the store.
-func (n *Network) solverIdx() *solverIndex {
-	if idx := n.solver.Load(); idx != nil {
-		return idx
-	}
-	var maxID RouterID
-	for id := range n.speakers {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	idx := &solverIndex{
-		maxID:    maxID,
-		speakers: make([]*Speaker, maxID+1),
-		adj:      make([][]solverEdge, maxID+1),
-	}
-	for id, s := range n.speakers {
-		idx.speakers[id] = s
-	}
-	for id, s := range n.speakers {
-		edges := make([]solverEdge, 0, len(s.peerOrder))
-		for _, pcAtS := range s.peerOrder {
-			nb := n.speakers[pcAtS.Neighbor]
-			if nb == nil || nb.Collector {
-				continue
-			}
-			pcAtNb := nb.peers[id]
-			if pcAtNb == nil {
-				continue
-			}
-			edges = append(edges, solverEdge{nbID: pcAtS.Neighbor, nb: nb, pcAtNb: pcAtNb, pcAtS: pcAtS})
-		}
-		idx.adj[id] = edges
-	}
-	n.solver.Store(idx)
-	return idx
 }
 
 // StaticResult is the converged routing of one solved prefix. It
@@ -175,9 +121,16 @@ func (s idSet) has(id RouterID) bool { return s[id>>6]&(uint64(1)<<(id&63)) != 0
 // Solve invalidates the result of the one before.
 type StaticSolver struct {
 	net    *Network
-	idx    *solverIndex
 	prefix netutil.Prefix
 	gen    uint64
+
+	// speakers is the network's speakers by RouterID, rebuilt once the
+	// network has grown past the indexed count. RouterIDs are dense (the
+	// topology builder assigns them sequentially), so a slice beats the
+	// network's map by a wide margin in the hot loop; the adjacency is
+	// each speaker's own session table.
+	speakers []*Speaker
+	indexed  int
 
 	nodes []staticNode // by RouterID
 	cells []pathCell   // cells[0] is unused: index 0 is the empty path
@@ -187,7 +140,7 @@ type StaticSolver struct {
 }
 
 // NewStaticSolver returns a solver for n. It follows n's topology
-// changes: each Solve reads the current adjacency index.
+// changes: each Solve reads the speakers' current session tables.
 func (n *Network) NewStaticSolver() *StaticSolver { return &StaticSolver{net: n} }
 
 // SolveStatic computes the converged routing for prefix p originated
@@ -218,8 +171,15 @@ func (sv *StaticSolver) Solve(p netutil.Prefix, origins []StaticOrigin) *StaticR
 		}
 	}
 	sv.gen++
-	sv.idx, sv.prefix = sv.net.solverIdx(), p
-	if size := int(sv.idx.maxID) + 1; len(sv.nodes) != size {
+	sv.prefix = p
+	if n := sv.net; sv.indexed != len(n.order) {
+		sv.speakers = make([]*Speaker, n.order[len(n.order)-1]+1) // order is ascending
+		for _, id := range n.order {
+			sv.speakers[id] = n.speakers[id]
+		}
+		sv.indexed = len(n.order)
+	}
+	if size := len(sv.speakers); len(sv.nodes) != size {
 		words := (size + 63) / 64
 		sv.nodes = make([]staticNode, size)
 		sv.own, sv.cur, sv.next = make(idSet, words), make(idSet, words), make(idSet, words)
@@ -259,8 +219,8 @@ func (sv *StaticSolver) Solve(p netutil.Prefix, origins []StaticOrigin) *StaticR
 				if !sv.relax(id) {
 					continue
 				}
-				for _, e := range sv.idx.adj[id] {
-					if next.add(e.nbID) {
+				for _, e := range sv.speakers[id].sessions {
+					if !e.nb.Collector && next.add(e.nbID) {
 						queued++
 					}
 				}
@@ -279,18 +239,20 @@ func (sv *StaticSolver) Solve(p netutil.Prefix, origins []StaticOrigin) *StaticR
 // relax re-runs speaker id's decision over its origination and its
 // neighbors' current bests, and reports whether its best changed.
 func (sv *StaticSolver) relax(id RouterID) bool {
-	s := sv.idx.speakers[id]
+	s := sv.speakers[id]
 	var best staticNode
 	if sv.own.has(id) {
 		best = ownNode // carries LocalPrefOwn, so it wins the scan below
 	}
-	var bestEdge *solverEdge
+	var bestEdge *session
 
-	edges := sv.idx.adj[id]
+	edges := s.sessions
 	for i := range edges {
 		e := &edges[i]
 		nb := &sv.nodes[e.nbID]
-		if !nb.has {
+		// Collectors never re-export: checked only once nb has a route
+		// to offer, so a neighbor without one costs no Speaker read.
+		if !nb.has || e.nb.Collector {
 			continue
 		}
 		// Sender-side checks without building the announcement. A
@@ -311,10 +273,10 @@ func (sv *StaticSolver) relax(id RouterID) bool {
 		// Candidate shape if imported.
 		cv := candView{
 			plen:   nb.plen + 1 + e.pcAtNb.effectivePrepend(sv.prefix),
-			lp:     e.pcAtS.localPref(),
+			lp:     e.pc.localPref(),
 			med:    e.pcAtNb.ExportMED,
-			igp:    e.pcAtS.IGPCost,
-			fromAS: e.pcAtS.NeighborAS,
+			igp:    e.pc.IGPCost,
+			fromAS: e.pc.NeighborAS,
 			from:   e.nbID,
 			origin: nb.origin,
 			ebgp:   true,
@@ -322,9 +284,9 @@ func (sv *StaticSolver) relax(id RouterID) bool {
 		// ImportDeny is shown the imported route; only build one when
 		// a filter exists (rare: default-only importers, ROV).
 		var cand *Route
-		if e.pcAtS.ImportDeny != nil || s.importDeny != nil {
+		if e.pc.ImportDeny != nil || s.importDeny != nil {
 			ann := sv.announcement(e.nb, nb, e.pcAtNb)
-			cand = staticImport(s, e.pcAtS, &ann)
+			cand = staticImport(s, e.pc, &ann)
 			if cand == nil {
 				continue
 			}
@@ -342,7 +304,7 @@ func (sv *StaticSolver) relax(id RouterID) bool {
 		// Complete the winner: the rest of what the import assigns, and
 		// its path as one cell on the neighbor's.
 		nb := &sv.nodes[bestEdge.nbID]
-		best.class = bestEdge.pcAtS.ClassifyAs
+		best.class = bestEdge.pc.ClassifyAs
 		best.comms = exportCommunities(nb.comms, bestEdge.pcAtNb)
 		sv.cells = append(sv.cells, pathCell{as: bestEdge.nb.AS, n: uint32(best.plen - nb.plen), next: nb.path})
 		best.path = uint32(len(sv.cells) - 1)
@@ -489,7 +451,7 @@ func (n *Network) AppendExportPath(dst asn.Path, res *StaticResult, from, to Rou
 		return dst, false
 	}
 	sv := res.solver
-	pcTo := s.peers[to]
+	pcTo := s.Peer(to)
 	if pcTo == nil || !sv.exportAdmits(best, pcTo) {
 		return dst, false
 	}

@@ -18,6 +18,48 @@ import (
 	"repro/internal/netutil"
 )
 
+// referenceEdge is one directed adjacency: everything needed to
+// evaluate neighbor nb's export toward a speaker without map lookups.
+type referenceEdge struct {
+	nbID   RouterID
+	nb     *Speaker
+	pcAtNb *PeerConfig // nb's policy toward the speaker (export side)
+	pcAtS  *PeerConfig // the speaker's policy toward nb (import side)
+}
+
+// referenceIndex is the RouterID-indexed adjacency the reference solves
+// over, built apart from the sessions the solver walks: collectors,
+// which never re-export, are left out.
+type referenceIndex struct {
+	maxID    RouterID
+	speakers []*Speaker        // by RouterID
+	adj      [][]referenceEdge // by RouterID
+}
+
+// referenceIdx builds the reference's adjacency through Peers and Peer.
+func (n *Network) referenceIdx() *referenceIndex {
+	var maxID RouterID
+	for id := range n.speakers {
+		maxID = max(maxID, id)
+	}
+	idx := &referenceIndex{
+		maxID:    maxID,
+		speakers: make([]*Speaker, maxID+1),
+		adj:      make([][]referenceEdge, maxID+1),
+	}
+	for id, s := range n.speakers {
+		idx.speakers[id] = s
+		for _, nbID := range s.Peers() {
+			nb := n.speakers[nbID]
+			if nb.Collector {
+				continue
+			}
+			idx.adj[id] = append(idx.adj[id], referenceEdge{nbID: nbID, nb: nb, pcAtNb: nb.Peer(id), pcAtS: s.Peer(nbID)})
+		}
+	}
+	return idx
+}
+
 // referenceResult is the reference solver's StaticResult: the
 // converged best route per speaker, absent for speakers with no route.
 type referenceResult struct {
@@ -56,7 +98,7 @@ func (n *Network) referenceSolveStatic(p netutil.Prefix, origins []StaticOrigin)
 		}
 	}
 
-	idx := n.solverIdx()
+	idx := n.referenceIdx()
 	cur := make([]*Route, idx.maxID+1)
 	ownArr := make([]*Route, idx.maxID+1)
 	for id, r := range own {
@@ -174,14 +216,14 @@ func compareShape(best, cand candView) int {
 
 // solveCandidate picks the speaker's best route from its origination
 // and its neighbors' current bests, allocating only for the winner.
-func solveCandidate(idx *solverIndex, s *Speaker, ownRoute *Route, cur []*Route) *Route {
+func solveCandidate(idx *referenceIndex, s *Speaker, ownRoute *Route, cur []*Route) *Route {
 	best := ownRoute // own routes carry LocalPrefOwn and always win
 	haveBest := best != nil
 	var bestView candView
 	if haveBest {
 		bestView = viewOf(best)
 	}
-	var bestEdge *solverEdge
+	var bestEdge *referenceEdge
 	var bestSrc *Route
 
 	for i := range idx.adj[s.ID] {
@@ -252,7 +294,7 @@ func (n *Network) referenceExportView(res *referenceResult, from, to RouterID) *
 	if best == nil {
 		return nil
 	}
-	pcTo := s.peers[to]
+	pcTo := s.Peer(to)
 	if pcTo == nil {
 		return nil
 	}
@@ -278,7 +320,7 @@ func (n *Network) ExportView(res *StaticResult, from, to RouterID) *Route {
 		return nil
 	}
 	s := n.speakers[from]
-	ann := res.solver.announcement(s, res.node(from), s.peers[to])
+	ann := res.solver.announcement(s, res.node(from), s.Peer(to))
 	return &ann
 }
 
@@ -306,8 +348,7 @@ func diffSolverReference(n *Network, sv *StaticSolver, p netutil.Prefix, origins
 		if g, w := got.Best(id), want.Best[id]; !reflect.DeepEqual(g, w) {
 			return fmt.Errorf("speaker %d best: %+v, reference %+v", id, g, w)
 		}
-		for _, pc := range n.speakers[id].peerOrder {
-			to := pc.Neighbor
+		for _, to := range n.speakers[id].Peers() {
 			w := n.referenceExportView(want, id, to)
 			if g := n.ExportView(got, id, to); !reflect.DeepEqual(g, w) {
 				return fmt.Errorf("export view %d -> %d: %+v, reference %+v", id, to, g, w)
@@ -347,7 +388,8 @@ func sprinklePolicy(rng *rand.Rand, net *Network, prepended netutil.Prefix) {
 			maxLen := 3 + rng.Intn(3)
 			net.SetImportDeny(id, func(r *Route) bool { return r.Path.Len() > maxLen })
 		}
-		for _, pc := range s.peerOrder {
+		for _, nb := range s.Peers() {
+			pc := s.Peer(nb)
 			switch rng.Intn(14) {
 			case 0:
 				avoid := asn.AS(1001 + rng.Intn(len(net.order)))
@@ -432,5 +474,68 @@ func TestSolverMatchesReferenceOnRandomTopologies(t *testing.T) {
 		if err := diffSolverReference(wheel, sv, prefixes[0], []StaticOrigin{{Speaker: 4}}); err != nil {
 			t.Fatalf("dispute wheel, solve %d: %v", k, err)
 		}
+	}
+}
+
+// TestSolverAfterTopologyChangeMatchesReference holds NewStaticSolver to
+// its promise to follow topology changes: one solver solves, the network
+// gains speakers (one past a gap in the RouterIDs, one a collector) and
+// sessions (to the new speakers and between old ones), and the same
+// solver solves again. Each solve must equal both a fresh solver's and
+// the reference's.
+func TestSolverAfterTopologyChangeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(39)) // #nosec test randomness
+	p := netutil.MustParsePrefix("203.0.113.0/24")
+	cust := PeerConfig{ClassifyAs: ClassCustomer, ImportLocalPref: LocalPrefCustomer, ExportAllow: GaoRexfordExport(ClassCustomer)}
+	prov := PeerConfig{ClassifyAs: ClassProvider, ImportLocalPref: LocalPrefProvider, ExportAllow: GaoRexfordExport(ClassProvider)}
+	peer := PeerConfig{ClassifyAs: ClassPeer, ImportLocalPref: LocalPrefPeer, ExportAllow: GaoRexfordExport(ClassPeer)}
+	for trial := 0; trial < 50; trial++ {
+		n := 6 + rng.Intn(25)
+		net := randomGaoRexfordNetwork(rng, n)
+		sv := net.NewStaticSolver()
+		solve := func(stage string, origins []StaticOrigin) {
+			t.Helper()
+			if err := diffSolverReference(net, sv, p, origins); err != nil {
+				t.Fatalf("trial %d %s (origins %v): %v", trial, stage, origins, err)
+			}
+			got := sv.Solve(p, origins)
+			want := net.NewStaticSolver().Solve(p, origins)
+			if got.Converged != want.Converged || got.Rounds != want.Rounds {
+				t.Fatalf("trial %d %s: converged=%v rounds=%d, fresh solver converged=%v rounds=%d",
+					trial, stage, got.Converged, got.Rounds, want.Converged, want.Rounds)
+			}
+			for _, id := range net.order {
+				if g, w := got.Best(id), want.Best(id); !reflect.DeepEqual(g, w) {
+					t.Fatalf("trial %d %s: speaker %d best %+v, fresh solver %+v", trial, stage, id, g, w)
+				}
+			}
+		}
+		old := RouterID(1 + rng.Intn(n))
+		solve("before", []StaticOrigin{{Speaker: old}})
+
+		// A customer of two old speakers, a provider to a third, and a
+		// new lateral peering between old speakers.
+		id := RouterID(n + 3)
+		net.AddSpeaker(id, asn.AS(1000+int(id)), "")
+		net.Connect(1, id, cust, prov)
+		net.Connect(RouterID(1+rng.Intn(n)/2+n/2), id, cust, prov)
+		if c := RouterID(n); net.Speaker(c).Peer(id) == nil {
+			net.Connect(id, c, cust, prov)
+		}
+		for {
+			a, b := RouterID(1+rng.Intn(n)), RouterID(1+rng.Intn(n))
+			if a != b && net.Speaker(a).Peer(b) == nil {
+				net.Connect(a, b, peer, peer)
+				break
+			}
+		}
+		col := net.AddSpeaker(id+1, 64500, "collector")
+		col.Collector = true
+		net.Connect(id+1, id, peer, peer)
+		net.Connect(id+1, old, peer, peer)
+
+		solve("after, old origin", []StaticOrigin{{Speaker: old}})
+		solve("after, new origin", []StaticOrigin{{Speaker: id}})
+		solve("after, both origins", []StaticOrigin{{Speaker: old}, {Speaker: id}})
 	}
 }

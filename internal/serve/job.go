@@ -98,6 +98,8 @@ func (sp *JobSpec) Validate() error {
 	switch {
 	case sp.kind == kindSweep && sp.Options.Faults == 0:
 		return fmt.Errorf("sweep job needs options.faults in (0, 1]")
+	case sp.kind == kindSurvey && sp.Options.Faults != 0:
+		return fmt.Errorf("survey job cannot run options.faults: submit kind %q", kindSweep)
 	case sp.kind == kindWorkload && sp.Options.Workload == "":
 		return fmt.Errorf("workload job needs options.workload (one of %v)", core.WorkloadNames())
 	case sp.Options.Workload == "replay":

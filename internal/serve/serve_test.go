@@ -317,6 +317,8 @@ func TestSubmitValidation(t *testing.T) {
 		`{"kind": "survey", "options": {"workload": "update-storm"}}`,
 		`{"kind": "survey", "options": {"scenario": "hijack"}}`,
 		`{"kind": "survey", "options": {"objective": "catchment:re=0.4"}}`,
+		`{"kind": "survey", "options": {"small": true, "faults": 0.5}}`,
+		`{"options": {"faults": 0.5}}`, // kind defaults to survey
 		`{"kind": "sweep", "options": {"faults": 0.5, "scenario": "hijack"}}`,
 		`{"kind": "sweep", "options": {"faults": 0.5, "workload": "update-storm"}}`,
 		`{"kind": "workload", "options": {"workload": "update-storm", "faults": 0.5}}`,

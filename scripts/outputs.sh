@@ -1,10 +1,11 @@
 #!/bin/sh
 # outputs.sh [file] — digest every deterministic output of the commands.
 #
-# Builds resurvey, reoptimize, reprobe and reinfer with -buildvcs=false
-# (so manifests carry the module version, not a VCS stamp), runs a
-# fixed matrix of seeded invocations and writes one "sha256  name" line
-# per output to file (default testdata/outputs.sha256):
+# Builds resurvey, reoptimize, reprobe, reinfer and resurveyd with
+# -buildvcs=false (so manifests carry the module version, not a VCS
+# stamp), runs a fixed matrix of seeded invocations and writes one
+# "sha256  name" line per output to file (default
+# testdata/outputs.sha256):
 #
 #   resurvey stdout and -zerotime manifest at -small with 1 and 4
 #   workers, at paper scale, with -faults 0.5 -seeds 2, for the
@@ -15,7 +16,10 @@
 #   the -snapshot-dir with its fifth checkpoint on deleted), its stdout
 #   and manifest; and RCKP sections 1-6 of every checkpoint of both
 #   directories (section 7 is wall-clock telemetry), so the resumed
-#   run's rewritten checkpoints must digest like the cold run's.
+#   run's rewritten checkpoints must digest like the cold run's; and
+#   the output document of a small seed-1 survey job submitted to
+#   resurveyd, started on a temporary data dir at localhost:$OUTPUTS_PORT
+#   (default 8038) and stopped with SIGTERM once the job is done.
 #
 # `make outputs-check` writes a fresh digest and diffs it against the
 # committed one. A change that moves output bytes re-pins the file by
@@ -27,9 +31,10 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 OUT="${1:-$ROOT/testdata/outputs.sha256}"
 case "$OUT" in /*) ;; *) OUT="$PWD/$OUT" ;; esac
 WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+PID=""
+trap '[ -z "$PID" ] || kill "$PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-for bin in resurvey reoptimize reprobe reinfer; do
+for bin in resurvey reoptimize reprobe reinfer resurveyd; do
     (cd "$ROOT" && go build -buildvcs=false -o "$WORK/bin/$bin" "./cmd/$bin")
 done
 (cd "$ROOT" && go build -buildvcs=false -o "$WORK/bin/example-survey" ./examples/survey)
@@ -58,6 +63,30 @@ survey resume -small -workers 4 -snapshot-dir ckpt-resume -resume
     -zerotime -manifest reoptimize.json >reoptimize.txt 2>"$WORK/reoptimize.err"
 "$WORK/bin/reprobe" -small -seed 1 -config 0-2 >reprobe.txt 2>"$WORK/reprobe.err"
 "$WORK/bin/reinfer" -zerotime -manifest reinfer.json probes/*.json >reinfer.txt
+
+# resurveyd: one small survey job, its output document as served.
+BASE="http://localhost:${OUTPUTS_PORT:-8038}"
+"$WORK/bin/resurveyd" -addr "${BASE#http://}" -data-dir "$WORK/jobs" >"$WORK/resurveyd.log" 2>&1 &
+PID=$!
+i=0
+until curl -sf "$BASE/healthz" >/dev/null 2>&1; do
+    i=$((i + 1))
+    [ "$i" -le 50 ] || { echo "resurveyd never came up:" >&2; cat "$WORK/resurveyd.log" >&2; exit 1; }
+    sleep 0.2
+done
+JOB="$(curl -sf -X POST "$BASE/jobs" -d '{"options":{"small":true,"seed":1,"workers":2}}' |
+    sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+[ -n "$JOB" ] || { echo "resurveyd returned no job id" >&2; exit 1; }
+i=0
+until [ "$(curl -sf "$BASE/jobs/$JOB" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')" = done ]; do
+    i=$((i + 1))
+    [ "$i" -le 300 ] || { echo "resurveyd job $JOB not done:" >&2; cat "$WORK/resurveyd.log" >&2; exit 1; }
+    sleep 0.2
+done
+curl -sf "$BASE/jobs/$JOB/output" >resurveyd-survey.json
+kill -TERM "$PID"
+wait "$PID"
+PID=""
 
 {
     find . -type f ! -name '*.rckp' | sed 's|^\./||' | LC_ALL=C sort | xargs sha256sum

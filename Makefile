@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParsePrefix -fuzztime $(FUZZTIME) ./internal/netutil/
 	$(GO) test -run '^$$' -fuzz FuzzQueueMatchesReference -fuzztime $(FUZZTIME) ./internal/vtime/
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime $(FUZZTIME) ./internal/telemetry/
 
 # Statement-coverage floors, one pkg:floor pair per internal package
 # whose tests the rest of the tree leans on: the BGP engine (the

@@ -30,7 +30,7 @@
 // (update-storm, flap-cascade-rfd, diurnal-churn, hijack-flash, or
 // replay with -trace file.mrt) through the discrete-event engine
 // instead of the survey script; -duration overrides its virtual horizon,
-// -round selects the round-granularity compatibility scheduler, and
+// -round selects the round-granularity compatibility mode, and
 // -rov F deploys RPKI origin validation at that fraction first (what
 // hijack-flash's forgeries run into). Workload output is deterministic
 // and byte-identical at any -workers width.

@@ -17,9 +17,12 @@ package bgp
 //     route reference is an index into a route table built by a fixed
 //     canonical traversal, so two Snapshot calls on the same network
 //     produce identical bytes (pinned by TestSnapshotDeterministic).
-//     The three RIB tables are also read back in that order: the
-//     decoder requires strictly increasing keys and RestoreNetwork
-//     installs them as they come, without sorting anything again.
+//     Every keyed table is also read back in that order: the decoder
+//     requires strictly increasing keys, and RestoreNetwork installs
+//     the three RIB tables as they come, without sorting anything
+//     again. Tables the engine keeps in step must agree on restore:
+//     the suppressed set with the damping states, the pending MRAI
+//     batches with the queued flush timers (checkFlushes).
 //
 //   - Pointer identity. sendExport stores one *Route into both the
 //     adj-RIB-out and the queued event's Network.inflight slot, and a
@@ -215,6 +218,9 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 	}
 	queue, queueRoutes, err := decodeQueue(sections[5].Payload, routes)
 	if err != nil {
+		return err
+	}
+	if err := checkFlushes(spks, queue); err != nil {
 		return err
 	}
 	churn, err := decodeChurn(sections[6].Payload, paths)
@@ -913,8 +919,9 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			medSeen:     make(map[netutil.Prefix]bool),
 		}
 
+		var prev ribKey
 		for j, nOrig := 0, d.Count(6); j < nOrig; j++ {
-			p, err := d.Prefix()
+			p, err := decPrefixAfter(d, j, &prev)
 			if err != nil {
 				return nil, err
 			}
@@ -936,37 +943,58 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			return nil, err
 		}
 
+		damped := 0
 		for j, nRfd := 0, d.Count(9+25); j < nRfd; j++ {
-			k, err := decRibKey(d)
+			k, err := decKeyAfter(d, j, &prev)
 			if err != nil {
 				return nil, err
 			}
-			st.rfd[k] = &rfdState{
+			rs := &rfdState{
 				penalty:    d.F64(),
 				lastUpdate: Time(d.I64()),
 				suppressed: d.Bool(),
 				suppressAt: Time(d.I64()),
 			}
+			st.rfd[k] = rs
+			if rs.suppressed {
+				damped++
+			}
 		}
 
-		if err := decKeySet(d, st.suppressed); err != nil {
-			return nil, err
+		// The suppressed set mirrors the damping states: a key is in it
+		// exactly when its state is suppressed.
+		for j, nSup := 0, d.Count(9); j < nSup; j++ {
+			k, err := decKeyAfter(d, j, &prev)
+			if err != nil {
+				return nil, err
+			}
+			if rs := st.rfd[k]; (rs == nil || !rs.suppressed) && d.Err() == nil {
+				return nil, fmt.Errorf("%w: speaker %d suppresses %s/%d without suppressed damping state", snap.ErrCorrupt, id, k.prefix, k.neighbor)
+			}
+			st.suppressed[k] = true
+		}
+		if damped != len(st.suppressed) && d.Err() == nil {
+			return nil, fmt.Errorf("%w: speaker %d has %d suppressed damping states and %d suppressed keys", snap.ErrCorrupt, id, damped, len(st.suppressed))
 		}
 
 		for j, nMrai := 0, d.Count(9+8); j < nMrai; j++ {
-			k, err := decRibKey(d)
+			k, err := decKeyAfter(d, j, &prev)
 			if err != nil {
 				return nil, err
 			}
 			st.mraiLast[k] = Time(d.I64())
 		}
 
-		if err := decKeySet(d, st.mraiPending); err != nil {
-			return nil, err
+		for j, nPending := 0, d.Count(9); j < nPending; j++ {
+			k, err := decKeyAfter(d, j, &prev)
+			if err != nil {
+				return nil, err
+			}
+			st.mraiPending[k] = true
 		}
 
 		for j, nMed := 0, d.Count(5); j < nMed; j++ {
-			p, err := d.Prefix()
+			p, err := decPrefixAfter(d, j, &prev)
 			if err != nil {
 				return nil, err
 			}
@@ -1001,7 +1029,7 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 				pd.prefixPrepend = make(map[netutil.Prefix]int, nPfx)
 			}
 			for c := 0; c < nPfx; c++ {
-				p, err := d.Prefix()
+				p, err := decPrefixAfter(d, c, &prev)
 				if err != nil {
 					return nil, err
 				}
@@ -1072,6 +1100,39 @@ func decodeQueue(payload []byte, routes []*Route) ([]vtime.Item[event], []*Route
 		return nil, nil, err
 	}
 	return q, qr, nil
+}
+
+// checkFlushes holds the speakers' MRAI batches to the queue: every
+// pending key has exactly one queued flush timer for the same
+// (speaker, neighbor, prefix), and every queued flush has its pending
+// key. exportToPeer queues the timer when it sets the key and the
+// timer's delivery clears it; a pending key with no timer would hold
+// the session's exports of that prefix back for good.
+func checkFlushes(spks []*speakerState, queue []vtime.Item[event]) error {
+	type flush struct {
+		at RouterID
+		k  ribKey
+	}
+	timers := make(map[flush]int)
+	for i := range queue {
+		if ev := &queue[i].V; ev.mrai {
+			timers[flush{ev.to, ribKey{prefix: ev.prefix, neighbor: ev.from}}]++
+		}
+	}
+	for _, st := range spks {
+		for k := range st.mraiPending {
+			f := flush{st.s.ID, k}
+			if n := timers[f]; n != 1 {
+				return fmt.Errorf("%w: speaker %d's MRAI batch %s/%d has %d queued flushes, want 1",
+					snap.ErrCorrupt, f.at, k.prefix, k.neighbor, n)
+			}
+			delete(timers, f)
+		}
+	}
+	if len(timers) != 0 {
+		return fmt.Errorf("%w: %d queued MRAI flushes have no pending batch", snap.ErrCorrupt, len(timers))
+	}
+	return nil
 }
 
 // --- churn section ---
@@ -1195,13 +1256,14 @@ func decRouteEntries(d *snap.Dec, routes []*Route, s *Speaker) ([]ribEntry, erro
 	}
 	n := d.Count(minEntry)
 	entries := make([]ribEntry, 0, n)
+	var prev ribKey
 	for j := 0; j < n; j++ {
 		var k ribKey
 		var err error
 		if loc {
-			k.prefix, err = d.Prefix()
+			k.prefix, err = decPrefixAfter(d, j, &prev)
 		} else {
-			k, err = decRibKey(d)
+			k, err = decKeyAfter(d, j, &prev)
 		}
 		if err != nil {
 			return nil, err
@@ -1213,18 +1275,14 @@ func decRouteEntries(d *snap.Dec, routes []*Route, s *Speaker) ([]ribEntry, erro
 		if err != nil {
 			return nil, err
 		}
-		if j > 0 && entries[j-1].k.compare(k) >= 0 {
-			prev := entries[j-1].k
-			return nil, fmt.Errorf("%w: RIB key %s/%d does not sort after %s/%d",
-				snap.ErrCorrupt, k.prefix, k.neighbor, prev.prefix, prev.neighbor)
-		}
 		entries = append(entries, ribEntry{k, r})
 	}
 	return entries, d.Err()
 }
 
 // encKeySet emits the true keys of a map[ribKey]bool, sorted, through
-// the scratch slice keys, which it returns.
+// the scratch slice keys, which it returns. The decoder reads such a
+// set with decKeyAfter.
 func encKeySet(e *snap.Enc, keys []ribKey, m map[ribKey]bool) []ribKey {
 	for k, v := range m {
 		if v {
@@ -1239,15 +1297,36 @@ func encKeySet(e *snap.Enc, keys []ribKey, m map[ribKey]bool) []ribKey {
 	return keys
 }
 
-func decKeySet(d *snap.Dec, m map[ribKey]bool) error {
-	for j, n := 0, d.Count(9); j < n; j++ {
-		k, err := decRibKey(d)
-		if err != nil {
-			return err
-		}
-		m[k] = true
+// decKeyAfter reads the j-th key of a keyed table of the speakers
+// section, which must sort strictly after *prev, the key before it,
+// and leaves it in *prev. Every such table — the RIBs and the side
+// tables alike — is written in strictly increasing key order; a key
+// out of order, a duplicate included, is not a snapshot this engine
+// wrote.
+func decKeyAfter(d *snap.Dec, j int, prev *ribKey) (ribKey, error) {
+	k, err := decRibKey(d)
+	if err != nil || d.Err() != nil {
+		return k, err
 	}
-	return d.Err()
+	if j > 0 && prev.compare(k) >= 0 {
+		return k, fmt.Errorf("%w: key %s/%d does not sort after %s/%d",
+			snap.ErrCorrupt, k.prefix, k.neighbor, prev.prefix, prev.neighbor)
+	}
+	*prev = k
+	return k, nil
+}
+
+// decPrefixAfter is decKeyAfter for the tables keyed by prefix alone.
+func decPrefixAfter(d *snap.Dec, j int, prev *ribKey) (netutil.Prefix, error) {
+	p, err := d.Prefix()
+	if err != nil || d.Err() != nil {
+		return p, err
+	}
+	if k := (ribKey{prefix: p}); j > 0 && prev.compare(k) >= 0 {
+		return p, fmt.Errorf("%w: prefix %s does not sort after %s", snap.ErrCorrupt, p, prev.prefix)
+	}
+	*prev = ribKey{prefix: p}
+	return p, nil
 }
 
 // sortRibKeysStable orders by (prefix, neighbor); the serialization

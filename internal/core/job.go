@@ -32,7 +32,7 @@ type JobOptions struct {
 	// the named workload's default.
 	DurationSeconds int64 `json:"duration_seconds,omitempty"`
 	// RoundMode quantizes the workload to round boundaries (the
-	// compatibility scheduler) instead of event-granularity timers.
+	// compatibility mode) instead of event-granularity timers.
 	RoundMode bool `json:"round_mode,omitempty"`
 	// Scenario selects an adversarial scenario family (see
 	// faults.ScenarioNames) swept over ROV adoption; empty disables.

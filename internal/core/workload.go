@@ -57,6 +57,21 @@ const (
 // the probe-round cadence the historical loop stepped the network at.
 const DefaultRoundGap vtime.Time = 60
 
+// onRound rounds t up to the next DefaultRoundGap boundary when round
+// is set, and returns it as is otherwise. RoundMode applies it to every
+// dispatch time and to the run's horizon, so all activity lands on
+// round boundaries: the granularity the survey's historical round loop
+// ran at. Between boundaries nothing fires; RFD penalties observe flap
+// bursts as simultaneous and MRAI deferrals collapse, and the measured
+// contrast against event mode (see EXPERIMENTS.md) is the point of
+// keeping it.
+func onRound(t vtime.Time, round bool) vtime.Time {
+	if !round {
+		return t
+	}
+	return (t + DefaultRoundGap - 1) / DefaultRoundGap * DefaultRoundGap
+}
+
 // WorkloadOptions selects and sizes one workload run.
 type WorkloadOptions struct {
 	// Name picks a named workload (see WorkloadNames) or "replay".
@@ -65,8 +80,8 @@ type WorkloadOptions struct {
 	// workload's default.
 	Duration vtime.Time
 	// RoundMode quantizes every event (and the BGP timers it implies)
-	// to DefaultRoundGap boundaries — the round-granularity
-	// compatibility scheduler.
+	// to DefaultRoundGap boundaries (onRound) — the round-granularity
+	// compatibility mode.
 	RoundMode bool
 	// Trace is the MRT update stream for the "replay" workload.
 	Trace io.Reader
@@ -191,10 +206,6 @@ func (p *Pipeline) runWorkload(s *Survey, opts WorkloadOptions) (*WorkloadResult
 	eng := vtime.NewEngine(start)
 	eng.SetMetrics(reg)
 	eng.Coupling = func(from, to vtime.Time) { net.Run(bgp.Time(to)) }
-	var sched vtime.Scheduler = eng
-	if opts.RoundMode {
-		sched = &vtime.RoundScheduler{Gap: DefaultRoundGap, Engine: eng}
-	}
 
 	gen, err := p.buildWorkload(s.Eco, opts, d)
 	if err != nil {
@@ -240,7 +251,7 @@ func (p *Pipeline) runWorkload(s *Survey, opts WorkloadOptions) (*WorkloadResult
 		if !ok {
 			break
 		}
-		sched.At(start+ev.At, apply(ev))
+		eng.At(onRound(start+ev.At, opts.RoundMode), apply(ev))
 	}
 	if rp, ok := gen.(*workload.Replay); ok {
 		if err := rp.Err(); err != nil {
@@ -250,7 +261,8 @@ func (p *Pipeline) runWorkload(s *Survey, opts WorkloadOptions) (*WorkloadResult
 		res.ReplayClamped = rp.Clamped()
 	}
 
-	sched.RunUntil(start + d)
+	// A horizon that ends mid-round still runs that round's events.
+	eng.RunUntil(onRound(start+d, opts.RoundMode))
 
 	res.Scheduled = reg.Counter("vtime_events_scheduled_total").Value()
 	res.Dispatched = eng.Dispatched()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/asn"
@@ -83,7 +84,7 @@ func TestFlapCascadeExercisesRFD(t *testing.T) {
 }
 
 // TestWorkloadRoundModeQuantizes runs the same schedule through the
-// round-compatibility scheduler: it must complete deterministically
+// round-compatibility mode: it must complete deterministically
 // and land every dispatch on a round boundary (observable as an
 // identical dispatch count with coarser timer behaviour).
 func TestWorkloadRoundModeQuantizes(t *testing.T) {
@@ -95,6 +96,42 @@ func TestWorkloadRoundModeQuantizes(t *testing.T) {
 	}
 	if round1.Dispatched != event.Dispatched {
 		t.Fatalf("round mode dropped events: %d vs %d", round1.Dispatched, event.Dispatched)
+	}
+}
+
+// TestRoundModeRounding holds the runner's RoundMode rounding on an
+// engine: dispatch times round up to the next DefaultRoundGap boundary,
+// a boundary stays put, handlers that land on one boundary keep their
+// scheduling order, and a horizon that ends mid-round is rounded up so
+// that round's events still fire. Event mode leaves every time as is.
+func TestRoundModeRounding(t *testing.T) {
+	const gap = DefaultRoundGap
+	e := vtime.NewEngine(0)
+	var got []vtime.Time
+	var order []int
+	rec := func(id int) vtime.Handler {
+		return func(now vtime.Time) { got = append(got, now); order = append(order, id) }
+	}
+	e.At(onRound(1, true), rec(0))     // -> gap
+	e.At(onRound(gap-1, true), rec(1)) // -> gap, after id 0
+	e.At(onRound(gap, true), rec(2))   // a boundary stays
+	e.At(onRound(gap+1, true), rec(3)) // -> 2·gap
+	if n := e.RunUntil(onRound(gap+gap/2, true)); n != 4 {
+		t.Fatalf("RunUntil(onRound(1.5 gaps)) dispatched %d, want 4", n)
+	}
+	if want := []vtime.Time{gap, gap, gap, 2 * gap}; !slices.Equal(got, want) {
+		t.Fatalf("fired at %v, want %v", got, want)
+	}
+	if want := []int{0, 1, 2, 3}; !slices.Equal(order, want) {
+		t.Fatalf("dispatch order %v, want %v", order, want)
+	}
+	if e.Now() != 2*gap {
+		t.Fatalf("clock at %d, want the rounded horizon %d", e.Now(), 2*gap)
+	}
+	for _, tm := range []vtime.Time{0, 1, gap - 1, gap, gap + 1} {
+		if r := onRound(tm, false); r != tm {
+			t.Errorf("event mode moved %d to %d", tm, r)
+		}
 	}
 }
 

@@ -18,9 +18,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-
+	m := r.state().Metrics
 	lastType := ""
 	header := func(name, kind string) {
 		base := baseName(name)
@@ -30,28 +28,23 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			lastType = key
 		}
 	}
-	for _, name := range r.sortedCounterNames() {
-		header(name, "counter")
-		fmt.Fprintf(bw, "%s %d\n", name, r.counters[name].Value())
+	for _, c := range m.Counters {
+		header(c.Name, "counter")
+		fmt.Fprintf(bw, "%s %d\n", c.Name, c.Value)
 	}
-	for _, name := range r.sortedGaugeNames() {
-		header(name, "gauge")
-		fmt.Fprintf(bw, "%s %s\n", name, formatValue(r.gauges[name].Value()))
+	for _, g := range m.Gauges {
+		header(g.Name, "gauge")
+		fmt.Fprintf(bw, "%s %s\n", g.Name, formatValue(g.Value))
 	}
-	for _, name := range r.sortedHistNames() {
-		h := r.hists[name]
-		header(name, "histogram")
+	for _, h := range m.Histograms {
+		header(h.Name, "histogram")
 		cum := int64(0)
-		for i := range h.buckets {
-			le := "+Inf"
-			if i < len(h.bounds) {
-				le = formatBound(h.bounds[i])
-			}
-			cum += h.buckets[i].Load()
-			fmt.Fprintf(bw, "%s %d\n", Label(name+"_bucket", "le", le), cum)
+		for _, b := range h.Buckets {
+			cum += b.Count
+			fmt.Fprintf(bw, "%s %d\n", Label(h.Name+"_bucket", "le", b.LE), cum)
 		}
-		fmt.Fprintf(bw, "%s_sum %s\n", name, formatValue(h.Sum()))
-		fmt.Fprintf(bw, "%s_count %d\n", name, h.Count())
+		fmt.Fprintf(bw, "%s_sum %s\n", h.Name, formatValue(h.Sum))
+		fmt.Fprintf(bw, "%s_count %d\n", h.Name, h.Count)
 	}
 	return bw.Flush()
 }

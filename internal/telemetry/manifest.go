@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"runtime/debug"
-	"sort"
 	"strconv"
 )
 
@@ -150,90 +149,40 @@ func (r *Registry) Snapshot(opts SnapshotOptions) (*Manifest, error) {
 	if r == nil {
 		return nil, fmt.Errorf("telemetry: snapshot of nil registry")
 	}
-	var rawOpts json.RawMessage
+	rawOpts := json.RawMessage("null")
 	if opts.Options != nil {
 		b, err := json.Marshal(opts.Options)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: marshal options: %w", err)
 		}
 		rawOpts = b
-	} else {
-		rawOpts = json.RawMessage("null")
 	}
 	version := opts.Version
 	if version == "" {
 		version = BuildVersion()
 	}
+	st := r.state()
 	m := &Manifest{
-		Version: version,
-		Seed:    opts.Seed,
-		Options: rawOpts,
-		Phases:  r.Phases(),
+		Version:  version,
+		Seed:     opts.Seed,
+		Options:  rawOpts,
+		Parallel: ParallelSnapshot{Workers: st.Workers, Shards: st.Shards},
+		Phases:   st.Phases,
+		Metrics:  st.Metrics,
 	}
-	if opts.ZeroDurations {
-		for i := range m.Phases {
-			m.Phases[i].StartMS = 0
-			m.Phases[i].DurationMS = 0
-		}
-	}
-	if m.Phases == nil {
-		m.Phases = []SpanRecord{}
-	}
-
-	r.parMu.Lock()
-	m.Parallel.Workers = r.workers
-	m.Parallel.Shards = make([]ShardTiming, 0, len(r.shardStats))
-	for k, s := range r.shardStats {
-		m.Parallel.Shards = append(m.Parallel.Shards, ShardTiming{
-			Phase:      k.phase,
-			Shard:      k.shard,
-			Items:      s.items,
-			Calls:      s.calls,
-			DurationMS: float64(s.durNS) / 1e6,
-		})
-	}
-	r.parMu.Unlock()
-	sort.Slice(m.Parallel.Shards, func(i, j int) bool {
-		a, b := m.Parallel.Shards[i], m.Parallel.Shards[j]
-		if a.Phase != b.Phase {
-			return a.Phase < b.Phase
-		}
-		return a.Shard < b.Shard
-	})
 	if opts.ZeroDurations {
 		m.Parallel.Workers = 0
+		for i := range m.Phases {
+			m.Phases[i].StartMS, m.Phases[i].DurationMS = 0, 0
+		}
 		for i := range m.Parallel.Shards {
 			m.Parallel.Shards[i].DurationMS = 0
 		}
 	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m.Metrics.Counters = make([]CounterValue, 0, len(r.counters))
-	for _, name := range r.sortedCounterNames() {
-		m.Metrics.Counters = append(m.Metrics.Counters, CounterValue{Name: name, Value: r.counters[name].Value()})
-	}
-	m.Metrics.Gauges = make([]GaugeValue, 0, len(r.gauges))
-	for _, name := range r.sortedGaugeNames() {
-		m.Metrics.Gauges = append(m.Metrics.Gauges, GaugeValue{Name: name, Value: r.gauges[name].Value()})
-	}
-	m.Metrics.Histograms = make([]HistogramValue, 0, len(r.hists))
-	for _, name := range r.sortedHistNames() {
-		h := r.hists[name]
-		hv := HistogramValue{Name: name, Count: h.Count(), Sum: h.Sum()}
-		for i := range h.buckets {
-			le := "+Inf"
-			if i < len(h.bounds) {
-				le = formatBound(h.bounds[i])
-			}
-			hv.Buckets = append(hv.Buckets, BucketValue{LE: le, Count: h.buckets[i].Load()})
-		}
-		m.Metrics.Histograms = append(m.Metrics.Histograms, hv)
-	}
 	m.Snapshot = SnapshotActivity{
-		Bytes:                  r.counters["snapshot_bytes"].Value(),
-		Restores:               r.counters["snapshot_restore_total"].Value(),
-		SkippedConvergenceRuns: r.counters["core_warm_start_skipped_convergence_runs_total"].Value(),
+		Bytes:                  m.Counter("snapshot_bytes"),
+		Restores:               m.Counter("snapshot_restore_total"),
+		SkippedConvergenceRuns: m.Counter("core_warm_start_skipped_convergence_runs_total"),
 	}
 	return m, nil
 }

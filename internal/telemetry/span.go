@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Span is one timed phase of a run. Spans nest: a span started while
 // another is active becomes its child, and its path is the
@@ -68,14 +65,9 @@ func (s *Span) End() {
 		// Record s and any unclosed children, oldest first, so the
 		// phase list stays ordered by start sequence.
 		for j := i; j < len(r.active); j++ {
-			sp := r.active[j]
-			r.phases = append(r.phases, SpanRecord{
-				Seq:        sp.seq,
-				Path:       sp.path,
-				Depth:      sp.depth,
-				StartMS:    sp.start.Sub(r.epoch).Seconds() * 1e3,
-				DurationMS: at.Sub(sp.start).Seconds() * 1e3,
-			})
+			rec := r.active[j].record()
+			rec.DurationMS = at.Sub(r.active[j].start).Seconds() * 1e3
+			r.phases = append(r.phases, rec)
 		}
 		r.active = r.active[:i]
 		return
@@ -83,18 +75,16 @@ func (s *Span) End() {
 	// s was already closed (double End): ignore.
 }
 
+// record is the span's SpanRecord but for its duration, which only
+// End knows; r.spanMu is held.
+func (s *Span) record() SpanRecord {
+	return SpanRecord{Seq: s.seq, Path: s.path, Depth: s.depth, StartMS: s.start.Sub(s.r.epoch).Seconds() * 1e3}
+}
+
 // Phases returns the completed spans sorted by start sequence.
 func (r *Registry) Phases() []SpanRecord {
 	if r == nil {
 		return nil
 	}
-	r.spanMu.Lock()
-	defer r.spanMu.Unlock()
-	out := append([]SpanRecord(nil), r.phases...)
-	sortSpanRecords(out)
-	return out
-}
-
-func sortSpanRecords(recs []SpanRecord) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
+	return r.state().Phases
 }

@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -107,4 +110,84 @@ func TestManifestSnapshotSection(t *testing.T) {
 	if m2.Snapshot != (SnapshotActivity{}) {
 		t.Fatalf("zero registry snapshot section = %+v", m2.Snapshot)
 	}
+}
+
+// TestLoadStateRejectsWithoutChange: a state add rejects leaves the
+// registry as it was, whichever check fails.
+func TestLoadStateRejectsWithoutChange(t *testing.T) {
+	for name, state := range map[string]string{
+		"no buckets":        `{"metrics":{"counters":[{"name":"a","value":1}],"histograms":[{"name":"h","buckets":[]}]}}`,
+		"bad bound":         `{"metrics":{"counters":[{"name":"a","value":1}],"histograms":[{"name":"h","buckets":[{"le":"x"},{"le":"+Inf"}]}]}}`,
+		"bucket count":      `{"metrics":{"counters":[{"name":"a","value":1}],"histograms":[{"name":"rtt","buckets":[{"le":"+Inf"}]}]}}`,
+		"repeated hist":     `{"metrics":{"histograms":[{"name":"h","buckets":[{"le":"+Inf"}]},{"name":"h","buckets":[{"le":"+Inf"}]}]}}`,
+		"sum out of range":  `{"metrics":{"counters":[{"name":"a","value":1}],"histograms":[{"name":"h","sum":1e10,"buckets":[{"le":"+Inf"}]}]}}`,
+		"sum not in micros": `{"metrics":{"counters":[{"name":"a","value":1}],"histograms":[{"name":"h","sum":1e-7,"buckets":[{"le":"+Inf"}]}]}}`,
+		"negative counter":  `{"metrics":{"counters":[{"name":"a","value":-1}]}}`,
+		"repeated counter":  `{"metrics":{"counters":[{"name":"a","value":9223372036854775807},{"name":"a","value":1}]}}`,
+	} {
+		r := New()
+		r.Histogram("rtt", 1, 2).Observe(1)
+		before := r.state()
+		if _, err := r.LoadState(strings.NewReader(state)); err == nil {
+			t.Errorf("%s: loaded cleanly", name)
+		}
+		if after := r.state(); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: rejected state changed the registry:\n%+v\n%+v", name, before, after)
+		}
+	}
+}
+
+// TestMergeBucketMismatchPanics: one program fills both registries, so
+// a histogram whose bucket count differs is a bug, not data to clip.
+func TestMergeBucketMismatchPanics(t *testing.T) {
+	r, sub := New(), New()
+	r.Histogram("h", 1, 2)
+	sub.Histogram("h", 1).Observe(1)
+	defer func() {
+		if recover() == nil {
+			t.Error("mismatched Merge did not panic")
+		}
+	}()
+	r.Merge(sub)
+}
+
+// FuzzLoadState feeds arbitrary bytes to LoadState, as a checkpoint's
+// section 7 read from disk would: it never panics, and a state it
+// accepts saves and reloads to the same zero-duration manifest. The
+// seed is the section 7 of a real -small run's fifth checkpoint.
+func FuzzLoadState(f *testing.F) {
+	seed, err := os.ReadFile("testdata/section7.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"metrics":{"histograms":[{"name":"h","sum":0.000001,"buckets":[{"le":"NaN"},{"le":"+Inf","count":1}]}]},"seq":-3}`))
+	manifest := func(t *testing.T, r *Registry) []byte {
+		m, err := r.Snapshot(SnapshotOptions{Version: "vtest", ZeroDurations: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := m.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := New()
+		if _, err := r.LoadState(bytes.NewReader(data)); err != nil {
+			return
+		}
+		var saved bytes.Buffer
+		if err := r.SaveState(&saved); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		again := New()
+		if _, err := again.LoadState(&saved); err != nil {
+			t.Fatalf("reload of a saved state: %v\n%s", err, saved.Bytes())
+		}
+		if a, b := manifest(t, r), manifest(t, again); !bytes.Equal(a, b) {
+			t.Fatalf("manifest moved over save and reload:\n%s\n%s", a, b)
+		}
+	})
 }

@@ -150,7 +150,7 @@ type Registry struct {
 
 	parMu      sync.Mutex
 	workers    int
-	shardStats map[shardKey]*shardStat
+	shardStats map[shardKey]shardStat
 }
 
 // shardKey identifies one shard of one sharded phase; its stats
@@ -174,6 +174,8 @@ func New() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		now:      time.Now,
+
+		shardStats: make(map[shardKey]shardStat),
 	}
 	r.epoch = r.now()
 	return r
@@ -200,12 +202,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return r.counter(name)
 }
 
 // Gauge returns (creating on first use) the named gauge, or nil on a
@@ -216,12 +213,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return r.gauge(name)
 }
 
 // DefaultLatencyBounds suits millisecond-scale RTT observations.
@@ -236,13 +228,37 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	if r == nil {
 		return nil
 	}
+	if len(bounds) == 0 {
+		bounds = DefaultLatencyBounds
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.histogram(name, bounds)
+}
+
+// counter, gauge and histogram are the getters' bodies, for callers
+// that hold r.mu.
+func (r *Registry) counter(name string) *Counter {
+	c := r.counters[name]
+	if c == nil {
+		c = &Counter{}
+		r.counters[name] = c
+	}
+	return c
+}
+
+func (r *Registry) gauge(name string) *Gauge {
+	g := r.gauges[name]
+	if g == nil {
+		g = &Gauge{}
+		r.gauges[name] = g
+	}
+	return g
+}
+
+func (r *Registry) histogram(name string, bounds []float64) *Histogram {
 	h := r.hists[name]
 	if h == nil {
-		if len(bounds) == 0 {
-			bounds = DefaultLatencyBounds
-		}
 		b := append([]float64(nil), bounds...)
 		h = &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
 		r.hists[name] = h
@@ -273,23 +289,20 @@ func (r *Registry) AddShardTiming(phase string, shard, items int, d time.Duratio
 	}
 	r.parMu.Lock()
 	defer r.parMu.Unlock()
-	if r.shardStats == nil {
-		r.shardStats = make(map[shardKey]*shardStat)
-	}
-	k := shardKey{phase: phase, shard: shard}
-	s := r.shardStats[k]
-	if s == nil {
-		s = &shardStat{}
-		r.shardStats[k] = s
-	}
-	s.items += int64(items)
-	s.calls++
-	s.durNS += d.Nanoseconds()
+	r.addShard(shardKey{phase: phase, shard: shard}, int64(items), 1, d.Nanoseconds())
 }
 
-// Merge folds a sub-registry into r: counters and histogram buckets
-// add, gauges take the sub value, phase spans append with their seq
-// renumbered after r's existing spans, and shard stats accumulate.
+// addShard accumulates into one shard's stats; r.parMu is held.
+func (r *Registry) addShard(k shardKey, items, calls, durNS int64) {
+	s := r.shardStats[k]
+	r.shardStats[k] = shardStat{items: s.items + items, calls: s.calls + calls, durNS: s.durNS + durNS}
+}
+
+// Merge folds a sub-registry into r by add's rules: counters and
+// histogram buckets add, gauges take the sub value, phase spans append
+// with their seq renumbered after r's existing spans, and shard stats
+// accumulate. The sub-registry's open spans and worker count stay
+// behind, and a histogram whose bucket count differs from r's panics.
 // The fault sweep uses this to give each intensity point its own
 // registry while points run concurrently, then merge them back in
 // intensity order — so the merged registry is identical for any worker
@@ -299,78 +312,11 @@ func (r *Registry) Merge(sub *Registry) {
 	if r == nil || sub == nil || r == sub {
 		return
 	}
-	sub.mu.Lock()
-	counterNames := sub.sortedCounterNames()
-	counters := make([]*Counter, len(counterNames))
-	for i, name := range counterNames {
-		counters[i] = sub.counters[name]
+	st := sub.state()
+	st.Workers, st.Open = 0, nil
+	if _, err := r.add(st); err != nil {
+		panic(err) // one program filled both registries: a histogram's bounds disagree
 	}
-	gaugeNames := sub.sortedGaugeNames()
-	gauges := make([]*Gauge, len(gaugeNames))
-	for i, name := range gaugeNames {
-		gauges[i] = sub.gauges[name]
-	}
-	histNames := sub.sortedHistNames()
-	hists := make([]*Histogram, len(histNames))
-	for i, name := range histNames {
-		hists[i] = sub.hists[name]
-	}
-	sub.mu.Unlock()
-	for i, name := range counterNames {
-		r.Counter(name).Add(counters[i].Value())
-	}
-	for i, name := range gaugeNames {
-		r.Gauge(name).Set(gauges[i].Value())
-	}
-	for i, name := range histNames {
-		h := hists[i]
-		dst := r.Histogram(name, h.bounds...)
-		n := len(h.buckets)
-		if len(dst.buckets) < n {
-			n = len(dst.buckets)
-		}
-		for j := 0; j < n; j++ {
-			dst.buckets[j].Add(h.buckets[j].Load())
-		}
-		dst.count.Add(h.count.Load())
-		dst.sumMicros.Add(h.sumMicros.Load())
-	}
-
-	sub.spanMu.Lock()
-	phases := append([]SpanRecord(nil), sub.phases...)
-	subSeq := sub.seq
-	sub.spanMu.Unlock()
-	sortSpanRecords(phases)
-	r.spanMu.Lock()
-	base := r.seq
-	for _, p := range phases {
-		p.Seq += base
-		r.phases = append(r.phases, p)
-	}
-	r.seq = base + subSeq
-	r.spanMu.Unlock()
-
-	sub.parMu.Lock()
-	stats := make(map[shardKey]shardStat, len(sub.shardStats))
-	for k, s := range sub.shardStats {
-		stats[k] = *s
-	}
-	sub.parMu.Unlock()
-	r.parMu.Lock()
-	if r.shardStats == nil && len(stats) > 0 {
-		r.shardStats = make(map[shardKey]*shardStat)
-	}
-	for k, s := range stats {
-		dst := r.shardStats[k]
-		if dst == nil {
-			dst = &shardStat{}
-			r.shardStats[k] = dst
-		}
-		dst.items += s.items
-		dst.calls += s.calls
-		dst.durNS += s.durNS
-	}
-	r.parMu.Unlock()
 }
 
 // Label renders the `name{key="value"}` convention used to split one
@@ -380,32 +326,4 @@ func (r *Registry) Merge(sub *Registry) {
 // together.
 func Label(name, key, value string) string {
 	return name + `{` + key + `="` + value + `"}`
-}
-
-// sortedCounterNames returns counter names in ascending order.
-func (r *Registry) sortedCounterNames() []string {
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func (r *Registry) sortedGaugeNames() []string {
-	names := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func (r *Registry) sortedHistNames() []string {
-	names := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

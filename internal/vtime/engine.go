@@ -10,30 +10,13 @@ import (
 // at (its scheduled time, which the clock has reached).
 type Handler func(now Time)
 
-// Scheduler is what workload runners program against: schedule
-// handlers at virtual times and run the clock forward. Two
-// implementations exist — Engine dispatches at exact timestamps, and
-// RoundScheduler quantizes everything to round boundaries, preserving
-// the survey's historical round-granularity semantics as a
-// compatibility mode.
-type Scheduler interface {
-	// Now returns the current virtual time.
-	Now() Time
-	// At schedules h to fire at time t; times before Now are clamped
-	// to Now (the handler fires on the next run, never in the past).
-	At(t Time, h Handler)
-	// RunUntil dispatches every handler due at or before t in
-	// (time, seq) order, advances the clock to t, and returns the
-	// number of handlers dispatched.
-	RunUntil(t Time) int
-}
-
-// Engine is the event-mode Scheduler: handlers fire at their exact
-// virtual timestamps. A Coupling hook keeps an external simulator in
-// lockstep — before the clock advances to a later event time (and
-// once more at the end of RunUntil), the hook is invoked with the
-// (from, to] interval so the external side processes its own events
-// up to `to` first. The workload runner wires it to bgp.Network.Run,
+// Engine is what workload runners program against: it schedules
+// handlers at virtual times and runs the clock forward, firing each
+// handler at its exact virtual timestamp. A Coupling hook keeps an
+// external simulator in lockstep — before the clock advances to a
+// later event time (and once more at the end of RunUntil), the hook is
+// invoked with the (from, to] interval so the external side processes
+// its own events up to `to` first. The workload runner wires it to bgp.Network.Run,
 // making MRAI flushes and RFD reuse checks fire at their real virtual
 // times interleaved with workload events.
 type Engine struct {
@@ -161,34 +144,3 @@ func (e *Engine) SpeedupRatio() float64 {
 	}
 	return e.VirtualSeconds() / w
 }
-
-// RoundScheduler is the compatibility Scheduler: every handler time is
-// quantized UP to the next multiple of Gap before scheduling, so all
-// activity lands on round boundaries — exactly the granularity the
-// survey's historical round loop ran at. Between boundaries nothing
-// fires; RFD penalties observe flap bursts as simultaneous, MRAI
-// deferrals collapse, and the measured contrast against the event
-// engine (see EXPERIMENTS.md) is the point of keeping it.
-type RoundScheduler struct {
-	Gap    Time
-	Engine *Engine
-}
-
-// Quantize rounds t up to the scheduler's next round boundary.
-func (r *RoundScheduler) Quantize(t Time) Time {
-	if r.Gap <= 0 {
-		return t
-	}
-	q := (t + r.Gap - 1) / r.Gap * r.Gap
-	return q
-}
-
-// Now returns the underlying engine's virtual time.
-func (r *RoundScheduler) Now() Time { return r.Engine.Now() }
-
-// At schedules h at t quantized up to the next round boundary.
-func (r *RoundScheduler) At(t Time, h Handler) { r.Engine.At(r.Quantize(t), h) }
-
-// RunUntil runs the engine to t quantized up to the next boundary, so
-// a duration that ends mid-round still flushes that round's events.
-func (r *RoundScheduler) RunUntil(t Time) int { return r.Engine.RunUntil(r.Quantize(t)) }

@@ -153,40 +153,3 @@ func TestEngineMetrics(t *testing.T) {
 		t.Fatalf("SpeedupRatio = %v", r)
 	}
 }
-
-// TestRoundScheduler requires quantization up to round boundaries and
-// preserved intra-boundary ordering.
-func TestRoundScheduler(t *testing.T) {
-	e := NewEngine(0)
-	r := &RoundScheduler{Gap: 100, Engine: e}
-	var got []Time
-	var order []int
-	rec := func(id int) Handler {
-		return func(now Time) { got = append(got, now); order = append(order, id) }
-	}
-	r.At(1, rec(0))   // -> 100
-	r.At(99, rec(1))  // -> 100, after id 0
-	r.At(100, rec(2)) // boundary stays
-	r.At(101, rec(3)) // -> 200
-	// RunUntil quantizes 150 up to the 200 boundary, so all four fire.
-	if n := r.RunUntil(150); n != 4 {
-		t.Fatalf("RunUntil(150) dispatched %d, want 4", n)
-	}
-	want := []Time{100, 100, 100, 200}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired at %v, want %v", got, want)
-		}
-	}
-	for i, id := range order {
-		if id != i {
-			t.Fatalf("order %v", order)
-		}
-	}
-	if r.Now() != e.Now() {
-		t.Fatalf("Now mismatch: %d vs %d", r.Now(), e.Now())
-	}
-	if zero := (&RoundScheduler{Gap: 0, Engine: e}).Quantize(123); zero != 123 {
-		t.Fatalf("Gap 0 quantize = %d, want identity", zero)
-	}
-}

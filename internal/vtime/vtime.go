@@ -1,6 +1,6 @@
 // Package vtime is the deterministic discrete-event core of the
 // reproduction: a monotonic virtual clock, a stable time-bucketed event
-// queue whose ties break by insertion sequence number, and a Scheduler
+// queue whose ties break by insertion sequence number, and an Engine
 // that dispatches handler callbacks in (time, seq) order while keeping
 // an external simulator (the BGP engine) coupled to the same clock.
 //

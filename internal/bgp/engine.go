@@ -690,6 +690,13 @@ func (n *Network) exportAfterDecision(s *Speaker, p netutil.Prefix, best *Route,
 	}
 }
 
+// mraiState is one session's MRAI state for one prefix: when sendExport
+// last sent, and whether a flush timer is queued for the deferred export.
+type mraiState struct {
+	last    Time
+	pending bool
+}
+
 // exportToPeer computes the announcement for one session and enqueues
 // it if it differs from what was last sent, honouring the session's
 // MRAI: inside the interval the export is deferred to a flush timer,
@@ -706,13 +713,13 @@ func (n *Network) exportToPeer(s *Speaker, p netutil.Prefix, pc *PeerConfig, bes
 	}
 	if pc.MRAI > 0 {
 		k := ribKey{prefix: p, neighbor: pc.Neighbor}
-		if last, ok := s.mraiLast[k]; ok && n.clock < last+pc.MRAI {
-			if !s.mraiPending[k] {
+		if st, ok := s.mrai[k]; ok && n.clock < st.last+pc.MRAI {
+			if !st.pending {
 				if n.jr != nil {
-					n.jr.flags.save(s.mraiPending, k)
+					n.jr.mrai.save(s.mrai, k)
 				}
-				s.mraiPending[k] = true
-				n.queue.Push(vtime.Time(last+pc.MRAI), event{
+				s.mrai[k] = mraiState{last: st.last, pending: true}
+				n.queue.Push(vtime.Time(st.last+pc.MRAI), event{
 					to:     s.ID,
 					from:   pc.Neighbor,
 					prefix: p,
@@ -753,9 +760,9 @@ func (n *Network) sendExport(s *Speaker, p netutil.Prefix, pc *PeerConfig, best 
 	}
 	if pc.MRAI > 0 {
 		if n.jr != nil {
-			n.jr.times.save(s.mraiLast, k)
+			n.jr.mrai.save(s.mrai, k)
 		}
-		s.mraiLast[k] = n.clock
+		s.mrai[k] = mraiState{last: n.clock, pending: s.mrai[k].pending}
 	}
 	n.queue.Push(vtime.Time(n.clock+delay), event{
 		to:     pc.Neighbor,
@@ -811,9 +818,9 @@ func (n *Network) deliver(e *event) {
 		// schedule nothing.
 		k := ribKey{prefix: e.prefix, neighbor: e.from}
 		if n.jr != nil {
-			n.jr.flags.save(s.mraiPending, k)
+			n.jr.mrai.save(s.mrai, k)
 		}
-		s.mraiPending[k] = false
+		s.mrai[k] = mraiState{last: s.mrai[k].last}
 		if pc != nil && !pc.down && !s.Collector {
 			n.sendExport(s, e.prefix, pc, s.Best(e.prefix))
 		}

@@ -46,7 +46,7 @@ func networkSignature(n *Network) string {
 			return true
 		})
 		s.adjIn.WalkSorted(func(k ribKey, r *Route) bool {
-			fmt.Fprintf(&b, "  in %s/%d sup=%v: %s\n", k.prefix, k.neighbor, s.suppressed[k], routeSig(r))
+			fmt.Fprintf(&b, "  in %s/%d sup=%v: %s\n", k.prefix, k.neighbor, s.rfd[k].suppressed, routeSig(r))
 			return true
 		})
 		s.adjOut.WalkSorted(func(k ribKey, r *Route) bool {

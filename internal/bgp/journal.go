@@ -21,21 +21,21 @@ package bgp
 //     puts it back through the table without recording; an arena store
 //     records the previous packed record, so recording materialises
 //     nothing.
-//   - The speaker tables originated, rfd, suppressed, mraiLast,
-//     mraiPending and medSeen, at their write sites. rfdState is
-//     mutated in place (Flap, Suppressed), so its value is recorded
-//     beside its pointer.
+//   - The speaker tables originated, rfd, mrai and medSeen, at their
+//     write sites. Each holds plain values, so the previous value is
+//     the whole record; an rfd record also keeps the speaker's count
+//     of suppressed states, which the undo puts back with it.
 //   - Session settings: each setter records the whole PeerConfig
 //     before changing it (ExportPrepend, PrefixPrepend, ExportAllow,
 //     ImportLocalPref, down), and SetImportDeny the speaker's filter.
 //
-// The logs are independent — no map appears in two — so Rewind replays
-// them one after another, each in reverse. Topology is not journaled:
-// AddSpeaker and Connect panic while a journal is open, and
-// RestoreNetwork refuses such a network. Telemetry counters and the
-// per-update scratch (candidate buffer, prepend memo) are not network
-// state and are left alone. With no journal open each hook is one nil
-// check.
+// The logs are independent — each speaker table has one log of its
+// own, and no map appears in two — so Rewind replays them one after
+// another, each in reverse. Topology is not journaled: AddSpeaker and
+// Connect panic while a journal is open, and RestoreNetwork refuses
+// such a network. Telemetry counters and the per-update scratch
+// (candidate buffer, prepend memo) are not network state and are left
+// alone. With no journal open each hook is one nil check.
 
 import (
 	"errors"
@@ -49,8 +49,7 @@ type journal struct {
 	rows     []rowUndo    // row-table RIB entries
 	packed   []packedUndo // arena-store RIB entries
 	orig     keyedLog[netutil.Prefix, origination]
-	flags    keyedLog[ribKey, bool] // suppressed, mraiPending
-	times    keyedLog[ribKey, Time] // mraiLast
+	mrai     keyedLog[ribKey, mraiState]
 	medSeen  keyedLog[netutil.Prefix, bool]
 	prepends keyedLog[netutil.Prefix, int] // PeerConfig.PrefixPrepend
 	rfd      []rfdUndo
@@ -86,16 +85,17 @@ func (l *keyedLog[K, V]) save(m map[K]V, k K) {
 	*l = append(*l, keyedUndo[K, V]{m, k, v, ok})
 }
 
-// undo puts every recorded value back.
-func (l *keyedLog[K, V]) undo() {
-	replay((*[]keyedUndo[K, V])(l), func(u *keyedUndo[K, V]) {
-		if u.ok {
-			u.m[u.k] = u.v
-		} else {
-			delete(u.m, u.k)
-		}
-	})
+// undo puts the recorded value back.
+func (u *keyedUndo[K, V]) undo() {
+	if u.ok {
+		u.m[u.k] = u.v
+	} else {
+		delete(u.m, u.k)
+	}
 }
+
+// undo puts every recorded value back.
+func (l *keyedLog[K, V]) undo() { replay((*[]keyedUndo[K, V])(l), (*keyedUndo[K, V]).undo) }
 
 // replay undoes every entry of *log, newest first, and empties the log,
 // keeping its backing array for the next round.
@@ -128,13 +128,17 @@ type packedUndo struct {
 	ok    bool
 }
 
-// rfdUndo is m[k] before a write: st is the state pointer (nil when
-// absent) and v its value then.
+// rfdUndo is s.rfd[k] before a write, and s's count of suppressed
+// states then.
 type rfdUndo struct {
-	m  map[ribKey]*rfdState
-	k  ribKey
-	st *rfdState
-	v  rfdState
+	keyedUndo[ribKey, rfdState]
+	s           *Speaker
+	nSuppressed int
+}
+
+func (u *rfdUndo) undo() {
+	u.keyedUndo.undo()
+	u.s.nSuppressed = u.nSuppressed
 }
 
 type peerUndo struct {
@@ -203,18 +207,10 @@ func (n *Network) Rewind() error {
 		}
 	})
 	j.orig.undo()
-	j.flags.undo()
-	j.times.undo()
+	j.mrai.undo()
 	j.medSeen.undo()
 	j.prepends.undo()
-	replay(&j.rfd, func(u *rfdUndo) {
-		if u.st == nil {
-			delete(u.m, u.k)
-		} else {
-			*u.st = u.v
-			u.m[u.k] = u.st
-		}
-	})
+	replay(&j.rfd, (*rfdUndo).undo)
 	replay(&j.peers, func(u *peerUndo) { *u.pc = u.v })
 	replay(&j.denies, func(u *denyUndo) { u.s.importDeny = u.fn })
 
@@ -240,14 +236,10 @@ func (n *Network) savePeer(pc *PeerConfig) {
 	}
 }
 
-// saveRFD records s.rfd[k], pointer and value, ahead of a write to it
-// or to the state it points at.
+// saveRFD records s.rfd[k] and the suppressed count ahead of a write.
 func (s *Speaker) saveRFD(k ribKey) {
-	u := rfdUndo{m: s.rfd, k: k, st: s.rfd[k]}
-	if u.st != nil {
-		u.v = *u.st
-	}
-	s.net.jr.rfd = append(s.net.jr.rfd, u)
+	v, ok := s.rfd[k]
+	s.net.jr.rfd = append(s.net.jr.rfd, rfdUndo{keyedUndo[ribKey, rfdState]{s.rfd, k, v, ok}, s, s.nSuppressed})
 }
 
 // save records the arena entry under key ahead of a write to it.

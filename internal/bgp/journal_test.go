@@ -92,8 +92,9 @@ func journalOp(rng *rand.Rand, n *Network, policy bool) {
 // TestJournalRewindMatchesSnapshot: on 200 random inputs per store, a
 // journal opened mid-flight (updates, MRAI flushes and RFD reuse checks
 // queued) rewinds every round of random inputs to the exact fork point
-// — the snapshot bytes taken at open — and the rewound network then
-// behaves like one restored from that snapshot.
+// — the snapshot bytes taken at open, and every speaker's count of
+// suppressed damping states — and the rewound network then behaves
+// like one restored from that snapshot.
 func TestJournalRewindMatchesSnapshot(t *testing.T) {
 	for _, compact := range []bool{false, true} {
 		var queued, mrai, rfd, suppressed int
@@ -123,7 +124,7 @@ func TestJournalRewindMatchesSnapshot(t *testing.T) {
 					break
 				}
 			}
-			if len(n.Speaker(2).suppressed)+len(n.Speaker(3).suppressed) > 0 {
+			if n.Speaker(2).nSuppressed+n.Speaker(3).nSuppressed > 0 {
 				suppressed++
 			}
 
@@ -138,6 +139,7 @@ func TestJournalRewindMatchesSnapshot(t *testing.T) {
 				if err := n.Rewind(); err != nil {
 					t.Fatal(err)
 				}
+				checkSuppressedCounts(t, n)
 				if got := mustSnapshot(t, n); !bytes.Equal(got, fork) {
 					t.Fatalf("compact=%v seed %d round %d: rewound snapshot differs from the fork point", compact, seed, round)
 				}
@@ -149,6 +151,7 @@ func TestJournalRewindMatchesSnapshot(t *testing.T) {
 			if err := RestoreNetwork(bytes.NewReader(fork), restored); err != nil {
 				t.Fatal(err)
 			}
+			checkSuppressedCounts(t, restored)
 			n.CloseJournal()
 			tail := rng.Int63()
 			for _, net := range []*Network{n, restored} {
@@ -167,6 +170,26 @@ func TestJournalRewindMatchesSnapshot(t *testing.T) {
 		if queued < 100 || mrai < 20 || rfd < 20 || suppressed < 20 {
 			t.Fatalf("compact=%v: fork points too quiet to test the journal (%d queued, %d MRAI, %d RFD, %d suppressed)",
 				compact, queued, mrai, rfd, suppressed)
+		}
+	}
+}
+
+// checkSuppressedCounts requires every speaker's count of suppressed
+// damping states to be the number of its rfd states with the bit set.
+// The count is not in the snapshot bytes, so a byte comparison cannot
+// see it drift.
+func checkSuppressedCounts(t *testing.T, n *Network) {
+	t.Helper()
+	for _, id := range n.order {
+		s := n.speakers[id]
+		held := 0
+		for _, st := range s.rfd {
+			if st.suppressed {
+				held++
+			}
+		}
+		if s.nSuppressed != held {
+			t.Fatalf("speaker %d counts %d suppressed damping states and holds %d", id, s.nSuppressed, held)
 		}
 	}
 }

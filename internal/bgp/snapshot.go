@@ -22,7 +22,8 @@ package bgp
 //     the three RIB tables as they come, without sorting anything
 //     again. Tables the engine keeps in step must agree on restore:
 //     the suppressed set with the damping states, the pending MRAI
-//     batches with the queued flush timers (checkFlushes).
+//     batches with their last-sent times and with the queued flush
+//     timers (checkFlushes).
 //
 //   - Pointer identity. sendExport stores one *Route into both the
 //     adj-RIB-out and the queued event's Network.inflight slot, and a
@@ -147,10 +148,10 @@ func (n *Network) sizeHint(ri *routeIndex, pt *snapPaths, routeBytes int) int {
 			}
 			size += count(len(refs)) + len(refs)*(key+idx)
 		}
+		// Every MRAI state is counted as a pending key too.
 		size += count(len(s.rfd)) + len(s.rfd)*(9+25) +
-			count(len(s.suppressed)) + len(s.suppressed)*9 +
-			count(len(s.mraiLast)) + len(s.mraiLast)*(9+8) +
-			count(len(s.mraiPending)) + len(s.mraiPending)*9 +
+			count(s.nSuppressed) + s.nSuppressed*9 +
+			2*count(len(s.mrai)) + len(s.mrai)*(9+8+9) +
 			count(len(s.medSeen)) + len(s.medSeen)*5 +
 			1 + count(len(s.sessions))
 		for i := range s.sessions {
@@ -774,10 +775,9 @@ type speakerState struct {
 	adjIn       []ribEntry
 	locRib      []ribEntry
 	adjOut      []ribEntry
-	rfd         map[ribKey]*rfdState
-	suppressed  map[ribKey]bool
-	mraiLast    map[ribKey]Time
-	mraiPending map[ribKey]bool
+	rfd         map[ribKey]rfdState
+	nSuppressed int
+	mrai        map[ribKey]mraiState
 	medSeen     map[netutil.Prefix]bool
 	peerDyn     []peerDynState
 }
@@ -798,9 +798,8 @@ func (st *speakerState) apply() {
 	loadStore(s.locRib, st.locRib)
 	loadStore(s.adjOut, st.adjOut)
 	s.rfd = st.rfd
-	s.suppressed = st.suppressed
-	s.mraiLast = st.mraiLast
-	s.mraiPending = st.mraiPending
+	s.nSuppressed = st.nSuppressed
+	s.mrai = st.mrai
 	s.medSeen = st.medSeen
 	for _, pd := range st.peerDyn {
 		pd.pc.ExportPrepend = pd.exportPrepend
@@ -837,30 +836,19 @@ func (n *Network) encodeSpeakers(e *snap.Enc, ri *routeIndex) {
 		encRouteTable(e, ri.ribs[i][1], true)
 		encRouteTable(e, ri.ribs[i][2], false)
 
-		keys = sortedKeys(keys[:0], s.rfd)
-		e.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			st := s.rfd[k]
-			encRibKey(e, k)
+		// The damping states and the suppressed set, then the MRAI
+		// last-sent times and the pending batches.
+		keys = encStates(e, keys[:0], s.rfd, func(st rfdState) bool {
 			e.F64(st.penalty)
 			e.I64(int64(st.lastUpdate))
 			e.Bool(st.suppressed)
 			e.I64(int64(st.suppressAt))
-		}
-
-		keys = encKeySet(e, keys[:0], s.suppressed)
-
-		keys = sortedKeys(keys[:0], s.mraiLast)
-		e.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			encRibKey(e, k)
-			e.I64(int64(s.mraiLast[k]))
-		}
-
-		// Only true entries: the deliver path parks explicit false
-		// values after an MRAI flush, but absent and false are
-		// indistinguishable to every reader.
-		keys = encKeySet(e, keys[:0], s.mraiPending)
+			return st.suppressed
+		})
+		keys = encStates(e, keys[:0], s.mrai, func(st mraiState) bool {
+			e.I64(int64(st.last))
+			return st.pending
+		})
 
 		pfx = pfx[:0]
 		for p, v := range s.medSeen {
@@ -910,13 +898,11 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			return nil, fmt.Errorf("%w: snapshot speaker %d not in base network", snap.ErrCorrupt, id)
 		}
 		st := &speakerState{
-			s:           s,
-			originated:  make(map[netutil.Prefix]origination),
-			rfd:         make(map[ribKey]*rfdState),
-			suppressed:  make(map[ribKey]bool),
-			mraiLast:    make(map[ribKey]Time),
-			mraiPending: make(map[ribKey]bool),
-			medSeen:     make(map[netutil.Prefix]bool),
+			s:          s,
+			originated: make(map[netutil.Prefix]origination),
+			rfd:        make(map[ribKey]rfdState),
+			mrai:       make(map[ribKey]mraiState),
+			medSeen:    make(map[netutil.Prefix]bool),
 		}
 
 		var prev ribKey
@@ -943,13 +929,12 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			return nil, err
 		}
 
-		damped := 0
 		for j, nRfd := 0, d.Count(9+25); j < nRfd; j++ {
 			k, err := decKeyAfter(d, j, &prev)
 			if err != nil {
 				return nil, err
 			}
-			rs := &rfdState{
+			rs := rfdState{
 				penalty:    d.F64(),
 				lastUpdate: Time(d.I64()),
 				suppressed: d.Bool(),
@@ -957,24 +942,24 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			}
 			st.rfd[k] = rs
 			if rs.suppressed {
-				damped++
+				st.nSuppressed++
 			}
 		}
 
-		// The suppressed set mirrors the damping states: a key is in it
-		// exactly when its state is suppressed.
-		for j, nSup := 0, d.Count(9); j < nSup; j++ {
+		// The suppressed set lists the damping states' set bits again:
+		// a key is in it exactly when its state is suppressed.
+		nSup := d.Count(9)
+		for j := 0; j < nSup; j++ {
 			k, err := decKeyAfter(d, j, &prev)
 			if err != nil {
 				return nil, err
 			}
-			if rs := st.rfd[k]; (rs == nil || !rs.suppressed) && d.Err() == nil {
+			if !st.rfd[k].suppressed && d.Err() == nil {
 				return nil, fmt.Errorf("%w: speaker %d suppresses %s/%d without suppressed damping state", snap.ErrCorrupt, id, k.prefix, k.neighbor)
 			}
-			st.suppressed[k] = true
 		}
-		if damped != len(st.suppressed) && d.Err() == nil {
-			return nil, fmt.Errorf("%w: speaker %d has %d suppressed damping states and %d suppressed keys", snap.ErrCorrupt, id, damped, len(st.suppressed))
+		if st.nSuppressed != nSup && d.Err() == nil {
+			return nil, fmt.Errorf("%w: speaker %d has %d suppressed damping states and %d suppressed keys", snap.ErrCorrupt, id, st.nSuppressed, nSup)
 		}
 
 		for j, nMrai := 0, d.Count(9+8); j < nMrai; j++ {
@@ -982,15 +967,21 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			if err != nil {
 				return nil, err
 			}
-			st.mraiLast[k] = Time(d.I64())
+			st.mrai[k] = mraiState{last: Time(d.I64())}
 		}
 
+		// exportToPeer opens a batch only after an update went out.
 		for j, nPending := 0, d.Count(9); j < nPending; j++ {
 			k, err := decKeyAfter(d, j, &prev)
 			if err != nil {
 				return nil, err
 			}
-			st.mraiPending[k] = true
+			ms, ok := st.mrai[k]
+			if !ok && d.Err() == nil {
+				return nil, fmt.Errorf("%w: speaker %d's MRAI batch %s/%d has no last-sent time", snap.ErrCorrupt, id, k.prefix, k.neighbor)
+			}
+			ms.pending = true
+			st.mrai[k] = ms
 		}
 
 		for j, nMed := 0, d.Count(5); j < nMed; j++ {
@@ -1120,7 +1111,10 @@ func checkFlushes(spks []*speakerState, queue []vtime.Item[event]) error {
 		}
 	}
 	for _, st := range spks {
-		for k := range st.mraiPending {
+		for k, ms := range st.mrai {
+			if !ms.pending {
+				continue
+			}
 			f := flush{st.s.ID, k}
 			if n := timers[f]; n != 1 {
 				return fmt.Errorf("%w: speaker %d's MRAI batch %s/%d has %d queued flushes, want 1",
@@ -1280,18 +1274,22 @@ func decRouteEntries(d *snap.Dec, routes []*Route, s *Speaker) ([]ribEntry, erro
 	return entries, d.Err()
 }
 
-// encKeySet emits the true keys of a map[ribKey]bool, sorted, through
-// the scratch slice keys, which it returns. The decoder reads such a
-// set with decKeyAfter.
-func encKeySet(e *snap.Enc, keys []ribKey, m map[ribKey]bool) []ribKey {
-	for k, v := range m {
-		if v {
-			keys = append(keys, k)
+// encStates emits two tables from one sort of m's keys, through the
+// scratch slice keys, which it returns: every entry, its key then what
+// enc writes of its value, and then the set of keys whose value enc
+// flags. The decoder reads both with decKeyAfter.
+func encStates[V any](e *snap.Enc, keys []ribKey, m map[ribKey]V, enc func(V) bool) []ribKey {
+	keys = sortedKeys(keys, m)
+	e.Uvarint(uint64(len(keys)))
+	set := keys[:0] // filtered in place: never ahead of the read
+	for _, k := range keys {
+		encRibKey(e, k)
+		if enc(m[k]) {
+			set = append(set, k)
 		}
 	}
-	sortRibKeysStable(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
+	e.Uvarint(uint64(len(set)))
+	for _, k := range set {
 		encRibKey(e, k)
 	}
 	return keys

@@ -161,11 +161,11 @@ func TestRestoreEquivalenceMidFlight(t *testing.T) {
 	// The scenario must actually be mid-flight, or the test is vacuous.
 	transit := orig.Speaker(2)
 	k := ribKey{prefix: p, neighbor: 1}
-	if st := transit.rfd[k]; st == nil || st.penalty <= 0 {
+	if transit.rfd[k].penalty <= 0 {
 		t.Fatal("scenario did not accumulate RFD penalty at the transit speaker")
 	}
 	origin := orig.Speaker(1)
-	if !origin.mraiPending[ribKey{prefix: p, neighbor: 2}] {
+	if !origin.mrai[ribKey{prefix: p, neighbor: 2}].pending {
 		t.Fatal("scenario did not leave an MRAI flush pending")
 	}
 	if orig.queue.Len() == 0 {
@@ -177,6 +177,7 @@ func TestRestoreEquivalenceMidFlight(t *testing.T) {
 	if err := RestoreNetwork(bytes.NewReader(data), restored); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
+	checkSuppressedCounts(t, restored)
 	if !bytes.Equal(mustSnapshot(t, restored), data) {
 		t.Fatal("re-snapshot of restored network is not byte-identical")
 	}

@@ -67,12 +67,12 @@ type Speaker struct {
 	adjOut     ribStore
 	locRib     ribStore
 	originated map[netutil.Prefix]origination
-	rfd        map[ribKey]*rfdState
-	suppressed map[ribKey]bool
 
-	// MRAI batching state per (prefix, neighbor).
-	mraiLast    map[ribKey]Time
-	mraiPending map[ribKey]bool
+	// Per-(prefix, neighbor) damping and MRAI states; nSuppressed
+	// counts the rfd states whose suppressed bit is set.
+	rfd         map[ribKey]rfdState
+	mrai        map[ribKey]mraiState
+	nSuppressed int
 
 	// importDeny is a speaker-wide import filter applied after the
 	// per-session pc.ImportDeny, with the same semantics (deny turns
@@ -98,15 +98,13 @@ type Speaker struct {
 // network's layout.
 func newSpeaker(id RouterID, as asn.AS, name string) *Speaker {
 	return &Speaker{
-		ID:          id,
-		AS:          as,
-		Name:        name,
-		originated:  make(map[netutil.Prefix]origination),
-		rfd:         make(map[ribKey]*rfdState),
-		suppressed:  make(map[ribKey]bool),
-		mraiLast:    make(map[ribKey]Time),
-		mraiPending: make(map[ribKey]bool),
-		medSeen:     make(map[netutil.Prefix]bool),
+		ID:         id,
+		AS:         as,
+		Name:       name,
+		originated: make(map[netutil.Prefix]origination),
+		rfd:        make(map[ribKey]rfdState),
+		mrai:       make(map[ribKey]mraiState),
+		medSeen:    make(map[netutil.Prefix]bool),
 	}
 }
 
@@ -242,10 +240,9 @@ func (s *Speaker) effectiveCandidate(p netutil.Prefix, nb RouterID) *Route {
 }
 
 // damped reports whether route-flap damping holds back the route under
-// k. The suppressed set holds only true entries, so a speaker with no
-// route damped right now — every speaker without RFD among them —
-// skips the lookup.
-func (s *Speaker) damped(k ribKey) bool { return len(s.suppressed) != 0 && s.suppressed[k] }
+// k. A speaker with no route damped right now — every speaker without
+// RFD among them — skips the lookup.
+func (s *Speaker) damped(k ribKey) bool { return s.nSuppressed != 0 && s.rfd[k].suppressed }
 
 // runDecision completes a full-scan decision for p: best is the winner
 // of the scan over every candidate (Network.bestCandidate). It reports
@@ -417,29 +414,27 @@ func (s *Speaker) applyImport(p netutil.Prefix, pc *PeerConfig, r *Route, now Ti
 func (s *Speaker) rfdFlap(k ribKey, cfg *RFDConfig, now Time) {
 	if s.net.jr != nil {
 		s.saveRFD(k)
-		s.net.jr.flags.save(s.suppressed, k)
 	}
-	st := s.rfd[k]
-	if st == nil {
-		st = &rfdState{lastUpdate: now}
-		s.rfd[k] = st
+	st, ok := s.rfd[k]
+	if !ok {
+		st.lastUpdate = now
 	}
+	was := st.suppressed
 	s.net.metrics.rfdPenalties.Inc()
-	if st.Flap(now, cfg) {
-		if !s.suppressed[k] {
-			s.net.metrics.rfdSuppressions.Inc()
-		}
-		s.suppressed[k] = true
-	} else {
-		delete(s.suppressed, k)
+	if st.Flap(now, cfg) && !was {
+		s.net.metrics.rfdSuppressions.Inc()
+		s.nSuppressed++
+	} else if was && !st.suppressed {
+		s.nSuppressed-- // refresh released it
 	}
+	s.rfd[k] = st
 }
 
 // rfdReuseTime returns the virtual time at which the suppressed route
 // for k becomes usable again, or -1 if it is not suppressed.
 func (s *Speaker) rfdReuseTime(k ribKey, cfg *RFDConfig) Time {
 	st := s.rfd[k]
-	if st == nil || !st.suppressed {
+	if !st.suppressed {
 		return -1
 	}
 	// Analytic reuse point: penalty * 2^(-dt/halfLife) = reuse.
@@ -458,16 +453,16 @@ func (s *Speaker) rfdReuseTime(k ribKey, cfg *RFDConfig) Time {
 // route became usable (decision should rerun).
 func (s *Speaker) rfdRecheck(k ribKey, cfg *RFDConfig, now Time) bool {
 	st := s.rfd[k]
-	if st == nil || !s.suppressed[k] {
+	if !st.suppressed {
 		return false
 	}
 	if s.net.jr != nil {
 		s.saveRFD(k)
-		s.net.jr.flags.save(s.suppressed, k)
 	}
-	if !st.Suppressed(now, cfg) {
-		delete(s.suppressed, k)
-		return s.adjIn.Get(k) != nil
+	released := !st.Suppressed(now, cfg)
+	if released {
+		s.nSuppressed--
 	}
-	return false
+	s.rfd[k] = st
+	return released && s.adjIn.Get(k) != nil
 }

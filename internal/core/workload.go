@@ -4,11 +4,12 @@ package core
 // driving the survey's BGP network with generated or replayed event
 // schedules (internal/workload), instead of the fixed experiment
 // script RunBoth executes. The workload path is where timer fidelity
-// matters: MRAI deferrals and RFD penalty decay fire at their real
+// matters: RFD penalty decay and reuse checks fire at their real
 // virtual timestamps, so flap cascades exercise suppression exactly as
 // RFC 2439 specifies, while RoundMode quantizes the same schedule to
 // round boundaries to reproduce (and measure against) the historical
-// round-granularity behaviour.
+// round-granularity behaviour. MRAI flushes would fire the same way,
+// but no generated topology or workload sets PeerConfig.MRAI.
 //
 // Determinism: every generator draws from its own
 // parallel.SubSeed(seed, stream) RNG (streams below), events schedule
@@ -62,7 +63,7 @@ const DefaultRoundGap vtime.Time = 60
 // dispatch time and to the run's horizon, so all activity lands on
 // round boundaries: the granularity the survey's historical round loop
 // ran at. Between boundaries nothing fires; RFD penalties observe flap
-// bursts as simultaneous and MRAI deferrals collapse, and the measured
+// bursts as simultaneous, and the measured
 // contrast against event mode (see EXPERIMENTS.md) is the point of
 // keeping it.
 func onRound(t vtime.Time, round bool) vtime.Time {

@@ -17,8 +17,9 @@ type Handler func(now Time)
 // later event time (and once more at the end of RunUntil), the hook is
 // invoked with the (from, to] interval so the external side processes
 // its own events up to `to` first. The workload runner wires it to bgp.Network.Run,
-// making MRAI flushes and RFD reuse checks fire at their real virtual
-// times interleaved with workload events.
+// making RFD reuse checks (and MRAI flushes, on a session that sets an
+// interval; no generated world does) fire at their real virtual times
+// interleaved with workload events.
 type Engine struct {
 	clock Clock
 	q     Queue[Handler]

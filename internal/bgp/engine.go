@@ -220,14 +220,6 @@ func NewNetwork() *Network {
 // Now returns the virtual clock.
 func (n *Network) Now() Time { return n.clock }
 
-// AdvanceTo moves the clock forward (processing nothing; call Run to
-// drain events first). Used between experiment phases.
-func (n *Network) AdvanceTo(t Time) {
-	if t > n.clock {
-		n.clock = t
-	}
-}
-
 // EventsProcessed returns the number of delivered events so far.
 func (n *Network) EventsProcessed() int { return n.eventsProcessed }
 
@@ -773,8 +765,10 @@ func (n *Network) sendExport(s *Speaker, p netutil.Prefix, pc *PeerConfig, best 
 }
 
 // Run processes queued events until the network is quiescent or the
-// clock would pass `until` (use MaxTime to drain fully). It returns
-// the number of events processed.
+// clock would pass `until` (use MaxTime to drain fully). The clock
+// follows the events, so it ends at the last one processed, not at
+// `until` (RunTo stands at its target). It returns the number of
+// events processed.
 func (n *Network) Run(until Time) int {
 	processed := 0
 	for {
@@ -790,6 +784,17 @@ func (n *Network) Run(until Time) int {
 		processed++
 	}
 	n.eventsProcessed += processed
+	return processed
+}
+
+// RunTo processes every event due at or before t, each at its own
+// time, and then leaves the clock at t; an earlier t moves nothing
+// backwards. It returns the number of events processed.
+func (n *Network) RunTo(t Time) int {
+	processed := n.Run(t)
+	if t > n.clock {
+		n.clock = t
+	}
 	return processed
 }
 

@@ -427,3 +427,40 @@ func TestClassSet(t *testing.T) {
 		}
 	}
 }
+
+// RunTo delivers each event due by the target at its own time, leaves
+// later ones queued, ends at the target even when the queue empties
+// first, and never moves the clock backwards.
+func TestRunTo(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		net := chainNetOn(compact)
+		p := netutil.MustParsePrefix("192.0.2.0/24")
+		net.Originate(1, p) // reaches 2 at t = 1, 3 at t = 2
+		if n := net.RunTo(1); n != 1 {
+			t.Fatalf("compact=%v: RunTo(1) processed %d events, want 1", compact, n)
+		}
+		if net.Now() != 1 || net.PendingEvents() != 1 || net.Speaker(3).Best(p) != nil {
+			t.Fatalf("compact=%v: after RunTo(1): now %d, %d queued, edge route %v; want 1, 1, none",
+				compact, net.Now(), net.PendingEvents(), net.Speaker(3).Best(p))
+		}
+		net.RunTo(100)
+		if net.Now() != 100 || net.PendingEvents() != 0 {
+			t.Fatalf("compact=%v: after RunTo(100): now %d, %d queued; want 100, 0",
+				compact, net.Now(), net.PendingEvents())
+		}
+		for id, want := range map[RouterID]Time{2: 1, 3: 2} {
+			if r := net.Speaker(id).Best(p); r == nil || r.LearnedAt != want {
+				t.Fatalf("compact=%v: speaker %d holds %v, want the route learned at %d", compact, id, r, want)
+			}
+		}
+		if n := net.RunTo(50); n != 0 || net.Now() != 100 {
+			t.Fatalf("compact=%v: RunTo(50) processed %d, clock %d; want 0, 100", compact, n, net.Now())
+		}
+		net.WithdrawOrigination(1, p) // reaches 2 at t = 101
+		net.RunTo(101)
+		if net.Speaker(2).Best(p) != nil || net.Speaker(3).Best(p) == nil || net.PendingEvents() != 1 {
+			t.Fatalf("compact=%v: after the withdrawal's first hop: middle %v, edge %v, %d queued",
+				compact, net.Speaker(2).Best(p), net.Speaker(3).Best(p), net.PendingEvents())
+		}
+	}
+}

@@ -14,3 +14,13 @@ func (n *Network) SetReferenceScan(on bool) { n.referenceScan = on }
 func DiffSolverReference(n *Network, sv *StaticSolver, p netutil.Prefix, origins []StaticOrigin) error {
 	return diffSolverReference(n, sv, p, origins)
 }
+
+// AdvanceTo moves the clock to t without delivering what is due. Tests
+// use it to build states whose queue lags the clock on purpose (the
+// fuzz corpora and the mid-flight snapshot goldens); production code
+// moves time with RunTo.
+func (n *Network) AdvanceTo(t Time) {
+	if t > n.clock {
+		n.clock = t
+	}
+}

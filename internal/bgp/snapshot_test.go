@@ -151,12 +151,41 @@ func driveToMidFlight(n *Network) netutil.Prefix {
 	return p
 }
 
+// driveToSuppressed changes the measurement prefix's path once per
+// MRAI interval, so every change reaches the transit speaker, until its
+// damping state passes the suppress threshold; the reuse timer stays
+// queued.
+func driveToSuppressed(n *Network) netutil.Prefix {
+	p := netutil.PrefixFrom(0xCB007100, 24)
+	n.Originate(1, p)
+	n.RunToQuiescence()
+	for i := 1; i <= 3; i++ {
+		n.RunTo(n.Now() + 41)
+		n.SetPrefixPrepend(1, 2, p, i)
+	}
+	n.RunTo(n.Now() + 3)
+	return p
+}
+
 // TestRestoreEquivalenceMidFlight snapshots with RFD penalties
-// accumulated and a pending MRAI batch in flight, restores, and
-// requires identical behavior through the drain and further flaps.
+// accumulated (in the suppressed case, past the suppress threshold) and
+// updates in flight, restores, and requires identical behavior through
+// the drain and further flaps.
 func TestRestoreEquivalenceMidFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drive func(*Network) netutil.Prefix
+	}{
+		{"mraiPending", driveToMidFlight},
+		{"suppressed", driveToSuppressed},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testRestoreEquivalence(t, tc.drive) })
+	}
+}
+
+func testRestoreEquivalence(t *testing.T, drive func(*Network) netutil.Prefix) {
 	orig := mraiRfdNet()
-	p := driveToMidFlight(orig)
+	p := drive(orig)
 
 	// The scenario must actually be mid-flight, or the test is vacuous.
 	transit := orig.Speaker(2)
@@ -165,8 +194,10 @@ func TestRestoreEquivalenceMidFlight(t *testing.T) {
 		t.Fatal("scenario did not accumulate RFD penalty at the transit speaker")
 	}
 	origin := orig.Speaker(1)
-	if !origin.mrai[ribKey{prefix: p, neighbor: 2}].pending {
-		t.Fatal("scenario did not leave an MRAI flush pending")
+	pending := origin.mrai[ribKey{prefix: p, neighbor: 2}].pending
+	suppressed := transit.rfd[k].suppressed
+	if !pending && !suppressed {
+		t.Fatal("scenario left neither an MRAI flush pending nor a route suppressed")
 	}
 	if orig.queue.Len() == 0 {
 		t.Fatal("scenario left no events in flight")
@@ -178,6 +209,10 @@ func TestRestoreEquivalenceMidFlight(t *testing.T) {
 		t.Fatalf("restore: %v", err)
 	}
 	checkSuppressedCounts(t, restored)
+	if suppressed && (!restored.Speaker(2).rfd[k].suppressed || restored.Speaker(2).nSuppressed != transit.nSuppressed) {
+		t.Fatalf("restored transit speaker: suppressed %v, count %d; want true, %d",
+			restored.Speaker(2).rfd[k].suppressed, restored.Speaker(2).nSuppressed, transit.nSuppressed)
+	}
 	if !bytes.Equal(mustSnapshot(t, restored), data) {
 		t.Fatal("re-snapshot of restored network is not byte-identical")
 	}

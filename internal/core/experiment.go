@@ -77,10 +77,11 @@ type ExperimentConfig struct {
 	// instead of a paper class. 0 keeps the paper's strict rule (any
 	// lost round → unresponsive) bit-for-bit.
 	Quorum int
-	// Advance, when non-nil, replaces net.Run inside the measured
-	// window — the fault injector's hook for applying scheduled
-	// session actions at their virtual times while the network drains
-	// toward each probing round. Nil means plain net.Run.
+	// Advance, when non-nil, runs before each move of the network's
+	// clock to a time `to` — the fault injector's hook for applying
+	// scheduled session actions at their virtual times while the
+	// network drains toward each probing round. Every move then ends
+	// with net.RunTo(to), so the clock stands at `to` either way.
 	Advance func(net *bgp.Network, to bgp.Time)
 }
 
@@ -128,16 +129,17 @@ type Experiment struct {
 	Resume *Checkpoint
 }
 
-// Converge performs the pre-measurement part of Run: announce the
-// measurement prefix with the first configuration applied and drain the
-// network to the experiment start. Run calls it itself; call it directly
+// Converge performs the pre-measurement part of Run: run the network
+// to one round gap before the experiment start, announce the
+// measurement prefix there with the first configuration applied, and
+// drain the network to the start. Run calls it itself; call it directly
 // only to stop at that state — the optimizer snapshots it as the fork
 // point every candidate evaluation rewinds to.
 func (x *Experiment) Converge() {
 	net := x.Eco.Net
 	meas := x.Eco.MeasPrefix
 	first := Schedule()[0]
-	net.AdvanceTo(x.Cfg.Start - x.Cfg.RoundGap)
+	net.RunTo(x.Cfg.Start - x.Cfg.RoundGap)
 	st0 := net.Stats()
 	net.Batch(func() {
 		net.Originate(x.Cfg.CommodityOrigin, meas)
@@ -330,7 +332,6 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 		// Apply the configuration as one batched delta: duplicate
 		// (router, prefix, neighbor) touches collapse into a single
 		// evaluation.
-		net.AdvanceTo(t)
 		stBefore := net.Stats()
 		net.Batch(func() {
 			for _, o := range x.Cfg.Outages {
@@ -349,7 +350,6 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 		// Let BGP converge during the hour's wait, then probe.
 		probeAt := t + x.Cfg.RoundGap
 		x.advance(probeAt)
-		net.AdvanceTo(probeAt)
 		// Delta-convergence stats, per configuration (mode-identical;
 		// see the initial-convergence comment).
 		stAfter := net.Stats()
@@ -401,14 +401,13 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// advance drains the network to `to`, via the injector hook when one
-// is configured.
+// advance drains the network to `to`, via the injector hook first when
+// one is configured, and leaves the clock at `to`.
 func (x *Experiment) advance(to bgp.Time) {
 	if x.Cfg.Advance != nil {
 		x.Cfg.Advance(x.Eco.Net, to)
-		return
 	}
-	x.Eco.Net.Run(to)
+	x.Eco.Net.RunTo(to)
 }
 
 // classify reduces rounds to per-prefix rows (Observe) and classifies

@@ -240,9 +240,7 @@ func (ev *policyEvaluator) measure(s *Survey, c optimize.Candidate, st0 bgp.IncS
 	// has fully drained.
 	probeAt := ev.start + 3600
 	net.RunToQuiescence()
-	if net.Now() < probeAt {
-		net.AdvanceTo(probeAt)
-	}
+	net.RunTo(probeAt)
 
 	var e optimize.Eval
 	for _, info := range eco.ASes {

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/bgp"
+)
 
 // On the default small topology, pickOutages must find enough
 // candidates that both experiments receive at least one injected
@@ -39,5 +43,34 @@ func TestSplitOutagesSeedZeroIsInOrder(t *testing.T) {
 		if second[i] != outages[2+i] {
 			t.Errorf("second[%d] = %+v, want %+v", i, second[i], outages[2+i])
 		}
+	}
+}
+
+// Converge must deliver the world's own queued updates (the tier-1
+// default routes, originated at t = 0) at their own times on its way
+// to the hour before the experiment, not behind a clock that jumped
+// past them, and must leave the clock at the experiment start.
+func TestConvergeDeliversQueuedUpdatesOnTime(t *testing.T) {
+	s := NewSurvey(SmallSurveyOptions())
+	x := NewSURFExperiment(s.Eco, s.World, s.Prober, s.Sel, 9*3600)
+	x.Converge()
+	net := s.Eco.Net
+	if net.Now() != x.Cfg.Start {
+		t.Errorf("clock after Converge = %d, want the start %d", net.Now(), x.Cfg.Start)
+	}
+	holders := 0
+	for _, id := range net.Speakers() {
+		r := net.Speaker(id).Best(bgp.DefaultPrefix)
+		if r == nil {
+			continue
+		}
+		holders++
+		if r.LearnedAt >= x.Cfg.Start-x.Cfg.RoundGap {
+			t.Errorf("speaker %d learned the default route at %d, not before %d",
+				id, r.LearnedAt, x.Cfg.Start-x.Cfg.RoundGap)
+		}
+	}
+	if holders == 0 {
+		t.Fatal("no speaker holds the default route")
 	}
 }

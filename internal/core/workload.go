@@ -206,7 +206,7 @@ func (p *Pipeline) runWorkload(s *Survey, opts WorkloadOptions) (*WorkloadResult
 	start := vtime.Time(net.Now())
 	eng := vtime.NewEngine(start)
 	eng.SetMetrics(reg)
-	eng.Coupling = func(from, to vtime.Time) { net.Run(bgp.Time(to)) }
+	eng.Coupling = func(to vtime.Time) { net.Run(bgp.Time(to)) }
 
 	gen, err := p.buildWorkload(s.Eco, opts, d)
 	if err != nil {

@@ -171,7 +171,7 @@ func TestCommutingEventsInterleaving(t *testing.T) {
 		net := s.Eco.Net
 		start := vtime.Time(net.Now())
 		eng := vtime.NewEngine(start)
-		eng.Coupling = func(from, to vtime.Time) { net.Run(bgp.Time(to)) }
+		eng.Coupling = func(to vtime.Time) { net.Run(bgp.Time(to)) }
 		for _, i := range order {
 			ev := evs[i]
 			eng.At(start+ev.At, func(now vtime.Time) {

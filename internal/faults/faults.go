@@ -351,10 +351,7 @@ func (in *Injector) Advance(net *bgp.Network, to bgp.Time) {
 	for in.next < len(in.actions) && in.actions[in.next].At <= to {
 		a := in.actions[in.next]
 		in.next++
-		if a.At > net.Now() {
-			net.Run(a.At)
-			net.AdvanceTo(a.At)
-		}
+		net.RunTo(a.At)
 		in.apply(net, a)
 	}
 	net.Run(to)

@@ -137,7 +137,7 @@ func TestInjectorAppliesAndRecovers(t *testing.T) {
 	in.Install(world, eco.Net)
 	for at := w.Start; at <= w.End; at += 3600 {
 		in.Advance(eco.Net, at)
-		eco.Net.AdvanceTo(at)
+		eco.Net.RunTo(at)
 	}
 	in.Finish(eco.Net)
 	if in.next != len(in.actions) {

@@ -26,7 +26,7 @@ func BenchmarkEventEngine(b *testing.B) {
 			stride := Time(16 + k%33)
 			var tick Handler
 			tick = func(now Time) {
-				depths = append(depths, eng.Pending())
+				depths = append(depths, eng.q.Len())
 				if next := now + stride; next <= horizon {
 					eng.At(next, tick)
 				}

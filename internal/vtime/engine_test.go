@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -25,8 +26,8 @@ func TestEngineDispatchOrder(t *testing.T) {
 	e.At(10, rec(0))
 	e.At(30, rec(3)) // same time as id 2, scheduled later: fires after
 	e.At(20, rec(1))
-	if e.Pending() != 4 {
-		t.Fatalf("Pending = %d, want 4", e.Pending())
+	if e.q.Len() != 4 {
+		t.Fatalf("queued = %d, want 4", e.q.Len())
 	}
 	if n := e.RunUntil(25); n != 2 {
 		t.Fatalf("RunUntil(25) dispatched %d, want 2", n)
@@ -51,6 +52,9 @@ func TestEngineDispatchOrder(t *testing.T) {
 	if e.Dispatched() != 4 {
 		t.Fatalf("Dispatched = %d, want 4", e.Dispatched())
 	}
+	if e.RunUntil(50); e.Now() != 100 {
+		t.Fatalf("RunUntil(50) after 100 left the clock at %d; it never rewinds", e.Now())
+	}
 }
 
 // TestEnginePastClamp schedules a handler in the past and requires it
@@ -67,33 +71,27 @@ func TestEnginePastClamp(t *testing.T) {
 
 // TestEngineCoupling requires the coupling hook to run before the
 // clock reaches each new event time and again at the end of RunUntil,
-// with contiguous (from, to] intervals.
+// once per advance, in increasing order.
 func TestEngineCoupling(t *testing.T) {
 	e := NewEngine(0)
-	type iv struct{ from, to Time }
-	var ivs []iv
-	e.Coupling = func(from, to Time) { ivs = append(ivs, iv{from, to}) }
+	var tos []Time
+	e.Coupling = func(to Time) { tos = append(tos, to) }
 	fired := false
 	e.At(10, func(now Time) {
 		fired = true
 		// At the handler's dispatch the external side must already be
 		// coupled to its timestamp.
-		if len(ivs) == 0 || ivs[len(ivs)-1].to != 10 {
-			t.Errorf("coupling had not reached t=10 at dispatch: %v", ivs)
+		if len(tos) == 0 || tos[len(tos)-1] != 10 {
+			t.Errorf("coupling had not reached t=10 at dispatch: %v", tos)
 		}
 	})
+	e.At(10, func(Time) {}) // same instant: no second coupling
 	e.RunUntil(25)
 	if !fired {
 		t.Fatal("handler did not fire")
 	}
-	want := []iv{{0, 10}, {10, 25}}
-	if len(ivs) != len(want) {
-		t.Fatalf("coupling intervals %v, want %v", ivs, want)
-	}
-	for i := range want {
-		if ivs[i] != want[i] {
-			t.Fatalf("coupling intervals %v, want %v", ivs, want)
-		}
+	if !slices.Equal(tos, []Time{10, 25}) {
+		t.Fatalf("coupling targets %v, want [10 25]", tos)
 	}
 }
 
@@ -104,8 +102,8 @@ func TestEngineHandlersSchedule(t *testing.T) {
 	var seq []Time
 	e.At(5, func(now Time) {
 		seq = append(seq, now)
-		e.At(now, func(n2 Time) { seq = append(seq, n2) })   // same instant
-		e.After(10, func(n2 Time) { seq = append(seq, n2) }) // later
+		e.At(now, func(n2 Time) { seq = append(seq, n2) })    // same instant
+		e.At(now+10, func(n2 Time) { seq = append(seq, n2) }) // later
 	})
 	e.RunUntil(100)
 	want := []Time{5, 5, 15}
@@ -141,11 +139,11 @@ func TestEngineMetrics(t *testing.T) {
 	if c := reg.Histogram("vtime_queue_depth").Count(); c != 5 {
 		t.Fatalf("queue depth observations = %d, want 5", c)
 	}
-	if e.VirtualSeconds() != 10 {
-		t.Fatalf("VirtualSeconds = %v, want 10", e.VirtualSeconds())
+	if e.virtual != 10 {
+		t.Fatalf("virtual seconds = %v, want 10", e.virtual)
 	}
-	if e.WallSeconds() < 0 {
-		t.Fatalf("WallSeconds = %v", e.WallSeconds())
+	if e.wall < 0 {
+		t.Fatalf("wall time = %v", e.wall)
 	}
 	// The ratio is wall-time dependent (nondeterministic) but must be
 	// non-negative and finite-by-construction.

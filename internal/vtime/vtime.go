@@ -1,8 +1,8 @@
 // Package vtime is the deterministic discrete-event core of the
-// reproduction: a monotonic virtual clock, a stable time-bucketed event
-// queue whose ties break by insertion sequence number, and an Engine
-// that dispatches handler callbacks in (time, seq) order while keeping
-// an external simulator (the BGP engine) coupled to the same clock.
+// reproduction: a stable time-bucketed event queue whose ties break by
+// insertion sequence number, and an Engine that dispatches handler
+// callbacks in (time, seq) order on a clock that only moves forward,
+// while keeping an external simulator (the BGP engine) coupled to it.
 //
 // Determinism is the design constraint everything else follows from.
 // The queue's dispatch order — (At, Seq) — is fixed by the type and
@@ -358,21 +358,5 @@ func (q *Queue[T]) down(i int) {
 		}
 		h[i], h[least] = h[least], h[i]
 		i = least
-	}
-}
-
-// Clock is a monotonic virtual clock: it only moves forward.
-type Clock struct {
-	now Time
-}
-
-// Now returns the current virtual time.
-func (c *Clock) Now() Time { return c.now }
-
-// AdvanceTo moves the clock to t if t is later; earlier values are
-// ignored (the clock never rewinds).
-func (c *Clock) AdvanceTo(t Time) {
-	if t > c.now {
-		c.now = t
 	}
 }

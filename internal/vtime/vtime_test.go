@@ -107,17 +107,3 @@ func TestQueueRestore(t *testing.T) {
 		t.Fatalf("Push after SetSeq(100) assigned %d, want 101", got)
 	}
 }
-
-// TestClockMonotonic requires AdvanceTo to ignore rewinds.
-func TestClockMonotonic(t *testing.T) {
-	var c Clock
-	c.AdvanceTo(10)
-	c.AdvanceTo(5)
-	if c.Now() != 10 {
-		t.Fatalf("clock rewound: Now = %d", c.Now())
-	}
-	c.AdvanceTo(11)
-	if c.Now() != 11 {
-		t.Fatalf("Now = %d, want 11", c.Now())
-	}
-}

@@ -21,6 +21,11 @@
 #   resurveyd, started on a temporary data dir at localhost:$OUTPUTS_PORT
 #   (default 8038) and stopped with SIGTERM once the job is done.
 #
+# It fails without writing file when two outputs that must be equal
+# differ: a resumed run's checkpoint and its cold twin, or the -small
+# manifests of the 1- and 4-worker, -json, -snapshot-dir and -resume
+# runs.
+#
 # `make outputs-check` writes a fresh digest and diffs it against the
 # committed one. A change that moves output bytes re-pins the file by
 # running this script without arguments; the diff then names every
@@ -111,4 +116,30 @@ for name in sys.argv[1:]:
     print(hashlib.sha256(b[:i]).hexdigest() + "  " + name + " sections 1-6")
 PY
 } >"$WORK/sums"
+
+# Outputs that must be equal, or the digest file is not written: every
+# checkpoint of the resumed run digests like the cold run's twin, and
+# the five -small runs (1 and 4 workers, -json, -snapshot-dir, -resume)
+# write one manifest.
+awk '
+    { h = $1; sub(/^[^ ]*  /, ""); d[$0] = h }
+    END {
+        bad = 0
+        for (n in d) {
+            t = n
+            if (!sub(/^ckpt-resume\//, "ckpt/", t) && !sub(/^ckpt\//, "ckpt-resume/", t))
+                continue
+            if (d[t] != d[n]) {
+                print "outputs.sh: " n " does not digest like " t > "/dev/stderr"
+                bad = 1
+            }
+        }
+        split("small-workers4.json json.json ckpt.json resume.json", m, " ")
+        for (i in m)
+            if (d[m[i]] != d["small.json"]) {
+                print "outputs.sh: " m[i] " does not digest like small.json" > "/dev/stderr"
+                bad = 1
+            }
+        exit bad
+    }' "$WORK/sums"
 mv "$WORK/sums" "$OUT"

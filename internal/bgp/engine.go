@@ -918,40 +918,3 @@ func (n *Network) NextHopLPM(id RouterID, p netutil.Prefix) (RouterID, bool) {
 	}
 	return n.NextHop(id, DefaultPrefix)
 }
-
-// ForwardPath walks AS-level forwarding from speaker id toward prefix
-// p, returning the sequence of router IDs ending at the originating
-// speaker. ok is false on a routing loop or a missing route, and path
-// is then only how far the walk got before it gave up — no caller
-// reads it.
-func (n *Network) ForwardPath(id RouterID, p netutil.Prefix) ([]RouterID, bool) {
-	return n.forwardPath(id, p, n.NextHop)
-}
-
-// ForwardPathLPM is ForwardPath with per-hop default-route fallback.
-// The walk ends when a hop's route (specific or default) terminates
-// locally; a walk that ends at a default-originating speaker without a
-// specific route means the packet would be discarded there.
-func (n *Network) ForwardPathLPM(id RouterID, p netutil.Prefix) ([]RouterID, bool) {
-	return n.forwardPath(id, p, n.NextHopLPM)
-}
-
-func (n *Network) forwardPath(id RouterID, p netutil.Prefix, hop func(RouterID, netutil.Prefix) (RouterID, bool)) ([]RouterID, bool) {
-	// Sized for the AS-path lengths the generators produce, so the
-	// usual walk allocates once.
-	path := make([]RouterID, 0, 8)
-	cur := id
-	for {
-		path = append(path, cur)
-		next, ok := hop(cur, p)
-		// Only speakers forward, so a walk that has taken more hops
-		// than there are speakers has revisited one: a forwarding loop.
-		if !ok || len(path) > len(n.speakers) {
-			return path, false
-		}
-		if next == cur {
-			return path, true
-		}
-		cur = next
-	}
-}

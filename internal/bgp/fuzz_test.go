@@ -239,6 +239,11 @@ func FuzzIncrementalEvents(f *testing.F) {
 			if fs, is := networkSignature(full), networkSignature(inc); fs != is {
 				t.Fatalf("state diverged after op %d/%d:\n--- full ---\n%s\n--- incremental ---\n%s", i+1, len(ops), fs, is)
 			}
+			for _, p := range fuzzPrefixes {
+				if err := DiffCatchment(inc, p); err != nil {
+					t.Fatalf("after op %d/%d: %v", i+1, len(ops), err)
+				}
+			}
 		}
 		fst, ist := full.Stats(), inc.Stats()
 		if fst.DecisionRuns != ist.DecisionRuns || fst.BestChanges != ist.BestChanges {

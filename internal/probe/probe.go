@@ -144,8 +144,10 @@ const probeShardSize = 64
 // prefix draws probe loss from its own (round, prefix) RNG stream, and
 // that same index is the target's slot in Records, allocated once at
 // its known length, so shards write disjoint ranges and nothing is
-// merged. The BGP network is static while a round runs, so concurrent
-// forwarding lookups are pure reads.
+// merged. The BGP network is static while a round runs, so Run fills
+// the round's catchment of the measurement prefix once, before
+// sharding, and every probe is a lookup in it that the shards share
+// and only read.
 func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Round {
 	rate := pr.PPS
 	if rate <= 0 {
@@ -160,6 +162,7 @@ func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Roun
 		offsets[i+1] = offsets[i] + len(pt.Targets)
 	}
 	round.Records = make([]Record, offsets[len(prefixes)])
+	view := pr.World.Net.Catchment(pr.World.MeasPrefix)
 
 	shardRetries, timings := parallel.CollectTimed(len(prefixes), probeShardSize, pr.Workers,
 		func(s parallel.Shard) int {
@@ -169,7 +172,7 @@ func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Roun
 				rng := pr.World.LossStream(start, pt.Prefix)
 				for j, tgt := range pt.Targets {
 					slot := offsets[i] + j
-					rec, n := pr.probeTarget(pt.Prefix, tgt, start+bgp.Time(slot/rate), rng)
+					rec, n := pr.probeTarget(view, pt.Prefix, tgt, start+bgp.Time(slot/rate), rng)
 					round.Records[slot] = rec
 					retries += n
 				}
@@ -188,11 +191,11 @@ func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Roun
 	return round
 }
 
-// probeTarget probes one target at time at, retrying per the policy
-// with draws from the prefix's loss stream, and returns the record
-// plus the retry count.
-func (pr *Prober) probeTarget(p netutil.Prefix, tgt seeds.Target, at bgp.Time, rng *rand.Rand) (Record, int) {
-	res := pr.World.ProbeRand(tgt.Addr, tgt.Proto, at, rng)
+// probeTarget probes one target at time at through the round's
+// catchment view, retrying per the policy with draws from the prefix's
+// loss stream, and returns the record plus the retry count.
+func (pr *Prober) probeTarget(view *bgp.Catchment, p netutil.Prefix, tgt seeds.Target, at bgp.Time, rng *rand.Rand) (Record, int) {
+	res := pr.World.ProbeRand(view, tgt.Addr, tgt.Proto, at, rng)
 	pr.metrics.sent.Inc()
 	retries := 0
 	if !res.Responded && pr.Retry.MaxAttempts > 1 {
@@ -206,7 +209,7 @@ func (pr *Prober) probeTarget(p netutil.Prefix, tgt seeds.Target, at bgp.Time, r
 			if pr.Retry.Budget > 0 && when > at+pr.Retry.Budget {
 				break
 			}
-			res = pr.World.ProbeRand(tgt.Addr, tgt.Proto, when, rng)
+			res = pr.World.ProbeRand(view, tgt.Addr, tgt.Proto, when, rng)
 			retries++
 			pr.metrics.sent.Inc()
 			pr.metrics.retries.Inc()

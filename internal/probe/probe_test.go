@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/netutil"
 	"repro/internal/seeds"
 	"repro/internal/simnet"
@@ -42,8 +41,7 @@ func setupWorld(t *testing.T, cfg simnet.WorldConfig) (*topo.Ecosystem, *simnet.
 
 func TestRunRound(t *testing.T) {
 	eco, w, sel, pr := setup(t)
-	w.RETerminals = map[bgp.RouterID]bool{eco.Internet2.Router: true}
-	w.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
+	w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
 
 	round := pr.Run("0-0", 1000, sel)
 	if round.Config != "0-0" || round.Start != 1000 {
@@ -82,8 +80,7 @@ func TestRunRound(t *testing.T) {
 // and, under -race, the shards' slots must be disjoint.
 func TestRunWorkersDeepEqual(t *testing.T) {
 	eco, w, sel, pr := setup(t)
-	w.RETerminals = map[bgp.RouterID]bool{eco.Internet2.Router: true}
-	w.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
+	w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
 	pr.Retry = DefaultRetryPolicy()
 	if len(sel.Prefixes) <= probeShardSize {
 		t.Fatalf("%d prefixes fit one shard; the test needs several", len(sel.Prefixes))
@@ -99,36 +96,49 @@ func TestRunWorkersDeepEqual(t *testing.T) {
 }
 
 // TestRunAllocsIndependentOfTargets: a round allocates per prefix (its
-// loss stream) and once for Records, never per record. Every probe is
-// lost here so that the forwarding walk, which allocates the path of
-// each answered probe inside bgp, stays out of the count.
+// loss stream) and a fixed number of times per round (Records, the
+// catchment view), never per record: not when every probe is lost, and
+// not when every probe is answered, since an answer is a lookup in the
+// round's view.
 func TestRunAllocsIndependentOfTargets(t *testing.T) {
-	cfg := simnet.DefaultWorldConfig()
-	cfg.ProbeLossProb = 1
-	_, _, three, pr := setupWorld(t, cfg)
-	one := &seeds.Selection{Prefixes: make([]seeds.PrefixTargets, len(three.Prefixes))}
-	records := 0
-	for i, pt := range three.Prefixes {
-		one.Prefixes[i] = seeds.PrefixTargets{Prefix: pt.Prefix, Targets: pt.Targets[:1]}
-		records += len(pt.Targets)
-	}
-	if records < 2*len(one.Prefixes) {
-		t.Fatalf("%d targets over %d prefixes: too few to show growth", records, len(one.Prefixes))
-	}
-	pr.Workers = 1
-	allocs := func(sel *seeds.Selection) float64 {
-		return testing.AllocsPerRun(10, func() { pr.Run("0-0", 1000, sel) })
-	}
-	if a1, a3 := allocs(one), allocs(three); a3 != a1 {
-		t.Errorf("Run allocated %v times for %d records, %v for %d: it grows with targets per prefix",
-			a3, records, a1, len(one.Prefixes))
+	for _, tc := range []struct {
+		name string
+		loss float64
+	}{{"lost", 1}, {"answered", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := simnet.DefaultWorldConfig()
+			cfg.ProbeLossProb = tc.loss
+			eco, w, three, pr := setupWorld(t, cfg)
+			w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
+			one := &seeds.Selection{Prefixes: make([]seeds.PrefixTargets, len(three.Prefixes))}
+			records := 0
+			for i, pt := range three.Prefixes {
+				one.Prefixes[i] = seeds.PrefixTargets{Prefix: pt.Prefix, Targets: pt.Targets[:1]}
+				records += len(pt.Targets)
+			}
+			if records < 2*len(one.Prefixes) {
+				t.Fatalf("%d targets over %d prefixes: too few to show growth", records, len(one.Prefixes))
+			}
+			pr.Workers = 1
+			if tc.loss == 0 {
+				if round := pr.Run("0-0", 1000, three); round.Responded() < len(round.Records)*9/10 {
+					t.Fatalf("only %d/%d probes answered", round.Responded(), len(round.Records))
+				}
+			}
+			allocs := func(sel *seeds.Selection) float64 {
+				return testing.AllocsPerRun(10, func() { pr.Run("0-0", 1000, sel) })
+			}
+			if a1, a3 := allocs(one), allocs(three); a3 != a1 {
+				t.Errorf("Run allocated %v times for %d records, %v for %d: it grows with targets per prefix",
+					a3, records, a1, len(one.Prefixes))
+			}
+		})
 	}
 }
 
 func TestJSONRoundTrip(t *testing.T) {
 	eco, w, sel, pr := setup(t)
-	w.RETerminals = map[bgp.RouterID]bool{eco.Internet2.Router: true}
-	w.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
+	w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
 	round := pr.Run("2-0", 2000, sel)
 
 	var buf bytes.Buffer
@@ -178,14 +188,12 @@ func TestJSONRoundTrip(t *testing.T) {
 // identical to the historical single-shot prober.
 func TestRetryZeroPolicyIsNoOp(t *testing.T) {
 	eco, w, sel, pr := setup(t)
-	w.RETerminals = map[bgp.RouterID]bool{eco.Internet2.Router: true}
-	w.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
+	w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
 
 	base := pr.Run("0-0", 1000, sel)
 
 	eco2, w2, sel2, pr2 := setup(t)
-	w2.RETerminals = map[bgp.RouterID]bool{eco2.Internet2.Router: true}
-	w2.CommodityTerminals = map[bgp.RouterID]bool{eco2.MeasCommodity.Router: true}
+	w2.SetTerminals(eco2.Internet2.Router, eco2.MeasCommodity.Router)
 	pr2.Retry = RetryPolicy{} // explicit zero value
 	again := pr2.Run("0-0", 1000, sel2)
 
@@ -219,8 +227,7 @@ func TestRetryRecoversLoss(t *testing.T) {
 		eco.Net.Originate(eco.MeasCommodity.Router, eco.MeasPrefix)
 		eco.Net.Originate(eco.Internet2.Router, eco.MeasPrefix)
 		eco.Net.RunToQuiescence()
-		w.RETerminals = map[bgp.RouterID]bool{eco.Internet2.Router: true}
-		w.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
+		w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
 		pr := NewProber(w)
 		pr.Retry = retry
 		return pr.Run("0-0", 1000, sel)

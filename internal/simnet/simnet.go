@@ -140,11 +140,13 @@ type World struct {
 	Net        *bgp.Network
 	MeasPrefix netutil.Prefix
 
-	// RETerminals / CommodityTerminals are the origin routers whose
+	// RETerminal / CommodityTerminal are the origin routers whose
 	// forwarding termination means the response arrived on the R&E or
-	// commodity VLAN. The experiment runner sets them per experiment.
-	RETerminals        map[bgp.RouterID]bool
-	CommodityTerminals map[bgp.RouterID]bool
+	// commodity VLAN; 0 names none, since no generated ecosystem has a
+	// speaker 0 (it is the loc-RIB's neighbour key). The experiment
+	// runner sets them per experiment through SetTerminals.
+	RETerminal        bgp.RouterID
+	CommodityTerminal bgp.RouterID
 
 	cfg       WorldConfig
 	hosts     map[uint32]*Host
@@ -152,12 +154,11 @@ type World struct {
 	brownouts map[netutil.Prefix][]brownout
 }
 
-// SetTerminals makes re the one R&E terminal and commodity the one
-// commodity terminal: a response whose forwarding ends at re arrives
-// on the R&E VLAN, one ending at commodity on the commodity VLAN.
+// SetTerminals makes re the R&E terminal and commodity the commodity
+// terminal: a response whose forwarding ends at re arrives on the R&E
+// VLAN, one ending at commodity on the commodity VLAN. 0 sets none.
 func (w *World) SetTerminals(re, commodity bgp.RouterID) {
-	w.RETerminals = map[bgp.RouterID]bool{re: true}
-	w.CommodityTerminals = map[bgp.RouterID]bool{commodity: true}
+	w.RETerminal, w.CommodityTerminal = re, commodity
 }
 
 // brownout is a correlated burst-loss window: every probe toward the
@@ -174,13 +175,11 @@ type brownout struct {
 // BuildWorld populates hosts for every prefix of the ecosystem.
 func BuildWorld(eco *topo.Ecosystem, cfg WorldConfig) *World {
 	w := &World{
-		Net:                eco.Net,
-		MeasPrefix:         eco.MeasPrefix,
-		RETerminals:        make(map[bgp.RouterID]bool),
-		CommodityTerminals: make(map[bgp.RouterID]bool),
-		cfg:                cfg,
-		hosts:              make(map[uint32]*Host),
-		byPfx:              make(map[netutil.Prefix][]*Host),
+		Net:        eco.Net,
+		MeasPrefix: eco.MeasPrefix,
+		cfg:        cfg,
+		hosts:      make(map[uint32]*Host),
+		byPfx:      make(map[netutil.Prefix][]*Host),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed)) // #nosec deterministic simulation
 
@@ -364,14 +363,15 @@ type ProbeResult struct {
 
 // ProbeRand sends one probe of the given protocol to dst at virtual
 // time t, sourced from the measurement prefix, and reports the reply
-// and its arrival VLAN. The reply follows dst's current best BGP route
-// toward the measurement prefix hop by hop until it terminates at one
-// of the experiment's origin routers.
+// and its arrival VLAN. The reply goes where forwarding from dst's
+// egress router toward the measurement prefix ends, which c, the
+// round's catchment of w.MeasPrefix (Net.Catchment), records: the VLAN
+// is the terminal's, and Hops is the walk's length.
 //
-// Random loss is drawn from rng; callers that probe prefixes
-// concurrently must pass a stream scoped no wider than the unit they
-// shard by — see LossStream.
-func (w *World) ProbeRand(dst uint32, proto Proto, t bgp.Time, rng *rand.Rand) ProbeResult {
+// Loss is drawn before the lookup. Random loss is drawn from rng;
+// callers that probe prefixes concurrently must pass a stream scoped
+// no wider than the unit they shard by — see LossStream.
+func (w *World) ProbeRand(c *bgp.Catchment, dst uint32, proto Proto, t bgp.Time, rng *rand.Rand) ProbeResult {
 	h, ok := w.hosts[dst]
 	if !ok || h.Proto != proto || h.dormant(t) {
 		return ProbeResult{}
@@ -382,16 +382,14 @@ func (w *World) ProbeRand(dst uint32, proto Proto, t bgp.Time, rng *rand.Rand) P
 	if w.cfg.ProbeLossProb > 0 && rng.Float64() < w.cfg.ProbeLossProb {
 		return ProbeResult{}
 	}
-	path, done := w.Net.ForwardPathLPM(h.Egress, w.MeasPrefix)
-	if !done || len(path) == 0 {
-		return ProbeResult{}
-	}
-	term := path[len(path)-1]
+	term, hops, ok := c.Terminal(h.Egress)
 	switch {
-	case w.RETerminals[term]:
-		return ProbeResult{Responded: true, VLAN: VLANRE, Hops: len(path)}
-	case w.CommodityTerminals[term]:
-		return ProbeResult{Responded: true, VLAN: VLANCommodity, Hops: len(path)}
+	case !ok:
+		return ProbeResult{}
+	case term == w.RETerminal:
+		return ProbeResult{Responded: true, VLAN: VLANRE, Hops: hops}
+	case term == w.CommodityTerminal:
+		return ProbeResult{Responded: true, VLAN: VLANCommodity, Hops: hops}
 	default:
 		// The response was forwarded to an origin we are not
 		// listening on (should not happen in a configured experiment).

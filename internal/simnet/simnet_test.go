@@ -15,10 +15,11 @@ func buildWorld(t *testing.T) (*topo.Ecosystem, *World) {
 	return eco, w
 }
 
-// probeHost probes h at time t, drawing loss from its prefix's stream
-// for that time as the prober does.
+// probeHost probes h at time t through the network's catchment as it
+// stands, drawing loss from its prefix's stream for that time as the
+// prober does.
 func probeHost(w *World, h *Host, t bgp.Time) ProbeResult {
-	return w.ProbeRand(h.Addr, h.Proto, t, w.LossStream(t, h.Prefix))
+	return w.ProbeRand(w.Net.Catchment(w.MeasPrefix), h.Addr, h.Proto, t, w.LossStream(t, h.Prefix))
 }
 
 func TestBuildWorldCoverage(t *testing.T) {
@@ -69,8 +70,7 @@ func TestProbeVLANFollowsPolicy(t *testing.T) {
 	eco.Net.Originate(eco.MeasCommodity.Router, eco.MeasPrefix)
 	eco.Net.Originate(eco.Internet2.Router, eco.MeasPrefix)
 	eco.Net.RunToQuiescence()
-	w.RETerminals = map[bgp.RouterID]bool{eco.Internet2.Router: true}
-	w.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
+	w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
 
 	checked := 0
 	for _, p := range w.ResponsivePrefixes() {
@@ -105,7 +105,7 @@ func TestProbeWrongProtoNoAnswer(t *testing.T) {
 	eco, w := buildWorld(t)
 	eco.Net.Originate(eco.MeasCommodity.Router, eco.MeasPrefix)
 	eco.Net.RunToQuiescence()
-	w.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
+	w.SetTerminals(0, eco.MeasCommodity.Router) // no R&E terminal
 	var h *Host
 	for _, p := range w.ResponsivePrefixes() {
 		if hs := w.Hosts(p); hs[0].Proto == ICMP {
@@ -116,10 +116,11 @@ func TestProbeWrongProtoNoAnswer(t *testing.T) {
 	if h == nil {
 		t.Fatal("no ICMP host")
 	}
-	if res := w.ProbeRand(h.Addr, TCP, 0, w.LossStream(0, h.Prefix)); res.Responded {
+	view := w.Net.Catchment(w.MeasPrefix)
+	if res := w.ProbeRand(view, h.Addr, TCP, 0, w.LossStream(0, h.Prefix)); res.Responded {
 		t.Error("ICMP-only host answered TCP")
 	}
-	if res := w.ProbeRand(h.Addr+100000, ICMP, 0, w.LossStream(0, h.Prefix)); res.Responded {
+	if res := w.ProbeRand(view, h.Addr+100000, ICMP, 0, w.LossStream(0, h.Prefix)); res.Responded {
 		t.Error("non-host address answered")
 	}
 }
@@ -128,7 +129,7 @@ func TestDormancy(t *testing.T) {
 	eco, w := buildWorld(t)
 	eco.Net.Originate(eco.MeasCommodity.Router, eco.MeasPrefix)
 	eco.Net.RunToQuiescence()
-	w.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
+	w.SetTerminals(0, eco.MeasCommodity.Router) // no R&E terminal
 
 	w.InjectDormancy(0, 10*3600, 42)
 	dormantSeen := false
@@ -195,7 +196,7 @@ func TestBrownouts(t *testing.T) {
 	eco, w := buildWorld(t)
 	eco.Net.Originate(eco.MeasCommodity.Router, eco.MeasPrefix)
 	eco.Net.RunToQuiescence()
-	w.CommodityTerminals = map[bgp.RouterID]bool{eco.MeasCommodity.Router: true}
+	w.SetTerminals(0, eco.MeasCommodity.Router) // no R&E terminal
 
 	prefixes := w.ResponsivePrefixes()
 	if len(prefixes) == 0 {

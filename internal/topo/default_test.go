@@ -78,9 +78,9 @@ func TestDefaultOnlyMemberFallsBackToDefault(t *testing.T) {
 	if best == nil {
 		t.Fatal("default-only member lacks the specific R&E route")
 	}
-	path, ok := net.ForwardPathLPM(m.Router, e.MeasPrefix)
-	if !ok || path[len(path)-1] != e.Internet2.Router {
-		t.Fatalf("with R&E up, walk = %v (ok=%v), want to Internet2", path, ok)
+	term, hops, ok := net.Catchment(e.MeasPrefix).Terminal(m.Router)
+	if !ok || term != e.Internet2.Router {
+		t.Fatalf("with R&E up, forwarding ends at %v in %d hops (ok=%v), want Internet2", term, hops, ok)
 	}
 
 	// Withdraw the R&E announcement: no specific remains, the default
@@ -90,11 +90,11 @@ func TestDefaultOnlyMemberFallsBackToDefault(t *testing.T) {
 	if net.Speaker(m.Router).Best(e.MeasPrefix) != nil {
 		t.Fatal("specific route survived withdrawal")
 	}
-	path, ok = net.ForwardPathLPM(m.Router, e.MeasPrefix)
+	term, hops, ok = net.Catchment(e.MeasPrefix).Terminal(m.Router)
 	if !ok {
-		t.Fatalf("no default fallback: %v", path)
+		t.Fatal("no default fallback: forwarding has no terminal")
 	}
-	if path[len(path)-1] != e.MeasCommodity.Router {
-		t.Errorf("default walk ended at %v, want commodity origin", path[len(path)-1])
+	if term != e.MeasCommodity.Router {
+		t.Errorf("default walk ended at %v in %d hops, want commodity origin", term, hops)
 	}
 }

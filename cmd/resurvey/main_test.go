@@ -120,15 +120,7 @@ func TestManifestGolden(t *testing.T) {
 		t.Fatalf("manifests differ between identical runs:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
 
-	f, err := os.Open(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	m, err := telemetry.ReadManifest(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := readManifest(t, paths[0])
 	if m.Seed != 1 {
 		t.Errorf("manifest seed = %d, want 1", m.Seed)
 	}
@@ -167,18 +159,57 @@ func TestManifestGolden(t *testing.T) {
 	}
 }
 
-// TestArtifactWriters runs a reduced survey and checks the JSON and
-// MRT side outputs are complete and parseable.
-func TestArtifactWriters(t *testing.T) {
-	s := core.NewSurvey(core.SmallSurveyOptions())
-	s.RunBoth()
-
-	dir := t.TempDir()
-	if err := writeJSON(s, filepath.Join(dir, "json")); err != nil {
+func readManifest(t *testing.T, path string) *telemetry.Manifest {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	m, err := telemetry.ReadManifest(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestArtifactWriters runs a reduced survey with -json, -mrt and a
+// -manifest and checks the JSON and MRT side outputs are complete and
+// parseable, and that the manifest of a run without -zerotime records
+// the run's worker count and the probe and classify shards.
+func TestArtifactWriters(t *testing.T) {
+	dir := t.TempDir()
+	o := options{
+		NSeeds:  1,
+		JSONDir: filepath.Join(dir, "json"),
+		MRTDir:  filepath.Join(dir, "mrt"),
+		Config: cliconf.Config{
+			JobOptions: core.JobOptions{Small: true, Seed: 1},
+			Manifest:   filepath.Join(dir, "m.json"),
+		},
+	}
+	if err := run(io.Discard, o); err != nil {
+		t.Fatal(err)
+	}
+	// The run's world, built again: what the dumps must describe.
+	eco := o.Pipeline(nil).NewSurvey().Eco
+
+	m := readManifest(t, o.Manifest)
+	if m.Parallel.Workers <= 0 {
+		t.Errorf("parallel.workers = %d without -zerotime, want > 0", m.Parallel.Workers)
+	}
+	phases := map[string]bool{}
+	for _, sh := range m.Parallel.Shards {
+		phases[sh.Phase] = true
+	}
+	for _, want := range []string{"probe", "classify"} {
+		if !phases[want] {
+			t.Errorf("manifest parallel section missing phase %q", want)
+		}
+	}
+
 	for _, name := range []string{"surf.json", "internet2.json"} {
-		f, err := os.Open(filepath.Join(dir, "json", name))
+		f, err := os.Open(filepath.Join(o.JSONDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,10 +225,7 @@ func TestArtifactWriters(t *testing.T) {
 		}
 	}
 
-	if err := writeMRT(s, filepath.Join(dir, "mrt")); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(filepath.Join(dir, "mrt"))
+	entries, err := os.ReadDir(o.MRTDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +234,7 @@ func TestArtifactWriters(t *testing.T) {
 		t.Fatalf("mrt dir has %d files", len(entries))
 	}
 	for _, name := range []string{"updates-surf.mrt", "updates-internet2.mrt"} {
-		f, err := os.Open(filepath.Join(dir, "mrt", name))
+		f, err := os.Open(filepath.Join(o.MRTDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,13 +247,13 @@ func TestArtifactWriters(t *testing.T) {
 			t.Errorf("%s: empty update stream", name)
 		}
 		for _, rec := range recs {
-			if rec.Prefix != s.Eco.MeasPrefix {
+			if rec.Prefix != eco.MeasPrefix {
 				t.Fatalf("%s: unexpected prefix %s", name, rec.Prefix)
 			}
 		}
 	}
-	for i := range s.Eco.Collectors {
-		name := filepath.Join(dir, "mrt", "rib-collector"+itoa(i)+".mrt")
+	for i := range eco.Collectors {
+		name := filepath.Join(o.MRTDir, "rib-collector"+itoa(i)+".mrt")
 		f, err := os.Open(name)
 		if err != nil {
 			t.Fatal(err)
@@ -289,45 +317,10 @@ func TestWorkersDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full reduced pipeline once per worker count")
 	}
-	dir := t.TempDir()
-	workerCounts := []int{1, 2, 8}
-	manifests := make([][]byte, len(workerCounts))
-	stdouts := make([][]byte, len(workerCounts))
-	// One shared manifest path (re-read between runs): stdout echoes
-	// the path, so per-worker filenames would trivially differ.
-	p := filepath.Join(dir, "m.json")
-	for i, n := range workerCounts {
-		o := options{
-			NSeeds: 1,
-			Config: cliconf.Config{
-				JobOptions: core.JobOptions{Small: true, Seed: 1, Workers: n, Faults: 0.5},
-				Manifest:   p,
-				ZeroTime:   true,
-			},
-		}
-		var out bytes.Buffer
-		if err := run(&out, o); err != nil {
-			t.Fatalf("workers=%d: %v", n, err)
-		}
-		m, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		manifests[i], stdouts[i] = m, out.Bytes()
-	}
-	for i := 1; i < len(workerCounts); i++ {
-		if !bytes.Equal(manifests[0], manifests[i]) {
-			t.Errorf("manifest differs between -workers %d and -workers %d",
-				workerCounts[0], workerCounts[i])
-		}
-		if !bytes.Equal(stdouts[0], stdouts[i]) {
-			t.Errorf("stdout differs between -workers %d and -workers %d",
-				workerCounts[0], workerCounts[i])
-		}
-	}
+	man := runWidths(t, core.JobOptions{Small: true, Seed: 1, Faults: 0.5}, 1, 2, 8)
 	// The manifest must actually carry the parallel section: shard
 	// records for every sharded phase, with deterministic item counts.
-	m, err := telemetry.ReadManifest(bytes.NewReader(manifests[0]))
+	m, err := telemetry.ReadManifest(bytes.NewReader(man))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,4 +342,58 @@ func TestWorkersDeterminismMatrix(t *testing.T) {
 			t.Errorf("manifest parallel section missing phase %q", want)
 		}
 	}
+}
+
+// TestRunModesWorkersDeterminism holds the run modes that replace the
+// survey script to the same rule at workers 1 and 4: byte-identical
+// stdout and -zerotime manifest. The update-storm workload and the
+// hijack scenario are pinned by digest in scripts/outputs.sh.
+func TestRunModesWorkersDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs each mode once per worker count")
+	}
+	for _, job := range []core.JobOptions{
+		{Workload: "flap-cascade-rfd", DurationSeconds: 1200},
+		{Workload: "diurnal-churn", DurationSeconds: 7200},
+		{Scenario: "leak"},
+	} {
+		t.Run(job.Workload+job.Scenario, func(t *testing.T) {
+			job.Small, job.Seed = true, 1
+			runWidths(t, job, 1, 4)
+		})
+	}
+}
+
+// runWidths runs job once per worker count with a -zerotime manifest,
+// fails the test unless stdout and manifest are the same bytes at
+// every width, and returns the manifest.
+func runWidths(t *testing.T, job core.JobOptions, widths ...int) []byte {
+	t.Helper()
+	// One shared manifest path (re-read between runs): stdout echoes
+	// the path, so per-worker filenames would trivially differ.
+	p := filepath.Join(t.TempDir(), "m.json")
+	var man, stdout []byte
+	for _, n := range widths {
+		job.Workers = n
+		o := options{NSeeds: 1, Config: cliconf.Config{JobOptions: job, Manifest: p, ZeroTime: true}}
+		var out bytes.Buffer
+		if err := run(&out, o); err != nil {
+			t.Fatalf("workers=%d: %v", n, err)
+		}
+		m, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if man == nil {
+			man, stdout = m, out.Bytes()
+			continue
+		}
+		if !bytes.Equal(m, man) {
+			t.Errorf("manifest differs between -workers %d and -workers %d", widths[0], n)
+		}
+		if !bytes.Equal(out.Bytes(), stdout) {
+			t.Errorf("stdout differs between -workers %d and -workers %d", widths[0], n)
+		}
+	}
+	return man
 }

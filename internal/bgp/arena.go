@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/asn"
 	"repro/internal/bgp/pathtab"
@@ -398,17 +397,13 @@ func (n *Network) SetCompactRIB(on bool) {
 	}
 }
 
-// RIBStats reports the compact layout's memory model. On a map-layout
-// network only the entry counts are populated.
+// RIBStats reports the compact layout's memory model. On a row-table
+// network only the entry counts are populated. Every figure is a sum,
+// so the walk's order does not matter.
 func (n *Network) RIBStats() RIBStats {
 	var rs RIBStats
-	ids := make([]RouterID, 0, len(n.speakers))
-	for id := range n.speakers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	seen := make(map[*speakerArena]bool)
-	for _, id := range ids {
+	for _, id := range n.order {
 		s := n.speakers[id]
 		rs.Routes += s.adjIn.Len() + s.locRib.Len() + s.adjOut.Len()
 		loc, okLoc := s.locRib.(*arenaStore)
@@ -446,7 +441,7 @@ func (n *Network) RIBStats() RIBStats {
 
 // MatCacheEntries reports the total boxed *Route entries held by the
 // arena materialization caches across all speakers — the quantity the
-// cache bound exists to limit (0 on map-layout networks). Exposed for
+// cache bound exists to limit (0 on row-table networks). Exposed for
 // the leak-regression tests.
 func (n *Network) MatCacheEntries() int {
 	total := 0

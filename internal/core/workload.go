@@ -444,7 +444,7 @@ func ribDigest(eco *topo.Ecosystem, exclude map[bgp.RouterID]bool) uint64 {
 }
 
 // WriteWorkloadReport renders the deterministic portion of a result
-// as the stable text block the CLI prints and the smoke target diffs.
+// as the stable text block the CLI prints and the width tests compare.
 func WriteWorkloadReport(w io.Writer, res *WorkloadResult) {
 	mode := "event"
 	if res.RoundMode {

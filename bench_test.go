@@ -242,6 +242,19 @@ func paperQuarter() topo.GenConfig {
 	return c
 }
 
+// BenchmarkNewSurvey measures building one survey world at the
+// paper's grammar with its populations divided by four: the topology
+// and its sessions, the responsive hosts, the seed catalog and the
+// target selection. The sweeps and the optimizer build one per world.
+func BenchmarkNewSurvey(b *testing.B) {
+	opts := core.DefaultSurveyOptions()
+	opts.Topology = paperQuarter()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = core.NewSurvey(opts)
+	}
+}
+
 // BenchmarkOriginViews measures the converged-routing solve behind
 // Tables 3-4 and Figure 5 (one static solution per origin AS), on the
 // shared survey's world and on the paper's grammar with its
@@ -303,10 +316,12 @@ func BenchmarkParallelSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkRestoreNetwork measures the optimizer's per-candidate
-// rewind: the snapshot of a converged world at a quarter of the paper's
+// BenchmarkRestoreNetwork measures checkpoint/resume's engine restore:
+// the snapshot of a converged world at a quarter of the paper's
 // populations (the benchmark's sweep_warm size, default row layout)
-// restored into the network it was taken from. Run with -benchmem.
+// restored into the network it was taken from. (The optimizer rewinds
+// candidates with the undo journal, not with a restore.) Run with
+// -benchmem.
 func BenchmarkRestoreNetwork(b *testing.B) {
 	opts := core.DefaultSurveyOptions()
 	opts.Topology = paperQuarter()

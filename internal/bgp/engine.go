@@ -646,8 +646,13 @@ func (n *Network) SetExportAllow(id, nb RouterID, allow ClassSet) ClassSet {
 	return old
 }
 
-// exportablePrefixes lists prefixes with any local state, sorted.
+// exportablePrefixes lists prefixes with any local state, sorted. A
+// speaker with none (nearly every speaker while topo.Build connects
+// them) gets nil without an allocation.
 func (s *Speaker) exportablePrefixes() []netutil.Prefix {
+	if len(s.originated) == 0 && s.locRib.Len() == 0 && s.adjOut.Len() == 0 {
+		return nil
+	}
 	set := make(map[netutil.Prefix]bool)
 	for p := range s.originated {
 		set[p] = true

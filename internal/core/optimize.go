@@ -17,9 +17,10 @@ import (
 )
 
 // This file is the bridge between the pure search machinery in
-// internal/optimize and a live measurement world: RunOptimizeContext
-// builds one converged survey, opens an undo journal at that pristine
-// fork point (bgp.Network.OpenJournal), and evaluates every candidate
+// internal/optimize and live measurement worlds: RunOptimizeContext
+// builds and converges one survey per evaluation slot, side by side,
+// opens an undo journal on each at that pristine fork point
+// (bgp.Network.OpenJournal), and evaluates every candidate
 // configuration by rewinding the journal and pushing the candidate's
 // traffic-engineering delta through the engine. It is the one sweep
 // that forks instead of building a world per point, and a rewind costs
@@ -111,11 +112,9 @@ const optimizeSeedStream = 0x0071
 // → converge → census), so any world can serve any candidate and
 // results are independent of scheduling.
 type policyEvaluator struct {
-	opts  OptimizeOptions
-	obj   optimize.Objective
-	start bgp.Time
+	obj optimize.Objective
 	// pool holds the evaluation worlds, each with its journal open at
-	// the fork point; nil is a world not built yet.
+	// the fork point.
 	pool chan *Survey
 	reg  *telemetry.Registry
 
@@ -127,22 +126,36 @@ type policyEvaluator struct {
 // convergence, matching RunBothContext's SURF experiment start.
 const optStart = bgp.Time(9 * 3600)
 
-// newPolicyEvaluator forks the converged driver world and slots-1
-// further worlds, which converge on first use.
-func newPolicyEvaluator(opts OptimizeOptions, obj optimize.Objective, driver *Survey, slots int) (*policyEvaluator, error) {
+// convergeWorlds builds n survey worlds side by side and converges the
+// baseline announcement on each. World 0 is the driver, the only one
+// whose convergence is metered. The build and convergence are
+// deterministic, so every world holds the same pristine state
+// (TestOptimizePoolWorldsMatchDriver).
+func convergeWorlds(opts OptimizeOptions, n int) []*Survey {
+	return parallel.Collect(n, 1, n, func(sh parallel.Shard) *Survey {
+		s := NewSurvey(opts.Survey)
+		x := NewSURFExperiment(s.Eco, s.World, s.Prober, s.Sel, optStart)
+		if sh.Index == 0 {
+			x.Metrics = opts.Metrics // Converge meters via Stats deltas — deterministic
+		}
+		x.Converge()
+		return s
+	})
+}
+
+// newPolicyEvaluator forks each converged world (convergeWorlds) and
+// pools them; the search evaluates one candidate per world at a time.
+func newPolicyEvaluator(reg *telemetry.Registry, obj optimize.Objective, worlds []*Survey) (*policyEvaluator, error) {
 	ev := &policyEvaluator{
-		opts:  opts,
-		obj:   obj,
-		start: optStart,
-		pool:  make(chan *Survey, slots),
-		reg:   opts.Metrics,
+		obj:  obj,
+		pool: make(chan *Survey, len(worlds)),
+		reg:  reg,
 	}
-	if err := ev.fork(driver); err != nil {
-		return nil, err
-	}
-	ev.pool <- driver
-	for i := 1; i < slots; i++ {
-		ev.pool <- nil
+	for _, s := range worlds {
+		if err := ev.fork(s); err != nil {
+			return nil, err
+		}
+		ev.pool <- s
 	}
 	return ev, nil
 }
@@ -166,16 +179,6 @@ func (ev *policyEvaluator) Evaluate(ctx context.Context, c optimize.Candidate) (
 	}
 	s := <-ev.pool
 	defer func() { ev.pool <- s }()
-	if s == nil {
-		// Converging builds the same pristine state the driver's
-		// journal holds: the build and convergence are deterministic.
-		w := NewSurvey(ev.opts.Survey)
-		NewSURFExperiment(w.Eco, w.World, w.Prober, w.Sel, ev.start).Converge()
-		if err := ev.fork(w); err != nil {
-			return optimize.Eval{}, err
-		}
-		s = w
-	}
 	if err := ev.rewind(s); err != nil {
 		return optimize.Eval{}, err
 	}
@@ -238,7 +241,7 @@ func (ev *policyEvaluator) measure(s *Survey, c optimize.Candidate, st0 bgp.IncS
 	// The schedule waits RoundGap between a change and its probe; the
 	// census and probe happen at that round boundary, after the delta
 	// has fully drained.
-	probeAt := ev.start + 3600
+	probeAt := optStart + 3600
 	net.RunToQuiescence()
 	net.RunTo(probeAt)
 
@@ -334,12 +337,13 @@ func LatestSearchState(dir string, want optimize.Fingerprint) []byte {
 	return blob
 }
 
-// RunOptimizeContext builds one survey world, converges the baseline
-// announcement, snapshots the pristine fork point, and searches the
-// configuration space by warm-started evaluation. The driver world is
-// returned to the pristine state afterwards. Output is byte-identical
-// at any Workers value: proposals draw from per-ordinal RNG streams,
-// evaluations merge in candidate order, and no evaluation world feeds
+// RunOptimizeContext builds and converges one survey world per
+// evaluation slot, side by side, snapshots the driver's pristine fork
+// point, and searches the configuration space by warm-started
+// evaluation. The driver world is returned to the pristine state
+// afterwards. Output is byte-identical at any Workers value: proposals
+// draw from per-ordinal RNG streams, evaluations merge in candidate
+// order, and no evaluation world but the driver's convergence feeds
 // the registry.
 func RunOptimizeContext(ctx context.Context, opts OptimizeOptions) (*OptimizeResult, error) {
 	obj, sr, runOpts, err := opts.search()
@@ -349,19 +353,6 @@ func RunOptimizeContext(ctx context.Context, opts OptimizeOptions) (*OptimizeRes
 	reg := opts.Metrics
 	span := reg.StartSpan("optimize:" + sr.Name())
 	defer span.End()
-
-	buildSpan := reg.StartSpan("optimize-converge")
-	driver := NewSurvey(opts.Survey)
-	x := NewSURFExperiment(driver.Eco, driver.World, driver.Prober, driver.Sel, optStart)
-	x.Metrics = reg // Converge meters via Stats deltas — deterministic
-	x.Converge()
-	var snapBuf bytes.Buffer
-	if err := driver.Eco.Net.Snapshot(&snapBuf); err != nil {
-		return nil, fmt.Errorf("optimize: snapshot pristine state: %w", err)
-	}
-	baseSnap := snapBuf.Bytes()
-	reg.Counter("snapshot_bytes").Add(int64(len(baseSnap)))
-	buildSpan.End()
 
 	fp := optimize.FingerprintFor(obj, sr, runOpts)
 	if opts.Resume != nil {
@@ -375,17 +366,23 @@ func RunOptimizeContext(ctx context.Context, opts OptimizeOptions) (*OptimizeRes
 		runOpts.Resume = st
 	}
 
-	slots := parallel.Workers(opts.Workers)
-	if l := runOpts.Budget; l > 0 && slots > l {
-		slots = l
+	// One world per concurrent evaluation, and no more than the search
+	// keeps busy: a generation's λ candidates, the budget, and one world
+	// when there is no search.
+	slots := max(1, min(parallel.Workers(opts.Workers), fp.Lambda, runOpts.Budget))
+
+	buildSpan := reg.StartSpan("optimize-converge")
+	worlds := convergeWorlds(opts, slots)
+	driver := worlds[0]
+	var snapBuf bytes.Buffer
+	if err := driver.Eco.Net.Snapshot(&snapBuf); err != nil {
+		return nil, fmt.Errorf("optimize: snapshot pristine state: %w", err)
 	}
-	if l := fp.Lambda; slots > l {
-		slots = l
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	ev, err := newPolicyEvaluator(opts, obj, driver, slots)
+	baseSnap := snapBuf.Bytes()
+	reg.Counter("snapshot_bytes").Add(int64(len(baseSnap)))
+	buildSpan.End()
+
+	ev, err := newPolicyEvaluator(reg, obj, worlds)
 	if err != nil {
 		return nil, err
 	}

@@ -118,13 +118,48 @@ func TestOptimizeBestMonotone(t *testing.T) {
 // and returns it with its snapshot.
 func convergedDriver(t *testing.T, opts OptimizeOptions) (*Survey, []byte) {
 	t.Helper()
-	driver := NewSurvey(opts.Survey)
-	NewSURFExperiment(driver.Eco, driver.World, driver.Prober, driver.Sel, optStart).Converge()
+	driver := convergeWorlds(opts, 1)[0]
 	var snap bytes.Buffer
 	if err := driver.Eco.Net.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	return driver, snap.Bytes()
+}
+
+// TestOptimizePoolWorldsMatchDriver holds "any world serves any
+// candidate" as a checked fact: the evaluation worlds RunOptimizeContext
+// builds and converges side by side each encode, once forked and before
+// their first rewind, the RBGP snapshot the driver encodes at the
+// pristine fork point, byte for byte.
+func TestOptimizePoolWorldsMatchDriver(t *testing.T) {
+	opts := optTestOptions("evolve", 2)
+	obj, err := optimize.ParseSpec(opts.Objective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds := convergeWorlds(opts, parallel.Workers(opts.Workers))
+	var base bytes.Buffer
+	if err := worlds[0].Eco.Net.Snapshot(&base); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := newPolicyEvaluator(opts.Metrics, obj, worlds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.pool) != 2 {
+		t.Fatalf("evaluator holds %d worlds, want 2", len(ev.pool))
+	}
+	for i := 0; i < 2; i++ {
+		s := <-ev.pool
+		var snap bytes.Buffer
+		if err := s.Eco.Net.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap.Bytes(), base.Bytes()) {
+			t.Fatalf("pooled world %d snapshots %d bytes unlike the driver's pristine %d",
+				i, snap.Len(), base.Len())
+		}
+	}
 }
 
 // TestOptimizeEvaluationPreservesPristine is the evaluator's purity
@@ -150,7 +185,7 @@ func TestOptimizeEvaluationPreservesPristine(t *testing.T) {
 			t.Fatalf("arena=%v: two converged worlds snapshot differently", arena)
 		}
 		d0 := ribDigest(driver.Eco, nil)
-		ev, err := newPolicyEvaluator(opts, obj, driver, 1)
+		ev, err := newPolicyEvaluator(opts.Metrics, obj, []*Survey{driver})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +273,7 @@ func TestOptimizeRewindAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		driver, baseSnap := convergedDriver(t, opts)
-		ev, err := newPolicyEvaluator(opts, obj, driver, 1)
+		ev, err := newPolicyEvaluator(opts.Metrics, obj, []*Survey{driver})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,12 +6,13 @@
 package seeds
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"repro/internal/netutil"
 	"repro/internal/simnet"
+	"repro/internal/slab"
 	"repro/internal/topo"
 )
 
@@ -74,20 +75,32 @@ func DefaultCatalogConfig() CatalogConfig {
 // some past census, quiet now) pad the lists.
 func BuildCatalog(eco *topo.Ecosystem, w *simnet.World, cfg CatalogConfig) *Catalog {
 	rng := rand.New(rand.NewSource(cfg.Seed)) // #nosec deterministic simulation
-	cat := &Catalog{
-		ISI:    make(map[netutil.Prefix][]ISIEntry),
-		Censys: make(map[netutil.Prefix][]CensysService),
+	// Size the datasets for their expected coverage: a prefix is in
+	// each with its live or its stale probability.
+	var nICMP, nSvc float64
+	for _, pi := range eco.Prefixes {
+		icmp, svc := liveProtos(w.Hosts(pi.Prefix))
+		if icmp {
+			nICMP++
+		}
+		if svc {
+			nSvc++
+		}
 	}
+	nPfx := float64(len(eco.Prefixes))
+	cat := &Catalog{
+		ISI:    make(map[netutil.Prefix][]ISIEntry, int(nICMP*cfg.ISICoverageLive+(nPfx-nICMP)*cfg.ISICoverageStale)),
+		Censys: make(map[netutil.Prefix][]CensysService, int(nSvc*cfg.CensysCoverageLive+(nPfx-nSvc)*cfg.CensysCoverageStale)),
+	}
+	// Each list is assembled in a reused buffer, sorted there, and
+	// copied into a slab run of exactly its length.
+	var isiSlab slab.Slab[ISIEntry]
+	var svcSlab slab.Slab[CensysService]
+	var entries []ISIEntry
+	var svcs []CensysService
 	for _, pi := range eco.Prefixes {
 		hosts := w.Hosts(pi.Prefix)
-		liveICMP, liveSvc := false, false
-		for _, h := range hosts {
-			if h.Proto == simnet.ICMP {
-				liveICMP = true
-			} else {
-				liveSvc = true
-			}
-		}
+		liveICMP, liveSvc := liveProtos(hosts)
 		pISI, pCensys := cfg.ISICoverageStale, cfg.CensysCoverageStale
 		if liveICMP {
 			pISI = cfg.ISICoverageLive
@@ -99,7 +112,7 @@ func BuildCatalog(eco *topo.Ecosystem, w *simnet.World, cfg CatalogConfig) *Cata
 		inCensys := rng.Float64() < pCensys
 
 		if inISI {
-			var entries []ISIEntry
+			entries = entries[:0]
 			for _, h := range hosts {
 				if h.Proto == simnet.ICMP {
 					entries = append(entries, ISIEntry{Addr: h.Addr, Score: 0.6 + 0.39*rng.Float64()})
@@ -109,16 +122,16 @@ func BuildCatalog(eco *topo.Ecosystem, w *simnet.World, cfg CatalogConfig) *Cata
 				addr := pi.Prefix.NthAddr(uint64(128 + i*3 + rng.Intn(3)))
 				entries = append(entries, ISIEntry{Addr: addr, Score: 0.05 + 0.4*rng.Float64()})
 			}
-			sort.Slice(entries, func(i, j int) bool {
-				if entries[i].Score != entries[j].Score {
-					return entries[i].Score > entries[j].Score
+			slices.SortFunc(entries, func(a, b ISIEntry) int {
+				if c := cmp.Compare(b.Score, a.Score); c != 0 {
+					return c
 				}
-				return entries[i].Addr < entries[j].Addr
+				return cmp.Compare(a.Addr, b.Addr)
 			})
-			cat.ISI[pi.Prefix] = entries
+			cat.ISI[pi.Prefix] = isiSlab.Copy(entries)
 		}
 		if inCensys {
-			var svcs []CensysService
+			svcs = svcs[:0]
 			for _, h := range hosts {
 				if h.Proto == simnet.TCP {
 					svcs = append(svcs, CensysService{Addr: h.Addr, Proto: simnet.TCP, Port: 443})
@@ -132,12 +145,25 @@ func BuildCatalog(eco *topo.Ecosystem, w *simnet.World, cfg CatalogConfig) *Cata
 				svcs = append(svcs, CensysService{Addr: addr, Proto: simnet.TCP, Port: 80})
 			}
 			if len(svcs) > 0 {
-				sort.Slice(svcs, func(i, j int) bool { return svcs[i].Addr < svcs[j].Addr })
-				cat.Censys[pi.Prefix] = svcs
+				slices.SortFunc(svcs, func(a, b CensysService) int { return cmp.Compare(a.Addr, b.Addr) })
+				cat.Censys[pi.Prefix] = svcSlab.Copy(svcs)
 			}
 		}
 	}
 	return cat
+}
+
+// liveProtos reports whether hosts hold a live ICMP responder and a
+// live TCP or UDP service.
+func liveProtos(hosts []*simnet.Host) (icmp, svc bool) {
+	for _, h := range hosts {
+		if h.Proto == simnet.ICMP {
+			icmp = true
+		} else {
+			svc = true
+		}
+	}
+	return icmp, svc
 }
 
 // Target is one selected probe destination.
@@ -201,8 +227,12 @@ func Select(cat *Catalog, prefixes []netutil.Prefix, responsive func(addr uint32
 	prefixes = slices.Clone(prefixes)
 	netutil.SortPrefixes(prefixes)
 	prefixes = slices.Compact(prefixes)
-	sel := &Selection{}
+	sel := &Selection{Prefixes: make([]PrefixTargets, 0, len(prefixes))}
 	sel.Stats.Prefixes = len(prefixes)
+	// Targets are gathered in a reused buffer and copied into a slab run
+	// of exactly their count.
+	var targetSlab slab.Slab[Target]
+	var targets []Target
 	for _, p := range prefixes {
 		isi := cat.ISI[p]
 		censys := cat.Censys[p]
@@ -212,7 +242,7 @@ func Select(cat *Catalog, prefixes []netutil.Prefix, responsive func(addr uint32
 		if len(isi) > 0 || len(censys) > 0 {
 			sel.Stats.WithAnySeed++
 		}
-		var targets []Target
+		targets = targets[:0]
 		fromISI, fromCensys := false, false
 		for i := 0; i < len(isi) && i < maxCandidatesPerDataset && len(targets) < maxPerPrefix; i++ {
 			sel.Stats.CandidatesProbed++
@@ -235,7 +265,7 @@ func Select(cat *Catalog, prefixes []netutil.Prefix, responsive func(addr uint32
 		if len(targets) == 0 {
 			continue
 		}
-		sel.Prefixes = append(sel.Prefixes, PrefixTargets{Prefix: p, Targets: targets})
+		sel.Prefixes = append(sel.Prefixes, PrefixTargets{Prefix: p, Targets: targetSlab.Copy(targets)})
 		sel.Stats.Responsive++
 		sel.Stats.ResponsiveTargets += len(targets)
 		if len(targets) == maxPerPrefix {

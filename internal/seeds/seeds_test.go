@@ -1,6 +1,9 @@
 package seeds
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/netutil"
@@ -27,11 +30,13 @@ func TestCatalogCoverage(t *testing.T) {
 	if frac < 0.55 || frac > 0.75 {
 		t.Errorf("ISI coverage %.2f, want ~0.65", frac)
 	}
-	// Scores must be sorted descending.
+	// Scores must be sorted descending, equal scores by ascending
+	// address.
 	for p, entries := range cat.ISI {
 		for i := 1; i < len(entries); i++ {
-			if entries[i].Score > entries[i-1].Score {
-				t.Fatalf("prefix %s ISI entries unsorted", p)
+			a, b := entries[i-1], entries[i]
+			if b.Score > a.Score || b.Score == a.Score && b.Addr <= a.Addr {
+				t.Fatalf("prefix %s ISI entries unsorted: %+v before %+v", p, a, b)
 			}
 		}
 		for _, e := range entries {
@@ -41,7 +46,10 @@ func TestCatalogCoverage(t *testing.T) {
 		}
 	}
 	for p, svcs := range cat.Censys {
-		for _, svc := range svcs {
+		for i, svc := range svcs {
+			if i > 0 && svcs[i-1].Addr >= svc.Addr {
+				t.Fatalf("prefix %s Censys entries not in ascending address order", p)
+			}
 			if !p.Contains(svc.Addr) {
 				t.Fatalf("Censys entry outside prefix %s", p)
 			}
@@ -136,5 +144,52 @@ func TestSelectEmptyCatalog(t *testing.T) {
 	}
 	if sel.Stats.Prefixes != 1 {
 		t.Error("prefix count wrong")
+	}
+}
+
+// TestSmallBuildDigest pins everything the world and seed builders
+// produce at -small: every prefix's hosts (address, prefix, protocol,
+// egress, dormancy, in list order), the catalog's ISI and Censys lists
+// (scores bit for bit), and the selection's targets and statistics, fed
+// the prefix list NewSurvey feeds it. A builder rewritten for speed must
+// reproduce them exactly.
+func TestSmallBuildDigest(t *testing.T) {
+	eco, w, cat, _ := buildAll(t)
+	list := make([]netutil.Prefix, 0, len(eco.Prefixes))
+	for _, pi := range eco.Prefixes {
+		if pi.Prefix != eco.MeasPrefix {
+			list = append(list, pi.Prefix)
+		}
+	}
+	sel := Select(cat, netutil.ExcludeCovered(list), func(addr uint32, proto simnet.Proto) bool {
+		return w.Responsive(addr, proto, 0)
+	}, 3)
+
+	h := sha256.New()
+	for _, pi := range eco.Prefixes {
+		p := pi.Prefix
+		fmt.Fprintf(h, "prefix %s\n", p)
+		for _, host := range w.Hosts(p) {
+			fmt.Fprintf(h, "host %+v\n", *host)
+		}
+		if isi, ok := cat.ISI[p]; ok {
+			fmt.Fprintf(h, "isi %d\n", len(isi))
+			for _, e := range isi {
+				fmt.Fprintf(h, "%d %x\n", e.Addr, math.Float64bits(e.Score))
+			}
+		}
+		if censys, ok := cat.Censys[p]; ok {
+			fmt.Fprintf(h, "censys %+v\n", censys)
+		}
+	}
+	fmt.Fprintf(h, "hosts %d isi %d censys %d\n", w.HostCount(), len(cat.ISI), len(cat.Censys))
+	for _, pt := range sel.Prefixes {
+		fmt.Fprintf(h, "sel %s %+v\n", pt.Prefix, pt.Targets)
+	}
+	fmt.Fprintf(h, "stats %+v\n", sel.Stats)
+
+	const want = "35bac643ab20cb83146e8c5363d86197dabd5fe4f9b960abaa56c8e0eecf3e44"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("-small world, catalog and selection digest %s, want %s", got, want)
 	}
 }

@@ -6,13 +6,15 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/bgp"
 	"repro/internal/netutil"
 	"repro/internal/parallel"
+	"repro/internal/slab"
 	"repro/internal/topo"
 )
 
@@ -174,14 +176,20 @@ type brownout struct {
 
 // BuildWorld populates hosts for every prefix of the ecosystem.
 func BuildWorld(eco *topo.Ecosystem, cfg WorldConfig) *World {
+	// Size the maps for the expected populations: the responsive share
+	// of the prefixes, and per responsive prefix three, two or one host.
+	pfxHint := int(float64(len(eco.Prefixes)) * cfg.FracPrefixResponsive)
+	perPfx := 3*cfg.FracThreeHosts + 2*cfg.FracTwoHosts + max(0, 1-cfg.FracThreeHosts-cfg.FracTwoHosts)
 	w := &World{
 		Net:        eco.Net,
 		MeasPrefix: eco.MeasPrefix,
 		cfg:        cfg,
-		hosts:      make(map[uint32]*Host),
-		byPfx:      make(map[netutil.Prefix][]*Host),
+		hosts:      make(map[uint32]*Host, int(float64(pfxHint)*perPfx)),
+		byPfx:      make(map[netutil.Prefix][]*Host, pfxHint),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed)) // #nosec deterministic simulation
+	var hostSlab slab.Slab[Host]
+	var listSlab slab.Slab[*Host]
 
 	for _, pi := range eco.Prefixes {
 		if rng.Float64() >= cfg.FracPrefixResponsive {
@@ -203,7 +211,8 @@ func BuildWorld(eco *topo.Ecosystem, cfg WorldConfig) *World {
 			}
 		}
 		origin := eco.AS(pi.Origin)
-		for k := 0; k < n; k++ {
+		hs, list := hostSlab.Take(n), listSlab.Take(n)
+		for k := range hs {
 			addr := pi.Prefix.NthAddr(uint64(1 + k*11 + rng.Intn(7)))
 			if _, dup := w.hosts[addr]; dup {
 				addr = pi.Prefix.NthAddr(uint64(1 + k*29))
@@ -220,19 +229,20 @@ func BuildWorld(eco *topo.Ecosystem, cfg WorldConfig) *World {
 					hostProto = ICMP
 				}
 			}
-			h := &Host{
+			h := &hs[k]
+			*h = Host{
 				Addr:   addr,
 				Prefix: pi.Prefix,
 				Proto:  hostProto,
 				Egress: w.egressFor(eco, origin, pi, k),
 			}
 			w.hosts[addr] = h
-			w.byPfx[pi.Prefix] = append(w.byPfx[pi.Prefix], h)
+			list[k] = h
 		}
-	}
-	// Sort per-prefix host lists for determinism.
-	for _, hs := range w.byPfx {
-		sort.Slice(hs, func(i, j int) bool { return hs[i].Addr < hs[j].Addr })
+		// Per-prefix host lists are sorted for determinism; the
+		// generator's prefixes are distinct, so each list is built once.
+		slices.SortFunc(list, func(a, b *Host) int { return cmp.Compare(a.Addr, b.Addr) })
+		w.byPfx[pi.Prefix] = list
 	}
 	return w
 }

@@ -57,9 +57,28 @@ func TestWorldDeterministic(t *testing.T) {
 		t.Fatalf("host counts differ: %d vs %d", a.HostCount(), b.HostCount())
 	}
 	pa, pb := a.ResponsivePrefixes(), b.ResponsivePrefixes()
+	if len(pa) != len(pb) {
+		t.Fatalf("responsive prefix counts differ: %d vs %d", len(pa), len(pb))
+	}
 	for i := range pa {
 		if pa[i] != pb[i] {
 			t.Fatalf("prefix %d differs", i)
+		}
+	}
+	// Every prefix's host list, in order: address, prefix, protocol,
+	// egress router and dormancy window.
+	for _, pi := range eco.Prefixes {
+		ha, hb := a.Hosts(pi.Prefix), b.Hosts(pi.Prefix)
+		if len(ha) != len(hb) {
+			t.Fatalf("%s: %d hosts vs %d", pi.Prefix, len(ha), len(hb))
+		}
+		for i := range ha {
+			if *ha[i] != *hb[i] {
+				t.Fatalf("%s host %d: %+v vs %+v", pi.Prefix, i, *ha[i], *hb[i])
+			}
+			if i > 0 && ha[i-1].Addr >= ha[i].Addr {
+				t.Fatalf("%s: hosts not in ascending address order", pi.Prefix)
+			}
 		}
 	}
 }

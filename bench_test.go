@@ -255,6 +255,29 @@ func BenchmarkNewSurvey(b *testing.B) {
 	}
 }
 
+// BenchmarkProbeRound measures one probe round, Prober.Run over every
+// selected target, on a world at the paper's grammar with its
+// populations divided by four (survey_paper's size), built and
+// converged once with the SURF experiment's first announcement and
+// both response terminals armed. Run with the default worker count, as
+// the experiments probe.
+func BenchmarkProbeRound(b *testing.B) {
+	opts := core.DefaultSurveyOptions()
+	opts.Topology = paperQuarter()
+	s := core.NewSurvey(opts)
+	core.NewSURFExperiment(s.Eco, s.World, s.Prober, s.Sel, 9*3600).Converge()
+	s.World.SetTerminals(s.Eco.MeasSURF.Router, s.Eco.MeasCommodity.Router)
+	at := s.Eco.Net.Now()
+	if round := s.Prober.Run("bench", at, s.Sel); round.Responded() < len(round.Records)/2 {
+		b.Fatalf("only %d of %d probes answered", round.Responded(), len(round.Records))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.Prober.Run("bench", at, s.Sel)
+	}
+}
+
 // BenchmarkOriginViews measures the converged-routing solve behind
 // Tables 3-4 and Figure 5 (one static solution per origin AS), on the
 // shared survey's world and on the paper's grammar with its

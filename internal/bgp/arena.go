@@ -316,6 +316,14 @@ func (st *arenaStore) drop(key uint64) {
 
 func (st *arenaStore) Len() int { return len(st.slots) }
 
+// appendPrefixes appends each key's prefix.
+func (st *arenaStore) appendPrefixes(dst []netutil.Prefix) []netutil.Prefix {
+	for key := range st.slots {
+		dst = append(dst, st.ar.be.prefixes.At(uint32(key>>32)))
+	}
+	return dst
+}
+
 // setJournal sets the whole network's journal: arena stores share it
 // through their backend.
 func (st *arenaStore) setJournal(j *journal) { st.ar.be.jr = j }

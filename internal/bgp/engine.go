@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/asn"
@@ -646,31 +647,23 @@ func (n *Network) SetExportAllow(id, nb RouterID, allow ClassSet) ClassSet {
 	return old
 }
 
-// exportablePrefixes lists prefixes with any local state, sorted. A
-// speaker with none (nearly every speaker while topo.Build connects
-// them) gets nil without an allocation.
+// exportablePrefixes lists prefixes with any local state — originated,
+// in the loc-RIB or in the adj-RIB-out — sorted, in one allocation: the
+// originations and both stores' prefixes go unsorted into one slice
+// with room for every entry, and one sort and compaction leaves each
+// prefix once. A speaker with none (nearly every speaker while
+// topo.Build connects them) gets nil without an allocation.
 func (s *Speaker) exportablePrefixes() []netutil.Prefix {
 	if len(s.originated) == 0 && s.locRib.Len() == 0 && s.adjOut.Len() == 0 {
 		return nil
 	}
-	set := make(map[netutil.Prefix]bool)
+	out := make([]netutil.Prefix, 0, len(s.originated)+s.locRib.Len()+s.adjOut.Len())
 	for p := range s.originated {
-		set[p] = true
-	}
-	s.locRib.WalkSorted(func(k ribKey, _ *Route) bool {
-		set[k.prefix] = true
-		return true
-	})
-	s.adjOut.WalkSorted(func(k ribKey, _ *Route) bool {
-		set[k.prefix] = true
-		return true
-	})
-	out := make([]netutil.Prefix, 0, len(set))
-	for p := range set {
 		out = append(out, p)
 	}
-	netutil.SortPrefixes(out)
-	return out
+	out = s.adjOut.appendPrefixes(s.locRib.appendPrefixes(out))
+	slices.SortFunc(out, netutil.ComparePrefixes)
+	return slices.Compact(out)
 }
 
 // exportAfterDecision performs the post-decision export fan-out: on

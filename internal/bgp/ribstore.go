@@ -68,6 +68,11 @@ type ribStore interface {
 	WalkSorted(fn func(k ribKey, r *Route) bool)
 	// Len returns the number of entries.
 	Len() int
+	// appendPrefixes appends the prefix of the store's entries to dst,
+	// unsorted, and at most once per entry, so Len more slots always
+	// hold them: a row-table view lists each row with an entry on its
+	// side once, an arena store each key's prefix.
+	appendPrefixes(dst []netutil.Prefix) []netutil.Prefix
 	// Reset empties the store.
 	Reset()
 	// setJournal makes Install and Withdraw record what they overwrite
@@ -374,6 +379,33 @@ func (t *ribRows) walk(side rowSide, fn func(k ribKey, r *Route) bool) {
 	}
 }
 
+// appendPrefixes appends the prefix of every live row holding an entry
+// on side: the loc cell, or any of the side's session cells.
+func (t *ribRows) appendPrefixes(side rowSide, dst []netutil.Prefix) []netutil.Prefix {
+	if t.lens[side] == 0 {
+		return dst
+	}
+	for r, c := range t.live {
+		if c == 0 {
+			continue
+		}
+		row := t.cells[r*t.stride : (r+1)*t.stride]
+		if side == sideLoc {
+			if row[0] != nil {
+				dst = append(dst, t.prefix[r])
+			}
+			continue
+		}
+		for i := int(side); i < len(row); i += 2 {
+			if row[i] != nil {
+				dst = append(dst, t.prefix[r])
+				break
+			}
+		}
+	}
+	return dst
+}
+
 // rowView is one side of a ribRows table as a ribStore.
 type rowView struct {
 	t    *ribRows
@@ -398,6 +430,10 @@ func (v *rowView) setJournal(j *journal) { v.t.jr = j }
 func (v *rowView) Len() int { return v.t.lens[v.side] }
 
 func (v *rowView) Reset() { v.t.reset(v.side) }
+
+func (v *rowView) appendPrefixes(dst []netutil.Prefix) []netutil.Prefix {
+	return v.t.appendPrefixes(v.side, dst)
+}
 
 func (v *rowView) WalkSorted(fn func(k ribKey, r *Route) bool) { v.t.walk(v.side, fn) }
 

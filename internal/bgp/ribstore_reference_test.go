@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -49,6 +50,13 @@ func (st *mapStore) rewind() { st.log.undo() }
 func (st *mapStore) Len() int { return len(st.m) }
 
 func (st *mapStore) Reset() { clear(st.m) }
+
+func (st *mapStore) appendPrefixes(dst []netutil.Prefix) []netutil.Prefix {
+	for k := range st.m {
+		dst = append(dst, k.prefix)
+	}
+	return dst
+}
 
 func (st *mapStore) appendSorted(refs []ribRef, ri *routeIndex) []ribRef {
 	st.WalkSorted(func(k ribKey, r *Route) bool {
@@ -152,6 +160,12 @@ func TestRowStoreMatchesReference(t *testing.T) {
 			}
 			for _, e := range want {
 				held[e.k.prefix] = true
+			}
+			if got, want := sortedPrefixes(v), sortedPrefixes(ref); !slices.Equal(got, want) {
+				t.Fatalf("step %d (%s): side %d lists prefixes %v, reference %v", step, op, side, got, want)
+			}
+			if n := len(v.appendPrefixes(nil)); n > v.Len() {
+				t.Fatalf("step %d (%s): side %d lists %d prefixes for %d entries", step, op, side, n, v.Len())
 			}
 			riGot, riWant := &routeIndex{idx: map[*Route]uint32{}}, &routeIndex{idx: map[*Route]uint32{}}
 			if a, b := v.appendSorted(nil, riGot), ref.appendSorted(nil, riWant); !slices.Equal(a, b) {
@@ -260,5 +274,111 @@ func TestRowStoreMatchesReference(t *testing.T) {
 		steps, restrides, resets, rewinds, compactions, len(peers), len(rows.prefix))
 	if restrides == 0 || resets == 0 || rewinds == 0 || compactions == 0 {
 		t.Fatal("the operation mix missed a re-stride, a reset, a rewind or a compaction")
+	}
+}
+
+// sortedPrefixes is st's appendPrefixes, each prefix once, in order.
+func sortedPrefixes(st ribStore) []netutil.Prefix {
+	ps := st.appendPrefixes(nil)
+	slices.SortFunc(ps, netutil.ComparePrefixes)
+	return slices.Compact(ps)
+}
+
+// exportableReference is the speaker's exportable prefix list as it
+// was computed before the stores listed their own prefixes: a set of
+// the originations and every loc-RIB and adj-RIB-out key, sorted.
+func exportableReference(s *Speaker) []netutil.Prefix {
+	set := make(map[netutil.Prefix]bool)
+	for p := range s.originated {
+		set[p] = true
+	}
+	for _, st := range []ribStore{s.locRib, s.adjOut} {
+		st.WalkSorted(func(k ribKey, _ *Route) bool {
+			set[k.prefix] = true
+			return true
+		})
+	}
+	if len(set) == 0 {
+		return nil
+	}
+	out := make([]netutil.Prefix, 0, len(set))
+	for p := range set {
+		out = append(out, p)
+	}
+	netutil.SortPrefixes(out)
+	return out
+}
+
+// TestExportablePrefixesMatchesReference holds exportablePrefixes to
+// the map reference on both stores, for every speaker, after every op
+// of random event sequences (prepends, flaps, originate/withdraw churn,
+// partial drains, so mid-flight states with adj-RIB-out entries the
+// loc-RIB no longer backs).
+func TestExportablePrefixesMatchesReference(t *testing.T) {
+	prefixes := []netutil.Prefix{
+		netutil.MustParsePrefix("203.0.113.0/24"),
+		netutil.MustParsePrefix("198.51.100.0/24"),
+		netutil.MustParsePrefix("192.0.2.0/24"),
+		netutil.MustParsePrefix("10.0.0.0/8"),
+	}
+	checked := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed * 7919)) // #nosec test randomness
+		size := 8 + rng.Intn(25)
+		rowsNet, arenaNet := diffPair(seed, size)
+		nets := []*Network{rowsNet, arenaNet}
+		check := func(when string) {
+			t.Helper()
+			for i, n := range nets {
+				for _, id := range n.Speakers() {
+					s := n.Speaker(id)
+					if got, want := s.exportablePrefixes(), exportableReference(s); !slices.Equal(got, want) {
+						t.Fatalf("seed %d %s, arena=%v: speaker %d lists %v, reference %v", seed, when, i == 1, id, got, want)
+					}
+					checked++
+				}
+			}
+		}
+		check("before any origination")
+		for _, p := range prefixes {
+			origin := RouterID(1 + rng.Intn(size))
+			for _, n := range nets {
+				n.Originate(origin, p)
+			}
+		}
+		check("after originating")
+		for _, n := range nets {
+			n.RunToQuiescence()
+		}
+		check("converged")
+		for i, op := range randomOps(rng, rowsNet, prefixes, 16) {
+			for _, n := range nets {
+				op(n)
+			}
+			check(fmt.Sprintf("op %d", i))
+		}
+	}
+	t.Logf("%d speaker states compared", checked)
+}
+
+// TestExportablePrefixesAllocs: on the default rows the list is one
+// allocation, the slice it returns, and nothing for a speaker holding
+// no state.
+func TestExportablePrefixesAllocs(t *testing.T) {
+	rowsNet, _ := diffPair(3, 20)
+	for i, p := range []string{"203.0.113.0/24", "198.51.100.0/24", "192.0.2.0/24"} {
+		rowsNet.Originate(RouterID(1+i), netutil.MustParsePrefix(p))
+	}
+	rowsNet.RunToQuiescence()
+	s := rowsNet.Speaker(1)
+	if len(s.exportablePrefixes()) < 2 {
+		t.Fatalf("speaker 1 lists %v, want several prefixes", s.exportablePrefixes())
+	}
+	if a := testing.AllocsPerRun(100, func() { s.exportablePrefixes() }); a != 1 {
+		t.Errorf("exportablePrefixes allocated %v times, want 1", a)
+	}
+	empty := NewNetwork().AddSpeaker(1, 64501, "")
+	if a := testing.AllocsPerRun(100, func() { empty.exportablePrefixes() }); a != 0 {
+		t.Errorf("exportablePrefixes of an empty speaker allocated %v times, want 0", a)
 	}
 }

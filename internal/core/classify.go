@@ -147,8 +147,9 @@ func ObserveRound(records []probe.Record) RoundObs {
 // round holds no record for it — the paper's rule that a prefix must
 // answer in every round. The rows carry Prefix and Seq only; ClassifyAll
 // fills in the rest. It is the one records→observations reduction; the
-// classifier, the ablations, the optimizer's probe census and
-// cmd/reinfer all read it.
+// classifier, the ablations and cmd/reinfer all read it. (The
+// optimizer's probe census, one live round in the prober's own
+// layout, applies ObserveRound to each prefix's run of records.)
 //
 // Each round's records are grouped by prefix once, whatever order
 // they arrive in (rounds read back through probe.ReadJSON need not be

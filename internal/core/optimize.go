@@ -115,11 +115,19 @@ type policyEvaluator struct {
 	obj optimize.Objective
 	// pool holds the evaluation worlds, each with its journal open at
 	// the fork point.
-	pool chan *Survey
+	pool chan *evalWorld
 	reg  *telemetry.Registry
 
 	warmRestores atomic.Int64
 	decisionRuns atomic.Int64
+}
+
+// evalWorld is one pooled evaluation world and the round its probe
+// census fills candidate after candidate: the census keeps no records
+// past its counts, so one buffer serves every round.
+type evalWorld struct {
+	*Survey
+	census probe.Round
 }
 
 // optStart is the virtual time of the optimizer's baseline
@@ -148,14 +156,14 @@ func convergeWorlds(opts OptimizeOptions, n int) []*Survey {
 func newPolicyEvaluator(reg *telemetry.Registry, obj optimize.Objective, worlds []*Survey) (*policyEvaluator, error) {
 	ev := &policyEvaluator{
 		obj:  obj,
-		pool: make(chan *Survey, len(worlds)),
+		pool: make(chan *evalWorld, len(worlds)),
 		reg:  reg,
 	}
 	for _, s := range worlds {
 		if err := ev.fork(s); err != nil {
 			return nil, err
 		}
-		ev.pool <- s
+		ev.pool <- &evalWorld{Survey: s}
 	}
 	return ev, nil
 }
@@ -177,9 +185,9 @@ func (ev *policyEvaluator) Evaluate(ctx context.Context, c optimize.Candidate) (
 	if err := ctx.Err(); err != nil {
 		return optimize.Eval{}, err
 	}
-	s := <-ev.pool
-	defer func() { ev.pool <- s }()
-	if err := ev.rewind(s); err != nil {
+	w := <-ev.pool
+	defer func() { ev.pool <- w }()
+	if err := ev.rewind(w.Survey); err != nil {
 		return optimize.Eval{}, err
 	}
 	// The counters keep their names from when a rewind was a snapshot
@@ -187,7 +195,7 @@ func (ev *policyEvaluator) Evaluate(ctx context.Context, c optimize.Candidate) (
 	ev.reg.Counter("opt_warm_restores_total").Inc()
 	ev.reg.Counter("snapshot_restore_total").Inc()
 	ev.reg.Counter("core_warm_start_skipped_convergence_runs_total").Inc()
-	return ev.measure(s, c, s.Eco.Net.Stats())
+	return ev.measure(w, c, w.Eco.Net.Stats())
 }
 
 // rewind undoes the previous candidate's delta — route state,
@@ -203,10 +211,11 @@ func (ev *policyEvaluator) rewind(s *Survey) error {
 
 // measure applies the candidate's configuration delta as one batch,
 // lets the network converge, and takes the catchment census (plus a
-// probe round when the objective needs one). st0 anchors the work
-// metering: the returned Eval's DecisionRuns/FullScans cover exactly
-// the delta this candidate cost.
-func (ev *policyEvaluator) measure(s *Survey, c optimize.Candidate, st0 bgp.IncStats) (optimize.Eval, error) {
+// probe round when the objective needs one) on world w. st0 anchors
+// the work metering: the returned Eval's DecisionRuns/FullScans cover
+// exactly the delta this candidate cost.
+func (ev *policyEvaluator) measure(w *evalWorld, c optimize.Candidate, st0 bgp.IncStats) (optimize.Eval, error) {
+	s := w.Survey
 	net := s.Eco.Net
 	eco := s.Eco
 	meas := eco.MeasPrefix
@@ -261,9 +270,17 @@ func (ev *policyEvaluator) measure(s *Survey, c optimize.Candidate, st0 bgp.IncS
 		}
 	}
 	if ev.obj.NeedsProbe() {
-		round := s.Prober.Run("opt", net.Now(), s.Sel)
-		for _, row := range Observe([]*probe.Round{round}, 0) {
-			switch row.Seq[0] {
+		// One observation per selected prefix, what Observe would reduce
+		// the round to, read off the prober's layout: Fill writes the
+		// records of each prefix as one run, in selection order, and
+		// seeds.Select lists each prefix once, with at least one target.
+		s.Prober.Fill(&w.census, "opt", net.Now(), s.Sel)
+		recs := w.census.Records
+		for _, pt := range s.Sel.Prefixes {
+			n := len(pt.Targets)
+			obs := ObserveRound(recs[:n])
+			recs = recs[n:]
+			switch obs {
 			case ObsRE:
 				e.ProbeRE++
 			case ObsCommodity:

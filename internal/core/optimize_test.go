@@ -10,6 +10,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/optimize"
 	"repro/internal/parallel"
+	"repro/internal/probe"
 	"repro/internal/telemetry"
 )
 
@@ -210,7 +211,7 @@ func TestOptimizeEvaluationPreservesPristine(t *testing.T) {
 			if err := bgp.RestoreNetwork(bytes.NewReader(baseSnap), ref.Eco.Net); err != nil {
 				t.Fatal(err)
 			}
-			want, err := ev.measure(ref, cands[i], ref.Eco.Net.Stats())
+			want, err := ev.measure(&evalWorld{Survey: ref}, cands[i], ref.Eco.Net.Stats())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,6 +248,68 @@ func TestOptimizeEvaluationPreservesPristine(t *testing.T) {
 		if d := ribDigest(driver.Eco, nil); d != d0 {
 			t.Fatalf("arena=%v: post-rewind RIB digest %x != pristine %x", arena, d, d0)
 		}
+	}
+}
+
+// TestOptimizeProbeCensusMatchesObserve holds the optimizer's probe
+// census, which reads one observation per prefix off the prober's
+// record layout into a reused buffer, to the full reduction: for
+// several candidates at -small, its counts equal those of
+// Observe([]*probe.Round{round}, 0) over a fresh Run of the same round,
+// and the buffer it filled deep-equals that round.
+func TestOptimizeProbeCensusMatchesObserve(t *testing.T) {
+	opts := optTestOptions("hillclimb", 1)
+	obj, err := optimize.ParseSpec("probe:re=0.5,commodity=0.3,loss=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	driver, _ := convergedDriver(t, opts)
+	ev, err := newPolicyEvaluator(opts.Metrics, obj, []*Survey{driver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := parallel.Rand(46, 0)
+	var re, com int
+	for i := 0; i < 8; i++ {
+		c := optimize.Random(rng)
+		if i == 0 {
+			c = optimize.Baseline()
+		}
+		got, err := ev.Evaluate(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Evaluate leaves the world as the census saw it.
+		round := driver.Prober.Run("opt", driver.Eco.Net.Now(), driver.Sel)
+		var want optimize.Eval
+		for _, row := range Observe([]*probe.Round{round}, 0) {
+			switch row.Seq[0] {
+			case ObsRE:
+				want.ProbeRE++
+			case ObsCommodity:
+				want.ProbeCommodity++
+			case ObsMixed:
+				want.ProbeMixed++
+			default:
+				want.ProbeLoss++
+			}
+		}
+		if got.ProbeRE != want.ProbeRE || got.ProbeCommodity != want.ProbeCommodity ||
+			got.ProbeMixed != want.ProbeMixed || got.ProbeLoss != want.ProbeLoss {
+			t.Fatalf("candidate %d (%s): census re/commodity/mixed/loss %d/%d/%d/%d, Observe gives %d/%d/%d/%d",
+				i, c.Label(), got.ProbeRE, got.ProbeCommodity, got.ProbeMixed, got.ProbeLoss,
+				want.ProbeRE, want.ProbeCommodity, want.ProbeMixed, want.ProbeLoss)
+		}
+		w := <-ev.pool
+		if !reflect.DeepEqual(&w.census, round) {
+			t.Fatalf("candidate %d (%s): the census buffer differs from a fresh Run", i, c.Label())
+		}
+		ev.pool <- w
+		re += got.ProbeRE
+		com += got.ProbeCommodity
+	}
+	if re == 0 || com == 0 {
+		t.Errorf("censuses saw %d R&E and %d commodity prefixes in all: the candidates test one catchment", re, com)
 	}
 }
 

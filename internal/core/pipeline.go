@@ -25,7 +25,8 @@ import (
 // Seed derivation: the pipeline holds ONE session seed. Everything
 // else derives from it deterministically — the topology generator uses
 // it directly, the world's probe-loss streams use cfg.Seed+1 split
-// per (round, prefix) via parallel.SubSeed (see simnet.LossStream),
+// per (round, prefix) via parallel.SubSeed, one RNG per probe shard
+// reseeded to each prefix's stream (see simnet.World.LossStream),
 // and the fault sweep's schedule seed is
 // parallel.SubSeed(seed, faultSeedStream). Bare seed parameters that
 // predate the pipeline (simnet.World.InjectDormancy) keep their own

@@ -105,8 +105,8 @@ func NewSurvey(opts SurveyOptions) *Survey {
 		list = append(list, pi.Prefix)
 	}
 	list = netutil.ExcludeCovered(list)
-	sel := seeds.Select(cat, list, func(addr uint32, proto simnet.Proto) bool {
-		return world.Responsive(addr, proto, 0)
+	sel := seeds.Select(cat, list, func(addr uint32, proto simnet.Proto) *simnet.Host {
+		return world.Responder(addr, proto, 0)
 	}, opts.TargetsPerPrefix)
 
 	return &Survey{

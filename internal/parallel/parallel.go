@@ -252,6 +252,14 @@ func SubSeed(seed int64, stream uint64) int64 {
 // them pays for the real source. Nothing about the values changes; it
 // rests on math/rand's Go 1 value stream being frozen, and
 // TestRandMatchesMathRand fails if a toolchain ever moves it.
+//
+// r.Seed(SubSeed(seed, stream)) points a Rand from here at another
+// stream without allocating: rand.Rand.Seed clears its own read
+// position and restarts the lazy source, which drops any real source
+// it had built, so the draws that follow are exactly those of a fresh
+// Rand(seed, stream) (TestRandReseedMatchesFresh). A loop that walks
+// many short streams, as the prober does one per (round, prefix),
+// reseeds one Rand per shard this way.
 func Rand(seed int64, stream uint64) *rand.Rand {
 	return rand.New(newLazySource(SubSeed(seed, stream))) // #nosec deterministic simulation
 }

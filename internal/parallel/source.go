@@ -91,7 +91,9 @@ func newLazySource(seed int64) *lazySource {
 	return s
 }
 
-// Seed restarts the stream at the first word of seed.
+// Seed restarts the stream at the first word of seed, dropping any
+// real source the last stream built: the next 273 words are again
+// computed from the seed, allocating nothing.
 func (s *lazySource) Seed(seed int64) {
 	n := seed % lcgMod
 	if n < 0 {

@@ -82,6 +82,58 @@ func TestRandMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestRandReseedMatchesFresh holds the reseed form the prober uses,
+// one Rand pointed at stream after stream through
+// Seed(SubSeed(seed, stream)), to a fresh Rand per stream: over 1,000
+// (seed, stream) pairs of mixed lengths, and across the 273-word
+// hand-over both ways — a reseed right after a stream built its real
+// source, and a short stream followed by one that outgrows the window.
+func TestRandReseedMatchesFresh(t *testing.T) {
+	pick := rand.New(rand.NewSource(46))
+	r := Rand(0, 0)
+	for i := 0; i < 1000; i++ {
+		seed, stream := int64(pick.Uint64()), pick.Uint64()
+		r.Seed(SubSeed(seed, stream))
+		// Mostly the prober's few draws; every 50th stream long enough
+		// to leave the lazy window.
+		n := 1 + pick.Intn(6)
+		if i%50 == 0 {
+			n = 600
+		}
+		drawMixed(t, r, Rand(seed, stream), n)
+	}
+
+	for _, tc := range []struct {
+		name          string
+		before, after int // words drawn from the first stream; mixed draws from the second
+	}{
+		{"right after outgrowing", rngTap + 1, 30},
+		{"long past the window", 900, 30},
+		{"short, then outgrowing", 3, 600},
+	} {
+		r := Rand(1, 1)
+		for k := 0; k < tc.before; k++ {
+			r.Uint64()
+		}
+		r.Seed(SubSeed(2, 2))
+		drawMixed(t, r, Rand(2, 2), tc.after)
+	}
+}
+
+// TestRandReseedAllocs pins what the reseed form is for: pointing a
+// Rand at the next short stream and drawing from it allocates nothing.
+func TestRandReseedAllocs(t *testing.T) {
+	r := Rand(1, 0)
+	var sink float64
+	allocs := testing.AllocsPerRun(200, func() {
+		r.Seed(SubSeed(1, 42))
+		sink += r.Float64() + r.Float64() + r.Float64()
+	})
+	if allocs != 0 {
+		t.Errorf("Seed + three Float64 = %v allocations, want 0", allocs)
+	}
+}
+
 func FuzzRandMatchesMathRand(f *testing.F) {
 	f.Add(int64(0), uint64(0), uint16(3))
 	f.Add(int64(1), uint64(0xB35C), uint16(274))
@@ -114,13 +166,19 @@ func TestRandShortStreamAllocs(t *testing.T) {
 var benchSink float64
 
 // BenchmarkRandThreeDraws is one probe-loss stream: construct, draw
-// three floats, drop. The mathrand arm is the seeded source Rand
-// stands in for, for scale.
+// three floats, drop. The reseed arm is what the prober does, one Rand
+// pointed at each stream in turn; the mathrand arm is the seeded
+// source Rand stands in for, for scale.
 func BenchmarkRandThreeDraws(b *testing.B) {
+	shared := Rand(1, 0)
+	reseed := func(seed int64, stream uint64) *rand.Rand {
+		shared.Seed(SubSeed(seed, stream))
+		return shared
+	}
 	for _, arm := range []struct {
 		name string
 		new  func(int64, uint64) *rand.Rand
-	}{{"lazy", Rand}, {"mathrand", reference}} {
+	}{{"lazy", Rand}, {"reseed", reseed}, {"mathrand", reference}} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -82,8 +82,9 @@ type Prober struct {
 	// Workers bounds the shard workers Run probes with; <= 0 means
 	// GOMAXPROCS. Any value yields byte-identical rounds: prefixes are
 	// sharded in canonical order, every prefix draws loss from its own
-	// RNG stream (simnet.World.LossStream), pacing slots are assigned
-	// by target index, and shard results merge in shard order.
+	// (round, prefix) stream — each shard's one RNG is reseeded to it
+	// (simnet.World.LossStream) — pacing slots are assigned by target
+	// index, and shard results merge in shard order.
 	Workers int
 
 	// metrics holds the pre-resolved instrumentation counters; the
@@ -134,26 +135,41 @@ func NewProber(w *simnet.World) *Prober {
 const probeShardSize = 64
 
 // Run probes every selected target once, pacing at PPS, starting at
-// virtual time start. Targets are visited, and their records written,
-// in the selection's canonical prefix order.
+// virtual time start, and returns the round in records of its own. It
+// is Fill into a new Round.
+func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Round {
+	round := &Round{}
+	pr.Fill(round, config, start, sel)
+	return round
+}
+
+// Fill probes every selected target once, pacing at PPS, starting at
+// virtual time start, and writes the round into round, reusing its
+// Records' storage when it is large enough: every slot is rewritten,
+// so a caller that probes round after round and keeps no records (the
+// optimizer's census) allocates them once. Targets are visited, and
+// their records written, in the selection's canonical prefix order:
+// the records of sel.Prefixes[i] are one run, in target order, right
+// after those of sel.Prefixes[i-1].
 //
 // The prefix list is sharded (probeShardSize prefixes per shard) and
 // probed by up to Workers goroutines. Three properties make the result
 // independent of the worker count: each target's pacing slot is its
 // index in the canonical target order (not a shared sent counter), each
-// prefix draws probe loss from its own (round, prefix) RNG stream, and
-// that same index is the target's slot in Records, allocated once at
-// its known length, so shards write disjoint ranges and nothing is
-// merged. The BGP network is static while a round runs, so Run fills
-// the round's catchment of the measurement prefix once, before
-// sharding, and every probe is a lookup in it that the shards share
-// and only read.
-func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Round {
+// prefix draws probe loss from its own (round, prefix) stream — a
+// shard holds one RNG and points it at each prefix's stream in turn
+// (simnet.World.LossStream) — and that same index is the target's slot
+// in Records, so shards write disjoint ranges and nothing is merged.
+// The BGP network is static while a round runs, so Fill fills the
+// round's catchment of the measurement prefix once, before sharding,
+// and every probe is a lookup in it that the shards share and only
+// read; each target carries the host seed selection resolved, so a
+// probe looks up no address either.
+func (pr *Prober) Fill(round *Round, config string, start bgp.Time, sel *seeds.Selection) {
 	rate := pr.PPS
 	if rate <= 0 {
 		rate = 100
 	}
-	round := &Round{Config: config, Start: start}
 	prefixes := sel.Prefixes
 	// offsets[i] is the canonical index of prefix i's first target —
 	// the pacing slot basis that replaces the sequential sent counter.
@@ -161,26 +177,33 @@ func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Roun
 	for i, pt := range prefixes {
 		offsets[i+1] = offsets[i] + len(pt.Targets)
 	}
-	round.Records = make([]Record, offsets[len(prefixes)])
+	records := round.Records
+	if n := offsets[len(prefixes)]; cap(records) >= n {
+		records = records[:n]
+	} else {
+		records = make([]Record, n)
+	}
+	*round = Round{Config: config, Start: start, Records: records}
 	view := pr.World.Net.Catchment(pr.World.MeasPrefix)
 
 	shardRetries, timings := parallel.CollectTimed(len(prefixes), probeShardSize, pr.Workers,
 		func(s parallel.Shard) int {
 			retries := 0
+			rng := parallel.Rand(0, 0) // pointed at each prefix's stream below
 			for i := s.Lo; i < s.Hi; i++ {
 				pt := prefixes[i]
-				rng := pr.World.LossStream(start, pt.Prefix)
+				pr.World.LossStream(rng, start, pt.Prefix)
 				for j, tgt := range pt.Targets {
 					slot := offsets[i] + j
 					rec, n := pr.probeTarget(view, pt.Prefix, tgt, start+bgp.Time(slot/rate), rng)
-					round.Records[slot] = rec
+					records[slot] = rec
 					retries += n
 				}
 			}
 			return retries
 		})
 
-	totalSent := len(round.Records)
+	totalSent := len(records)
 	for _, n := range shardRetries {
 		totalSent += n
 	}
@@ -188,14 +211,13 @@ func (pr *Prober) Run(config string, start bgp.Time, sel *seeds.Selection) *Roun
 		pr.registry.AddShardTiming("probe", t.Shard, t.Items, t.Duration)
 	}
 	round.End = start + bgp.Time(totalSent/rate) + 1
-	return round
 }
 
 // probeTarget probes one target at time at through the round's
 // catchment view, retrying per the policy with draws from the prefix's
 // loss stream, and returns the record plus the retry count.
 func (pr *Prober) probeTarget(view *bgp.Catchment, p netutil.Prefix, tgt seeds.Target, at bgp.Time, rng *rand.Rand) (Record, int) {
-	res := pr.World.ProbeRand(view, tgt.Addr, tgt.Proto, at, rng)
+	res := pr.World.ProbeRand(view, tgt.Host, tgt.Proto, at, rng)
 	pr.metrics.sent.Inc()
 	retries := 0
 	if !res.Responded && pr.Retry.MaxAttempts > 1 {
@@ -209,7 +231,7 @@ func (pr *Prober) probeTarget(view *bgp.Catchment, p netutil.Prefix, tgt seeds.T
 			if pr.Retry.Budget > 0 && when > at+pr.Retry.Budget {
 				break
 			}
-			res = pr.World.ProbeRand(view, tgt.Addr, tgt.Proto, when, rng)
+			res = pr.World.ProbeRand(view, tgt.Host, tgt.Proto, when, rng)
 			retries++
 			pr.metrics.sent.Inc()
 			pr.metrics.retries.Inc()

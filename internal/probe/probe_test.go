@@ -29,8 +29,8 @@ func setupWorld(t *testing.T, cfg simnet.WorldConfig) (*topo.Ecosystem, *simnet.
 	// Mirror §3.2: drop prefixes entirely covered by others before
 	// probing, so wire-level prefix attribution is unambiguous.
 	prefixes = netutil.ExcludeCovered(prefixes)
-	sel := seeds.Select(cat, prefixes, func(a uint32, p simnet.Proto) bool {
-		return w.Responsive(a, p, 0)
+	sel := seeds.Select(cat, prefixes, func(a uint32, p simnet.Proto) *simnet.Host {
+		return w.Responder(a, p, 0)
 	}, 3)
 	// Announce the measurement prefix (June-style).
 	eco.Net.Originate(eco.MeasCommodity.Router, eco.MeasPrefix)
@@ -95,11 +95,12 @@ func TestRunWorkersDeepEqual(t *testing.T) {
 	}
 }
 
-// TestRunAllocsIndependentOfTargets: a round allocates per prefix (its
-// loss stream) and a fixed number of times per round (Records, the
-// catchment view), never per record: not when every probe is lost, and
-// not when every probe is answered, since an answer is a lookup in the
-// round's view.
+// TestRunAllocsIndependentOfTargets: a round allocates a fixed number
+// of times per round (Records, the pacing offsets, the catchment view)
+// and per shard (its loss RNG, which each prefix reseeds), never per
+// prefix or per record: not when every probe is lost, and not when
+// every probe is answered, since an answer is a lookup in the round's
+// view of the host the target carries.
 func TestRunAllocsIndependentOfTargets(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -132,7 +133,89 @@ func TestRunAllocsIndependentOfTargets(t *testing.T) {
 				t.Errorf("Run allocated %v times for %d records, %v for %d: it grows with targets per prefix",
 					a3, records, a1, len(one.Prefixes))
 			}
+			// One shard each: a round of 1 prefix and one of a full
+			// shard's 64 allocate alike.
+			if len(three.Prefixes) < probeShardSize {
+				t.Fatalf("%d prefixes, fewer than a shard", len(three.Prefixes))
+			}
+			first := &seeds.Selection{Prefixes: three.Prefixes[:1]}
+			shard := &seeds.Selection{Prefixes: three.Prefixes[:probeShardSize]}
+			if a1, a64 := allocs(first), allocs(shard); a64 != a1 {
+				t.Errorf("Run allocated %v times for 1 prefix, %v for %d in the same one shard: it grows with prefixes",
+					a1, a64, probeShardSize)
+			}
 		})
+	}
+}
+
+// TestBrownoutFollowsTargetHost: a probe's brownout is keyed on the
+// prefix of the host its target carries, not on the selection prefix
+// the target is listed under. A hand-built selection lists one host
+// under another prefix; a total brownout of the host's prefix silences
+// it, and one of the listing prefix does not.
+func TestBrownoutFollowsTargetHost(t *testing.T) {
+	eco, w, sel, pr := setup(t)
+	w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
+	base := pr.Run("0-0", 1000, sel)
+	// The first prefix whose first target answers, and another prefix
+	// to list that target under.
+	var home seeds.PrefixTargets
+	for i, first := 0, 0; i < len(sel.Prefixes) && home.Targets == nil; i++ {
+		if base.Records[first].Responded {
+			home = sel.Prefixes[i]
+		}
+		first += len(sel.Prefixes[i].Targets)
+	}
+	if home.Targets == nil {
+		t.Fatal("no prefix answered")
+	}
+	tgt := home.Targets[0]
+	other := sel.Prefixes[0].Prefix
+	if other == home.Prefix {
+		other = sel.Prefixes[1].Prefix
+	}
+	if tgt.Host.Prefix != home.Prefix {
+		t.Fatalf("target %d keeps a host in %s, selected under %s", tgt.Addr, tgt.Host.Prefix, home.Prefix)
+	}
+	moved := &seeds.Selection{Prefixes: []seeds.PrefixTargets{{Prefix: other, Targets: []seeds.Target{tgt}}}}
+
+	probe := func() Record {
+		rd := pr.Run("0-0", 1000, moved)
+		if len(rd.Records) != 1 || rd.Records[0].Prefix != other || rd.Records[0].Dst != tgt.Addr {
+			t.Fatalf("round %+v, want one record for %d listed under %s", rd.Records, tgt.Addr, other)
+		}
+		return rd.Records[0]
+	}
+	if !probe().Responded {
+		t.Fatal("the moved target does not answer without brownouts")
+	}
+	w.AddBrownout([]netutil.Prefix{other}, 0, 1<<40, 1, 3)
+	if !probe().Responded {
+		t.Error("a brownout of the listing prefix silenced a host outside it")
+	}
+	w.ClearBrownouts()
+	w.AddBrownout([]netutil.Prefix{home.Prefix}, 0, 1<<40, 1, 3)
+	if probe().Responded {
+		t.Error("a total brownout of the host's own prefix let its probe through")
+	}
+}
+
+// TestFillReusesRecords: a round filled into a buffer that held an
+// earlier round equals a fresh Run of the same round, and takes its
+// records in place.
+func TestFillReusesRecords(t *testing.T) {
+	eco, w, sel, pr := setup(t)
+	w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
+	pr.Retry = DefaultRetryPolicy()
+	var buf Round
+	pr.Fill(&buf, "4-0", 50, sel)
+	storage := &buf.Records[0]
+	pr.Fill(&buf, "0-0", 1000, sel)
+	if want := pr.Run("0-0", 1000, sel); !reflect.DeepEqual(&buf, want) {
+		t.Error("a round filled into a reused buffer differs from a fresh Run")
+	}
+	if &buf.Records[0] != storage {
+		t.Error("Fill reallocated records that fit the buffer")
 	}
 }
 
@@ -221,8 +304,8 @@ func TestRetryRecoversLoss(t *testing.T) {
 			prefixes = append(prefixes, pi.Prefix)
 		}
 		prefixes = netutil.ExcludeCovered(prefixes)
-		sel := seeds.Select(cat, prefixes, func(a uint32, p simnet.Proto) bool {
-			return w.Responsive(a, p, 0)
+		sel := seeds.Select(cat, prefixes, func(a uint32, p simnet.Proto) *simnet.Host {
+			return w.Responder(a, p, 0)
 		}, 3)
 		eco.Net.Originate(eco.MeasCommodity.Router, eco.MeasPrefix)
 		eco.Net.Originate(eco.Internet2.Router, eco.MeasPrefix)
@@ -277,8 +360,8 @@ func TestRetryRespectsBudget(t *testing.T) {
 		prefixes = netutil.ExcludeCovered(prefixes)
 		// Selection responsiveness check bypasses World.Probe, so use
 		// loss-free responsiveness to still get targets.
-		sel := seeds.Select(cat, prefixes, func(a uint32, p simnet.Proto) bool {
-			return w.Responsive(a, p, 0)
+		sel := seeds.Select(cat, prefixes, func(a uint32, p simnet.Proto) *simnet.Host {
+			return w.Responder(a, p, 0)
 		}, 1)
 		pr := NewProber(w)
 		pr.Retry = retry

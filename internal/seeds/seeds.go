@@ -171,6 +171,12 @@ type Target struct {
 	Addr  uint32
 	Proto simnet.Proto
 	Port  uint16
+	// Host is the system at Addr that answered selection, resolved
+	// once here so a probe reads it instead of looking Addr up
+	// (simnet.World.ProbeRand). Its prefix is the one probe loss and
+	// brownouts are keyed on, which nothing requires to be the
+	// selection prefix the target is listed under.
+	Host *simnet.Host
 }
 
 // Selection is the outcome of the seed-probing pass.
@@ -219,11 +225,13 @@ type SelectionStats struct {
 // randomly selected address-port tuples in Censys data").
 const maxCandidatesPerDataset = 10
 
-// Select probes catalog candidates with the given responsiveness
-// predicate and picks up to maxPerPrefix targets per prefix (the paper
-// uses three). It walks the prefixes in canonical order, duplicates
-// collapsed; netutil.ExcludeCovered's output already is.
-func Select(cat *Catalog, prefixes []netutil.Prefix, responsive func(addr uint32, proto simnet.Proto) bool, maxPerPrefix int) *Selection {
+// Select probes catalog candidates with the given responder lookup
+// and picks up to maxPerPrefix targets per prefix (the paper uses
+// three). responder returns the host that answers a candidate, nil if
+// none does (simnet.World.Responder); each target keeps it. Select
+// walks the prefixes in canonical order, duplicates collapsed;
+// netutil.ExcludeCovered's output already is.
+func Select(cat *Catalog, prefixes []netutil.Prefix, responder func(addr uint32, proto simnet.Proto) *simnet.Host, maxPerPrefix int) *Selection {
 	prefixes = slices.Clone(prefixes)
 	netutil.SortPrefixes(prefixes)
 	prefixes = slices.Compact(prefixes)
@@ -246,8 +254,8 @@ func Select(cat *Catalog, prefixes []netutil.Prefix, responsive func(addr uint32
 		fromISI, fromCensys := false, false
 		for i := 0; i < len(isi) && i < maxCandidatesPerDataset && len(targets) < maxPerPrefix; i++ {
 			sel.Stats.CandidatesProbed++
-			if responsive(isi[i].Addr, simnet.ICMP) {
-				targets = append(targets, Target{Addr: isi[i].Addr, Proto: simnet.ICMP})
+			if h := responder(isi[i].Addr, simnet.ICMP); h != nil {
+				targets = append(targets, Target{Addr: isi[i].Addr, Proto: simnet.ICMP, Host: h})
 				fromISI = true
 			}
 		}
@@ -257,8 +265,8 @@ func Select(cat *Catalog, prefixes []netutil.Prefix, responsive func(addr uint32
 			if dup(targets, svc.Addr) {
 				continue
 			}
-			if responsive(svc.Addr, svc.Proto) {
-				targets = append(targets, Target{Addr: svc.Addr, Proto: svc.Proto, Port: svc.Port})
+			if h := responder(svc.Addr, svc.Proto); h != nil {
+				targets = append(targets, Target{Addr: svc.Addr, Proto: svc.Proto, Port: svc.Port, Host: h})
 				fromCensys = true
 			}
 		}

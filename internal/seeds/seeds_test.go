@@ -62,8 +62,8 @@ func TestCatalogCoverage(t *testing.T) {
 
 func TestSelectFindsResponsiveTargets(t *testing.T) {
 	_, w, cat, prefixes := buildAll(t)
-	sel := Select(cat, prefixes, func(addr uint32, proto simnet.Proto) bool {
-		return w.Responsive(addr, proto, 0)
+	sel := Select(cat, prefixes, func(addr uint32, proto simnet.Proto) *simnet.Host {
+		return w.Responder(addr, proto, 0)
 	}, 3)
 
 	if sel.Stats.Responsive == 0 {
@@ -95,8 +95,8 @@ func TestSelectFindsResponsiveTargets(t *testing.T) {
 				t.Fatalf("duplicate target in %s", p)
 			}
 			seen[tgt.Addr] = true
-			if !w.Responsive(tgt.Addr, tgt.Proto, 0) {
-				t.Fatalf("selected unresponsive target %d in %s", tgt.Addr, p)
+			if h := w.Responder(tgt.Addr, tgt.Proto, 0); h == nil || tgt.Host != h {
+				t.Fatalf("target %d in %s keeps host %p, its responder is %p", tgt.Addr, p, tgt.Host, h)
 			}
 		}
 	}
@@ -118,14 +118,14 @@ func TestSelectBudget(t *testing.T) {
 	probed := make(map[uint32]int)
 	var currentPrefix netutil.Prefix
 	perPrefix := 0
-	sel := Select(cat, prefixes, func(addr uint32, proto simnet.Proto) bool {
+	sel := Select(cat, prefixes, func(addr uint32, proto simnet.Proto) *simnet.Host {
 		p := netutil.PrefixFrom(addr, 16) // rough grouping is fine here
 		if p != currentPrefix {
 			currentPrefix, perPrefix = p, 0
 		}
 		perPrefix++
 		probed[addr]++
-		return w.Responsive(addr, proto, 0)
+		return w.Responder(addr, proto, 0)
 	}, 3)
 	if sel.Stats.CandidatesProbed == 0 {
 		t.Fatal("no candidates probed")
@@ -138,7 +138,7 @@ func TestSelectBudget(t *testing.T) {
 func TestSelectEmptyCatalog(t *testing.T) {
 	cat := &Catalog{ISI: map[netutil.Prefix][]ISIEntry{}, Censys: map[netutil.Prefix][]CensysService{}}
 	p := netutil.MustParsePrefix("10.0.0.0/24")
-	sel := Select(cat, []netutil.Prefix{p}, func(uint32, simnet.Proto) bool { return true }, 3)
+	sel := Select(cat, []netutil.Prefix{p}, func(uint32, simnet.Proto) *simnet.Host { return &simnet.Host{} }, 3)
 	if sel.Stats.Responsive != 0 || len(sel.Prefixes) != 0 || sel.Targets(p) != nil {
 		t.Error("empty catalog should select nothing")
 	}
@@ -161,8 +161,8 @@ func TestSmallBuildDigest(t *testing.T) {
 			list = append(list, pi.Prefix)
 		}
 	}
-	sel := Select(cat, netutil.ExcludeCovered(list), func(addr uint32, proto simnet.Proto) bool {
-		return w.Responsive(addr, proto, 0)
+	sel := Select(cat, netutil.ExcludeCovered(list), func(addr uint32, proto simnet.Proto) *simnet.Host {
+		return w.Responder(addr, proto, 0)
 	}, 3)
 
 	h := sha256.New()
@@ -183,8 +183,17 @@ func TestSmallBuildDigest(t *testing.T) {
 		}
 	}
 	fmt.Fprintf(h, "hosts %d isi %d censys %d\n", w.HostCount(), len(cat.ISI), len(cat.Censys))
+	// Each target prints as the three fields it had before it kept its
+	// host, in the format %+v gave the slice, so the digest is unmoved.
 	for _, pt := range sel.Prefixes {
-		fmt.Fprintf(h, "sel %s %+v\n", pt.Prefix, pt.Targets)
+		fmt.Fprintf(h, "sel %s [", pt.Prefix)
+		for i, tgt := range pt.Targets {
+			if i > 0 {
+				fmt.Fprint(h, " ")
+			}
+			fmt.Fprintf(h, "{Addr:%d Proto:%v Port:%d}", tgt.Addr, tgt.Proto, tgt.Port)
+		}
+		fmt.Fprint(h, "]\n")
 	}
 	fmt.Fprintf(h, "stats %+v\n", sel.Stats)
 

@@ -371,22 +371,24 @@ type ProbeResult struct {
 	Hops int
 }
 
-// ProbeRand sends one probe of the given protocol to dst at virtual
+// ProbeRand sends one probe of the given protocol to host h at virtual
 // time t, sourced from the measurement prefix, and reports the reply
-// and its arrival VLAN. The reply goes where forwarding from dst's
+// and its arrival VLAN. h is the host seed selection resolved the
+// target to (Responder); nil, a host that answers another protocol, a
+// dormant one and a probe lost to a brownout of h's prefix or to a
+// random draw get no reply. The reply goes where forwarding from h's
 // egress router toward the measurement prefix ends, which c, the
 // round's catchment of w.MeasPrefix (Net.Catchment), records: the VLAN
 // is the terminal's, and Hops is the walk's length.
 //
 // Loss is drawn before the lookup. Random loss is drawn from rng;
-// callers that probe prefixes concurrently must pass a stream scoped
-// no wider than the unit they shard by — see LossStream.
-func (w *World) ProbeRand(c *bgp.Catchment, dst uint32, proto Proto, t bgp.Time, rng *rand.Rand) ProbeResult {
-	h, ok := w.hosts[dst]
-	if !ok || h.Proto != proto || h.dormant(t) {
+// callers that probe prefixes concurrently must point it at a stream
+// scoped no wider than the unit they shard by — see LossStream.
+func (w *World) ProbeRand(c *bgp.Catchment, h *Host, proto Proto, t bgp.Time, rng *rand.Rand) ProbeResult {
+	if h == nil || h.Proto != proto || h.dormant(t) {
 		return ProbeResult{}
 	}
-	if w.brownedOut(h.Prefix, dst, t) {
+	if w.brownedOut(h.Prefix, h.Addr, t) {
 		return ProbeResult{}
 	}
 	if w.cfg.ProbeLossProb > 0 && rng.Float64() < w.cfg.ProbeLossProb {
@@ -407,24 +409,33 @@ func (w *World) ProbeRand(c *bgp.Catchment, dst uint32, proto Proto, t bgp.Time,
 	}
 }
 
-// LossStream returns the deterministic probe-loss RNG stream of one
-// (round start, prefix) pair. The stream seed derives from the world's
-// loss seed (cfg.Seed+1) via parallel.SubSeed with stream id
+// LossStream points rng at the deterministic probe-loss stream of one
+// (round start, prefix) pair and returns it. The stream seed derives
+// from the world's loss seed (cfg.Seed+1) via parallel.SubSeed with
+// stream id
 //
 //	uint64(round)<<32 ^ uint64(prefix.Addr())<<8 ^ uint64(prefix.Bits())
 //
 // — one independent stream per prefix per round, the finest unit the
 // prober shards by. Because the stream is scoped to the prefix rather
 // than the shard, loss draws are identical for any shard size and any
-// worker count.
-func (w *World) LossStream(round bgp.Time, p netutil.Prefix) *rand.Rand {
+// worker count. rng is reseeded in place (rand.Rand.Seed), so a shard
+// takes one Rand from parallel.Rand and points it at each prefix's
+// stream in turn, allocating nothing per prefix; the draws are those
+// of a fresh parallel.Rand for the stream.
+func (w *World) LossStream(rng *rand.Rand, round bgp.Time, p netutil.Prefix) *rand.Rand {
 	stream := uint64(round)<<32 ^ uint64(p.Addr())<<8 ^ uint64(p.Bits())
-	return parallel.Rand(w.cfg.Seed+1, stream)
+	rng.Seed(parallel.SubSeed(w.cfg.Seed+1, stream))
+	return rng
 }
 
-// Responsive reports whether dst answers probes of the given protocol
-// at time t, ignoring routing — the predicate seed selection uses.
-func (w *World) Responsive(dst uint32, proto Proto, t bgp.Time) bool {
-	h, ok := w.hosts[dst]
-	return ok && h.Proto == proto && !h.dormant(t)
+// Responder returns the host at dst if it answers probes of the given
+// protocol at time t, ignoring routing, and nil otherwise: the
+// predicate seed selection uses, and the host each selected target
+// keeps for ProbeRand.
+func (w *World) Responder(dst uint32, proto Proto, t bgp.Time) *Host {
+	if h := w.hosts[dst]; h != nil && h.Proto == proto && !h.dormant(t) {
+		return h
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/netutil"
+	"repro/internal/parallel"
 	"repro/internal/topo"
 )
 
@@ -19,7 +20,7 @@ func buildWorld(t *testing.T) (*topo.Ecosystem, *World) {
 // stands, drawing loss from its prefix's stream for that time as the
 // prober does.
 func probeHost(w *World, h *Host, t bgp.Time) ProbeResult {
-	return w.ProbeRand(w.Net.Catchment(w.MeasPrefix), h.Addr, h.Proto, t, w.LossStream(t, h.Prefix))
+	return w.ProbeRand(w.Net.Catchment(w.MeasPrefix), h, h.Proto, t, w.LossStream(parallel.Rand(0, 0), t, h.Prefix))
 }
 
 func TestBuildWorldCoverage(t *testing.T) {
@@ -136,11 +137,18 @@ func TestProbeWrongProtoNoAnswer(t *testing.T) {
 		t.Fatal("no ICMP host")
 	}
 	view := w.Net.Catchment(w.MeasPrefix)
-	if res := w.ProbeRand(view, h.Addr, TCP, 0, w.LossStream(0, h.Prefix)); res.Responded {
+	rng := w.LossStream(parallel.Rand(0, 0), 0, h.Prefix)
+	if res := w.ProbeRand(view, h, TCP, 0, rng); res.Responded {
 		t.Error("ICMP-only host answered TCP")
 	}
-	if res := w.ProbeRand(view, h.Addr+100000, ICMP, 0, w.LossStream(0, h.Prefix)); res.Responded {
-		t.Error("non-host address answered")
+	if w.Responder(h.Addr, TCP, 0) != nil {
+		t.Error("ICMP-only host selected for TCP")
+	}
+	if w.Responder(h.Addr+100000, ICMP, 0) != nil {
+		t.Error("non-host address selected")
+	}
+	if res := w.ProbeRand(view, nil, ICMP, 0, rng); res.Responded {
+		t.Error("a target without a host answered")
 	}
 }
 
@@ -156,10 +164,10 @@ func TestDormancy(t *testing.T) {
 		h := w.Hosts(p)[0]
 		if h.DormantTo > h.DormantFrom {
 			dormantSeen = true
-			if w.Responsive(h.Addr, h.Proto, (h.DormantFrom+h.DormantTo)/2) {
+			if w.Responder(h.Addr, h.Proto, (h.DormantFrom+h.DormantTo)/2) != nil {
 				t.Error("dormant host still responsive inside window")
 			}
-			if !w.Responsive(h.Addr, h.Proto, h.DormantTo+1) {
+			if w.Responder(h.Addr, h.Proto, h.DormantTo+1) != h {
 				t.Error("host should recover after its window")
 			}
 		}

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/asn"
@@ -24,6 +25,12 @@ import (
 //     uint64, and route records drop the 8-byte prefix entirely.
 //   - Each route becomes a fixed 40-byte packedRoute in a per-speaker
 //     arena (a plain slice with a free list), not a heap object.
+//   - The adj-RIB-in is indexed by prefix, not by key: each prefix's
+//     records form a chain through the arena in neighbor order (see
+//     arenaStore). The decision's scan of a prefix's candidates
+//     (appendRoutes) then costs what the candidates cost, not one
+//     lookup per session: a collector with hundreds of sessions
+//     holds about one route per prefix.
 //   - The loc-RIB is delta-encoded against adj-RIB-in: selecting a
 //     route does not copy it. The loc-RIB slot refcounts the winning
 //     adj-RIB-in record whenever the values agree (they always do on
@@ -91,11 +98,16 @@ type packedRoute struct {
 	igpCost   uint32
 	from      uint32
 	fromAS    uint32
-	ref       uint32 // reference count (loc-RIB delta sharing)
-	origin    uint8
-	class     uint8
-	flags     uint8
-	_         uint8
+	// next links an adj-RIB-in record to the next one under its
+	// prefix, as that record's slot + 1 (0 ends the chain); see
+	// arenaStore. Records of the other stores leave it unread.
+	next   uint32
+	origin uint8
+	class  uint8
+	flags  uint8
+	// ref counts the stores holding the record: at most 2, an
+	// adj-RIB-in entry and the loc-RIB entry that shares it.
+	ref uint8
 }
 
 const (
@@ -104,9 +116,11 @@ const (
 )
 
 // sameRecord reports whether two records describe the same route,
-// ignoring the reference count. Used for loc-RIB record sharing.
+// ignoring the reference count and the chain link. Used for loc-RIB
+// record sharing.
 func sameRecord(a, b packedRoute) bool {
 	a.ref, b.ref = 0, 0
+	a.next, b.next = 0, 0
 	return a == b
 }
 
@@ -124,9 +138,9 @@ func newSpeakerArena(be *ribBackend) *speakerArena {
 	return &speakerArena{be: be}
 }
 
-// alloc stores rec (with ref 1) and returns its slot.
+// alloc stores rec (with ref 1, on no chain) and returns its slot.
 func (a *speakerArena) alloc(rec packedRoute, comms CommunitySet) uint32 {
-	rec.ref = 1
+	rec.ref, rec.next = 1, 0
 	var slot uint32
 	if n := len(a.free); n > 0 {
 		slot = a.free[n-1]
@@ -207,27 +221,128 @@ func (a *speakerArena) unpack(p netutil.Prefix, slot uint32) Route {
 	return r
 }
 
-// arenaStore is the compact ribStore: a map from packed
+// arenaStore is the compact ribStore: an index from packed
 // (prefixIdx, neighbor) keys to arena slots, plus the per-slot
 // materialization cache that provides the pointer-stability contract.
+//
+// The adj-RIB-in indexes its entries by prefix. heads maps a prefix
+// index to the slot + 1 of the prefix's first record, and each record
+// links the next through packedRoute.next, in ascending neighbor
+// order. A record's neighbor is its from, which on an adj-RIB-in is
+// always the key's neighbor: applyImport installs what it learns over
+// a session under that session's key, and the decoder refuses any
+// other entry. A point lookup walks one chain, about 1.1 records long
+// at internet ÷ 40, and the decision's candidate walk (appendRoutes)
+// reads the prefix index once and then only the candidates, not one
+// key per session. The loc-RIB and adj-RIB-out map keys to slots.
 type arenaStore struct {
 	ar *speakerArena
 	// sibling, set only on the loc-RIB store, points at the speaker's
 	// adj-RIB-in store: Install tries to share (refcount) the sibling's
 	// record for the same (prefix, From) slot instead of allocating.
 	sibling *arenaStore
-	slots   map[uint64]uint32
+	heads   map[uint32]uint32 // adj-RIB-in: prefixIdx → first slot + 1
+	n       int               // adj-RIB-in entries
+	slots   map[uint64]uint32 // loc-RIB and adj-RIB-out: key → slot
 	mat     map[uint64]*Route
 }
 
+// newArenaStore returns a loc-RIB or adj-RIB-out store, keyed by map.
 func newArenaStore(ar *speakerArena) *arenaStore {
 	return &arenaStore{ar: ar, slots: make(map[uint64]uint32)}
+}
+
+// newAdjInStore returns an adj-RIB-in store, chained by prefix.
+func newAdjInStore(ar *speakerArena) *arenaStore {
+	return &arenaStore{ar: ar, heads: make(map[uint32]uint32)}
 }
 
 // storeKey packs a ribKey into (prefixIdx << 32) | neighbor, interning
 // the prefix on first use.
 func (st *arenaStore) storeKey(k ribKey) uint64 {
 	return uint64(st.ar.be.prefixes.Add(k.prefix))<<32 | uint64(k.neighbor)
+}
+
+// find returns the slot under key. It is the one read of the index.
+func (st *arenaStore) find(key uint64) (uint32, bool) {
+	if st.heads == nil {
+		slot, ok := st.slots[key]
+		return slot, ok
+	}
+	_, at := st.seek(key)
+	if at == 0 || st.ar.recs[at-1].from != uint32(key) {
+		return 0, false
+	}
+	return at - 1, true
+}
+
+// seek finds key's place on its prefix's chain: at is the first record
+// whose neighbor is not below key's, prev the one before it, each as
+// slot + 1 (0: none).
+func (st *arenaStore) seek(key uint64) (prev, at uint32) {
+	for at = st.heads[uint32(key>>32)]; at != 0; prev, at = at, st.ar.recs[at-1].next {
+		if st.ar.recs[at-1].from >= uint32(key) {
+			break
+		}
+	}
+	return prev, at
+}
+
+// relink points the link after prev, or key's chain head when prev is
+// 0, at to (0: the chain ends there).
+func (st *arenaStore) relink(key uint64, prev, to uint32) {
+	switch {
+	case prev != 0:
+		st.ar.recs[prev-1].next = to
+	case to != 0:
+		st.heads[uint32(key>>32)] = to
+	default:
+		delete(st.heads, uint32(key>>32))
+	}
+}
+
+// index puts slot under key, which holds nothing.
+func (st *arenaStore) index(key uint64, slot uint32) {
+	if st.heads == nil {
+		st.slots[key] = slot
+		return
+	}
+	if st.ar.recs[slot].from != uint32(key) {
+		panic(fmt.Sprintf("bgp: adj-RIB-in route from %d under neighbor %d", st.ar.recs[slot].from, uint32(key)))
+	}
+	prev, at := st.seek(key)
+	st.ar.recs[slot].next = at
+	st.relink(key, prev, slot+1)
+	st.n++
+}
+
+// unindex removes key, which holds an entry.
+func (st *arenaStore) unindex(key uint64) {
+	if st.heads == nil {
+		delete(st.slots, key)
+		return
+	}
+	prev, at := st.seek(key)
+	st.relink(key, prev, st.ar.recs[at-1].next)
+	st.n--
+}
+
+// each calls fn with every entry's key and slot, in no order. fn may
+// release the slot, but must not allocate.
+func (st *arenaStore) each(fn func(key uint64, slot uint32)) {
+	if st.heads == nil {
+		for key, slot := range st.slots {
+			fn(key, slot)
+		}
+		return
+	}
+	for pi, at := range st.heads {
+		for at != 0 {
+			slot := at - 1
+			at = st.ar.recs[slot].next
+			fn(uint64(pi)<<32|uint64(st.ar.recs[slot].from), slot)
+		}
+	}
 }
 
 // matCacheCap bounds the boxed *Route memo per store. The cap trades
@@ -239,14 +354,20 @@ const matCacheCap = 4096
 
 func (st *arenaStore) Get(k ribKey) *Route {
 	key := st.storeKey(k)
-	slot, ok := st.slots[key]
+	slot, ok := st.find(key)
 	if !ok {
 		return nil
 	}
+	return st.box(key, k.prefix, slot)
+}
+
+// box returns the route of the entry under key, prefix p, at slot:
+// the memoized box, or a new one it memoizes.
+func (st *arenaStore) box(key uint64, p netutil.Prefix, slot uint32) *Route {
 	if r, ok := st.mat[key]; ok {
 		return r
 	}
-	r := st.ar.materialize(k.prefix, slot)
+	r := st.ar.materialize(p, slot)
 	if st.mat == nil {
 		st.mat = make(map[uint64]*Route)
 	} else if len(st.mat) >= matCacheCap {
@@ -257,6 +378,23 @@ func (st *arenaStore) Get(k ribKey) *Route {
 	}
 	st.mat[key] = r
 	return r
+}
+
+// appendRoutes appends the adj-RIB-in routes for p in neighbor order:
+// one lookup of the prefix index, then the chain.
+func (st *arenaStore) appendRoutes(p netutil.Prefix, dst []*Route) []*Route {
+	if st.heads == nil {
+		panic("bgp: appendRoutes on an arena store not chained by prefix")
+	}
+	pi, ok := st.ar.be.prefixes.idx[p]
+	if !ok {
+		return dst
+	}
+	for at := st.heads[pi]; at != 0; at = st.ar.recs[at-1].next {
+		slot := at - 1
+		dst = append(dst, st.box(uint64(pi)<<32|uint64(st.ar.recs[slot].from), p, slot))
+	}
+	return dst
 }
 
 func (st *arenaStore) Install(k ribKey, r *Route) {
@@ -273,24 +411,20 @@ func (st *arenaStore) Install(k ribKey, r *Route) {
 
 // put stores rec under key, replacing any previous entry.
 func (st *arenaStore) put(key uint64, rec packedRoute, comms CommunitySet) {
-	if prev, ok := st.slots[key]; ok {
-		st.ar.release(prev)
-	}
-	delete(st.mat, key)
+	st.drop(key)
 	// Loc-RIB delta encoding: share the adj-RIB-in record for the same
 	// (prefix, From) when it matches — it always does when the decision
 	// process installs the candidate it just scanned.
 	if st.sibling != nil && rec.from != 0 {
-		sibKey := uint64(key>>32)<<32 | uint64(rec.from)
-		if sibSlot, ok := st.sibling.slots[sibKey]; ok &&
+		if sibSlot, ok := st.sibling.find(key>>32<<32 | uint64(rec.from)); ok &&
 			sameRecord(st.ar.recs[sibSlot], rec) &&
 			communitiesEqual(st.ar.comms[sibSlot], comms) {
 			st.ar.recs[sibSlot].ref++
-			st.slots[key] = sibSlot
+			st.index(key, sibSlot)
 			return
 		}
 	}
-	st.slots[key] = st.ar.alloc(rec, comms)
+	st.index(key, st.ar.alloc(rec, comms))
 }
 
 func (st *arenaStore) stored(k ribKey, _ *Route) *Route { return st.Get(k) }
@@ -305,22 +439,27 @@ func (st *arenaStore) Withdraw(k ribKey) {
 
 // drop removes the entry under key, if any.
 func (st *arenaStore) drop(key uint64) {
-	slot, ok := st.slots[key]
+	slot, ok := st.find(key)
 	if !ok {
 		return
 	}
+	st.unindex(key)
 	st.ar.release(slot)
-	delete(st.slots, key)
 	delete(st.mat, key)
 }
 
-func (st *arenaStore) Len() int { return len(st.slots) }
-
-// appendPrefixes appends each key's prefix.
-func (st *arenaStore) appendPrefixes(dst []netutil.Prefix) []netutil.Prefix {
-	for key := range st.slots {
-		dst = append(dst, st.ar.be.prefixes.At(uint32(key>>32)))
+func (st *arenaStore) Len() int {
+	if st.heads == nil {
+		return len(st.slots)
 	}
+	return st.n
+}
+
+// appendPrefixes appends each entry's prefix.
+func (st *arenaStore) appendPrefixes(dst []netutil.Prefix) []netutil.Prefix {
+	st.each(func(key uint64, _ uint32) {
+		dst = append(dst, st.ar.be.prefixes.At(uint32(key>>32)))
+	})
 	return dst
 }
 
@@ -329,16 +468,18 @@ func (st *arenaStore) appendPrefixes(dst []netutil.Prefix) []netutil.Prefix {
 func (st *arenaStore) setJournal(j *journal) { st.ar.be.jr = j }
 
 func (st *arenaStore) Reset() {
-	for _, slot := range st.slots {
-		st.ar.release(slot)
+	st.each(func(_ uint64, slot uint32) { st.ar.release(slot) })
+	if st.heads == nil {
+		st.slots = make(map[uint64]uint32)
+	} else {
+		st.heads, st.n = make(map[uint32]uint32), 0
 	}
-	st.slots = make(map[uint64]uint32)
 	st.mat = nil
 }
 
 func (st *arenaStore) WalkSorted(fn func(k ribKey, r *Route) bool) {
 	for _, ref := range st.sorted(nil) {
-		if !fn(ref.k, st.Get(ref.k)) {
+		if !fn(ref.k, st.box(st.storeKey(ref.k), ref.k.prefix, ref.slot)) {
 			return
 		}
 	}
@@ -357,12 +498,12 @@ func (st *arenaStore) appendSorted(refs []ribRef, ri *routeIndex) []ribRef {
 // in (prefix, neighbor) order.
 func (st *arenaStore) sorted(refs []ribRef) []ribRef {
 	start := len(refs)
-	for key, slot := range st.slots {
+	st.each(func(key uint64, slot uint32) {
 		refs = append(refs, ribRef{
 			k:    ribKey{prefix: st.ar.be.prefixes.At(uint32(key >> 32)), neighbor: RouterID(key)},
 			slot: slot,
 		})
-	}
+	})
 	slices.SortFunc(refs[start:], func(a, b ribRef) int { return a.k.compare(b.k) })
 	return refs
 }
@@ -377,7 +518,11 @@ type RIBStats struct {
 	DistinctPaths int
 	PathBytes     int // path table resident bytes
 	ArenaBytes    int // packed records (including free slots)
-	IndexBytes    int // slot/key index overhead (modelled)
+	// IndexBytes models the key and prefix indices at 18 B per store
+	// entry plus 30 B per interned prefix. The adj-RIB-in's index is
+	// a chain head per prefix, not a key map, so for it the 18 B per
+	// entry is an upper bound.
+	IndexBytes int
 }
 
 // BytesPerRoute amortises the modelled resident bytes over the entry
@@ -419,11 +564,11 @@ func (n *Network) RIBStats() RIBStats {
 			continue
 		}
 		in := s.adjIn.(*arenaStore)
-		for key, slot := range loc.slots {
-			if sibSlot, ok := in.slots[uint64(key>>32)<<32|uint64(loc.ar.recs[slot].from)]; ok && sibSlot == slot {
+		loc.each(func(key uint64, slot uint32) {
+			if sibSlot, ok := in.find(key>>32<<32 | uint64(loc.ar.recs[slot].from)); ok && sibSlot == slot {
 				rs.SharedLocRib++
 			}
-		}
+		})
 		ar := loc.ar
 		if seen[ar] {
 			continue

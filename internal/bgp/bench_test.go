@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/asn"
 	"repro/internal/netutil"
 )
 
@@ -101,6 +102,57 @@ func BenchmarkDeliveryChurn(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/delivered, "ns/update")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/delivered, "allocs/update")
+		})
+	}
+}
+
+// BenchmarkFullScanWideSpeaker is the decision's full scan at a wide
+// speaker: a collector with 256 sessions that holds one candidate per
+// prefix, as the internet tier's first collector does. One operation
+// withdraws the best route of one prefix, which leaves the collector
+// only a full scan to find the runner-up, and re-announces it (a
+// first-candidate fast path) so the table stays as it was.
+func BenchmarkFullScanWideSpeaker(b *testing.B) {
+	for _, layout := range []struct {
+		name    string
+		compact bool
+	}{{"rows", false}, {"arena", true}} {
+		b.Run(layout.name, func(b *testing.B) {
+			const (
+				sessions = 256
+				prefixes = 1024
+				hub      = RouterID(sessions + 1)
+			)
+			n := NewNetwork()
+			n.SetCompactRIB(layout.compact)
+			for i := 1; i <= sessions; i++ {
+				n.AddSpeaker(RouterID(i), asn.AS(64500+i), "")
+			}
+			n.AddSpeaker(hub, 65000, "collector").Collector = true
+			for i := 1; i <= sessions; i++ {
+				n.Connect(hub, RouterID(i), bgp2custCfg(), bgp2provCfg())
+			}
+			pfx := make([]netutil.Prefix, prefixes)
+			for i := range pfx {
+				pfx[i] = netutil.PrefixFrom(uint32(0x0A000000+i*256), 24)
+				n.Originate(RouterID(1+i%sessions), pfx[i])
+			}
+			n.RunToQuiescence()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % prefixes
+				origin := RouterID(1 + k%sessions)
+				n.WithdrawOrigination(origin, pfx[k])
+				n.RunToQuiescence()
+				n.Originate(origin, pfx[k])
+				n.RunToQuiescence()
+				n.Churn.Records = n.Churn.Records[:0] // the collector logs each update
+			}
+			b.StopTimer()
+			if n.Speaker(hub).locRib.Len() != prefixes {
+				b.Fatalf("collector holds %d best routes, want %d", n.Speaker(hub).locRib.Len(), prefixes)
+			}
 		})
 	}
 }

@@ -244,7 +244,7 @@ func (n *Network) AddSpeaker(id RouterID, as asn.AS, name string) *Speaker {
 			panic("bgp: RouterID 0 is reserved (loc-RIB store key)")
 		}
 		ar := newSpeakerArena(n.ribBE)
-		in := newArenaStore(ar)
+		in := newAdjInStore(ar)
 		loc := newArenaStore(ar)
 		loc.sibling = in // loc-RIB delta-encodes against adj-RIB-in
 		s.adjIn, s.locRib, s.adjOut = in, loc, newArenaStore(ar)
@@ -671,8 +671,11 @@ func (s *Speaker) exportablePrefixes() []netutil.Prefix {
 // put in the loc-RIB, so the fan-out reads no loc-RIB at all; without
 // one only VRF-filtered (ExportBestOf) sessions do, since their
 // announcement can move without the loc-RIB, and best (nil) goes
-// unread.
+// unread. A collector never re-exports, so it skips the loop.
 func (n *Network) exportAfterDecision(s *Speaker, p netutil.Prefix, best *Route, changed bool) {
+	if s.Collector {
+		return
+	}
 	for i := range s.sessions {
 		if pc := s.sessions[i].pc; changed || pc.ExportBestOf != nil {
 			n.exportToPeer(s, p, pc, best)

@@ -128,6 +128,15 @@ type packedUndo struct {
 	ok    bool
 }
 
+// undo puts the entry back, recording nothing.
+func (u *packedUndo) undo() {
+	if u.ok {
+		u.st.put(u.key, u.rec, u.comms)
+	} else {
+		u.st.drop(u.key)
+	}
+}
+
 // rfdUndo is s.rfd[k] before a write, and s's count of suppressed
 // states then.
 type rfdUndo struct {
@@ -199,13 +208,7 @@ func (n *Network) Rewind() error {
 		return errors.New("bgp: Rewind called inside Batch")
 	}
 	replay(&j.rows, (*rowUndo).undo)
-	replay(&j.packed, func(u *packedUndo) {
-		if u.ok {
-			u.st.put(u.key, u.rec, u.comms)
-		} else {
-			u.st.drop(u.key)
-		}
-	})
+	replay(&j.packed, (*packedUndo).undo)
 	j.orig.undo()
 	j.mrai.undo()
 	j.medSeen.undo()
@@ -245,7 +248,7 @@ func (s *Speaker) saveRFD(k ribKey) {
 // save records the arena entry under key ahead of a write to it.
 func (st *arenaStore) save(key uint64) {
 	u := packedUndo{st: st, key: key}
-	if slot, ok := st.slots[key]; ok {
+	if slot, ok := st.find(key); ok {
 		u.rec, u.ok = st.ar.recs[slot], true
 		if u.rec.flags&prFlagHasComms != 0 {
 			u.comms = st.ar.comms[slot]

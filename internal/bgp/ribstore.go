@@ -26,9 +26,16 @@ import (
 //     *Route Install was given.
 //   - arenaStore (arena.go): a memory-compact layout that packs each
 //     route into a fixed 40-byte record in a per-speaker arena, interns
-//     AS paths in a network-wide path table, and delta-encodes the
+//     AS paths in a network-wide path table, chains each prefix's
+//     adj-RIB-in records in neighbor order, and delta-encodes the
 //     loc-RIB against adj-RIB-in by sharing records. Selected with
 //     Network.SetCompactRIB(true).
+//
+// Both layouts walk a prefix's adj-RIB-in routes in one pass
+// (appendRoutes): a row lookup and the row's in-cells, or a prefix
+// index lookup and the chain. That walk is the decision's candidate
+// scan, so the scan costs what the prefix's candidates cost, not one
+// lookup per session.
 //
 // The historical layout, a map[ribKey]*Route per RIB, is kept in
 // ribstore_reference_test.go as the oracle the row table is held to.
@@ -66,6 +73,11 @@ type ribStore interface {
 	// WalkSorted visits every entry in (prefix, neighbor) order until
 	// fn returns false.
 	WalkSorted(fn func(k ribKey, r *Route) bool)
+	// appendRoutes appends the routes stored for prefix p to dst in
+	// neighbor order, reading p's place in the store once: the
+	// decision's candidate walk over the adj-RIB-in. The arena offers
+	// it on the adj-RIB-in alone, the one store it chains by prefix.
+	appendRoutes(p netutil.Prefix, dst []*Route) []*Route
 	// Len returns the number of entries.
 	Len() int
 	// appendPrefixes appends the prefix of the store's entries to dst,
@@ -343,6 +355,26 @@ func (t *ribRows) reset(side rowSide) {
 	}
 }
 
+// appendRoutes appends side's routes for p in slot (neighbor) order:
+// one row lookup, then the row's cells on that side.
+func (t *ribRows) appendRoutes(side rowSide, p netutil.Prefix, dst []*Route) []*Route {
+	r := t.row(p)
+	if r < 0 {
+		return dst
+	}
+	row := t.cells[int(r)*t.stride : (int(r)+1)*t.stride]
+	step := 2
+	if side == sideLoc {
+		step = len(row)
+	}
+	for i := int(side); i < len(row); i += step {
+		if row[i] != nil {
+			dst = append(dst, row[i])
+		}
+	}
+	return dst
+}
+
 // sortedRows returns the live rows in prefix order, in a slice of its
 // own: concurrent walks share nothing.
 func (t *ribRows) sortedRows() []int32 {
@@ -426,6 +458,10 @@ func (v *rowView) Withdraw(k ribKey) { v.t.set(v.side, k, nil, true) }
 func (v *rowView) stored(_ ribKey, r *Route) *Route { return r }
 
 func (v *rowView) setJournal(j *journal) { v.t.jr = j }
+
+func (v *rowView) appendRoutes(p netutil.Prefix, dst []*Route) []*Route {
+	return v.t.appendRoutes(v.side, p, dst)
+}
 
 func (v *rowView) Len() int { return v.t.lens[v.side] }
 

@@ -47,6 +47,18 @@ func (st *mapStore) setJournal(j *journal) { st.jr = j }
 // rewind undoes every write since the journal was set.
 func (st *mapStore) rewind() { st.log.undo() }
 
+// appendRoutes appends p's entries in neighbor order, from a sorted
+// walk of the whole map.
+func (st *mapStore) appendRoutes(p netutil.Prefix, dst []*Route) []*Route {
+	st.WalkSorted(func(k ribKey, r *Route) bool {
+		if k.prefix == p {
+			dst = append(dst, r)
+		}
+		return true
+	})
+	return dst
+}
+
 func (st *mapStore) Len() int { return len(st.m) }
 
 func (st *mapStore) Reset() { clear(st.m) }

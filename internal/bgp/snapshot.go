@@ -922,6 +922,14 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 		if st.adjIn, err = decRouteEntries(d, routes, s); err != nil {
 			return nil, err
 		}
+		// An adj-RIB-in entry holds what its key's neighbor sent: the
+		// arena chains the entries by that From, and the decision's
+		// damping lookups key on it.
+		for _, e := range st.adjIn {
+			if e.r.From != e.k.neighbor {
+				return nil, fmt.Errorf("%w: speaker %d's adj-RIB-in entry %s/%d holds a route from %d", snap.ErrCorrupt, id, e.k.prefix, e.k.neighbor, e.r.From)
+			}
+		}
 		if st.locRib, err = decRouteEntries(d, routes, nil); err != nil {
 			return nil, err
 		}

@@ -222,3 +222,37 @@ func TestRestoreRejectsUnsortedSideTables(t *testing.T) {
 		refuseRestore(t, name, edited, chainNet, "does not sort after")
 	}
 }
+
+// TestRestoreRejectsForeignAdjIn: an adj-RIB-in entry holds what its
+// key's neighbor sent, so its route's From is that neighbor. The arena
+// chains a prefix's adj-RIB-in entries by From, and the decision keys
+// damping on it; an entry naming another From — edited into the sealed
+// bytes, as the engine never writes one — is corrupt, on both stores.
+func TestRestoreRejectsForeignAdjIn(t *testing.T) {
+	p := netutil.MustParsePrefix("203.0.113.0/24")
+	for _, compact := range []bool{false, true} {
+		build := func() *Network { return chainNetOn(compact) }
+		n := build()
+		n.Originate(1, p)
+		n.RunToQuiescence()
+		data := mustSnapshot(t, n)
+		if err := RestoreNetwork(bytes.NewReader(data), build()); err != nil {
+			t.Fatalf("compact=%v: the consistent snapshot must restore: %v", compact, err)
+		}
+		// Speaker 3 holds p from 2; speaker 2 holds it from 1. The edit
+		// points 3's entry at 2's route.
+		ri := newRouteIndex(n)
+		from3, from1 := ri.ribs[2][0][0], ri.ribs[1][0][0]
+		if from3.k.neighbor != 2 || from1.k.neighbor != 1 {
+			t.Fatalf("compact=%v: adj-RIB-in keys %v and %v, want p from 2 and from 1", compact, from3.k, from1.k)
+		}
+		entry := func(idx uint32) []byte {
+			return encBytes(func(e *snap.Enc) {
+				encRibKey(e, from3.k)
+				e.Uvarint(uint64(idx))
+			})
+		}
+		edited := editSpeakers(t, data, entry(from3.idx), entry(from1.idx))
+		refuseRestore(t, fmt.Sprintf("compact=%v: adj-RIB-in route from another neighbor", compact), edited, build, "holds a route from 1")
+	}
+}

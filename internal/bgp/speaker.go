@@ -188,15 +188,7 @@ func (s *Speaker) AdjIn(p netutil.Prefix, neighbor RouterID) *Route {
 }
 
 // AdjInAll returns all adj-RIB-in routes for p in neighbor order.
-func (s *Speaker) AdjInAll(p netutil.Prefix) []*Route {
-	var out []*Route
-	for i := range s.sessions {
-		if r := s.adjIn.Get(ribKey{prefix: p, neighbor: s.sessions[i].nbID}); r != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+func (s *Speaker) AdjInAll(p netutil.Prefix) []*Route { return s.adjIn.appendRoutes(p, nil) }
 
 // AdjOut returns what the speaker last announced to neighbor for p.
 func (s *Speaker) AdjOut(p netutil.Prefix, neighbor RouterID) *Route {
@@ -205,18 +197,24 @@ func (s *Speaker) AdjOut(p netutil.Prefix, neighbor RouterID) *Route {
 
 // candidateSet appends to buf the decision-process inputs for p that
 // admit accepts (nil accepts all): the local origination first, then
-// unsuppressed adj-RIB-in routes in neighbor order.
+// unsuppressed adj-RIB-in routes in neighbor order. The store's walk
+// visits p's routes alone, so a scan costs what p's candidates cost,
+// not one lookup per session; each route's From is the neighbor it
+// was learned from, its damping key.
 func (s *Speaker) candidateSet(p netutil.Prefix, admit func(*Route) bool, buf []*Route) []*Route {
 	if o, ok := s.originated[p]; ok && (admit == nil || admit(o.route)) {
 		buf = append(buf, o.route)
 	}
-	for i := range s.sessions {
-		k := ribKey{prefix: p, neighbor: s.sessions[i].nbID}
-		if r := s.adjIn.Get(k); r != nil && !s.damped(k) && (admit == nil || admit(r)) {
-			buf = append(buf, r)
+	start := len(buf)
+	buf = s.adjIn.appendRoutes(p, buf)
+	kept := buf[:start]
+	for _, r := range buf[start:] {
+		if !s.damped(ribKey{prefix: p, neighbor: r.From}) && (admit == nil || admit(r)) {
+			kept = append(kept, r)
 		}
 	}
-	return buf
+	clear(buf[len(kept):])
+	return kept
 }
 
 // bestCandidate is the decision process over s's candidates for p that

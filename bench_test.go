@@ -362,3 +362,66 @@ func BenchmarkRestoreNetwork(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkArenaSnapshotRoundTrip measures the arena store's
+// checkpoint/resume engine path at rib_scale's size: the internet tier
+// with its populations divided by 40, converged, plus the full-table
+// vantage feed that speaker announces to the first collector (the
+// collector then holds one multi-hop path per origin). "snapshot"
+// encodes the network into a reused buffer; "restore" loads that
+// snapshot back into the network it was taken from. Run with
+// -benchmem.
+func BenchmarkArenaSnapshotRoundTrip(b *testing.B) {
+	cfg := topo.InternetConfig()
+	cfg.MembersUS /= 40
+	cfg.MembersIntl /= 40
+	cfg.NIKSCustomers /= 40
+	cfg.ExtraCollectorFeeds /= 40
+	e := topo.Build(cfg)
+	e.Net.RunToQuiescence()
+	const feedID = bgp.RouterID(9_000_000)
+	e.Net.AddSpeaker(feedID, asn.AS(64999), "vantage-feed")
+	e.Net.Connect(feedID, e.Collectors[0],
+		bgp.PeerConfig{
+			ClassifyAs: bgp.ClassPeer,
+			ExportAllow: bgp.NewClassSet(bgp.ClassOwn, bgp.ClassCustomer,
+				bgp.ClassPeer, bgp.ClassProvider, bgp.ClassREPeer),
+		},
+		bgp.PeerConfig{ClassifyAs: bgp.ClassPeer, ExportAllow: bgp.NewClassSet()},
+	)
+	for _, pi := range e.Prefixes {
+		up := pi.Origin
+		if info := e.AS(pi.Origin); len(info.REProviders) > 0 {
+			up = info.REProviders[0]
+		} else if len(info.CommodityProviders) > 0 {
+			up = info.CommodityProviders[0]
+		}
+		e.Net.OriginateWith(feedID, pi.Prefix, bgp.OriginateOpts{Poison: []asn.AS{e.Lumen.AS, up, pi.Origin}})
+	}
+	e.Net.RunToQuiescence()
+	var buf bytes.Buffer
+	if err := e.Net.Snapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := bytes.Clone(buf.Bytes())
+
+	b.Run("snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := e.Net.Snapshot(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if err := bgp.RestoreNetwork(bytes.NewReader(data), e.Net); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -41,9 +41,19 @@ import (
 // Pointer-stability contract (see ribstore.go): Get materializes a
 // *Route on first access and memoizes it per slot, so callers observe
 // a stable pointer for an unchanged slot until the next epoch clear.
-// Bulk loads that never Get stay fully packed, and so does a snapshot:
-// it numbers a store's records by position and reads their fields from
-// the arena (appendSorted).
+// Bulk loads that never Get stay fully packed, and so do a snapshot and
+// a restore, which cost what their bytes cost:
+//
+//   - A snapshot numbers a store's records by position and reads their
+//     fields from the arena (appendSorted). Its one sort per store is
+//     of integer keys, a prefix's rank in the network's prefix index
+//     above a chain head, a slot or a neighbor (sorted); the snapshot
+//     ranks the index once and keeps the ranks no longer than itself.
+//   - A restore decodes the route table straight to records and loads
+//     each store in one pass (load): records come from the free list
+//     in the order an Install per entry would take them, so slots and
+//     RIBStats come out the same, but no path is hashed twice, no route
+//     boxed, and no chain searched.
 //
 // The memo is bounded: once a store holds matCacheCap boxed routes the
 // next insert drops the whole epoch (see Get), so a full WalkSorted
@@ -170,12 +180,16 @@ func (a *speakerArena) release(slot uint32) {
 	}
 }
 
-// pack converts a route into its arena record, interning the path and
-// prefix as a side effect.
+// pack converts a route into its arena record, interning the path.
 func (a *speakerArena) pack(r *Route) (packedRoute, CommunitySet) {
+	return packRoute(r, a.be.paths.Intern(r.Path)), r.Communities
+}
+
+// packRoute is r's record, its path numbered pathID.
+func packRoute(r *Route, pathID pathtab.ID) packedRoute {
 	rec := packedRoute{
 		learnedAt: int64(r.LearnedAt),
-		pathID:    a.be.paths.Intern(r.Path),
+		pathID:    pathID,
 		med:       r.MED,
 		localPref: r.LocalPref,
 		igpCost:   r.IGPCost,
@@ -190,35 +204,43 @@ func (a *speakerArena) pack(r *Route) (packedRoute, CommunitySet) {
 	if r.Communities.Len() > 0 {
 		rec.flags |= prFlagHasComms
 	}
-	return rec, r.Communities
+	return rec
 }
 
 // materialize boxes the route for a record under prefix p.
 func (a *speakerArena) materialize(p netutil.Prefix, slot uint32) *Route {
-	r := a.unpack(p, slot)
-	return &r
+	r := new(Route)
+	a.unpack(r, p, slot)
+	return r
 }
 
-// unpack rebuilds the route for a record under prefix p, as a value.
-func (a *speakerArena) unpack(p netutil.Prefix, slot uint32) Route {
+// unpack rebuilds into r the route for a record under prefix p.
+func (a *speakerArena) unpack(r *Route, p netutil.Prefix, slot uint32) {
 	rec := &a.recs[slot]
-	r := Route{
-		Prefix:    p,
-		Path:      a.be.paths.Resolve(rec.pathID),
-		Origin:    Origin(rec.origin),
-		MED:       rec.med,
-		LocalPref: rec.localPref,
-		Class:     RouteClass(rec.class),
-		From:      RouterID(rec.from),
-		FromAS:    asn.AS(rec.fromAS),
-		EBGP:      rec.flags&prFlagEBGP != 0,
-		IGPCost:   rec.igpCost,
-		LearnedAt: Time(rec.learnedAt),
-	}
+	var comms CommunitySet
 	if rec.flags&prFlagHasComms != 0 {
-		r.Communities = a.comms[slot]
+		comms = a.comms[slot]
 	}
-	return r
+	rec.unpack(r, p, a.be.paths.Resolve(rec.pathID), comms)
+}
+
+// unpack writes into r the record's route under prefix p, with path and
+// comms as its AS path and communities: packRoute's inverse.
+func (rec *packedRoute) unpack(r *Route, p netutil.Prefix, path asn.Path, comms CommunitySet) {
+	*r = Route{
+		Prefix:      p,
+		Path:        path,
+		Origin:      Origin(rec.origin),
+		MED:         rec.med,
+		LocalPref:   rec.localPref,
+		Class:       RouteClass(rec.class),
+		From:        RouterID(rec.from),
+		FromAS:      asn.AS(rec.fromAS),
+		EBGP:        rec.flags&prFlagEBGP != 0,
+		IGPCost:     rec.igpCost,
+		LearnedAt:   Time(rec.learnedAt),
+		Communities: comms,
+	}
 }
 
 // arenaStore is the compact ribStore: an index from packed
@@ -412,19 +434,24 @@ func (st *arenaStore) Install(k ribKey, r *Route) {
 // put stores rec under key, replacing any previous entry.
 func (st *arenaStore) put(key uint64, rec packedRoute, comms CommunitySet) {
 	st.drop(key)
-	// Loc-RIB delta encoding: share the adj-RIB-in record for the same
-	// (prefix, From) when it matches — it always does when the decision
-	// process installs the candidate it just scanned.
+	st.index(key, st.place(key, rec, comms))
+}
+
+// place returns the slot rec takes under key, which holds nothing. The
+// loc-RIB delta-encodes: it shares (refcounts) the adj-RIB-in record
+// for the same (prefix, From) when it matches — it always does when
+// the decision process installs the candidate it just scanned. Any
+// other record is allocated.
+func (st *arenaStore) place(key uint64, rec packedRoute, comms CommunitySet) uint32 {
 	if st.sibling != nil && rec.from != 0 {
 		if sibSlot, ok := st.sibling.find(key>>32<<32 | uint64(rec.from)); ok &&
 			sameRecord(st.ar.recs[sibSlot], rec) &&
 			communitiesEqual(st.ar.comms[sibSlot], comms) {
 			st.ar.recs[sibSlot].ref++
-			st.index(key, sibSlot)
-			return
+			return sibSlot
 		}
 	}
-	st.index(key, st.ar.alloc(rec, comms))
+	return st.ar.alloc(rec, comms)
 }
 
 func (st *arenaStore) stored(k ribKey, _ *Route) *Route { return st.Get(k) }
@@ -468,17 +495,68 @@ func (st *arenaStore) appendPrefixes(dst []netutil.Prefix) []netutil.Prefix {
 func (st *arenaStore) setJournal(j *journal) { st.ar.be.jr = j }
 
 func (st *arenaStore) Reset() {
-	st.each(func(_ uint64, slot uint32) { st.ar.release(slot) })
+	st.release()
 	if st.heads == nil {
 		st.slots = make(map[uint64]uint32)
 	} else {
 		st.heads, st.n = make(map[uint32]uint32), 0
 	}
+}
+
+// release drops every entry's reference to its record, in the index's
+// own (map) order, and the memo; the index itself is the caller's to
+// replace.
+func (st *arenaStore) release() {
+	st.each(func(_ uint64, slot uint32) { st.ar.release(slot) })
 	st.mat = nil
 }
 
+// load is a restore's bulk load (see ribStore): the store's records are
+// released as Reset releases them and its index made anew, presized,
+// and then each entry, in file order, takes the slot that Installing it
+// would take — from the free list, or shared with the adj-RIB-in
+// exactly as put shares — so slots, the free list and RIBStats come out
+// as an Install per entry leaves them. The prefix index is probed once
+// per run of equal prefixes, and an adj-RIB-in record joins its chain
+// at the tail: file order is (prefix, neighbor), the chain's order.
+func (st *arenaStore) load(refs []ribRef, rt *snapRoutes) {
+	st.release()
+	be := st.ar.be
+	if st.heads == nil {
+		st.slots = make(map[uint64]uint32, len(refs))
+	} else {
+		runs := 0
+		for j := range refs {
+			if j == 0 || refs[j].k.prefix != refs[j-1].k.prefix {
+				runs++
+			}
+		}
+		st.heads, st.n = make(map[uint32]uint32, runs), len(refs)
+	}
+	var pi, tail uint32
+	for j, ref := range refs {
+		if j == 0 || ref.k.prefix != refs[j-1].k.prefix {
+			pi, tail = be.prefixes.Add(ref.k.prefix), 0
+		}
+		key := uint64(pi)<<32 | uint64(ref.k.neighbor)
+		rec, comms := rt.packed(ref.idx, be.paths)
+		slot := st.place(key, rec, comms)
+		switch {
+		case st.heads == nil:
+			st.slots[key] = slot
+		case tail == 0:
+			st.heads[pi] = slot + 1
+		default:
+			st.ar.recs[tail-1].next = slot + 1
+		}
+		tail = slot + 1
+	}
+}
+
+// WalkSorted ranks the store's own prefixes, so a walk costs what the
+// store holds, not what the network's prefix index does.
 func (st *arenaStore) WalkSorted(fn func(k ribKey, r *Route) bool) {
-	for _, ref := range st.sorted(nil) {
+	for _, ref := range st.sorted(nil, st.ownRanks()) {
 		if !fn(ref.k, st.box(st.storeKey(ref.k), ref.k.prefix, ref.slot)) {
 			return
 		}
@@ -486,26 +564,134 @@ func (st *arenaStore) WalkSorted(fn func(k ribKey, r *Route) bool) {
 }
 
 // appendSorted numbers the store's records by position: a snapshot
-// reads each one's fields from the arena and boxes none.
+// reads each one's fields from the arena and boxes none. The first
+// arena store a snapshot walks ranks the network's whole prefix index,
+// and every later one sorts on those ranks.
 func (st *arenaStore) appendSorted(refs []ribRef, ri *routeIndex) []ribRef {
+	if ri.ranks.rank == nil {
+		ri.ranks.rankAll(st.ar.be.prefixes.list)
+	}
 	start := len(refs)
-	refs = st.sorted(refs)
+	refs = st.sorted(refs, &ri.ranks)
 	ri.addRecords(st.ar, refs[start:])
 	return refs
 }
 
 // sorted appends the store's entries, each with its arena slot, to refs
-// in (prefix, neighbor) order.
-func (st *arenaStore) sorted(refs []ribRef) []ribRef {
-	start := len(refs)
-	st.each(func(key uint64, slot uint32) {
-		refs = append(refs, ribRef{
-			k:    ribKey{prefix: st.ar.be.prefixes.At(uint32(key >> 32)), neighbor: RouterID(key)},
-			slot: slot,
-		})
-	})
-	slices.SortFunc(refs[start:], func(a, b ribRef) int { return a.k.compare(b.k) })
+// in (prefix, neighbor) order. It makes one sort of integer keys, in
+// rk's buffer, each a prefix's rank over 32 bits of something that
+// orders the entries under it and finds their slots:
+//
+//   - adj-RIB-in: rank<<32 | the chain's head (slot + 1). Each chain
+//     then expands in place, already in neighbor order.
+//   - loc-RIB: rank<<32 | slot, since its neighbor is always 0.
+//   - adj-RIB-out: rank<<32 | neighbor, and the slot is looked up.
+func (st *arenaStore) sorted(refs []ribRef, rk *prefixRanks) []ribRef {
+	keys := rk.keys[:0]
+	loc := st.sibling != nil
+	for pi, at := range st.heads {
+		keys = append(keys, uint64(rk.of(pi))<<32|uint64(at))
+	}
+	for key, slot := range st.slots {
+		low := key & 0xffffffff
+		if loc {
+			low = uint64(slot)
+		}
+		keys = append(keys, uint64(rk.of(uint32(key>>32)))<<32|low)
+	}
+	slices.Sort(keys)
+	list := st.ar.be.prefixes.list
+	for _, key := range keys {
+		pi := rk.byRank[key>>32]
+		p, low := list[pi], uint32(key)
+		switch {
+		case st.heads != nil:
+			for at := low; at != 0; at = st.ar.recs[at-1].next {
+				refs = append(refs, ribRef{k: ribKey{prefix: p, neighbor: RouterID(st.ar.recs[at-1].from)}, slot: at - 1})
+			}
+		case loc:
+			refs = append(refs, ribRef{k: locKey(p), slot: low})
+		default:
+			refs = append(refs, ribRef{k: ribKey{prefix: p, neighbor: RouterID(low)}, slot: st.slots[uint64(pi)<<32|uint64(low)]})
+		}
+	}
+	rk.keys = keys
 	return refs
+}
+
+// ownRanks ranks the prefixes the store holds entries for.
+func (st *arenaStore) ownRanks() *prefixRanks {
+	rk := &prefixRanks{local: make(map[uint32]uint32)}
+	st.each(func(key uint64, _ uint32) {
+		pi := uint32(key >> 32)
+		if _, ok := rk.local[pi]; !ok {
+			rk.local[pi] = 0
+			rk.byRank = append(rk.byRank, pi)
+		}
+	})
+	rk.order(st.ar.be.prefixes.list)
+	for r, pi := range rk.byRank {
+		rk.local[pi] = uint32(r)
+	}
+	return rk
+}
+
+// prefixRanks numbers prefix indices in prefix order, so that a store's
+// entries sort on integer keys (see sorted): byRank lists the indices in
+// prefix order, and rank or local inverts it. A snapshot ranks its
+// network's whole prefix index once, into rank (rankAll); WalkSorted
+// ranks one store's own prefixes, into local (ownRanks).
+type prefixRanks struct {
+	rank   []uint32          // prefix index → rank, over the whole index
+	local  map[uint32]uint32 // prefix index → rank, over one store's prefixes
+	byRank []uint32
+	keys   []uint64 // the sort buffer, reused store after store
+}
+
+// rankAll ranks every prefix of the index list.
+func (rk *prefixRanks) rankAll(list []netutil.Prefix) {
+	rk.byRank = make([]uint32, len(list))
+	for i := range rk.byRank {
+		rk.byRank[i] = uint32(i)
+	}
+	rk.order(list)
+	rk.rank = make([]uint32, len(list))
+	for r, pi := range rk.byRank {
+		rk.rank[pi] = uint32(r)
+	}
+}
+
+// of returns prefix index pi's rank.
+func (rk *prefixRanks) of(pi uint32) uint32 {
+	if rk.rank != nil {
+		return rk.rank[pi]
+	}
+	return rk.local[pi]
+}
+
+// rankIndexBits is the width of a prefix index in an ordering key; the
+// prefix's address and length take the other 38 bits.
+const rankIndexBits = 26
+
+// order sorts byRank, prefix indices into list, by their prefixes. Each
+// becomes one integer key, the prefix (address, then length + 1, the
+// order of netutil.ComparePrefixes) above the index, so the sort
+// compares no prefix. The index must fit its 26 bits: the internet
+// tier's prefix index holds about a million prefixes, 64 times fewer.
+func (rk *prefixRanks) order(list []netutil.Prefix) {
+	if len(list) > 1<<rankIndexBits {
+		panic(fmt.Sprintf("bgp: %d prefixes to rank, more than 2^%d", len(list), rankIndexBits))
+	}
+	keys := rk.keys[:0]
+	for _, pi := range rk.byRank {
+		p := list[pi]
+		keys = append(keys, (uint64(p.Addr())<<6|uint64(p.Bits()+1))<<rankIndexBits|uint64(pi))
+	}
+	slices.Sort(keys)
+	for r, key := range keys {
+		rk.byRank[r] = uint32(key & (1<<rankIndexBits - 1))
+	}
+	rk.keys = keys
 }
 
 // RIBStats describes the compact engine's memory model: entry counts

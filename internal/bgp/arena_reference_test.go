@@ -241,7 +241,7 @@ func TestArenaStoreMatchesReference(t *testing.T) {
 			for _, s := range []rowSide{sideIn, sideLoc, sideOut} {
 				var entries []ribEntry
 				refs[s].WalkSorted(func(k ribKey, r *Route) bool { entries = append(entries, ribEntry{k, r}); return true })
-				loadStore(stores[s], entries)
+				stores[s].load(snapTable(t, entries, true))
 			}
 		case x < 945 && jr == nil:
 			op = "open journal"

@@ -366,9 +366,9 @@ func (n *Network) OriginateWith(id RouterID, p netutil.Prefix, opts OriginateOpt
 		Communities: opts.Communities,
 	}
 	if n.jr != nil {
-		n.jr.orig.save(s.originated, p)
+		n.jr.orig.save(&s.originated, p)
 	}
-	s.originated[p] = origination{route: after}
+	setEntry(&s.originated, p, origination{route: after})
 	n.decide(s, p, 0, before, after)
 }
 
@@ -384,7 +384,7 @@ func (n *Network) WithdrawOrigination(id RouterID, p netutil.Prefix) {
 		return
 	}
 	if n.jr != nil {
-		n.jr.orig.save(s.originated, p)
+		n.jr.orig.save(&s.originated, p)
 	}
 	delete(s.originated, p)
 	n.decide(s, p, 0, o.route, nil)
@@ -510,13 +510,10 @@ func (n *Network) SetPrefixPrepend(id, nb RouterID, p netutil.Prefix, prepends i
 		return
 	}
 	n.savePeer(pcN)
-	if pcN.PrefixPrepend == nil {
-		pcN.PrefixPrepend = make(map[netutil.Prefix]int)
-	}
 	if n.jr != nil {
-		n.jr.prepends.save(pcN.PrefixPrepend, p)
+		n.jr.prepends.save(&pcN.PrefixPrepend, p)
 	}
-	pcN.PrefixPrepend[p] = prepends
+	setEntry(&pcN.PrefixPrepend, p, prepends)
 	// Unified no-op detection with SetExportPrepend: recording an
 	// override equal to the session default leaves the effective
 	// prepend — and thus the announcement — unchanged. The override
@@ -709,9 +706,9 @@ func (n *Network) exportToPeer(s *Speaker, p netutil.Prefix, pc *PeerConfig, bes
 		if st, ok := s.mrai[k]; ok && n.clock < st.last+pc.MRAI {
 			if !st.pending {
 				if n.jr != nil {
-					n.jr.mrai.save(s.mrai, k)
+					n.jr.mrai.save(&s.mrai, k)
 				}
-				s.mrai[k] = mraiState{last: st.last, pending: true}
+				setEntry(&s.mrai, k, mraiState{last: st.last, pending: true})
 				n.queue.Push(vtime.Time(st.last+pc.MRAI), event{
 					to:     s.ID,
 					from:   pc.Neighbor,
@@ -753,9 +750,9 @@ func (n *Network) sendExport(s *Speaker, p netutil.Prefix, pc *PeerConfig, best 
 	}
 	if pc.MRAI > 0 {
 		if n.jr != nil {
-			n.jr.mrai.save(s.mrai, k)
+			n.jr.mrai.save(&s.mrai, k)
 		}
-		s.mrai[k] = mraiState{last: n.clock, pending: s.mrai[k].pending}
+		setEntry(&s.mrai, k, mraiState{last: n.clock, pending: s.mrai[k].pending})
 	}
 	n.queue.Push(vtime.Time(n.clock+delay), event{
 		to:     pc.Neighbor,
@@ -824,9 +821,9 @@ func (n *Network) deliver(e *event) {
 		// schedule nothing.
 		k := ribKey{prefix: e.prefix, neighbor: e.from}
 		if n.jr != nil {
-			n.jr.mrai.save(s.mrai, k)
+			n.jr.mrai.save(&s.mrai, k)
 		}
-		s.mrai[k] = mraiState{last: s.mrai[k].last}
+		setEntry(&s.mrai, k, mraiState{last: s.mrai[k].last})
 		if pc != nil && !pc.down && !s.Collector {
 			n.sendExport(s, e.prefix, pc, s.Best(e.prefix))
 		}

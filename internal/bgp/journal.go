@@ -68,10 +68,11 @@ type journal struct {
 	churn           ChurnLog
 }
 
-// keyedUndo is the value m[k] held before a write; ok is false when k
-// was absent.
+// keyedUndo is the value (*m)[k] held before a write; ok is false when
+// k was absent. It keeps the map's field, not the map: the write may be
+// the one that makes it (setEntry).
 type keyedUndo[K comparable, V any] struct {
-	m  map[K]V
+	m  *map[K]V
 	k  K
 	v  V
 	ok bool
@@ -79,19 +80,30 @@ type keyedUndo[K comparable, V any] struct {
 
 type keyedLog[K comparable, V any] []keyedUndo[K, V]
 
-// save records m[k] ahead of a write to it.
-func (l *keyedLog[K, V]) save(m map[K]V, k K) {
-	v, ok := m[k]
+// save records (*m)[k] ahead of a write to it.
+func (l *keyedLog[K, V]) save(m *map[K]V, k K) {
+	v, ok := (*m)[k]
 	*l = append(*l, keyedUndo[K, V]{m, k, v, ok})
 }
 
 // undo puts the recorded value back.
 func (u *keyedUndo[K, V]) undo() {
 	if u.ok {
-		u.m[u.k] = u.v
+		setEntry(u.m, u.k, u.v)
 	} else {
-		delete(u.m, u.k)
+		delete(*u.m, u.k)
 	}
+}
+
+// setEntry writes (*m)[k] = v, making the map on its first write. Every
+// write to a speaker's side tables (originated, rfd, mrai, medSeen) and
+// to a session's PrefixPrepend goes through it, so a table nothing
+// writes is never made.
+func setEntry[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
 }
 
 // undo puts every recorded value back.
@@ -242,7 +254,7 @@ func (n *Network) savePeer(pc *PeerConfig) {
 // saveRFD records s.rfd[k] and the suppressed count ahead of a write.
 func (s *Speaker) saveRFD(k ribKey) {
 	v, ok := s.rfd[k]
-	s.net.jr.rfd = append(s.net.jr.rfd, rfdUndo{keyedUndo[ribKey, rfdState]{s.rfd, k, v, ok}, s, s.nSuppressed})
+	s.net.jr.rfd = append(s.net.jr.rfd, rfdUndo{keyedUndo[ribKey, rfdState]{&s.rfd, k, v, ok}, s, s.nSuppressed})
 }
 
 // save records the arena entry under key ahead of a write to it.

@@ -92,19 +92,18 @@ type ribStore interface {
 	setJournal(j *journal)
 	// appendSorted appends the store's entries to refs in (prefix,
 	// neighbor) order, numbering their routes in ri: the one walk a
-	// snapshot makes of a store (snapshot.go).
+	// snapshot makes of a store (snapshot.go). A row table numbers
+	// pointers; an arena store numbers records by position, sorted on
+	// ri's prefix ranks.
 	appendSorted(refs []ribRef, ri *routeIndex) []ribRef
+	// load replaces the store's entries with refs, whose keys strictly
+	// ascend and whose routes are rt's: a restore's one write to a
+	// store, leaving it as a Reset and an Install per entry would.
+	load(refs []ribRef, rt *snapRoutes)
 }
 
 // locKey is the loc-RIB store key for p (neighbor 0 by convention).
 func locKey(p netutil.Prefix) ribKey { return ribKey{prefix: p} }
-
-// ribEntry is one (key, route) pair of a store: what a sorted walk
-// visits and what a snapshot's RIB tables decode into.
-type ribEntry struct {
-	k ribKey
-	r *Route
-}
 
 // rowSide names one of a row's three RIBs; the value is also the
 // side's offset in a row (in and out add twice the slot index).
@@ -472,6 +471,14 @@ func (v *rowView) appendPrefixes(dst []netutil.Prefix) []netutil.Prefix {
 }
 
 func (v *rowView) WalkSorted(fn func(k ribKey, r *Route) bool) { v.t.walk(v.side, fn) }
+
+// load resets the side and sets each entry's route.
+func (v *rowView) load(refs []ribRef, rt *snapRoutes) {
+	v.t.reset(v.side)
+	for _, ref := range refs {
+		v.t.set(v.side, ref.k, rt.route(ref.idx), true)
+	}
+}
 
 // appendSorted numbers every route through ri's pointer map, which
 // keeps the sharing between stores and queued events.

@@ -21,6 +21,13 @@ type mapStore struct {
 
 func newMapStore() *mapStore { return &mapStore{m: make(map[ribKey]*Route)} }
 
+// ribEntry is one (key, route) pair of a store, as a sorted walk visits
+// it.
+type ribEntry struct {
+	k ribKey
+	r *Route
+}
+
 func (st *mapStore) Get(k ribKey) *Route { return st.m[k] }
 
 func (st *mapStore) Install(k ribKey, r *Route) {
@@ -28,14 +35,14 @@ func (st *mapStore) Install(k ribKey, r *Route) {
 		panic("bgp: Install(nil route); use Withdraw")
 	}
 	if st.jr != nil {
-		st.log.save(st.m, k)
+		st.log.save(&st.m, k)
 	}
 	st.m[k] = r
 }
 
 func (st *mapStore) Withdraw(k ribKey) {
 	if st.jr != nil {
-		st.log.save(st.m, k)
+		st.log.save(&st.m, k)
 	}
 	delete(st.m, k)
 }
@@ -69,6 +76,8 @@ func (st *mapStore) appendPrefixes(dst []netutil.Prefix) []netutil.Prefix {
 	}
 	return dst
 }
+
+func (st *mapStore) load(refs []ribRef, rt *snapRoutes) { installLoad(st, refs, rt) }
 
 func (st *mapStore) appendSorted(refs []ribRef, ri *routeIndex) []ribRef {
 	st.WalkSorted(func(k ribKey, r *Route) bool {

@@ -18,19 +18,24 @@ package bgp
 //     canonical traversal, so two Snapshot calls on the same network
 //     produce identical bytes (pinned by TestSnapshotDeterministic).
 //     Every keyed table is also read back in that order: the decoder
-//     requires strictly increasing keys, and RestoreNetwork installs
-//     the three RIB tables as they come, without sorting anything
-//     again. Tables the engine keeps in step must agree on restore:
-//     the suppressed set with the damping states, the pending MRAI
-//     batches with their last-sent times and with the queued flush
-//     timers (checkFlushes).
+//     requires strictly increasing keys, and RestoreNetwork loads the
+//     three RIB tables as they come (ribStore.load), without sorting
+//     anything again. Tables the engine keeps in step must agree on
+//     restore: the suppressed set with the damping states, the pending
+//     MRAI batches with their last-sent times and with the queued
+//     flush timers (checkFlushes).
 //
 //   - Pointer identity. sendExport stores one *Route into both the
 //     adj-RIB-out and the queued event's Network.inflight slot, and a
 //     queued event may hold a stale pointer no RIB reaches any more.
 //     The route table assigns one index per distinct pointer, so
 //     aliasing survives a round trip. An arena store has no pointers to
-//     keep: each of its entries is numbered by position (routeIndex).
+//     keep: each of its entries is numbered by position (routeIndex),
+//     and restored by position too. On an arena base the route table
+//     decodes straight to packed records, a *Route is boxed only for
+//     what keeps a pointer (originations, queued announcements), once
+//     per index, and each store loads its records in one pass
+//     (snapRoutes, arenaStore.load).
 //
 // Policy func values (ImportDeny, ExportFilter, ExportBestOf) cannot
 // be serialized; they come from the base network, and a fingerprint
@@ -209,7 +214,7 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 	if err != nil {
 		return err
 	}
-	routes, err := decodeRoutes(sections[3].Payload, paths)
+	routes, err := decodeRoutes(sections[3].Payload, paths, base.compact)
 	if err != nil {
 		return err
 	}
@@ -245,7 +250,7 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 	}
 	base.queue.Restore(queue, meta.seq)
 	for _, st := range spks {
-		st.apply()
+		st.apply(routes)
 	}
 	return nil
 }
@@ -400,11 +405,16 @@ func (n *Network) fingerprintEquals(want []byte) bool {
 // out a pointer that anything else holds (Get boxes afresh, and nothing
 // parks or originates a box), so its k-th entry in sorted order is
 // simply the next index, and its fields are read from the packed record
-// when the route table is written. Nothing is boxed.
+// when the route table is written. Nothing is boxed. An arena store's
+// walk is one sort of integer keys over the ranks of the network's
+// prefix index (arenaStore.sorted), which the first arena store ranks
+// and every later one reuses; ranks and sort buffer die with the
+// index.
 //
 // That numbering walk is the only walk of the stores a snapshot makes:
-// it records each store's entries as it goes and the route table and
-// the speakers section are written from the record.
+// it records each store's entries, and each speaker's originations
+// sorted once, as it goes, and the route table and the speakers section
+// are written from the record.
 type routeIndex struct {
 	idx  map[*Route]uint32 // every numbered *Route
 	list []*Route          // the numbered *Routes in index order
@@ -413,6 +423,12 @@ type routeIndex struct {
 	// ribs[i] is speaker n.order[i]'s adj-RIB-in, loc-RIB and
 	// adj-RIB-out, each in sorted key order: windows onto one slice.
 	ribs [][3][]ribRef
+	// orig[i] is the prefixes speaker n.order[i] originates, sorted
+	// once for the route table and the speakers section alike.
+	orig [][]netutil.Prefix
+	// ranks orders an arena network's prefix index and holds the one
+	// sort buffer every arena store's walk reuses.
+	ranks prefixRanks
 	// queue is the pending events in (At, Seq) order.
 	queue []vtime.Item[event]
 }
@@ -437,13 +453,17 @@ type ribRef struct {
 func newRouteIndex(n *Network) *routeIndex {
 	queue := n.queue.Sorted()
 	// Presize for what the walk will hold: every store entry in refs,
-	// and in the pointer map every origination and queued route, plus
-	// every entry when the stores are row tables.
-	entries, boxed := 0, len(queue)
+	// every origination in orig, and in the pointer map every
+	// origination and queued route, plus every entry when the stores
+	// are row tables. An arena network's sort buffer holds a key per
+	// prefix of the index, or per entry of the widest store.
+	entries, origs, widest := 0, 0, 0
 	for _, s := range n.speakers {
-		boxed += len(s.originated)
+		origs += len(s.originated)
 		entries += s.adjIn.Len() + s.locRib.Len() + s.adjOut.Len()
+		widest = max(widest, s.adjIn.Len(), s.locRib.Len(), s.adjOut.Len())
 	}
+	boxed := len(queue) + origs
 	if !n.compact {
 		boxed += entries
 	}
@@ -451,14 +471,23 @@ func newRouteIndex(n *Network) *routeIndex {
 		idx:   make(map[*Route]uint32, boxed),
 		list:  make([]*Route, 0, boxed),
 		ribs:  make([][3][]ribRef, len(n.order)),
+		orig:  make([][]netutil.Prefix, len(n.order)),
 		queue: queue,
 	}
+	if n.compact {
+		ri.ranks.keys = make([]uint64, 0, max(widest, len(n.ribBE.prefixes.list)))
+	}
 	refs := make([]ribRef, 0, entries)
-	var orig []netutil.Prefix
+	orig := make([]netutil.Prefix, 0, origs)
 	for i, id := range n.order {
 		s := n.speakers[id]
-		orig = sortedOrigPrefixes(orig[:0], s.originated)
-		for _, p := range orig {
+		start := len(orig)
+		for p := range s.originated {
+			orig = append(orig, p)
+		}
+		netutil.SortPrefixes(orig[start:])
+		ri.orig[i] = orig[start:len(orig):len(orig)]
+		for _, p := range ri.orig[i] {
 			ri.add(s.originated[p].route)
 		}
 		for t, st := range [3]ribStore{s.adjIn, s.locRib, s.adjOut} {
@@ -530,16 +559,23 @@ func (ri *routeIndex) eachRoute(boxed func(r *Route), packed func(ar *speakerAre
 // table and the churn log reference, numbered in first-appearance order
 // (route-table order, then churn order), so identical networks produce
 // identical tables. Numbering them before anything is written lets the
-// paths section precede its referers in one buffer. It also returns
-// the route table's encoded size.
+// paths section precede its referers in one buffer. The numbers of the
+// boxed routes' and the churn records' paths are kept for the encoders,
+// so each such path is looked up once. It also returns the route
+// table's encoded size.
 func (n *Network) numberPaths(ri *routeIndex) (pt *snapPaths, routeBytes int) {
 	pt = newSnapPaths(n.ribBE)
 	routeBytes = uvarintLen(uint64(ri.n))
 	add := func(pathID pathtab.ID, comms int) {
 		routeBytes += routeFixedBytes + uvarintLen(uint64(pathID)) + uvarintLen(uint64(comms)) + 4*comms
 	}
+	pt.boxed = make([]pathtab.ID, 0, len(ri.list))
 	ri.eachRoute(
-		func(r *Route) { add(pt.id(r.Path), r.Communities.Len()) },
+		func(r *Route) {
+			id := pt.id(r.Path)
+			pt.boxed = append(pt.boxed, id)
+			add(id, r.Communities.Len())
+		},
 		func(ar *speakerArena, ref ribRef) {
 			rec := &ar.recs[ref.slot]
 			comms := 0
@@ -548,8 +584,9 @@ func (n *Network) numberPaths(ri *routeIndex) (pt *snapPaths, routeBytes int) {
 			}
 			add(pt.netID(rec.pathID), comms)
 		})
-	for _, rec := range n.Churn.Records {
-		pt.id(rec.Path)
+	pt.churn = make([]pathtab.ID, len(n.Churn.Records))
+	for i, rec := range n.Churn.Records {
+		pt.churn[i] = pt.id(rec.Path)
 	}
 	return pt, routeBytes
 }
@@ -582,6 +619,8 @@ type snapPaths struct {
 	local   *pathtab.Table // paths net does not hold
 	byLocal []pathtab.ID   // local ID-1 → snapshot ID
 	list    []asn.Path     // snapshot ID-1 → path
+	boxed   []pathtab.ID   // the route index's boxed routes' IDs, in list order
+	churn   []pathtab.ID   // the churn records' IDs, in log order
 }
 
 func newSnapPaths(be *ribBackend) *snapPaths {
@@ -680,14 +719,19 @@ func pathByID(paths []asn.Path, id uint64, d *snap.Dec) (asn.Path, error) {
 }
 
 // encodeRoutes writes the route table. An arena record is unpacked
-// into a Route on the stack, so both kinds share one encoder.
+// into one Route on the stack, so both kinds share one encoder.
 func encodeRoutes(e *snap.Enc, ri *routeIndex, pt *snapPaths) {
 	e.Uvarint(uint64(ri.n))
+	var unpacked Route
+	boxed := pt.boxed
 	ri.eachRoute(
-		func(r *Route) { encRoute(e, r, pt.id(r.Path)) },
+		func(r *Route) {
+			encRoute(e, r, boxed[0])
+			boxed = boxed[1:]
+		},
 		func(ar *speakerArena, ref ribRef) {
-			r := ar.unpack(ref.k.prefix, ref.slot)
-			encRoute(e, &r, pt.netID(ar.recs[ref.slot].pathID))
+			ar.unpack(&unpacked, ref.k.prefix, ref.slot)
+			encRoute(e, &unpacked, pt.netID(ar.recs[ref.slot].pathID))
 		})
 }
 
@@ -712,69 +756,165 @@ func encRoute(e *snap.Enc, r *Route, pathID pathtab.ID) {
 	encCommunities(e, r.Communities)
 }
 
+// snapRoutes is a decoded route table. On a row-table base every route
+// is boxed as it is read: the stores keep the pointers. On an arena base
+// each is kept as what an arena store holds — a record, whose path is
+// still a snapshot path ID, its prefix, and any communities in a side
+// map — and a *Route is boxed only for what keeps a pointer
+// (originations, queued announcements), once per index, so aliasing
+// survives.
+type snapRoutes struct {
+	paths  []asn.Path              // the snapshot's path table: paths[i] is ID i+1
+	boxed  []*Route                // index → route; on an arena base nil until boxed
+	recs   []packedRoute           // arena base: index → record
+	prefix []netutil.Prefix        // arena base: index → prefix
+	comms  map[uint32]CommunitySet // arena base: index → communities, when any
+	// netPaths maps a snapshot path ID to the network's, interning each
+	// path into the network's table on its first use (0: not yet). The
+	// loads use them in file order, so the network numbers its new
+	// paths as an Install per entry would.
+	netPaths []pathtab.ID
+}
+
 // decodeRoutes reads the route table; each route's path is a reference
-// into the decoded path table.
-func decodeRoutes(payload []byte, paths []asn.Path) ([]*Route, error) {
+// into the decoded path table. packed selects the arena base's form.
+func decodeRoutes(payload []byte, paths []asn.Path, packed bool) (*snapRoutes, error) {
 	d := snap.NewDec(payload)
 	n := d.Count(20) // minimum encoded route size
-	routes := make([]*Route, 0, n)
-	for i := 0; i < n; i++ {
-		r := &Route{}
-		var err error
-		if r.Prefix, err = d.Prefix(); err != nil {
+	rt := &snapRoutes{paths: paths, boxed: make([]*Route, n)}
+	if packed {
+		rt.recs = make([]packedRoute, n)
+		rt.prefix = make([]netutil.Prefix, n)
+	}
+	for i := range n {
+		r, pathID, err := decRoute(d, paths)
+		if err != nil {
 			return nil, err
 		}
-		if r.Path, err = pathByID(paths, d.Uvarint(), d); err != nil {
-			return nil, err
+		if !packed {
+			rt.boxed[i] = new(Route)
+			*rt.boxed[i] = r
+			continue
 		}
-		r.Origin = Origin(d.U8())
-		r.MED = d.U32()
-		r.LocalPref = d.U32()
-		r.Class = RouteClass(d.U8())
-		r.From = RouterID(d.U32())
-		r.FromAS = asn.AS(d.U32())
-		r.EBGP = d.Bool()
-		r.IGPCost = d.U32()
-		r.LearnedAt = Time(d.I64())
-		r.Communities = decCommunities(d)
-		routes = append(routes, r)
+		rt.recs[i], rt.prefix[i] = packRoute(&r, pathID), r.Prefix
+		if r.Communities.Len() > 0 {
+			if rt.comms == nil {
+				rt.comms = make(map[uint32]CommunitySet)
+			}
+			rt.comms[uint32(i)] = r.Communities
+		}
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	return routes, nil
+	return rt, nil
+}
+
+// decRoute reads one route-table entry; pathID is its path's number in
+// the snapshot's path table.
+func decRoute(d *snap.Dec, paths []asn.Path) (r Route, pathID pathtab.ID, err error) {
+	if r.Prefix, err = d.Prefix(); err != nil {
+		return r, 0, err
+	}
+	id := d.Uvarint()
+	if r.Path, err = pathByID(paths, id, d); err != nil {
+		return r, 0, err
+	}
+	r.Origin = Origin(d.U8())
+	r.MED = d.U32()
+	r.LocalPref = d.U32()
+	r.Class = RouteClass(d.U8())
+	r.From = RouterID(d.U32())
+	r.FromAS = asn.AS(d.U32())
+	r.EBGP = d.Bool()
+	r.IGPCost = d.U32()
+	r.LearnedAt = Time(d.I64())
+	r.Communities = decCommunities(d)
+	return r, pathtab.ID(id), nil
+}
+
+// route returns route i, boxing an arena base's record on first use.
+func (rt *snapRoutes) route(i uint32) *Route {
+	if r := rt.boxed[i]; r != nil {
+		return r
+	}
+	rec := &rt.recs[i]
+	var path asn.Path
+	if rec.pathID != pathtab.Empty {
+		path = rt.paths[rec.pathID-1]
+	}
+	r := new(Route)
+	rec.unpack(r, rt.prefix[i], path, rt.comms[i])
+	rt.boxed[i] = r
+	return r
+}
+
+// from returns route i's From.
+func (rt *snapRoutes) from(i uint32) RouterID {
+	if rt.recs != nil {
+		return RouterID(rt.recs[i].from)
+	}
+	return rt.boxed[i].From
+}
+
+// packed returns an arena base's route i as its record, its path
+// numbered in the network's table paths, and its communities.
+func (rt *snapRoutes) packed(i uint32, paths *pathtab.Table) (packedRoute, CommunitySet) {
+	rec := rt.recs[i]
+	if rec.pathID != pathtab.Empty {
+		if rt.netPaths == nil {
+			rt.netPaths = make([]pathtab.ID, len(rt.paths)+1)
+		}
+		x := rt.netPaths[rec.pathID]
+		if x == 0 {
+			x = paths.Intern(rt.paths[rec.pathID-1])
+			rt.netPaths[rec.pathID] = x
+		}
+		rec.pathID = x
+	}
+	return rec, rt.comms[i]
+}
+
+// index checks a bare route index read from d.
+func (rt *snapRoutes) index(idx uint64, d *snap.Dec) (uint32, error) {
+	if d.Err() != nil {
+		return 0, d.Err()
+	}
+	if idx >= uint64(len(rt.boxed)) {
+		return 0, fmt.Errorf("%w: route index %d out of range (%d routes)", snap.ErrCorrupt, idx, len(rt.boxed))
+	}
+	return uint32(idx), nil
 }
 
 // routeAt resolves a bare index.
-func routeAt(routes []*Route, idx uint64, d *snap.Dec) (*Route, error) {
-	if d.Err() != nil {
-		return nil, d.Err()
+func (rt *snapRoutes) routeAt(idx uint64, d *snap.Dec) (*Route, error) {
+	i, err := rt.index(idx, d)
+	if err != nil {
+		return nil, err
 	}
-	if idx >= uint64(len(routes)) {
-		return nil, fmt.Errorf("%w: route index %d out of range (%d routes)", snap.ErrCorrupt, idx, len(routes))
-	}
-	return routes[idx], nil
+	return rt.route(i), nil
 }
 
 // routeRef resolves an index+1 reference (0 = nil).
-func routeRef(routes []*Route, ref uint64, d *snap.Dec) (*Route, error) {
+func (rt *snapRoutes) routeRef(ref uint64, d *snap.Dec) (*Route, error) {
 	if ref == 0 {
 		return nil, d.Err()
 	}
-	return routeAt(routes, ref-1, d)
+	return rt.routeAt(ref-1, d)
 }
 
 // --- speakers section ---
 
 // speakerState is one speaker's decoded dynamic state, held until the
 // whole snapshot validates. The three RIBs stay in file order, which
-// the decoder has checked is the sorted order apply installs in.
+// the decoder has checked is the sorted order apply loads in. A side
+// table is made only when the snapshot lists entries for it.
 type speakerState struct {
 	s           *Speaker
 	originated  map[netutil.Prefix]origination
-	adjIn       []ribEntry
-	locRib      []ribEntry
-	adjOut      []ribEntry
+	adjIn       []ribRef
+	locRib      []ribRef
+	adjOut      []ribRef
 	rfd         map[ribKey]rfdState
 	nSuppressed int
 	mrai        map[ribKey]mraiState
@@ -789,14 +929,14 @@ type peerDynState struct {
 	prefixPrepend map[netutil.Prefix]int
 }
 
-func (st *speakerState) apply() {
+func (st *speakerState) apply(rt *snapRoutes) {
 	s := st.s
 	s.originated = st.originated
-	// The RIBs load through the store interface in sorted key order —
-	// adj-RIB-in first, so an arena loc-RIB can share its records.
-	loadStore(s.adjIn, st.adjIn)
-	loadStore(s.locRib, st.locRib)
-	loadStore(s.adjOut, st.adjOut)
+	// The RIBs load in sorted key order — adj-RIB-in first, so an arena
+	// loc-RIB can share its records.
+	s.adjIn.load(st.adjIn, rt)
+	s.locRib.load(st.locRib, rt)
+	s.adjOut.load(st.adjOut, rt)
 	s.rfd = st.rfd
 	s.nSuppressed = st.nSuppressed
 	s.mrai = st.mrai
@@ -805,13 +945,6 @@ func (st *speakerState) apply() {
 		pd.pc.ExportPrepend = pd.exportPrepend
 		pd.pc.down = pd.down
 		pd.pc.PrefixPrepend = pd.prefixPrepend
-	}
-}
-
-func loadStore(store ribStore, entries []ribEntry) {
-	store.Reset()
-	for _, e := range entries {
-		store.Install(e.k, e.r)
 	}
 }
 
@@ -825,9 +958,8 @@ func (n *Network) encodeSpeakers(e *snap.Enc, ri *routeIndex) {
 		s := n.speakers[id]
 		e.U32(uint32(s.ID))
 
-		pfx = sortedOrigPrefixes(pfx[:0], s.originated)
-		e.Uvarint(uint64(len(pfx)))
-		for _, p := range pfx {
+		e.Uvarint(uint64(len(ri.orig[i])))
+		for _, p := range ri.orig[i] {
 			e.Prefix(p)
 			e.Uvarint(ri.must(s.originated[p].route))
 		}
@@ -884,7 +1016,7 @@ func (n *Network) encodeSpeakers(e *snap.Enc, ri *routeIndex) {
 	}
 }
 
-func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerState, error) {
+func decodeSpeakers(payload []byte, base *Network, routes *snapRoutes) ([]*speakerState, error) {
 	d := snap.NewDec(payload)
 	count := d.Count(5)
 	if d.Err() == nil && count != len(base.order) {
@@ -897,21 +1029,19 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 		if d.Err() == nil && s == nil {
 			return nil, fmt.Errorf("%w: snapshot speaker %d not in base network", snap.ErrCorrupt, id)
 		}
-		st := &speakerState{
-			s:          s,
-			originated: make(map[netutil.Prefix]origination),
-			rfd:        make(map[ribKey]rfdState),
-			mrai:       make(map[ribKey]mraiState),
-			medSeen:    make(map[netutil.Prefix]bool),
-		}
+		st := &speakerState{s: s}
 
 		var prev ribKey
-		for j, nOrig := 0, d.Count(6); j < nOrig; j++ {
+		nOrig := d.Count(6)
+		if nOrig > 0 {
+			st.originated = make(map[netutil.Prefix]origination, nOrig)
+		}
+		for j := 0; j < nOrig; j++ {
 			p, err := decPrefixAfter(d, j, &prev)
 			if err != nil {
 				return nil, err
 			}
-			r, err := routeAt(routes, d.Uvarint(), d)
+			r, err := routes.routeAt(d.Uvarint(), d)
 			if err != nil {
 				return nil, err
 			}
@@ -926,8 +1056,8 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 		// arena chains the entries by that From, and the decision's
 		// damping lookups key on it.
 		for _, e := range st.adjIn {
-			if e.r.From != e.k.neighbor {
-				return nil, fmt.Errorf("%w: speaker %d's adj-RIB-in entry %s/%d holds a route from %d", snap.ErrCorrupt, id, e.k.prefix, e.k.neighbor, e.r.From)
+			if from := routes.from(e.idx); from != e.k.neighbor {
+				return nil, fmt.Errorf("%w: speaker %d's adj-RIB-in entry %s/%d holds a route from %d", snap.ErrCorrupt, id, e.k.prefix, e.k.neighbor, from)
 			}
 		}
 		if st.locRib, err = decRouteEntries(d, routes, nil); err != nil {
@@ -937,7 +1067,11 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			return nil, err
 		}
 
-		for j, nRfd := 0, d.Count(9+25); j < nRfd; j++ {
+		nRfd := d.Count(9 + 25)
+		if nRfd > 0 {
+			st.rfd = make(map[ribKey]rfdState, nRfd)
+		}
+		for j := 0; j < nRfd; j++ {
 			k, err := decKeyAfter(d, j, &prev)
 			if err != nil {
 				return nil, err
@@ -970,7 +1104,11 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			return nil, fmt.Errorf("%w: speaker %d has %d suppressed damping states and %d suppressed keys", snap.ErrCorrupt, id, st.nSuppressed, nSup)
 		}
 
-		for j, nMrai := 0, d.Count(9+8); j < nMrai; j++ {
+		nMrai := d.Count(9 + 8)
+		if nMrai > 0 {
+			st.mrai = make(map[ribKey]mraiState, nMrai)
+		}
+		for j := 0; j < nMrai; j++ {
 			k, err := decKeyAfter(d, j, &prev)
 			if err != nil {
 				return nil, err
@@ -992,7 +1130,11 @@ func decodeSpeakers(payload []byte, base *Network, routes []*Route) ([]*speakerS
 			st.mrai[k] = ms
 		}
 
-		for j, nMed := 0, d.Count(5); j < nMed; j++ {
+		nMed := d.Count(5)
+		if nMed > 0 {
+			st.medSeen = make(map[netutil.Prefix]bool, nMed)
+		}
+		for j := 0; j < nMed; j++ {
 			p, err := decPrefixAfter(d, j, &prev)
 			if err != nil {
 				return nil, err
@@ -1069,7 +1211,7 @@ func (n *Network) encodeQueue(e *snap.Enc, ri *routeIndex) {
 // decodeQueue returns the pending events and, beside them, the route
 // each announces (nil for withdrawals and timers): slots in
 // Network.inflight are the restoring network's to assign.
-func decodeQueue(payload []byte, routes []*Route) ([]vtime.Item[event], []*Route, error) {
+func decodeQueue(payload []byte, routes *snapRoutes) ([]vtime.Item[event], []*Route, error) {
 	d := snap.NewDec(payload)
 	n := d.Count(32)
 	q := make([]vtime.Item[event], 0, n)
@@ -1086,7 +1228,7 @@ func decodeQueue(payload []byte, routes []*Route) ([]vtime.Item[event], []*Route
 		if ev.prefix, err = d.Prefix(); err != nil {
 			return nil, nil, err
 		}
-		r, err := routeRef(routes, d.Uvarint(), d)
+		r, err := routes.routeRef(d.Uvarint(), d)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1141,13 +1283,13 @@ func checkFlushes(spks []*speakerState, queue []vtime.Item[event]) error {
 
 func encodeChurn(e *snap.Enc, recs []UpdateRecord, pt *snapPaths) {
 	e.Uvarint(uint64(len(recs)))
-	for _, rec := range recs {
+	for i, rec := range recs {
 		e.I64(int64(rec.At))
 		e.U32(uint32(rec.Collector))
 		e.U32(uint32(rec.PeerAS))
 		e.Prefix(rec.Prefix)
 		e.Bool(rec.Announce)
-		e.Uvarint(uint64(pt.id(rec.Path)))
+		e.Uvarint(uint64(pt.churn[i]))
 	}
 }
 
@@ -1250,14 +1392,14 @@ func encRouteTable(e *snap.Enc, refs []ribRef, loc bool) {
 // duplicate included, is corruption, and so is an adj-RIB key whose
 // neighbor is not a session of s. A nil s selects the loc-RIB's
 // prefix-only keys.
-func decRouteEntries(d *snap.Dec, routes []*Route, s *Speaker) ([]ribEntry, error) {
+func decRouteEntries(d *snap.Dec, routes *snapRoutes, s *Speaker) ([]ribRef, error) {
 	loc := s == nil
 	minEntry := 10
 	if loc {
 		minEntry = 6
 	}
 	n := d.Count(minEntry)
-	entries := make([]ribEntry, 0, n)
+	entries := make([]ribRef, 0, n)
 	var prev ribKey
 	for j := 0; j < n; j++ {
 		var k ribKey
@@ -1273,11 +1415,11 @@ func decRouteEntries(d *snap.Dec, routes []*Route, s *Speaker) ([]ribEntry, erro
 		if !loc && s.session(k.neighbor) == nil {
 			return nil, fmt.Errorf("%w: RIB key %s/%d names no session of the speaker", snap.ErrCorrupt, k.prefix, k.neighbor)
 		}
-		r, err := routeAt(routes, d.Uvarint(), d)
+		idx, err := routes.index(d.Uvarint(), d)
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, ribEntry{k, r})
+		entries = append(entries, ribRef{k: k, idx: idx})
 	}
 	return entries, d.Err()
 }
@@ -1338,15 +1480,6 @@ func decPrefixAfter(d *snap.Dec, j int, prev *ribKey) (netutil.Prefix, error) {
 // sortRibKeysStable orders by (prefix, neighbor); the serialization
 // twin of the test helper sortRibKeys.
 func sortRibKeysStable(keys []ribKey) { slices.SortFunc(keys, ribKey.compare) }
-
-// sortedOrigPrefixes appends m's prefixes to out, sorted.
-func sortedOrigPrefixes(out []netutil.Prefix, m map[netutil.Prefix]origination) []netutil.Prefix {
-	for p := range m {
-		out = append(out, p)
-	}
-	netutil.SortPrefixes(out)
-	return out
-}
 
 // sortedKeys appends m's keys to out, sorted.
 func sortedKeys[V any](out []ribKey, m map[ribKey]V) []ribKey {

@@ -54,24 +54,28 @@ func fuzzSeedInputs(t testing.TB) [][]byte {
 	return inputs
 }
 
-// FuzzSnapshotDecode feeds arbitrary bytes to RestoreNetwork: the
-// decoder must return an error or restore a consistent network — never
-// panic, and never allocate past the input's own size class.
+// FuzzSnapshotDecode feeds arbitrary bytes to RestoreNetwork, on a
+// row-table base and on an arena base, whose route table decodes to
+// packed records: the decoder must return an error or restore a
+// consistent network — never panic, and never allocate past the
+// input's own size class.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, in := range fuzzSeedInputs(f) {
 		f.Add(in)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		base := mraiRfdNet()
-		if err := RestoreNetwork(bytes.NewReader(data), base); err != nil {
-			return
-		}
-		// A successful restore must leave a network the engine can
-		// drain and re-snapshot without issue.
-		base.RunToQuiescence()
-		var buf bytes.Buffer
-		if err := base.Snapshot(&buf); err != nil {
-			t.Fatalf("restored network failed to re-snapshot: %v", err)
+		for _, compact := range []bool{false, true} {
+			base := mraiRfdNetOn(compact)
+			if err := RestoreNetwork(bytes.NewReader(data), base); err != nil {
+				continue
+			}
+			// A successful restore must leave a network the engine can
+			// drain and re-snapshot without error.
+			base.RunToQuiescence()
+			var buf bytes.Buffer
+			if err := base.Snapshot(&buf); err != nil {
+				t.Fatalf("compact=%v: restored network failed to re-snapshot: %v", compact, err)
+			}
 		}
 	})
 }

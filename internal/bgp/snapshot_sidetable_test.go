@@ -78,7 +78,7 @@ func TestRestoreRejectsContradictoryDamping(t *testing.T) {
 	n := chainNet()
 	n.Originate(1, p)
 	n.RunToQuiescence()
-	n.speakers[3].rfd[k] = rs
+	setEntry(&n.speakers[3].rfd, k, rs)
 	n.speakers[3].nSuppressed = 1
 	data := mustSnapshot(t, n)
 	if err := RestoreNetwork(bytes.NewReader(data), chainNet()); err != nil {
@@ -137,7 +137,7 @@ func TestRestoreRejectsContradictoryMRAI(t *testing.T) {
 	pend := func(n *Network) {
 		ms := n.speakers[1].mrai[k]
 		ms.pending = true
-		n.speakers[1].mrai[k] = ms
+		setEntry(&n.speakers[1].mrai, k, ms)
 	}
 	// A batch really in flight restores: driveToMidFlight leaves one.
 	mid := mraiRfdNet()
@@ -200,9 +200,9 @@ func TestRestoreRejectsUnsortedSideTables(t *testing.T) {
 	n := chainNet()
 	s := n.speakers[3]
 	for _, k := range []ribKey{k1, k2} {
-		s.rfd[k] = rfdState{penalty: 3000, suppressed: true}
+		setEntry(&s.rfd, k, rfdState{penalty: 3000, suppressed: true})
 		s.nSuppressed++
-		s.medSeen[k.prefix] = true
+		setEntry(&s.medSeen, k.prefix, true)
 	}
 	data := mustSnapshot(t, n)
 	if err := RestoreNetwork(bytes.NewReader(data), chainNet()); err != nil {

@@ -170,7 +170,9 @@ func driveToSuppressed(n *Network) netutil.Prefix {
 // TestRestoreEquivalenceMidFlight snapshots with RFD penalties
 // accumulated (in the suppressed case, past the suppress threshold) and
 // updates in flight, restores, and requires identical behavior through
-// the drain and further flaps.
+// the drain and further flaps, on both stores: the arena's restore then
+// meets queued announcements, a pending MRAI flush and a suppressed
+// route.
 func TestRestoreEquivalenceMidFlight(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -179,12 +181,15 @@ func TestRestoreEquivalenceMidFlight(t *testing.T) {
 		{"mraiPending", driveToMidFlight},
 		{"suppressed", driveToSuppressed},
 	} {
-		t.Run(tc.name, func(t *testing.T) { testRestoreEquivalence(t, tc.drive) })
+		t.Run(tc.name, func(t *testing.T) {
+			t.Run("rows", func(t *testing.T) { testRestoreEquivalence(t, tc.drive, false) })
+			t.Run("arena", func(t *testing.T) { testRestoreEquivalence(t, tc.drive, true) })
+		})
 	}
 }
 
-func testRestoreEquivalence(t *testing.T, drive func(*Network) netutil.Prefix) {
-	orig := mraiRfdNet()
+func testRestoreEquivalence(t *testing.T, drive func(*Network) netutil.Prefix, compact bool) {
+	orig := mraiRfdNetOn(compact)
 	p := drive(orig)
 
 	// The scenario must actually be mid-flight, or the test is vacuous.
@@ -204,7 +209,7 @@ func testRestoreEquivalence(t *testing.T, drive func(*Network) netutil.Prefix) {
 	}
 
 	data := mustSnapshot(t, orig)
-	restored := mraiRfdNet()
+	restored := mraiRfdNetOn(compact)
 	if err := RestoreNetwork(bytes.NewReader(data), restored); err != nil {
 		t.Fatalf("restore: %v", err)
 	}

@@ -69,7 +69,9 @@ type Speaker struct {
 	originated map[netutil.Prefix]origination
 
 	// Per-(prefix, neighbor) damping and MRAI states; nSuppressed
-	// counts the rfd states whose suppressed bit is set.
+	// counts the rfd states whose suppressed bit is set. These maps,
+	// originated and medSeen stay nil until their first write
+	// (setEntry).
 	rfd         map[ribKey]rfdState
 	mrai        map[ribKey]mraiState
 	nSuppressed int
@@ -95,17 +97,10 @@ type Speaker struct {
 }
 
 // newSpeaker returns a speaker without RIBs: AddSpeaker gives it the
-// network's layout.
+// network's layout. Its side tables are made on their first write
+// (setEntry).
 func newSpeaker(id RouterID, as asn.AS, name string) *Speaker {
-	return &Speaker{
-		ID:         id,
-		AS:         as,
-		Name:       name,
-		originated: make(map[netutil.Prefix]origination),
-		rfd:        make(map[ribKey]rfdState),
-		mrai:       make(map[ribKey]mraiState),
-		medSeen:    make(map[netutil.Prefix]bool),
-	}
+	return &Speaker{ID: id, AS: as, Name: name}
 }
 
 // session is one BGP session as one of its speakers sees it: the
@@ -396,9 +391,9 @@ func (s *Speaker) applyImport(p netutil.Prefix, pc *PeerConfig, r *Route, now Ti
 	s.adjIn.Install(k, installed)
 	if in.MED != 0 {
 		if s.net.jr != nil {
-			s.net.jr.medSeen.save(s.medSeen, p)
+			s.net.jr.medSeen.save(&s.medSeen, p)
 		}
-		s.medSeen[p] = true
+		setEntry(&s.medSeen, p, true)
 	}
 	if pc.RFD != nil {
 		s.rfdFlap(k, pc.RFD, now)
@@ -425,7 +420,7 @@ func (s *Speaker) rfdFlap(k ribKey, cfg *RFDConfig, now Time) {
 	} else if was && !st.suppressed {
 		s.nSuppressed-- // refresh released it
 	}
-	s.rfd[k] = st
+	setEntry(&s.rfd, k, st)
 }
 
 // rfdReuseTime returns the virtual time at which the suppressed route
@@ -461,6 +456,6 @@ func (s *Speaker) rfdRecheck(k ribKey, cfg *RFDConfig, now Time) bool {
 	if released {
 		s.nSuppressed--
 	}
-	s.rfd[k] = st
+	setEntry(&s.rfd, k, st)
 	return released && s.adjIn.Get(k) != nil
 }

@@ -301,6 +301,23 @@ func BenchmarkOriginViews(b *testing.B) {
 	}
 }
 
+// BenchmarkAblateTargets measures the §3.2 target-budget ablation
+// (AblateTargets at budgets 1-3: one Observe and one classification
+// pass per budget) on the Internet2 result of a survey at the paper's
+// grammar with its populations divided by four (survey_paper's size),
+// run once.
+func BenchmarkAblateTargets(b *testing.B) {
+	opts := core.DefaultSurveyOptions()
+	opts.Topology = paperQuarter()
+	s := core.NewSurvey(opts)
+	s.RunBoth()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = core.AblateTargets(s.Internet2, []int{1, 2, 3})
+	}
+}
+
 // BenchmarkFaultSweep measures the robustness harness: a full
 // three-point fault-intensity sweep, each point rebuilding the world,
 // injecting its seeded schedule, and scoring the inference against

@@ -118,6 +118,11 @@ type Network struct {
 
 	// jr is the open undo journal, nil when none (see journal.go).
 	jr *journal
+
+	// gen is the network's generation: it moves with every change a
+	// static solver reads (speakers, sessions, policy), and a solver
+	// compiled at another generation compiles again (static.go).
+	gen uint64
 }
 
 // park stores r (nil: none) for a queued event and returns its slot.
@@ -238,6 +243,7 @@ func (n *Network) AddSpeaker(id RouterID, as asn.AS, name string) *Speaker {
 	if _, dup := n.byName[name]; dup && name != "" {
 		panic(fmt.Sprintf("bgp: duplicate speaker name %q", name))
 	}
+	n.gen++
 	s := newSpeaker(id, as, name)
 	if n.compact {
 		if id == 0 {
@@ -299,6 +305,7 @@ func (n *Network) Connect(a, b RouterID, cfgAtA, cfgAtB PeerConfig) {
 	if n.jr != nil {
 		panic("bgp: Connect with an open journal")
 	}
+	n.gen++
 	cfgAtA.Neighbor, cfgAtA.NeighborAS = b, sb.AS
 	cfgAtB.Neighbor, cfgAtB.NeighborAS = a, sa.AS
 	pa, pb := cfgAtA, cfgAtB
@@ -542,6 +549,7 @@ func (n *Network) SetImportDeny(id RouterID, fn func(*Route) bool) {
 	if n.jr != nil {
 		n.jr.denies = append(n.jr.denies, denyUndo{s, s.importDeny})
 	}
+	n.gen++
 	s.importDeny = fn
 	if fn == nil {
 		return
@@ -642,6 +650,27 @@ func (n *Network) SetExportAllow(id, nb RouterID, allow ClassSet) ClassSet {
 		n.requestExport(s, p, pc)
 	}
 	return old
+}
+
+// SetExportFilter replaces the export filter s applies toward neighbor
+// nb (PeerConfig.ExportFilter; nil removes it) and re-exports every
+// prefix s holds state for over that session. It exports at once, as
+// Connect's initial exchange does: no dirty pair is queued or counted,
+// inside a Batch or not.
+func (n *Network) SetExportFilter(id, nb RouterID, fn func(*Route) bool) {
+	s := n.speakers[id]
+	if s == nil {
+		return
+	}
+	pc := s.Peer(nb)
+	if pc == nil {
+		return
+	}
+	n.savePeer(pc)
+	pc.ExportFilter = fn
+	for _, p := range s.exportablePrefixes() {
+		n.exportToPeer(s, p, pc, s.Best(p))
+	}
 }
 
 // exportablePrefixes lists prefixes with any local state — originated,

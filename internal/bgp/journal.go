@@ -228,6 +228,7 @@ func (n *Network) Rewind() error {
 	replay(&j.rfd, (*rfdUndo).undo)
 	replay(&j.peers, func(u *peerUndo) { *u.pc = u.v })
 	replay(&j.denies, func(u *denyUndo) { u.s.importDeny = u.fn })
+	n.gen++
 
 	n.clock = j.clock
 	n.queue.Restore(j.queue, j.seq)
@@ -244,8 +245,11 @@ func (n *Network) Rewind() error {
 	return nil
 }
 
-// savePeer records pc ahead of a setter's change to it.
+// savePeer records pc ahead of a setter's change to it and moves the
+// network's generation: every setter's write to a PeerConfig comes
+// through here.
 func (n *Network) savePeer(pc *PeerConfig) {
+	n.gen++
 	if n.jr != nil {
 		n.jr.peers = append(n.jr.peers, peerUndo{pc, *pc})
 	}

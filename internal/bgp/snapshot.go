@@ -182,7 +182,9 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // touched, and a decode error leaves base unmodified. Metrics wiring,
 // CollectorFeedDown, and policy functions are kept from base. Like
 // Snapshot it is an error inside a Batch, whose end would drain into
-// the restored state.
+// the restored state. A *bytes.Buffer is decoded in place and drained
+// (snapshot.ReadSections); the restored network keeps none of its
+// bytes, so the caller may reuse the buffer at once.
 func RestoreNetwork(r io.Reader, base *Network) error {
 	if base.batchDepth != 0 {
 		return errors.New("bgp: RestoreNetwork called inside Batch")
@@ -252,6 +254,7 @@ func RestoreNetwork(r io.Reader, base *Network) error {
 	for _, st := range spks {
 		st.apply(routes)
 	}
+	base.gen++ // the sessions' prepends and down flags are the snapshot's
 	return nil
 }
 

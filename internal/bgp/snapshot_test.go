@@ -660,6 +660,43 @@ func TestRestoreEquivalenceAcrossStores(t *testing.T) {
 	}
 }
 
+// TestRestoreFromBufferKeepsNoInputBytes: ReadSections decodes a
+// *bytes.Buffer's bytes in place, so RestoreNetwork must copy whatever
+// it keeps. Each store restores from a buffer that is then drained;
+// its backing array is overwritten, and the restored network must
+// still snapshot to the original bytes.
+func TestRestoreFromBufferKeepsNoInputBytes(t *testing.T) {
+	prefixes := []netutil.Prefix{
+		netutil.PrefixFrom(0xCB007100, 24), // 203.0.113.0/24
+		netutil.PrefixFrom(0xC6336400, 24), // 198.51.100.0/24
+	}
+	var orig, base [2]*Network
+	orig[0], orig[1] = diffPair(4, 16)
+	base[0], base[1] = diffPair(4, 16)
+	rng := rand.New(rand.NewSource(4)) // #nosec test randomness
+	for _, op := range randomOps(rng, orig[0], prefixes, 20) {
+		op(orig[0])
+		op(orig[1])
+	}
+	for i, layout := range []string{"rows", "arena"} {
+		data := mustSnapshot(t, orig[i])
+		backing := slices.Clone(data)
+		buf := bytes.NewBuffer(backing)
+		if err := RestoreNetwork(buf, base[i]); err != nil {
+			t.Fatalf("%s: restore: %v", layout, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: restore left %d bytes in the buffer", layout, buf.Len())
+		}
+		for j := range backing {
+			backing[j] = 0xA5
+		}
+		if !bytes.Equal(mustSnapshot(t, base[i]), data) {
+			t.Errorf("%s: the restored network's snapshot moved with the input buffer's bytes", layout)
+		}
+	}
+}
+
 // ribTableSpans walks the first speaker record of a speakers-section
 // payload and returns the byte span of every entry of its adj-RIB-in
 // and loc-RIB tables.

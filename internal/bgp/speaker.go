@@ -49,7 +49,9 @@ type Speaker struct {
 	Name string
 	// Collector marks a public-view peer (RouteViews/RIS-like): every
 	// update it receives is recorded in the network churn log, and it
-	// never re-exports routes.
+	// never re-exports routes. Set it before the speaker's first
+	// Connect: a static solver reads it when it compiles, and setting
+	// it moves no generation (static.go).
 	Collector bool
 
 	// sessions is the speaker's one session table, sorted by neighbor
@@ -136,7 +138,13 @@ func (s *Speaker) session(nb RouterID) *session {
 	return nil
 }
 
-// Peer returns the speaker's policy toward neighbor id, or nil.
+// Peer returns the speaker's policy toward neighbor id, or nil. It
+// only reads: goroutines that only read a network may call it side by
+// side. Change a policy through Network's setters
+// (SetExportAllow, SetExportFilter, ...): they re-export what the
+// change affects and move the network's generation. A write through
+// the returned pointer does neither, and a static solver compiled
+// before it does not see it.
 func (s *Speaker) Peer(id RouterID) *PeerConfig {
 	if ss := s.session(id); ss != nil {
 		return ss.pc

@@ -10,11 +10,24 @@ import (
 )
 
 // The static solver: the converged routing of one prefix as a
-// whole-graph fixpoint, without the event engine. Its adjacency is each
-// speaker's one session table (Speaker.sessions), the table the engine
-// exports through and the row table takes its slots from; the solver
-// walks it by value and adds only a RouterID-indexed slice of speakers,
-// rebuilt when the network has grown.
+// whole-graph fixpoint, without the event engine. Its adjacency is a
+// compiled copy of the speakers' session tables (Speaker.sessions): one
+// CSR list of value edges per speaker, each carrying what the decision
+// and the export check read of the session's two PeerConfigs, so the
+// relaxation's scan of a speaker's sessions reads one contiguous slice
+// and no PeerConfig. A session whose policy the edge cannot carry (a
+// callback, an import filter, a per-prefix prepend, added communities,
+// a misconfigured NeighborAS) compiles to a slow edge that takes the
+// session-table path through its index.
+//
+// The compiled list is keyed on the network's generation (Network.gen),
+// which every change the solver reads moves: AddSpeaker, Connect, every
+// setter that writes a PeerConfig or a speaker's import filter
+// (savePeer, SetImportDeny), Rewind and RestoreNetwork. A Solve on a
+// solver compiled at another generation compiles again first. Writes
+// made through Speaker.Peer's pointer move nothing, and a solver
+// compiled before one does not see it; Speaker.Collector is set before
+// the speaker's first Connect.
 
 // StaticOrigin describes a prefix origination for the fixpoint solver.
 type StaticOrigin struct {
@@ -81,13 +94,17 @@ type pathCell struct {
 
 // staticNode is one speaker's current best in value form: what the
 // decision process and the export policy read, with the path as a
-// cell index. has is false for a speaker without a route.
+// cell index. has is false for a speaker without a route; scoped is
+// set for a learned route carrying NoExport or NoAdvertise, which no
+// session re-advertises (exportAdmits), and sits in what would
+// otherwise be padding.
 type staticNode struct {
 	candView
-	class RouteClass
-	has   bool
-	path  uint32
-	comms CommunitySet
+	class  RouteClass
+	has    bool
+	scoped bool
+	path   uint32
+	comms  CommunitySet
 	// route is the node as a *Route, built only where something opaque
 	// demands one (a policy callback on a session the node is exported
 	// over, or the import filter that admitted it) and dropped with the
@@ -98,6 +115,44 @@ type staticNode struct {
 // ownNode is an origination: own routes carry LocalPrefOwn, the empty
 // path and no neighbor.
 var ownNode = staticNode{candView: candView{lp: LocalPrefOwn, origin: OriginIGP, fromAS: asn.None}, class: ClassOwn, has: true}
+
+// staticEdge is one session in compiled form, as its receiving speaker
+// sees it: what the sender (nb) exports over it and what the receiver's
+// import assigns. Collector neighbors, which never re-export, have no
+// edge.
+type staticEdge struct {
+	nb     RouterID
+	nbAS   asn.AS   // the sender's AS: the run its announcement adds
+	fromAS asn.AS   // the receiver's PeerConfig.NeighborAS
+	run    int32    // 1 + the sender's ExportPrepend
+	lp     uint32   // the receiver's effective import localpref
+	med    uint32   // the sender's ExportMED
+	igp    uint32   // the receiver's IGPCost
+	slow   uint32   // on a slow edge, its index in StaticSolver.slow
+	allow  ClassSet // the sender's ExportAllow; empty from the receiver's own AS
+	class  RouteClass
+	flags  uint8
+}
+
+// edgeSlow marks an edge whose policy the fast path cannot carry.
+const edgeSlow uint8 = 1
+
+// slowEdge is a slow edge's session and its import-filter memo: the
+// imported route (nil: denied) for the neighbor best at path cell cell
+// in solve gen. A learned best's cell is appended when the best is
+// adopted and never reused within a solve, so within one solve a cell
+// names one neighbor best; an origination's empty path (cell 0) is
+// constant for the solve.
+type slowEdge struct {
+	sess  int
+	gen   uint64
+	cell  uint32
+	route *Route
+}
+
+// asFilterBit is a's bit in a path's one-word AS filter: a path whose
+// filter lacks a's bit does not contain a.
+func asFilterBit(a asn.AS) uint64 { return 1 << (uint32(a) * 0x9E3779B1 >> 26) }
 
 // idSet is a set of RouterIDs, one bit per ID of the dense ID space.
 type idSet []uint64
@@ -114,33 +169,45 @@ func (s idSet) add(id RouterID) bool {
 
 func (s idSet) has(id RouterID) bool { return s[id>>6]&(uint64(1)<<(id&63)) != 0 }
 
-// StaticSolver is the fixpoint solver's reusable working memory. A
-// solve on a warmed solver allocates only its StaticResult; callers
-// that solve many prefixes (core.ComputeOriginViews) keep one solver
-// per goroutine. A solver is not safe for concurrent use, and each
-// Solve invalidates the result of the one before.
+// StaticSolver is the fixpoint solver's reusable working memory and its
+// compiled adjacency. A solve on a warmed solver allocates only its
+// StaticResult; callers that solve many prefixes
+// (core.ComputeOriginViews) keep one solver per goroutine. A solver is
+// not safe for concurrent use, and each Solve invalidates the result
+// of the one before. Solvers of one network may solve side by side:
+// compiling reads the network and writes only the solver.
 type StaticSolver struct {
 	net    *Network
 	prefix netutil.Prefix
 	gen    uint64
 
-	// speakers is the network's speakers by RouterID, rebuilt once the
-	// network has grown past the indexed count. RouterIDs are dense (the
-	// topology builder assigns them sequentially), so a slice beats the
-	// network's map by a wide margin in the hot loop; the adjacency is
-	// each speaker's own session table.
+	// The compiled adjacency, current while netGen equals net.gen:
+	// speakers by RouterID (RouterIDs are dense, the topology builder
+	// assigns them sequentially, so a slice beats the network's map),
+	// and speaker id's edges at edges[first[id]:first[id+1]], in
+	// session order.
+	netGen   uint64
 	speakers []*Speaker
-	indexed  int
+	first    []uint32
+	edges    []staticEdge
+	slow     []slowEdge
 
 	nodes []staticNode // by RouterID
-	cells []pathCell   // cells[0] is unused: index 0 is the empty path
+	// asf is each node's path AS filter by RouterID: the OR of
+	// asFilterBit over the ASes of its path. Read only where the node
+	// has a route.
+	asf   []uint64
+	cells []pathCell // cells[0] is unused: index 0 is the empty path
 	// own holds the solve's originating speakers. cur is the round's
 	// batch and next the one it queues; both are empty between solves.
 	own, cur, next idSet
 }
 
-// NewStaticSolver returns a solver for n. It follows n's topology
-// changes: each Solve reads the speakers' current session tables.
+// NewStaticSolver returns a solver for n. It follows every change to
+// n's speakers, sessions and policy made through Network's methods: a
+// Solve after one recompiles the adjacency (see the generation contract
+// above). Compiling reads every session once, about what one solve's
+// scan reads, so keep a solver for many solves.
 func (n *Network) NewStaticSolver() *StaticSolver { return &StaticSolver{net: n} }
 
 // SolveStatic computes the converged routing for prefix p originated
@@ -172,21 +239,13 @@ func (sv *StaticSolver) Solve(p netutil.Prefix, origins []StaticOrigin) *StaticR
 	}
 	sv.gen++
 	sv.prefix = p
-	if n := sv.net; sv.indexed != len(n.order) {
-		sv.speakers = make([]*Speaker, n.order[len(n.order)-1]+1) // order is ascending
-		for _, id := range n.order {
-			sv.speakers[id] = n.speakers[id]
-		}
-		sv.indexed = len(n.order)
+	// A network with a speaker has gen >= 1 (AddSpeaker moves it), so
+	// a fresh solver's zero netGen is never current.
+	if sv.netGen != sv.net.gen {
+		sv.compile()
 	}
-	if size := len(sv.speakers); len(sv.nodes) != size {
-		words := (size + 63) / 64
-		sv.nodes = make([]staticNode, size)
-		sv.own, sv.cur, sv.next = make(idSet, words), make(idSet, words), make(idSet, words)
-	} else {
-		clear(sv.nodes)
-		clear(sv.own)
-	}
+	clear(sv.nodes)
+	clear(sv.own)
 	sv.cells = append(sv.cells[:0], pathCell{})
 	res := &StaticResult{Prefix: p, solver: sv, gen: sv.gen}
 
@@ -219,8 +278,11 @@ func (sv *StaticSolver) Solve(p netutil.Prefix, origins []StaticOrigin) *StaticR
 				if !sv.relax(id) {
 					continue
 				}
-				for _, e := range sv.speakers[id].sessions {
-					if !e.nb.Collector && next.add(e.nbID) {
+				// id's edges name its neighbors but collectors, which
+				// re-export nothing and are never relaxed.
+				edges := sv.edges[sv.first[id]:sv.first[id+1]]
+				for i := range edges {
+					if next.add(edges[i].nb) {
 						queued++
 					}
 				}
@@ -236,6 +298,67 @@ func (sv *StaticSolver) Solve(p netutil.Prefix, origins []StaticOrigin) *StaticR
 	return res
 }
 
+// compile builds the adjacency from the network's session tables and
+// sizes the per-node memory to the network's RouterIDs.
+func (sv *StaticSolver) compile() {
+	n := sv.net
+	size := int(n.order[len(n.order)-1]) + 1 // order is ascending
+	if len(sv.nodes) != size {
+		words := (size + 63) / 64
+		sv.speakers = make([]*Speaker, size)
+		sv.first = make([]uint32, size+1)
+		sv.nodes = make([]staticNode, size)
+		sv.asf = make([]uint64, size)
+		sv.own, sv.cur, sv.next = make(idSet, words), make(idSet, words), make(idSet, words)
+	}
+	sv.edges, sv.slow = sv.edges[:0], sv.slow[:0]
+	unset := 0 // the lowest RouterID whose first is not yet written
+	for _, id := range n.order {
+		for ; unset <= int(id); unset++ {
+			sv.first[unset] = uint32(len(sv.edges))
+		}
+		s := n.speakers[id]
+		sv.speakers[id] = s
+		for i := range s.sessions {
+			if e := &s.sessions[i]; !e.nb.Collector {
+				sv.edges = append(sv.edges, sv.compileEdge(s, i))
+			}
+		}
+	}
+	for ; unset <= size; unset++ {
+		sv.first[unset] = uint32(len(sv.edges))
+	}
+	sv.netGen = n.gen
+}
+
+// compileEdge is s's session i as an edge.
+func (sv *StaticSolver) compileEdge(s *Speaker, i int) staticEdge {
+	e := &s.sessions[i]
+	pc, pcAtNb := e.pc, e.pcAtNb
+	ed := staticEdge{
+		nb:     e.nbID,
+		nbAS:   e.nb.AS,
+		fromAS: pc.NeighborAS,
+		run:    int32(1 + pcAtNb.ExportPrepend),
+		lp:     pc.localPref(),
+		med:    pcAtNb.ExportMED,
+		igp:    pc.IGPCost,
+		allow:  pcAtNb.ExportAllow,
+		class:  pc.ClassifyAs,
+	}
+	if e.nb.AS == s.AS {
+		ed.allow = 0 // loop detection drops whatever a same-AS neighbor sends
+	}
+	if pcAtNb.hasExportCallback() || pc.ImportDeny != nil || s.importDeny != nil ||
+		len(pcAtNb.PrefixPrepend) > 0 || pcAtNb.ExportAddCommunities.Len() > 0 ||
+		pcAtNb.NeighborAS != s.AS {
+		ed.flags |= edgeSlow
+		ed.slow = uint32(len(sv.slow))
+		sv.slow = append(sv.slow, slowEdge{sess: i})
+	}
+	return ed
+}
+
 // relax re-runs speaker id's decision over its origination and its
 // neighbors' current bests, and reports whether its best changed.
 func (sv *StaticSolver) relax(id RouterID) bool {
@@ -244,51 +367,49 @@ func (sv *StaticSolver) relax(id RouterID) bool {
 	if sv.own.has(id) {
 		best = ownNode // carries LocalPrefOwn, so it wins the scan below
 	}
-	var bestEdge *session
+	var bestEdge *staticEdge
+	selfBit := asFilterBit(s.AS)
 
-	edges := s.sessions
+	edges := sv.edges[sv.first[id]:sv.first[id+1]]
 	for i := range edges {
 		e := &edges[i]
-		nb := &sv.nodes[e.nbID]
-		// Collectors never re-export: checked only once nb has a route
-		// to offer, so a neighbor without one costs no Speaker read.
-		if !nb.has || e.nb.Collector {
+		nb := &sv.nodes[e.nb]
+		if !nb.has {
 			continue
 		}
-		// Sender-side checks without building the announcement. A
-		// policy callback is the one thing that needs nb's best as a
-		// *Route; nb's other callback sessions then read the same one.
-		if e.pcAtNb.hasExportCallback() && nb.route == nil {
-			nb.route = sv.routeOf(nb)
-		}
-		if !sv.exportAdmits(nb, e.pcAtNb) {
-			continue
-		}
-		// Receiver-side loop detection. The sender side has walked the
-		// path for the AS it addresses, which is s's own AS on every
-		// session but a misconfigured one.
-		if e.nb.AS == s.AS || (e.pcAtNb.NeighborAS != s.AS && sv.pathContains(nb.path, s.AS)) {
-			continue
-		}
-		// Candidate shape if imported.
-		cv := candView{
-			plen:   nb.plen + 1 + e.pcAtNb.effectivePrepend(sv.prefix),
-			lp:     e.pc.localPref(),
-			med:    e.pcAtNb.ExportMED,
-			igp:    e.pc.IGPCost,
-			fromAS: e.pc.NeighborAS,
-			from:   e.nbID,
-			origin: nb.origin,
-			ebgp:   true,
-		}
-		// ImportDeny is shown the imported route; only build one when
-		// a filter exists (rare: default-only importers, ROV).
-		var cand *Route
-		if e.pc.ImportDeny != nil || s.importDeny != nil {
-			ann := sv.announcement(e.nb, nb, e.pcAtNb)
-			cand = staticImport(s, e.pc, &ann)
-			if cand == nil {
+		var (
+			cv   candView
+			cand *Route
+		)
+		if e.flags&edgeSlow != 0 {
+			var ok bool
+			if cv, cand, ok = sv.slowCandidate(s, e, nb); !ok {
 				continue
+			}
+		} else {
+			// A lower localpref loses before anything else is read.
+			if best.has && e.lp < best.lp {
+				continue
+			}
+			// The export check on the node's attributes, then loop
+			// detection: the sender walks its path for the AS it
+			// addresses, which on a fast edge is s's own, and the
+			// filter skips the walk for most paths.
+			if nb.scoped || !e.allow.Has(nb.class) {
+				continue
+			}
+			if sv.asf[e.nb]&selfBit != 0 && sv.pathContains(nb.path, s.AS) {
+				continue
+			}
+			cv = candView{
+				plen:   nb.plen + int(e.run),
+				lp:     e.lp,
+				med:    e.med,
+				igp:    e.igp,
+				fromAS: e.fromAS,
+				from:   e.nb,
+				origin: nb.origin,
+				ebgp:   true,
 			}
 		}
 		// Compare against the current best on the decisive attributes.
@@ -300,14 +421,20 @@ func (sv *StaticSolver) relax(id RouterID) bool {
 		// The winner's class, communities and path are completed below.
 		best.candView, best.has, best.route, bestEdge = cv, true, cand, e
 	}
+	var asf uint64
 	if bestEdge != nil {
 		// Complete the winner: the rest of what the import assigns, and
 		// its path as one cell on the neighbor's.
-		nb := &sv.nodes[bestEdge.nbID]
-		best.class = bestEdge.pc.ClassifyAs
-		best.comms = exportCommunities(nb.comms, bestEdge.pcAtNb)
-		sv.cells = append(sv.cells, pathCell{as: bestEdge.nb.AS, n: uint32(best.plen - nb.plen), next: nb.path})
+		nb := &sv.nodes[bestEdge.nb]
+		best.class = bestEdge.class
+		best.comms = nb.comms
+		if bestEdge.flags&edgeSlow != 0 {
+			best.comms = exportCommunities(nb.comms, s.sessions[sv.slow[bestEdge.slow].sess].pcAtNb)
+		}
+		best.scoped = best.from != 0 && scopedToReceiver(best.comms)
+		sv.cells = append(sv.cells, pathCell{as: bestEdge.nbAS, n: uint32(best.plen - nb.plen), next: nb.path})
 		best.path = uint32(len(sv.cells) - 1)
+		asf = sv.asf[bestEdge.nb] | asFilterBit(bestEdge.nbAS)
 	}
 	if sv.sameRoute(&sv.nodes[id], &best) {
 		if bestEdge != nil {
@@ -315,8 +442,53 @@ func (sv *StaticSolver) relax(id RouterID) bool {
 		}
 		return false
 	}
-	sv.nodes[id] = best
+	sv.nodes[id], sv.asf[id] = best, asf
 	return true
+}
+
+// slowCandidate is a slow edge's candidate by the session-table path:
+// the sender's PeerConfig checked in full, callbacks shown *Routes, and
+// import filters shown the imported route, memoised per neighbor best.
+// ok is false if the session does not carry nb's best to s.
+func (sv *StaticSolver) slowCandidate(s *Speaker, e *staticEdge, nb *staticNode) (cv candView, cand *Route, ok bool) {
+	se := &sv.slow[e.slow]
+	ss := &s.sessions[se.sess]
+	// A policy callback is the one thing that needs nb's best as a
+	// *Route; nb's other callback sessions then read the same one.
+	if ss.pcAtNb.hasExportCallback() && nb.route == nil {
+		nb.route = sv.routeOf(nb)
+	}
+	if !sv.exportAdmits(nb, ss.pcAtNb) {
+		return cv, nil, false
+	}
+	// Receiver-side loop detection. The sender side has walked the
+	// path for the AS it addresses, which is s's own AS on every
+	// session but a misconfigured one.
+	if ss.nb.AS == s.AS || (ss.pcAtNb.NeighborAS != s.AS && sv.pathContains(nb.path, s.AS)) {
+		return cv, nil, false
+	}
+	cv = candView{
+		plen:   nb.plen + exportRun(sv.prefix, ss.pcAtNb),
+		lp:     e.lp,
+		med:    e.med,
+		igp:    e.igp,
+		fromAS: e.fromAS,
+		from:   e.nb,
+		origin: nb.origin,
+		ebgp:   true,
+	}
+	// ImportDeny is shown the imported route; only build one when a
+	// filter exists (rare: default-only importers, ROV).
+	if ss.pc.ImportDeny != nil || s.importDeny != nil {
+		if se.gen != sv.gen || se.cell != nb.path {
+			ann := sv.announcement(ss.nb, nb, ss.pcAtNb)
+			se.gen, se.cell, se.route = sv.gen, nb.path, staticImport(s, ss.pc, &ann)
+		}
+		if cand = se.route; cand == nil {
+			return cv, nil, false
+		}
+	}
+	return cv, cand, true
 }
 
 // sameRoute is routesEqual on nodes.
@@ -406,14 +578,14 @@ func (sv *StaticSolver) routeOf(nd *staticNode) *Route {
 	}
 }
 
-// exportAdmits is the package's exportAdmits on a node: the shared
-// attribute check and a walk of the cells, or, on a session that
+// exportAdmits is the package's exportAdmits on a node: the scoping
+// bit, the class check and a walk of the cells, or, on a session that
 // carries a policy callback, the Route form unchanged.
 func (sv *StaticSolver) exportAdmits(nd *staticNode, pc *PeerConfig) bool {
 	if pc.hasExportCallback() {
 		return exportAdmits(sv.routeOf(nd), pc)
 	}
-	return exportAdmitsAttrs(nd.from != 0, nd.comms, nd.class, pc) && !sv.pathContains(nd.path, pc.NeighborAS)
+	return !nd.scoped && pc.ExportAllow.Has(nd.class) && !sv.pathContains(nd.path, pc.NeighborAS)
 }
 
 // announcement is the package's announcement from a node.
@@ -473,7 +645,11 @@ func exportAdmits(src *Route, pc *PeerConfig) bool {
 	if pc.ExportBestOf != nil && !pc.ExportBestOf(src) {
 		return false
 	}
-	if !exportAdmitsAttrs(src.From != 0, src.Communities, src.Class, pc) {
+	// Well-known scoping communities: routes *learned* with NoExport
+	// or NoAdvertise are never re-advertised (RFC 1997); the
+	// originating speaker itself may still announce them. A solver node
+	// holds the first test as its scoped bit.
+	if src.From != 0 && scopedToReceiver(src.Communities) || !pc.ExportAllow.Has(src.Class) {
 		return false
 	}
 	if pc.ExportFilter != nil && !pc.ExportFilter(src) {
@@ -484,18 +660,8 @@ func exportAdmits(src *Route, pc *PeerConfig) bool {
 	return !src.Path.Contains(pc.NeighborAS)
 }
 
-// exportAdmitsAttrs is the callback-free, path-free core of
-// exportAdmits, on the attributes a Route and a solver node share. It
-// is small enough to inline into both callers.
-func exportAdmitsAttrs(learned bool, comms CommunitySet, class RouteClass, pc *PeerConfig) bool {
-	// Well-known scoping communities: routes *learned* with NoExport
-	// or NoAdvertise are never re-advertised (RFC 1997); the
-	// originating speaker itself may still announce them.
-	return !(learned && scopedToReceiver(comms)) && pc.ExportAllow.Has(class)
-}
-
-// scopedToReceiver is its own function so that exportAdmitsAttrs makes
-// one call, not two, and stays under the inlining budget.
+// scopedToReceiver reports whether comms holds a well-known scoping
+// community (NoExport, NoAdvertise).
 func scopedToReceiver(comms CommunitySet) bool {
 	return comms.Has(NoExport) || comms.Has(NoAdvertise)
 }

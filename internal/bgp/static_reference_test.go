@@ -8,9 +8,11 @@ package bgp
 // Rounds and every ExportView.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -478,11 +480,13 @@ func TestSolverMatchesReferenceOnRandomTopologies(t *testing.T) {
 }
 
 // TestSolverAfterTopologyChangeMatchesReference holds NewStaticSolver to
-// its promise to follow topology changes: one solver solves, the network
+// its promise to follow every change: one solver solves, the network
 // gains speakers (one past a gap in the RouterIDs, one a collector) and
 // sessions (to the new speakers and between old ones), and the same
-// solver solves again. Each solve must equal both a fresh solver's and
-// the reference's.
+// solver solves after the first speaker, after the sessions and after
+// the collector; then it solves after each policy setter, after
+// a journal Rewind and after a RestoreNetwork. Each solve must equal
+// both a fresh solver's and the reference's.
 func TestSolverAfterTopologyChangeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(39)) // #nosec test randomness
 	p := netutil.MustParsePrefix("203.0.113.0/24")
@@ -517,6 +521,7 @@ func TestSolverAfterTopologyChangeMatchesReference(t *testing.T) {
 		// new lateral peering between old speakers.
 		id := RouterID(n + 3)
 		net.AddSpeaker(id, asn.AS(1000+int(id)), "")
+		solve("after AddSpeaker, isolated origin", []StaticOrigin{{Speaker: id}})
 		net.Connect(1, id, cust, prov)
 		net.Connect(RouterID(1+rng.Intn(n)/2+n/2), id, cust, prov)
 		if c := RouterID(n); net.Speaker(c).Peer(id) == nil {
@@ -529,6 +534,7 @@ func TestSolverAfterTopologyChangeMatchesReference(t *testing.T) {
 				break
 			}
 		}
+		solve("after Connect", []StaticOrigin{{Speaker: old}})
 		col := net.AddSpeaker(id+1, 64500, "collector")
 		col.Collector = true
 		net.Connect(id+1, id, peer, peer)
@@ -537,5 +543,49 @@ func TestSolverAfterTopologyChangeMatchesReference(t *testing.T) {
 		solve("after, old origin", []StaticOrigin{{Speaker: old}})
 		solve("after, new origin", []StaticOrigin{{Speaker: id}})
 		solve("after, both origins", []StaticOrigin{{Speaker: old}, {Speaker: id}})
+
+		// Policy: each setter on a session of the origin or of one of
+		// its neighbors, so most of them move some speaker's route.
+		origin := []StaticOrigin{{Speaker: old}}
+		var saved bytes.Buffer
+		if err := net.Snapshot(&saved); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.OpenJournal(); err != nil {
+			t.Fatal(err)
+		}
+		peers := slices.DeleteFunc(net.Speaker(old).Peers(), func(id RouterID) bool { return net.Speaker(id).Collector })
+		nb := peers[rng.Intn(len(peers))]
+		far := net.Speaker(nb).Peers()
+		nb2 := far[rng.Intn(len(far))]
+		avoid := net.Speaker(nb).AS
+		for _, step := range []struct {
+			name string
+			set  func()
+		}{
+			{"SetExportPrepend", func() { net.SetExportPrepend(old, nb, 3) }},
+			{"SetPrefixPrepend", func() { net.SetPrefixPrepend(old, peers[0], p, 4) }},
+			{"SetImportLocalPref", func() { net.SetImportLocalPref(nb, old, LocalPrefCustomer+50) }},
+			{"SetExportAllow", func() { net.SetExportAllow(nb, nb2, GaoRexfordExport(ClassCustomer)) }},
+			{"SetExportFilter", func() { net.SetExportFilter(old, peers[len(peers)-1], func(r *Route) bool { return r.Prefix != p }) }},
+			{"SetImportDeny", func() { net.SetImportDeny(nb2, func(r *Route) bool { return r.Path.Contains(avoid) }) }},
+			{"SetSessionDown", func() { net.SetSessionDown(old, nb) }},
+			{"SetSessionUp", func() { net.SetSessionUp(old, nb) }},
+			{"Rewind", func() {
+				if err := net.Rewind(); err != nil {
+					t.Fatal(err)
+				}
+				net.CloseJournal()
+			}},
+			{"SetExportPrepend again", func() { net.SetExportPrepend(old, nb, 2) }},
+			{"RestoreNetwork", func() {
+				if err := RestoreNetwork(bytes.NewReader(saved.Bytes()), net); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		} {
+			step.set()
+			solve("after "+step.name, origin)
+		}
 	}
 }

@@ -151,12 +151,11 @@ func ObserveRound(records []probe.Record) RoundObs {
 // optimizer's probe census, one live round in the prober's own
 // layout, applies ObserveRound to each prefix's run of records.)
 //
-// Each round's records are grouped by prefix once, whatever order
-// they arrive in (rounds read back through probe.ReadJSON need not be
-// in the prober's canonical order), by sorting their positions: the
-// records themselves are neither copied nor moved, so Round.Records is
-// only read. The prober writes a prefix's records together and
-// prefixes in ascending order, which the sort detects in one pass.
+// Each round's records are grouped by prefix once (groupRecords) by
+// ordering their positions, never the records themselves, so
+// Round.Records is only read. A round in the prober's layout costs one
+// pass, plus under a budget one sort of each prefix's few records; a
+// round in any other order costs one sort of the whole round.
 // maxTargets > 0 restricts each group to its first maxTargets distinct
 // destinations by address, the target-budget ablation's question; 0
 // keeps every record.
@@ -170,28 +169,8 @@ func Observe(rounds []*probe.Round, maxTargets int) []*PrefixResult {
 	)
 	for i, rd := range rounds {
 		recs := rd.Records
-		order = order[:0]
-		for j := range recs {
-			order = append(order, int32(j))
-		}
-		slices.SortFunc(order, func(a, b int32) int {
-			ra, rb := &recs[a], &recs[b]
-			if c := netutil.ComparePrefixes(ra.Prefix, rb.Prefix); c != 0 {
-				return c
-			}
-			if maxTargets > 0 && ra.Dst != rb.Dst {
-				return cmp.Compare(ra.Dst, rb.Dst)
-			}
-			return cmp.Compare(a, b)
-		})
-		starts = starts[:0]
-		for k, j := range order {
-			if k == 0 || recs[j].Prefix != recs[order[k-1]].Prefix {
-				starts = append(starts, int32(k))
-			}
-		}
-		groups := len(starts)
-		starts = append(starts, int32(len(order)))
+		order, starts = groupRecords(recs, maxTargets, order, starts)
+		groups := len(starts) - 1
 		// Rows [0, known) are sorted; this round's new prefixes are
 		// appended after them, in canonical order.
 		known, next, found := len(rows), 0, false
@@ -222,6 +201,67 @@ func Observe(rounds []*probe.Round, maxTargets int) []*PrefixResult {
 		}
 	}
 	return rows
+}
+
+// groupRecords fills order with the positions of recs grouped by
+// prefix in canonical order, each group by destination address and then
+// position under a target budget (maxTargets > 0) and by position
+// otherwise, and starts with where each group begins in order followed
+// by len(order). Rounds in the prober's layout — a prefix's records in
+// one run, runs in ascending prefix order — are recognised in one pass
+// and need no sort without a budget and only each run sorted with one;
+// any other layout (rounds read back through probe.ReadJSON need not
+// be in it) is sorted whole. Both give the one total order (prefix,
+// destination under a budget, position).
+func groupRecords(recs []probe.Record, maxTargets int, order, starts []int32) ([]int32, []int32) {
+	order, starts = order[:0], starts[:0]
+	for j := range recs {
+		order = append(order, int32(j))
+	}
+	byTarget := func(a, b int32) int {
+		if c := cmp.Compare(recs[a].Dst, recs[b].Dst); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	runs := true
+	for j := range recs {
+		if j > 0 && recs[j].Prefix == recs[j-1].Prefix {
+			continue
+		}
+		if j > 0 && netutil.ComparePrefixes(recs[j-1].Prefix, recs[j].Prefix) > 0 {
+			runs = false
+			break
+		}
+		starts = append(starts, int32(j))
+	}
+	if runs {
+		starts = append(starts, int32(len(order)))
+		if maxTargets > 0 {
+			for g := 1; g < len(starts); g++ {
+				if run := order[starts[g-1]:starts[g]]; len(run) > 1 {
+					slices.SortFunc(run, byTarget)
+				}
+			}
+		}
+		return order, starts
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := netutil.ComparePrefixes(recs[a].Prefix, recs[b].Prefix); c != 0 {
+			return c
+		}
+		if maxTargets > 0 {
+			return byTarget(a, b)
+		}
+		return cmp.Compare(a, b)
+	})
+	starts = starts[:0]
+	for k, j := range order {
+		if k == 0 || recs[j].Prefix != recs[order[k-1]].Prefix {
+			starts = append(starts, int32(k))
+		}
+	}
+	return order, append(starts, int32(len(order)))
 }
 
 // seek advances cursor j over rows, which are in canonical prefix

@@ -166,12 +166,22 @@ func (w *Writer) Bytes() []byte {
 // older or newer wraps ErrVersion. It never panics on malformed input
 // and never allocates more than the input's actual size (plus the cap
 // above) regardless of what the length prefixes claim.
+//
+// A *bytes.Buffer is decoded in place: ReadSections drains it, and the
+// sections' payloads alias its bytes until its next write, so a caller
+// that keeps a payload past that copies it.
 func ReadSections(r io.Reader, magic string, version uint16) ([]Section, error) {
-	// An in-memory reader (*bytes.Reader, *bytes.Buffer: every warm
-	// restore) says how much it holds, so the copy is one buffer of
-	// that size rather than a doubling series. Len only sizes the
-	// buffer: the input is still read to EOF and still capped, whatever
-	// the reader claimed.
+	if b, ok := r.(*bytes.Buffer); ok {
+		if b.Len() > maxSnapshotBytes {
+			return nil, errTooLarge()
+		}
+		return DecodeSections(b.Next(b.Len()), magic, version)
+	}
+	// Any other in-memory reader (*bytes.Reader: every warm restore
+	// from a held snapshot) says how much it holds, so the copy is one
+	// buffer of that size rather than a doubling series. Len only
+	// sizes the buffer: the input is still read to EOF and still
+	// capped, whatever the reader claimed.
 	size := bytes.MinRead
 	if l, ok := r.(interface{ Len() int }); ok {
 		if l.Len() > maxSnapshotBytes {

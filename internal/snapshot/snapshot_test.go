@@ -280,4 +280,16 @@ func TestReadSectionsSizedRead(t *testing.T) {
 	if over.Len() != maxSnapshotBytes+1 {
 		t.Errorf("over-limit reader was read: %d bytes left", over.Len())
 	}
+
+	// A *bytes.Buffer is decoded in place and drained: the sections
+	// are its bytes, and nothing is left to read.
+	buf := bytes.NewBuffer(append([]byte(nil), data...))
+	held := buf.Bytes()
+	got, err := ReadSections(buf, EngineMagic, 1)
+	if err != nil || buf.Len() != 0 {
+		t.Fatalf("buffer: err %v, %d bytes left unread", err, buf.Len())
+	}
+	if p := got[0].Payload; len(p) == 0 || &p[0] != &held[len(EngineMagic)+2+2] {
+		t.Errorf("buffer: the first payload is a copy, not the buffer's bytes")
+	}
 }

@@ -371,16 +371,13 @@ func (e *Ecosystem) buildCommodityCore() {
 	// members (§1's Figure 1 alternative) still have commodity
 	// reachability when no specific route exists.
 	for i := range tier1s {
-		sp := e.Net.Speaker(tier1s[i].Router)
 		for j := range tier1s {
 			if i == j {
 				continue
 			}
-			if pcP := sp.Peer(tier1s[j].Router); pcP != nil {
-				pcP.ExportFilter = func(r *bgp.Route) bool {
-					return r.Prefix != bgp.DefaultPrefix
-				}
-			}
+			e.Net.SetExportFilter(tier1s[i].Router, tier1s[j].Router, func(r *bgp.Route) bool {
+				return r.Prefix != bgp.DefaultPrefix
+			})
 		}
 		e.Net.Originate(tier1s[i].Router, bgp.DefaultPrefix)
 	}
@@ -624,12 +621,9 @@ func (e *Ecosystem) buildMeasurementOrigins() {
 	// commodity transit, and elsewhere Gao-Rexford classes already
 	// prevent the leak).
 	meas := e.MeasPrefix
-	surfSpeaker := e.Net.Speaker(e.SURF.Router)
 	for _, upAS := range e.SURF.CommodityProviders {
 		if up := e.byAS[upAS]; up != nil {
-			if pcUp := surfSpeaker.Peer(up.Router); pcUp != nil {
-				pcUp.ExportFilter = func(r *bgp.Route) bool { return r.Prefix != meas }
-			}
+			e.Net.SetExportFilter(e.SURF.Router, up.Router, func(r *bgp.Route) bool { return r.Prefix != meas })
 		}
 	}
 }

@@ -44,6 +44,7 @@ FUZZTIME ?= 30s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZTIME) ./internal/probe/
+	$(GO) test -run '^$$' -fuzz FuzzSlotRoundTrip -fuzztime $(FUZZTIME) ./internal/probe/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/irr/
 	$(GO) test -run '^$$' -fuzz 'FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/mrt/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/mrt/

@@ -268,8 +268,8 @@ func BenchmarkProbeRound(b *testing.B) {
 	core.NewSURFExperiment(s.Eco, s.World, s.Prober, s.Sel, 9*3600).Converge()
 	s.World.SetTerminals(s.Eco.MeasSURF.Router, s.Eco.MeasCommodity.Router)
 	at := s.Eco.Net.Now()
-	if round := s.Prober.Run("bench", at, s.Sel); round.Responded() < len(round.Records)/2 {
-		b.Fatalf("only %d of %d probes answered", round.Responded(), len(round.Records))
+	if round := s.Prober.Run("bench", at, s.Sel); round.Responded() < round.Len()/2 {
+		b.Fatalf("only %d of %d probes answered", round.Responded(), round.Len())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,8 +1,10 @@
 // Command reinfer classifies saved probe results: it reads the
 // scamper-style JSON produced by resurvey -json (or reprobe runs
-// concatenated across configurations), reduces each prefix's per-round
-// response interfaces to the paper's Table 1 categories, and prints
-// the summary. This is the offline half of the method: given the data
+// concatenated across configurations) into rounds that keep their
+// records (probe.ReadJSON: the record layout of probe.Round, which
+// core.Observe groups by prefix itself, where a survey's own rounds
+// keep two-byte slots), reduces each prefix's per-round response
+// interfaces to the paper's Table 1 categories, and prints the summary. This is the offline half of the method: given the data
 // plane observations, infer relative route preference.
 //
 // Usage:
@@ -186,7 +188,7 @@ func run(c cliconf.Config, files []string) error {
 		if i > 0 {
 			fmt.Print(", ")
 		}
-		fmt.Printf("%s (%d probes)", rd.Config, len(rd.Records))
+		fmt.Printf("%s (%d probes)", rd.Config, rd.Len())
 	}
 	fmt.Println()
 

@@ -80,6 +80,6 @@ func run(c cliconf.Config, configLabel, experiment string) error {
 
 	round := s.Prober.Run(cfg.Label(), net.Now(), s.Sel)
 	fmt.Fprintf(os.Stderr, "reprobe: %d probes in config %s (%d prefixes)\n",
-		len(round.Records), cfg.Label(), len(s.Sel.Prefixes))
+		round.Len(), cfg.Label(), len(s.Sel.Prefixes))
 	return s.Prober.WriteJSON(os.Stdout, round)
 }

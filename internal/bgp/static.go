@@ -191,6 +191,10 @@ type StaticSolver struct {
 	first    []uint32
 	edges    []staticEdge
 	slow     []slowEdge
+	// taps are the export taps a caller set, tapped them resolved at
+	// netGen (SetExportTaps).
+	taps   []ExportTap
+	tapped []tapEdge
 
 	nodes []staticNode // by RouterID
 	// asf is each node's path AS filter by RouterID: the OR of
@@ -328,6 +332,7 @@ func (sv *StaticSolver) compile() {
 	for ; unset <= size; unset++ {
 		sv.first[unset] = uint32(len(sv.edges))
 	}
+	sv.resolveTaps()
 	sv.netGen = n.gen
 }
 
@@ -618,16 +623,69 @@ func (n *Network) AppendExportPath(dst asn.Path, res *StaticResult, from, to Rou
 	if s == nil || s.Collector {
 		return dst, false
 	}
-	best := res.node(from)
-	if best == nil {
+	return res.appendExport(dst, from, s.AS, s.Peer(to))
+}
+
+// ExportTap names one session whose exports a caller reads off many
+// solves: what speaker From announces to speaker To.
+type ExportTap struct {
+	From, To RouterID
+}
+
+// tapEdge is an ExportTap resolved against the network: the sender's
+// AS and its policy toward the receiver, pc nil where the sender
+// exports nothing over the pair (no such speaker, a collector, no
+// session).
+type tapEdge struct {
+	from RouterID
+	as   asn.AS
+	pc   *PeerConfig
+}
+
+// SetExportTaps sets the sessions AppendTapPath reads. The solver
+// resolves them against the network now and again whenever it
+// recompiles its adjacency (see the generation contract above), so a
+// read looks up no speaker and searches no session table, and a tap
+// whose session a Connect or a setter adds or changes reads the new
+// one. Collectors read their peers' exports this way, the same pairs
+// for every origin (core.ComputeOriginViews).
+func (sv *StaticSolver) SetExportTaps(taps []ExportTap) {
+	sv.taps = taps
+	sv.resolveTaps()
+}
+
+func (sv *StaticSolver) resolveTaps() {
+	sv.tapped = sv.tapped[:0]
+	for _, t := range sv.taps {
+		tp := tapEdge{from: t.From}
+		if s := sv.net.speakers[t.From]; s != nil && !s.Collector {
+			tp.as, tp.pc = s.AS, s.Peer(t.To)
+		}
+		sv.tapped = append(sv.tapped, tp)
+	}
+}
+
+// AppendTapPath is Network.AppendExportPath over the solver's export
+// tap i (SetExportTaps): it appends the path of what the tap's sender
+// announces to its receiver under r and reports true, or returns dst
+// unchanged and false if policy withholds the prefix.
+func (r *StaticResult) AppendTapPath(dst asn.Path, i int) (asn.Path, bool) {
+	tp := &r.solver.tapped[i]
+	return r.appendExport(dst, tp.from, tp.as, tp.pc)
+}
+
+// appendExport appends the path speaker from (of AS as) announces over
+// the session pc describes, nil for none.
+func (r *StaticResult) appendExport(dst asn.Path, from RouterID, as asn.AS, pc *PeerConfig) (asn.Path, bool) {
+	if pc == nil {
 		return dst, false
 	}
-	sv := res.solver
-	pcTo := s.Peer(to)
-	if pcTo == nil || !sv.exportAdmits(best, pcTo) {
+	best := r.node(from)
+	sv := r.solver
+	if best == nil || !sv.exportAdmits(best, pc) {
 		return dst, false
 	}
-	return sv.appendPath(dst, s.AS, exportRun(sv.prefix, pcTo), best), true
+	return sv.appendPath(dst, as, exportRun(sv.prefix, pc), best), true
 }
 
 // hasExportCallback reports whether the session's export policy

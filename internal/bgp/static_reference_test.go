@@ -486,7 +486,11 @@ func TestSolverMatchesReferenceOnRandomTopologies(t *testing.T) {
 // solver solves after the first speaker, after the sessions and after
 // the collector; then it solves after each policy setter, after
 // a journal Rewind and after a RestoreNetwork. Each solve must equal
-// both a fresh solver's and the reference's.
+// both a fresh solver's and the reference's. The solver's export taps,
+// set once before the first solve over every ordered pair of the
+// speakers it will ever have, must read what AppendExportPath reads
+// at every stage: a tap whose sender or session does not exist yet
+// reads one once a change adds it.
 func TestSolverAfterTopologyChangeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(39)) // #nosec test randomness
 	p := netutil.MustParsePrefix("203.0.113.0/24")
@@ -497,12 +501,32 @@ func TestSolverAfterTopologyChangeMatchesReference(t *testing.T) {
 		n := 6 + rng.Intn(25)
 		net := randomGaoRexfordNetwork(rng, n)
 		sv := net.NewStaticSolver()
+		var taps []ExportTap
+		for from := RouterID(1); from <= RouterID(n+4); from++ {
+			for to := RouterID(1); to <= RouterID(n+4); to++ {
+				if from != to {
+					taps = append(taps, ExportTap{From: from, To: to})
+				}
+			}
+		}
+		sv.SetExportTaps(taps)
 		solve := func(stage string, origins []StaticOrigin) {
 			t.Helper()
 			if err := diffSolverReference(net, sv, p, origins); err != nil {
 				t.Fatalf("trial %d %s (origins %v): %v", trial, stage, origins, err)
 			}
 			got := sv.Solve(p, origins)
+			var tapBuf, wantBuf asn.Path
+			for k, tp := range taps {
+				var ok, wantOK bool
+				lo, wantLo := len(tapBuf), len(wantBuf)
+				tapBuf, ok = got.AppendTapPath(tapBuf, k)
+				wantBuf, wantOK = net.AppendExportPath(wantBuf, got, tp.From, tp.To)
+				if ok != wantOK || !tapBuf[lo:].Equal(wantBuf[wantLo:]) {
+					t.Fatalf("trial %d %s: tap %d -> %d reads %v (%v), AppendExportPath %v (%v)",
+						trial, stage, tp.From, tp.To, tapBuf[lo:], ok, wantBuf[wantLo:], wantOK)
+				}
+			}
 			want := net.NewStaticSolver().Solve(p, origins)
 			if got.Converged != want.Converged || got.Rounds != want.Rounds {
 				t.Fatalf("trial %d %s: converged=%v rounds=%d, fresh solver converged=%v rounds=%d",

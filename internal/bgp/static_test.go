@@ -259,34 +259,49 @@ func TestStaticSolverAllocs(t *testing.T) {
 
 // TestAppendExportPathAllocs: reading every session's export path of
 // a solve into a buffer that has grown to hold them all allocates
-// nothing on a network without policy callbacks.
+// nothing on a network without policy callbacks, by session and by
+// export tap alike.
 func TestAppendExportPathAllocs(t *testing.T) {
 	const n = 300
 	net := randomGaoRexfordNetwork(rand.New(rand.NewSource(42)), n) // #nosec test randomness
-	res := net.NewStaticSolver().Solve(netutil.MustParsePrefix("203.0.113.0/24"), []StaticOrigin{{Speaker: 7}})
-	type session struct{ from, to RouterID }
-	var all []session
+	sv := net.NewStaticSolver()
+	var all []ExportTap
 	for _, from := range net.Speakers() {
 		for _, to := range net.Speaker(from).Peers() {
-			all = append(all, session{from, to})
+			all = append(all, ExportTap{From: from, To: to})
 		}
 	}
+	sv.SetExportTaps(all)
+	res := sv.Solve(netutil.MustParsePrefix("203.0.113.0/24"), []StaticOrigin{{Speaker: 7}})
 	var buf asn.Path
 	sessions := 0
-	readAll := func() {
-		buf, sessions = buf[:0], 0
-		for _, s := range all {
-			var ok bool
-			if buf, ok = net.AppendExportPath(buf, res, s.from, s.to); ok {
-				sessions++
+	for _, tc := range []struct {
+		name string
+		read func(k int) bool
+	}{
+		{"AppendExportPath", func(k int) (ok bool) {
+			buf, ok = net.AppendExportPath(buf, res, all[k].From, all[k].To)
+			return ok
+		}},
+		{"AppendTapPath", func(k int) (ok bool) {
+			buf, ok = res.AppendTapPath(buf, k)
+			return ok
+		}},
+	} {
+		readAll := func() {
+			buf, sessions = buf[:0], 0
+			for k := range all {
+				if tc.read(k) {
+					sessions++
+				}
 			}
 		}
+		readAll() // grow the buffer
+		if got := testing.AllocsPerRun(10, readAll); got != 0 {
+			t.Fatalf("warmed %s over %d sessions allocates %.1f times, want 0", tc.name, sessions, got)
+		}
+		t.Logf("%s: %d sessions exported %d ASes into one buffer, 0 allocations", tc.name, sessions, len(buf))
 	}
-	readAll() // grow the buffer
-	if got := testing.AllocsPerRun(10, readAll); got != 0 {
-		t.Fatalf("warmed AppendExportPath over %d sessions allocates %.1f times, want 0", sessions, got)
-	}
-	t.Logf("%d sessions exported %d ASes into one buffer, 0 allocations", sessions, len(buf))
 }
 
 // TestStaticResultStaleReadPanics: a result borrows its solver, so

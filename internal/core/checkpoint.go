@@ -295,8 +295,9 @@ func encCkRound(e *snap.Enc, r *probe.Round) {
 	e.String(r.Config)
 	e.I64(int64(r.Start))
 	e.I64(int64(r.End))
-	e.Uvarint(uint64(len(r.Records)))
-	for _, rec := range r.Records {
+	e.Uvarint(uint64(r.Len()))
+	for c := r.Cursor(); c.Next(); {
+		rec := c.Record()
 		e.Prefix(rec.Prefix)
 		e.U32(rec.Dst)
 		e.U8(uint8(rec.Proto))

@@ -119,9 +119,15 @@ func (i Inference) EqualLocalPref() bool { return i == InfSwitchToRE }
 
 // observe is what one record shows on its own: the VLAN its response
 // arrived on, ObsLoss if it has none.
-func observe(r *probe.Record) RoundObs {
-	if r.Responded {
-		switch r.VLAN {
+func observe(r *probe.Record) RoundObs { return obsOf(r.Responded, r.VLAN) }
+
+// observeAt is what record j of rd shows, read without rebuilding the
+// record.
+func observeAt(rd *probe.Round, j int) RoundObs { return obsOf(rd.Outcome(j)) }
+
+func obsOf(responded bool, vlan simnet.VLAN) RoundObs {
+	if responded {
+		switch vlan {
 		case simnet.VLANRE:
 			return ObsRE
 		case simnet.VLANCommodity:
@@ -131,12 +137,12 @@ func observe(r *probe.Record) RoundObs {
 	return ObsLoss
 }
 
-// ObserveRound reduces one prefix's probe records from a single round
-// to a RoundObs.
-func ObserveRound(records []probe.Record) RoundObs {
+// ObserveRound reduces records [lo, hi) of one round — one prefix's
+// run of them — to a RoundObs.
+func ObserveRound(rd *probe.Round, lo, hi int) RoundObs {
 	var o RoundObs
-	for i := range records {
-		o |= observe(&records[i])
+	for j := lo; j < hi; j++ {
+		o |= observeAt(rd, j)
 	}
 	return o
 }
@@ -148,52 +154,78 @@ func ObserveRound(records []probe.Record) RoundObs {
 // answer in every round. The rows carry Prefix and Seq only; ClassifyAll
 // fills in the rest. It is the one records→observations reduction; the
 // classifier, the ablations and cmd/reinfer all read it. (The
-// optimizer's probe census, one live round in the prober's own
-// layout, applies ObserveRound to each prefix's run of records.)
+// optimizer's probe census, one live round, applies ObserveRound to
+// each prefix's span of slots.)
 //
-// Each round's records are grouped by prefix once (groupRecords) by
-// ordering their positions, never the records themselves, so
-// Round.Records is only read. A round in the prober's layout costs one
-// pass, plus under a budget one sort of each prefix's few records; a
-// round in any other order costs one sort of the whole round.
-// maxTargets > 0 restricts each group to its first maxTargets distinct
-// destinations by address, the target-budget ablation's question; 0
-// keeps every record.
+// Observe reads each round in its own layout (probe.Round) and never
+// expands a record. A round in the prober layout is grouped already:
+// its groups are its selection's prefix runs (probe.Plan.Span), read
+// slot by slot. Under a target budget the slots each prefix keeps —
+// its first maxTargets distinct destinations by address — depend only
+// on the selection, so they are computed once per plan (keepTargets)
+// and shared by every round of it, an experiment's nine. A round in
+// the record layout is grouped by groupRecords, which orders record
+// positions and leaves Round.Records as it found them. maxTargets > 0
+// is the target-budget ablation's question; 0 keeps every record.
 func Observe(rounds []*probe.Round, maxTargets int) []*PrefixResult {
 	var (
 		rows   []*PrefixResult
-		order  []int32 // positions in the round's Records, reused across rounds
+		order  []int32 // positions in a record-layout round, reused across rounds
 		starts []int32 // where each prefix's group begins in order, reused
+		kept   keptTargets
 		pool   []PrefixResult
 		seqs   []RoundObs
 	)
 	for i, rd := range rounds {
-		recs := rd.Records
-		order, starts = groupRecords(recs, maxTargets, order, starts)
-		groups := len(starts) - 1
 		// Rows [0, known) are sorted; this round's new prefixes are
 		// appended after them, in canonical order.
-		known, next, found := len(rows), 0, false
-		for g := 0; g < groups; g++ {
-			group := order[starts[g]:starts[g+1]]
-			p := recs[group[0]].Prefix
-			var row *PrefixResult
+		known, next := len(rows), 0
+		// rowOf returns p's row, adding one if no earlier round held p;
+		// left, the round's groups from p's on, bounds its new rows, so
+		// rows and sequences come from one allocation each.
+		rowOf := func(p netutil.Prefix, left int) *PrefixResult {
+			var found bool
 			if next, found = seek(rows[:known], next, p); found {
-				row = rows[next]
-			} else {
-				if len(pool) == 0 {
-					// The round's remaining groups bound its new rows;
-					// rows and sequences come from one allocation each.
-					n := groups - g
-					pool, seqs = make([]PrefixResult, n), make([]RoundObs, n*len(rounds))
-				}
-				row = &pool[0]
-				row.Prefix, row.Seq = p, seqs[:len(rounds):len(rounds)]
-				pool, seqs = pool[1:], seqs[len(rounds):]
-				rows = append(rows, row)
+				return rows[next]
 			}
-			for _, j := range firstTargets(recs, group, maxTargets) {
-				row.Seq[i] |= observe(&recs[j])
+			if len(pool) == 0 {
+				pool, seqs = make([]PrefixResult, left), make([]RoundObs, left*len(rounds))
+			}
+			row := &pool[0]
+			row.Prefix, row.Seq = p, seqs[:len(rounds):len(rounds)]
+			pool, seqs = pool[1:], seqs[len(rounds):]
+			rows = append(rows, row)
+			return row
+		}
+		if plan := rd.Plan(); plan != nil {
+			prefixes := plan.Selection().Prefixes
+			if maxTargets > 0 && kept.plan != plan {
+				kept = keepTargets(plan, maxTargets, kept)
+			}
+			for k := range prefixes {
+				lo, hi := plan.Span(k)
+				if lo == hi {
+					continue
+				}
+				obs := &rowOf(prefixes[k].Prefix, len(prefixes)-k).Seq[i]
+				if maxTargets <= 0 {
+					*obs |= ObserveRound(rd, lo, hi)
+					continue
+				}
+				for _, j := range kept.slots[kept.starts[k]:kept.starts[k+1]] {
+					*obs |= observeAt(rd, int(j))
+				}
+			}
+		} else {
+			recs := rd.Records
+			order, starts = groupRecords(recs, maxTargets, order, starts)
+			groups := len(starts) - 1
+			for g := 0; g < groups; g++ {
+				group := order[starts[g]:starts[g+1]]
+				row := rowOf(recs[group[0]].Prefix, groups-g)
+				for _, j := range firstTargets(group, maxTargets, func(j int32) uint32 { return recs[j].Dst }) {
+					row.Seq[i] |= observe(&recs[j])
+				}
 			}
 		}
 		if known > 0 && len(rows) > known {
@@ -203,27 +235,68 @@ func Observe(rounds []*probe.Round, maxTargets int) []*PrefixResult {
 	return rows
 }
 
-// groupRecords fills order with the positions of recs grouped by
-// prefix in canonical order, each group by destination address and then
-// position under a target budget (maxTargets > 0) and by position
-// otherwise, and starts with where each group begins in order followed
-// by len(order). Rounds in the prober's layout — a prefix's records in
-// one run, runs in ascending prefix order — are recognised in one pass
-// and need no sort without a budget and only each run sorted with one;
-// any other layout (rounds read back through probe.ReadJSON need not
-// be in it) is sorted whole. Both give the one total order (prefix,
-// destination under a budget, position).
+// keptTargets is what a target budget keeps of a plan: slots holds
+// each prefix's slots in (destination, slot) order, trimmed to its
+// first budget distinct destinations, the prefixes' in selection
+// order; starts[k] is where prefix k's begin, then len(slots).
+type keptTargets struct {
+	plan   *probe.Plan
+	slots  []int32
+	starts []int32
+}
+
+// keepTargets computes what budget (> 0) keeps of plan, reusing kt's
+// storage: each prefix's slots ordered and trimmed as groupRecords and
+// firstTargets order and trim a record-layout group, the destination at
+// a slot being its target's.
+func keepTargets(plan *probe.Plan, budget int, kt keptTargets) keptTargets {
+	prefixes := plan.Selection().Prefixes
+	kt.plan, kt.slots, kt.starts = plan, kt.slots[:0], append(kt.starts[:0], 0)
+	for k := range prefixes {
+		tgts := prefixes[k].Targets
+		lo, hi := plan.Span(k)
+		dst := func(j int32) uint32 { return tgts[int(j)-lo].Addr }
+		run := len(kt.slots)
+		for j := lo; j < hi; j++ {
+			kt.slots = append(kt.slots, int32(j))
+		}
+		group := kt.slots[run:]
+		slices.SortFunc(group, byDestination(dst))
+		kt.slots = kt.slots[:run+len(firstTargets(group, budget, dst))]
+		kt.starts = append(kt.starts, int32(len(kt.slots)))
+	}
+	return kt
+}
+
+// byDestination orders positions by their destination address, dst,
+// then by position: a prefix's group under a target budget.
+func byDestination(dst func(j int32) uint32) func(a, b int32) int {
+	return func(a, b int32) int {
+		if c := cmp.Compare(dst(a), dst(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// groupRecords fills order with the positions of recs, a record-layout
+// round's, grouped by prefix in canonical order, each group by
+// destination address and then position under a target budget
+// (maxTargets > 0) and by position otherwise, and starts with where
+// each group begins in order followed by len(order). Records already in
+// runs — a prefix's records in one run, runs in ascending prefix order,
+// as resurvey -json writes them — are recognised in one pass and need
+// no sort without a budget and only each run sorted with one; any other
+// order (probe.ReadJSON keeps what the file holds) is sorted whole.
+// Both give the one total order (prefix, destination under a budget,
+// position). Prober-layout rounds never come here: Observe reads their
+// groups off their plan.
 func groupRecords(recs []probe.Record, maxTargets int, order, starts []int32) ([]int32, []int32) {
 	order, starts = order[:0], starts[:0]
 	for j := range recs {
 		order = append(order, int32(j))
 	}
-	byTarget := func(a, b int32) int {
-		if c := cmp.Compare(recs[a].Dst, recs[b].Dst); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	}
+	byTarget := byDestination(func(j int32) uint32 { return recs[j].Dst })
 	runs := true
 	for j := range recs {
 		if j > 0 && recs[j].Prefix == recs[j-1].Prefix {
@@ -274,16 +347,16 @@ func seek(rows []*PrefixResult, j int, p netutil.Prefix) (int, bool) {
 	return j, j < len(rows) && rows[j].Prefix == p
 }
 
-// firstTargets trims group — one prefix's record positions in recs,
-// sorted by destination address — to the records of its first k
-// distinct destinations; k <= 0 keeps them all.
-func firstTargets(recs []probe.Record, group []int32, k int) []int32 {
+// firstTargets trims group — one prefix's positions, sorted by their
+// destination address, dst — to the positions of its first k distinct
+// destinations; k <= 0 keeps them all.
+func firstTargets(group []int32, k int, dst func(j int32) uint32) []int32 {
 	if k <= 0 {
 		return group
 	}
 	distinct := 0
 	for i, j := range group {
-		if i > 0 && recs[j].Dst == recs[group[i-1]].Dst {
+		if i > 0 && dst(j) == dst(group[i-1]) {
 			continue
 		}
 		if distinct == k {

@@ -3,7 +3,9 @@ package core
 // The reference for Observe's grouping: Observe as it stood when every
 // round's record positions went through one full sort on (prefix,
 // destination under a target budget, position), kept verbatim apart
-// from its name, and the differential that holds Observe's prober-
+// from its name, from reading each round's records through
+// expandRecords and from handing firstTargets the records'
+// destinations, and the differential that holds Observe's prober-
 // layout path equal to it.
 
 import (
@@ -27,7 +29,7 @@ func referenceObserve(rounds []*probe.Round, maxTargets int) []*PrefixResult {
 		seqs   []RoundObs
 	)
 	for i, rd := range rounds {
-		recs := rd.Records
+		recs := expandRecords(rd)
 		order = order[:0]
 		for j := range recs {
 			order = append(order, int32(j))
@@ -71,7 +73,7 @@ func referenceObserve(rounds []*probe.Round, maxTargets int) []*PrefixResult {
 				pool, seqs = pool[1:], seqs[len(rounds):]
 				rows = append(rows, row)
 			}
-			for _, j := range firstTargets(recs, group, maxTargets) {
+			for _, j := range firstTargets(group, maxTargets, func(j int32) uint32 { return recs[j].Dst }) {
 				row.Seq[i] |= observe(&recs[j])
 			}
 		}
@@ -95,7 +97,7 @@ func TestObserveMatchesFullSort(t *testing.T) {
 	derive := func(edit func(i int, recs []probe.Record) []probe.Record) []*probe.Round {
 		out := make([]*probe.Round, len(prober))
 		for i, rd := range prober {
-			out[i] = &probe.Round{Config: rd.Config, Start: rd.Start, End: rd.End, Records: edit(i, slices.Clone(rd.Records))}
+			out[i] = &probe.Round{Config: rd.Config, Start: rd.Start, End: rd.End, Records: edit(i, expandRecords(rd))}
 		}
 		return out
 	}

@@ -136,7 +136,7 @@ func TestObserveRound(t *testing.T) {
 		{[]probe.Record{re, co}, ObsMixed},
 	}
 	for i, tt := range tests {
-		if got := ObserveRound(tt.recs); got != tt.want {
+		if got := ObserveRound(&probe.Round{Records: tt.recs}, 0, len(tt.recs)); got != tt.want {
 			t.Errorf("case %d: ObserveRound = %v, want %v", i, got, tt.want)
 		}
 	}
@@ -148,7 +148,7 @@ func TestObserveRound(t *testing.T) {
 // address, the stable order the prober uses).
 func rescanFirstTargets(rd *probe.Round, p netutil.Prefix, k int) []probe.Record {
 	var recs []probe.Record
-	for _, rec := range rd.Records {
+	for _, rec := range expandRecords(rd) {
 		if rec.Prefix == p {
 			recs = append(recs, rec)
 		}
@@ -178,12 +178,12 @@ func observed(rows []*PrefixResult, p netutil.Prefix) []RoundObs {
 
 // requireObserveMatchesRescan checks Observe against the rescan for
 // every listed prefix, every round and budgets 0-4, and that Observe
-// left Round.Records as it found them.
+// left every round's records as it found them.
 func requireObserveMatchesRescan(t *testing.T, name string, rounds []*probe.Round, prefixes []netutil.Prefix) {
 	t.Helper()
 	before := make([][]probe.Record, len(rounds))
 	for i, rd := range rounds {
-		before[i] = append([]probe.Record(nil), rd.Records...)
+		before[i] = expandRecords(rd)
 	}
 	for k := 0; k <= 4; k++ {
 		rows := Observe(rounds, k)
@@ -201,9 +201,10 @@ func requireObserveMatchesRescan(t *testing.T, name string, rounds []*probe.Roun
 				budget := k
 				if k == 0 {
 					// No budget: to the rescan, one no prefix can reach.
-					budget = len(rd.Records) + 1
+					budget = rd.Len() + 1
 				}
-				want := ObserveRound(rescanFirstTargets(rd, p, budget))
+				kept := rescanFirstTargets(rd, p, budget)
+				want := ObserveRound(&probe.Round{Records: kept}, 0, len(kept))
 				got := ObsLoss // a prefix Observe never saw has no sequence
 				if seq != nil {
 					got = seq[i]
@@ -215,8 +216,8 @@ func requireObserveMatchesRescan(t *testing.T, name string, rounds []*probe.Roun
 		}
 	}
 	for i, rd := range rounds {
-		if !reflect.DeepEqual(rd.Records, before[i]) {
-			t.Errorf("%s: Observe modified round %d's Records", name, i)
+		if !reflect.DeepEqual(expandRecords(rd), before[i]) {
+			t.Errorf("%s: Observe modified round %d's records", name, i)
 		}
 	}
 }
@@ -237,7 +238,7 @@ func TestObserveMatchesRescan(t *testing.T) {
 	var shuffled []*probe.Round
 	for i, rd := range s.Internet2.Rounds[:3] {
 		cp := &probe.Round{Config: rd.Config, Start: rd.Start, End: rd.End}
-		for _, rec := range rd.Records {
+		for _, rec := range expandRecords(rd) {
 			if i == 1 && rec.Prefix == prefixes[0] {
 				continue
 			}
@@ -294,7 +295,7 @@ func TestObserveOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	shuffled := make([]*probe.Round, len(canonical))
 	for i, rd := range canonical {
-		cp := &probe.Round{Config: rd.Config, Start: rd.Start, End: rd.End, Records: slices.Clone(rd.Records)}
+		cp := recordRound(rd)
 		rng.Shuffle(len(cp.Records), func(a, b int) { cp.Records[a], cp.Records[b] = cp.Records[b], cp.Records[a] })
 		shuffled[i] = cp
 	}
@@ -323,7 +324,7 @@ func TestObserveAllocs(t *testing.T) {
 	rounds := getSurvey(t).Internet2.Rounds
 	records := 0
 	for _, rd := range rounds {
-		records += len(rd.Records)
+		records += rd.Len()
 	}
 	for _, k := range []int{0, 2} {
 		prefixes := len(Observe(rounds, k))

@@ -172,7 +172,9 @@ type Result struct {
 	Configs     []PrependConfig
 	ConfigTimes []bgp.Time
 	// Rounds are the raw probing rounds, each holding its records in
-	// the selection's canonical prefix order, as the prober writes them.
+	// the selection's canonical prefix order, as the prober writes them:
+	// in the prober layout (probe.Round), or in the record layout for
+	// rounds a resumed run decoded from its checkpoint.
 	Rounds []*probe.Round
 	// PerPrefix holds the classification of every probed prefix, in
 	// canonical prefix order; Find looks one up.
@@ -378,7 +380,7 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 				Config:     cfg.Label(),
 				Round:      i + 1,
 				Rounds:     len(Schedule()),
-				Probes:     len(round.Records),
+				Probes:     round.Len(),
 				Responded:  round.Responded(),
 				Time:       probeAt,
 			})

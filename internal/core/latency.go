@@ -34,7 +34,8 @@ func AnalyzeLatency(res *Result) []LatencyStats {
 	var out []LatencyStats
 	for _, rd := range res.Rounds {
 		var re, comm []float64
-		for _, rec := range rd.Records {
+		for c := rd.Cursor(); c.Next(); {
+			rec := c.Record()
 			if !rec.Responded {
 				continue
 			}

@@ -123,8 +123,8 @@ type policyEvaluator struct {
 }
 
 // evalWorld is one pooled evaluation world and the round its probe
-// census fills candidate after candidate: the census keeps no records
-// past its counts, so one buffer serves every round.
+// census fills candidate after candidate: the census keeps nothing
+// past its counts, so one round's slots serve every candidate.
 type evalWorld struct {
 	*Survey
 	census probe.Round
@@ -271,16 +271,14 @@ func (ev *policyEvaluator) measure(w *evalWorld, c optimize.Candidate, st0 bgp.I
 	}
 	if ev.obj.NeedsProbe() {
 		// One observation per selected prefix, what Observe would reduce
-		// the round to, read off the prober's layout: Fill writes the
-		// records of each prefix as one run, in selection order, and
-		// seeds.Select lists each prefix once, with at least one target.
+		// the round to, read off the round's slots: Fill writes each
+		// prefix's as one span, in selection order, and seeds.Select
+		// lists each prefix once, with at least one target.
 		s.Prober.Fill(&w.census, "opt", net.Now(), s.Sel)
-		recs := w.census.Records
-		for _, pt := range s.Sel.Prefixes {
-			n := len(pt.Targets)
-			obs := ObserveRound(recs[:n])
-			recs = recs[n:]
-			switch obs {
+		plan := w.census.Plan()
+		for k := range s.Sel.Prefixes {
+			lo, hi := plan.Span(k)
+			switch ObserveRound(&w.census, lo, hi) {
 			case ObsRE:
 				e.ProbeRE++
 			case ObsCommodity:

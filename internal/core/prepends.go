@@ -32,9 +32,10 @@ type OriginView struct {
 	CollectorPaths []asn.Path
 }
 
-// viewMemory is one running shard's working memory: its solver, and
-// the buffer the collector peers' paths of one origin are appended
-// into, end to end, before they are copied out.
+// viewMemory is one running shard's working memory: its solver, with
+// the collector sessions as its export taps, and the buffer the
+// collector peers' paths of one origin are appended into, end to end,
+// before they are copied out.
 type viewMemory struct {
 	sv    *bgp.StaticSolver
 	paths asn.Path
@@ -52,12 +53,12 @@ type viewMemory struct {
 // share one exact-size slab; each is capped at its own end, so
 // appending to one never writes into the next.
 func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
-	// Collector -> peers mapping.
-	type colPeer struct{ col, peer bgp.RouterID }
-	var colPeers []colPeer
+	// Every collector's peers' exports to it, the same sessions for
+	// every origin: each shard's solver resolves them once.
+	var taps []bgp.ExportTap
 	for _, col := range eco.Collectors {
 		for _, peer := range eco.Net.Speaker(col).Peers() {
-			colPeers = append(colPeers, colPeer{col, peer})
+			taps = append(taps, bgp.ExportTap{From: peer, To: col})
 		}
 	}
 
@@ -81,15 +82,16 @@ func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 		mem, _ := memory.Get().(*viewMemory)
 		if mem == nil {
 			mem = &viewMemory{sv: eco.Net.NewStaticSolver()}
+			mem.sv.SetExportTaps(taps)
 		}
 		// Solve one representative prefix for this origin.
 		p := info.Prefixes[0]
 		res := mem.sv.Solve(p, []bgp.StaticOrigin{{Speaker: info.Router}})
 
 		mem.paths, mem.ends = mem.paths[:0], mem.ends[:0]
-		for _, cp := range colPeers {
+		for k := range taps {
 			var ok bool
-			if mem.paths, ok = eco.Net.AppendExportPath(mem.paths, res, cp.peer, cp.col); ok {
+			if mem.paths, ok = res.AppendTapPath(mem.paths, k); ok {
 				mem.ends = append(mem.ends, len(mem.paths))
 			}
 		}

@@ -43,31 +43,44 @@ func referenceOriginView(eco *topo.Ecosystem, origin asn.AS) *OriginView {
 }
 
 // TestOriginViewsMatchExportView holds ComputeOriginViews, which reads
-// the collector paths into one slab per view, equal to the views built
-// one collector session at a time, on every origin at -small.
-// The paths of a view are capped sub-slices of its slab: appending to
-// one must leave the next as it was.
+// the collector paths through each solver's export taps into one slab
+// per view, equal to the views built one collector session at a time
+// through AppendExportPath, on every origin at -small and at the
+// paper's grammar with its populations divided by four. The paths of a
+// view are capped sub-slices of its slab: appending to one must leave
+// the next as it was.
 func TestOriginViewsMatchExportView(t *testing.T) {
-	eco := topo.Build(topo.SmallConfig())
-	views := ComputeOriginViews(eco)
-	aliasChecked := 0
-	for origin, got := range views {
-		if want := referenceOriginView(eco, origin); !reflect.DeepEqual(got, want) {
-			t.Fatalf("origin AS%s: view %+v, per-session reading %+v", origin, got, want)
-		}
-		paths := got.CollectorPaths
-		for i := 0; i+1 < len(paths); i++ {
-			next := slices.Clone(paths[i+1])
-			_ = append(paths[i], 64512)
-			if !paths[i+1].Equal(next) {
-				t.Fatalf("origin AS%s: appending to collector path %d rewrote path %d: %v, was %v",
-					origin, i, i+1, paths[i+1], next)
+	quarter := topo.DefaultConfig()
+	quarter.MembersUS /= 4
+	quarter.MembersIntl /= 4
+	quarter.NIKSCustomers /= 4
+	quarter.ExtraCollectorFeeds /= 4
+	for _, scale := range []struct {
+		name string
+		cfg  topo.GenConfig
+	}{{"small", topo.SmallConfig()}, {"paper÷4", quarter}} {
+		eco := topo.Build(scale.cfg)
+		views := ComputeOriginViews(eco)
+		aliasChecked := 0
+		for origin, got := range views {
+			if want := referenceOriginView(eco, origin); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s origin AS%s: view %+v, per-session reading %+v", scale.name, origin, got, want)
 			}
-			aliasChecked++
+			paths := got.CollectorPaths
+			for i := 0; i+1 < len(paths); i++ {
+				next := slices.Clone(paths[i+1])
+				_ = append(paths[i], 64512)
+				if !paths[i+1].Equal(next) {
+					t.Fatalf("%s origin AS%s: appending to collector path %d rewrote path %d: %v, was %v",
+						scale.name, origin, i, i+1, paths[i+1], next)
+				}
+				aliasChecked++
+			}
 		}
+		if aliasChecked == 0 {
+			t.Fatalf("%s: no view with two collector paths to check for aliasing", scale.name)
+		}
+		t.Logf("%s: %d origin views equal to the per-session reading; %d appends left the next path intact",
+			scale.name, len(views), aliasChecked)
 	}
-	if aliasChecked == 0 {
-		t.Fatal("no view with two collector paths to check for aliasing")
-	}
-	t.Logf("%d origin views equal to the per-session reading; %d appends left the next path intact", len(views), aliasChecked)
 }

@@ -107,11 +107,12 @@ func itoa(n int) string { return strconv.Itoa(n) }
 // MixedRatio computes the R&E:commodity response ratio inside mixed
 // prefixes across all rounds (§4 reports ~2:1). A round's records and
 // res.PerPrefix are both in canonical prefix order, so it walks them
-// side by side.
+// side by side, the records through a cursor.
 func MixedRatio(res *Result) (re, commodity int) {
 	for _, rd := range res.Rounds {
 		j, found := 0, false
-		for _, rec := range rd.Records {
+		for c := rd.Cursor(); c.Next(); {
+			rec := c.Record()
 			j, found = seek(res.PerPrefix, j, rec.Prefix)
 			if !found || !rec.Responded || res.PerPrefix[j].Inference != InfMixed {
 				continue

@@ -238,7 +238,7 @@ func (p *Pipeline) runWorkload(s *Survey, opts WorkloadOptions) (*WorkloadResult
 				probeN++
 				round := s.Prober.Run(label, bgp.Time(now), s.Sel)
 				res.ProbeRounds++
-				res.ProbesSent += len(round.Records)
+				res.ProbesSent += round.Len()
 				res.ProbesResponded += round.Responded()
 			}
 			res.EventsByKind[ev.Kind.String()]++

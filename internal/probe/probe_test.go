@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/netutil"
 	"repro/internal/seeds"
@@ -19,7 +20,14 @@ func setup(t *testing.T) (*topo.Ecosystem, *simnet.World, *seeds.Selection, *Pro
 
 func setupWorld(t *testing.T, cfg simnet.WorldConfig) (*topo.Ecosystem, *simnet.World, *seeds.Selection, *Prober) {
 	t.Helper()
-	eco := topo.Build(topo.SmallConfig())
+	return buildWorld(topo.SmallConfig(), cfg)
+}
+
+// buildWorld builds an ecosystem from tc and a world on it from cfg,
+// selects up to three targets per prefix, and converges the
+// measurement prefix announced from Internet2 and the commodity origin.
+func buildWorld(tc topo.GenConfig, cfg simnet.WorldConfig) (*topo.Ecosystem, *simnet.World, *seeds.Selection, *Prober) {
+	eco := topo.Build(tc)
 	w := simnet.BuildWorld(eco, cfg)
 	cat := seeds.BuildCatalog(eco, w, seeds.DefaultCatalogConfig())
 	var prefixes []netutil.Prefix
@@ -39,6 +47,15 @@ func setupWorld(t *testing.T, cfg simnet.WorldConfig) (*topo.Ecosystem, *simnet.
 	return eco, w, sel, NewProber(w)
 }
 
+// records expands a round's records through its cursor.
+func records(r *Round) []Record {
+	out := make([]Record, 0, r.Len())
+	for c := r.Cursor(); c.Next(); {
+		out = append(out, *c.Record())
+	}
+	return out
+}
+
 func TestRunRound(t *testing.T) {
 	eco, w, sel, pr := setup(t)
 	w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
@@ -47,11 +64,12 @@ func TestRunRound(t *testing.T) {
 	if round.Config != "0-0" || round.Start != 1000 {
 		t.Fatalf("round meta wrong: %+v", round)
 	}
-	if len(round.Records) != sel.Stats.ResponsiveTargets {
-		t.Errorf("probed %d, want %d", len(round.Records), sel.Stats.ResponsiveTargets)
+	recs := records(round)
+	if len(recs) != sel.Stats.ResponsiveTargets {
+		t.Errorf("probed %d, want %d", len(recs), sel.Stats.ResponsiveTargets)
 	}
 	responded := 0
-	for _, rec := range round.Records {
+	for _, rec := range recs {
 		if rec.SentAt < round.Start || rec.SentAt > round.End {
 			t.Fatalf("record time %d outside round [%d,%d]", rec.SentAt, round.Start, round.End)
 		}
@@ -65,18 +83,18 @@ func TestRunRound(t *testing.T) {
 			}
 		}
 	}
-	if responded < len(round.Records)*9/10 {
-		t.Errorf("only %d/%d probes answered", responded, len(round.Records))
+	if responded < len(recs)*9/10 {
+		t.Errorf("only %d/%d probes answered", responded, len(recs))
 	}
 	// Pacing: ~100pps means duration ≈ records/100 seconds.
-	wantDur := int64(len(round.Records))/100 + 1
+	wantDur := int64(len(recs))/100 + 1
 	if got := int64(round.Duration()); got < wantDur || got > wantDur+2 {
 		t.Errorf("round duration %d, want ~%d", got, wantDur)
 	}
 }
 
 // TestRunWorkersDeepEqual: shards write straight into the round's one
-// Records slice, so the round must come out the same at any width —
+// slot slice, so the round must come out the same at any width —
 // and, under -race, the shards' slots must be disjoint.
 func TestRunWorkersDeepEqual(t *testing.T) {
 	eco, w, sel, pr := setup(t)
@@ -96,7 +114,8 @@ func TestRunWorkersDeepEqual(t *testing.T) {
 }
 
 // TestRunAllocsIndependentOfTargets: a round allocates a fixed number
-// of times per round (Records, the pacing offsets, the catchment view)
+// of times per round (its slots, the plan when the selection is new,
+// the catchment view)
 // and per shard (its loss RNG, which each prefix reseeds), never per
 // prefix or per record: not when every probe is lost, and not when
 // every probe is answered, since an answer is a lookup in the round's
@@ -122,8 +141,8 @@ func TestRunAllocsIndependentOfTargets(t *testing.T) {
 			}
 			pr.Workers = 1
 			if tc.loss == 0 {
-				if round := pr.Run("0-0", 1000, three); round.Responded() < len(round.Records)*9/10 {
-					t.Fatalf("only %d/%d probes answered", round.Responded(), len(round.Records))
+				if round := pr.Run("0-0", 1000, three); round.Responded() < round.Len()*9/10 {
+					t.Fatalf("only %d/%d probes answered", round.Responded(), round.Len())
 				}
 			}
 			allocs := func(sel *seeds.Selection) float64 {
@@ -161,7 +180,7 @@ func TestBrownoutFollowsTargetHost(t *testing.T) {
 	// to list that target under.
 	var home seeds.PrefixTargets
 	for i, first := 0, 0; i < len(sel.Prefixes) && home.Targets == nil; i++ {
-		if base.Records[first].Responded {
+		if base.Record(first).Responded {
 			home = sel.Prefixes[i]
 		}
 		first += len(sel.Prefixes[i].Targets)
@@ -180,11 +199,11 @@ func TestBrownoutFollowsTargetHost(t *testing.T) {
 	moved := &seeds.Selection{Prefixes: []seeds.PrefixTargets{{Prefix: other, Targets: []seeds.Target{tgt}}}}
 
 	probe := func() Record {
-		rd := pr.Run("0-0", 1000, moved)
-		if len(rd.Records) != 1 || rd.Records[0].Prefix != other || rd.Records[0].Dst != tgt.Addr {
-			t.Fatalf("round %+v, want one record for %d listed under %s", rd.Records, tgt.Addr, other)
+		recs := records(pr.Run("0-0", 1000, moved))
+		if len(recs) != 1 || recs[0].Prefix != other || recs[0].Dst != tgt.Addr {
+			t.Fatalf("round %+v, want one record for %d listed under %s", recs, tgt.Addr, other)
 		}
-		return rd.Records[0]
+		return recs[0]
 	}
 	if !probe().Responded {
 		t.Fatal("the moved target does not answer without brownouts")
@@ -202,20 +221,76 @@ func TestBrownoutFollowsTargetHost(t *testing.T) {
 
 // TestFillReusesRecords: a round filled into a buffer that held an
 // earlier round equals a fresh Run of the same round, and takes its
-// records in place.
+// slots in place.
 func TestFillReusesRecords(t *testing.T) {
 	eco, w, sel, pr := setup(t)
 	w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
 	pr.Retry = DefaultRetryPolicy()
 	var buf Round
 	pr.Fill(&buf, "4-0", 50, sel)
-	storage := &buf.Records[0]
+	storage := &buf.slots[0]
 	pr.Fill(&buf, "0-0", 1000, sel)
 	if want := pr.Run("0-0", 1000, sel); !reflect.DeepEqual(&buf, want) {
 		t.Error("a round filled into a reused buffer differs from a fresh Run")
 	}
-	if &buf.Records[0] != storage {
-		t.Error("Fill reallocated records that fit the buffer")
+	if &buf.slots[0] != storage {
+		t.Error("Fill reallocated slots that fit the buffer")
+	}
+}
+
+// TestRoundBytesPerTarget is the prober layout's retained-bytes guard:
+// a round at the paper's grammar with its populations divided by four
+// (the benchmark's survey_paper size) holds at most 4 bytes per target,
+// its slots and escape list counted by capacity. The plan it shares
+// with every round of its selection is not its own.
+func TestRoundBytesPerTarget(t *testing.T) {
+	c := topo.DefaultConfig()
+	c.MembersUS /= 4
+	c.MembersIntl /= 4
+	c.NIKSCustomers /= 4
+	c.ExtraCollectorFeeds /= 4
+	eco, w, sel, pr := buildWorld(c, simnet.DefaultWorldConfig())
+	w.SetTerminals(eco.Internet2.Router, eco.MeasCommodity.Router)
+	round := pr.Run("0-0", 1000, sel)
+	if round.Responded() < round.Len()/2 {
+		t.Fatalf("only %d of %d probes answered", round.Responded(), round.Len())
+	}
+	held := cap(round.slots)*int(unsafe.Sizeof(round.slots[0])) + cap(round.escapes)*int(unsafe.Sizeof(escape{}))
+	perTarget := float64(held) / float64(round.Len())
+	t.Logf("%d targets, %d bytes held: %.2f B per target (a Record is %d B)",
+		round.Len(), held, perTarget, unsafe.Sizeof(Record{}))
+	if perTarget > 4 {
+		t.Errorf("a round holds %.2f B per target, want <= 4", perTarget)
+	}
+}
+
+// TestRetriesEscape: under total loss, a policy of more attempts than
+// the slot's retries field holds, with no budget, gives every record
+// more retries than fit, so every slot escapes. The records rebuild
+// with their full counts through Record and a Cursor alike, at any
+// worker count (the shards' escapes merge in slot order).
+func TestRetriesEscape(t *testing.T) {
+	cfg := simnet.DefaultWorldConfig()
+	cfg.ProbeLossProb = 1
+	_, _, sel, pr := setupWorld(t, cfg)
+	const attempts = maxSlotRetries + 5
+	pr.Retry = RetryPolicy{MaxAttempts: attempts, BaseBackoff: 1, MaxBackoff: 4}
+	pr.Workers = 1
+	round := pr.Run("0-0", 1000, sel)
+	if len(round.escapes) != round.Len() {
+		t.Fatalf("%d escapes for %d slots, want every slot", len(round.escapes), round.Len())
+	}
+	for i, rec := range records(round) {
+		if rec.Retries != attempts-1 || rec.Responded {
+			t.Fatalf("record %d: %+v, want %d retries and no reply", i, rec, attempts-1)
+		}
+		if got := round.Record(i); got != rec {
+			t.Fatalf("record %d: Record %+v, cursor %+v", i, got, rec)
+		}
+	}
+	pr.Workers = 4
+	if again := pr.Run("0-0", 1000, sel); !reflect.DeepEqual(again, round) {
+		t.Error("the round at 4 workers differs from the round at 1")
 	}
 }
 
@@ -255,11 +330,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	if len(rounds) != 1 || rounds[0].Config != "2-0" {
 		t.Fatalf("rounds = %+v", rounds)
 	}
-	if len(rounds[0].Records) != len(round.Records) {
-		t.Fatalf("records %d vs %d", len(rounds[0].Records), len(round.Records))
+	if len(rounds[0].Records) != round.Len() {
+		t.Fatalf("records %d vs %d", len(rounds[0].Records), round.Len())
 	}
 	for i, got := range rounds[0].Records {
-		want := round.Records[i]
+		want := round.Record(i)
 		if got.Dst != want.Dst || got.Proto != want.Proto || got.Responded != want.Responded ||
 			got.VLAN != want.VLAN || got.Prefix != want.Prefix {
 			t.Errorf("record %d: %+v vs %+v", i, got, want)
@@ -280,12 +355,12 @@ func TestRetryZeroPolicyIsNoOp(t *testing.T) {
 	pr2.Retry = RetryPolicy{} // explicit zero value
 	again := pr2.Run("0-0", 1000, sel2)
 
-	if base.End != again.End || len(base.Records) != len(again.Records) {
+	if base.End != again.End || base.Len() != again.Len() {
 		t.Fatalf("round shape diverged: %+v vs %+v", base, again)
 	}
-	for i := range base.Records {
-		if base.Records[i] != again.Records[i] {
-			t.Fatalf("record %d diverged: %+v vs %+v", i, base.Records[i], again.Records[i])
+	for i := 0; i < base.Len(); i++ {
+		if base.Record(i) != again.Record(i) {
+			t.Fatalf("record %d diverged: %+v vs %+v", i, base.Record(i), again.Record(i))
 		}
 	}
 }
@@ -317,7 +392,7 @@ func TestRetryRecoversLoss(t *testing.T) {
 	}
 
 	count := func(r *Round) (responded, retried int) {
-		for _, rec := range r.Records {
+		for _, rec := range records(r) {
 			if rec.Responded {
 				responded++
 			}
@@ -340,7 +415,7 @@ func TestRetryRecoversLoss(t *testing.T) {
 	}
 	if gotRetry <= gotBase {
 		t.Errorf("retries did not improve response rate: %d vs %d of %d",
-			gotRetry, gotBase, len(withRetry.Records))
+			gotRetry, gotBase, withRetry.Len())
 	}
 }
 
@@ -370,17 +445,17 @@ func TestRetryRespectsBudget(t *testing.T) {
 
 	// First retry at +100 exceeds the 50 s budget: no retries at all.
 	tight := run(RetryPolicy{MaxAttempts: 5, BaseBackoff: 100, MaxBackoff: 400, Budget: 50})
-	for _, rec := range tight.Records {
+	for _, rec := range records(tight) {
 		if rec.Retries != 0 {
 			t.Fatalf("retry sent past budget: %+v", rec)
 		}
 	}
 	// Generous budget: every record burns all MaxAttempts-1 retries.
 	loose := run(RetryPolicy{MaxAttempts: 3, BaseBackoff: 2, MaxBackoff: 30, Budget: 600})
-	if len(loose.Records) == 0 {
+	if loose.Len() == 0 {
 		t.Fatal("no records probed")
 	}
-	for _, rec := range loose.Records {
+	for _, rec := range records(loose) {
 		if rec.Retries != 2 {
 			t.Fatalf("want 2 retries under total loss, got %+v", rec)
 		}

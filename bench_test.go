@@ -301,6 +301,24 @@ func BenchmarkOriginViews(b *testing.B) {
 	}
 }
 
+// BenchmarkRelationshipInference measures the Gao-style relationship
+// inference behind the analysis's accuracy line
+// (core.RelationshipAccuracy): every collector path of every origin
+// view, read twice from the views' trees, on the paper's grammar with
+// its populations divided by four (survey_paper's size, 109,294 paths),
+// the views computed once.
+func BenchmarkRelationshipInference(b *testing.B) {
+	eco := topo.Build(paperQuarter())
+	views := core.ComputeOriginViews(eco)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, evaluated, _ := core.RelationshipAccuracy(eco, views); evaluated == 0 {
+			b.Fatal("no edge evaluated")
+		}
+	}
+}
+
 // BenchmarkAblateTargets measures the §3.2 target-budget ablation
 // (AblateTargets at budgets 1-3: one Observe and one classification
 // pass per budget) on the Internet2 result of a survey at the paper's

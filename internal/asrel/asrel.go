@@ -66,38 +66,30 @@ func mkEdge(x, y asn.AS) edge {
 }
 
 // Infer runs the two-pass algorithm over the observed AS paths
-// (nearest AS first, origin last). Each path is collapsed once
-// (prepending and poisoned repeats removed) into one slab; the first
-// pass counts each AS's degree as its edges are first seen, the second
-// votes on edge directions around each path's highest-degree AS.
-func Infer(paths []asn.Path) *Result {
-	hops := 0
-	for _, p := range paths {
-		hops += len(p)
-	}
-	slab := make(asn.Path, 0, hops)
-	ends := make([]int, 0, len(paths))
+// (nearest AS first, origin last) that paths yields, reading them
+// twice and keeping none: the first pass collapses each path
+// (prepending and poisoned repeats removed) and counts each AS's degree
+// as its edges are first seen, the second collapses it again and votes
+// on edge directions around its highest-degree AS. paths has the shape
+// of iter.Seq[asn.Path]: each path need hold only during its yield.
+func Infer(paths func(yield func(asn.Path) bool)) *Result {
 	// votes[e] counts the paths where e.a transited for e.b ([0]) and
 	// where e.b transited for e.a ([1]); its key set is the edge set.
 	votes := make(map[edge][2]int32)
 	degree := make(map[asn.AS]int32)
-	for _, p := range paths {
-		start := len(slab)
-		slab = p.AppendUnique(slab)
-		if len(slab)-start < 2 {
-			slab = slab[:start]
-			continue
-		}
-		ends = append(ends, len(slab))
-		for i := start; i+1 < len(slab); i++ {
-			e := mkEdge(slab[i], slab[i+1])
+	var u asn.Path // one collapsed path
+	paths(func(p asn.Path) bool {
+		u = p.AppendUnique(u[:0])
+		for i := 0; i+1 < len(u); i++ {
+			e := mkEdge(u[i], u[i+1])
 			if _, seen := votes[e]; !seen {
 				votes[e] = [2]int32{}
 				degree[e.a]++
 				degree[e.b]++
 			}
 		}
-	}
+		return true
+	})
 
 	vote := func(prov, cust asn.AS) {
 		e := mkEdge(prov, cust)
@@ -109,11 +101,10 @@ func Infer(paths []asn.Path) *Result {
 		}
 		votes[e] = v
 	}
-	start := 0
-	for _, end := range ends {
-		u := slab[start:end]
-		start = end
-		// Find the top provider: the highest-degree AS.
+	paths(func(p asn.Path) bool {
+		u = p.AppendUnique(u[:0])
+		// Find the top provider: the first highest-degree AS. A path
+		// of one AS has no edge to vote on.
 		top := 0
 		for i := 1; i < len(u); i++ {
 			if degree[u[i]] > degree[u[top]] {
@@ -131,7 +122,8 @@ func Infer(paths []asn.Path) *Result {
 		for i := top; i+1 < len(u); i++ {
 			vote(u[i], u[i+1])
 		}
-	}
+		return true
+	})
 
 	// Every adjacent pair of a path got exactly one vote, so every edge
 	// has at least one.
@@ -148,6 +140,17 @@ func Infer(paths []asn.Path) *Result {
 		}
 	}
 	return res
+}
+
+// Paths yields paths in order: a slice as Infer's path source.
+func Paths(paths []asn.Path) func(yield func(asn.Path) bool) {
+	return func(yield func(asn.Path) bool) {
+		for _, p := range paths {
+			if !yield(p) {
+				return
+			}
+		}
+	}
 }
 
 // Result holds inferred relationships.

@@ -1,6 +1,7 @@
 package asrel
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -35,7 +36,7 @@ func TestInferSimpleChain(t *testing.T) {
 		asn.MustParsePath("10 21 33"),
 		asn.MustParsePath("10 22"),
 	}
-	res := Infer(paths)
+	res := Infer(Paths(paths))
 	if got := res.Rel(10, 20); got != RelProviderOf {
 		t.Errorf("Rel(10,20) = %v, want provider-of", got)
 	}
@@ -62,14 +63,14 @@ func TestInferPeeringAtTop(t *testing.T) {
 		asn.MustParsePath("2 20"),
 		asn.MustParsePath("2 21"),
 	}
-	res := Infer(paths)
+	res := Infer(Paths(paths))
 	if got := res.Rel(1, 2); got != RelPeer {
 		t.Errorf("Rel(1,2) = %v, want peer", got)
 	}
 }
 
 func TestPrependingCollapsed(t *testing.T) {
-	res := Infer([]asn.Path{asn.MustParsePath("10 20 30 30 30")})
+	res := Infer(Paths([]asn.Path{asn.MustParsePath("10 20 30 30 30")}))
 	if res.Rel(30, 30) != RelNone {
 		t.Error("self-edge from prepending")
 	}
@@ -78,10 +79,28 @@ func TestPrependingCollapsed(t *testing.T) {
 	}
 }
 
+// inferDiff holds Infer over the paths as a source equal, edge for
+// edge, to the two-call reference inferrer's and to the slice-and-slab
+// form's.
+func inferDiff(paths []asn.Path) error {
+	got := Infer(Paths(paths)).Edges()
+	for _, ref := range []struct {
+		name string
+		res  *Result
+	}{{"two-call reference", referenceInfer(paths)}, {"slab form", slabInfer(paths)}} {
+		if want := ref.res.Edges(); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("Infer and the %s differ over %d paths: %d and %d edges\nInfer %v\n%s %v",
+				ref.name, len(paths), len(got), len(want), got, ref.name, want)
+		}
+	}
+	return nil
+}
+
 // TestInferMatchesReference holds Infer's edges and relationships equal
-// to the two-call reference inferrer's on seeded random path sets over
-// small AS universes, so that edges overlap and degrees tie: prepend
-// runs, poisoned repeats, 0- and 1-AS paths and duplicate paths.
+// to the two-call reference inferrer's and the slab form's on seeded
+// random path sets over small AS universes, so that edges overlap and
+// degrees tie: prepend runs, poisoned repeats, 0- and 1-AS paths and
+// duplicate paths.
 func TestInferMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37)) // #nosec test randomness
 	var short, prepended, poisoned, duplicated int
@@ -115,11 +134,10 @@ func TestInferMatchesReference(t *testing.T) {
 			}
 			paths[i] = p
 		}
-		got, want := Infer(paths).Edges(), referenceInfer(paths).Edges()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: paths %v\nInfer     %v\nreference %v", trial, paths, got, want)
+		if err := inferDiff(paths); err != nil {
+			t.Fatalf("trial %d: paths %v: %v", trial, paths, err)
 		}
-		for _, e := range got {
+		for _, e := range Infer(Paths(paths)).Edges() {
 			rels[e.Rel]++
 		}
 	}
@@ -132,38 +150,51 @@ func TestInferMatchesReference(t *testing.T) {
 	}
 }
 
-// TestInferMatchesReferenceOnEcosystem runs both inferrers over every
-// collector path of the -small ecosystem, read the way the survey reads
-// them: one solve per origin, one export path per collector peer.
+// TestInferMatchesReferenceOnEcosystem runs Infer, the reference and
+// the slab form over every collector path of the -small ecosystem and
+// of the paper's grammar with its populations divided by four, read the
+// way the survey reads them: one solve per origin, one export path per
+// collector peer, origins in order.
 func TestInferMatchesReferenceOnEcosystem(t *testing.T) {
-	eco := topo.Build(topo.SmallConfig())
-	var origins []asn.AS
-	seen := map[asn.AS]bool{}
-	for _, pi := range eco.Prefixes {
-		if !seen[pi.Origin] {
-			seen[pi.Origin] = true
-			origins = append(origins, pi.Origin)
+	quarter := topo.DefaultConfig()
+	quarter.MembersUS /= 4
+	quarter.MembersIntl /= 4
+	quarter.NIKSCustomers /= 4
+	quarter.ExtraCollectorFeeds /= 4
+	for _, scale := range []struct {
+		name     string
+		cfg      topo.GenConfig
+		minEdges int
+	}{{"small", topo.SmallConfig(), 100}, {"paper÷4", quarter, 1000}} {
+		eco := topo.Build(scale.cfg)
+		var origins []asn.AS
+		seen := map[asn.AS]bool{}
+		for _, pi := range eco.Prefixes {
+			if !seen[pi.Origin] {
+				seen[pi.Origin] = true
+				origins = append(origins, pi.Origin)
+			}
 		}
-	}
-	slices.Sort(origins)
-	var paths []asn.Path
-	for _, origin := range origins {
-		info := eco.AS(origin)
-		res := eco.Net.SolveStatic(info.Prefixes[0], []bgp.StaticOrigin{{Speaker: info.Router}})
-		for _, col := range eco.Collectors {
-			for _, peer := range eco.Net.Speaker(col).Peers() {
-				if p, ok := eco.Net.AppendExportPath(nil, res, peer, col); ok {
-					paths = append(paths, p)
+		slices.Sort(origins)
+		sv := eco.Net.NewStaticSolver()
+		var paths []asn.Path
+		for _, origin := range origins {
+			info := eco.AS(origin)
+			res := sv.Solve(info.Prefixes[0], []bgp.StaticOrigin{{Speaker: info.Router}})
+			for _, col := range eco.Collectors {
+				for _, peer := range eco.Net.Speaker(col).Peers() {
+					if p, ok := eco.Net.AppendExportPath(nil, res, peer, col); ok {
+						paths = append(paths, p)
+					}
 				}
 			}
 		}
+		if err := inferDiff(paths); err != nil {
+			t.Fatalf("%s: %v", scale.name, err)
+		}
+		if n := Infer(Paths(paths)).Len(); n < scale.minEdges {
+			t.Fatalf("%s: only %d edges inferred from %d paths", scale.name, n, len(paths))
+		}
+		t.Logf("%s: %d edges equal over %d collector paths of %d origins", scale.name, Infer(Paths(paths)).Len(), len(paths), len(origins))
 	}
-	got, want := Infer(paths).Edges(), referenceInfer(paths).Edges()
-	if len(want) < 100 {
-		t.Fatalf("only %d edges inferred from %d paths", len(want), len(paths))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Infer and the reference differ over %d paths: %d and %d edges", len(paths), len(got), len(want))
-	}
-	t.Logf("%d edges equal over %d collector paths of %d origins", len(got), len(paths), len(origins))
 }

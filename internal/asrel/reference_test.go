@@ -141,3 +141,88 @@ func referenceInfer(paths []asn.Path) *Result {
 	}
 	return inf.Infer(paths)
 }
+
+// slabInfer is the slice form Infer replaced, kept as the oracle of the
+// path-source form: each path is collapsed once (prepending and
+// poisoned repeats removed) into one slab; the first pass counts each
+// AS's degree as its edges are first seen, the second votes on edge
+// directions around each path's highest-degree AS over the slab.
+func slabInfer(paths []asn.Path) *Result {
+	hops := 0
+	for _, p := range paths {
+		hops += len(p)
+	}
+	slab := make(asn.Path, 0, hops)
+	ends := make([]int, 0, len(paths))
+	// votes[e] counts the paths where e.a transited for e.b ([0]) and
+	// where e.b transited for e.a ([1]); its key set is the edge set.
+	votes := make(map[edge][2]int32)
+	degree := make(map[asn.AS]int32)
+	for _, p := range paths {
+		start := len(slab)
+		slab = p.AppendUnique(slab)
+		if len(slab)-start < 2 {
+			slab = slab[:start]
+			continue
+		}
+		ends = append(ends, len(slab))
+		for i := start; i+1 < len(slab); i++ {
+			e := mkEdge(slab[i], slab[i+1])
+			if _, seen := votes[e]; !seen {
+				votes[e] = [2]int32{}
+				degree[e.a]++
+				degree[e.b]++
+			}
+		}
+	}
+
+	vote := func(prov, cust asn.AS) {
+		e := mkEdge(prov, cust)
+		v := votes[e]
+		if e.a == prov {
+			v[0]++
+		} else {
+			v[1]++
+		}
+		votes[e] = v
+	}
+	start := 0
+	for _, end := range ends {
+		u := slab[start:end]
+		start = end
+		// Find the top provider: the highest-degree AS.
+		top := 0
+		for i := 1; i < len(u); i++ {
+			if degree[u[i]] > degree[u[top]] {
+				top = i
+			}
+		}
+		// Left of top (collector side): the route descends
+		// provider->customer toward the observation point, so u[i+1]
+		// is provider of u[i]. Right of top (origin side): the route
+		// climbed customer->provider away from the origin, so u[i] is
+		// provider of u[i+1].
+		for i := 0; i+1 <= top; i++ {
+			vote(u[i+1], u[i])
+		}
+		for i := top; i+1 < len(u); i++ {
+			vote(u[i], u[i+1])
+		}
+	}
+
+	// Every adjacent pair of a path got exactly one vote, so every edge
+	// has at least one.
+	res := &Result{rels: make(map[edge]Rel, len(votes))}
+	for e, v := range votes {
+		ab, ba := v[0], v[1]
+		switch {
+		case ab >= 3*ba:
+			res.rels[e] = RelProviderOf // e.a provider of e.b
+		case ba >= 3*ab:
+			res.rels[e] = RelCustomerOf // e.a customer of e.b
+		default:
+			res.rels[e] = RelPeer
+		}
+	}
+	return res
+}

@@ -16,9 +16,11 @@ import (
 // and the export check read of the session's two PeerConfigs, so the
 // relaxation's scan of a speaker's sessions reads one contiguous slice
 // and no PeerConfig. A session whose policy the edge cannot carry (a
-// callback, an import filter, a per-prefix prepend, added communities,
-// a misconfigured NeighborAS) compiles to a slow edge that takes the
-// session-table path through its index.
+// callback, an import filter, added communities, a misconfigured
+// NeighborAS) compiles to a slow edge that takes the session-table path
+// through its index. A sender's per-prefix prepends leave the edge
+// fast: the solver lists such edges and sets each one's run for the
+// prefix at the start of every Solve.
 //
 // The compiled list is keyed on the network's generation (Network.gen),
 // which every change the solver reads moves: AddSpeaker, Connect, every
@@ -79,13 +81,15 @@ const maxStaticRounds = 200
 
 // pathCell is one run of a persistent AS path: n copies of as followed
 // by the path at cell next (0 is the empty path). A speaker adopting a
-// route from a neighbor conses one cell (the neighbor's AS, 1 + its
-// prepends) onto the neighbor's head cell. Cells are never rewritten,
-// so a speaker's path stays what it was when the speaker chose it even
-// after the neighbor moves on — exactly as immutable as the copied
-// asn.Path it replaces, which keeps every intermediate comparison of
-// the relaxation, and so Rounds and a non-converged partial result,
-// what they were with copied paths.
+// route from a neighbor takes the neighbor's export cell (the
+// neighbor's AS, 1 + its prepends, then the neighbor's head cell):
+// the last one the neighbor exported when its run and tail match, else
+// a fresh one, so the receivers of one sender's best share one cell.
+// Cells are never rewritten, so a speaker's path stays what it was
+// when the speaker chose it even after the neighbor moves on — exactly
+// as immutable as the copied asn.Path it replaces, which keeps every
+// intermediate comparison of the relaxation, and so Rounds and a
+// non-converged partial result, what they were with copied paths.
 type pathCell struct {
 	as   asn.AS
 	n    uint32
@@ -139,10 +143,11 @@ const edgeSlow uint8 = 1
 
 // slowEdge is a slow edge's session and its import-filter memo: the
 // imported route (nil: denied) for the neighbor best at path cell cell
-// in solve gen. A learned best's cell is appended when the best is
-// adopted and never reused within a solve, so within one solve a cell
-// names one neighbor best; an origination's empty path (cell 0) is
-// constant for the solve.
+// in solve gen. Within one solve a cell is made for one sender and
+// shared only by receivers adopting that sender's best over the same
+// run and tail, so a neighbor's cell names its best: the sender, the
+// one session it came over, and by the same argument the sender's
+// best. An origination's empty path (cell 0) is constant for the solve.
 type slowEdge struct {
 	sess  int
 	gen   uint64
@@ -191,6 +196,9 @@ type StaticSolver struct {
 	first    []uint32
 	edges    []staticEdge
 	slow     []slowEdge
+	// prepended are the fast edges whose sender prepends per prefix,
+	// each with the sender's PeerConfig: Solve sets their runs.
+	prepended []prependedEdge
 	// taps are the export taps a caller set, tapped them resolved at
 	// netGen (SetExportTaps).
 	taps   []ExportTap
@@ -202,9 +210,31 @@ type StaticSolver struct {
 	// has a route.
 	asf   []uint64
 	cells []pathCell // cells[0] is unused: index 0 is the empty path
+	// exported is each node's last export cell by RouterID (0: none
+	// this solve).
+	exported []uint32
+	// held maps the cells a PathTree holds to its runs (AddTapLeaf):
+	// cell c is run held[c].run of the tree if held[c].stamp is stamp.
+	// A new stamp, taken per solve and tree, forgets them all.
+	held    []heldCell
+	stamp   uint64
+	stampAt uint64 // gen when stamp was taken
+	treeFor *asn.PathTree
 	// own holds the solve's originating speakers. cur is the round's
 	// batch and next the one it queues; both are empty between solves.
 	own, cur, next idSet
+}
+
+// prependedEdge is a fast edge whose run depends on the prefix.
+type prependedEdge struct {
+	edge uint32
+	pc   *PeerConfig // the sender's toward the receiver
+}
+
+// heldCell is a cell's run in the tree taken at stamp.
+type heldCell struct {
+	stamp uint64
+	run   uint32
 }
 
 // NewStaticSolver returns a solver for n. It follows every change to
@@ -248,7 +278,11 @@ func (sv *StaticSolver) Solve(p netutil.Prefix, origins []StaticOrigin) *StaticR
 	if sv.netGen != sv.net.gen {
 		sv.compile()
 	}
+	for _, pe := range sv.prepended {
+		sv.edges[pe.edge].run = int32(exportRun(p, pe.pc))
+	}
 	clear(sv.nodes)
+	clear(sv.exported)
 	clear(sv.own)
 	sv.cells = append(sv.cells[:0], pathCell{})
 	res := &StaticResult{Prefix: p, solver: sv, gen: sv.gen}
@@ -313,9 +347,10 @@ func (sv *StaticSolver) compile() {
 		sv.first = make([]uint32, size+1)
 		sv.nodes = make([]staticNode, size)
 		sv.asf = make([]uint64, size)
+		sv.exported = make([]uint32, size)
 		sv.own, sv.cur, sv.next = make(idSet, words), make(idSet, words), make(idSet, words)
 	}
-	sv.edges, sv.slow = sv.edges[:0], sv.slow[:0]
+	sv.edges, sv.slow, sv.prepended = sv.edges[:0], sv.slow[:0], sv.prepended[:0]
 	unset := 0 // the lowest RouterID whose first is not yet written
 	for _, id := range n.order {
 		for ; unset <= int(id); unset++ {
@@ -354,12 +389,15 @@ func (sv *StaticSolver) compileEdge(s *Speaker, i int) staticEdge {
 	if e.nb.AS == s.AS {
 		ed.allow = 0 // loop detection drops whatever a same-AS neighbor sends
 	}
-	if pcAtNb.hasExportCallback() || pc.ImportDeny != nil || s.importDeny != nil ||
-		len(pcAtNb.PrefixPrepend) > 0 || pcAtNb.ExportAddCommunities.Len() > 0 ||
-		pcAtNb.NeighborAS != s.AS {
+	switch {
+	case pcAtNb.hasExportCallback() || pc.ImportDeny != nil || s.importDeny != nil ||
+		pcAtNb.ExportAddCommunities.Len() > 0 || pcAtNb.NeighborAS != s.AS:
 		ed.flags |= edgeSlow
 		ed.slow = uint32(len(sv.slow))
 		sv.slow = append(sv.slow, slowEdge{sess: i})
+	case len(pcAtNb.PrefixPrepend) > 0:
+		// compile appends the edge next.
+		sv.prepended = append(sv.prepended, prependedEdge{edge: uint32(len(sv.edges)), pc: pcAtNb})
 	}
 	return ed
 }
@@ -426,7 +464,10 @@ func (sv *StaticSolver) relax(id RouterID) bool {
 		// The winner's class, communities and path are completed below.
 		best.candView, best.has, best.route, bestEdge = cv, true, cand, e
 	}
-	var asf uint64
+	var (
+		asf   uint64
+		fresh bool // best.path is a cell appended for this relaxation
+	)
 	if bestEdge != nil {
 		// Complete the winner: the rest of what the import assigns, and
 		// its path as one cell on the neighbor's.
@@ -437,18 +478,31 @@ func (sv *StaticSolver) relax(id RouterID) bool {
 			best.comms = exportCommunities(nb.comms, s.sessions[sv.slow[bestEdge.slow].sess].pcAtNb)
 		}
 		best.scoped = best.from != 0 && scopedToReceiver(best.comms)
-		sv.cells = append(sv.cells, pathCell{as: bestEdge.nbAS, n: uint32(best.plen - nb.plen), next: nb.path})
-		best.path = uint32(len(sv.cells) - 1)
+		best.path, fresh = sv.exportCell(bestEdge.nb, pathCell{as: bestEdge.nbAS, n: uint32(best.plen - nb.plen), next: nb.path})
 		asf = sv.asf[bestEdge.nb] | asFilterBit(bestEdge.nbAS)
 	}
 	if sv.sameRoute(&sv.nodes[id], &best) {
-		if bestEdge != nil {
+		if fresh {
 			sv.cells = sv.cells[:len(sv.cells)-1]
 		}
 		return false
 	}
+	if fresh {
+		sv.exported[bestEdge.nb] = best.path
+	}
 	sv.nodes[id], sv.asf[id] = best, asf
 	return true
+}
+
+// exportCell returns speaker from's last export cell if it is c, or
+// appends c and returns it fresh; the caller records a fresh cell it
+// keeps as from's last (exported).
+func (sv *StaticSolver) exportCell(from RouterID, c pathCell) (cell uint32, fresh bool) {
+	if last := sv.exported[from]; last != 0 && sv.cells[last] == c {
+		return last, false
+	}
+	sv.cells = append(sv.cells, c)
+	return uint32(len(sv.cells) - 1), true
 }
 
 // slowCandidate is a slow edge's candidate by the session-table path:
@@ -642,7 +696,7 @@ type tapEdge struct {
 	pc   *PeerConfig
 }
 
-// SetExportTaps sets the sessions AppendTapPath reads. The solver
+// SetExportTaps sets the sessions AddTapLeaf reads. The solver
 // resolves them against the network now and again whenever it
 // recompiles its adjacency (see the generation contract above), so a
 // read looks up no speaker and searches no session table, and a tap
@@ -665,27 +719,76 @@ func (sv *StaticSolver) resolveTaps() {
 	}
 }
 
-// AppendTapPath is Network.AppendExportPath over the solver's export
-// tap i (SetExportTaps): it appends the path of what the tap's sender
-// announces to its receiver under r and reports true, or returns dst
-// unchanged and false if policy withholds the prefix.
-func (r *StaticResult) AppendTapPath(dst asn.Path, i int) (asn.Path, bool) {
+// AddTapLeaf is Network.AppendExportPath over the solver's export tap
+// i (SetExportTaps) into a tree: it adds to t, as its next leaf, the
+// path of what the tap's sender announces to its receiver under r and
+// reports true, or adds nothing and reports false if policy
+// withholds the prefix. The path is the sender's export cell on its
+// chain of cells, which the receivers of the solve share: t gains only
+// the cells it does not yet hold. The first leaf a result adds to an
+// empty tree starts the tree's map of held cells; t must hold only
+// leaves added from r since. AddTapLeaf writes the solver's memory, so
+// it runs on the goroutine that solved, not beside other reads of r.
+func (r *StaticResult) AddTapLeaf(t *asn.PathTree, i int) bool {
 	tp := &r.solver.tapped[i]
-	return r.appendExport(dst, tp.from, tp.as, tp.pc)
+	best, run, ok := r.export(tp.from, tp.pc)
+	if !ok {
+		return false
+	}
+	sv := r.solver
+	if sv.treeFor != t || sv.stampAt != sv.gen || t.Len() == 0 {
+		sv.treeFor, sv.stampAt = t, sv.gen
+		sv.stamp++
+	}
+	cell, fresh := sv.exportCell(tp.from, pathCell{as: tp.as, n: uint32(run), next: best.path})
+	if fresh {
+		sv.exported[tp.from] = cell
+	}
+	t.AddLeaf(sv.treeRun(t, cell))
+	return true
+}
+
+// treeRun returns cell c's run in the tree being filled, adding it and
+// the cells of its tail the tree does not hold yet.
+func (sv *StaticSolver) treeRun(t *asn.PathTree, c uint32) int {
+	if c == 0 {
+		return asn.NoRun
+	}
+	if int(c) >= len(sv.held) {
+		sv.held = append(sv.held, make([]heldCell, len(sv.cells)-len(sv.held))...)
+	}
+	if h := sv.held[c]; h.stamp == sv.stamp {
+		return int(h.run)
+	}
+	cell := sv.cells[c]
+	run := t.AddRun(cell.as, int(cell.n), sv.treeRun(t, cell.next))
+	sv.held[c] = heldCell{stamp: sv.stamp, run: uint32(run)}
+	return run
 }
 
 // appendExport appends the path speaker from (of AS as) announces over
 // the session pc describes, nil for none.
 func (r *StaticResult) appendExport(dst asn.Path, from RouterID, as asn.AS, pc *PeerConfig) (asn.Path, bool) {
-	if pc == nil {
+	best, run, ok := r.export(from, pc)
+	if !ok {
 		return dst, false
 	}
-	best := r.node(from)
+	return r.solver.appendPath(dst, as, run, best), true
+}
+
+// export returns speaker from's best and the copies of its AS it puts
+// in front of it over the session pc describes (nil for none), or false
+// if the session carries nothing.
+func (r *StaticResult) export(from RouterID, pc *PeerConfig) (best *staticNode, run int, ok bool) {
+	if pc == nil {
+		return nil, 0, false
+	}
+	best = r.node(from)
 	sv := r.solver
 	if best == nil || !sv.exportAdmits(best, pc) {
-		return dst, false
+		return nil, 0, false
 	}
-	return sv.appendPath(dst, as, exportRun(sv.prefix, pc), best), true
+	return best, exportRun(sv.prefix, pc), true
 }
 
 // hasExportCallback reports whether the session's export policy

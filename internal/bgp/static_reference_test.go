@@ -516,11 +516,16 @@ func TestSolverAfterTopologyChangeMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d %s (origins %v): %v", trial, stage, origins, err)
 			}
 			got := sv.Solve(p, origins)
-			var tapBuf, wantBuf asn.Path
+			var (
+				tapBuf, wantBuf asn.Path
+				tree            asn.PathTree
+			)
 			for k, tp := range taps {
 				var ok, wantOK bool
 				lo, wantLo := len(tapBuf), len(wantBuf)
-				tapBuf, ok = got.AppendTapPath(tapBuf, k)
+				if ok = got.AddTapLeaf(&tree, k); ok {
+					tapBuf = tree.AppendPath(tapBuf, tree.Len()-1)
+				}
 				wantBuf, wantOK = net.AppendExportPath(wantBuf, got, tp.From, tp.To)
 				if ok != wantOK || !tapBuf[lo:].Equal(wantBuf[wantLo:]) {
 					t.Fatalf("trial %d %s: tap %d -> %d reads %v (%v), AppendExportPath %v (%v)",

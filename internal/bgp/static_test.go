@@ -259,8 +259,8 @@ func TestStaticSolverAllocs(t *testing.T) {
 
 // TestAppendExportPathAllocs: reading every session's export path of
 // a solve into a buffer that has grown to hold them all allocates
-// nothing on a network without policy callbacks, by session and by
-// export tap alike.
+// nothing on a network without policy callbacks, by session into a
+// buffer and by export tap into a tree alike.
 func TestAppendExportPathAllocs(t *testing.T) {
 	const n = 300
 	net := randomGaoRexfordNetwork(rand.New(rand.NewSource(42)), n) // #nosec test randomness
@@ -273,7 +273,10 @@ func TestAppendExportPathAllocs(t *testing.T) {
 	}
 	sv.SetExportTaps(all)
 	res := sv.Solve(netutil.MustParsePrefix("203.0.113.0/24"), []StaticOrigin{{Speaker: 7}})
-	var buf asn.Path
+	var (
+		buf  asn.Path
+		tree asn.PathTree
+	)
 	sessions := 0
 	for _, tc := range []struct {
 		name string
@@ -283,9 +286,11 @@ func TestAppendExportPathAllocs(t *testing.T) {
 			buf, ok = net.AppendExportPath(buf, res, all[k].From, all[k].To)
 			return ok
 		}},
-		{"AppendTapPath", func(k int) (ok bool) {
-			buf, ok = res.AppendTapPath(buf, k)
-			return ok
+		{"AddTapLeaf", func(k int) bool {
+			if k == 0 {
+				tree.Reset()
+			}
+			return res.AddTapLeaf(&tree, k)
 		}},
 	} {
 		readAll := func() {
@@ -300,7 +305,7 @@ func TestAppendExportPathAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(10, readAll); got != 0 {
 			t.Fatalf("warmed %s over %d sessions allocates %.1f times, want 0", tc.name, sessions, got)
 		}
-		t.Logf("%s: %d sessions exported %d ASes into one buffer, 0 allocations", tc.name, sessions, len(buf))
+		t.Logf("%s: %d sessions exported %d ASes into one buffer, %d runs into one tree, 0 allocations", tc.name, sessions, len(buf), tree.Runs())
 	}
 }
 

@@ -97,7 +97,7 @@ func Analyze(s *Survey) (*Analysis, error) {
 	a.TargetsAblation = AblateTargets(s.Internet2, []int{1, 2, 3})
 	a.GapAblation = AblateRoundGap([]int{600, 1800, 3600}, SmallSurveyOptions())
 
-	a.RelAccuracy, a.RelEdges, a.RelPaths = relationshipAccuracy(eco, views)
+	a.RelAccuracy, a.RelEdges, a.RelPaths = RelationshipAccuracy(eco, views)
 
 	// IRR documented-vs-deployed policy (the §2.2 lineage: Wang & Gao
 	// 2003, Kastanakis et al. 2023).
@@ -185,18 +185,27 @@ func (s *Survey) OriginASes() int {
 	return len(set)
 }
 
-// relationshipAccuracy runs Gao-style relationship inference over the
-// collector-observed paths of every origin and scores it against the
-// generator's session classes.
-func relationshipAccuracy(eco *topo.Ecosystem, views map[asn.AS]*OriginView) (acc float64, evaluated, nPaths int) {
-	var paths []asn.Path
+// RelationshipAccuracy runs Gao-style relationship inference over the
+// collector-observed paths of every origin, read in origin order one
+// path at a time, and scores it against the generator's session
+// classes.
+func RelationshipAccuracy(eco *topo.Ecosystem, views map[asn.AS]*OriginView) (acc float64, evaluated, nPaths int) {
 	origins := make([]asn.AS, 0, len(views))
 	for origin := range views {
 		origins = append(origins, origin)
+		nPaths += views[origin].CollectorPaths.Len()
 	}
 	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	for _, origin := range origins {
-		paths = append(paths, views[origin].CollectorPaths...)
+	paths := func(yield func(asn.Path) bool) {
+		var buf asn.Path
+		for _, origin := range origins {
+			t := &views[origin].CollectorPaths
+			for i := 0; i < t.Len(); i++ {
+				if buf = t.AppendPath(buf[:0], i); !yield(buf) {
+					return
+				}
+			}
+		}
 	}
 	correct := 0
 	for _, ie := range asrel.Infer(paths).Edges() {
@@ -227,5 +236,5 @@ func relationshipAccuracy(eco *topo.Ecosystem, views map[asn.AS]*OriginView) (ac
 	if evaluated > 0 {
 		acc = float64(correct) / float64(evaluated)
 	}
-	return acc, evaluated, len(paths)
+	return acc, evaluated, nPaths
 }

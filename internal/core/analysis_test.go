@@ -5,19 +5,29 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/topo"
 )
 
-// TestRelationshipAccuracy sanity-checks the asrel integration at test
-// scale.
+// TestRelationshipAccuracy pins the asrel integration's figures at
+// -small and at the paper's grammar with its populations divided by
+// four to what inference over one concatenated slice of every view's
+// paths gave.
 func TestRelationshipAccuracy(t *testing.T) {
-	s := NewSurvey(SmallSurveyOptions())
-	views := ComputeOriginViews(s.Eco)
-	acc, edges, paths := relationshipAccuracy(s.Eco, views)
-	if edges < 100 || paths < 1000 {
-		t.Fatalf("too little data: %d edges, %d paths", edges, paths)
-	}
-	if acc < 0.85 {
-		t.Errorf("relationship accuracy = %.3f", acc)
+	for _, tc := range []struct {
+		name          string
+		cfg           topo.GenConfig
+		acc           float64
+		edges, nPaths int
+	}{
+		{"small", topo.SmallConfig(), 0.9425465838509317, 644, 24477},
+		{"paper÷4", paperQuarter(), 0.9719407638347622, 1283, 109294},
+	} {
+		eco := topo.Build(tc.cfg)
+		acc, edges, paths := RelationshipAccuracy(eco, ComputeOriginViews(eco))
+		if acc != tc.acc || edges != tc.edges || paths != tc.nPaths {
+			t.Errorf("%s: accuracy %v over %d edges and %d paths, want %v, %d, %d",
+				tc.name, acc, edges, paths, tc.acc, tc.edges, tc.nPaths)
+		}
 	}
 }
 

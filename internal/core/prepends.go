@@ -27,19 +27,19 @@ type OriginView struct {
 	RIPEHasRoute bool
 	RIPEViaRE    bool
 	// CollectorPaths are the AS paths the collectors observed for
-	// this origin's announcements (one per collector peer holding a
-	// route); downstream analyses (relationship inference) reuse them.
-	CollectorPaths []asn.Path
+	// this origin's announcements, one per collector peer holding a
+	// route, in collector and then peer order, as a tree of shared
+	// runs: Len paths, path i read with AppendPath. Downstream
+	// analyses (relationship inference) read them one at a time.
+	CollectorPaths asn.PathTree
 }
 
 // viewMemory is one running shard's working memory: its solver, with
-// the collector sessions as its export taps, and the buffer the
-// collector peers' paths of one origin are appended into, end to end,
-// before they are copied out.
+// the collector sessions as its export taps, and the tree one origin's
+// collector paths are added to before it is copied out.
 type viewMemory struct {
-	sv    *bgp.StaticSolver
-	paths asn.Path
-	ends  []int // ends[i] is where path i ends in paths
+	sv   *bgp.StaticSolver
+	tree asn.PathTree
 }
 
 // ComputeOriginViews solves converged routing for each origin AS's
@@ -50,8 +50,8 @@ type viewMemory struct {
 // deterministic regardless of scheduling. Each running shard draws a
 // viewMemory from a pool and reads its result — which borrows the
 // solver — before handing the memory back. A view's collector paths
-// share one exact-size slab; each is capped at its own end, so
-// appending to one never writes into the next.
+// are the solver's path cells they run through, copied once each into
+// the view's tree, whose arrays are exactly their size.
 func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 	// Every collector's peers' exports to it, the same sessions for
 	// every origin: each shard's solver resolves them once.
@@ -88,29 +88,21 @@ func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 		p := info.Prefixes[0]
 		res := mem.sv.Solve(p, []bgp.StaticOrigin{{Speaker: info.Router}})
 
-		mem.paths, mem.ends = mem.paths[:0], mem.ends[:0]
+		t := &mem.tree
+		t.Reset()
 		for k := range taps {
-			var ok bool
-			if mem.paths, ok = res.AppendTapPath(mem.paths, k); ok {
-				mem.ends = append(mem.ends, len(mem.paths))
+			if !res.AddTapLeaf(t, k) {
+				continue
+			}
+			leaf := t.Len() - 1
+			up, pre := t.NeighborOfOrigin(leaf), t.PrependCount(leaf)
+			if eco.REASNs[up] {
+				ov.REPrepend = max(ov.REPrepend, pre)
+			} else if up != asn.None {
+				ov.CommodityPrepend = max(ov.CommodityPrepend, pre)
 			}
 		}
-		if len(mem.ends) > 0 {
-			slab := make(asn.Path, len(mem.paths))
-			copy(slab, mem.paths)
-			ov.CollectorPaths = make([]asn.Path, len(mem.ends))
-			lo := 0
-			for i, hi := range mem.ends {
-				path := slab[lo:hi:hi]
-				ov.CollectorPaths[i], lo = path, hi
-				up, pre := path.NeighborOfOrigin(), path.PrependCount()
-				if eco.REASNs[up] {
-					ov.REPrepend = max(ov.REPrepend, pre)
-				} else if up != asn.None {
-					ov.CommodityPrepend = max(ov.CommodityPrepend, pre)
-				}
-			}
-		}
+		ov.CollectorPaths = t.Compact()
 		if best := res.Best(eco.RIPE.Router); best != nil {
 			ov.RIPEHasRoute = true
 			// §4.3: classify RIPE's neighbors as R&E or commodity.
